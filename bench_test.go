@@ -249,6 +249,8 @@ func BenchmarkFig12(b *testing.B) {
 // The wrappers pin the historical benchmark names.
 
 func BenchmarkDetectorAbslockRW(b *testing.B)         { bench.DetectorAbslockRW(b) }
+func BenchmarkDetectorAbslockReentrant(b *testing.B)  { bench.DetectorAbslockReentrant(b) }
+func BenchmarkDetectorAbslockHeld256(b *testing.B)    { bench.DetectorAbslockHeld256(b) }
 func BenchmarkDetectorGlobalLock(b *testing.B)        { bench.DetectorGlobalLock(b) }
 func BenchmarkDetectorLiberalLock(b *testing.B)       { bench.DetectorLiberalLock(b) }
 func BenchmarkDetectorForwardGatekeeper(b *testing.B) { bench.DetectorForwardGatekeeper(b) }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"commlat/internal/core"
+	"commlat/internal/engine"
 )
 
 // randSimpleSpec generates a random ADT signature and a random SIMPLE
@@ -130,4 +131,224 @@ func TestReduceNeverChangesSemantics(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lockModel is the executable definition of §3.2's lock discipline that
+// the managers are checked against: one holder-mode table per datum and
+// one for the ds-lock, acquisitions taken in scheme order and compared
+// with every other transaction's held modes. No stripes, no fast path,
+// no owner-side shortcuts.
+type lockModel struct {
+	scheme *Scheme
+	ds     map[int]uint64            // tx → held ds modes
+	data   map[string]map[int]uint64 // datum → tx → held modes
+}
+
+func newLockModel(s *Scheme) *lockModel {
+	return &lockModel{scheme: s, ds: map[int]uint64{}, data: map[string]map[int]uint64{}}
+}
+
+// invoke runs inv's pre and post acquisitions for tx and reports whether
+// all were granted. A refused acquisition leaves the earlier ones held.
+func (lm *lockModel) invoke(t *testing.T, tx int, inv core.Invocation) bool {
+	for _, post := range []bool{false, true} {
+		for _, a := range lm.scheme.Acquire[inv.Method] {
+			if (a.After || a.Target == TargetRet) != post {
+				continue
+			}
+			mode := a.Mode
+			if a.Guard != nil {
+				weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if weak {
+					mode = a.WeakMode
+				}
+			}
+			holders := lm.ds
+			if a.Target != TargetDS {
+				v := inv.Ret
+				if a.Target == TargetArg {
+					v = inv.Args.At(a.Arg)
+				}
+				datum := a.Key + "/" + v.String()
+				if lm.data[datum] == nil {
+					lm.data[datum] = map[int]uint64{}
+				}
+				holders = lm.data[datum]
+			}
+			for other, held := range holders {
+				if other == tx {
+					continue
+				}
+				for h := range lm.scheme.Modes {
+					if held>>uint(h)&1 != 0 && lm.scheme.Incompat[mode][h] {
+						return false
+					}
+				}
+			}
+			holders[tx] |= 1 << uint(mode)
+		}
+	}
+	return true
+}
+
+func (lm *lockModel) end(tx int) {
+	delete(lm.ds, tx)
+	for datum, holders := range lm.data {
+		delete(holders, tx)
+		if len(holders) == 0 {
+			delete(lm.data, datum)
+		}
+	}
+}
+
+// heldData counts the data locks with at least one holder.
+func (lm *lockModel) heldData() int {
+	n := 0
+	for _, holders := range lm.data {
+		if len(holders) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// requireDrained fails unless m holds nothing at all: no stripe locks,
+// no fast slots, every filter cell back at zero.
+func requireDrained(t *testing.T, what string, m *Manager) {
+	t.Helper()
+	if n := m.HeldLocks(); n != 0 {
+		t.Fatalf("%s: HeldLocks = %d after every transaction ended", what, n)
+	}
+	if n := m.FastHolds(); n != 0 {
+		t.Fatalf("%s: FastHolds = %d after every transaction ended", what, n)
+	}
+	for i, ft := range m.fasts {
+		cells := uint64(1)
+		for !ft.filter.SameCell(0, cells) {
+			cells <<= 1
+		}
+		for c := uint64(0); c < cells; c++ {
+			if n := ft.filter.Count(c); n != 0 {
+				t.Fatalf("%s: fast table %d filter cell %d = %d after every transaction ended", what, i, c, n)
+			}
+		}
+	}
+}
+
+// checkAgainstModel drives one random schedule of interleaved
+// transactions through the striped, single-stripe and sharded managers
+// and the lock model, requiring the same verdict from all four at every
+// step, the model's count of held data locks throughout, and a fully
+// drained table at the end. Half of all invocations reuse argument
+// values the transaction already locked, under a freshly drawn method,
+// so schedules are dense in same-mode and covered re-acquisitions,
+// upgrades (alone and against foreign holders) and plans mixing held
+// with new datums; a refused invocation aborts its transaction only
+// half the time, so partial acquisitions and reverted upgrades stay
+// behind and must match too.
+func checkAgainstModel(t *testing.T, seed int64, steps int) {
+	r := rand.New(rand.NewSource(seed))
+	spec := randSimpleSpec(r)
+	scheme, err := Synthesize(spec)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	scheme = scheme.Reduce()
+	names := []string{"striped", "single-stripe", "sharded"}
+	mgrs := []*Manager{
+		NewManager(scheme, nil),
+		newManagerWithStripes(scheme, nil, 1, 1),
+		NewManagerSharded(scheme, nil, 4),
+	}
+	model := newLockModel(scheme)
+
+	const nTx = 4
+	var txs [nTx][]*engine.Tx
+	var used [nTx][]core.Value
+	begin := func(i int) {
+		txs[i] = txs[i][:0]
+		for range mgrs {
+			txs[i] = append(txs[i], engine.NewTx())
+		}
+		used[i] = used[i][:0]
+	}
+	end := func(i int, commit bool) {
+		for _, tx := range txs[i] {
+			if commit {
+				tx.Commit()
+			} else {
+				tx.Abort()
+			}
+		}
+		model.end(i)
+		begin(i)
+	}
+	for i := range txs {
+		begin(i)
+	}
+
+	for step := 0; step < steps; step++ {
+		i := r.Intn(nTx)
+		if r.Intn(12) == 0 {
+			end(i, r.Intn(2) == 0)
+			continue
+		}
+		inv := randInvocation(r, spec.Sig)
+		for k := 0; k < inv.Args.Len(); k++ {
+			if len(used[i]) > 0 && r.Intn(2) == 0 {
+				inv.Args.Set(k, used[i][r.Intn(len(used[i]))])
+			}
+			used[i] = append(used[i], inv.Args.At(k))
+		}
+		want := model.invoke(t, i, inv)
+		for k, m := range mgrs {
+			_, err := m.Invoke(txs[i][k], inv.Method, inv.Args, func() core.Value { return inv.Ret })
+			if err != nil && !engine.IsConflict(err) {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, names[k], err)
+			}
+			if got := err == nil; got != want {
+				t.Fatalf("seed %d step %d: %s granted=%v, model granted=%v for tx %d %s%v ret %v\n%s",
+					seed, step, names[k], got, want, i, inv.Method, inv.Args.Slice(), inv.Ret, scheme.MatrixString())
+			}
+		}
+		if !want && r.Intn(2) == 0 {
+			end(i, false)
+		}
+		if step%16 == 0 {
+			for k, m := range mgrs {
+				if got, want := m.HeldLocks(), model.heldData(); got != want {
+					t.Fatalf("seed %d step %d: %s HeldLocks = %d, model holds %d data locks", seed, step, names[k], got, want)
+				}
+			}
+		}
+	}
+	for i := range txs {
+		end(i, i%2 == 0)
+	}
+	for k, m := range mgrs {
+		requireDrained(t, names[k], m)
+	}
+}
+
+func TestManagersAgreeWithLockModel(t *testing.T) {
+	seeds := int64(150)
+	if testing.Short() {
+		seeds = 30
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		checkAgainstModel(t, seed, 400)
+	}
+}
+
+// FuzzManagersAgreeWithLockModel lets the fuzzer pick the schedule.
+func FuzzManagersAgreeWithLockModel(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 2011} {
+		f.Add(seed, uint16(300))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16) {
+		checkAgainstModel(t, seed, int(steps%2000))
+	})
 }

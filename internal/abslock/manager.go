@@ -78,25 +78,27 @@ const maxFreeDlocks = 64
 // and the ds-lock has a dedicated stripe of its own, so disjoint
 // acquisitions proceed in parallel instead of serializing on one global
 // mutex. Held-key lists are partitioned per stripe, so releasing a
-// transaction locks only the stripes it actually touched. Within one
-// invocation, acquisitions are grouped by stripe and taken in ascending
-// stripe order, one stripe lock at a time — no two stripe mutexes are
+// transaction locks only the stripes it actually touched. Acquisitions
+// are taken one at a time in scheme order — no two stripe mutexes are
 // ever held together, so lock-order inversion is impossible.
 type Manager struct {
 	scheme   *Scheme
-	keys     map[string]KeyFunc
+	methods  map[string]*Method
 	incompat []uint64 // per mode: mask of conflicting modes
+	// covers[m] is the mask of modes h whose incompatibility row contains
+	// m's: a transaction holding h on a datum may be granted m on it with
+	// no further check (see acquireDatum).
+	covers []uint64
 
 	mask    uint32
 	stripes []stripe
 
 	// fasts holds the pre-stripe conflict-signature prefilter tables
-	// (see prefilter.go): plans free of ds-lock acquisitions whose datum
-	// cells are unoccupied take their locks without a stripe mutex.
-	// NewManager keeps a single shared table; NewManagerSharded
-	// partitions the fast state by datum-key hash (fastFor) so workers
-	// whose keys stay in one shard never touch another shard's filter or
-	// slot words.
+	// (see prefilter.go): datum acquisitions whose filter cell is
+	// unoccupied take their lock without a stripe mutex. NewManager
+	// keeps a single shared table; NewManagerSharded partitions the fast
+	// state by datum-key hash (fastFor) so workers whose keys stay in one
+	// shard never touch another shard's filter or slot words.
 	fasts    []*fastTable
 	fastMask uint32
 
@@ -158,8 +160,9 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShard
 	}
 	m := &Manager{
 		scheme:   scheme,
-		keys:     keys,
+		methods:  make(map[string]*Method, len(scheme.Acquire)),
 		incompat: make([]uint64, len(scheme.Modes)),
+		covers:   make([]uint64, len(scheme.Modes)),
 		mask:     uint32(n - 1),
 		stripes:  make([]stripe, n),
 		dsHooked: map[*engine.Tx]struct{}{},
@@ -183,6 +186,16 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShard
 		}
 		m.incompat[i] = mask
 	}
+	for i, row := range m.incompat {
+		for j, held := range m.incompat {
+			if row&^held == 0 {
+				m.covers[i] |= 1 << uint(j)
+			}
+		}
+	}
+	for name, acqs := range scheme.Acquire {
+		m.methods[name] = compileMethod(name, acqs, keys)
+	}
 	labels := make([]string, len(scheme.Modes))
 	for i, mode := range scheme.Modes {
 		labels[i] = mode.String()
@@ -199,6 +212,12 @@ func (m *Manager) Telemetry() *telemetry.Detector { return m.tele }
 // Scheme returns the scheme the manager enforces.
 func (m *Manager) Scheme() *Scheme { return m.scheme }
 
+// Covers reports whether holding mode held on a datum entitles the
+// holder to mode want on it without a further check: every mode that
+// conflicts with want conflicts with held too. Intended for tests and
+// diagnostics.
+func (m *Manager) Covers(held, want int) bool { return m.covers[want]>>uint(held)&1 != 0 }
+
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -208,8 +227,8 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-func (m *Manager) stripeIndex(dk *datumKey) int {
-	return int(uint32(dk.h>>32^dk.h) & m.mask)
+func (m *Manager) stripeFor(h uint64) *stripe {
+	return &m.stripes[uint32(h>>32^h)&m.mask]
 }
 
 // fastFor routes a datum-key hash to its fast table. The shard index
@@ -220,169 +239,236 @@ func (m *Manager) fastFor(h uint64) *fastTable {
 	return m.fasts[uint32((h*0x9E3779B97F4A7C15)>>48)&m.fastMask]
 }
 
-// plannedAcq is one resolved acquisition of an invocation: its datum key
-// (ignored for the ds-lock), target stripe (-1 for the ds stripe) and
-// mode.
-type plannedAcq struct {
-	sidx int
-	dk   datumKey
-	mode int
+// Method is one method's acquisitions compiled against a manager: split
+// by phase, key functions and key-name hashes resolved. Wrappers that
+// guard a fixed method set fetch their handles once (Manager.Method) and
+// acquire through them, skipping the per-call name lookup and the
+// argument-vector copy of the string-keyed API.
+type Method struct {
+	name      string
+	pre, post []compiledAcq
 }
 
-// PreAcquire takes the ds-lock and argument locks for an invocation of
+// compiledAcq is one Acquisition with its key function resolved.
+type compiledAcq struct {
+	Acquisition
+	keyFn KeyFunc // nil for identity, and for a key the caller never supplied
+	keyH  uint64  // fnv64(Key); 0 for identity
+}
+
+func compileMethod(name string, acqs []Acquisition, keys map[string]KeyFunc) *Method {
+	h := &Method{name: name}
+	for _, a := range acqs {
+		c := compiledAcq{Acquisition: a}
+		if a.Key != "" {
+			c.keyFn, c.keyH = keys[a.Key], fnv64(a.Key)
+		}
+		if a.After || a.Target == TargetRet {
+			h.post = append(h.post, c)
+		} else {
+			h.pre = append(h.pre, c)
+		}
+	}
+	return h
+}
+
+// Method returns the compiled handle for a method of the scheme, or nil
+// for a method that acquires nothing (a nil handle is valid to acquire
+// through).
+func (m *Manager) Method(name string) *Method { return m.methods[name] }
+
+// Acquire takes the ds-lock and argument locks for an invocation of h's
 // method with args, in the scheme's modes. On conflict it returns an
 // error satisfying engine.IsConflict and leaves any locks it already took
 // held (they are released when the transaction aborts).
-func (m *Manager) PreAcquire(tx *engine.Tx, method string, args core.Vec) error {
-	return m.acquireSet(tx, method, args, core.Value{}, false)
+func (m *Manager) Acquire(tx *engine.Tx, h *Method, args ...core.Value) error {
+	return m.acquire(tx, h, args, nil)
 }
 
-// PostAcquire takes the post-execution locks: return-value targets plus
+// AcquirePost takes the post-execution locks: return-value targets plus
 // any guarded acquisitions whose guard inspects the return value. A
 // conflict here means the invocation must be rolled back by the
 // transaction's undo log.
+func (m *Manager) AcquirePost(tx *engine.Tx, h *Method, ret core.Value, args ...core.Value) error {
+	return m.acquire(tx, h, args, &ret)
+}
+
+// PreAcquire is Acquire by method name.
+func (m *Manager) PreAcquire(tx *engine.Tx, method string, args core.Vec) error {
+	return m.acquire(tx, m.methods[method], args.Slice(), nil)
+}
+
+// PostAcquire is AcquirePost by method name.
 func (m *Manager) PostAcquire(tx *engine.Tx, method string, args core.Vec, ret core.Value) error {
-	return m.acquireSet(tx, method, args, ret, true)
-}
-
-// acquireSet resolves the pre- or post-phase acquisitions of an
-// invocation (modes, key functions, stripes — all computed outside any
-// lock), orders them by stripe, and takes them one stripe at a time.
-func (m *Manager) acquireSet(tx *engine.Tx, method string, args core.Vec, ret core.Value, post bool) error {
-	var buf [8]plannedAcq
-	plan, err := m.planAcqs(buf[:0], method, args, ret, post)
-	if err != nil {
-		return err
-	}
-	t0 := telemetry.LatClock()
-	// Stage 1: plans free of ds-lock acquisitions try the lock-free
-	// prefilter first; a miss on every planned cell takes the locks
-	// without touching a stripe.
-	if len(plan) > 0 && len(plan) <= len(buf) && plan[0].sidx >= 0 {
-		if m.tryAcquire(tx, plan) {
-			telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
-			return nil
-		}
-		m.tele.CascadeFilterHit()
-		t0 = telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
-	}
-	for i := 0; i < len(plan); {
-		if plan[i].sidx < 0 {
-			if err := m.acquireDS(tx, plan[i].mode); err != nil {
-				telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
-				return err
-			}
-			i++
-			continue
-		}
-		// One stripe lock for the whole run of same-stripe acquisitions.
-		s := &m.stripes[plan[i].sidx]
-		s.mu.Lock()
-		for ; i < len(plan) && &m.stripes[plan[i].sidx] == s; i++ {
-			if err := m.acquireInStripe(s, tx, &plan[i].dk, plan[i].mode); err != nil {
-				s.mu.Unlock()
-				telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
-				return err
-			}
-		}
-		s.mu.Unlock()
-	}
-	if len(plan) > 0 {
-		telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
-	}
-	return nil
-}
-
-// planAcqs resolves the pre- or post-phase acquisitions of one
-// invocation into plan (appended and returned), ordered by stripe with
-// the ds stripe (-1) first — the lock-free front half of acquireSet,
-// shared with the batch path.
-func (m *Manager) planAcqs(plan []plannedAcq, method string, args core.Vec, ret core.Value, post bool) ([]plannedAcq, error) {
-	acqs := m.scheme.Acquire[method]
-	for i := range acqs {
-		a := &acqs[i]
-		if (a.After || a.Target == TargetRet) != post {
-			continue
-		}
-		mode, err := m.pickMode(a, method, args, ret)
-		if err != nil {
-			return plan, err
-		}
-		switch a.Target {
-		case TargetDS:
-			plan = append(plan, plannedAcq{sidx: -1, mode: mode})
-		case TargetArg:
-			dk, err := m.datumKeyFor(a.Key, args.At(a.Arg))
-			if err != nil {
-				return plan, err
-			}
-			plan = append(plan, plannedAcq{sidx: m.stripeIndex(&dk), dk: dk, mode: mode})
-		case TargetRet:
-			dk, err := m.datumKeyFor(a.Key, ret)
-			if err != nil {
-				return plan, err
-			}
-			plan = append(plan, plannedAcq{sidx: m.stripeIndex(&dk), dk: dk, mode: mode})
-		}
-	}
-	// Deterministic per-invocation stripe order (stable insertion sort:
-	// the plan is tiny). The ds stripe (-1) sorts first.
-	for i := 1; i < len(plan); i++ {
-		for j := i; j > 0 && plan[j].sidx < plan[j-1].sidx; j-- {
-			plan[j], plan[j-1] = plan[j-1], plan[j]
-		}
-	}
-	return plan, nil
-}
-
-func (m *Manager) datumKeyFor(key string, v core.Value) (datumKey, error) {
-	if key != "" {
-		f, ok := m.keys[key]
-		if !ok {
-			return datumKey{}, fmt.Errorf("abslock: no implementation for key function %q", key)
-		}
-		v = f(v)
-	}
-	// Tagged values carry a cheap precomputed hash; only KindRef datum
-	// values (kd-tree points and the like) pay for formatting.
-	h := v.Hash()
-	if key != "" {
-		h ^= fnv64(key)
-	}
-	return datumKey{h: h, key: key, v: v}, nil
-}
-
-// pickMode resolves a (possibly guarded) acquisition's mode against the
-// invoking invocation.
-func (m *Manager) pickMode(a *Acquisition, method string, args core.Vec, ret core.Value) (int, error) {
-	if a.Guard == nil {
-		return a.Mode, nil
-	}
-	ok, err := core.Eval(a.Guard, core.OwnEnv(core.MakeInvocation(method, args, ret)))
-	if err != nil {
-		return 0, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
-	}
-	if ok {
-		return a.WeakMode, nil
-	}
-	return a.Mode, nil
+	return m.acquire(tx, m.methods[method], args.Slice(), &ret)
 }
 
 // Invoke guards a complete method invocation: pre-acquire, execute,
 // post-acquire. exec runs only if the pre-acquisitions succeed.
 func (m *Manager) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() core.Value) (core.Value, error) {
-	if err := m.PreAcquire(tx, method, args); err != nil {
+	h := m.methods[method]
+	if err := m.acquire(tx, h, args.Slice(), nil); err != nil {
 		return core.Value{}, err
 	}
 	ret := exec()
-	if err := m.PostAcquire(tx, method, args, ret); err != nil {
-		return ret, err
+	return ret, m.acquire(tx, h, args.Slice(), &ret)
+}
+
+// admission tallies how one acquire call's datum acquisitions were
+// granted, for the per-invocation telemetry counters.
+type admission struct {
+	reentrant  int  // granted against the transaction's own fast hold
+	fast, slow bool // some acquisition published a fast slot / reached a stripe
+}
+
+// acquire is the one admission path: the pre-phase acquisitions of h
+// when ret is nil, the post-phase ones otherwise, resolved and taken one
+// at a time.
+func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core.Value) error {
+	if ret == nil {
+		m.tele.IncInvocation()
 	}
-	return ret, nil
+	if h == nil {
+		return nil
+	}
+	acqs := h.pre
+	if ret != nil {
+		acqs = h.post
+	}
+	var adm admission
+	var err error
+	for i := 0; i < len(acqs) && err == nil; i++ {
+		a := &acqs[i]
+		var kv core.Value
+		mode, v, hash, rerr := a.resolve(h.name, args, ret, &kv)
+		switch {
+		case rerr != nil:
+			err = rerr
+		case a.Target == TargetDS:
+			err = m.acquireDS(tx, mode)
+		default:
+			err = m.acquireDatum(tx, a.Key, v, hash, mode, &adm)
+		}
+	}
+	m.tele.ReentrantHitN(adm.reentrant)
+	if adm.slow {
+		m.tele.CascadeFilterHit()
+	} else if adm.fast {
+		m.tele.CascadeFastAdmit()
+	}
+	return err
+}
+
+// resolve evaluates one acquisition against an invocation, outside any
+// lock: its mode (guards applied) and, for a datum target, the value it
+// locks — the argument or return value, through the key function for
+// keyed modes (kv is the caller's scratch for its result) — with the
+// datum-key hash. Tagged values carry a cheap precomputed hash; only
+// KindRef datum values (kd-tree points and the like) pay for formatting.
+func (a *compiledAcq) resolve(method string, args []core.Value, ret, kv *core.Value) (mode int, v *core.Value, h uint64, err error) {
+	mode = a.Mode
+	if a.Guard != nil {
+		inv := core.MakeInvocation(method, core.MakeVec(args...), core.Value{})
+		if ret != nil {
+			inv.Ret = *ret
+		}
+		weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
+		if err != nil {
+			return 0, nil, 0, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
+		}
+		if weak {
+			mode = a.WeakMode
+		}
+	}
+	if a.Target == TargetDS {
+		return mode, nil, 0, nil
+	}
+	v = ret
+	if a.Target == TargetArg {
+		v = kv // a missing argument locks the nil value
+		if a.Arg < len(args) {
+			v = &args[a.Arg]
+		}
+	}
+	if a.Key != "" {
+		if a.keyFn == nil {
+			return 0, nil, 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
+		}
+		*kv = a.keyFn(*v)
+		v = kv
+	}
+	return mode, v, v.Hash() ^ a.keyH, nil
+}
+
+// acquireDatum takes one datum lock in mode for tx, by the cheapest
+// sound route.
+//
+// A transaction that already holds the datum's fast slot is resolved
+// against its own hold. If a held mode covers the requested one
+// (incompat[mode] ⊆ incompat[held]) the grant is immediate and touches
+// no shared state: every other holder is compatible with the held mode
+// and hence with this one, and any later acquirer that conflicts with
+// this one conflicts with the held mode and is refused on that account.
+// Otherwise the hold is widened in place: the new mode mask is stored
+// into the slot and then the filter cell is probed; a count beyond the
+// slot's own publication means some other party published first, so the
+// mask reverts and the stripe decides. A stripe acquirer publishes into
+// the filter before it scans the fast chains, so of an upgrader and a
+// racing acquirer at least one sees the other.
+//
+// A datum the transaction does not hold takes a fresh fast slot when
+// its filter cell is otherwise empty (publish, then probe), and the
+// stripe path when it is not.
+func (m *Manager) acquireDatum(tx *engine.Tx, key string, v *core.Value, h uint64, mode int, adm *admission) error {
+	ft := m.fastFor(h)
+	bit := uint64(1) << uint(mode)
+	own, held := ft.ownHold(h, tx.ID())
+	if own != 0 && held&m.covers[mode] != 0 {
+		m.tele.ModeAcquire(uint16(mode))
+		adm.reentrant++
+		return nil
+	}
+	t0 := telemetry.LatClock()
+	granted := false
+	if own != 0 {
+		// The pre-probe keeps a hopeless upgrade from flashing a wider
+		// mask at compatible stripe acquirers.
+		if ft.filter.Count(h) == 1 {
+			ft.modes[own-1].Store(held | bit)
+			if granted = ft.filter.Count(h) == 1; granted {
+				adm.reentrant++
+			} else {
+				ft.modes[own-1].Store(held)
+			}
+		}
+	} else if s, ok := ft.free.Pop(); ok {
+		ft.publish(s, tx.ID(), h, bit)
+		if granted = ft.filter.Count(h) == 1; granted {
+			ft.attach(tx, s)
+			adm.fast = true
+		} else {
+			ft.retract(s)
+		}
+	}
+	t0 = telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
+	if granted {
+		m.tele.ModeAcquire(uint16(mode))
+		return nil
+	}
+	adm.slow = true
+	dk := datumKey{h: h, key: key, v: *v}
+	s := m.stripeFor(h)
+	s.mu.Lock()
+	err := m.acquireInStripe(s, tx, &dk, mode)
+	s.mu.Unlock()
+	telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
+	return err
 }
 
 // acquireDS takes the whole-structure lock on its dedicated stripe.
 func (m *Manager) acquireDS(tx *engine.Tx, mode int) error {
+	t0 := telemetry.LatClock()
+	defer telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
 	m.dsMu.Lock()
 	defer m.dsMu.Unlock()
 	isNew, err := m.lockModes(tx, &m.ds, mode)
@@ -636,13 +722,12 @@ func dropHolder(l *dlock, tx *engine.Tx) {
 	}
 }
 
-// HeldLocks reports how many distinct data locks are currently held,
-// fast-path holds included (for tests and diagnostics).
+// HeldLocks reports how many distinct data locks are currently held
+// (for tests and diagnostics). A datum held on the fast path and in a
+// stripe at once — by two compatible transactions, or by one whose
+// in-place upgrade was refused — counts once.
 func (m *Manager) HeldLocks() int {
 	n := 0
-	for _, ft := range m.fasts {
-		n += int(ft.nLive.Load())
-	}
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
@@ -651,5 +736,24 @@ func (m *Manager) HeldLocks() int {
 		}
 		s.mu.Unlock()
 	}
-	return n
+	fastOnly := map[uint64]struct{}{}
+	for _, ft := range m.fasts {
+		if ft.nLive.Load() == 0 {
+			continue
+		}
+		for i := range ft.ver {
+			v := ft.ver[i].Load()
+			h := ft.hash[i].Load()
+			if v&fastLive == 0 || ft.ver[i].Load() != v {
+				continue // free, or released under the read
+			}
+			s := m.stripeFor(h)
+			s.mu.Lock()
+			if _, both := s.data[h]; !both {
+				fastOnly[h] = struct{}{}
+			}
+			s.mu.Unlock()
+		}
+	}
+	return n + len(fastOnly)
 }

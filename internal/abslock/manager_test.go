@@ -30,6 +30,55 @@ func TestManagerSameTxReentrant(t *testing.T) {
 	}
 }
 
+// TestHeldLocksCountsDatumOnce: HeldLocks counts distinct data locks,
+// so a read followed by a write of one key by one transaction is one
+// lock, whichever paths the two holds sit on.
+func TestHeldLocksCountsDatumOnce(t *testing.T) {
+	m := newRWSetManager(t)
+	tx := engine.NewTx()
+	key := core.MakeVec(core.V(int64(1)))
+	for _, method := range []string{"contains", "add"} {
+		if err := m.PreAcquire(tx, method, key); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.HeldLocks(); got != 1 {
+			t.Errorf("HeldLocks = %d after %s(1), want 1", got, method)
+		}
+	}
+	tx.Commit()
+
+	// The same with the two holds on different paths: a foreign lock on a
+	// key that shares key 1's filter cell keeps the upgrade off the fast
+	// path, so the write hold lands in the stripe beside the
+	// transaction's own fast read hold.
+	ft := m.fasts[0]
+	other := int64(2)
+	for !ft.filter.SameCell(core.VInt(1).Hash(), core.VInt(other).Hash()) {
+		other++
+	}
+	tx1, tx2 := engine.NewTx(), engine.NewTx()
+	if err := m.PreAcquire(tx1, "contains", key); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(other))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.PreAcquire(tx1, "add", key); err != nil {
+		t.Fatal(err)
+	}
+	if fast := m.FastHolds(); fast != 1 {
+		t.Fatalf("FastHolds = %d, want 1: the scenario needs key %d and the upgrade on the stripes", fast, other)
+	}
+	if got := m.HeldLocks(); got != 2 {
+		t.Errorf("HeldLocks = %d with keys 1 and %d locked, want 2", got, other)
+	}
+	tx1.Commit()
+	tx2.Commit()
+	if got := m.HeldLocks(); got != 0 {
+		t.Errorf("HeldLocks = %d after release, want 0", got)
+	}
+}
+
 func TestManagerConflictAndRelease(t *testing.T) {
 	m := newRWSetManager(t)
 	tx1 := engine.NewTx()

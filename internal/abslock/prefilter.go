@@ -2,6 +2,7 @@ package abslock
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,28 +13,30 @@ import (
 )
 
 // This file applies the lattice cascade's stage-1 conflict-signature
-// prefilter to abstract locking: an invocation whose planned datum
-// acquisitions land only in unoccupied filter cells takes its locks
-// without touching a single stripe mutex. Each fast hold lives in one
-// slot of a lock-free table (version word, holder id, datum-key hash,
-// mode mask) published before the filter probe, so of two racing
-// conflicting acquirers at least one observes the other and falls
-// through to the stripe path; the stripe path in turn publishes its own
-// holds into the same filter (see acquireInStripe) and scans the fast
-// chains for incompatible holders, which closes the loop in the other
-// direction. The ds-lock is never fast-pathed: any plan touching it
-// goes straight to the stripes.
+// prefilter to abstract locking: a datum acquisition that lands in an
+// unoccupied filter cell takes its lock without touching a stripe
+// mutex. Each fast hold lives in one slot of a lock-free table (version
+// word, holder id, datum-key hash, mode mask) published before the
+// filter probe, so of two racing conflicting acquirers at least one
+// observes the other and falls through to the stripe path; the stripe
+// path in turn publishes its own holds into the same filter (see
+// acquireInStripe) and scans the fast chains for incompatible holders,
+// which closes the loop in the other direction. The ds-lock is never
+// fast-pathed.
 //
-// Fast admission demands an exactly-self filter count, so compatible
-// sharing of one datum (two readers of the same key) always runs the
-// stripe path — the fast path accelerates the disjoint-access case the
-// striping was built for, without changing a single verdict: decisions
-// remain those of the mode-incompatibility relation.
+// Fast admission demands a filter count of exactly its own publication,
+// so compatible sharing of one datum (two readers of the same key)
+// always runs the stripe path — the fast path accelerates the
+// disjoint-access case the striping was built for, without changing a
+// single verdict: decisions remain those of the mode-incompatibility
+// relation. The holder of a fast slot re-acquires its datum against the
+// slot itself (Manager.acquireDatum): covered modes with no shared
+// write at all, wider ones by widening the slot's mask in place.
 
 // Version-word protocol for fast slots: bit 0 marks the slot live, the
 // counter above it detects recycling. There is no pin bit — a live
-// slot's fields are immutable until release, so optimistic readers only
-// compare two version loads around their field reads.
+// slot's holder id and hash are immutable until release, so optimistic
+// readers only compare two version loads around their field reads.
 const (
 	fastLive    uint64 = 1
 	fastVerStep uint64 = 2
@@ -49,10 +52,15 @@ type fastTable struct {
 	filter *sigfilter.Filter
 	capS   uint32
 
-	//commvet:seqlock protects=txids,hash,modes
+	//commvet:seqlock protects=txids,hash
 	ver   []atomic.Uint64
 	txids []atomic.Uint64
 	hash  []atomic.Uint64
+	// modes is outside the seqlock: the holder widens it in place while
+	// the slot is live (an upgrade, reverted if refused) without a version
+	// bump. It is one atomic word, every value a reader can load is a
+	// mask the holder did publish, and the upgrade is ordered against
+	// readers by publish-then-probe on the filter, not by the version.
 	modes []atomic.Uint64
 	next  []atomic.Uint32 // bucket chain links; slot+1, 0 terminates
 	txNxt []uint64        // per-tx chain; owner-goroutine access only
@@ -70,6 +78,12 @@ type fastTable struct {
 func newFastTable(capS int, filterBits int) *fastTable {
 	if capS <= 0 {
 		capS = defaultFastSlots
+	}
+	if filterBits <= 0 {
+		// Four cells per slot: a full table still leaves three cells in
+		// four empty, and the filter stays a fraction of the slot columns'
+		// footprint. (sigfilter.New clamps small tables up to 64 cells.)
+		filterBits = bits.Len(uint(capS-1)) + 2
 	}
 	ft := &fastTable{
 		filter: sigfilter.New(filterBits),
@@ -91,48 +105,53 @@ func newFastTable(capS int, filterBits int) *fastTable {
 	return ft
 }
 
-// tryAcquire attempts to take every planned datum acquisition on the
-// fast path: publish one slot per acquisition, then probe the filter.
-// If any probed cell counts more than this plan's own publications —
-// any other holder, own transaction's older holds included — all slots
-// are retracted and the caller proceeds on the stripe path. Plans must
-// be free of ds-lock acquisitions.
-func (m *Manager) tryAcquire(tx *engine.Tx, plan []plannedAcq) bool {
-	n := len(plan)
-	var slots [8]uint32
-	var tabs [8]*fastTable
-	for i := 0; i < n; i++ {
-		ft := m.fastFor(plan[i].dk.h)
-		s, ok := ft.free.Pop()
-		if !ok {
-			m.retractFast(tabs[:i], slots[:i])
-			return false
+// ownHold looks up the transaction's own live fast hold on datum-key
+// hash h, returning slot+1 and its mode mask (0 when it has none). The
+// walk reads h's bucket chain and writes nothing. Pushes and unlinks by
+// other transactions run under it, so every visited slot must be live
+// and in this bucket, before and after its link is read; anything else
+// restarts from the head. The transaction's own slot never moves while
+// it runs, so a completed walk cannot have missed it.
+func (ft *fastTable) ownHold(h, txid uint64) (uint32, uint64) {
+	b := h & ft.bucketMask
+restart:
+	link := ft.heads[b].Load()
+	for link != 0 {
+		s := link - 1
+		v := ft.ver[s].Load()
+		hs := ft.hash[s].Load()
+		if !ft.inChain(v, hs, b) {
+			goto restart
 		}
-		tabs[i], slots[i] = ft, s
-		ft.publish(s, tx.ID(), plan[i].dk.h, 1<<uint(plan[i].mode))
-	}
-	for i := 0; i < n; i++ {
-		h := plan[i].dk.h
-		ft := tabs[i]
-		// Self-counting is per table: entries routed to another shard's
-		// table cannot occupy this one's cells.
-		var self int32
-		for j := 0; j < n; j++ {
-			if tabs[j] == ft && ft.filter.SameCell(plan[j].dk.h, h) {
-				self++
-			}
+		if hs == h && ft.txids[s].Load() == txid {
+			return link, ft.modes[s].Load()
 		}
-		if ft.filter.Count(h) > self {
-			m.retractFast(tabs[:n], slots[:n])
-			return false
+		next := ft.next[s].Load()
+		if ft.ver[s].Load() != v {
+			goto restart
 		}
+		link = next
 	}
-	for i := 0; i < n; i++ {
-		tabs[i].attach(tx, slots[i])
-		m.tele.ModeAcquire(uint16(plan[i].mode))
+	return 0, 0
+}
+
+// inChain reports whether a slot whose version and hash were just
+// loaded is live in bucket b. A dead slot, or one recycled into another
+// bucket, was reached through a link that no longer belongs to b's
+// chain; a dead one is still being unlinked under relMu, so the walker
+// yields to the releaser before restarting.
+func (ft *fastTable) inChain(v, hs, b uint64) bool {
+	if v&fastLive == 0 {
+		runtime.Gosched()
+		return false
 	}
-	m.tele.CascadeFastAdmit()
-	return true
+	return hs&ft.bucketMask == b
+}
+
+// batchAcq is one resolved datum acquisition of a batch member.
+type batchAcq struct {
+	h    uint64
+	mode int
 }
 
 // AcquireBatch is PreAcquire across a batch of same-method invocations:
@@ -154,19 +173,27 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 	m.tele.IncInvocationN(n)
 
 	// Plan phase: resolve every member lock-free. A member needing the
-	// ds stripe (sidx -1 sorts first) or failing key resolution bounds
-	// the planning prefix.
-	flat := make([]plannedAcq, 0, n)
+	// ds-lock or failing key resolution bounds the planning prefix.
+	var pre []compiledAcq
+	if h := m.methods[method]; h != nil {
+		pre = h.pre
+	}
+	flat := make([]batchAcq, 0, n)
 	off := make([]int, n+1)
 	limit := n
-	var scratch [8]plannedAcq
+plan:
 	for i := 0; i < n; i++ {
-		p, err := m.planAcqs(scratch[:0], method, argss[i], core.Value{}, false)
-		if err != nil || (len(p) > 0 && p[0].sidx < 0) {
-			limit = i
-			break
+		args := argss[i].Slice()
+		for k := range pre {
+			var kv core.Value
+			mode, _, h, err := pre[k].resolve(method, args, nil, &kv)
+			if err != nil || pre[k].Target == TargetDS {
+				flat = flat[:off[i]]
+				limit = i
+				break plan
+			}
+			flat = append(flat, batchAcq{h: h, mode: mode})
 		}
-		flat = append(flat, p...)
 		off[i+1] = len(flat)
 	}
 
@@ -179,7 +206,7 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 		start := len(slots)
 		exhausted := false
 		for k := off[i]; k < off[i+1]; k++ {
-			ft := m.fastFor(flat[k].dk.h)
+			ft := m.fastFor(flat[k].h)
 			s, ok := ft.free.Pop()
 			if !ok {
 				m.retractFast(tabs[start:], slots[start:])
@@ -189,7 +216,7 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 			}
 			slots = append(slots, s)
 			tabs = append(tabs, ft)
-			ft.publish(s, txs[i].ID(), flat[k].dk.h, 1<<uint(flat[k].mode))
+			ft.publish(s, txs[i].ID(), flat[k].h, 1<<uint(flat[k].mode))
 		}
 		if exhausted {
 			limit = i
@@ -207,10 +234,10 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 	for i := 0; i < limit; i++ {
 		ok := true
 		for k := off[i]; k < off[i+1] && ok; k++ {
-			h := flat[k].dk.h
+			h := flat[k].h
 			ft := tabs[k]
 			for j := 0; j < off[i]; j++ {
-				if tabs[j] == ft && ft.filter.SameCell(flat[j].dk.h, h) {
+				if tabs[j] == ft && ft.filter.SameCell(flat[j].h, h) {
 					ok = false
 					break
 				}
@@ -220,7 +247,7 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 			}
 			var selfAll int32
 			for j := 0; j < np; j++ {
-				if tabs[j] == ft && ft.filter.SameCell(flat[j].dk.h, h) {
+				if tabs[j] == ft && ft.filter.SameCell(flat[j].h, h) {
 					selfAll++
 				}
 			}
@@ -254,6 +281,13 @@ func (m *Manager) AcquireBatch(txs []*engine.Tx, method string, argss []core.Vec
 		m.tele.CascadeFilterHit()
 	}
 	return limit
+}
+
+// retract frees one published slot whose probe failed.
+func (ft *fastTable) retract(s uint32) {
+	ft.relMu.Lock()
+	ft.releaseSlotLocked(s)
+	ft.relMu.Unlock()
 }
 
 func (m *Manager) retractFast(tabs []*fastTable, slots []uint32) {
@@ -351,18 +385,24 @@ func (ft *fastTable) releaseSlotLocked(s uint32) {
 // conflictScan is the stripe path's view into the fast table: after
 // recording (and filter-publishing) its own hold, a stripe acquirer
 // scans the bucket chain of its datum-key hash for a live fast hold of
-// another transaction in an incompatible mode. Optimistic traversal:
-// any version change after following a link restarts the walk.
+// another transaction in an incompatible mode. Optimistic traversal
+// under the rules of ownHold: a slot found dead or out of the bucket,
+// or whose version moves while its link is read, restarts the walk.
 func (m *Manager) conflictScan(tx *engine.Tx, dk *datumKey, mode int) error {
 	ft := m.fastFor(dk.h)
 	mask := m.incompat[mode]
 	myID := tx.ID()
+	b := dk.h & ft.bucketMask
 restart:
-	link := ft.heads[dk.h&ft.bucketMask].Load()
+	link := ft.heads[b].Load()
 	for link != 0 {
 		s := link - 1
 		v := ft.ver[s].Load()
-		if v&fastLive != 0 && ft.hash[s].Load() == dk.h && ft.txids[s].Load() != myID {
+		hs := ft.hash[s].Load()
+		if !ft.inChain(v, hs, b) {
+			goto restart
+		}
+		if hs == dk.h && ft.txids[s].Load() != myID {
 			if conflicting := ft.modes[s].Load() & mask; conflicting != 0 {
 				holder := ft.txids[s].Load()
 				if ft.ver[s].Load() != v {

@@ -172,3 +172,257 @@ func TestManagerStripedConcurrentStress(t *testing.T) {
 		t.Fatalf("occupancy counters did not drain: %d", total)
 	}
 }
+
+// moveSpec is a reader/two-datum-writer spec in the shape of Borůvka's
+// component lists and the flow graph's pushFlow: gets of one datum
+// share, a move conflicts with anything touching either of its datums.
+// Its reduced scheme has one read mode (get:r) and two write modes
+// (move:a, move:b), each write mode covering all three.
+func moveSpec() *core.Spec {
+	sig := &core.ADTSig{Name: "moves", Methods: []core.MethodSig{
+		{Name: "get", Params: []string{"r"}, HasRet: true},
+		{Name: "move", Params: []string{"a", "b"}},
+	}}
+	s := core.NewSpec(sig)
+	s.Set("get", "get", core.True())
+	s.Set("get", "move", core.And(
+		core.Ne(core.Arg1(0), core.Arg2(0)),
+		core.Ne(core.Arg1(0), core.Arg2(1)),
+	))
+	s.Set("move", "move", core.And(
+		core.Ne(core.Arg1(0), core.Arg2(0)),
+		core.Ne(core.Arg1(0), core.Arg2(1)),
+		core.Ne(core.Arg1(1), core.Arg2(0)),
+		core.Ne(core.Arg1(1), core.Arg2(1)),
+	))
+	return s
+}
+
+// TestReentrantScenarios walks the owner-side paths one at a time —
+// each scripted schedule names the route every acquisition must take —
+// on the striped, single-stripe and sharded managers alike.
+func TestReentrantScenarios(t *testing.T) {
+	type step struct {
+		tx       int
+		method   string
+		args     []int64
+		conflict bool
+	}
+	get := func(tx int, k int64) step { return step{tx: tx, method: "get", args: []int64{k}} }
+	move := func(tx int, a, b int64) step { return step{tx: tx, method: "move", args: []int64{a, b}} }
+	refused := func(s step) step { s.conflict = true; return s }
+
+	scenarios := []struct {
+		name      string
+		steps     []step
+		reentrant uint64 // acquisitions granted against the owner's own hold
+		fast      int    // live fast slots afterwards
+		held      int    // distinct data locks afterwards
+		abort     []int  // transactions to abort before the drain check
+	}{
+		{
+			name:      "same-mode re-acquire",
+			steps:     []step{get(0, 1), get(0, 1), get(0, 1)},
+			reentrant: 2, fast: 1, held: 1,
+		},
+		{
+			name:      "covered-mode re-acquire",
+			steps:     []step{move(0, 1, 2), get(0, 1), get(0, 2), move(0, 2, 1)},
+			reentrant: 4, fast: 2, held: 2,
+		},
+		{
+			name:      "upgrade alone, visible to others",
+			steps:     []step{get(0, 1), move(0, 1, 2), refused(get(1, 1)), refused(get(1, 2))},
+			reentrant: 1, fast: 2, held: 2,
+		},
+		{
+			name: "upgrade refused by a foreign compatible reader",
+			steps: []step{get(0, 1), get(1, 1), refused(move(0, 1, 1)), refused(move(1, 1, 1)),
+				get(0, 1), refused(move(2, 1, 3))},
+			reentrant: 1, fast: 1, held: 1,
+		},
+		{
+			name:      "mixed held and new datums",
+			steps:     []step{get(0, 1), move(0, 1, 2), move(0, 3, 1), refused(get(1, 3))},
+			reentrant: 2, fast: 3, held: 3,
+		},
+		{
+			name: "mixed plan refused on the new datum keeps the upgrade",
+			steps: []step{get(1, 2), get(0, 1), refused(move(0, 1, 2)), refused(get(2, 1)),
+				get(2, 2)},
+			reentrant: 1, fast: 2, held: 2,
+		},
+		{
+			name:      "abort after an in-place upgrade",
+			steps:     []step{get(0, 1), move(0, 1, 1)},
+			reentrant: 2, fast: 1, held: 1,
+			abort: []int{0},
+		},
+	}
+	scheme, err := Synthesize(moveSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme = scheme.Reduce()
+	for _, sc := range scenarios {
+		mgrs := map[string]*Manager{
+			"striped":       NewManager(scheme, nil),
+			"single-stripe": newManagerWithStripes(scheme, nil, 1, 1),
+			"sharded":       NewManagerSharded(scheme, nil, 4),
+		}
+		for name, m := range mgrs {
+			txs := []*engine.Tx{engine.NewTx(), engine.NewTx(), engine.NewTx()}
+			for i, st := range sc.steps {
+				var args core.Vec
+				for _, k := range st.args {
+					args.Append(core.VInt(k))
+				}
+				err := m.PreAcquire(txs[st.tx], st.method, args)
+				if err != nil && !engine.IsConflict(err) {
+					t.Fatalf("%s/%s step %d: %v", sc.name, name, i, err)
+				}
+				if got := err != nil; got != st.conflict {
+					t.Fatalf("%s/%s step %d (tx %d %s%v): conflict=%v, want %v",
+						sc.name, name, i, st.tx, st.method, st.args, got, st.conflict)
+				}
+			}
+			if got := m.Telemetry().Snapshot().ReentrantHits; got != sc.reentrant {
+				t.Errorf("%s/%s: %d acquisitions resolved against the owner's hold, want %d", sc.name, name, got, sc.reentrant)
+			}
+			if got := m.FastHolds(); got != sc.fast {
+				t.Errorf("%s/%s: FastHolds = %d, want %d", sc.name, name, got, sc.fast)
+			}
+			if got := m.HeldLocks(); got != sc.held {
+				t.Errorf("%s/%s: HeldLocks = %d, want %d", sc.name, name, got, sc.held)
+			}
+			for _, i := range sc.abort {
+				txs[i].Abort()
+				// The datum is free again, and free for the fast path.
+				probe := engine.NewTx()
+				if err := m.PreAcquire(probe, "move", core.Args2(core.VInt(1), core.VInt(1))); err != nil {
+					t.Errorf("%s/%s: datum still guarded after its holder aborted: %v", sc.name, name, err)
+				}
+				probe.Commit()
+				txs[i] = engine.NewTx()
+			}
+			for _, tx := range txs {
+				tx.Commit()
+			}
+			requireDrained(t, sc.name+"/"+name, m)
+		}
+	}
+}
+
+// TestUpgradeRaceAtMostOneWriter races two transactions for the write
+// lock of one datum, from the two starting points the in-place upgrade
+// has to get right: both hold the read lock already (one on the fast
+// path, one in the stripe) and upgrade at once, or the fast holder
+// upgrades while a foreign reader arrives. In neither may both be
+// granted. Run with -race.
+func TestUpgradeRaceAtMostOneWriter(t *testing.T) {
+	scheme, err := Synthesize(moveSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme = scheme.Reduce()
+	rounds := 3000
+	if testing.Short() {
+		rounds = 300
+	}
+	for _, procs := range []int{2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		m := NewManager(scheme, nil)
+		get, move := m.Method("get"), m.Method("move")
+		for round := 0; round < rounds; round++ {
+			k := core.VInt(int64(round % 7))
+			bothRead := round%2 == 0
+			tx1, tx2 := engine.NewTx(), engine.NewTx()
+			if err := m.Acquire(tx1, get, k); err != nil {
+				t.Fatal(err)
+			}
+			if bothRead {
+				if err := m.Acquire(tx2, get, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err1, err2 error
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				err1 = m.Acquire(tx1, move, k, k)
+			}()
+			go func() {
+				defer wg.Done()
+				if bothRead {
+					err2 = m.Acquire(tx2, move, k, k)
+				} else {
+					err2 = m.Acquire(tx2, get, k)
+				}
+			}()
+			wg.Wait()
+			for _, err := range []error{err1, err2} {
+				if err != nil && !engine.IsConflict(err) {
+					t.Fatal(err)
+				}
+			}
+			if err1 == nil && err2 == nil {
+				t.Fatalf("GOMAXPROCS %d round %d (both readers first: %v): writer and its rival were both granted", procs, round, bothRead)
+			}
+			if bothRead && (err1 == nil || err2 == nil) {
+				t.Fatalf("GOMAXPROCS %d round %d: an upgrade was granted over the other transaction's read lock", procs, round)
+			}
+			tx1.Commit()
+			tx2.Abort()
+		}
+		runtime.GOMAXPROCS(prev)
+		requireDrained(t, "upgrade race", m)
+	}
+}
+
+// TestHoldLookupBounded takes 256 locks in one transaction and checks
+// what keeps the owner's hold lookup from going quadratic in them: it
+// walks one hash bucket of the fast table, and those stay short however
+// many locks the transaction holds. Every re-acquisition of a fast hold
+// must then resolve against it. (The DetectorAbslockHeld256 bench row
+// times the same lookup.)
+func TestHoldLookupBounded(t *testing.T) {
+	m := newRWSetManager(t)
+	contains := m.Method("contains")
+	tx := engine.NewTx()
+	const n = 256
+	for k := int64(0); k < n; k++ {
+		if err := m.Acquire(tx, contains, core.VInt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft := m.fasts[0]
+	longest := 0
+	for b := range ft.heads {
+		length := 0
+		for link := ft.heads[b].Load(); link != 0; link = ft.next[link-1].Load() {
+			length++
+		}
+		longest = max(longest, length)
+	}
+	if longest > 4 {
+		t.Errorf("longest bucket chain with %d holds is %d slots; the hold lookup walks one chain", n, longest)
+	}
+	// A key whose filter cell an earlier key already occupies is held in
+	// a stripe instead; at four cells per slot that is a handful of 256.
+	fast := m.FastHolds()
+	if fast < n*9/10 {
+		t.Errorf("only %d of %d locks are fast holds", fast, n)
+	}
+	before := m.Telemetry().Snapshot().ReentrantHits
+	for k := int64(0); k < n; k++ {
+		if err := m.Acquire(tx, contains, core.VInt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Telemetry().Snapshot().ReentrantHits - before; got != uint64(fast) {
+		t.Errorf("%d re-acquisitions resolved against the owner's %d fast holds", got, fast)
+	}
+	tx.Commit()
+	requireDrained(t, "256 locks", m)
+}

@@ -13,6 +13,9 @@ import (
 // different lattice points; the API is identical.
 type Graph struct {
 	mgr *abslock.Manager
+	// Compiled acquisition handles, one per method of Sig.
+	getNeighbors, height, excess, relabel, pushFlow *abslock.Method
+
 	mu  sync.Mutex
 	net *Net
 }
@@ -24,7 +27,16 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{mgr: abslock.NewManager(scheme.Reduce(), keys), net: net}, nil
+	mgr := abslock.NewManager(scheme.Reduce(), keys)
+	return &Graph{
+		mgr:          mgr,
+		getNeighbors: mgr.Method("getNeighbors"),
+		height:       mgr.Method("height"),
+		excess:       mgr.Method("excess"),
+		relabel:      mgr.Method("relabel"),
+		pushFlow:     mgr.Method("pushFlow"),
+		net:          net,
+	}, nil
 }
 
 // NewRW guards net with read/write node locks (the "ml" point).
@@ -63,7 +75,7 @@ func (g *Graph) Net() *Net { return g.net }
 
 // Neighbors returns a snapshot of u's residual arcs.
 func (g *Graph) Neighbors(tx *engine.Tx, u int64) ([]Arc, error) {
-	if err := g.mgr.PreAcquire(tx, "getNeighbors", core.Args1(core.VInt(u))); err != nil {
+	if err := g.mgr.Acquire(tx, g.getNeighbors, core.VInt(u)); err != nil {
 		return nil, err
 	}
 	g.mu.Lock()
@@ -73,7 +85,7 @@ func (g *Graph) Neighbors(tx *engine.Tx, u int64) ([]Arc, error) {
 
 // Height reads u's label.
 func (g *Graph) Height(tx *engine.Tx, u int64) (int64, error) {
-	if err := g.mgr.PreAcquire(tx, "height", core.Args1(core.VInt(u))); err != nil {
+	if err := g.mgr.Acquire(tx, g.height, core.VInt(u)); err != nil {
 		return 0, err
 	}
 	g.mu.Lock()
@@ -83,7 +95,7 @@ func (g *Graph) Height(tx *engine.Tx, u int64) (int64, error) {
 
 // Excess reads u's excess flow.
 func (g *Graph) Excess(tx *engine.Tx, u int64) (int64, error) {
-	if err := g.mgr.PreAcquire(tx, "excess", core.Args1(core.VInt(u))); err != nil {
+	if err := g.mgr.Acquire(tx, g.excess, core.VInt(u)); err != nil {
 		return 0, err
 	}
 	g.mu.Lock()
@@ -93,7 +105,7 @@ func (g *Graph) Excess(tx *engine.Tx, u int64) (int64, error) {
 
 // Relabel sets u's label.
 func (g *Graph) Relabel(tx *engine.Tx, u, h int64) error {
-	if err := g.mgr.PreAcquire(tx, "relabel", core.Args1(core.VInt(u))); err != nil {
+	if err := g.mgr.Acquire(tx, g.relabel, core.VInt(u)); err != nil {
 		return err
 	}
 	g.mu.Lock()
@@ -113,7 +125,7 @@ func (g *Graph) Push(tx *engine.Tx, u int64, ai int, amt int64) error {
 	g.mu.Lock()
 	v := int64(g.net.Arcs(u)[ai].To)
 	g.mu.Unlock()
-	if err := g.mgr.PreAcquire(tx, "pushFlow", core.Args2(core.VInt(u), core.VInt(v))); err != nil {
+	if err := g.mgr.Acquire(tx, g.pushFlow, core.VInt(u), core.VInt(v)); err != nil {
 		return err
 	}
 	g.mu.Lock()

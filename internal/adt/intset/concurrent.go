@@ -29,9 +29,27 @@ type Set interface {
 // differs.
 type LockedSet struct {
 	mgr *abslock.Manager
+	ops [3]*abslock.Method // compiled acquisition handles, by lockedOp
+
 	mu  sync.Mutex // physical atomicity of rep operations
 	rep Rep
 }
+
+func newLockedSet(scheme *abslock.Scheme, keys map[string]abslock.KeyFunc, rep Rep) *LockedSet {
+	mgr := abslock.NewManager(scheme.Reduce(), keys)
+	return &LockedSet{
+		mgr: mgr, rep: rep,
+		ops: [3]*abslock.Method{mgr.Method("add"), mgr.Method("remove"), mgr.Method("contains")},
+	}
+}
+
+type lockedOp int
+
+const (
+	opAdd lockedOp = iota
+	opRemove
+	opContains
+)
 
 // NewLocked synthesizes the abstract locking scheme for spec (which must
 // be SIMPLE, possibly keyed) and guards rep with it. keys supplies
@@ -41,7 +59,7 @@ func NewLocked(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Lock
 	if err != nil {
 		return nil, err
 	}
-	return &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), rep: rep}, nil
+	return newLockedSet(scheme, keys, rep), nil
 }
 
 // Telemetry returns the lock manager's telemetry detector, which
@@ -85,7 +103,7 @@ func NewLiberalLocked(rep Rep) *LockedSet {
 	if err != nil {
 		panic(err) // figure 2 is GUARDED-SIMPLE
 	}
-	return &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), nil), rep: rep}
+	return newLockedSet(scheme, nil, rep)
 }
 
 // NewPartitionLocked guards rep with locks on nparts partitions (§4.2).
@@ -99,51 +117,60 @@ func NewPartitionLocked(rep Rep, nparts int) *LockedSet {
 	return s
 }
 
-func (s *LockedSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
-	ret, err := s.mgr.Invoke(tx, method, core.Args1(core.VInt(x)), func() core.Value {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		switch method {
-		case "add":
-			if s.rep.Add(x) {
-				tx.OnUndo(func() {
-					s.mu.Lock()
-					s.rep.Remove(x)
-					s.mu.Unlock()
-				})
-				return core.VBool(true)
-			}
-			return core.VBool(false)
-		case "remove":
-			if s.rep.Remove(x) {
-				tx.OnUndo(func() {
-					s.mu.Lock()
-					s.rep.Add(x)
-					s.mu.Unlock()
-				})
-				return core.VBool(true)
-			}
-			return core.VBool(false)
-		default:
-			return core.VBool(s.rep.Contains(x))
-		}
-	})
-	if err != nil {
+// invoke guards one operation: pre-acquire, apply, post-acquire.
+func (s *LockedSet) invoke(tx *engine.Tx, op lockedOp, x int64) (bool, error) {
+	h, arg := s.ops[op], core.VInt(x)
+	if err := s.mgr.Acquire(tx, h, arg); err != nil {
 		return false, err
 	}
-	return ret.Bool(), nil
+	ret := s.apply(tx, op, x)
+	if err := s.mgr.AcquirePost(tx, h, core.VBool(ret), arg); err != nil {
+		return false, err
+	}
+	return ret, nil
+}
+
+// apply runs op on the representation, registering the inverse with tx
+// when it changed the set.
+func (s *LockedSet) apply(tx *engine.Tx, op lockedOp, x int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch op {
+	case opAdd:
+		if s.rep.Add(x) {
+			tx.OnUndo(func() {
+				s.mu.Lock()
+				s.rep.Remove(x)
+				s.mu.Unlock()
+			})
+			return true
+		}
+		return false
+	case opRemove:
+		if s.rep.Remove(x) {
+			tx.OnUndo(func() {
+				s.mu.Lock()
+				s.rep.Add(x)
+				s.mu.Unlock()
+			})
+			return true
+		}
+		return false
+	default:
+		return s.rep.Contains(x)
+	}
 }
 
 // Add inserts x under the lock discipline; it reports whether the set
 // changed.
-func (s *LockedSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "add", x) }
+func (s *LockedSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opAdd, x) }
 
 // Remove deletes x under the lock discipline.
-func (s *LockedSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "remove", x) }
+func (s *LockedSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opRemove, x) }
 
 // Contains queries membership under the lock discipline.
 func (s *LockedSet) Contains(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "contains", x)
+	return s.invoke(tx, opContains, x)
 }
 
 // Snapshot returns the elements; only safe with no live transactions.

@@ -239,8 +239,11 @@ var (
 // kd-ml and kd-gk.
 type LockedTree struct {
 	mgr *abslock.Manager
-	mu  sync.Mutex
-	t   *Tree
+	// Compiled acquisition handles, one per method.
+	add, remove, nearest, contains *abslock.Method
+
+	mu sync.Mutex
+	t  *Tree
 }
 
 // NewLocked creates the abstract-locked kd-tree.
@@ -249,7 +252,12 @@ func NewLocked() *LockedTree {
 	if err != nil {
 		panic(err) // StrengthenToSimple always yields a SIMPLE spec
 	}
-	return &LockedTree{mgr: abslock.NewManager(scheme.Reduce(), nil), t: New()}
+	mgr := abslock.NewManager(scheme.Reduce(), nil)
+	return &LockedTree{
+		mgr: mgr, t: New(),
+		add: mgr.Method("add"), remove: mgr.Method("remove"),
+		nearest: mgr.Method("nearest"), contains: mgr.Method("contains"),
+	}
 }
 
 // Seed bulk-loads points without conflict detection.
@@ -274,7 +282,7 @@ func (l *LockedTree) Len() int {
 
 // Add inserts p under the lock discipline.
 func (l *LockedTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.PreAcquire(tx, "add", core.Args1(core.V(p))); err != nil {
+	if err := l.mgr.Acquire(tx, l.add, core.V(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()
@@ -292,7 +300,7 @@ func (l *LockedTree) Add(tx *engine.Tx, p Point) (bool, error) {
 
 // Remove deletes p under the lock discipline.
 func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.PreAcquire(tx, "remove", core.Args1(core.V(p))); err != nil {
+	if err := l.mgr.Acquire(tx, l.remove, core.V(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()
@@ -311,7 +319,7 @@ func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 // Nearest queries under the lock discipline (serialized against all
 // mutators by the synthesized ds lock).
 func (l *LockedTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
-	if err := l.mgr.PreAcquire(tx, "nearest", core.Args1(core.V(p))); err != nil {
+	if err := l.mgr.Acquire(tx, l.nearest, core.V(p)); err != nil {
 		return None, err
 	}
 	l.mu.Lock()
@@ -321,7 +329,7 @@ func (l *LockedTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
 
 // Contains queries membership under the lock discipline.
 func (l *LockedTree) Contains(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.PreAcquire(tx, "contains", core.Args1(core.V(p))); err != nil {
+	if err := l.mgr.Acquire(tx, l.contains, core.V(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()

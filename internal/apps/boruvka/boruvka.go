@@ -27,9 +27,11 @@ import (
 // tiny get/merge specification serializes iterations that touch the same
 // component lists, so the replace-style merge bookkeeping never races.
 type compEdges struct {
-	mgr   *abslock.Manager
-	mu    sync.Mutex
-	edges map[int64][]workload.Edge
+	mgr    *abslock.Manager
+	hGet   *abslock.Method // compiled acquisitions of get
+	hMerge *abslock.Method // and of merge
+	mu     sync.Mutex
+	edges  map[int64][]workload.Edge
 }
 
 // compsSpec: scans of the same component share; merges conflict with any
@@ -59,9 +61,12 @@ func newCompEdges(n int, edges []workload.Edge) *compEdges {
 	if err != nil {
 		panic(err) // the comps spec is SIMPLE by construction
 	}
+	mgr := abslock.NewManager(scheme.Reduce(), nil)
 	c := &compEdges{
-		mgr:   abslock.NewManager(scheme.Reduce(), nil),
-		edges: make(map[int64][]workload.Edge, n),
+		mgr:    mgr,
+		hGet:   mgr.Method("get"),
+		hMerge: mgr.Method("merge"),
+		edges:  make(map[int64][]workload.Edge, n),
 	}
 	for _, e := range edges {
 		c.edges[e.U] = append(c.edges[e.U], e)
@@ -72,7 +77,7 @@ func newCompEdges(n int, edges []workload.Edge) *compEdges {
 
 // get returns component r's candidate list under a read lock on r.
 func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
-	if err := c.mgr.PreAcquire(tx, "get", core.Args1(core.VInt(r))); err != nil {
+	if err := c.mgr.Acquire(tx, c.hGet, core.VInt(r)); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -83,7 +88,7 @@ func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
 // merge replaces the winner's list and deletes the loser's, registering
 // an exact undo with tx. Both components are exclusively locked.
 func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.Edge) error {
-	if err := c.mgr.PreAcquire(tx, "merge", core.Args2(core.VInt(winner), core.VInt(loser))); err != nil {
+	if err := c.mgr.Acquire(tx, c.hMerge, core.VInt(winner), core.VInt(loser)); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"testing"
 
+	"commlat/internal/abslock"
 	"commlat/internal/adt/intset"
 	"commlat/internal/adt/unionfind"
 	"commlat/internal/core"
@@ -37,6 +38,8 @@ type Micro struct {
 func Micros() []Micro {
 	ms := []Micro{
 		{"DetectorAbslockRW", DetectorAbslockRW},
+		{"DetectorAbslockReentrant", DetectorAbslockReentrant},
+		{"DetectorAbslockHeld256", DetectorAbslockHeld256},
 		{"DetectorGlobalLock", DetectorGlobalLock},
 		{"DetectorLiberalLock", DetectorLiberalLock},
 		{"DetectorForwardGatekeeper", DetectorForwardGatekeeper},
@@ -117,6 +120,64 @@ func benchSetAdd(b *testing.B, s intset.Set) {
 // spec) guarding a hash set.
 func DetectorAbslockRW(b *testing.B) {
 	benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep()))
+}
+
+func newRWSetManager(b *testing.B) *abslock.Manager {
+	b.Helper()
+	scheme, err := abslock.Synthesize(intset.RWSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return abslock.NewManager(scheme.Reduce(), nil)
+}
+
+// DetectorAbslockReentrant: one transaction reads a key, reads it three
+// more times, upgrades it to a write and commits — the shape of a
+// preflow discharge on one node. One new fast hold, three covered
+// re-acquisitions, one in-place upgrade; ns/op is the whole transaction.
+func DetectorAbslockReentrant(b *testing.B) {
+	m := newRWSetManager(b)
+	contains, add := m.Method("contains"), m.Method("add")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := engine.GetTx()
+		k := core.VInt(int64(i % 1024))
+		for r := 0; r < 4; r++ {
+			if err := m.Acquire(tx, contains, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.Acquire(tx, add, k); err != nil {
+			b.Fatal(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+	}
+}
+
+// DetectorAbslockHeld256: one re-acquisition by a transaction that holds
+// 256 locks. The owner's hold lookup walks one hash bucket, so ns/op
+// stays that of a covered re-acquisition in DetectorAbslockReentrant
+// rather than growing with the locks held.
+func DetectorAbslockHeld256(b *testing.B) {
+	m := newRWSetManager(b)
+	contains := m.Method("contains")
+	tx := engine.NewTx()
+	for k := int64(0); k < 256; k++ {
+		if err := m.Acquire(tx, contains, core.VInt(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Acquire(tx, contains, core.VInt(int64(i&255))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	tx.Commit()
 }
 
 // DetectorGlobalLock: the ⊥ spec — one global exclusive lock.

@@ -223,6 +223,9 @@ func FormatAttribution(s Snapshot) string {
 			fmt.Fprintf(&b, "; cascade %d fast admits, %d filter hits, %d opt scans, %d retries, %d fallbacks",
 				d.FastAdmits, d.FilterHits, d.OptScans, d.OptRetries, d.CascadeFallbacks)
 		}
+		if d.ReentrantHits > 0 {
+			fmt.Fprintf(&b, "; %d reentrant hits", d.ReentrantHits)
+		}
 		if d.BatchesWhole > 0 || d.BatchesSplit > 0 || d.BatchesSerial > 0 {
 			fmt.Fprintf(&b, "; batches %d whole, %d split, %d serialized",
 				d.BatchesWhole, d.BatchesSplit, d.BatchesSerial)
@@ -328,6 +331,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	counter("commlat_cascade_opt_scans_total", "Optimistic lock-free chain scans.", func(d DetectorSnapshot) uint64 { return d.OptScans })
 	counter("commlat_cascade_opt_retries_total", "Version-stamp races retried on the optimistic path.", func(d DetectorSnapshot) uint64 { return d.OptRetries })
 	counter("commlat_cascade_fallbacks_total", "Invocations through the mutex-guarded overflow path.", func(d DetectorSnapshot) uint64 { return d.CascadeFallbacks })
+	counter("commlat_abslock_reentrant_hits_total", "Lock acquisitions granted against the transaction's own existing hold.", func(d DetectorSnapshot) uint64 { return d.ReentrantHits })
 	counter("commlat_batches_whole_total", "Admission batches admitted whole.", func(d DetectorSnapshot) uint64 { return d.BatchesWhole })
 	counter("commlat_batches_split_total", "Admission batches split into a grouped prefix and a serialized rest.", func(d DetectorSnapshot) uint64 { return d.BatchesSplit })
 	counter("commlat_batches_serialized_total", "Admission batches fully serialized.", func(d DetectorSnapshot) uint64 { return d.BatchesSerial })

@@ -88,6 +88,12 @@ type Detector struct {
 	optRetries  atomic.Uint64 // stage 2: version-stamp races retried or re-pinned
 	cascadeSlow atomic.Uint64 // stage 3 fallbacks through the overflow mutex path
 
+	// reentrant counts lock acquisitions granted against a hold the
+	// transaction already had (abstract-lock managers only): covered
+	// re-acquisitions and in-place mode upgrades, neither of which
+	// reaches a stripe mutex.
+	reentrant atomic.Uint64
+
 	// Batch admission counters (batched detectors only): how each
 	// admission batch fared as a group.
 	batchWhole  atomic.Uint64 // batches admitted whole (every member grouped)
@@ -186,6 +192,14 @@ func (d *Detector) CascadeRetry() { d.optRetries.Add(1) }
 // CascadeFallback counts one invocation that took the mutex-guarded
 // overflow path (slot table exhausted or conflict keys unhashable).
 func (d *Detector) CascadeFallback() { d.cascadeSlow.Add(1) }
+
+// ReentrantHitN counts n lock acquisitions granted against the
+// transaction's own existing hold (one atomic add per invocation).
+func (d *Detector) ReentrantHitN(n int) {
+	if n > 0 {
+		d.reentrant.Add(uint64(n))
+	}
+}
 
 // CascadeFastAdmitN counts n invocations admitted by the signature
 // filter alone in one batch probe (one atomic add for the group).
@@ -368,6 +382,7 @@ type DetectorSnapshot struct {
 	OptScans         uint64     `json:"cascade_opt_scans,omitempty"`
 	OptRetries       uint64     `json:"cascade_opt_retries,omitempty"`
 	CascadeFallbacks uint64     `json:"cascade_fallbacks,omitempty"`
+	ReentrantHits    uint64     `json:"reentrant_hits,omitempty"`
 	BatchesWhole     uint64     `json:"batches_whole,omitempty"`
 	BatchesSplit     uint64     `json:"batches_split,omitempty"`
 	BatchesSerial    uint64     `json:"batches_serialized,omitempty"`
@@ -400,6 +415,7 @@ func (d *Detector) Snapshot() DetectorSnapshot {
 		OptScans:         d.optScans.Load(),
 		OptRetries:       d.optRetries.Load(),
 		CascadeFallbacks: d.cascadeSlow.Load(),
+		ReentrantHits:    d.reentrant.Load(),
 		BatchesWhole:     d.batchWhole.Load(),
 		BatchesSplit:     d.batchSplit.Load(),
 		BatchesSerial:    d.batchSerial.Load(),

@@ -111,6 +111,7 @@ func TestWritePrometheus(t *testing.T) {
 	m := r.Register("abslock", "accum", []string{"I", "W"})
 	m.ModeAcquire(1)
 	m.ModeWait(1)
+	m.ReentrantHitN(3)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -122,6 +123,7 @@ func TestWritePrometheus(t *testing.T) {
 		`commlat_pair_conflicts_total{detector="general/set",id="1",m1="add",m2="remove"} 1`,
 		`commlat_mode_acquired_total{detector="abslock/accum",id="2",mode="W"} 1`,
 		`commlat_mode_waits_total{detector="abslock/accum",id="2",mode="W"} 1`,
+		`commlat_abslock_reentrant_hits_total{detector="abslock/accum",id="2"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

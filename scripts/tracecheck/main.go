@@ -22,9 +22,10 @@
 // checks a telemetry snapshot document (`commlat -telemetry-out` or the
 // /debug/telemetry endpoint): every detector row must carry id, kind,
 // and adt, unknown fields are rejected (so the cascade stage counters —
-// cascade_fast_admits through cascade_fallbacks — stay in lockstep
-// between exporter and consumers), and per-pair attribution must not
-// exceed the detector totals it decomposes.
+// cascade_fast_admits through cascade_fallbacks — and the lock
+// manager's reentrant_hits stay in lockstep between exporter and
+// consumers), and per-pair attribution must not exceed the detector
+// totals it decomposes.
 package main
 
 import (
@@ -193,6 +194,7 @@ type snapshotDoc struct {
 		OptScans         uint64 `json:"cascade_opt_scans"`
 		OptRetries       uint64 `json:"cascade_opt_retries"`
 		CascadeFallbacks uint64 `json:"cascade_fallbacks"`
+		ReentrantHits    uint64 `json:"reentrant_hits"`
 		BatchesWhole     uint64 `json:"batches_whole"`
 		BatchesSplit     uint64 `json:"batches_split"`
 		BatchesSerial    uint64 `json:"batches_serialized"`
