@@ -588,7 +588,7 @@ func cmdAdaptive(args []string) error {
 	window := fs.Int("window", 4, "overlap window (threads)")
 	seed := fs.Int64("seed", 1, "stream seed")
 	start := fs.String("start", "", "starting rung by name (default: the bottom of the ladder)")
-	shards := fs.Int("shards", 0, "shard count for the cascade-sharded rung (0: pick from the ShardController ladder for this GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "shard count for the cascade-sharded rung (0: gatekeeper.DefaultShards for this GOMAXPROCS)")
 	auditOut := fs.String("audit", "", "write the controller decision audit trail as JSON to this file (- for stdout)")
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -598,13 +598,9 @@ func cmdAdaptive(args []string) error {
 		return err
 	}
 	ladder := adaptive.DefaultLadder()
-	nShards := *shards
-	if nShards <= 0 {
-		nShards = adaptive.NewShardController(0).Shards()
-	}
 	for i := range ladder {
 		if ladder[i].Name == "cascade-sharded" {
-			ladder[i] = adaptive.ShardedRung(nShards)
+			ladder[i] = adaptive.ShardedRung(*shards)
 		}
 	}
 	startRung := 0

@@ -225,22 +225,21 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 	if n := m.FastHolds(); n != 0 {
 		t.Fatalf("%s: FastHolds = %d after every transaction ended", what, n)
 	}
-	for i, ft := range m.fasts {
-		cells := uint64(1)
-		for !ft.filter.SameCell(0, cells) {
-			cells <<= 1
-		}
-		for c := uint64(0); c < cells; c++ {
-			if n := ft.filter.Count(c); n != 0 {
-				t.Fatalf("%s: fast table %d filter cell %d = %d after every transaction ended", what, i, c, n)
-			}
+	ft := m.fast
+	cells := uint64(1)
+	for !ft.filter.SameCell(0, cells) {
+		cells <<= 1
+	}
+	for c := uint64(0); c < cells; c++ {
+		if n := ft.filter.Count(c); n != 0 {
+			t.Fatalf("%s: filter cell %d = %d after every transaction ended", what, c, n)
 		}
 	}
 }
 
 // checkAgainstModel drives one random schedule of interleaved
-// transactions through the striped, single-stripe and sharded managers
-// and the lock model, requiring the same verdict from all four at every
+// transactions through the striped and single-stripe managers and the
+// lock model, requiring the same verdict from all three at every
 // step, the model's count of held data locks throughout, and a fully
 // drained table at the end. Half of all invocations reuse argument
 // values the transaction already locked, under a freshly drawn method,
@@ -257,11 +256,10 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	scheme = scheme.Reduce()
-	names := []string{"striped", "single-stripe", "sharded"}
+	names := []string{"striped", "single-stripe"}
 	mgrs := []*Manager{
 		NewManager(scheme, nil),
-		newManagerWithStripes(scheme, nil, 1, 1),
-		NewManagerSharded(scheme, nil, 4),
+		newManagerWithStripes(scheme, nil, 1),
 	}
 	model := newLockModel(scheme)
 

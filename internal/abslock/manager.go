@@ -93,14 +93,10 @@ type Manager struct {
 	mask    uint32
 	stripes []stripe
 
-	// fasts holds the pre-stripe conflict-signature prefilter tables
-	// (see prefilter.go): datum acquisitions whose filter cell is
-	// unoccupied take their lock without a stripe mutex. NewManager
-	// keeps a single shared table; NewManagerSharded partitions the fast
-	// state by datum-key hash (fastFor) so workers whose keys stay in one
-	// shard never touch another shard's filter or slot words.
-	fasts    []*fastTable
-	fastMask uint32
+	// fast is the pre-stripe conflict-signature prefilter table (see
+	// prefilter.go): datum acquisitions whose filter cell is unoccupied
+	// take their lock without a stripe mutex.
+	fast *fastTable
 
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
 
@@ -133,28 +129,13 @@ func numStripes() int {
 // more than 64 modes are rejected; Reduce() keeps real schemes far below
 // that.
 func NewManager(scheme *Scheme, keys map[string]KeyFunc) *Manager {
-	return newManagerWithStripes(scheme, keys, numStripes(), 1)
+	return newManagerWithStripes(scheme, keys, numStripes())
 }
 
-// NewManagerSharded is NewManager with the fast-path table partitioned
-// into shards (rounded up to a power of two) by datum-key hash, the
-// abslock mirror of gatekeeper.ShardedCascade's per-shard admission
-// state: conflicting acquisitions hash to the same datum key and hence
-// the same table, so verdicts are unchanged, but key-disjoint workers
-// stop sharing filter cells and slot freelists. shards <= 1 is
-// equivalent to NewManager.
-func NewManagerSharded(scheme *Scheme, keys map[string]KeyFunc, shards int) *Manager {
-	n := 1
-	for n < shards && n < 256 {
-		n <<= 1
-	}
-	return newManagerWithStripes(scheme, keys, numStripes(), n)
-}
-
-// newManagerWithStripes is the constructor with explicit stripe and
-// fast-table counts (powers of two). Tests use a single-stripe manager
-// as the reference oracle for the striped one.
-func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShards int) *Manager {
+// newManagerWithStripes is the constructor with an explicit stripe
+// count (a power of two). Tests use a single-stripe manager as the
+// reference oracle for the striped one.
+func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Manager {
 	if len(scheme.Modes) > maxModes {
 		panic(fmt.Sprintf("abslock: scheme has %d modes; the manager supports ≤ %d (reduce the scheme or split the ADT)", len(scheme.Modes), maxModes))
 	}
@@ -165,6 +146,7 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShard
 		covers:   make([]uint64, len(scheme.Modes)),
 		mask:     uint32(n - 1),
 		stripes:  make([]stripe, n),
+		fast:     newFastTable(defaultFastSlots, 0),
 		dsHooked: map[*engine.Tx]struct{}{},
 	}
 	for i := range m.stripes {
@@ -172,11 +154,6 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n, fastShard
 		m.stripes[i].held = map[*engine.Tx][]datumKey{}
 		m.stripes[i].mgr = m
 	}
-	m.fasts = make([]*fastTable, fastShards)
-	for i := range m.fasts {
-		m.fasts[i] = newFastTable(defaultFastSlots, 0)
-	}
-	m.fastMask = uint32(fastShards - 1)
 	for i := range scheme.Modes {
 		var mask uint64
 		for j := range scheme.Modes {
@@ -229,14 +206,6 @@ func fnv64(s string) uint64 {
 
 func (m *Manager) stripeFor(h uint64) *stripe {
 	return &m.stripes[uint32(h>>32^h)&m.mask]
-}
-
-// fastFor routes a datum-key hash to its fast table. The shard index
-// comes from the high bits of a golden-ratio product, independent of
-// both the stripe index and the filter's cell bits, so one hot stripe
-// or cell does not pile onto one table.
-func (m *Manager) fastFor(h uint64) *fastTable {
-	return m.fasts[uint32((h*0x9E3779B97F4A7C15)>>48)&m.fastMask]
 }
 
 // Method is one method's acquisitions compiled against a manager: split
@@ -420,7 +389,7 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret, kv *core.Va
 // its filter cell is otherwise empty (publish, then probe), and the
 // stripe path when it is not.
 func (m *Manager) acquireDatum(tx *engine.Tx, key string, v *core.Value, h uint64, mode int, adm *admission) error {
-	ft := m.fastFor(h)
+	ft := m.fast
 	bit := uint64(1) << uint(mode)
 	own, held := ft.ownHold(h, tx.ID())
 	if own != 0 && held&m.covers[mode] != 0 {
@@ -568,7 +537,7 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode i
 		// for fast-path holders: a concurrent fast acquirer either sees
 		// this increment and diverts to the stripes, or published its
 		// slot early enough for the scan below to find it.
-		m.fastFor(dk.h).filter.Add(dk.h)
+		m.fast.filter.Add(dk.h)
 		if lst, hooked := s.held[tx]; !hooked {
 			if n := len(s.freeHeld); n > 0 {
 				lst = s.freeHeld[n-1]
@@ -606,7 +575,7 @@ func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, dk *datumKey, l *dl
 		return
 	}
 	dropHolder(l, tx)
-	m.fastFor(dk.h).filter.Remove(dk.h)
+	m.fast.filter.Remove(dk.h)
 	if lst := s.held[tx]; len(lst) > 0 {
 		n := len(lst) - 1
 		lst[n] = datumKey{}
@@ -673,7 +642,7 @@ func (s *stripe) ReleaseTx(tx *engine.Tx) {
 		dk := &lst[i]
 		if l := s.lookup(dk); l != nil {
 			dropHolder(l, tx)
-			s.mgr.fastFor(dk.h).filter.Remove(dk.h)
+			s.mgr.fast.filter.Remove(dk.h)
 			if len(l.holders) == 0 {
 				s.remove(dk)
 				s.recycle(l)
@@ -736,24 +705,23 @@ func (m *Manager) HeldLocks() int {
 		}
 		s.mu.Unlock()
 	}
+	ft := m.fast
+	if ft.nLive.Load() == 0 {
+		return n
+	}
 	fastOnly := map[uint64]struct{}{}
-	for _, ft := range m.fasts {
-		if ft.nLive.Load() == 0 {
-			continue
+	for i := range ft.ver {
+		v := ft.ver[i].Load()
+		h := ft.hash[i].Load()
+		if v&fastLive == 0 || ft.ver[i].Load() != v {
+			continue // free, or released under the read
 		}
-		for i := range ft.ver {
-			v := ft.ver[i].Load()
-			h := ft.hash[i].Load()
-			if v&fastLive == 0 || ft.ver[i].Load() != v {
-				continue // free, or released under the read
-			}
-			s := m.stripeFor(h)
-			s.mu.Lock()
-			if _, both := s.data[h]; !both {
-				fastOnly[h] = struct{}{}
-			}
-			s.mu.Unlock()
+		s := m.stripeFor(h)
+		s.mu.Lock()
+		if _, both := s.data[h]; !both {
+			fastOnly[h] = struct{}{}
 		}
+		s.mu.Unlock()
 	}
 	return n + len(fastOnly)
 }

@@ -51,7 +51,7 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 	// key that shares key 1's filter cell keeps the upgrade off the fast
 	// path, so the write hold lands in the stripe beside the
 	// transaction's own fast read hold.
-	ft := m.fasts[0]
+	ft := m.fast
 	other := int64(2)
 	for !ft.filter.SameCell(core.VInt(1).Hash(), core.VInt(other).Hash()) {
 		other++

@@ -31,7 +31,7 @@ func TestManagerStripedMatchesSingleStripeOracle(t *testing.T) {
 		}
 		scheme = scheme.Reduce()
 		striped := NewManager(scheme, nil)
-		oracle := newManagerWithStripes(scheme, nil, 1, 1)
+		oracle := newManagerWithStripes(scheme, nil, 1)
 
 		const nTx = 4
 		type pair struct{ s, o *engine.Tx }
@@ -200,7 +200,7 @@ func moveSpec() *core.Spec {
 
 // TestReentrantScenarios walks the owner-side paths one at a time —
 // each scripted schedule names the route every acquisition must take —
-// on the striped, single-stripe and sharded managers alike.
+// on the striped and single-stripe managers alike.
 func TestReentrantScenarios(t *testing.T) {
 	type step struct {
 		tx       int
@@ -267,8 +267,7 @@ func TestReentrantScenarios(t *testing.T) {
 	for _, sc := range scenarios {
 		mgrs := map[string]*Manager{
 			"striped":       NewManager(scheme, nil),
-			"single-stripe": newManagerWithStripes(scheme, nil, 1, 1),
-			"sharded":       NewManagerSharded(scheme, nil, 4),
+			"single-stripe": newManagerWithStripes(scheme, nil, 1),
 		}
 		for name, m := range mgrs {
 			txs := []*engine.Tx{engine.NewTx(), engine.NewTx(), engine.NewTx()}
@@ -396,7 +395,7 @@ func TestHoldLookupBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ft := m.fasts[0]
+	ft := m.fast
 	longest := 0
 	for b := range ft.heads {
 		length := 0

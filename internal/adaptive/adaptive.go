@@ -103,27 +103,27 @@ type Rung struct {
 // three rungs share one verdict relation; they differ only in admission
 // cost, which is exactly what the controller's throughput samples rank.
 func DefaultLadder() []Rung {
-	seed := func(s intset.Set, elems []int64) intset.Set {
-		tx := engine.NewTx()
-		for _, x := range elems {
-			if _, err := s.Add(tx, x); err != nil {
-				panic(fmt.Sprintf("adaptive: seeding conflicted: %v", err))
-			}
-		}
-		tx.Commit()
-		return s
-	}
 	return []Rung{
-		{Name: "global", Make: func(e []int64) intset.Set { return seed(intset.NewGlobalLock(intset.NewHashRep()), e) }},
-		{Name: "exclusive", Make: func(e []int64) intset.Set { return seed(intset.NewExclusiveLocked(intset.NewHashRep()), e) }},
-		{Name: "rw", Make: func(e []int64) intset.Set { return seed(intset.NewRWLocked(intset.NewHashRep()), e) }},
-		{Name: "liberal", Make: func(e []int64) intset.Set { return seed(intset.NewLiberalLocked(intset.NewHashRep()), e) }},
-		{Name: "gatekeeper", Make: func(e []int64) intset.Set { return seed(intset.NewGatekept(intset.NewHashRep()), e) }},
-		{Name: "cascade", Make: func(e []int64) intset.Set { return seed(intset.NewCascaded(intset.NewHashRep()), e) }},
-		{Name: "cascade-sharded", Make: func(e []int64) intset.Set {
-			return seed(intset.NewShardedCascaded(func() intset.Rep { return intset.NewHashRep() }, 0), e)
-		}},
+		{Name: "global", Make: func(e []int64) intset.Set { return seeded(intset.NewGlobalLock(intset.NewHashRep()), e) }},
+		{Name: "exclusive", Make: func(e []int64) intset.Set { return seeded(intset.NewExclusiveLocked(intset.NewHashRep()), e) }},
+		{Name: "rw", Make: func(e []int64) intset.Set { return seeded(intset.NewRWLocked(intset.NewHashRep()), e) }},
+		{Name: "liberal", Make: func(e []int64) intset.Set { return seeded(intset.NewLiberalLocked(intset.NewHashRep()), e) }},
+		{Name: "gatekeeper", Make: func(e []int64) intset.Set { return seeded(intset.NewGatekept(intset.NewHashRep()), e) }},
+		{Name: "cascade", Make: func(e []int64) intset.Set { return seeded(intset.NewCascaded(intset.NewHashRep()), e) }},
+		ShardedRung(0),
 	}
+}
+
+// seeded adds elems to s in one committed transaction.
+func seeded(s intset.Set, elems []int64) intset.Set {
+	tx := engine.NewTx()
+	for _, x := range elems {
+		if _, err := s.Add(tx, x); err != nil {
+			panic(fmt.Sprintf("adaptive: seeding conflicted: %v", err))
+		}
+	}
+	tx.Commit()
+	return s
 }
 
 // ShardedRung builds the cascade-sharded rung with an explicit shard
@@ -131,15 +131,7 @@ func DefaultLadder() []Rung {
 // default rung — e.g. commlat adaptive -shards.
 func ShardedRung(shards int) Rung {
 	return Rung{Name: "cascade-sharded", Make: func(e []int64) intset.Set {
-		s := intset.NewShardedCascaded(func() intset.Rep { return intset.NewHashRep() }, shards)
-		tx := engine.NewTx()
-		for _, x := range e {
-			if _, err := s.Add(tx, x); err != nil {
-				panic(fmt.Sprintf("adaptive: seeding conflicted: %v", err))
-			}
-		}
-		tx.Commit()
-		return s
+		return seeded(intset.NewShardedCascaded(func() intset.Rep { return intset.NewHashRep() }, shards), e)
 	}}
 }
 

@@ -30,17 +30,15 @@ type Set interface {
 type LockedSet struct {
 	mgr *abslock.Manager
 	ops [3]*abslock.Method // compiled acquisition handles, by lockedOp
-
-	mu  sync.Mutex // physical atomicity of rep operations
-	rep Rep
+	r   guardedRep
 }
 
 func newLockedSet(scheme *abslock.Scheme, keys map[string]abslock.KeyFunc, rep Rep) *LockedSet {
-	mgr := abslock.NewManager(scheme.Reduce(), keys)
-	return &LockedSet{
-		mgr: mgr, rep: rep,
-		ops: [3]*abslock.Method{mgr.Method("add"), mgr.Method("remove"), mgr.Method("contains")},
+	s := &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), r: guardedRep{rep: rep}}
+	for op, method := range opNames {
+		s.ops[op] = s.mgr.Method(method)
 	}
+	return s
 }
 
 type lockedOp int
@@ -50,6 +48,72 @@ const (
 	opRemove
 	opContains
 )
+
+var opNames = [3]string{opAdd: "add", opRemove: "remove", opContains: "contains"}
+
+// guardedRep is a representation behind the mutex that makes its
+// operations physically atomic. Every detector-guarded set applies its
+// operations through it: the detectors decide which invocations may
+// overlap, not how the representation survives the overlap.
+type guardedRep struct {
+	mu  sync.Mutex
+	rep Rep
+}
+
+// effect applies method to x and returns its result, with the inverse
+// as Undo when the set changed.
+func (r *guardedRep) effect(method string, x int64) gatekeeper.Effect {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch method {
+	case "add":
+		if r.rep.Add(x) {
+			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
+				r.mu.Lock()
+				r.rep.Remove(x)
+				r.mu.Unlock()
+			}}
+		}
+		return gatekeeper.Effect{Ret: core.VBool(false)}
+	case "remove":
+		if r.rep.Remove(x) {
+			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
+				r.mu.Lock()
+				r.rep.Add(x)
+				r.mu.Unlock()
+			}}
+		}
+		return gatekeeper.Effect{Ret: core.VBool(false)}
+	default:
+		return gatekeeper.Effect{Ret: core.VBool(r.rep.Contains(x))}
+	}
+}
+
+// addRun is effect("add") over one admission run, the mutex taken once.
+func (r *guardedRep) addRun(run []gatekeeper.BatchOp) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range run {
+		x := run[k].Args.At(0).Int()
+		if r.rep.Add(x) {
+			run[k].Ret = core.VBool(true)
+			run[k].Undo = func() {
+				r.mu.Lock()
+				r.rep.Remove(x)
+				r.mu.Unlock()
+			}
+		} else {
+			run[k].Ret = core.VBool(false)
+		}
+	}
+}
+
+// elems returns the elements; only safe with no live transactions.
+func (r *guardedRep) elems() []int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rep.Elems()
+}
 
 // NewLocked synthesizes the abstract locking scheme for spec (which must
 // be SIMPLE, possibly keyed) and guards rep with it. keys supplies
@@ -133,32 +197,11 @@ func (s *LockedSet) invoke(tx *engine.Tx, op lockedOp, x int64) (bool, error) {
 // apply runs op on the representation, registering the inverse with tx
 // when it changed the set.
 func (s *LockedSet) apply(tx *engine.Tx, op lockedOp, x int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch op {
-	case opAdd:
-		if s.rep.Add(x) {
-			tx.OnUndo(func() {
-				s.mu.Lock()
-				s.rep.Remove(x)
-				s.mu.Unlock()
-			})
-			return true
-		}
-		return false
-	case opRemove:
-		if s.rep.Remove(x) {
-			tx.OnUndo(func() {
-				s.mu.Lock()
-				s.rep.Add(x)
-				s.mu.Unlock()
-			})
-			return true
-		}
-		return false
-	default:
-		return s.rep.Contains(x)
+	e := s.r.effect(opNames[op], x)
+	if e.Undo != nil {
+		tx.OnUndo(e.Undo)
 	}
+	return e.Ret.Bool()
 }
 
 // Add inserts x under the lock discipline; it reports whether the set
@@ -174,19 +217,15 @@ func (s *LockedSet) Contains(tx *engine.Tx, x int64) (bool, error) {
 }
 
 // Snapshot returns the elements; only safe with no live transactions.
-func (s *LockedSet) Snapshot() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rep.Elems()
-}
+func (s *LockedSet) Snapshot() []int64 { return s.r.elems() }
 
 // GatekeptSet guards a representation with a forward gatekeeper built
 // from the precise specification of figure 2 (§3.3.1) — the most
 // permissive detector for sets: non-mutating adds/removes and reads of
 // untouched elements all proceed concurrently.
 type GatekeptSet struct {
-	g   *gatekeeper.Forward
-	rep Rep
+	g *gatekeeper.Forward
+	r guardedRep
 }
 
 // NewGatekept builds the forward-gatekept set over rep.
@@ -195,25 +234,12 @@ func NewGatekept(rep Rep) *GatekeptSet {
 	if err != nil {
 		panic(err) // the precise set spec is ONLINE-CHECKABLE
 	}
-	return &GatekeptSet{g: g, rep: rep}
+	return &GatekeptSet{g: g, r: guardedRep{rep: rep}}
 }
 
 func (s *GatekeptSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
 	ret, err := s.g.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		switch method {
-		case "add":
-			if s.rep.Add(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { s.rep.Remove(x) }}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		case "remove":
-			if s.rep.Remove(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { s.rep.Add(x) }}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		default:
-			return gatekeeper.Effect{Ret: core.VBool(s.rep.Contains(x))}
-		}
+		return s.r.effect(method, x)
 	})
 	if err != nil {
 		return false, err
@@ -240,23 +266,17 @@ func (s *GatekeptSet) GateStats() gatekeeper.Stats { return s.g.Stats() }
 func (s *GatekeptSet) Telemetry() *telemetry.Detector { return s.g.Telemetry() }
 
 // Snapshot returns the elements; only safe with no live transactions.
-func (s *GatekeptSet) Snapshot() []int64 {
-	var out []int64
-	s.g.Sync(func() { out = s.rep.Elems() })
-	return out
-}
+func (s *GatekeptSet) Snapshot() []int64 { return s.r.elems() }
 
 // CascadeSet guards a representation with the lattice-cascade detector
 // built from the same precise specification as GatekeptSet. The
 // detector takes no lock at all on the disjoint-element fast path — a
 // signature-filter miss admits the invocation after the effect ran —
-// so the representation is protected by the set's own mutex inside the
-// exec closure (the forward gatekeeper's detector-wide mutex did both
-// jobs at once; here detection and representation locking decouple).
+// so the representation's own mutex is what protects it inside the
+// exec closure: detection and representation locking decouple.
 type CascadeSet struct {
-	c   *gatekeeper.Cascade
-	mu  sync.Mutex
-	rep Rep
+	c *gatekeeper.Cascade
+	r guardedRep
 }
 
 // NewCascaded builds the cascade-guarded set over rep.
@@ -271,35 +291,12 @@ func NewCascadedConfig(rep Rep, cfg gatekeeper.CascadeConfig) *CascadeSet {
 	if err != nil {
 		panic(err) // the precise set spec is log-free, hence cascadable
 	}
-	return &CascadeSet{c: c, rep: rep}
+	return &CascadeSet{c: c, r: guardedRep{rep: rep}}
 }
 
 func (s *CascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
 	ret, err := s.c.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		switch method {
-		case "add":
-			if s.rep.Add(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
-					s.mu.Lock()
-					s.rep.Remove(x)
-					s.mu.Unlock()
-				}}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		case "remove":
-			if s.rep.Remove(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
-					s.mu.Lock()
-					s.rep.Add(x)
-					s.mu.Unlock()
-				}}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		default:
-			return gatekeeper.Effect{Ret: core.VBool(s.rep.Contains(x))}
-		}
+		return s.r.effect(method, x)
 	})
 	if err != nil {
 		return false, err
@@ -329,6 +326,13 @@ var addBatchPool = sync.Pool{New: func() any { return new([]gatekeeper.BatchOp) 
 // with a conflict in errs[i] is still active and must be aborted by
 // the caller — exactly the engine.BatchBody contract.
 func (s *CascadeSet) AddBatch(txs []*engine.Tx, xs []int64, rets []bool, errs []error) int {
+	opsp := stageAdds(txs, xs)
+	p := s.c.InvokeBatch(*opsp, func(run []gatekeeper.BatchOp) { s.r.addRun(run) })
+	return commitAdds(s, opsp, p, txs, xs, rets, errs)
+}
+
+// stageAdds fills pooled staging entries for adding xs[i] under txs[i].
+func stageAdds(txs []*engine.Tx, xs []int64) *[]gatekeeper.BatchOp {
 	opsp := addBatchPool.Get().(*[]gatekeeper.BatchOp)
 	ops := *opsp
 	if cap(ops) < len(xs) {
@@ -349,23 +353,16 @@ func (s *CascadeSet) AddBatch(txs []*engine.Tx, xs []int64, rets []bool, errs []
 			op.Args = core.Args1(core.VInt(xs[i]))
 		}
 	}
-	p := s.c.InvokeBatch(ops, func(run []gatekeeper.BatchOp) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for k := range run {
-			x := run[k].Args.At(0).Int()
-			if s.rep.Add(x) {
-				run[k].Ret = core.VBool(true)
-				run[k].Undo = func() {
-					s.mu.Lock()
-					s.rep.Remove(x)
-					s.mu.Unlock()
-				}
-			} else {
-				run[k].Ret = core.VBool(false)
-			}
-		}
-	})
+	*opsp = ops
+	return opsp
+}
+
+// commitAdds finishes an admission batch of which the detector admitted
+// the first p staged entries: it reports their results, recycles the
+// staging entries, group-commits the admitted transactions and re-runs
+// the rest one at a time through s.Add.
+func commitAdds(s Set, opsp *[]gatekeeper.BatchOp, p int, txs []*engine.Tx, xs []int64, rets []bool, errs []error) int {
+	ops := *opsp
 	for i := 0; i < p; i++ {
 		rets[i], errs[i] = ops[i].Ret.Bool(), nil
 	}
@@ -411,11 +408,7 @@ func (s *CascadeSet) Telemetry() *telemetry.Detector { return s.c.Telemetry() }
 func (s *CascadeSet) Cascade() *gatekeeper.Cascade { return s.c }
 
 // Snapshot returns the elements; only safe with no live transactions.
-func (s *CascadeSet) Snapshot() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rep.Elems()
-}
+func (s *CascadeSet) Snapshot() []int64 { return s.r.elems() }
 
 var (
 	_ Set = (*LockedSet)(nil)

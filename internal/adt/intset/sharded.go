@@ -1,8 +1,6 @@
 package intset
 
 import (
-	"sync"
-
 	"commlat/internal/core"
 	"commlat/internal/engine"
 	"commlat/internal/gatekeeper"
@@ -17,14 +15,13 @@ import (
 // with the others, which is the whole point of the affinity router.
 type ShardedCascadeSet struct {
 	c    *gatekeeper.ShardedCascade
-	mus  []padMutex
-	reps []Rep
+	reps []paddedRep
 }
 
-// padMutex keeps neighboring shard mutexes off one cache line.
-type padMutex struct {
-	sync.Mutex
-	_ [56]byte
+// paddedRep keeps neighboring shard mutexes off one cache line.
+type paddedRep struct {
+	guardedRep
+	_ [40]byte
 }
 
 // NewShardedCascaded builds a sharded cascade-guarded set; mk creates
@@ -41,57 +38,28 @@ func NewShardedCascadedConfig(mk func() Rep, cfg gatekeeper.CascadeConfig, shard
 	if err != nil {
 		panic(err) // the precise set spec is log-free, hence cascadable
 	}
-	s := &ShardedCascadeSet{
-		c:    c,
-		mus:  make([]padMutex, c.Shards()),
-		reps: make([]Rep, c.Shards()),
-	}
+	s := &ShardedCascadeSet{c: c, reps: make([]paddedRep, c.Shards())}
 	for i := range s.reps {
-		s.reps[i] = mk()
+		s.reps[i].rep = mk()
 	}
 	return s
 }
 
-// repShard maps an element to its representation shard — the same
+// repFor maps an element to its representation shard — the same
 // mapping the router uses for admission, so a single-shard invocation's
 // rep accesses stay inside its admission shard.
-func (s *ShardedCascadeSet) repShard(x int64) int {
+func (s *ShardedCascadeSet) repFor(x int64) *guardedRep {
 	sh, ok := s.c.KeyOf("add", core.Args1(core.VInt(x)))
 	if !ok {
-		return 0
+		sh = 0
 	}
-	return sh
+	return &s.reps[sh].guardedRep
 }
 
 func (s *ShardedCascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
-	sh := s.repShard(x)
-	mu := &s.mus[sh].Mutex
-	rep := s.reps[sh]
+	r := s.repFor(x)
 	ret, err := s.c.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		mu.Lock()
-		defer mu.Unlock()
-		switch method {
-		case "add":
-			if rep.Add(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
-					mu.Lock()
-					rep.Remove(x)
-					mu.Unlock()
-				}}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		case "remove":
-			if rep.Remove(x) {
-				return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
-					mu.Lock()
-					rep.Add(x)
-					mu.Unlock()
-				}}
-			}
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		default:
-			return gatekeeper.Effect{Ret: core.VBool(rep.Contains(x))}
-		}
+		return r.effect(method, x)
 	})
 	if err != nil {
 		return false, err
@@ -118,66 +86,15 @@ func (s *ShardedCascadeSet) Contains(tx *engine.Tx, x int64) (bool, error) {
 // into maximal same-shard runs, each admitted under its shard's ticket
 // with that shard's rep mutex taken once for the run. The admitted
 // prefix group-commits; the remainder re-runs serially, so every item
-// gets exactly the serial verdict. Batches arriving pre-sorted by
-// shard affinity (engine.NewWorklistAffinity with KeyOf) admit as one
-// run.
+// gets exactly the serial verdict.
 func (s *ShardedCascadeSet) AddBatch(txs []*engine.Tx, xs []int64, rets []bool, errs []error) int {
-	opsp := addBatchPool.Get().(*[]gatekeeper.BatchOp)
-	ops := *opsp
-	if cap(ops) < len(xs) {
-		ops = make([]gatekeeper.BatchOp, len(xs))
-	} else {
-		ops = ops[:len(xs)]
-	}
-	for i := range xs {
-		op := &ops[i]
-		op.Tx = txs[i]
-		op.Method = "add"
-		if op.Args.Len() == 1 {
-			op.Args.Set(0, core.VInt(xs[i]))
-		} else {
-			op.Args = core.Args1(core.VInt(xs[i]))
-		}
-	}
-	p := s.c.InvokeBatch(ops, func(run []gatekeeper.BatchOp) {
-		// A run is same-shard by construction, so one shard's rep and
-		// mutex cover all of it.
-		sh := s.repShard(run[0].Args.At(0).Int())
-		mu := &s.mus[sh].Mutex
-		rep := s.reps[sh]
-		mu.Lock()
-		defer mu.Unlock()
-		for k := range run {
-			x := run[k].Args.At(0).Int()
-			if rep.Add(x) {
-				run[k].Ret = core.VBool(true)
-				run[k].Undo = func() {
-					mu.Lock()
-					rep.Remove(x)
-					mu.Unlock()
-				}
-			} else {
-				run[k].Ret = core.VBool(false)
-			}
-		}
+	opsp := stageAdds(txs, xs)
+	p := s.c.InvokeBatch(*opsp, func(run []gatekeeper.BatchOp) {
+		// A run is same-shard by construction, so one shard's rep covers
+		// all of it.
+		s.repFor(run[0].Args.At(0).Int()).addRun(run)
 	})
-	for i := 0; i < p; i++ {
-		rets[i], errs[i] = ops[i].Ret.Bool(), nil
-	}
-	for i := range ops {
-		ops[i].Tx = nil
-		ops[i].Undo = nil
-	}
-	*opsp = ops[:0]
-	addBatchPool.Put(opsp)
-	engine.CommitBatch(txs[:p])
-	for i := p; i < len(xs); i++ {
-		rets[i], errs[i] = s.Add(txs[i], xs[i])
-		if errs[i] == nil {
-			txs[i].Commit()
-		}
-	}
-	return p
+	return commitAdds(s, opsp, p, txs, xs, rets, errs)
 }
 
 // Sharded exposes the underlying router (tests, telemetry).
@@ -192,9 +109,7 @@ func (s *ShardedCascadeSet) Telemetry() *telemetry.Detector { return s.c.Telemet
 func (s *ShardedCascadeSet) Snapshot() []int64 {
 	var out []int64
 	for i := range s.reps {
-		s.mus[i].Lock()
-		out = append(out, s.reps[i].Elems()...)
-		s.mus[i].Unlock()
+		out = append(out, s.reps[i].elems()...)
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"commlat/internal/core"
 	"commlat/internal/engine"
 )
 
@@ -92,11 +91,10 @@ func TestShardedSetAbortRollsBack(t *testing.T) {
 }
 
 // TestShardedSetBatchStressRace is TestBatchStressRace through the
-// router: engine.RunItemsAffinity routes items to worklist shards with
-// the detector's own KeyOf, so batches arrive as same-shard runs and
-// ShardedCascadeSet.AddBatch admits them on the single-writer path;
-// conflicted stragglers retry serially through Invoke. Sweeps shard
-// count × parallelism; run with -race.
+// router: ShardedCascadeSet.AddBatch splits each batch into same-shard
+// runs and admits them on the single-writer path; conflicted stragglers
+// retry serially through Invoke. Sweeps shard count × parallelism; run
+// with -race.
 func TestShardedSetBatchStressRace(t *testing.T) {
 	items := 4000
 	if testing.Short() {
@@ -116,17 +114,9 @@ func TestShardedSetBatchStressRace(t *testing.T) {
 				}
 
 				s := NewShardedCascaded(func() Rep { return NewHashRep() }, shards)
-				affinity := func(x int64) int {
-					sh, ok := s.Sharded().KeyOf("add", core.Args1(core.VInt(x)))
-					if !ok {
-						return 0
-					}
-					return sh
-				}
-				stats, err := engine.RunItemsAffinity(keys, affinity, engine.Options{
-					Workers:        procs,
-					BatchSize:      32,
-					WorklistShards: s.Sharded().Shards(),
+				stats, err := engine.RunItemsBatched(keys, engine.Options{
+					Workers:   procs,
+					BatchSize: 32,
 				}, func(txs []*engine.Tx, xs []int64, _ *engine.Worklist[int64], errs []error) error {
 					rets := make([]bool, len(xs))
 					s.AddBatch(txs, xs, rets, errs)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
@@ -53,19 +54,9 @@ type Options struct {
 	MaxRetries int
 	// Seed seeds per-worker backoff randomization for reproducibility.
 	Seed int64
-	// BatchSize fixes the number of items RunBatched drains per
-	// PopBatch; 0 means a default of 32. Ignored by Run.
+	// BatchSize is the number of items RunBatched drains per PopBatch;
+	// 0 means a default of 32. Ignored by Run.
 	BatchSize int
-	// Sizer, when set, adapts RunBatched's batch size between batches
-	// (see BatchSizer); it overrides BatchSize. Ignored by Run.
-	Sizer BatchSizer
-	// WorklistShards overrides the shard count of worklists RunItems and
-	// RunItemsBatched build (rounded up to a power of two), so the
-	// executor's routing granularity can follow an admission-side shard
-	// count such as gatekeeper.ShardedCascade's. 0 keeps the automatic
-	// GOMAXPROCS-derived count. Ignored when the caller builds the
-	// worklist itself (Run, RunBatched).
-	WorklistShards int
 }
 
 func (o Options) workers() int {
@@ -103,9 +94,24 @@ type Body[T any] func(tx *Tx, item T, wl *Worklist[T]) error
 // others when it runs dry, so uncontended pushes and pops never share a
 // lock. If several workers fail, all their errors are returned, joined.
 func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
+	return runWorkers(wl, opts, 1, func(txs []*Tx, items []T, wl *Worklist[T], errs []error) error {
+		for i, tx := range txs {
+			if errs[i] = body(tx, items[i], wl); errs[i] == nil {
+				tx.Commit()
+			}
+		}
+		return nil
+	})
+}
+
+// runWorkers is the executor both entry points share: opts.Workers
+// goroutines, each with its own worklist view, backoff PCG and batch
+// buffers, pop up to n items at a time and put them through body until
+// the worklist reports termination or a worker fails.
+func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) (Stats, error) {
 	start := time.Now()
 	var stats Stats
-	var rc runCounters
+	var mu sync.Mutex // guards stats while workers fold their counts in
 	nw := opts.workers()
 	errc := make(chan error, nw)
 	var stop atomic.Bool
@@ -115,34 +121,54 @@ func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// PCG seeded by (run seed, worker index): reproducible for a
-			// fixed Options.Seed, distinct per worker.
-			rng := rand.New(rand.NewPCG(uint64(opts.Seed), uint64(w)))
-			my := wl.forWorker(w)
+			wk := worker[T]{
+				id: w, wl: wl.forWorker(w), body: body, opts: opts,
+				// PCG seeded by (run seed, worker index): reproducible for a
+				// fixed Options.Seed, distinct per worker.
+				rng:   rand.New(rand.NewPCG(uint64(opts.Seed), uint64(w))),
+				items: make([]T, n), txs: make([]*Tx, n), errs: make([]error, n),
+			}
+			defer func() {
+				// A panicking body cancels the run. What its attempt left
+				// active is aborted first (undo, then release), so no
+				// detector slot or abstract lock outlives the run. Shells
+				// of earlier attempts still in the buffer have finished.
+				if r := recover(); r != nil {
+					for _, tx := range wk.txs {
+						if tx != nil && tx.Status() == Active {
+							tx.Abort()
+						}
+					}
+					stop.Store(true)
+					errc <- fmt.Errorf("engine: iteration body panicked: %v\n%s", r, debug.Stack())
+				}
+				mu.Lock()
+				stats.Committed += wk.stats.Committed
+				stats.Aborts += wk.stats.Aborts
+				stats.Busy += wk.stats.Busy
+				stats.MaxedBackoffRetries += wk.stats.MaxedBackoffRetries
+				mu.Unlock()
+			}()
 			for !stop.Load() {
-				item, ok, finished := my.pop()
-				if !ok {
+				m, finished := wk.wl.PopBatch(wk.items)
+				if m == 0 {
 					if finished {
 						return
 					}
 					runtime.Gosched()
 					continue
 				}
-				if err := runItem(my, w, item, body, rng, opts, &rc); err != nil {
+				err := wk.run(m)
+				wk.wl.doneN(m)
+				if err != nil {
 					stop.Store(true)
 					errc <- err
-					my.done()
 					return
 				}
-				my.done()
 			}
 		}(w)
 	}
 	wg.Wait()
-	stats.Committed = rc.committed.Load()
-	stats.Aborts = rc.aborts.Load()
-	stats.Busy = time.Duration(rc.busyNS.Load())
-	stats.MaxedBackoffRetries = rc.maxed.Load()
 	stats.Elapsed = time.Since(start)
 	close(errc)
 	var errs []error
@@ -159,72 +185,111 @@ func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
 // transaction. GetTx/PutTx expose the pool to benchmarks and tests.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
-// runCounters aggregates per-run statistics across workers.
-type runCounters struct {
-	committed atomic.Uint64
-	aborts    atomic.Uint64
-	maxed     atomic.Uint64
-	busyNS    atomic.Int64
+// worker is one executor goroutine's state.
+type worker[T any] struct {
+	id      int
+	wl      *Worklist[T] // this worker's view
+	body    BatchBody[T]
+	opts    Options
+	rng     *rand.Rand
+	stats   Stats           // this worker's share, folded into the run's at exit
+	taskCtx context.Context // non-nil while `go tool trace` records
+
+	items []T
+	txs   []*Tx
+	errs  []error
+	cache TxCache
 }
 
-func runItem[T any](wl *Worklist[T], w int, item T, body Body[T], rng *rand.Rand,
-	opts Options, rc *runCounters) error {
-	// When `go tool trace` is recording, each item is a task and each
-	// speculative attempt a region, so the trace viewer shows retry
+// run processes the m items just popped: one attempt as a group, then
+// each conflicted item on its own until it commits.
+func (wk *worker[T]) run(m int) error {
+	// When `go tool trace` is recording, each popped group is a task and
+	// each speculative attempt a region, so the trace viewer shows retry
 	// structure per item.
-	var taskCtx context.Context
+	wk.taskCtx = nil
 	if rtrace.IsEnabled() {
-		var task *rtrace.Task
-		taskCtx, task = rtrace.NewTask(context.Background(), "engine.item")
+		ctx, task := rtrace.NewTask(context.Background(), "engine.item")
 		defer task.End()
+		wk.taskCtx = ctx
 	}
-	backoff := time.Microsecond
-	for attempt := 0; ; attempt++ {
-		var region *rtrace.Region
-		if taskCtx != nil {
-			region = rtrace.StartRegion(taskCtx, "attempt")
+	if err := wk.attempt(0, m); err != nil {
+		return err
+	}
+	for i := 0; i < m; i++ {
+		if wk.errs[i] == nil {
+			continue
 		}
-		t0 := time.Now()
-		tx := GetTx()
-		tx.SetWorker(w)
-		if telemetry.TraceEnabled() {
-			tx.SetItem(itemKey(item))
-			telemetry.Emit(w, telemetry.EvBegin, tx.ID(), tx.Item(), 0, 0, 0)
-		}
-		err := body(tx, item, wl)
-		if err == nil {
-			tx.Commit()
-			PutTx(tx)
-			rc.committed.Add(1)
-			rc.busyNS.Add(int64(time.Since(t0)))
-			if region != nil {
-				region.End()
-			}
-			return nil
-		}
-		tx.Abort()
-		PutTx(tx)
-		rc.busyNS.Add(int64(time.Since(t0)))
-		if region != nil {
-			region.End()
-		}
-		if !IsConflict(err) {
+		if err := wk.retry(i); err != nil {
 			return err
 		}
-		rc.aborts.Add(1)
-		if opts.MaxRetries > 0 && attempt+1 >= opts.MaxRetries {
-			return fmt.Errorf("engine: item retried %d times without committing: %w", attempt+1, err)
+	}
+	return nil
+}
+
+// retry re-attempts conflicted item i alone, as a batch of one, after
+// randomized exponential backoff (to break symmetric livelock) until it
+// commits, the run fails, or opts.MaxRetries attempts have conflicted.
+func (wk *worker[T]) retry(i int) error {
+	backoff := time.Microsecond
+	for attempts := 1; wk.errs[i] != nil; attempts++ {
+		if wk.opts.MaxRetries > 0 && attempts >= wk.opts.MaxRetries {
+			return fmt.Errorf("engine: item retried %d times without committing: %w", attempts, wk.errs[i])
 		}
-		if backoff >= opts.maxBackoff() {
-			rc.maxed.Add(1)
+		if backoff >= wk.opts.maxBackoff() {
+			wk.stats.MaxedBackoffRetries++
 		}
-		// Randomized exponential backoff to break symmetric livelock.
-		d := time.Duration(rng.Int64N(int64(backoff) + 1))
-		time.Sleep(d)
-		if backoff < opts.maxBackoff() {
+		time.Sleep(time.Duration(wk.rng.Int64N(int64(backoff) + 1)))
+		if backoff < wk.opts.maxBackoff() {
 			backoff *= 2
 		}
+		if err := wk.attempt(i, i+1); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// attempt runs items[lo:hi] through the body once, each in a fresh
+// transaction, and aborts every transaction the body reports failed
+// (undo, then release). On return errs[i] is nil for a committed item
+// and the conflict for one to retry; any other failure is returned and
+// cancels the run. Busy time is counted here, so backoff sleeps between
+// attempts never enter it.
+func (wk *worker[T]) attempt(lo, hi int) error {
+	if wk.taskCtx != nil {
+		defer rtrace.StartRegion(wk.taskCtx, "attempt").End()
+	}
+	t0 := time.Now()
+	txs, items, errs := wk.txs[lo:hi], wk.items[lo:hi], wk.errs[lo:hi]
+	wk.cache.GetBatch(txs)
+	for i, tx := range txs {
+		tx.SetWorker(wk.id)
+		if telemetry.TraceEnabled() {
+			tx.SetItem(itemKey(items[i]))
+			telemetry.Emit(wk.id, telemetry.EvBegin, tx.ID(), tx.Item(), 0, 0, 0)
+		}
+		errs[i] = nil
+	}
+	fatal := wk.body(txs, items, wk.wl, errs)
+	committed, conflicts := len(txs), 0
+	for i, tx := range txs {
+		if errs[i] == nil {
+			continue
+		}
+		tx.Abort()
+		committed--
+		if IsConflict(errs[i]) {
+			conflicts++
+		} else if fatal == nil {
+			fatal = errs[i]
+		}
+	}
+	wk.cache.PutBatch(txs)
+	wk.stats.Committed += uint64(committed)
+	wk.stats.Aborts += uint64(conflicts)
+	wk.stats.Busy += time.Since(t0)
+	return fatal
 }
 
 // itemKey coerces a work item to an int64 trace key; items that are not
@@ -250,5 +315,5 @@ func itemKey(v any) int64 {
 
 // RunItems is a convenience wrapper seeding a fresh worklist from a slice.
 func RunItems[T any](items []T, opts Options, body Body[T]) (Stats, error) {
-	return Run(NewWorklistShards(opts.WorklistShards, items...), opts, body)
+	return Run(NewWorklist(items...), opts, body)
 }

@@ -43,20 +43,11 @@ type wlShared[T any] struct {
 	pushes atomic.Uint64
 }
 
-// maxAutoWorklistShards caps the automatic shard count; explicit counts
-// (Options.WorklistShards, NewWorklistShards) may exceed it up to
-// maxWorklistShards, so the executor's worklist sharding can follow an
-// admission shard count chosen elsewhere.
-const (
-	maxAutoWorklistShards = 64
-	maxWorklistShards     = 1 << 16
-)
+const maxShards = 64
 
-// wlShardsFor picks the shard count. n <= 0 means automatic: the
-// smallest power of two covering GOMAXPROCS, at least 2 (so stealing is
-// exercised even single-threaded) and at most maxAutoWorklistShards.
-// An explicit n rounds up to a power of two, capped only by the
-// generous maxWorklistShards sanity bound.
+// wlShards picks the shard count: the smallest power of two covering
+// GOMAXPROCS, at least 2 (so stealing is exercised even
+// single-threaded) and at most maxShards.
 //
 // The count is sampled exactly once, at construction, and the worklist
 // keeps that shard array for its whole life — deliberately so. A
@@ -68,77 +59,20 @@ const (
 // against any snapshot: shrinking GOMAXPROCS just leaves some shards
 // cold, growing it doubles workers up on home shards. Both degrade
 // locality, never correctness.
-func wlShardsFor(n int) int {
-	if n <= 0 {
-		k := 2
-		for k < runtime.GOMAXPROCS(0) && k < maxAutoWorklistShards {
-			k <<= 1
-		}
-		return k
-	}
-	k := 1
-	for k < n && k < maxWorklistShards {
+func wlShards() int {
+	k := 2
+	for k < runtime.GOMAXPROCS(0) && k < maxShards {
 		k <<= 1
 	}
 	return k
 }
 
-// NewWorklist creates a worklist seeded with items, with the automatic
-// shard count. The returned handle is pinned to shard 0: pushes and
-// pops through it are strictly FIFO.
+// NewWorklist creates a worklist seeded with items. The returned handle
+// is pinned to shard 0: pushes and pops through it are strictly FIFO.
 func NewWorklist[T any](items ...T) *Worklist[T] {
-	return NewWorklistShards(0, items...)
-}
-
-// NewWorklistShards is NewWorklist with an explicit shard count
-// (rounded up to a power of two; <= 0 means automatic), for callers
-// aligning the worklist's sharding with an admission-side shard count.
-func NewWorklistShards[T any](shards int, items ...T) *Worklist[T] {
-	s := &wlShared[T]{shards: make([]wlShard[T], wlShardsFor(shards))}
+	s := &wlShared[T]{shards: make([]wlShard[T], wlShards())}
 	s.shards[0].items = append(s.shards[0].items, items...)
 	return &Worklist[T]{s: s, home: 0}
-}
-
-// NewWorklistAffinity creates a worklist with an explicit shard count
-// and seeds each item into the shard affinity names for it (reduced
-// modulo the rounded shard count; negative affinities land on shard 0).
-// Workers then drain their home shards first and PopBatch takes
-// contiguous same-shard runs, so batches arrive grouped by affinity —
-// e.g. a gatekeeper.ShardedCascade's KeyOf, letting InvokeBatch's
-// single-shard fast path fire on whole batches.
-func NewWorklistAffinity[T any](shards int, affinity func(T) int, items ...T) *Worklist[T] {
-	s := &wlShared[T]{shards: make([]wlShard[T], wlShardsFor(shards))}
-	n := len(s.shards)
-	for _, it := range items {
-		a := affinity(it) % n
-		if a < 0 {
-			a = 0
-		}
-		s.shards[a].items = append(s.shards[a].items, it)
-	}
-	return &Worklist[T]{s: s, home: 0}
-}
-
-// Shards reports the worklist's shard count.
-func (w *Worklist[T]) Shards() int { return len(w.s.shards) }
-
-// PushShard adds items directly to a specific shard (reduced modulo the
-// shard count), regardless of the view's home — the producer-side
-// mirror of NewWorklistAffinity for items generated mid-run.
-func (w *Worklist[T]) PushShard(shard int, items ...T) {
-	if len(items) == 0 {
-		return
-	}
-	n := len(w.s.shards)
-	shard %= n
-	if shard < 0 {
-		shard = 0
-	}
-	sh := &w.s.shards[shard]
-	sh.mu.Lock()
-	sh.items = append(sh.items, items...)
-	w.s.pushes.Add(1)
-	sh.mu.Unlock()
 }
 
 // forWorker returns worker w's view of the same worklist.
@@ -170,71 +104,6 @@ func (w *Worklist[T]) Len() int {
 	return n
 }
 
-// popShard removes the oldest item of shard i, marking it in-flight.
-func (s *wlShared[T]) popShard(i int) (T, bool) {
-	sh := &s.shards[i]
-	sh.mu.Lock()
-	var zero T
-	if sh.head == len(sh.items) {
-		sh.mu.Unlock()
-		return zero, false
-	}
-	it := sh.items[sh.head]
-	sh.items[sh.head] = zero // release for GC
-	sh.head++
-	if sh.head == len(sh.items) {
-		sh.items = sh.items[:0]
-		sh.head = 0
-	} else if sh.head > 1024 && sh.head*2 > len(sh.items) {
-		n := copy(sh.items, sh.items[sh.head:])
-		sh.items = sh.items[:n]
-		sh.head = 0
-	}
-	// Inflight rises while the shard lock is held, before the item can be
-	// observed missing, so the termination scan cannot see "empty
-	// everywhere, nothing in flight" while an item is in limbo.
-	s.inflight.Add(1)
-	sh.mu.Unlock()
-	return it, true
-}
-
-// pop removes an item — home shard first, then stealing the oldest item
-// from the other shards — marking it in-flight. The second result is
-// false when every shard is empty; the third reports whether the whole
-// computation is complete (empty and nothing in flight).
-//
-// Termination is decided by a validated scan: observe inflight == 0,
-// snapshot the push counter, observe every shard empty, then confirm
-// both counters unchanged. New items only appear via Push, which bumps
-// the counter, and only workers holding an in-flight item (or an
-// external producer, likewise counted) push — so an unchanged counter
-// pair proves the emptiness observations describe one coherent instant.
-func (w *Worklist[T]) pop() (T, bool, bool) {
-	s := w.s
-	n := len(s.shards)
-	for off := 0; off < n; off++ {
-		if it, ok := s.popShard((w.home + off) % n); ok {
-			return it, true, false
-		}
-	}
-	var zero T
-	if s.inflight.Load() != 0 {
-		return zero, false, false
-	}
-	p1 := s.pushes.Load()
-	for i := 0; i < n; i++ {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		empty := sh.head == len(sh.items)
-		sh.mu.Unlock()
-		if !empty {
-			return zero, false, false
-		}
-	}
-	done := s.pushes.Load() == p1 && s.inflight.Load() == 0
-	return zero, false, done
-}
-
 // popShardN removes up to len(buf) of shard i's oldest items under one
 // lock acquisition, marking them in-flight, and reports how many it
 // took. Items come out in shard FIFO order — a batch is a contiguous
@@ -264,20 +133,29 @@ func (s *wlShared[T]) popShardN(i int, buf []T) int {
 		sh.items = sh.items[:m]
 		sh.head = 0
 	}
-	// As in popShard: inflight rises while the shard lock is held, so the
-	// termination scan cannot observe the batch as vanished.
+	// Inflight rises while the shard lock is held, before the items can be
+	// observed missing, so the termination scan cannot see "empty
+	// everywhere, nothing in flight" while a batch is in limbo.
 	s.inflight.Add(int64(n))
 	sh.mu.Unlock()
 	return n
 }
 
 // PopBatch removes up to len(buf) items as one batch, marking each
-// in-flight (one done() call per item taken). The home shard is drained
-// first under a single lock acquisition; when it is dry the view steals
-// a whole run from the first non-empty victim shard rather than single
-// items, so a batch always preserves one shard's FIFO order and never
-// mixes shards. The second result reports completed-run termination,
-// exactly as pop does, and is only meaningful when the count is 0.
+// in-flight (doneN retires them). The home shard is drained first under
+// a single lock acquisition; when it is dry the view steals a whole run
+// from the first non-empty victim shard rather than single items, so a
+// batch always preserves one shard's FIFO order and never mixes shards.
+// The second result reports whether the whole computation is complete
+// (empty and nothing in flight); it is only meaningful when the count
+// is 0.
+//
+// Termination is decided by a validated scan: observe inflight == 0,
+// snapshot the push counter, observe every shard empty, then confirm
+// both counters unchanged. New items only appear via Push, which bumps
+// the counter, and only workers holding an in-flight item (or an
+// external producer, likewise counted) push — so an unchanged counter
+// pair proves the emptiness observations describe one coherent instant.
 func (w *Worklist[T]) PopBatch(buf []T) (int, bool) {
 	if len(buf) == 0 {
 		return 0, false
@@ -305,13 +183,7 @@ func (w *Worklist[T]) PopBatch(buf []T) (int, bool) {
 	return 0, s.pushes.Load() == p1 && s.inflight.Load() == 0
 }
 
-// done marks a popped item finished (committed or abandoned).
-func (w *Worklist[T]) done() {
-	w.s.inflight.Add(-1)
-}
-
-// doneN marks n popped items finished at once — the PopBatch mirror of
-// done, one counter update for the whole batch.
+// doneN marks n popped items finished (committed or abandoned).
 func (w *Worklist[T]) doneN(n int) {
 	w.s.inflight.Add(-int64(n))
 }

@@ -150,13 +150,6 @@ func (c *Cascade) InvokeBatch(ops []BatchOp, exec func(run []BatchOp)) int {
 	return p
 }
 
-// BatchCheck is the admission core over already-executed effects: every
-// op's Ret and Undo must be filled. Exposed for callers that interleave
-// execution and admission themselves; InvokeBatch is the usual entry.
-func (c *Cascade) BatchCheck(ops []BatchOp) int {
-	return c.InvokeBatch(ops, func([]BatchOp) {})
-}
-
 func (c *Cascade) batchAdmit(ops []BatchOp, exec func(run []BatchOp), bs *batchScratch) int {
 	// Structural prefix: methods the context-free fast path can key at
 	// all. The first op needing the compiled route (or unknown — the

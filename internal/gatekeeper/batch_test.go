@@ -398,77 +398,3 @@ func FuzzBatchAgreesWithSerial(f *testing.F) {
 		}
 	})
 }
-
-// TestForwardInvokeBatch: the forward gatekeeper's batch entry admits a
-// disjoint batch whole under one lock acquisition, splits at the first
-// intra-batch conflict, and leaves members past the boundary unexecuted
-// — the contract the engine's batch retry loop relies on.
-func TestForwardInvokeBatch(t *testing.T) {
-	sig := &core.ADTSig{Name: "batchadt", Methods: []core.MethodSig{
-		{Name: "a", Params: []string{"x"}, HasRet: true},
-		{Name: "b", Params: []string{"x"}, HasRet: true},
-	}}
-	spec := core.NewSpec(sig)
-	spec.Set("a", "a", neCond)
-	spec.Set("a", "b", neCond)
-	spec.Set("b", "b", neCond)
-	fw, err := NewForward(spec, nil)
-	if err != nil {
-		t.Fatalf("NewForward: %v", err)
-	}
-
-	rep := map[int64]bool{}
-	const n = 8
-	ops := make([]BatchOp, n)
-	txs := make([]*engine.Tx, n)
-	for i := range ops {
-		txs[i] = engine.NewTx()
-		ops[i] = BatchOp{Tx: txs[i], Method: "a", Args: core.Args1(core.VInt(int64(i)))}
-	}
-	if p := fw.InvokeBatch(ops, execInto(rep)); p != n {
-		t.Fatalf("disjoint batch admitted prefix = %d, want %d", p, n)
-	}
-	for i := range ops {
-		if !ops[i].Ret.Bool() {
-			t.Fatalf("op %d: ret = false, want true", i)
-		}
-		txs[i].Commit()
-	}
-	if got := fw.ActiveInvocations(); got != 0 {
-		t.Fatalf("window leaked %d invocations after commit", got)
-	}
-
-	// Key 3 repeats across two transactions: a(3) vs a(3) violates the
-	// disequality condition, so the batch must split exactly there.
-	execs := 0
-	conflict := make([]BatchOp, 4)
-	ctxs := make([]*engine.Tx, 4)
-	keys := []int64{10, 3, 3, 12}
-	for i := range conflict {
-		ctxs[i] = engine.NewTx()
-		conflict[i] = BatchOp{Tx: ctxs[i], Method: "a", Args: core.Args1(core.VInt(keys[i]))}
-	}
-	inner := execInto(rep)
-	p := fw.InvokeBatch(conflict, func(run []BatchOp) {
-		execs += len(run)
-		inner(run)
-	})
-	if p != 2 {
-		t.Fatalf("conflicting batch admitted prefix = %d, want 2", p)
-	}
-	if execs != 3 {
-		t.Fatalf("executed %d members, want 3 (prefix, bounding op, nothing past it)", execs)
-	}
-	if rep[3] != true || rep[10] != true || rep[12] {
-		t.Fatalf("rep state wrong after split: %v (bounding op must be undone, suffix untouched)", rep)
-	}
-	for i := 0; i < 2; i++ {
-		ctxs[i].Commit()
-	}
-	for i := 2; i < 4; i++ {
-		ctxs[i].Abort()
-	}
-	if got := fw.ActiveInvocations(); got != 0 {
-		t.Fatalf("window leaked %d invocations after split cleanup", got)
-	}
-}

@@ -205,8 +205,8 @@ func (s *ShardedCascade) ActiveInvocations() int {
 // second result is false when the invocation cannot be routed from its
 // arguments alone: the method's routing needs the return value or a
 // compiled evaluation, a key value is unhashable, or the key hashes
-// straddle shards. Engine worklists use it to give batches shard
-// affinity so InvokeBatch's single-shard fast path fires.
+// straddle shards. intset.ShardedCascadeSet partitions its
+// representation by the same mapping.
 func (s *ShardedCascade) KeyOf(method string, args core.Vec) (int, bool) {
 	mid, ok := s.mids[method]
 	if !ok {
@@ -402,12 +402,10 @@ func shardMask(set []uint32) uint64 {
 
 // InvokeBatch admits a batch through the router: ops are split into
 // maximal runs routable to one shard, and each run delegates to that
-// shard's batched admission under its ticket — batches arriving
-// pre-sorted by shard affinity (see engine.NewWorklistAffinity) admit
-// as one single-writer run. An op that cannot be routed from its
-// arguments, or a run the shard admits short, bounds the admitted
-// prefix; the caller re-runs the remainder serially through Invoke,
-// exactly as with Cascade.InvokeBatch.
+// shard's batched admission under its ticket. An op that cannot be
+// routed from its arguments, or a run the shard admits short, bounds
+// the admitted prefix; the caller re-runs the remainder serially
+// through Invoke, exactly as with Cascade.InvokeBatch.
 func (s *ShardedCascade) InvokeBatch(ops []BatchOp, exec func(run []BatchOp)) int {
 	// Batches are near-always single-method; memoize the method lookup
 	// so run scanning costs one map probe per method change, not per op.

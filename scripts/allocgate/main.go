@@ -16,37 +16,53 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"commlat/internal/bench"
 )
 
 func main() {
-	report := flag.String("report", "BENCH_detectors.json", "benchmark report from `commlat bench -json`")
-	budgetPath := flag.String("budget", "BENCH_budget.json", "allocation budget (benchmark name -> max allocs/op)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			fmt.Fprintln(os.Stderr, "allocgate:", line)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the command: it returns one error line per budget violation,
+// and one naming the budgeted benchmarks the report lacks.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("allocgate", flag.ContinueOnError)
+	report := fs.String("report", "BENCH_detectors.json", "benchmark report from `commlat bench -json`")
+	budgetPath := fs.String("budget", "BENCH_budget.json", "allocation budget (benchmark name -> max allocs/op)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var rep bench.MicroReport
 	if err := readJSON(*report, &rep); err != nil {
-		fail(err)
+		return err
 	}
 	var budget bench.Budget
 	if err := readJSON(*budgetPath, &budget); err != nil {
-		fail(err)
+		return err
 	}
 	violations, err := bench.CheckBudget(rep.Benchmarks, budget)
+	var errs []error
 	for _, v := range violations {
-		fmt.Fprintln(os.Stderr, "allocgate: FAIL:", v)
+		errs = append(errs, fmt.Errorf("FAIL: %s", v))
 	}
-	if err != nil {
-		fail(err)
+	if err := errors.Join(append(errs, err)...); err != nil {
+		return err
 	}
-	if len(violations) > 0 {
-		os.Exit(1)
-	}
-	fmt.Printf("allocgate: %d budgeted benchmarks within budget\n", len(budget))
+	fmt.Fprintf(stdout, "allocgate: %d budgeted benchmarks within budget\n", len(budget))
+	return nil
 }
 
 func readJSON(path string, v any) error {
@@ -58,9 +74,4 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "allocgate:", err)
-	os.Exit(1)
 }

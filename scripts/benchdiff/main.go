@@ -22,34 +22,51 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"commlat/internal/bench"
 )
 
 func main() {
-	basePath := flag.String("base", "BENCH_detectors.json", "committed baseline report")
-	freshPath := flag.String("fresh", "BENCH_fresh.json", "freshly measured report from `commlat bench -json`")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional ns/op increase before failing")
-	floor := flag.Float64("floor", 25, "absolute ns/op increase always tolerated (noise floor)")
-	allowMissing := flag.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the fresh report (intentional rename/removal)")
-	commvetPath := flag.String("commvet", "", "commvet -json report; its analyzer-suite runtime is printed as an informational line (never gates)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			fmt.Fprintln(os.Stderr, "benchdiff:", line)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the command: it writes the per-benchmark report to stdout and
+// returns one error line per failed benchmark.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	basePath := fs.String("base", "BENCH_detectors.json", "committed baseline report")
+	freshPath := fs.String("fresh", "BENCH_fresh.json", "freshly measured report from `commlat bench -json`")
+	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional ns/op increase before failing")
+	floor := fs.Float64("floor", 25, "absolute ns/op increase always tolerated (noise floor)")
+	allowMissing := fs.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the fresh report (intentional rename/removal)")
+	commvetPath := fs.String("commvet", "", "commvet -json report; its analyzer-suite runtime is printed as an informational line (never gates)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *commvetPath != "" {
-		reportCommvetRuntime(*commvetPath)
+		reportCommvetRuntime(stdout, *commvetPath)
 	}
 
 	var base, fresh bench.MicroReport
 	if err := readJSON(*basePath, &base); err != nil {
-		fail(err)
+		return err
 	}
 	if err := readJSON(*freshPath, &fresh); err != nil {
-		fail(err)
+		return err
 	}
 
 	baseline := map[string]bench.MicroResult{}
@@ -57,13 +74,13 @@ func main() {
 		baseline[r.Name] = r
 	}
 	seen := map[string]bool{}
-	var regressions []string
+	var regressions []error
 	logSum, logN := 0.0, 0
 	for _, f := range fresh.Benchmarks {
 		seen[f.Name] = true
 		b, ok := baseline[f.Name]
 		if !ok {
-			fmt.Printf("benchdiff: new benchmark %s (%.1f ns/op), no baseline\n", f.Name, f.NsPerOp)
+			fmt.Fprintf(stdout, "benchdiff: new benchmark %s (%.1f ns/op), no baseline\n", f.Name, f.NsPerOp)
 			continue
 		}
 		if b.NsPerOp > 0 && f.NsPerOp > 0 {
@@ -73,11 +90,11 @@ func main() {
 		limit := b.NsPerOp*(1+*tolerance) + *floor
 		switch {
 		case f.NsPerOp > limit:
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.1f ns/op vs baseline %.1f ns/op (+%.1f%%, limit %.1f)",
+			regressions = append(regressions, fmt.Errorf(
+				"FAIL: %s: %.1f ns/op vs baseline %.1f ns/op (+%.1f%%, limit %.1f)",
 				f.Name, f.NsPerOp, b.NsPerOp, 100*(f.NsPerOp-b.NsPerOp)/b.NsPerOp, limit))
 		default:
-			fmt.Printf("benchdiff: ok   %-44s %10.1f ns/op (baseline %10.1f)\n", f.Name, f.NsPerOp, b.NsPerOp)
+			fmt.Fprintf(stdout, "benchdiff: ok   %-44s %10.1f ns/op (baseline %10.1f)\n", f.Name, f.NsPerOp, b.NsPerOp)
 		}
 	}
 	var stale []string
@@ -90,12 +107,12 @@ func main() {
 	for _, name := range stale {
 		b := baseline[name]
 		if *allowMissing {
-			fmt.Printf("benchdiff: note: baseline benchmark %s (%.1f ns/op) not in fresh report, tolerated by -allow-missing\n",
+			fmt.Fprintf(stdout, "benchdiff: note: baseline benchmark %s (%.1f ns/op) not in fresh report, tolerated by -allow-missing\n",
 				name, b.NsPerOp)
 			continue
 		}
-		regressions = append(regressions, fmt.Sprintf(
-			"%s: in baseline (%.1f ns/op) but missing from fresh report — renamed or removed without refreshing the baseline? (rerun with -allow-missing if intentional)",
+		regressions = append(regressions, fmt.Errorf(
+			"FAIL: %s: in baseline (%.1f ns/op) but missing from fresh report — renamed or removed without refreshing the baseline? (rerun with -allow-missing if intentional)",
 			name, b.NsPerOp))
 	}
 	if logN > 0 {
@@ -103,33 +120,31 @@ func main() {
 		// row stays inside its individual tolerance is still a regression
 		// worth noticing.
 		geomean := math.Exp(logSum / float64(logN))
-		fmt.Printf("benchdiff: geomean fresh/baseline over %d shared benchmarks: %.3f (%+.1f%%)\n",
+		fmt.Fprintf(stdout, "benchdiff: geomean fresh/baseline over %d shared benchmarks: %.3f (%+.1f%%)\n",
 			logN, geomean, 100*(geomean-1))
 	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "benchdiff: FAIL:", r)
-	}
 	if len(regressions) > 0 {
-		os.Exit(1)
+		return errors.Join(regressions...)
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% of baseline\n", len(seen), 100**tolerance)
+	fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.0f%% of baseline\n", len(seen), 100**tolerance)
+	return nil
 }
 
 // reportCommvetRuntime prints the static-analysis suite's wall-clock
 // time from a commvet -json report, so the bench job's log tracks how
 // long the vet stage costs alongside the benchmark rows. Informational
 // only: a missing or unreadable report is noted, never a failure.
-func reportCommvetRuntime(path string) {
+func reportCommvetRuntime(stdout io.Writer, path string) {
 	var rep struct {
 		ElapsedNS int64 `json:"elapsed_ns"`
 		Packages  int   `json:"go_packages"`
 		SpecFiles int   `json:"spec_files"`
 	}
 	if err := readJSON(path, &rep); err != nil {
-		fmt.Printf("benchdiff: note: commvet report unavailable (%v)\n", err)
+		fmt.Fprintf(stdout, "benchdiff: note: commvet report unavailable (%v)\n", err)
 		return
 	}
-	fmt.Printf("benchdiff: info: commvet analyzed %d packages + %d spec files in %.2fs\n",
+	fmt.Fprintf(stdout, "benchdiff: info: commvet analyzed %d packages + %d spec files in %.2fs\n",
 		rep.Packages, rep.SpecFiles, float64(rep.ElapsedNS)/1e9)
 }
 
@@ -142,9 +157,4 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }
