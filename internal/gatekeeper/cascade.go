@@ -623,7 +623,7 @@ func (c *Cascade) pubSlotFor(m1 int, x core.Term) int {
 // Invoke runs one guarded invocation for tx: execute, publish the
 // conflict signature, then walk the cascade until some stage proves
 // commutativity against every live invocation of other transactions.
-// On conflict the effect is undone, the publication retracted, and an
+// On conflict the publication is retracted, the effect undone, and an
 // engine.Conflict error returned; the verdict is identical to what a
 // forward gatekeeper over the same specification would give.
 func (c *Cascade) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() Effect) (core.Value, error) {
@@ -631,61 +631,120 @@ func (c *Cascade) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	if !ok {
 		return core.Value{}, fmt.Errorf("gatekeeper: cascade: unknown method %q", method)
 	}
-	c.tele.IncInvocation()
 	eff := exec()
+	return c.admitKeyed(tx, mid, &args, &eff, nil)
+}
 
-	mt := &c.mtab[mid]
-	if !mt.allSimple || args.Len() < mt.minArgs {
-		return c.admitGeneral(tx, mid, args, eff)
-	}
-	t0 := telemetry.LatClock()
-	// Simple route: keys and probes evaluate straight off the incoming
-	// invocation, so stage 1 runs on stack state alone — no pooled
-	// scratch, no checker context, no invocation copies.
-	var keys [maxCascadeKeys]uint64
-	nk := 0
-	for i := range c.pubs[mid] {
-		ev := c.pubs[mid][i].simple.eval(&args, &eff.Ret)
-		h, kok := ev.KeyHash()
-		if !kok {
-			return c.admitGeneral(tx, mid, args, eff)
-		}
-		keys[nk] = h
-		nk++
-	}
-	slot, slotOK := c.free.Pop()
-	if !slotOK {
-		return c.admitGeneral(tx, mid, args, eff)
-	}
-	c.publishSlot(slot, tx, mid, &args, eff.Ret, eff.Undo, keys[:nk])
-	c.observeActive(c.nActive.Add(1))
-	if c.ovCount.Load() == 0 && c.probeFast(mt, &args, eff.Ret, keys[:nk]) {
-		c.tele.CascadeFastAdmit()
-		c.attach(tx, uint64(slot)+1)
-		if obsInstrumented(t0) {
-			c.obsFast(tx, mid, t0)
-		}
-		return eff.Ret, nil
-	}
-	c.tele.CascadeFilterHit()
-	t1 := telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
-	sc := cascadeScratchPool.Get().(*cascadeScratch)
-	inv := c.bindCtx(sc, mid, args, eff.Ret)
-	err := c.slowCheck(tx, mid, inv, sc)
-	if obsInstrumented(t1) {
-		c.obsSlow(tx, mid, t0, t1, sc, err)
-	}
-	sc.reset()
-	cascadeScratchPool.Put(sc)
+// admitKeyed admits one executed invocation and settles it with its
+// transaction: attached on success, its effect undone on refusal. keys
+// is as for admit. The shard router calls it holding the shard's ticket.
+func (c *Cascade) admitKeyed(tx *engine.Tx, mid uint16, args *core.Vec, eff *Effect, keys []uint64) (core.Value, error) {
+	word, err := c.admit(tx, mid, args, eff, keys, true)
 	if err != nil {
 		if eff.Undo != nil {
 			eff.Undo()
 		}
-		c.retractSlot(slot)
 		return eff.Ret, err
 	}
-	c.attach(tx, uint64(slot)+1)
+	c.attach(tx, word)
 	return eff.Ret, nil
+}
+
+// admit is the cascade's one serial admission of an executed
+// invocation: publish its record, probe the filter (stage 1), fall to
+// the optimistic scans and the precise checker on a hit (stages 2–3),
+// and retract the publication on refusal. It returns the record's chain
+// word — slot+1, or ovTag|index+1 for an overflow record — and leaves
+// settling to the caller: attach the word, or undo the effect (and
+// retractWord this word, if a later shard of a rendezvous refuses).
+//
+// keys are the published key hashes when the caller has already
+// evaluated them (the shard router needs them for shard selection),
+// nil otherwise. owner marks the one admission per invocation whose
+// telemetry counts it.
+//
+// The effect has run before anything is published here; ROADMAP item 1
+// (publish an intent before the effect) changes this function alone.
+func (c *Cascade) admit(tx *engine.Tx, mid uint16, args *core.Vec, eff *Effect, keys []uint64, owner bool) (uint64, error) {
+	if owner {
+		c.tele.IncInvocation()
+	}
+	t0 := telemetry.LatClock()
+	mt := &c.mtab[mid]
+	// Simple route: keys and probes evaluate straight off the incoming
+	// invocation, so stage 1 runs on stack state alone and sc stays nil
+	// until a filter hit or an overflow needs the checker context.
+	// Methods with context-dependent terms (or too few arguments, for
+	// proper error reporting) bind the pooled scratch up front.
+	var sc *cascadeScratch
+	if !mt.allSimple || args.Len() < mt.minArgs {
+		sc = c.scratch(nil, mid, args, eff)
+	}
+	var buf [maxCascadeKeys]uint64
+	keyable := true
+	if keys == nil {
+		keys = buf[:0]
+		for i := range c.pubs[mid] {
+			ks := &c.pubs[mid][i]
+			h, kok := termHash(&ks.simple, ks.extract, args, &eff.Ret, sc)
+			if !kok {
+				keyable = false
+				break
+			}
+			keys = append(keys, h)
+		}
+	}
+	var slot uint32
+	if keyable {
+		slot, keyable = c.free.Pop()
+	}
+	if !keyable {
+		// Unkeyable key value or full slot table: the overflow list.
+		sc = c.scratch(sc, mid, args, eff)
+		word, err := c.admitOverflow(tx, mid, eff, sc)
+		putScratch(sc)
+		return word, err
+	}
+	c.publishSlot(slot, tx, mid, args, eff.Ret, eff.Undo, keys)
+	c.observeActive(c.nActive.Add(1))
+	if c.ovCount.Load() == 0 && c.probeFast(mt, args, &eff.Ret, keys, sc) {
+		c.tele.CascadeFastAdmit()
+		if obsInstrumented(t0) {
+			c.obsFast(tx, mid, t0)
+		}
+		putScratch(sc)
+		return uint64(slot) + 1, nil
+	}
+	c.tele.CascadeFilterHit()
+	t1 := telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
+	sc = c.scratch(sc, mid, args, eff)
+	err := c.slowCheck(tx, mid, sc.ctx.env.Inv2, sc)
+	if obsInstrumented(t1) {
+		c.obsSlow(tx, mid, t0, t1, sc, err)
+	}
+	putScratch(sc)
+	if err != nil {
+		c.retractSlot(slot)
+		return 0, err
+	}
+	return uint64(slot) + 1, nil
+}
+
+// scratch returns sc with the incoming invocation bound, taking it from
+// the pool when the admission has none yet.
+func (c *Cascade) scratch(sc *cascadeScratch, mid uint16, args *core.Vec, eff *Effect) *cascadeScratch {
+	if sc == nil {
+		sc = cascadeScratchPool.Get().(*cascadeScratch)
+		c.bindCtx(sc, mid, *args, eff.Ret)
+	}
+	return sc
+}
+
+func putScratch(sc *cascadeScratch) {
+	if sc != nil {
+		sc.reset()
+		cascadeScratchPool.Put(sc)
+	}
 }
 
 // bindCtx binds the incoming invocation on both sides of the scratch
@@ -701,69 +760,21 @@ func (c *Cascade) bindCtx(sc *cascadeScratch, mid uint16, args core.Vec, ret cor
 	return inv
 }
 
-// admitGeneral is the scratch-backed admission route for methods with
-// context-dependent key or probe terms, unkeyable key values, or a full
-// slot table. Semantics match the simple route exactly; only the term
-// evaluation mechanism differs.
-func (c *Cascade) admitGeneral(tx *engine.Tx, mid uint16, args core.Vec, eff Effect) (core.Value, error) {
-	t0 := telemetry.LatClock()
-	sc := cascadeScratchPool.Get().(*cascadeScratch)
-	defer func() {
-		sc.reset()
-		cascadeScratchPool.Put(sc)
-	}()
-	inv := c.bindCtx(sc, mid, args, eff.Ret)
-
-	sc.keys = sc.keys[:0]
-	keyable := true
-	for i := range c.pubs[mid] {
-		v, err := c.pubs[mid][i].extract(&sc.ctx)
-		if err != nil {
-			keyable = false
-			break
-		}
-		k, kok := core.MapKey(v)
-		if !kok {
-			keyable = false
-			break
-		}
-		sc.keys = append(sc.keys, k.Hash())
+// termHash evaluates one key or probe term against the incoming
+// invocation and hashes its canonical key: straight off the invocation
+// on the simple route (sc nil), through the compiled form against the
+// bound checker context otherwise. False means the value cannot be
+// evaluated or keyed and must be treated as colliding with everything.
+func termHash(st *simpleTerm, compiled termFn, args *core.Vec, ret *core.Value, sc *cascadeScratch) (uint64, bool) {
+	if sc == nil {
+		v := st.eval(args, ret)
+		return v.KeyHash()
 	}
-
-	var slot uint32
-	slotOK := false
-	if keyable {
-		slot, slotOK = c.free.Pop()
-	}
-	if !slotOK {
-		return c.admitOverflow(tx, mid, inv, eff, sc)
-	}
-	c.publishSlot(slot, tx, mid, &args, eff.Ret, eff.Undo, sc.keys)
-	c.observeActive(c.nActive.Add(1))
-
-	if c.ovCount.Load() == 0 && c.probeCtx(&c.mtab[mid], sc) {
-		c.tele.CascadeFastAdmit()
-		c.attach(tx, uint64(slot)+1)
-		if obsInstrumented(t0) {
-			c.obsFast(tx, mid, t0)
-		}
-		return eff.Ret, nil
-	}
-	c.tele.CascadeFilterHit()
-	t1 := telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
-	err := c.slowCheck(tx, mid, inv, sc)
-	if obsInstrumented(t1) {
-		c.obsSlow(tx, mid, t0, t1, sc, err)
-	}
+	v, err := compiled(&sc.ctx)
 	if err != nil {
-		if eff.Undo != nil {
-			eff.Undo()
-		}
-		c.retractSlot(slot)
-		return eff.Ret, err
+		return 0, false
 	}
-	c.attach(tx, uint64(slot)+1)
-	return eff.Ret, nil
+	return v.KeyHash()
 }
 
 // publishSlot fills a claimed slot and makes it discoverable: record
@@ -809,56 +820,24 @@ func (c *Cascade) pushChain(head, next *atomic.Uint32, link uint32) {
 	}
 }
 
-// probeFast is stage 1 for simple methods: admit if every pair's
-// evidence of absence is conclusive — scan-plan chains empty, every
-// probe key hashable, and every probed filter cell holding only this
-// invocation's own publications.
-func (c *Cascade) probeFast(mt *cascadeMethod, args *core.Vec, ret core.Value, keys []uint64) bool {
+// probeFast is stage 1: admit if every pair's evidence of absence is
+// conclusive — scan-plan chains empty, every probe key hashable, and
+// every probed filter cell holding only this invocation's own
+// publications. sc selects the term evaluation route as in termHash.
+func (c *Cascade) probeFast(mt *cascadeMethod, args *core.Vec, ret *core.Value, keys []uint64, sc *cascadeScratch) bool {
 	for _, m1 := range mt.scanM1s {
 		if c.mheads[m1].Load() != nilLink {
 			return false
 		}
 	}
 	for i := range mt.fastProbes {
-		ev := mt.fastProbes[i].simple.eval(args, &ret)
-		h, kok := ev.KeyHash()
+		fp := &mt.fastProbes[i]
+		h, kok := termHash(&fp.simple, fp.probe, args, ret, sc)
 		if !kok {
 			return false
 		}
 		var self int32
 		for _, kh := range keys {
-			if c.filter.SameCell(kh, h) {
-				self++
-			}
-		}
-		if c.filter.Count(h) > self {
-			return false
-		}
-	}
-	return true
-}
-
-// probeCtx is probeFast for the scratch-backed route: the same stage-1
-// verdict, with probe terms evaluated through their compiled forms
-// against the bound checker context.
-func (c *Cascade) probeCtx(mt *cascadeMethod, sc *cascadeScratch) bool {
-	for _, m1 := range mt.scanM1s {
-		if c.mheads[m1].Load() != nilLink {
-			return false
-		}
-	}
-	for i := range mt.fastProbes {
-		v, err := mt.fastProbes[i].probe(&sc.ctx)
-		if err != nil {
-			return false
-		}
-		k, kok := core.MapKey(v)
-		if !kok {
-			return false
-		}
-		h := k.Hash()
-		var self int32
-		for _, kh := range sc.keys {
 			if c.filter.SameCell(kh, h) {
 				self++
 			}
@@ -1137,12 +1116,13 @@ func (c *Cascade) checkOverflow(tx *engine.Tx, mid uint16, inv core.Invocation, 
 	return nil
 }
 
-// admitOverflow handles invocations the slot table cannot hold. The
-// record is published (under ovMu, with the count as its "signature")
-// before the slow-path probe, preserving the at-least-one-sees
-// guarantee against concurrent fast-path invocations, whose stage-1
-// admission requires a zero overflow count.
-func (c *Cascade) admitOverflow(tx *engine.Tx, mid uint16, inv core.Invocation, eff Effect, sc *cascadeScratch) (core.Value, error) {
+// admitOverflow is admit for invocations the slot table cannot hold.
+// The record is published (under ovMu, with the count as its
+// "signature") before the slow-path probe, preserving the
+// at-least-one-sees guarantee against concurrent fast-path invocations,
+// whose stage-1 admission requires a zero overflow count.
+func (c *Cascade) admitOverflow(tx *engine.Tx, mid uint16, eff *Effect, sc *cascadeScratch) (uint64, error) {
+	inv := sc.ctx.env.Inv2
 	c.tele.CascadeFallback()
 	c.ovMu.Lock()
 	var idx uint32
@@ -1159,14 +1139,10 @@ func (c *Cascade) admitOverflow(tx *engine.Tx, mid uint16, inv core.Invocation, 
 	c.observeActive(c.nActive.Add(1))
 
 	if err := c.slowCheck(tx, mid, inv, sc); err != nil {
-		if eff.Undo != nil {
-			eff.Undo()
-		}
 		c.retractOverflow(idx)
-		return eff.Ret, err
+		return 0, err
 	}
-	c.attach(tx, ovTag|uint64(idx+1))
-	return eff.Ret, nil
+	return ovTag | uint64(idx+1), nil
 }
 
 // attach threads a freshly admitted record onto the transaction's
@@ -1264,17 +1240,7 @@ func (c *Cascade) ReleaseTx(tx *engine.Tx) {
 			c.releaseSlotLocked(s)
 			w = next
 		} else {
-			c.ovMu.Lock()
-			i := (w &^ ovTag) - 1
-			r := &c.ovs[i]
-			next := r.txNext
-			r.args.Release()
-			*r = ovRecord{}
-			c.ovFree = append(c.ovFree, uint32(i))
-			c.ovCount.Add(-1)
-			c.ovMu.Unlock()
-			c.nActive.Add(-1)
-			w = next
+			w = c.retractOverflow(uint32(w&^ovTag) - 1)
 		}
 	}
 	c.relMu.Unlock()
@@ -1289,16 +1255,19 @@ func (c *Cascade) retractSlot(slot uint32) {
 	c.relMu.Unlock()
 }
 
-// retractOverflow withdraws a rejected overflow publication.
-func (c *Cascade) retractOverflow(idx uint32) {
+// retractOverflow frees one overflow record — a rejected publication,
+// or a transaction's at release — and returns its per-tx chain link.
+func (c *Cascade) retractOverflow(idx uint32) uint64 {
 	c.ovMu.Lock()
 	r := &c.ovs[idx]
+	next := r.txNext
 	r.args.Release()
 	*r = ovRecord{}
 	c.ovFree = append(c.ovFree, idx)
 	c.ovCount.Add(-1)
 	c.ovMu.Unlock()
 	c.nActive.Add(-1)
+	return next
 }
 
 // releaseSlotLocked frees one live slot: waits out pinners by taking
@@ -1372,11 +1341,11 @@ func (c *Cascade) teardownSlot(s uint32, mv uint32) {
 	base := int(s) * K
 	for j := 0; j < int(mv>>16); j++ {
 		h := c.hashes[base+j].Load()
-		c.unlinkKey(&c.heads[h&c.bucketMask], uint32(base+j)+1)
+		unlink(&c.heads[h&c.bucketMask], c.nextKey, uint32(base+j)+1)
 		c.filter.Remove(h)
 	}
 	if c.mtab[uint16(mv)].needsMChain {
-		c.unlinkMethod(&c.mheads[uint16(mv)], s+1)
+		unlink(&c.mheads[uint16(mv)], c.nextM, s+1)
 	}
 	c.argvs[s].Release()
 	c.rets[s] = core.Value{}
@@ -1385,40 +1354,24 @@ func (c *Cascade) teardownSlot(s uint32, mv uint32) {
 	c.txNext[s] = 0
 }
 
-// unlinkKey removes a link from a key bucket chain. Interior next
-// fields are only written by unlinkers (serialized under relMu) and by
-// owners before publication, so a CAS can fail only at the head, where
-// concurrent lock-free pushes land; the walk then retries.
-func (c *Cascade) unlinkKey(head *atomic.Uint32, target uint32) {
+// unlink removes a link from an intrusive chain threaded through next
+// (a key bucket chain through nextKey, a method chain through nextM).
+// Interior next fields are only written by unlinkers (serialized under
+// relMu) and by owners before publication, so a CAS can fail only at
+// the head, where concurrent lock-free pushes land; the walk then
+// retries.
+func unlink(head *atomic.Uint32, next []atomic.Uint32, target uint32) {
 	for {
 		prev := head
 		cur := prev.Load()
 		for cur != nilLink && cur != target {
-			prev = &c.nextKey[cur-1]
+			prev = &next[cur-1]
 			cur = prev.Load()
 		}
 		if cur == nilLink {
 			return
 		}
-		if prev.CompareAndSwap(cur, c.nextKey[cur-1].Load()) {
-			return
-		}
-	}
-}
-
-// unlinkMethod removes a slot from its method chain (links are slot+1).
-func (c *Cascade) unlinkMethod(head *atomic.Uint32, target uint32) {
-	for {
-		prev := head
-		cur := prev.Load()
-		for cur != nilLink && cur != target {
-			prev = &c.nextM[cur-1]
-			cur = prev.Load()
-		}
-		if cur == nilLink {
-			return
-		}
-		if prev.CompareAndSwap(cur, c.nextM[cur-1].Load()) {
+		if prev.CompareAndSwap(cur, next[cur-1].Load()) {
 			return
 		}
 	}

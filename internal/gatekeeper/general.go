@@ -23,42 +23,6 @@ type GEffect struct {
 	Redo func()
 }
 
-// genPlan is the static per-ordered-pair plan for a general gatekeeper:
-// the condition plus which state functions must be evaluated under
-// rollback at s1 (the active invocation's pre-state) and at s2 (the new
-// invocation's pre-state). The condition is compiled once into a closure
-// checker whose stateful terms read the rollback-captured values by slot
-// (falling back to live evaluation for slots the rollback sweep could
-// not fill, mirroring the seed's skip-on-error substitution).
-type genPlan struct {
-	cond    core.Cond
-	fn1     []core.FnTerm // all non-pure s1 functions: evaluated at s1 via rollback
-	fn2     []core.FnTerm // all non-pure s2 functions: evaluated at s2 via rollback
-	check   checkFn
-	trivial bool
-	never   bool
-
-	// Disequality index compilation (see index.go). General gatekeepers
-	// keep no logs, so guards whose x term applies a non-pure state
-	// function are rejected at compile time (union-find's union pairs
-	// stay on the scan); probes always run after execution, so r2 in a
-	// probe key needs no special scheduling.
-	keys      []indexKey[*gentry]
-	indexed   bool
-	pureDiseq bool
-
-	// m1id/m2id: pair method IDs in the telemetry vocabulary, compiled
-	// at construction so hot-path attribution never looks up a map.
-	m1id, m2id uint16
-}
-
-// gPairCheck names an active-side method whose pairs with the incoming
-// method need checking, with the plan to run.
-type gPairCheck struct {
-	m1   string
-	plan *genPlan
-}
-
 // jentry is one journaled mutation by an active transaction, a node of
 // the seq-ordered doubly-linked journal. The list shape lets a
 // transaction's entries be unlinked in O(1) each at commit or abort,
@@ -72,40 +36,6 @@ type jentry struct {
 	prev, next *jentry
 }
 
-// gentry is an active invocation with the journal position that marks the
-// state it executed in.
-type gentry struct {
-	tx     *engine.Tx
-	inv    core.Invocation
-	seqPre uint64 // state s1 = current state with journal entries seq > seqPre undone
-
-	// keys and gen mirror entry.keys/entry.gen: per-slot index keys
-	// (aligned with General.slots[method]) and the probe-generation
-	// deduplication stamp. pos is the entry's position in its method's
-	// active list, maintained under swap-deletes.
-	keys []core.Value
-	gen  uint64
-	pos  int
-}
-
-var gentryPool = sync.Pool{New: func() any { return new(gentry) }}
-
-// putGentry recycles an entry, zeroing every Value field so pooled
-// records retain no user-type references (see Forward.putEntry).
-func putGentry(e *gentry) {
-	e.tx = nil
-	e.inv.Args.Release()
-	e.inv = core.Invocation{}
-	e.seqPre = 0
-	for i := range e.keys {
-		e.keys[i] = core.Value{}
-	}
-	e.keys = e.keys[:0]
-	e.gen = 0
-	e.pos = 0
-	gentryPool.Put(e)
-}
-
 var jentryPool = sync.Pool{New: func() any { return new(jentry) }}
 
 // putJentry recycles a journal node, dropping its undo/redo closures.
@@ -116,19 +46,6 @@ func putJentry(j *jentry) {
 	j.redo = nil
 	j.prev, j.next = nil, nil
 	jentryPool.Put(j)
-}
-
-// gpending is one queued check of an Invoke: the active entry, the plan,
-// and the windows into the shared value arena holding the
-// rollback-captured fn1 and fn2 values.
-type gpending struct {
-	e        *gentry
-	plan     *genPlan
-	off1, n1 int
-	off2, n2 int
-	// immediate marks a collision on a purely-disequality condition:
-	// conflict without evaluating the checker.
-	immediate bool
 }
 
 // General is a general gatekeeper (§3.3.2): a forward-style active log
@@ -146,38 +63,15 @@ type gpending struct {
 // same stance the paper's union-find gatekeeper takes when it undoes only
 // the "potentially interfering" active unions.
 type General struct {
-	spec *core.Spec
-	res  core.StateFn
+	logged
 
-	pairs   map[[2]string]*genPlan
-	byFirst map[string][]gPairCheck
-	slots   map[string][]*keySlot[*gentry] // disequality key slots per method
-
-	mu       sync.Mutex
-	seq      uint64
-	jHead    *jentry // oldest journaled mutation
-	jTail    *jentry // newest journaled mutation
-	jLen     int
-	active   map[string][]*gentry // active invocations, indexed by method
-	nActive  int
-	byTxE    map[*engine.Tx][]*gentry // each tx's own active entries
-	byTxJ    map[*engine.Tx][]*jentry // each tx's own journal entries, oldest first
-	eLists   [][]*gentry              // recycled byTxE slices
-	jLists   [][]*jentry              // recycled byTxJ slices
-	hooked   map[*engine.Tx]bool
-	probeGen uint64
-
-	tele *telemetry.Detector // attribution counters (method vocabulary)
-
-	// per-Invoke scratch, reused under mu
-	checks    []gpending
-	valbuf    []core.Value
-	probeKeys []core.Value
-	// ctx is the compiled-checker evaluation context. A local checkCtx
-	// escapes (its address flows into checker function values), so the
-	// hot paths reuse this one field instead; it retains at most the
-	// latest invocation between calls.
-	ctx checkCtx
+	// The journal, guarded by logged.mu like the log itself.
+	seq    uint64
+	jHead  *jentry // oldest journaled mutation
+	jTail  *jentry // newest journaled mutation
+	jLen   int
+	byTxJ  map[*engine.Tx][]*jentry // each tx's own journal entries, oldest first
+	jLists [][]*jentry              // recycled byTxJ slices
 }
 
 // NewGeneral constructs a general gatekeeper for spec over a structure
@@ -189,103 +83,64 @@ func NewGeneral(spec *core.Spec, res core.StateFn) (*General, error) {
 
 // NewGeneralConfig is NewGeneral with explicit configuration.
 func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, error) {
-	g := &General{
-		spec:    spec,
-		res:     res,
-		pairs:   map[[2]string]*genPlan{},
-		byFirst: map[string][]gPairCheck{},
-		slots:   map[string][]*keySlot[*gentry]{},
-		active:  map[string][]*gentry{},
-		byTxE:   map[*engine.Tx][]*gentry{},
-		byTxJ:   map[*engine.Tx][]*jentry{},
-		hooked:  map[*engine.Tx]bool{},
-	}
-	names := spec.Sig.MethodNames()
-	g.tele = telemetry.Register("general", spec.Sig.Name, names)
-	for i1, m1 := range names {
-		for i2, m2 := range names {
-			cond := spec.Cond(m1, m2)
-			plan := &genPlan{cond: cond, m1id: uint16(i1), m2id: uint16(i2)}
-			switch cond.(type) {
-			case core.TrueCond:
-				plan.trivial = true
-			case core.FalseCond:
-				plan.never = true
+	g := &General{byTxJ: map[*engine.Tx][]*jentry{}}
+	g.init("general", spec, res)
+	for i := range g.plans {
+		plan := &g.plans[i]
+		m1, m2 := g.methods[plan.m1id].name, g.methods[plan.m2id].name
+		for _, ft := range core.FirstStateFns(plan.cond) {
+			if spec.Pure[ft.Fn] {
+				continue
 			}
-			for _, ft := range core.FirstStateFns(cond) {
-				if spec.Pure[ft.Fn] {
-					continue
-				}
-				if containsNonPureFn(ft, core.Second, spec.Pure) {
-					return nil, fmt.Errorf("gatekeeper: (%s,%s): s2 function nested inside %s(s1,...) is not supported", m1, m2, ft.Fn)
-				}
-				plan.fn1 = append(plan.fn1, ft)
+			if containsNonPureFn(ft, core.Second, spec.Pure) {
+				return nil, fmt.Errorf("gatekeeper: (%s,%s): s2 function nested inside %s(s1,...) is not supported", m1, m2, ft.Fn)
 			}
-			for _, ft := range secondStateFns(cond) {
-				if spec.Pure[ft.Fn] {
-					continue
-				}
-				if containsNonPureFn(ft, core.First, spec.Pure) {
-					return nil, fmt.Errorf("gatekeeper: (%s,%s): s1 function nested inside %s(s2,...) is not supported", m1, m2, ft.Fn)
-				}
-				plan.fn2 = append(plan.fn2, ft)
+			plan.fn1 = append(plan.fn1, ft)
+		}
+		for _, ft := range secondStateFns(plan.cond) {
+			if spec.Pure[ft.Fn] {
+				continue
 			}
-			bind := map[string]slotBinding{}
-			for i, ft := range plan.fn1 {
-				bind[core.TermKey(ft)] = slotBinding{src: srcLog1, slot: i}
+			if containsNonPureFn(ft, core.First, spec.Pure) {
+				return nil, fmt.Errorf("gatekeeper: (%s,%s): s1 function nested inside %s(s2,...) is not supported", m1, m2, ft.Fn)
 			}
-			for i, ft := range plan.fn2 {
-				bind[core.TermKey(ft)] = slotBinding{src: srcPre2, slot: i}
-			}
-			plan.check = compileCond(cond, bind, res)
-			if !cfg.DisableIndex && !plan.trivial && !plan.never {
-				keys, pureDiseq, _, ok := compileIndex[*gentry](
-					plan.cond, spec.Pure, nil, res, false, g.slotFor(m1))
-				if ok {
-					plan.keys = keys
-					plan.indexed = true
-					plan.pureDiseq = pureDiseq
-				}
-			}
-			if !plan.trivial {
-				g.byFirst[m2] = append(g.byFirst[m2], gPairCheck{m1: m1, plan: plan})
-			}
-			g.pairs[[2]string{m1, m2}] = plan
+			plan.fn2 = append(plan.fn2, ft)
+		}
+		bind := map[string]slotBinding{}
+		for i, ft := range plan.fn1 {
+			bind[core.TermKey(ft)] = slotBinding{src: srcLog1, slot: i}
+		}
+		for i, ft := range plan.fn2 {
+			bind[core.TermKey(ft)] = slotBinding{src: srcPre2, slot: i}
+		}
+		// General gatekeepers keep no logs, so guards whose x term applies
+		// a non-pure state function are rejected (union-find's union pairs
+		// stay on the scan). Every gather runs after execution, so r2 in a
+		// probe key needs no special scheduling.
+		g.compile(plan, bind, cfg, false)
+		if !plan.trivial {
+			m2 := &g.methods[plan.m2id]
+			m2.post = append(m2.post, plan)
 		}
 	}
 	return g, nil
-}
-
-// slotFor interns a guard x term into method m1's key-slot list,
-// deduplicating across pairs.
-func (g *General) slotFor(m1 string) func(x core.Term, extract termFn) *keySlot[*gentry] {
-	return func(x core.Term, extract termFn) *keySlot[*gentry] {
-		xk := core.TermKey(x)
-		for _, s := range g.slots[m1] {
-			if core.TermKey(s.term) == xk {
-				return s
-			}
-		}
-		s := &keySlot[*gentry]{term: x, extract: extract, index: map[core.Value]*bucket[*gentry]{}}
-		g.slots[m1] = append(g.slots[m1], s)
-		return s
-	}
 }
 
 // Invoke executes one guarded invocation for tx, checking it against all
 // active invocations from other transactions, rolling the structure back
 // as needed to evaluate stateful condition terms in the right states. On
 // conflict the invocation's own effect is undone before returning.
-func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() GEffect) (core.Value, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.tele.IncInvocation()
-
-	inv := core.Invocation{Method: method, Args: args}
-	seqPre := g.seq
+func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() GEffect) (_ core.Value, err error) {
+	mid, err := g.resolve(method)
+	if err != nil {
+		return core.Value{}, err
+	}
+	e, t0 := g.begin(tx, mid, args)
+	defer g.end(tx, mid, t0, &err)
+	e.seqPre = g.seq
 
 	eff := exec()
-	inv.Ret = eff.Ret
+	e.inv.Ret = eff.Ret
 	var own *jentry
 	if eff.Undo != nil {
 		if eff.Redo == nil {
@@ -296,112 +151,19 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 		own.seq, own.tx, own.undo, own.redo = g.seq, tx, eff.Undo, eff.Redo
 		g.linkJournal(own)
 		g.tele.ObserveJournal(g.jLen)
-		g.byTxJ[tx] = g.appendJ(g.byTxJ[tx], own)
+		lst, seen := g.byTxJ[tx]
+		if !seen {
+			lst = popList(&g.jLists)
+		}
+		g.byTxJ[tx] = append(lst, own)
 	}
 
-	// Gather the checks and the rollback points they need. Indexed
-	// pairs probe the first method's key slots (execution already
-	// happened, so r2-bearing probe keys are fine here) and queue only
-	// colliding entries; the rest scan its active list as the seed did.
-	// Evaluation at "state seqPre" means: every journal entry with seq
-	// > seqPre undone. Slot values start as unset; slots the rollback
-	// sweep leaves unset are evaluated live (against the restored
-	// current state) by the compiled checker.
-	g.checks = g.checks[:0]
-	g.valbuf = g.valbuf[:0]
-	var needState map[uint64][]int // rollback point -> indices into checks needing fn1 there
-	needS2 := false
-	queue := func(e *gentry, plan *genPlan, immediate bool) {
-		p := gpending{e: e, plan: plan, immediate: immediate}
-		p.n1, p.n2 = len(plan.fn1), len(plan.fn2)
-		p.off1 = len(g.valbuf)
-		p.off2 = p.off1 + p.n1
-		for i := 0; i < p.n1+p.n2; i++ {
-			g.valbuf = append(g.valbuf, unset)
-		}
-		idx := len(g.checks)
-		g.checks = append(g.checks, p)
-		if p.n1 > 0 {
-			if needState == nil {
-				needState = map[uint64][]int{}
-			}
-			needState[e.seqPre] = append(needState[e.seqPre], idx)
-		}
-		if p.n2 > 0 {
-			needS2 = true
-		}
-	}
-	scanPair := func(pc gPairCheck) {
-		es := g.active[pc.m1]
-		if len(es) == 0 {
-			return
-		}
-		g.tele.IncFallbackScan()
-		for _, ae := range es {
-			if ae.tx == tx {
-				continue
-			}
-			queue(ae, pc.plan, false)
-		}
-	}
-	probePair := func(pc gPairCheck) {
-		g.tele.IncProbe()
-		g.ctx = checkCtx{env: core.PairEnv{Inv2: inv, S1: g.res, S2: g.res}}
-		keys := g.probeKeys[:0]
-		for _, pk := range pc.plan.keys {
-			v, err := pk.probe(&g.ctx)
-			if err != nil {
-				g.probeKeys = keys
-				scanPair(pc)
-				return
-			}
-			k, kok := core.MapKey(v)
-			if !kok {
-				g.probeKeys = keys
-				scanPair(pc)
-				return
-			}
-			keys = append(keys, k)
-		}
-		g.probeKeys = keys
-		g.probeGen++
-		gen := g.probeGen
-		for i, pk := range pc.plan.keys {
-			k := keys[i]
-			isNaN := k.Kind() == core.KindNaN
-			imm := pc.plan.pureDiseq && !isNaN
-			for _, ae := range pk.slot.probe(k) {
-				if ae.tx == tx || ae.gen == gen {
-					continue
-				}
-				ae.gen = gen
-				g.tele.IncCollision()
-				queue(ae, pc.plan, imm)
-			}
-			for _, ae := range pk.slot.unkeyed {
-				if ae.tx == tx || ae.gen == gen {
-					continue
-				}
-				ae.gen = gen
-				g.tele.IncCollision()
-				queue(ae, pc.plan, false)
-			}
-		}
-	}
-	for _, pc := range g.byFirst[method] {
-		if pc.plan.indexed {
-			probePair(pc)
-		} else {
-			scanPair(pc)
-		}
-	}
-
-	if len(needState) > 0 || needS2 {
-		g.tele.IncRollback()
-		g.rollbackEval(inv, seqPre, needState, needS2)
-	}
-
-	undoOwn := func() {
+	// Gather the checks (execution already happened, so r2-bearing probe
+	// keys are fine here), then value their stateful terms under
+	// rollback and check.
+	g.gather(tx, e, g.methods[mid].post)
+	g.rollbackEval(e)
+	if err = g.check(tx, e); err != nil {
 		if own != nil {
 			own.undo()
 			g.unlinkJournal(own)
@@ -410,79 +172,15 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 			g.byTxJ[tx] = lst[:len(lst)-1]
 			putJentry(own)
 		}
+		g.putEntry(e)
+		return eff.Ret, err
 	}
 
-	g.ctx = checkCtx{env: core.PairEnv{Inv2: inv, S1: g.res, S2: g.res}}
-	ctx := &g.ctx
-	for i := range g.checks {
-		p := &g.checks[i]
-		if p.immediate {
-			undoOwn()
-			g.conflict(tx, p.plan)
-			return eff.Ret, engine.Conflict("gatekeeper: %s%v does not commute with active %s%v (tx %d)",
-				method, args, p.e.inv.Method, p.e.inv.Args, p.e.tx.ID())
-		}
-		g.tele.Check(p.plan.m1id, p.plan.m2id)
-		if p.plan.never {
-			undoOwn()
-			g.conflict(tx, p.plan)
-			return eff.Ret, engine.Conflict("gatekeeper: %s never commutes with active %s (tx %d)",
-				method, p.e.inv.Method, p.e.tx.ID())
-		}
-		ctx.env.Inv1 = p.e.inv
-		ctx.log1 = g.valbuf[p.off1 : p.off1+p.n1]
-		ctx.pre2 = g.valbuf[p.off2 : p.off2+p.n2]
-		ok, err := p.plan.check(ctx)
-		if err != nil {
-			undoOwn()
-			return eff.Ret, fmt.Errorf("gatekeeper: checking (%s,%s): %w", p.e.inv.Method, method, err)
-		}
-		if !ok {
-			undoOwn()
-			g.conflict(tx, p.plan)
-			return eff.Ret, engine.Conflict("gatekeeper: %s%v does not commute with active %s%v (tx %d)",
-				method, args, p.e.inv.Method, p.e.inv.Args, p.e.tx.ID())
-		}
-	}
-
-	e := gentryPool.Get().(*gentry)
-	e.tx, e.inv, e.seqPre = tx, inv, seqPre
-	g.indexEntry(method, e)
-	e.pos = len(g.active[method])
-	g.active[method] = append(g.active[method], e)
-	g.byTxE[tx] = g.appendE(g.byTxE[tx], e)
-	g.nActive++
-	g.tele.ObserveActive(g.nActive)
-	if !g.hooked[tx] {
-		g.hooked[tx] = true
+	if g.record(tx, e) {
 		tx.OnUndoer(g)
 		tx.OnReleaser(g)
 	}
 	return eff.Ret, nil
-}
-
-// appendE/appendJ append to a per-tx list, seeding a fresh list from the
-// recycled pool so steady-state transactions allocate no slices.
-func (g *General) appendE(lst []*gentry, e *gentry) []*gentry {
-	if lst == nil {
-		if n := len(g.eLists); n > 0 {
-			lst = g.eLists[n-1]
-			g.eLists[n-1] = nil
-			g.eLists = g.eLists[:n-1]
-		}
-	}
-	return append(lst, e)
-}
-
-func (g *General) appendJ(lst []*jentry, j *jentry) []*jentry {
-	if lst == nil {
-		if n := len(g.jLists); n > 0 {
-			lst = g.jLists[n-1]
-			g.jLists[n-1] = nil
-			g.jLists = g.jLists[:n-1]
-		}
-	}
-	return append(lst, j)
 }
 
 // linkJournal appends j at the journal's newest end.
@@ -514,17 +212,41 @@ func (g *General) unlinkJournal(j *jentry) {
 	g.jLen--
 }
 
-// rollbackEval performs one backward sweep over the journal, pausing at
-// each required rollback point to evaluate the stateful condition terms
-// that belong there into the checks' arena slots, then replays the
-// journal forward. Terms that fail to evaluate leave their slot unset.
-func (g *General) rollbackEval(inv core.Invocation, seqPre uint64, needState map[uint64][]int, needS2 bool) {
+// rollbackEval values the stateful terms of every queued check of the
+// incoming invocation e in the states they belong to. Evaluation at
+// "state seqPre" means: every journal entry with seq > seqPre undone.
+// One backward sweep over the journal pauses at each required rollback
+// point — each active entry's seqPre for its fn1 terms, e's own for
+// every check's fn2 terms — to evaluate into the checks' value windows,
+// then replays the journal forward. Slots start unset; terms that fail
+// to evaluate stay so and are evaluated live (against the restored
+// current state) by the compiled checker.
+func (g *General) rollbackEval(e *entry) {
+	if g.nvals == 0 {
+		return
+	}
+	vals := g.arena()
+	needState := map[uint64][]int{} // rollback point -> indices into checks needing fn1 there
+	needS2 := false
+	for i := range g.checks {
+		p := &g.checks[i]
+		n1, n2 := len(p.plan.fn1), len(p.plan.fn2)
+		p.log1, p.pre2, vals = vals[:n1], vals[n1:n1+n2], vals[n1+n2:]
+		if n1 > 0 {
+			needState[p.e.seqPre] = append(needState[p.e.seqPre], i)
+		}
+		if n2 > 0 {
+			needS2 = true
+		}
+	}
+	g.tele.IncRollback()
+
 	points := make([]uint64, 0, len(needState)+1)
 	for p := range needState {
 		points = append(points, p)
 	}
 	if needS2 {
-		points = append(points, seqPre)
+		points = append(points, e.seqPre)
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i] > points[j] })
 
@@ -549,24 +271,24 @@ func (g *General) rollbackEval(inv core.Invocation, seqPre uint64, needState map
 		}
 		seen[pt] = true
 		evalAt(pt)
-		if needS2 && pt == seqPre {
+		if needS2 && pt == e.seqPre {
 			// State s2: evaluate the non-pure fn2 terms of every check.
 			for i := range g.checks {
 				p := &g.checks[i]
-				env := &core.PairEnv{Inv1: p.e.inv, Inv2: inv, S1: g.res, S2: g.res}
+				env := &core.PairEnv{Inv1: p.e.inv, Inv2: e.inv, S1: g.res, S2: g.res}
 				for j, ft := range p.plan.fn2 {
 					if v, err := core.EvalTerm(ft, env); err == nil {
-						g.valbuf[p.off2+j] = v
+						p.pre2[j] = v
 					}
 				}
 			}
 		}
 		for _, i := range needState[pt] {
 			p := &g.checks[i]
-			env := &core.PairEnv{Inv1: p.e.inv, Inv2: inv, S1: g.res, S2: g.res}
+			env := &core.PairEnv{Inv1: p.e.inv, Inv2: e.inv, S1: g.res, S2: g.res}
 			for j, ft := range p.plan.fn1 {
 				if v, err := core.EvalTerm(ft, env); err == nil {
-					g.valbuf[p.off1+j] = v
+					p.log1[j] = v
 				}
 			}
 		}
@@ -596,24 +318,11 @@ func (g *General) UndoTx(tx *engine.Tx) {
 	delete(g.byTxJ, tx)
 }
 
-// removeActive swap-deletes the entry from its method's active list,
-// keeping the moved entry's pos current.
-func (g *General) removeActive(m string, e *gentry) {
-	es := g.active[m]
-	last := len(es) - 1
-	moved := es[last]
-	es[e.pos] = moved
-	moved.pos = e.pos
-	es[last] = nil
-	g.active[m] = es[:last]
-}
-
 // ReleaseTx drops the transaction's journal entries (now permanent) and
 // active invocations. Installed as a tx release hook (engine.Releaser);
-// on abort the journal was already emptied by UndoTx. Like
-// Forward.ReleaseTx, it walks only the transaction's own entries, and
-// recycles them plus the per-tx lists.
+// on abort the journal was already emptied by UndoTx.
 func (g *General) ReleaseTx(tx *engine.Tx) {
+	t0 := telemetry.LatClock()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	jlst := g.byTxJ[tx]
@@ -626,96 +335,12 @@ func (g *General) ReleaseTx(tx *engine.Tx) {
 		g.jLists = append(g.jLists, jlst[:0])
 	}
 	delete(g.byTxJ, tx)
-	elst := g.byTxE[tx]
-	for i, e := range elst {
-		m := e.inv.Method
-		g.removeActive(m, e)
-		g.dropFromIndex(m, e)
-		g.nActive--
-		putGentry(e)
-		elst[i] = nil
-	}
-	if elst != nil {
-		g.eLists = append(g.eLists, elst[:0])
-	}
-	delete(g.byTxE, tx)
-	delete(g.hooked, tx)
+	g.release(tx, t0)
 }
-
-// indexEntry computes the entry's key per key slot of its method and
-// files it in the corresponding buckets (or as unkeyed where the value
-// resists canonicalization).
-func (g *General) indexEntry(method string, e *gentry) {
-	slots := g.slots[method]
-	if len(slots) == 0 {
-		return
-	}
-	g.ctx = checkCtx{env: core.PairEnv{Inv1: e.inv, S1: g.res, S2: g.res}}
-	if cap(e.keys) >= len(slots) {
-		e.keys = e.keys[:len(slots)]
-	} else {
-		e.keys = make([]core.Value, len(slots))
-	}
-	for i, s := range slots {
-		v, err := s.extract(&g.ctx)
-		if err == nil {
-			if k, kok := core.MapKey(v); kok {
-				e.keys[i] = k
-				s.insert(k, e)
-				continue
-			}
-		}
-		e.keys[i] = unset
-		s.insertUnkeyed(e)
-	}
-}
-
-// dropFromIndex removes the entry from every key slot it was filed in.
-func (g *General) dropFromIndex(method string, e *gentry) {
-	for i, s := range g.slots[method] {
-		if i >= len(e.keys) {
-			break
-		}
-		s.remove(e.keys[i], e)
-	}
-}
-
-// ActiveInvocations reports the number of logged active invocations.
-func (g *General) ActiveInvocations() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.nActive
-}
-
-// conflict attributes one rejected invocation to the plan's method pair
-// and emits a trace event on the invoking transaction's worker track.
-func (g *General) conflict(tx *engine.Tx, plan *genPlan) {
-	g.tele.Conflict(plan.m1id, plan.m2id)
-	if telemetry.TraceEnabled() {
-		telemetry.EmitConflict(tx.Worker(), tx.ID(), tx.Item(), g.tele.ID(), plan.m1id, plan.m2id)
-	}
-}
-
-// Stats returns a snapshot of the gatekeeper's work counters, assembled
-// from its telemetry detector.
-func (g *General) Stats() Stats {
-	return statsFromSnapshot(g.tele.Snapshot())
-}
-
-// Telemetry returns the gatekeeper's telemetry detector, whose snapshot
-// additionally attributes checks and conflicts per method pair.
-func (g *General) Telemetry() *telemetry.Detector { return g.tele }
 
 // JournalLen reports the number of journaled live mutations.
 func (g *General) JournalLen() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.jLen
-}
-
-// Sync runs f under the gatekeeper's structure mutex.
-func (g *General) Sync(f func()) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	f()
 }

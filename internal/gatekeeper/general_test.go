@@ -8,6 +8,7 @@ import (
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
+	"commlat/internal/telemetry"
 )
 
 // --- union-find fixture (the paper's general-gatekeeper example, §3.3.2) --
@@ -543,5 +544,120 @@ func TestGeneralStatsCounters(t *testing.T) {
 	}
 	if st.Conflicts != 1 {
 		t.Errorf("Conflicts = %d, want 1", st.Conflicts)
+	}
+}
+
+// TestUnknownMethodRejected: a method name outside the signature must be
+// refused before exec runs, by every detector. The logged gatekeepers
+// used to execute it, check nothing (no plan names it) and log it — a
+// misspelt name in an ADT wrapper silently switched conflict detection
+// off.
+func TestUnknownMethodRejected(t *testing.T) {
+	spec := rwSetSpec()
+	fwd, err := NewForward(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGeneral(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cas, err := NewCascade(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shd, err := NewSharded(spec, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	effect := func() Effect { ran = true; return Effect{Ret: core.VBool(true)} }
+	geffect := func() GEffect { ran = true; return GEffect{Ret: core.VBool(true)} }
+	for _, tc := range []struct {
+		name   string
+		invoke func(tx *engine.Tx) error
+		active func() int
+	}{
+		{"forward", func(tx *engine.Tx) error {
+			_, err := fwd.Invoke(tx, "typo", core.Args1(core.VInt(1)), effect)
+			return err
+		}, fwd.ActiveInvocations},
+		{"general", func(tx *engine.Tx) error {
+			_, err := gen.Invoke(tx, "typo", core.Args1(core.VInt(1)), geffect)
+			return err
+		}, gen.ActiveInvocations},
+		{"cascade", func(tx *engine.Tx) error {
+			_, err := cas.Invoke(tx, "typo", core.Args1(core.VInt(1)), effect)
+			return err
+		}, cas.ActiveInvocations},
+		{"sharded", func(tx *engine.Tx) error {
+			_, err := shd.Invoke(tx, "typo", core.Args1(core.VInt(1)), effect)
+			return err
+		}, shd.ActiveInvocations},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ran = false
+			for i := 0; i < 2; i++ {
+				tx := engine.NewTx()
+				defer tx.Abort()
+				err := tc.invoke(tx)
+				if err == nil || engine.IsConflict(err) {
+					t.Errorf("invoking an unknown method: err = %v, want a plain error", err)
+				}
+			}
+			if ran {
+				t.Errorf("exec ran for an unknown method")
+			}
+			if n := tc.active(); n != 0 {
+				t.Errorf("%d active invocations after unknown-method calls, want 0", n)
+			}
+		})
+	}
+}
+
+// TestGeneralRecordsLatencyAndFlight: the general gatekeeper shares the
+// forward gatekeeper's observation sites, so with the stage histograms
+// and the flight recorder on, every invocation lands in the precise
+// stage with one flight record and every transaction end in the
+// commit/release stage.
+func TestGeneralRecordsLatencyAndFlight(t *testing.T) {
+	g, err := NewGeneral(rwSetSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry.EnableLatency()
+	telemetry.EnableFlight(64)
+	defer telemetry.DisableLatency()
+	defer telemetry.DisableFlight()
+	const nTx, perTx = 3, 4
+	for i := 0; i < nTx; i++ {
+		tx := engine.NewTx()
+		for j := 0; j < perTx; j++ {
+			if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(int64(i*perTx+j))), func() GEffect {
+				return GEffect{Ret: core.VBool(true)}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx.Commit()
+	}
+	counts := map[string]uint64{}
+	for _, st := range telemetry.SnapshotLatency().Stages {
+		counts[st.Stage] = st.Count
+	}
+	if got := counts[telemetry.StagePrecise.String()]; got != nTx*perTx {
+		t.Errorf("precise stage holds %d observations, want %d", got, nTx*perTx)
+	}
+	if got := counts[telemetry.StageCommit.String()]; got != nTx {
+		t.Errorf("commit_release stage holds %d observations, want %d", got, nTx)
+	}
+	records := 0
+	for _, rec := range telemetry.FlightRecords() {
+		if rec.Det == g.Telemetry().ID() {
+			records++
+		}
+	}
+	if records != nTx*perTx {
+		t.Errorf("%d flight records for %d invocations", records, nTx*perTx)
 	}
 }

@@ -24,35 +24,35 @@ import (
 // from canonical key values to the active entries whose x-value hashed
 // there, plus the entries whose x-value the index could not key
 // (core.MapKey rejected it) and which therefore collide with every
-// probe. E is the gatekeeper's entry type.
-type keySlot[E comparable] struct {
+// probe.
+type keySlot struct {
 	term    core.Term // the guard's x term, for dedup and diagnostics
 	extract termFn    // compiled x evaluator, run at insert time
-	index   map[core.Value]*bucket[E]
-	unkeyed []E
-	free    []*bucket[E] // recycled empty buckets
+	index   map[core.Value]*bucket
+	unkeyed []*entry
+	free    []*bucket // recycled empty buckets
 }
 
 // bucket holds the active entries of one canonical key. The slice keeps
 // its capacity across recycling, so a hot key churns with zero
 // allocations after warm-up.
-type bucket[E comparable] struct {
-	es []E
+type bucket struct {
+	es []*entry
 }
 
-func (s *keySlot[E]) getBucket() *bucket[E] {
+func (s *keySlot) getBucket() *bucket {
 	if n := len(s.free); n > 0 {
 		b := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return b
 	}
-	return &bucket[E]{}
+	return &bucket{}
 }
 
 // insert buckets e under key k; insertUnkeyed records an entry whose
 // key could not be canonicalized.
-func (s *keySlot[E]) insert(k core.Value, e E) {
+func (s *keySlot) insert(k core.Value, e *entry) {
 	b := s.index[k]
 	if b == nil {
 		b = s.getBucket()
@@ -61,12 +61,12 @@ func (s *keySlot[E]) insert(k core.Value, e E) {
 	b.es = append(b.es, e)
 }
 
-func (s *keySlot[E]) insertUnkeyed(e E) { s.unkeyed = append(s.unkeyed, e) }
+func (s *keySlot) insertUnkeyed(e *entry) { s.unkeyed = append(s.unkeyed, e) }
 
 // remove drops e from the slot. k must be the key insert was called
 // with (entries remember their keys); the unset sentinel means e was
 // recorded unkeyed.
-func (s *keySlot[E]) remove(k core.Value, e E) {
+func (s *keySlot) remove(k core.Value, e *entry) {
 	if k.IsUnset() {
 		removeElem(&s.unkeyed, e)
 		return
@@ -84,20 +84,19 @@ func (s *keySlot[E]) remove(k core.Value, e E) {
 }
 
 // probe returns the entries bucketed under k (nil when none).
-func (s *keySlot[E]) probe(k core.Value) []E {
+func (s *keySlot) probe(k core.Value) []*entry {
 	if b := s.index[k]; b != nil {
 		return b.es
 	}
 	return nil
 }
 
-func removeElem[E comparable](xs *[]E, e E) {
+func removeElem(xs *[]*entry, e *entry) {
 	s := *xs
 	for i, x := range s {
 		if x == e {
-			var zero E
 			s[i] = s[len(s)-1]
-			s[len(s)-1] = zero
+			s[len(s)-1] = nil
 			*xs = s[:len(s)-1]
 			return
 		}
@@ -107,32 +106,33 @@ func removeElem[E comparable](xs *[]E, e E) {
 // indexKey is one compiled guard of a pair plan: the first method's key
 // slot to probe and the compiled evaluator of the guard's y term, run
 // against the incoming (second) invocation.
-type indexKey[E comparable] struct {
-	slot  *keySlot[E]
+type indexKey struct {
+	slot  *keySlot
 	probe termFn
 }
 
 // compileIndex decomposes a pair condition into disequality guards and
 // compiles them. bind resolves recorded first-side values exactly as
-// for the pair checker (log slots for forward gatekeepers, nothing for
-// general ones). When allowStatefulX is false, guards whose x term
-// applies a non-pure state function are rejected — a gatekeeper without
-// logs cannot reproduce the insert-time state later, and here cannot
-// even capture it meaningfully at insert time relative to rollback
+// for the pair checker (a forward gatekeeper's log slots; a general
+// gatekeeper binds only non-pure functions, which its guards never
+// contain). When allowStatefulX is false, guards whose x term applies a
+// non-pure state function are rejected — a gatekeeper without logs
+// cannot reproduce the insert-time state later, and here cannot even
+// capture it meaningfully at insert time relative to rollback
 // evaluation. slotFor interns x terms into per-method key slots.
 //
 // Results: the compiled guards, whether the condition is purely their
 // conjunction (collision ⟹ conflict), whether any probe needs the
 // incoming invocation's return value (probe must wait until after
 // execution), and whether the pair is indexable at all.
-func compileIndex[E comparable](
+func compileIndex(
 	cond core.Cond,
 	pure map[string]bool,
 	bind map[string]slotBinding,
 	res core.StateFn,
 	allowStatefulX bool,
-	slotFor func(x core.Term, extract termFn) *keySlot[E],
-) (keys []indexKey[E], pureDiseq, probePost, ok bool) {
+	slotFor func(x core.Term, extract termFn) *keySlot,
+) (keys []indexKey, pureDiseq, probePost, ok bool) {
 	dec := core.DecomposeDiseq(cond, pure)
 	if !dec.Indexable {
 		return nil, false, false, false
@@ -144,7 +144,7 @@ func compileIndex[E comparable](
 		if mentionsRet(gd.Y, core.Second) {
 			probePost = true
 		}
-		keys = append(keys, indexKey[E]{
+		keys = append(keys, indexKey{
 			slot:  slotFor(gd.X, compileTerm(gd.X, bind, res)),
 			probe: compileTerm(gd.Y, bind, res),
 		})

@@ -24,6 +24,13 @@ func rwSetSpec() *core.Spec {
 	return s
 }
 
+// plan and keySlots look the core's per-method tables up by name.
+func (l *logged) plan(m1, m2 string) *pairPlan {
+	return &l.plans[int(l.mids[m1])*len(l.methods)+int(l.mids[m2])]
+}
+
+func (l *logged) keySlots(m string) []*keySlot { return l.methods[l.mids[m]].slots }
+
 func TestForwardIndexPlanShapes(t *testing.T) {
 	s := newGSet(t)
 	for _, tc := range []struct {
@@ -36,29 +43,29 @@ func TestForwardIndexPlanShapes(t *testing.T) {
 		{"contains", "add", true, false}, // swapped: Ne ∨ r2=false
 		{"remove", "remove", true, false},
 	} {
-		plan := s.g.pairs[[2]string{tc.m1, tc.m2}]
+		plan := s.g.plan(tc.m1, tc.m2)
 		if plan.indexed != tc.indexed || plan.pureDiseq != tc.pureDiseq {
 			t.Errorf("(%s,%s): indexed=%v pureDiseq=%v, want %v/%v",
 				tc.m1, tc.m2, plan.indexed, plan.pureDiseq, tc.indexed, tc.pureDiseq)
 		}
 	}
-	if plan := s.g.pairs[[2]string{"contains", "contains"}]; !plan.trivial || plan.indexed {
+	if plan := s.g.plan("contains", "contains"); !plan.trivial || plan.indexed {
 		t.Errorf("contains~contains should be trivial and unindexed")
 	}
 	// One shared key slot per method: every guard is on argument 0.
 	for _, m := range []string{"add", "remove", "contains"} {
-		if n := len(s.g.slots[m]); n != 1 {
+		if n := len(s.g.keySlots(m)); n != 1 {
 			t.Errorf("%s: %d key slots, want 1 (shared across pairs)", m, n)
 		}
 	}
 
 	rw := newGSetCfg(t, rwSetSpec(), Config{})
-	if plan := rw.g.pairs[[2]string{"add", "add"}]; !plan.indexed || !plan.pureDiseq {
+	if plan := rw.g.plan("add", "add"); !plan.indexed || !plan.pureDiseq {
 		t.Errorf("rw add~add should be indexed and pureDiseq: %+v", plan)
 	}
 
 	off := newGSetCfg(t, preciseSetSpec(), Config{DisableIndex: true})
-	if plan := off.g.pairs[[2]string{"add", "add"}]; plan.indexed {
+	if plan := off.g.plan("add", "add"); plan.indexed {
 		t.Errorf("DisableIndex must leave plans unindexed")
 	}
 }
@@ -71,7 +78,7 @@ func TestForwardIndexMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slot := s.g.slots["add"][0]
+	slot := s.g.keySlots("add")[0]
 	if len(slot.index) != 3 || len(slot.unkeyed) != 0 {
 		t.Fatalf("index holds %d keys / %d unkeyed, want 3/0", len(slot.index), len(slot.unkeyed))
 	}
@@ -246,13 +253,13 @@ func TestGeneralIndexPlanShapes(t *testing.T) {
 	// union~union and union~find guard on rep@s1(v2.*) — first-state
 	// functions of second-invocation values admit no side split, so the
 	// general gatekeeper keeps the scan for them.
-	if plan := u.g.pairs[[2]string{"union", "union"}]; plan.indexed {
+	if plan := u.g.plan("union", "union"); plan.indexed {
 		t.Errorf("union~union must not be indexed")
 	}
-	if plan := u.g.pairs[[2]string{"union", "find"}]; plan.indexed {
+	if plan := u.g.plan("union", "find"); plan.indexed {
 		t.Errorf("union~find must not be indexed")
 	}
-	if plan := u.g.pairs[[2]string{"find", "find"}]; !plan.trivial {
+	if plan := u.g.plan("find", "find"); !plan.trivial {
 		t.Errorf("find~find should be trivial")
 	}
 
@@ -261,7 +268,7 @@ func TestGeneralIndexPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := g.pairs[[2]string{"add", "add"}]; !plan.indexed || !plan.pureDiseq {
+	if plan := g.plan("add", "add"); !plan.indexed || !plan.pureDiseq {
 		t.Errorf("general add~add should be indexed pure: %+v", plan)
 	}
 }

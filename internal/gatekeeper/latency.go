@@ -97,21 +97,16 @@ func (c *Cascade) obsBatch(tx *engine.Tx, mid uint16, n, grouped int, tpub, tpro
 
 // obsInvoke records a forward/general gatekeeper admission. The whole
 // mutex-held check-execute-log sequence is one precise evaluation, so
-// it lands in the precise-check stage; the method ID is recovered from
-// the (method, method) pair plan, which exists for every method.
-func (g *Forward) obsInvoke(tx *engine.Tx, method string, t0 int64, err error) {
+// it lands in the precise-check stage.
+func (l *logged) obsInvoke(tx *engine.Tx, mid uint16, t0 int64, err error) {
 	w := tx.Worker()
 	var d int64
 	if t0 != 0 {
 		d = telemetry.StageObserve(w, telemetry.StagePrecise, t0) - t0
 	}
 	if telemetry.FlightEnabled() {
-		var mid uint16
-		if p := g.pairs[[2]string{method, method}]; p != nil {
-			mid = p.m2id
-		}
 		rec := telemetry.FlightRecord{
-			Tx: tx.ID(), Det: g.tele.ID(), Method: mid,
+			Tx: tx.ID(), Det: l.tele.ID(), Method: mid,
 			Verdict: telemetry.FlightAdmitted,
 		}
 		if err != nil {

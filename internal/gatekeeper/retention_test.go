@@ -9,7 +9,7 @@ import (
 )
 
 // blob is a user-type argument with a deliberately large heap footprint:
-// if a pooled record (entry, gentry, jentry or Tx hook) fails to zero its
+// if a pooled record (entry, jentry or Tx hook) fails to zero its
 // Value fields on release, every pooled record pins one of these.
 type blob struct{ data []byte }
 
@@ -88,7 +88,7 @@ func TestForwardPoolsDropUserValues(t *testing.T) {
 }
 
 // TestGeneralPoolsDropUserValues is the same check for the general
-// gatekeeper's gentry/jentry pools (putGentry/putJentry zeroing).
+// gatekeeper's entry/jentry pools (putEntry/putJentry zeroing).
 func TestGeneralPoolsDropUserValues(t *testing.T) {
 	g, err := NewGeneral(rwSetSpec(), nil)
 	if err != nil {

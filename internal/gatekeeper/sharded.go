@@ -289,7 +289,7 @@ func (s *ShardedCascade) Invoke(tx *engine.Tx, method string, args core.Vec, exe
 		s.tele.ShardLocal()
 		t := &s.tickets[set[0]]
 		t.lock()
-		ret, err := s.shards[set[0]].admitKeyed(tx, mid, args, eff, keys[:rt.nPubs])
+		ret, err := s.shards[set[0]].admitKeyed(tx, mid, &args, &eff, keys[:rt.nPubs])
 		t.unlock()
 		return ret, err
 	}
@@ -317,8 +317,8 @@ func sortShardSet(set []uint32) {
 // republishing the same keys so probes anywhere still meet them. On
 // refusal the effect is undone once and every publication retracted.
 // keys, when non-nil, are the invocation's already-evaluated publish
-// hashes (the router computed them for shard selection); each shard
-// then admits through the keyed word path instead of re-extracting.
+// hashes (the router computed them for shard selection), which each
+// shard's admit then publishes instead of re-evaluating.
 func (s *ShardedCascade) rendezvous(tx *engine.Tx, mid uint16, args core.Vec, eff Effect, set []uint32, keys []uint64) (core.Value, error) {
 	s.tele.ShardCross()
 	t0 := telemetry.LatClock()
@@ -349,18 +349,12 @@ func (s *ShardedCascade) rendezvous(tx *engine.Tx, mid uint16, args core.Vec, ef
 			}
 			a = cp
 		}
-		var w uint64
-		if keys != nil {
-			w, err = s.shards[sh].admitKeyedWord(tx, mid, a, e, keys, n == 0)
-		} else {
-			w, err = s.shards[sh].admitWordNoAttach(tx, mid, a, e, n == 0)
-		}
+		words[n], err = s.shards[sh].admit(tx, mid, &a, &e, keys, n == 0)
 		if err != nil {
 			// The refused shard already retracted its publication
 			// (releasing the published copy's spill); nothing to free.
 			break
 		}
-		words[n] = w
 		n++
 	}
 	if err != nil {
@@ -370,24 +364,18 @@ func (s *ShardedCascade) rendezvous(tx *engine.Tx, mid uint16, args core.Vec, ef
 		for i := n - 1; i >= 0; i-- {
 			s.shards[set[i]].retractWord(words[i])
 		}
-		for i := len(set) - 1; i >= 0; i-- {
-			s.tickets[set[i]].unlock()
+	} else {
+		for i, sh := range set {
+			s.shards[sh].attach(tx, words[i])
 		}
-		if obsInstrumented(t0) {
-			obsRendezvous(tx, s.tele, mid, t0, shardMask(set), err)
-		}
-		return eff.Ret, err
-	}
-	for i, sh := range set {
-		s.shards[sh].attach(tx, words[i])
 	}
 	for i := len(set) - 1; i >= 0; i-- {
 		s.tickets[set[i]].unlock()
 	}
 	if obsInstrumented(t0) {
-		obsRendezvous(tx, s.tele, mid, t0, shardMask(set), nil)
+		obsRendezvous(tx, s.tele, mid, t0, shardMask(set), err)
 	}
-	return eff.Ret, nil
+	return eff.Ret, err
 }
 
 // shardMask packs a shard set into the flight record's 64-bit bitmask
@@ -447,171 +435,6 @@ func (s *ShardedCascade) InvokeBatch(ops []BatchOp, exec func(run []BatchOp)) in
 		}
 	}
 	return done
-}
-
-// --- Cascade admission entry points for the router -----------------------
-
-// admitKeyed is Invoke's simple-route tail with the key hashes already
-// evaluated (the router needed them for shard selection). The caller
-// holds the shard's ticket.
-func (c *Cascade) admitKeyed(tx *engine.Tx, mid uint16, args core.Vec, eff Effect, keys []uint64) (core.Value, error) {
-	c.tele.IncInvocation()
-	t0 := telemetry.LatClock()
-	mt := &c.mtab[mid]
-	slot, slotOK := c.free.Pop()
-	if !slotOK {
-		return c.admitGeneral(tx, mid, args, eff)
-	}
-	c.publishSlot(slot, tx, mid, &args, eff.Ret, eff.Undo, keys)
-	c.observeActive(c.nActive.Add(1))
-	if c.ovCount.Load() == 0 && c.probeFast(mt, &args, eff.Ret, keys) {
-		c.tele.CascadeFastAdmit()
-		c.attach(tx, uint64(slot)+1)
-		if obsInstrumented(t0) {
-			c.obsFast(tx, mid, t0)
-		}
-		return eff.Ret, nil
-	}
-	c.tele.CascadeFilterHit()
-	t1 := telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
-	sc := cascadeScratchPool.Get().(*cascadeScratch)
-	inv := c.bindCtx(sc, mid, args, eff.Ret)
-	err := c.slowCheck(tx, mid, inv, sc)
-	if obsInstrumented(t1) {
-		c.obsSlow(tx, mid, t0, t1, sc, err)
-	}
-	sc.reset()
-	cascadeScratchPool.Put(sc)
-	if err != nil {
-		if eff.Undo != nil {
-			eff.Undo()
-		}
-		c.retractSlot(slot)
-		return eff.Ret, err
-	}
-	c.attach(tx, uint64(slot)+1)
-	return eff.Ret, nil
-}
-
-// admitKeyedWord is the keyed rendezvous admission into one shard: the
-// publish hashes are already evaluated (the router needed them for
-// shard selection), so publication and the fast probe skip the scratch
-// extraction entirely. Like admitWordNoAttach it neither attaches the
-// record nor runs the undo on refusal; owner gates the invocation
-// count. The caller holds the shard's ticket.
-func (c *Cascade) admitKeyedWord(tx *engine.Tx, mid uint16, args core.Vec, eff Effect, keys []uint64, owner bool) (uint64, error) {
-	if owner {
-		c.tele.IncInvocation()
-	}
-	mt := &c.mtab[mid]
-	slot, slotOK := c.free.Pop()
-	if !slotOK {
-		sc := cascadeScratchPool.Get().(*cascadeScratch)
-		inv := c.bindCtx(sc, mid, args, eff.Ret)
-		w, err := c.admitOverflowWord(tx, mid, inv, eff, sc)
-		sc.reset()
-		cascadeScratchPool.Put(sc)
-		return w, err
-	}
-	c.publishSlot(slot, tx, mid, &args, eff.Ret, eff.Undo, keys)
-	c.observeActive(c.nActive.Add(1))
-	if c.ovCount.Load() == 0 && c.probeFast(mt, &args, eff.Ret, keys) {
-		c.tele.CascadeFastAdmit()
-		return uint64(slot) + 1, nil
-	}
-	c.tele.CascadeFilterHit()
-	sc := cascadeScratchPool.Get().(*cascadeScratch)
-	inv := c.bindCtx(sc, mid, args, eff.Ret)
-	err := c.slowCheck(tx, mid, inv, sc)
-	sc.reset()
-	cascadeScratchPool.Put(sc)
-	if err != nil {
-		c.retractSlot(slot)
-		return 0, err
-	}
-	return uint64(slot) + 1, nil
-}
-
-// admitWordNoAttach is the rendezvous admission into one shard: the
-// scratch-backed route of admitGeneral, but it neither attaches the
-// record to the transaction nor runs the undo on refusal — the router
-// attaches all shards' words after every shard admits, and undoes the
-// effect exactly once itself. A refused publication (including its
-// argument spill) is retracted before returning. owner marks the one
-// shard whose telemetry counts the invocation.
-func (c *Cascade) admitWordNoAttach(tx *engine.Tx, mid uint16, args core.Vec, eff Effect, owner bool) (uint64, error) {
-	if owner {
-		c.tele.IncInvocation()
-	}
-	sc := cascadeScratchPool.Get().(*cascadeScratch)
-	defer func() {
-		sc.reset()
-		cascadeScratchPool.Put(sc)
-	}()
-	inv := c.bindCtx(sc, mid, args, eff.Ret)
-
-	sc.keys = sc.keys[:0]
-	keyable := true
-	for i := range c.pubs[mid] {
-		v, err := c.pubs[mid][i].extract(&sc.ctx)
-		if err != nil {
-			keyable = false
-			break
-		}
-		k, kok := core.MapKey(v)
-		if !kok {
-			keyable = false
-			break
-		}
-		sc.keys = append(sc.keys, k.Hash())
-	}
-
-	var slot uint32
-	slotOK := false
-	if keyable {
-		slot, slotOK = c.free.Pop()
-	}
-	if !slotOK {
-		return c.admitOverflowWord(tx, mid, inv, eff, sc)
-	}
-	c.publishSlot(slot, tx, mid, &args, eff.Ret, eff.Undo, sc.keys)
-	c.observeActive(c.nActive.Add(1))
-
-	if c.ovCount.Load() == 0 && c.probeCtx(&c.mtab[mid], sc) {
-		c.tele.CascadeFastAdmit()
-		return uint64(slot) + 1, nil
-	}
-	c.tele.CascadeFilterHit()
-	if err := c.slowCheck(tx, mid, inv, sc); err != nil {
-		c.retractSlot(slot)
-		return 0, err
-	}
-	return uint64(slot) + 1, nil
-}
-
-// admitOverflowWord is admitOverflow without the undo-on-refusal and
-// the attach, for the rendezvous path.
-func (c *Cascade) admitOverflowWord(tx *engine.Tx, mid uint16, inv core.Invocation, eff Effect, sc *cascadeScratch) (uint64, error) {
-	c.tele.CascadeFallback()
-	c.ovMu.Lock()
-	var idx uint32
-	if n := len(c.ovFree); n > 0 {
-		idx = c.ovFree[n-1]
-		c.ovFree = c.ovFree[:n-1]
-	} else {
-		c.ovs = append(c.ovs, ovRecord{})
-		idx = uint32(len(c.ovs) - 1)
-	}
-	c.ovs[idx] = ovRecord{used: true, txid: tx.ID(), mid: mid, args: inv.Args, ret: inv.Ret, undo: eff.Undo}
-	c.ovCount.Add(1)
-	c.ovMu.Unlock()
-	c.observeActive(c.nActive.Add(1))
-
-	if err := c.slowCheck(tx, mid, inv, sc); err != nil {
-		c.retractOverflow(idx)
-		return 0, err
-	}
-	return ovTag | uint64(idx+1), nil
 }
 
 // retractWord withdraws one not-yet-attached admission word.

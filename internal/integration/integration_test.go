@@ -7,6 +7,7 @@ package integration
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -142,5 +143,126 @@ func TestCrossStructureSpeculativeWorkload(t *testing.T) {
 				t.Fatalf("partition mismatch at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// TestCommittedHistoryOrderFree runs a contended set stream under two
+// real workers and checks the committed history against the final state
+// with an oracle that needs no commit order: per key, the adds that
+// returned true minus the removes that returned true is the key's final
+// membership (so 0 or 1). A detector that lets an invocation observe an
+// effect that is later undone — or runs check and execute non-atomically
+// — breaks the balance.
+func TestCommittedHistoryOrderFree(t *testing.T) {
+	const keys, opsPerTx = 64, 4
+	nTx := 20000
+	if testing.Short() {
+		nTx /= 2
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	type op struct {
+		kind int // 0 add, 1 remove, 2 contains
+		x    int64
+	}
+	r := rand.New(rand.NewSource(18))
+	items := make([]int, nTx)
+	ops := make([][opsPerTx]op, nTx)
+	for i := range ops {
+		items[i] = i
+		for j := range ops[i] {
+			kind := 2
+			if p := r.Intn(100); p < 40 {
+				kind = 0
+			} else if p < 80 {
+				kind = 1
+			}
+			ops[i][j] = op{kind: kind, x: int64(r.Intn(keys))}
+		}
+	}
+	hashRep := func() intset.Rep { return intset.NewHashRep() }
+	for _, arm := range []struct {
+		name string
+		set  intset.Set
+		// unsound marks detectors that run the effect before publishing
+		// the invocation (ROADMAP item 1): their violations are reported,
+		// not failed, until that item lands and flips this to false.
+		unsound bool
+	}{
+		{"global-lock", intset.NewGlobalLock(hashRep()), false},
+		{"rw-lock", intset.NewRWLocked(hashRep()), false},
+		{"forward", intset.NewGatekept(hashRep()), false},
+		{"cascade", intset.NewCascaded(hashRep()), true},
+		{"sharded", intset.NewShardedCascaded(hashRep, 4), true},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			set := arm.set
+			// rets[i] holds item i's returns from its last attempt, which
+			// is the one that committed; one worker owns an item at a time.
+			rets := make([][opsPerTx]bool, nTx)
+			stats, err := engine.RunItems(items, engine.Options{Workers: 2, Seed: 18},
+				func(tx *engine.Tx, i int, _ *engine.Worklist[int]) error {
+					for j, o := range ops[i] {
+						var err error
+						switch o.kind {
+						case 0:
+							rets[i][j], err = set.Add(tx, o.x)
+						case 1:
+							rets[i][j], err = set.Remove(tx, o.x)
+						default:
+							rets[i][j], err = set.Contains(tx, o.x)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Committed != uint64(nTx) {
+				t.Fatalf("committed %d transactions, want %d", stats.Committed, nTx)
+			}
+			var balance [keys]int
+			for i := range ops {
+				for j, o := range ops[i] {
+					if rets[i][j] && o.kind == 0 {
+						balance[o.x]++
+					} else if rets[i][j] && o.kind == 1 {
+						balance[o.x]--
+					}
+				}
+			}
+			for _, x := range set.Snapshot() {
+				balance[x]--
+			}
+			bad := 0
+			for _, b := range balance {
+				if b != 0 {
+					bad++
+				}
+			}
+			// Drained: with nothing live, one transaction may write every
+			// key; a leaked lock or logged invocation would refuse it.
+			probe := engine.NewTx()
+			for x := int64(0); x < keys; x++ {
+				if _, err := set.Add(probe, x); err != nil {
+					t.Errorf("detector not drained: add(%d) after the run: %v", x, err)
+				}
+				if _, err := set.Remove(probe, x); err != nil {
+					t.Errorf("detector not drained: remove(%d) after the run: %v", x, err)
+				}
+			}
+			probe.Abort()
+			t.Logf("%d transactions, %d aborts", nTx, stats.Aborts)
+			switch {
+			case bad != 0 && arm.unsound:
+				t.Skipf("%d of %d keys have successful adds minus removes != final membership (%d aborts): effect runs before publication, ROADMAP item 1", bad, keys, stats.Aborts)
+			case bad != 0:
+				t.Errorf("%d of %d keys have successful adds minus removes != final membership (%d aborts)", bad, keys, stats.Aborts)
+			}
+		})
 	}
 }
