@@ -245,7 +245,7 @@ func BenchmarkFig12(b *testing.B) {
 // --- detector micro-benchmarks (ablation: raw cost per guarded op) -------
 //
 // Bodies live in internal/bench/micro.go, shared with `commlat bench
-// -json` (which emits BENCH_detectors.json for the CI allocation gate).
+// -json` (which emits BENCH_fresh.json for the CI allocation gate).
 // The wrappers pin the historical benchmark names.
 
 func BenchmarkDetectorAbslockRW(b *testing.B)         { bench.DetectorAbslockRW(b) }

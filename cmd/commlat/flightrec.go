@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"commlat/internal/engine"
 	"commlat/internal/telemetry"
 )
 
@@ -16,15 +15,7 @@ import (
 // the offline twin of the /debug/commlat/ endpoints.
 func cmdFlightrec(args []string) error {
 	fs := flag.NewFlagSet("flightrec", flag.ExitOnError)
-	app := fs.String("app", "boruvka", "boruvka | preflow | cluster")
-	detector := fs.String("detector", "", "detector variant (boruvka: gk|generic|ml; preflow: rw|ex|part; cluster: gk|ml); default is the app's gatekept variant")
-	threads := fs.Int("threads", 4, "worker goroutines")
-	mesh := fs.Int("mesh", 16, "Boruvka mesh side")
-	rmfa := fs.Int("rmfa", 6, "GENRMF frame side (preflow)")
-	rmfb := fs.Int("rmfb", 6, "GENRMF frame count (preflow)")
-	parts := fs.Int("parts", 32, "preflow partitions (detector=part)")
-	points := fs.Int("points", 400, "clustering points")
-	seed := fs.Int64("seed", 1, "generator seed")
+	sz := addAppFlags(fs)
 	ring := fs.Int("ring", 1<<10, "per-worker flight ring capacity in records (rounded up to a power of two)")
 	jsonMode := fs.Bool("json", false, "write the flight-recorder document as JSON to stdout (tables go to stderr)")
 	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout)")
@@ -43,13 +34,10 @@ func cmdFlightrec(args []string) error {
 	defer telemetry.DisableFlight()
 	telemetry.ResetAudit()
 
-	opts := engine.Options{Workers: *threads, Seed: *seed}
 	if err := prof.start(); err != nil {
 		return err
 	}
-	summary, err := runTraced(*app, *detector, opts, traceSizes{
-		mesh: *mesh, rmfa: *rmfa, rmfb: *rmfb, parts: *parts, points: *points, seed: *seed,
-	})
+	summary, err := runTraced(sz)
 	if perr := prof.stop(); err == nil {
 		err = perr
 	}

@@ -43,13 +43,13 @@ import (
 	"time"
 
 	"commlat/internal/abslock"
-	"commlat/internal/analysis"
 	"commlat/internal/adaptive"
 	"commlat/internal/adt/accum"
 	"commlat/internal/adt/flowgraph"
 	"commlat/internal/adt/intset"
 	"commlat/internal/adt/kdtree"
 	"commlat/internal/adt/unionfind"
+	"commlat/internal/analysis"
 	"commlat/internal/bench"
 	"commlat/internal/core"
 	"commlat/internal/spectext"
@@ -224,7 +224,7 @@ commands:
   table2    set microbenchmark abort ratios and times
   bench     detector micro-benchmarks (ns/op, allocs/op), serial and
             batched admission rows (DetectorCascadeBatch*, CascadeBatch);
-            -json writes BENCH_detectors.json for the CI allocation gate
+            -json writes BENCH_fresh.json for the CI allocation gate
   fig10     preflow-push run time vs threads (ml, ex, part)
   fig11     clustering run time vs threads (kd-gk vs kd-ml)
   fig12     Boruvka run time vs threads (uf-gk vs uf-ml)
@@ -326,7 +326,7 @@ func (p *profileFlags) stop() error {
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "write the results as JSON to -o")
-	out := fs.String("o", "BENCH_detectors.json", "output path for -json (- for stdout)")
+	out := fs.String("o", "BENCH_fresh.json", "output path for -json (- for stdout)")
 	run := fs.String("run", "", "regexp selecting benchmarks to run (default all)")
 	quiet := fs.Bool("q", false, "suppress the progress table")
 	prof := addProfileFlags(fs)

@@ -22,15 +22,7 @@ import (
 // JSONL) plus the per-method-pair conflict attribution table.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	app := fs.String("app", "boruvka", "boruvka | preflow | cluster")
-	detector := fs.String("detector", "", "detector variant (boruvka: gk|generic|ml; preflow: rw|ex|part; cluster: gk|ml); default is the app's gatekept variant")
-	threads := fs.Int("threads", 4, "worker goroutines")
-	mesh := fs.Int("mesh", 16, "Boruvka mesh side")
-	rmfa := fs.Int("rmfa", 6, "GENRMF frame side (preflow)")
-	rmfb := fs.Int("rmfb", 6, "GENRMF frame count (preflow)")
-	parts := fs.Int("parts", 32, "preflow partitions (detector=part)")
-	points := fs.Int("points", 400, "clustering points")
-	seed := fs.Int64("seed", 1, "generator seed")
+	sz := addAppFlags(fs)
 	out := fs.String("o", "trace.json", "Chrome trace_event output path (- for stdout)")
 	jsonlPath := fs.String("jsonl", "", "also write the event trace as JSONL to this path")
 	jsonMode := fs.Bool("json", false, "write JSONL events to stdout and the attribution table to stderr (skips the Chrome file unless -o is given explicitly)")
@@ -50,13 +42,10 @@ func cmdTrace(args []string) error {
 	telemetry.EnableTrace(*buf, *sample)
 	defer telemetry.DisableTrace()
 
-	opts := engine.Options{Workers: *threads, Seed: *seed}
 	if err := prof.start(); err != nil {
 		return err
 	}
-	summary, err := runTraced(*app, *detector, opts, traceSizes{
-		mesh: *mesh, rmfa: *rmfa, rmfb: *rmfb, parts: *parts, points: *points, seed: *seed,
-	})
+	summary, err := runTraced(sz)
 	if perr := prof.stop(); err == nil {
 		err = perr
 	}
@@ -104,9 +93,28 @@ func cmdTrace(args []string) error {
 	return nil
 }
 
+// traceSizes is the app, detector and input-size selection trace and
+// flightrec share.
 type traceSizes struct {
-	mesh, rmfa, rmfb, parts, points int
-	seed                            int64
+	app, detector                            string
+	threads, mesh, rmfa, rmfb, parts, points int
+	seed                                     int64
+}
+
+// addAppFlags registers the selection's flags on fs; the returned value
+// is filled in by fs.Parse.
+func addAppFlags(fs *flag.FlagSet) *traceSizes {
+	sz := &traceSizes{}
+	fs.StringVar(&sz.app, "app", "boruvka", "boruvka | preflow | cluster")
+	fs.StringVar(&sz.detector, "detector", "", "detector variant (boruvka: gk|generic|ml; preflow: rw|ex|part; cluster: gk|ml); default is the app's gatekept variant")
+	fs.IntVar(&sz.threads, "threads", 4, "worker goroutines")
+	fs.IntVar(&sz.mesh, "mesh", 16, "Boruvka mesh side")
+	fs.IntVar(&sz.rmfa, "rmfa", 6, "GENRMF frame side (preflow)")
+	fs.IntVar(&sz.rmfb, "rmfb", 6, "GENRMF frame count (preflow)")
+	fs.IntVar(&sz.parts, "parts", 32, "preflow partitions (detector=part)")
+	fs.IntVar(&sz.points, "points", 400, "clustering points")
+	fs.Int64Var(&sz.seed, "seed", 1, "generator seed")
+	return sz
 }
 
 func fmtStats(st engine.Stats) string {
@@ -116,12 +124,13 @@ func fmtStats(st engine.Stats) string {
 
 // runTraced builds the requested app/detector pair and runs it under the
 // already-enabled trace, returning a one-line human summary.
-func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string, error) {
-	switch app {
+func runTraced(sz *traceSizes) (string, error) {
+	opts := engine.Options{Workers: sz.threads, Seed: sz.seed}
+	switch sz.app {
 	case "boruvka":
 		nodes, edges := workload.Mesh(sz.mesh, sz.mesh, sz.seed)
 		var uf unionfind.Sets
-		switch detector {
+		switch sz.detector {
 		case "", "gk":
 			uf = unionfind.NewGK(nodes)
 		case "generic":
@@ -129,7 +138,7 @@ func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string
 		case "ml":
 			uf = unionfind.NewML(nodes)
 		default:
-			return "", fmt.Errorf("trace: unknown boruvka detector %q (gk|generic|ml)", detector)
+			return "", fmt.Errorf("trace: unknown boruvka detector %q (gk|generic|ml)", sz.detector)
 		}
 		res, err := boruvka.Run(uf, nodes, edges, opts)
 		if err != nil {
@@ -140,7 +149,7 @@ func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string
 	case "preflow":
 		net := workload.GenRMF(sz.rmfa, sz.rmfb, 1, 1000, sz.seed)
 		var g *flowgraph.Graph
-		switch detector {
+		switch sz.detector {
 		case "", "rw":
 			g = flowgraph.NewRW(net)
 		case "ex":
@@ -148,7 +157,7 @@ func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string
 		case "part":
 			g = flowgraph.NewPartitioned(net, sz.parts)
 		default:
-			return "", fmt.Errorf("trace: unknown preflow detector %q (rw|ex|part)", detector)
+			return "", fmt.Errorf("trace: unknown preflow detector %q (rw|ex|part)", sz.detector)
 		}
 		flow, stats, err := preflow.Run(g, opts)
 		if err != nil {
@@ -159,13 +168,13 @@ func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string
 	case "cluster":
 		pts := workload.RandomPoints(sz.points, 1000, sz.seed)
 		var idx kdtree.Index
-		switch detector {
+		switch sz.detector {
 		case "", "gk":
 			idx = kdtree.NewGK()
 		case "ml":
 			idx = kdtree.NewML()
 		default:
-			return "", fmt.Errorf("trace: unknown cluster detector %q (gk|ml)", detector)
+			return "", fmt.Errorf("trace: unknown cluster detector %q (gk|ml)", sz.detector)
 		}
 		_, res, err := cluster.Run(idx, pts, opts)
 		if err != nil {
@@ -174,7 +183,7 @@ func runTraced(app, detector string, opts engine.Options, sz traceSizes) (string
 		return fmt.Sprintf("cluster: %d points, %d merges; %s",
 			sz.points, res.Merges, fmtStats(res.Stats)), nil
 	default:
-		return "", fmt.Errorf("trace: unknown app %q (boruvka|preflow|cluster)", app)
+		return "", fmt.Errorf("trace: unknown app %q (boruvka|preflow|cluster)", sz.app)
 	}
 }
 

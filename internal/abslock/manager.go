@@ -659,25 +659,11 @@ func (s *stripe) ReleaseTx(tx *engine.Tx) {
 
 // ReleaseTx drops the transaction's ds-lock hold; the Manager is the
 // ds-lock's release hook (engine.Releaser).
-func (m *Manager) ReleaseTx(tx *engine.Tx) { m.releaseDS(tx) }
-
-func (m *Manager) releaseDS(tx *engine.Tx) {
+func (m *Manager) ReleaseTx(tx *engine.Tx) {
 	m.dsMu.Lock()
 	dropHolder(&m.ds, tx)
 	delete(m.dsHooked, tx)
 	m.dsMu.Unlock()
-}
-
-// ReleaseAll drops every lock the transaction holds, across all stripes.
-// Per-stripe release hooks installed at acquisition time normally take
-// care of this at transaction end, each touching only its own stripe;
-// ReleaseAll is the exhaustive variant for callers managing locks
-// outside a transaction lifecycle. It is idempotent.
-func (m *Manager) ReleaseAll(tx *engine.Tx) {
-	m.releaseDS(tx)
-	for i := range m.stripes {
-		m.stripes[i].ReleaseTx(tx)
-	}
 }
 
 func dropHolder(l *dlock, tx *engine.Tx) {

@@ -252,10 +252,6 @@ func (s *Scheme) Reduce() *Scheme {
 	return out
 }
 
-// Compatible reports whether two modes may be held simultaneously by
-// different transactions.
-func (s *Scheme) Compatible(i, j int) bool { return !s.Incompat[i][j] }
-
 // ModeIndex finds a mode by its rendered name (e.g. "inc:ds"); it returns
 // -1 when absent. Intended for tests and diagnostics.
 func (s *Scheme) ModeIndex(name string) int {

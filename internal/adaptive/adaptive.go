@@ -182,6 +182,10 @@ func Run(ladder []Rung, ops []workload.SetOp, epochSize, window, start int) (*Tr
 		trace.Samples = append(trace.Samples, s)
 		tele.IncInvocation()
 		next := ctl.Observe(s)
+		if hi == len(ops) {
+			next = rung // the run is over: no epoch is left to move for
+		}
+		moved := next != rung
 		reason := telemetry.AuditHold
 		switch {
 		case next > rung:
@@ -193,9 +197,9 @@ func Run(ladder []Rung, ops []workload.SetOp, epochSize, window, start int) (*Tr
 			Controller: "ladder", Det: tele.ID(), Window: s.Ops,
 			ConflictRate: s.AbortRatio,
 			FromRung:     rung, ToRung: next,
-			Moved: next != rung, Reason: reason,
+			Moved: moved, Reason: reason,
 		})
-		if next != rung && hi < len(ops) {
+		if moved {
 			// Quiescent point: migrate the abstract state to the new rung.
 			cur = ladder[next].Make(cur.Snapshot())
 			trace.Switches++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"commlat/internal/telemetry"
 	"commlat/internal/workload"
 )
 
@@ -99,6 +100,39 @@ func TestRunMigratesAndPreservesContents(t *testing.T) {
 		if s.Throughput <= 0 {
 			t.Errorf("non-positive throughput in %+v", s)
 		}
+	}
+}
+
+// TestRunAuditsWhatItDid: the audit trail, the run's own switch count
+// and the decision events in the trace must agree. Three rungs started
+// on rung 0 with two epochs force the case that used to disagree: the
+// final epoch always wants to probe unexplored rung 2, and there is no
+// epoch left to run it on.
+func TestRunAuditsWhatItDid(t *testing.T) {
+	telemetry.ResetAudit()
+	telemetry.EnableTrace(1<<10, 1)
+	defer telemetry.DisableTrace()
+	trace, err := Run(DefaultLadder()[:3], workload.SetOpsClasses(400, 10, 1), 200, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audited := 0
+	for _, e := range telemetry.AuditTrail() {
+		if e.Moved != (e.FromRung != e.ToRung) {
+			t.Errorf("audit entry moved=%v but rung %d -> %d", e.Moved, e.FromRung, e.ToRung)
+		}
+		if e.Moved {
+			audited++
+		}
+	}
+	decisions := 0
+	for _, e := range telemetry.TraceEvents() {
+		if e.Kind == telemetry.EvDecision {
+			decisions++
+		}
+	}
+	if trace.Switches != 1 || audited != trace.Switches || decisions != trace.Switches {
+		t.Fatalf("switches %d, audited moves %d, decision events %d; want 1 each", trace.Switches, audited, decisions)
 	}
 }
 

@@ -101,13 +101,3 @@ func (g *Net) unpush(u int64, ai int, amt int64) {
 // AddExcess credits node u with extra excess (used to saturate the
 // source's arcs during initialization).
 func (g *Net) AddExcess(u, amt int64) { g.excess[u] += amt }
-
-// TotalCapFrom sums the capacities of u's outgoing arcs (initialization
-// helper).
-func (g *Net) TotalCapFrom(u int64) int64 {
-	var t int64
-	for _, a := range g.arcs[u] {
-		t += a.Cap
-	}
-	return t
-}

@@ -12,7 +12,7 @@ import (
 )
 
 // MicroResult is one detector micro-benchmark's measurement, as emitted
-// into BENCH_detectors.json and consumed by the allocation-regression
+// into BENCH_fresh.json and consumed by the allocation-regression
 // gate (scripts/allocgate).
 type MicroResult struct {
 	Name        string  `json:"name"`
@@ -22,7 +22,7 @@ type MicroResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// MicroReport is the BENCH_detectors.json document.
+// MicroReport is the BENCH_fresh.json document.
 type MicroReport struct {
 	GoOS       string        `json:"goos"`
 	GoArch     string        `json:"goarch"`
@@ -58,7 +58,7 @@ func RunMicros(filter *regexp.Regexp, progress io.Writer) []MicroResult {
 	return out
 }
 
-// Report wraps results in the BENCH_detectors.json document.
+// Report wraps results in the BENCH_fresh.json document.
 func Report(results []MicroResult) MicroReport {
 	return MicroReport{
 		GoOS:       runtime.GOOS,

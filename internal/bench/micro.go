@@ -4,12 +4,12 @@
 // bench_test.go wraps them as ordinary `go test -bench` benchmarks
 // (stable names, so EXPERIMENTS.md numbers stay comparable across PRs),
 // and `commlat bench` runs them via testing.Benchmark to emit
-// BENCH_detectors.json for the allocation-regression gate.
+// BENCH_fresh.json for the allocation-regression gate.
 //
 // All benchmarks drive transactions through the engine.GetTx/PutTx pool:
 // with the tagged value representation and pooled detector records, the
 // indexed fast paths run at 0 allocs/op in steady state, and the CI gate
-// (scripts/check_alloc_budget.go against BENCH_budget.json) keeps them
+// (scripts/allocgate against BENCH_budget.json) keeps them
 // there.
 package bench
 

@@ -52,11 +52,6 @@ func Args2(a, b Value) Vec {
 	return Vec{n: 2, inline: [MaxInlineArgs]Value{a, b}}
 }
 
-// Args3 builds a 3-value Vec.
-func Args3(a, b, c Value) Vec {
-	return Vec{n: 3, inline: [MaxInlineArgs]Value{a, b, c}}
-}
-
 // Len returns the number of values.
 func (v *Vec) Len() int { return int(v.n) }
 

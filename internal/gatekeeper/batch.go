@@ -409,7 +409,7 @@ keyLoop:
 		}
 		c.tele.CascadeFastAdmitN(n)
 		if obsInstrumented(tpub) {
-			c.obsBatch(ops[0].Tx, bs.mids[0], len(ops), n, tpub, tprobe)
+			c.observeBatch(ops[0].Tx, bs.mids[0], len(ops), n, tpub, tprobe)
 		}
 		return n
 	}
@@ -547,9 +547,26 @@ keyLoop:
 	}
 	c.tele.CascadeFastAdmitN(fast)
 	if obsInstrumented(tpub) {
-		c.obsBatch(ops[0].Tx, bs.mids[0], len(ops), limit, tpub, tprobe)
+		c.observeBatch(ops[0].Tx, bs.mids[0], len(ops), limit, tpub, tprobe)
 	}
 	return limit
+}
+
+// observeBatch observes a batched admission of n members, of which
+// grouped were admitted as a group, as one group flight record. tpub
+// and tprobe are the LatClock marks at the start of the publish and
+// probe phases (0 = latency off); the probe phase ends here.
+func (c *Cascade) observeBatch(tx *engine.Tx, mid uint16, n, grouped int, tpub, tprobe int64) {
+	rec := telemetry.FlightRecord{Det: c.tele.ID(), Method: mid, Verdict: telemetry.FlightBatchWhole, N: uint16(n)}
+	switch {
+	case grouped == 0:
+		rec.Verdict = telemetry.FlightBatchSerial
+	case grouped < n:
+		rec.Verdict = telemetry.FlightBatchSplit
+	}
+	rec.Mark(telemetry.StageBatchPublish, tprobe-tpub)
+	rec.Mark(telemetry.StageBatchProbe, since(tprobe))
+	observe(tx, &rec, tpub, 1<<telemetry.StageBatchPublish|1<<telemetry.StageBatchProbe)
 }
 
 // scanSelfCell counts the batch's publications in cell with the SWAR

@@ -102,9 +102,9 @@ func TestBatchAdmitsDisjointWhole(t *testing.T) {
 	if len(rep) != n {
 		t.Fatalf("rep has %d elements, want %d", len(rep), n)
 	}
-	if s := c.Stats(); s.BatchesWhole != 1 || s.BatchesSplit != 0 || s.BatchesSerialized != 0 {
+	if s := c.Stats(); s.BatchesWhole != 1 || s.BatchesSplit != 0 || s.BatchesSerial != 0 {
 		t.Fatalf("batch counters = whole %d split %d serialized %d, want 1/0/0",
-			s.BatchesWhole, s.BatchesSplit, s.BatchesSerialized)
+			s.BatchesWhole, s.BatchesSplit, s.BatchesSerial)
 	}
 }
 

@@ -321,17 +321,17 @@ type Cascade struct {
 	// with the version word carrying the happens-before edges.
 	capSlots uint32
 	//commvet:seqlock protects=txids,metas,hashes,txs,argvs,rets
-	ver   []atomic.Uint64
-	txids []atomic.Uint64
-	metas    []atomic.Uint32 // method id (low 16 bits) | key count (high 16)
-	hashes   []atomic.Uint64 // capSlots × maxKeys, slot-major
-	nextKey  []atomic.Uint32 // capSlots × maxKeys: per-key bucket links
-	nextM    []atomic.Uint32 // per-slot method-chain links
-	txs      []*engine.Tx
-	argvs    []core.Vec
-	rets     []core.Value
-	undos    []func()
-	txNext   []uint64 // per-tx chain; owner-goroutine access only
+	ver     []atomic.Uint64
+	txids   []atomic.Uint64
+	metas   []atomic.Uint32 // method id (low 16 bits) | key count (high 16)
+	hashes  []atomic.Uint64 // capSlots × maxKeys, slot-major
+	nextKey []atomic.Uint32 // capSlots × maxKeys: per-key bucket links
+	nextM   []atomic.Uint32 // per-slot method-chain links
+	txs     []*engine.Tx
+	argvs   []core.Vec
+	rets    []core.Value
+	undos   []func()
+	txNext  []uint64 // per-tx chain; owner-goroutine access only
 
 	free       *sigfilter.Stack
 	heads      []atomic.Uint32 // key-hash bucket heads
@@ -710,7 +710,9 @@ func (c *Cascade) admit(tx *engine.Tx, mid uint16, args *core.Vec, eff *Effect, 
 	if c.ovCount.Load() == 0 && c.probeFast(mt, args, &eff.Ret, keys, sc) {
 		c.tele.CascadeFastAdmit()
 		if obsInstrumented(t0) {
-			c.obsFast(tx, mid, t0)
+			rec := telemetry.FlightRecord{Det: c.tele.ID(), Method: mid, Verdict: telemetry.FlightAdmitted}
+			rec.Mark(telemetry.StageSigFilter, since(t0))
+			observe(tx, &rec, t0, 1<<telemetry.StageSigFilter)
 		}
 		putScratch(sc)
 		return uint64(slot) + 1, nil
@@ -720,7 +722,14 @@ func (c *Cascade) admit(tx *engine.Tx, mid uint16, args *core.Vec, eff *Effect, 
 	sc = c.scratch(sc, mid, args, eff)
 	err := c.slowCheck(tx, mid, sc.ctx.env.Inv2, sc)
 	if obsInstrumented(t1) {
-		c.obsSlow(tx, mid, t0, t1, sc, err)
+		// The filter stage was observed at t1 and the precise checks one
+		// by one in runCheck; what is left of t1→now is the optimistic
+		// index.
+		rec := telemetry.FlightRecord{Det: c.tele.ID(), Method: mid, Verdict: verdictOf(err), Retries: sc.retries}
+		rec.Mark(telemetry.StageSigFilter, t1-t0)
+		rec.Mark(telemetry.StageOptIndex, since(t1)-sc.preciseNS)
+		rec.Mark(telemetry.StagePrecise, sc.preciseNS)
+		observe(tx, &rec, t1, 1<<telemetry.StageOptIndex)
 	}
 	putScratch(sc)
 	if err != nil {
@@ -1386,7 +1395,7 @@ func (c *Cascade) observeActive(n int64) {
 func (c *Cascade) ActiveInvocations() int { return int(c.nActive.Load()) }
 
 // Stats returns the detector's counters (cascade stages included).
-func (c *Cascade) Stats() Stats { return statsFromSnapshot(c.tele.Snapshot()) }
+func (c *Cascade) Stats() Stats { return c.tele.Snapshot() }
 
 // Telemetry exposes the detector's telemetry handle.
 func (c *Cascade) Telemetry() *telemetry.Detector { return c.tele }

@@ -49,47 +49,15 @@ type Config struct {
 	DisableIndex bool
 }
 
-// Stats counts the work a gatekeeper performed — the raw material of the
-// overhead comparison in §3.4.
-type Stats struct {
-	Invocations uint64 // guarded invocations processed
-	Checks      uint64 // pairwise commutativity conditions evaluated
-	Conflicts   uint64 // invocations rejected
-	Rollbacks   uint64 // journal rollback sweeps (general gatekeepers)
-	LogEntries  uint64 // primitive-function results logged (forward)
-
-	// Disequality-index effectiveness. Probes counts indexed pair
-	// lookups; Collisions counts the active entries those probes
-	// surfaced for full checking (hash collisions plus unkeyable
-	// entries); FallbackScans counts full active-list scans of a
-	// non-empty method list (unindexable pair, unkeyable probe value,
-	// or index disabled). At large active windows a healthy index shows
-	// Probes ≫ Collisions and few FallbackScans.
-	Probes        uint64
-	Collisions    uint64
-	FallbackScans uint64
-
-	// Cascade pipeline effectiveness (cascade detectors only): how far
-	// down the filter pipeline invocations fell. FastAdmits counts
-	// stage-1 lock-free admissions, FilterHits signature hits that
-	// reached the optimistic path, OptScans/OptRetries the lock-free
-	// chain scans and their version-stamp races, CascadeFallbacks
-	// trips through the mutex-guarded overflow path.
-	FastAdmits       uint64
-	FilterHits       uint64
-	OptScans         uint64
-	OptRetries       uint64
-	CascadeFallbacks uint64
-
-	// Batch admission effectiveness (batched detectors only): how whole
-	// admission batches fared. BatchesWhole counts batches whose every
-	// member was admitted as one group, BatchesSplit batches that
-	// group-admitted a prefix and serialized the rest, BatchesSerialized
-	// batches that admitted nothing as a group.
-	BatchesWhole      uint64
-	BatchesSplit      uint64
-	BatchesSerialized uint64
-}
+// Stats is the work a gatekeeper performed — the raw material of the
+// overhead comparison in §3.4 — as its telemetry detector counts it.
+// Reading the disequality-index counters: Probes are indexed pair
+// lookups, Collisions the active entries those probes surfaced for full
+// checking (hash collisions plus unkeyable entries), FallbackScans full
+// active-list scans of a non-empty method list (unindexable pair,
+// unkeyable probe value, or index disabled). At large active windows a
+// healthy index shows Probes ≫ Collisions and few FallbackScans.
+type Stats = telemetry.DetectorSnapshot
 
 // NewForward constructs a forward gatekeeper for spec guarding a
 // structure whose state functions are resolved by res. It fails if any
@@ -317,31 +285,6 @@ func (g *Forward) ReleaseTx(tx *engine.Tx) {
 	g.mu.Lock()
 	g.release(tx, t0)
 	g.mu.Unlock()
-}
-
-// statsFromSnapshot maps a telemetry detector snapshot onto the legacy
-// Stats shape.
-func statsFromSnapshot(s telemetry.DetectorSnapshot) Stats {
-	return Stats{
-		Invocations:   s.Invocations,
-		Checks:        s.Checks,
-		Conflicts:     s.Conflicts,
-		Rollbacks:     s.Rollbacks,
-		LogEntries:    s.LogEntries,
-		Probes:        s.Probes,
-		Collisions:    s.Collisions,
-		FallbackScans: s.FallbackScans,
-
-		FastAdmits:       s.FastAdmits,
-		FilterHits:       s.FilterHits,
-		OptScans:         s.OptScans,
-		OptRetries:       s.OptRetries,
-		CascadeFallbacks: s.CascadeFallbacks,
-
-		BatchesWhole:      s.BatchesWhole,
-		BatchesSplit:      s.BatchesSplit,
-		BatchesSerialized: s.BatchesSerial,
-	}
 }
 
 // mentionsRet reports whether the term references the return value of the

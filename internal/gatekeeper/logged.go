@@ -268,7 +268,11 @@ func (l *logged) begin(tx *engine.Tx, mid uint16, args core.Vec) (*entry, int64)
 // still unlocks — observing the invocation from mark t0 first.
 func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 	if obsInstrumented(t0) {
-		l.obsInvoke(tx, mid, t0, *err)
+		// The whole mutex-held check-execute-log sequence is one precise
+		// evaluation.
+		rec := telemetry.FlightRecord{Det: l.tele.ID(), Method: mid, Verdict: verdictOf(*err)}
+		rec.Mark(telemetry.StagePrecise, since(t0))
+		observe(tx, &rec, t0, 1<<telemetry.StagePrecise)
 	}
 	l.mu.Unlock()
 }
@@ -547,9 +551,8 @@ func (l *logged) ActiveInvocations() int {
 	return l.nActive
 }
 
-// Stats returns a snapshot of the gatekeeper's work counters, assembled
-// from its telemetry detector.
-func (l *logged) Stats() Stats { return statsFromSnapshot(l.tele.Snapshot()) }
+// Stats returns a snapshot of the gatekeeper's work counters.
+func (l *logged) Stats() Stats { return l.tele.Snapshot() }
 
 // Telemetry returns the gatekeeper's telemetry detector, whose snapshot
 // additionally attributes checks and conflicts per method pair.

@@ -373,7 +373,10 @@ func (s *ShardedCascade) rendezvous(tx *engine.Tx, mid uint16, args core.Vec, ef
 		s.tickets[set[i]].unlock()
 	}
 	if obsInstrumented(t0) {
-		obsRendezvous(tx, s.tele, mid, t0, shardMask(set), err)
+		// t0 spans the whole rendezvous, ticket acquisition through verdict.
+		rec := telemetry.FlightRecord{Det: s.tele.ID(), Method: mid, Verdict: verdictOf(err), Shards: shardMask(set)}
+		rec.Mark(telemetry.StageRendezvous, since(t0))
+		observe(tx, &rec, t0, 1<<telemetry.StageRendezvous)
 	}
 	return eff.Ret, err
 }

@@ -1,11 +1,9 @@
 // Controller audit trail: a small always-on ring of adaptive-controller
 // decisions, so a ladder move is explainable after the fact. Each entry
 // records the window observation that triggered the evaluation (the
-// conflict rate and, for the shard controller, the crossing rate), the
-// hysteresis thresholds in force, which side of the dead band the rate
-// landed on, and the rung chosen — including "hold" evaluations, since
-// the absence of a move under a suspicious rate is exactly what an
-// operator wants to audit.
+// conflict rate), what the controller did about it, and the rung chosen
+// — including "hold" evaluations, since the absence of a move under a
+// suspicious rate is exactly what an operator wants to audit.
 //
 // Controllers decide at most once per observation window (hundreds of
 // admissions), so the ring is always enabled: one mutex acquisition per
@@ -13,18 +11,13 @@
 // (controller names, reasons), so recording never allocates.
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// Audit reasons — which side of the hysteresis dead band the observed
-// rate landed on, and what the controller did about it.
+// Audit reasons — what the controller did with the window's observation.
 const (
-	AuditClimb   = "climb"   // rate below lo: moved to a more aggressive rung
-	AuditBackoff = "backoff" // rate above hi: retreated to a safer rung
-	AuditHold    = "hold"    // rate inside the dead band: stayed put
-	AuditPinned  = "pinned"  // would move but already at the ladder's end
+	AuditClimb   = "climb"   // moved to a more permissive rung
+	AuditBackoff = "backoff" // retreated to a safer rung
+	AuditHold    = "hold"    // stayed put
 )
 
 // AuditEntry is one controller window evaluation. FromRung/ToRung are
@@ -36,56 +29,34 @@ type AuditEntry struct {
 	Det          uint16  `json:"detector_id,omitempty"`
 	Window       int     `json:"window"`
 	ConflictRate float64 `json:"conflict_rate"`
-	CrossRate    float64 `json:"crossing_rate,omitempty"`
-	Lo           float64 `json:"lo"`
-	Hi           float64 `json:"hi"`
 	FromRung     int     `json:"from_rung"`
 	ToRung       int     `json:"to_rung"`
 	Moved        bool    `json:"moved"`
 	Reason       string  `json:"reason"`
 }
 
+func (e AuditEntry) stamp() int64 { return e.TS }
+
 // auditCap bounds the trail. A controller evaluates once per window
 // (256–512 admissions), so 1024 entries cover hundreds of thousands of
 // admissions of history.
 const auditCap = 1024
 
-var (
-	auditMu  sync.Mutex
-	auditBuf [auditCap]AuditEntry
-	auditPos uint64
-)
+// audit is a single shard: every controller writes as worker 0.
+var audit = ring[AuditEntry]{shards: make([]ringShard[AuditEntry], 1)}
+
+func init() { audit.enable(auditCap) }
 
 // RecordAudit appends one evaluation to the trail, stamping its clock.
 // The ring overwrites oldest-first; like the flight rings there is no
 // per-entry reclamation.
 func RecordAudit(e AuditEntry) {
 	e.TS = int64(time.Since(latBase))
-	auditMu.Lock()
-	auditBuf[auditPos%auditCap] = e
-	auditPos++
-	auditMu.Unlock()
+	audit.put(0, &e)
 }
 
 // AuditTrail returns a copy of the buffered evaluations, oldest first.
-func AuditTrail() []AuditEntry {
-	auditMu.Lock()
-	defer auditMu.Unlock()
-	n := auditPos
-	lo := uint64(0)
-	if n > auditCap {
-		lo = n - auditCap
-	}
-	out := make([]AuditEntry, 0, n-lo)
-	for p := lo; p < n; p++ {
-		out = append(out, auditBuf[p%auditCap])
-	}
-	return out
-}
+func AuditTrail() []AuditEntry { return audit.drain() }
 
 // ResetAudit clears the trail (tests and fresh CLI runs).
-func ResetAudit() {
-	auditMu.Lock()
-	auditPos = 0
-	auditMu.Unlock()
-}
+func ResetAudit() { audit.enable(auditCap) }

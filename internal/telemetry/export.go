@@ -158,9 +158,10 @@ func encodeInline(bw *bufio.Writer, v any) error {
 
 // --- JSONL ----------------------------------------------------------------
 
-// jsonlEvent is the one-object-per-line schema scripts/tracecheck
-// validates.
-type jsonlEvent struct {
+// EventJSON is one line of the JSONL event trace: an Event with its
+// detector and label IDs resolved to names. Which optional fields a line
+// carries depends on its kind (see WriteJSONL).
+type EventJSON struct {
 	TS       int64  `json:"ts_ns"`
 	Kind     string `json:"kind"`
 	Worker   int    `json:"worker"`
@@ -178,7 +179,7 @@ func (r *Registry) WriteJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range evs {
-		je := jsonlEvent{TS: e.TS, Kind: e.Kind.String(), Worker: int(e.Worker), Tx: e.Tx}
+		je := EventJSON{TS: e.TS, Kind: e.Kind.String(), Worker: int(e.Worker), Tx: e.Tx}
 		switch e.Kind {
 		case EvConflict:
 			je.Item = e.Item

@@ -1,7 +1,8 @@
 // Exporters for the latency/flight/audit layer: JSON documents for the
-// /debug/commlat/ endpoints and the flightrec subcommand (validated by
-// scripts/tracecheck), human-readable tables for the CLI, and the
-// Prometheus-native histogram section of /metrics.
+// /debug/commlat/ endpoints and the flightrec subcommand, human-readable
+// tables for the CLI, and the Prometheus-native histogram section of
+// /metrics. The exported document types here are the schema:
+// scripts/tracecheck decodes into them.
 package telemetry
 
 import (
@@ -91,22 +92,22 @@ func (r *Registry) flightJSON(rec *FlightRecord) FlightRecordJSON {
 	return j
 }
 
-// WriteFlightJSON writes the flight-recorder snapshot as indented JSON.
-func (r *Registry) WriteFlightJSON(w io.Writer) error {
+// writeJSON is how every telemetry document is written: indented, one
+// trailing newline.
+func writeJSON(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.FlightSnapshot())
+	return enc.Encode(doc)
 }
+
+// WriteFlightJSON writes the flight-recorder snapshot as indented JSON.
+func (r *Registry) WriteFlightJSON(w io.Writer) error { return writeJSON(w, r.FlightSnapshot()) }
 
 // --- Percentile JSON ------------------------------------------------------
 
 // WritePercentilesJSON writes the merged stage-latency snapshot
 // (histograms + percentile table) as indented JSON.
-func WritePercentilesJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(SnapshotLatency())
-}
+func WritePercentilesJSON(w io.Writer) error { return writeJSON(w, SnapshotLatency()) }
 
 // --- Shard-load heatmap ---------------------------------------------------
 
@@ -178,11 +179,7 @@ func (r *Registry) Heatmap() HeatmapDoc {
 }
 
 // WriteHeatmapJSON writes the shard-load heatmap as indented JSON.
-func (r *Registry) WriteHeatmapJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Heatmap())
-}
+func (r *Registry) WriteHeatmapJSON(w io.Writer) error { return writeJSON(w, r.Heatmap()) }
 
 // --- Controller audit JSON ------------------------------------------------
 
@@ -192,11 +189,7 @@ type AuditDoc struct {
 }
 
 // WriteAuditJSON writes the controller audit trail as indented JSON.
-func WriteAuditJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(AuditDoc{Entries: AuditTrail()})
-}
+func WriteAuditJSON(w io.Writer) error { return writeJSON(w, AuditDoc{Entries: AuditTrail()}) }
 
 // --- Human-readable tables ------------------------------------------------
 
@@ -249,12 +242,11 @@ func FormatAuditTable(entries []AuditEntry) string {
 	if len(entries) == 0 {
 		return "(no controller decisions recorded)\n"
 	}
-	fmt.Fprintf(&b, "%-12s %-16s %8s %10s %10s %6s %6s %-8s\n",
-		"ts ns", "controller", "window", "conflict", "crossing", "from", "to", "reason")
+	fmt.Fprintf(&b, "%-12s %-16s %8s %10s %6s %6s %-8s\n",
+		"ts ns", "controller", "window", "conflict", "from", "to", "reason")
 	for _, e := range entries {
-		fmt.Fprintf(&b, "%-12d %-16s %8d %9.4f%% %9.4f%% %6d %6d %-8s\n",
-			e.TS, e.Controller, e.Window, 100*e.ConflictRate, 100*e.CrossRate,
-			e.FromRung, e.ToRung, e.Reason)
+		fmt.Fprintf(&b, "%-12d %-16s %8d %9.4f%% %6d %6d %-8s\n",
+			e.TS, e.Controller, e.Window, 100*e.ConflictRate, e.FromRung, e.ToRung, e.Reason)
 	}
 	return b.String()
 }
@@ -268,23 +260,15 @@ func promLatency(bw *bufio.Writer) {
 	p := func(format string, args ...any) { fmt.Fprintf(bw, format, args...) }
 	p("# HELP commlat_stage_latency_ns Admission latency by cascade stage, nanoseconds.\n")
 	p("# TYPE commlat_stage_latency_ns histogram\n")
-	for st := Stage(0); st < NumStages; st++ {
-		buckets, count, sum := mergeStage(st)
-		if count == 0 {
-			continue
-		}
+	for _, st := range SnapshotLatency().Stages {
 		cum := uint64(0)
-		for b := 0; b < latBuckets; b++ {
-			if buckets[b] == 0 {
-				continue
-			}
-			cum += buckets[b]
-			le := uint64(1)<<uint(b) - 1
-			p("commlat_stage_latency_ns_bucket{stage=%q,le=\"%d\"} %d\n", st.String(), le, cum)
+		for _, b := range st.Buckets {
+			cum += b.Count
+			p("commlat_stage_latency_ns_bucket{stage=%q,le=\"%d\"} %d\n", st.Stage, b.LeNS, cum)
 		}
-		p("commlat_stage_latency_ns_bucket{stage=%q,le=\"+Inf\"} %d\n", st.String(), count)
-		p("commlat_stage_latency_ns_sum{stage=%q} %d\n", st.String(), sum)
-		p("commlat_stage_latency_ns_count{stage=%q} %d\n", st.String(), count)
+		p("commlat_stage_latency_ns_bucket{stage=%q,le=\"+Inf\"} %d\n", st.Stage, st.Count)
+		p("commlat_stage_latency_ns_sum{stage=%q} %d\n", st.Stage, st.SumNS)
+		p("commlat_stage_latency_ns_count{stage=%q} %d\n", st.Stage, st.Count)
 	}
 	p("# HELP commlat_flight_epoch Current flight-recorder group-commit epoch.\n# TYPE commlat_flight_epoch gauge\n")
 	p("commlat_flight_epoch %d\n", FlightEpoch())

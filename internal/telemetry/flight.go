@@ -19,8 +19,6 @@
 package telemetry
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -39,23 +37,13 @@ const (
 	FlightBatchSerial                          // batch fully serialized
 )
 
-// String returns the export spelling of the verdict.
-func (v FlightVerdict) String() string {
-	switch v {
-	case FlightAdmitted:
-		return "admitted"
-	case FlightConflict:
-		return "conflict"
-	case FlightBatchWhole:
-		return "batch_whole"
-	case FlightBatchSplit:
-		return "batch_split"
-	case FlightBatchSerial:
-		return "batch_serial"
-	default:
-		return "unknown"
-	}
+var verdictNames = []string{
+	FlightAdmitted: "admitted", FlightConflict: "conflict",
+	FlightBatchWhole: "batch_whole", FlightBatchSplit: "batch_split", FlightBatchSerial: "batch_serial",
 }
+
+// String returns the export spelling of the verdict.
+func (v FlightVerdict) String() string { return enumName(verdictNames, v) }
 
 // FlightRecord is one fixed-size admission record. StageNS holds the
 // per-stage tick counts (nanoseconds, saturating at ~4.29s per stage)
@@ -91,26 +79,16 @@ func (r *FlightRecord) Mark(st Stage, ns int64) {
 	r.StageNS[st] = uint32(ns)
 }
 
-// flightShards mirrors the tracer's sharding: worker IDs masked into
-// per-worker rings that stay on distinct cache lines.
-const flightShards = 64
-
-type flightShard struct {
-	mu  sync.Mutex
-	buf []FlightRecord
-	pos uint64 // records ever written (head = pos % len)
-	_   [40]byte
-}
+func (r FlightRecord) stamp() int64 { return r.TS }
 
 // flightRec is the process-wide recorder. Off by default: RecordFlight
 // behind FlightEnabled is one atomic load.
 type flightRec struct {
-	enabled atomic.Bool
-	epoch   atomic.Uint64
-	shards  [flightShards]flightShard
+	ring[FlightRecord]
+	epoch atomic.Uint64
 }
 
-var fr flightRec
+var fr = flightRec{ring: ring[FlightRecord]{shards: make([]ringShard[FlightRecord], ringShards)}}
 
 // EnableFlight starts the flight recorder with the given per-worker
 // ring capacity (rounded up to a power of two; <=0 means 1<<10
@@ -120,34 +98,14 @@ func EnableFlight(perShard int) {
 	if perShard <= 0 {
 		perShard = 1 << 10
 	}
-	n := 1
-	for n < perShard {
-		n <<= 1
-	}
 	fr.enabled.Store(false)
-	for i := range fr.shards {
-		s := &fr.shards[i]
-		s.mu.Lock()
-		s.buf = make([]FlightRecord, n)
-		s.pos = 0
-		s.mu.Unlock()
-	}
 	fr.epoch.Store(0)
-	fr.enabled.Store(true)
+	fr.enable(perShard)
 }
 
 // DisableFlight stops the recorder and releases its rings. Buffered
 // records are discarded; call FlightRecords first to keep them.
-func DisableFlight() {
-	fr.enabled.Store(false)
-	for i := range fr.shards {
-		s := &fr.shards[i]
-		s.mu.Lock()
-		s.buf = nil
-		s.pos = 0
-		s.mu.Unlock()
-	}
-}
+func DisableFlight() { fr.disable() }
 
 // FlightEnabled reports whether the flight recorder is on. Hot paths
 // gate record construction on it, so the disabled cost is this one
@@ -179,56 +137,15 @@ func RecordFlight(worker int, rec *FlightRecord) {
 	}
 	rec.TS = int64(time.Since(latBase))
 	rec.Epoch = fr.epoch.Load()
-	rec.Worker = uint16(worker & (flightShards - 1))
-	sh := &fr.shards[worker&(flightShards-1)]
-	sh.mu.Lock()
-	if sh.buf != nil {
-		sh.buf[sh.pos&uint64(len(sh.buf)-1)] = *rec
-		sh.pos++
-	}
-	sh.mu.Unlock()
+	rec.Worker = uint16(worker & (ringShards - 1))
+	fr.put(worker, rec)
 }
 
 // FlightRecords drains a copy of the buffered records, oldest first,
 // merged across worker rings in timestamp order. The recorder keeps
 // running.
-func FlightRecords() []FlightRecord {
-	var out []FlightRecord
-	for i := range fr.shards {
-		s := &fr.shards[i]
-		s.mu.Lock()
-		if s.buf != nil {
-			n := uint64(len(s.buf))
-			lo := uint64(0)
-			if s.pos > n {
-				lo = s.pos - n
-			}
-			for p := lo; p < s.pos; p++ {
-				out = append(out, s.buf[p&(n-1)])
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Worker < out[j].Worker
-	})
-	return out
-}
+func FlightRecords() []FlightRecord { return fr.drain() }
 
 // FlightDropped reports how many records ring wraparound has reclaimed
 // since EnableFlight.
-func FlightDropped() uint64 {
-	var dropped uint64
-	for i := range fr.shards {
-		s := &fr.shards[i]
-		s.mu.Lock()
-		if s.buf != nil && s.pos > uint64(len(s.buf)) {
-			dropped += s.pos - uint64(len(s.buf))
-		}
-		s.mu.Unlock()
-	}
-	return dropped
-}
+func FlightDropped() uint64 { return fr.dropped() }

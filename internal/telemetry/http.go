@@ -1,8 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"expvar"
+	"io"
 	"net/http"
 	"sync"
 )
@@ -30,29 +30,18 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot())
-	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/commlat/flightrec", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteFlightJSON(w)
-	})
-	mux.HandleFunc("/debug/commlat/percentiles", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = WritePercentilesJSON(w)
-	})
-	mux.HandleFunc("/debug/commlat/heatmap", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteHeatmapJSON(w)
-	})
-	mux.HandleFunc("/debug/commlat/audit", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = WriteAuditJSON(w)
-	})
+	serveJSON := func(path string, write func(io.Writer) error) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = write(w)
+		})
+	}
+	serveJSON("/debug/telemetry", func(w io.Writer) error { return writeJSON(w, r.Snapshot()) })
+	serveJSON("/debug/commlat/flightrec", r.WriteFlightJSON)
+	serveJSON("/debug/commlat/percentiles", WritePercentilesJSON)
+	serveJSON("/debug/commlat/heatmap", r.WriteHeatmapJSON)
+	serveJSON("/debug/commlat/audit", WriteAuditJSON)
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)

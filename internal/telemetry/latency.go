@@ -47,12 +47,7 @@ var stageNames = [NumStages]string{
 }
 
 // String returns the export spelling of the stage.
-func (s Stage) String() string {
-	if s < NumStages {
-		return stageNames[s]
-	}
-	return "unknown"
-}
+func (s Stage) String() string { return enumName(stageNames[:], s) }
 
 const (
 	// latShards is the number of per-worker histogram shards. Worker IDs
@@ -109,11 +104,6 @@ func EnableLatency() {
 // until the next EnableLatency, so a snapshot after disabling still
 // sees the run.
 func DisableLatency() { lr.enabled.Store(false) }
-
-// LatencyEnabled reports whether stage-latency recording is on.
-//
-//commvet:gate
-func LatencyEnabled() bool { return lr.enabled.Load() }
 
 // LatClock returns a start mark for stage timing: 0 when recording is
 // off (the whole instrumentation collapses to this one atomic load),

@@ -104,6 +104,11 @@ func TestTelemetryLatencyStageChaining(t *testing.T) {
 func TestTelemetryFlightEpochAndWraparound(t *testing.T) {
 	EnableFlight(4)
 	defer DisableFlight()
+	exerciseRing(t, &fr.ring, 4,
+		func(w, seq int) { RecordFlight(w, &FlightRecord{Tx: uint64(seq)}) },
+		FlightRecords, func(r FlightRecord) (int, int) { return int(r.Worker), int(r.Tx) })
+
+	EnableFlight(4)
 	if FlightEpoch() != 0 {
 		t.Fatalf("fresh epoch = %d", FlightEpoch())
 	}
@@ -173,12 +178,12 @@ func TestTelemetryAuditTrail(t *testing.T) {
 	ResetAudit()
 	RecordAudit(AuditEntry{
 		Controller: "batch", Window: 256, ConflictRate: 0.002,
-		Lo: 0.01, Hi: 0.05, FromRung: 8, ToRung: 32,
+		FromRung: 8, ToRung: 32,
 		Moved: true, Reason: AuditClimb,
 	})
 	RecordAudit(AuditEntry{
 		Controller: "batch", Window: 256, ConflictRate: 0.02,
-		Lo: 0.01, Hi: 0.05, FromRung: 32, ToRung: 32,
+		FromRung: 32, ToRung: 32,
 		Moved: false, Reason: AuditHold,
 	})
 	trail := AuditTrail()
@@ -209,6 +214,11 @@ func TestTelemetryAuditTrail(t *testing.T) {
 	if len(AuditTrail()) != 0 {
 		t.Fatal("ResetAudit left entries")
 	}
+
+	defer ResetAudit() // exerciseRing leaves the always-on trail disabled
+	exerciseRing(t, &audit, auditCap,
+		func(w, seq int) { RecordAudit(AuditEntry{FromRung: w, Window: seq}) },
+		AuditTrail, func(e AuditEntry) (int, int) { return e.FromRung, e.Window })
 }
 
 func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
@@ -237,7 +247,7 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	rec.Mark(StageRendezvous, 500)
 	RecordFlight(0, &rec)
 	RecordAudit(AuditEntry{Controller: "shard", Window: 512, ConflictRate: 0.001,
-		CrossRate: 0.002, Lo: 0.01, Hi: 0.05, FromRung: 4, ToRung: 8, Moved: true, Reason: AuditClimb})
+		FromRung: 4, ToRung: 8, Moved: true, Reason: AuditClimb})
 
 	h := Handler(r)
 	get := func(path string) (int, string) {

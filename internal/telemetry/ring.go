@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,22 +19,19 @@ const (
 	EvDecision
 )
 
+var kindNames = []string{EvBegin: "begin", EvCommit: "commit", EvAbort: "abort", EvConflict: "conflict", EvDecision: "decision"}
+
 // String returns the JSONL spelling of the kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvBegin:
-		return "begin"
-	case EvCommit:
-		return "commit"
-	case EvAbort:
-		return "abort"
-	case EvConflict:
-		return "conflict"
-	case EvDecision:
-		return "decision"
-	default:
-		return "unknown"
+func (k EventKind) String() string { return enumName(kindNames, k) }
+
+// enumName spells an enum value from its name table. A value the table
+// does not name is "unknown" — the one sentinel consumers that range
+// over a vocabulary (scripts/tracecheck) stop at.
+func enumName[E ~uint8](names []string, v E) string {
+	if int(v) < len(names) && names[v] != "" {
+		return names[v]
 	}
+	return "unknown"
 }
 
 // Event is one fixed-size trace record. M1/M2 are label IDs in the
@@ -53,30 +48,19 @@ type Event struct {
 	Kind   EventKind
 }
 
-// traceShards is the number of per-worker ring shards. Worker IDs are
-// masked into this range, so any worker count works; 64 keeps shards on
-// distinct cache lines without bloating idle processes.
-const traceShards = 64
-
-type traceShard struct {
-	mu  sync.Mutex
-	buf []Event
-	pos uint64 // events ever written to this shard (head = pos % len)
-	_   [40]byte
-}
+func (e Event) stamp() int64 { return e.TS }
 
 // tracer is the process-wide event trace. Off by default: Emit is one
 // atomic load. When enabled, events land in per-worker rings sized at
 // EnableTrace time; a full ring overwrites its oldest events, so a
 // trace is always the most recent window.
 type tracer struct {
-	enabled atomic.Bool
+	ring[Event]
 	sample  atomic.Uint64
 	startNS atomic.Int64
-	shards  [traceShards]traceShard
 }
 
-var tr tracer
+var tr = tracer{ring: ring[Event]{shards: make([]ringShard[Event], ringShards)}}
 
 // EnableTrace turns event tracing on with the given per-worker ring
 // capacity (rounded up to a power of two; <=0 means 1<<14 events) and
@@ -88,38 +72,18 @@ func EnableTrace(perShard, sample int) {
 	if perShard <= 0 {
 		perShard = 1 << 14
 	}
-	n := 1
-	for n < perShard {
-		n <<= 1
-	}
 	if sample < 1 {
 		sample = 1
 	}
 	tr.enabled.Store(false)
-	for i := range tr.shards {
-		s := &tr.shards[i]
-		s.mu.Lock()
-		s.buf = make([]Event, n)
-		s.pos = 0
-		s.mu.Unlock()
-	}
 	tr.sample.Store(uint64(sample))
 	tr.startNS.Store(time.Now().UnixNano())
-	tr.enabled.Store(true)
+	tr.enable(perShard)
 }
 
 // DisableTrace turns event tracing off and releases the ring buffers.
 // Buffered events are discarded; call TraceEvents first to keep them.
-func DisableTrace() {
-	tr.enabled.Store(false)
-	for i := range tr.shards {
-		s := &tr.shards[i]
-		s.mu.Lock()
-		s.buf = nil
-		s.pos = 0
-		s.mu.Unlock()
-	}
-}
+func DisableTrace() { tr.disable() }
 
 // TraceEnabled reports whether event tracing is on.
 //
@@ -138,17 +102,10 @@ func Emit(worker int, kind EventKind, tx uint64, item int64, det, m1, m2 uint16)
 	if s := tr.sample.Load(); s > 1 && kind != EvDecision && tx%s != 0 {
 		return
 	}
-	ts := time.Now().UnixNano() - tr.startNS.Load()
-	sh := &tr.shards[worker&(traceShards-1)]
-	sh.mu.Lock()
-	if sh.buf != nil {
-		sh.buf[sh.pos&uint64(len(sh.buf)-1)] = Event{
-			TS: ts, Tx: tx, Item: item, Det: det, M1: m1, M2: m2,
-			Worker: uint16(worker & (traceShards - 1)), Kind: kind,
-		}
-		sh.pos++
-	}
-	sh.mu.Unlock()
+	tr.put(worker, &Event{
+		TS: time.Now().UnixNano() - tr.startNS.Load(), Tx: tx, Item: item, Det: det, M1: m1, M2: m2,
+		Worker: uint16(worker & (ringShards - 1)), Kind: kind,
+	})
 }
 
 // EmitConflict records a detector conflict event.
@@ -168,43 +125,8 @@ func EmitDecision(det uint16, epoch int64, from, to uint16) {
 // TraceEvents drains a copy of the buffered events, oldest first,
 // merged across shards in timestamp order. The trace keeps running;
 // call DisableTrace to stop it.
-func TraceEvents() []Event {
-	var out []Event
-	for i := range tr.shards {
-		s := &tr.shards[i]
-		s.mu.Lock()
-		if s.buf != nil {
-			n := uint64(len(s.buf))
-			lo := uint64(0)
-			if s.pos > n {
-				lo = s.pos - n
-			}
-			for p := lo; p < s.pos; p++ {
-				out = append(out, s.buf[p&(n-1)])
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Worker < out[j].Worker
-	})
-	return out
-}
+func TraceEvents() []Event { return tr.drain() }
 
 // TraceDropped reports how many events have been overwritten by ring
 // wraparound since EnableTrace.
-func TraceDropped() uint64 {
-	var dropped uint64
-	for i := range tr.shards {
-		s := &tr.shards[i]
-		s.mu.Lock()
-		if s.buf != nil && s.pos > uint64(len(s.buf)) {
-			dropped += s.pos - uint64(len(s.buf))
-		}
-		s.mu.Unlock()
-	}
-	return dropped
-}
+func TraceDropped() uint64 { return tr.dropped() }

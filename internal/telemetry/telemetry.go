@@ -152,9 +152,6 @@ func (d *Detector) Kind() string { return d.kind }
 // ADT returns the guarded ADT or scheme name.
 func (d *Detector) ADT() string { return d.adt }
 
-// Labels returns the detector's label vocabulary (method/mode names).
-func (d *Detector) Labels() []string { return d.labels }
-
 // IncInvocation counts one guarded invocation.
 func (d *Detector) IncInvocation() { d.invocations.Add(1) }
 
@@ -193,28 +190,24 @@ func (d *Detector) CascadeRetry() { d.optRetries.Add(1) }
 // overflow path (slot table exhausted or conflict keys unhashable).
 func (d *Detector) CascadeFallback() { d.cascadeSlow.Add(1) }
 
-// ReentrantHitN counts n lock acquisitions granted against the
-// transaction's own existing hold (one atomic add per invocation).
-func (d *Detector) ReentrantHitN(n int) {
+// addN is the batch form of a counter increment: n events in one atomic
+// add. A non-positive n counts nothing rather than wrapping the counter.
+func addN(c *atomic.Uint64, n int) {
 	if n > 0 {
-		d.reentrant.Add(uint64(n))
+		c.Add(uint64(n))
 	}
 }
+
+// ReentrantHitN counts n lock acquisitions granted against the
+// transaction's own existing hold (one atomic add per invocation).
+func (d *Detector) ReentrantHitN(n int) { addN(&d.reentrant, n) }
 
 // CascadeFastAdmitN counts n invocations admitted by the signature
 // filter alone in one batch probe (one atomic add for the group).
-func (d *Detector) CascadeFastAdmitN(n int) {
-	if n > 0 {
-		d.fastAdmits.Add(uint64(n))
-	}
-}
+func (d *Detector) CascadeFastAdmitN(n int) { addN(&d.fastAdmits, n) }
 
 // IncInvocationN counts n guarded invocations arriving as one batch.
-func (d *Detector) IncInvocationN(n int) {
-	if n > 0 {
-		d.invocations.Add(uint64(n))
-	}
-}
+func (d *Detector) IncInvocationN(n int) { addN(&d.invocations, n) }
 
 // BatchWhole counts one admission batch whose every member was admitted
 // as a group.
@@ -239,11 +232,7 @@ func (d *Detector) ShardLocal() { d.shardLocal.Add(1) }
 
 // ShardLocalN counts n single-shard admissions arriving as one batch
 // run (one atomic add for the group).
-func (d *Detector) ShardLocalN(n int) {
-	if n > 0 {
-		d.shardLocal.Add(uint64(n))
-	}
-}
+func (d *Detector) ShardLocalN(n int) { addN(&d.shardLocal, n) }
 
 // ShardCross counts one admission whose keys straddled shards (or whose
 // method is not key-routable): the rendezvous path.
@@ -339,11 +328,7 @@ func CountTxBeginN(n int) { Default.txBegun.Add(uint64(n)) }
 
 // CountTxCommits counts n commits with one atomic add — the group-commit
 // path, used when tracing is off and no per-transaction events are due.
-func CountTxCommits(n int) {
-	if n > 0 {
-		Default.txCommitted.Add(uint64(n))
-	}
-}
+func CountTxCommits(n int) { addN(&Default.txCommitted, n) }
 
 // --- Snapshots -----------------------------------------------------------
 

@@ -171,6 +171,11 @@ func TestRingTraceBasics(t *testing.T) {
 
 func TestRingOverwriteAndSampling(t *testing.T) {
 	EnableTrace(4, 1)
+	exerciseRing(t, &tr.ring, 4,
+		func(w, seq int) { Emit(w, EvCommit, uint64(seq), 0, 0, 0, 0) },
+		TraceEvents, func(e Event) (int, int) { return int(e.Worker), int(e.Tx) })
+
+	EnableTrace(4, 1)
 	for i := 0; i < 10; i++ {
 		Emit(0, EvCommit, uint64(i), 0, 0, 0, 0)
 	}

@@ -1,5 +1,5 @@
 // Command allocgate is the CI allocation-regression gate: it compares a
-// BENCH_detectors.json report (written by `commlat bench -json`) against
+// BENCH_fresh.json report (written by `commlat bench -json`) against
 // the checked-in allocation budget BENCH_budget.json and exits non-zero
 // if any budgeted benchmark allocates more per operation than allowed.
 //
@@ -39,7 +39,7 @@ func main() {
 // and one naming the budgeted benchmarks the report lacks.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("allocgate", flag.ContinueOnError)
-	report := fs.String("report", "BENCH_detectors.json", "benchmark report from `commlat bench -json`")
+	report := fs.String("report", "BENCH_fresh.json", "benchmark report from `commlat bench -json`")
 	budgetPath := fs.String("budget", "BENCH_budget.json", "allocation budget (benchmark name -> max allocs/op)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -2,9 +2,9 @@
 // analyzers of internal/analysis (atomicfield, seqlock, poolzero,
 // padcheck, gatecheck) over the module's packages, plus specvet over the
 // spectext files in -specs. It exits nonzero when anything is found, so
-// CI can require it; -json writes a machine-readable report (including
-// the suite's own runtime, which scripts/benchdiff surfaces so CI time
-// creep stays visible).
+// CI can require it; -json writes a machine-readable report. The summary
+// line carries the suite's own runtime, so CI time creep stays visible in
+// the job's output.
 //
 // Usage:
 //

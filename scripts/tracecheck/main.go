@@ -1,8 +1,7 @@
-// Command tracecheck validates the JSONL event-trace schema emitted by
-// `commlat trace -json` (and -jsonl): one JSON object per line, with
-// the fields internal/telemetry's WriteJSONL documents. CI runs it on a
-// small boruvka workload so schema drift in the exporter fails the
-// build instead of silently breaking downstream tooling.
+// Command tracecheck validates the documents commlat's telemetry
+// exporters write. CI runs it on small workloads so schema drift in an
+// exporter fails the build instead of silently breaking downstream
+// tooling.
 //
 // Usage:
 //
@@ -14,121 +13,153 @@
 //	go run ./scripts/tracecheck -percentiles percentiles.json
 //	go run ./scripts/tracecheck -audit audit.json
 //
-// It exits non-zero on empty input, malformed JSON, unknown event
-// kinds, missing required fields, or a non-monotonic timeline. With
-// -chrome it instead checks that the file is a Chrome trace_event
-// document: a JSON object whose traceEvents array is non-empty and
-// whose entries all carry a phase and a timestamp. With -snapshot it
-// checks a telemetry snapshot document (`commlat -telemetry-out` or the
-// /debug/telemetry endpoint): every detector row must carry id, kind,
-// and adt, unknown fields are rejected (so the cascade stage counters —
-// cascade_fast_admits through cascade_fallbacks — and the lock
-// manager's reentrant_hits stay in lockstep between exporter and
-// consumers), and per-pair attribution must not exceed the detector
-// totals it decomposes.
+// The schema of a document is the exported internal/telemetry type that
+// writes it (EventJSON, Snapshot, FlightDoc, LatencySnapshot, AuditDoc):
+// tracecheck decodes into that type with unknown fields refused, takes
+// its vocabularies from the Stage, FlightVerdict, EventKind and Audit*
+// constants, and adds only what a type cannot say — required keys being
+// present, timelines in order, counts that decompose their totals.
+// testdata/ pins the spellings: main_test must accept one document of
+// each kind written before the types became the schema, so renaming a
+// JSON tag fails tier 1 at the rename. With -chrome the input is checked
+// against the external Chrome trace_event format instead: a traceEvents
+// array whose entries all carry a phase and a timestamp.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"commlat/internal/telemetry"
 )
 
-type event struct {
-	TS       *int64 `json:"ts_ns"`
-	Kind     string `json:"kind"`
-	Worker   *int   `json:"worker"`
-	Tx       uint64 `json:"tx"`
-	Item     *int64 `json:"item"`
-	Detector string `json:"detector"`
-	M1       string `json:"m1"`
-	M2       string `json:"m2"`
-	Epoch    *int64 `json:"epoch"`
+// vocabulary collects an enum's export spellings by ranging from its
+// first value until String stops knowing the value.
+func vocabulary[E interface {
+	~uint8
+	String() string
+}](first E) map[string]bool {
+	names := map[string]bool{}
+	for v := first; v.String() != "unknown"; v++ {
+		names[v.String()] = true
+	}
+	return names
 }
 
-var lifecycle = map[string]bool{"begin": true, "commit": true, "abort": true}
+var (
+	kinds    = vocabulary(telemetry.EvBegin)
+	verdicts = vocabulary(telemetry.FlightAdmitted)
+	stages   = vocabulary(telemetry.Stage(0))
+	reasons  = map[string]bool{telemetry.AuditClimb: true, telemetry.AuditBackoff: true, telemetry.AuditHold: true}
+)
 
-func check(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+// decodeStrict decodes raw into doc, refusing fields the type does not
+// declare.
+func decodeStrict(raw []byte, doc any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(doc)
+}
+
+// requireKeys is the one presence check a decode into a plain struct
+// cannot make: it reports the first of keys the JSON object raw lacks.
+func requireKeys(raw []byte, keys ...string) error {
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if _, ok := obj[k]; !ok {
+			return fmt.Errorf("missing %s", k)
+		}
+	}
+	return nil
+}
+
+// requireRowKeys applies requireKeys to every element of the array
+// under field of the JSON document raw.
+func requireRowKeys(raw []byte, field string, keys ...string) error {
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return err
+	}
+	var rows []json.RawMessage
+	if err := json.Unmarshal(doc[field], &rows); err != nil {
+		return fmt.Errorf("%s: %v", field, err)
+	}
+	for i, row := range rows {
+		if err := requireKeys(row, keys...); err != nil {
+			return fmt.Errorf("%s[%d]: %v", field, i, err)
+		}
+	}
+	return nil
+}
+
+// check validates a JSONL event trace (`commlat trace -json`/-jsonl):
+// one EventJSON per line, a known kind with the fields that kind needs,
+// and a monotone timeline holding at least one begin and one commit.
+func check(raw []byte, w io.Writer) error {
+	if len(raw) == 0 {
+		return fmt.Errorf("no events: input is empty")
+	}
 	var (
 		lineNo int
 		lastTS int64
 		counts = map[string]int{}
 	)
-	for sc.Scan() {
+	begin, commit, abort := telemetry.EvBegin.String(), telemetry.EvCommit.String(), telemetry.EvAbort.String()
+	conflict, decision := telemetry.EvConflict.String(), telemetry.EvDecision.String()
+	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
 		lineNo++
-		line := sc.Bytes()
 		if len(line) == 0 {
 			return fmt.Errorf("line %d: empty line", lineNo)
 		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		var e event
-		if err := dec.Decode(&e); err != nil {
+		var e telemetry.EventJSON
+		if err := decodeStrict(line, &e); err != nil {
 			return fmt.Errorf("line %d: %v", lineNo, err)
 		}
-		if e.TS == nil {
-			return fmt.Errorf("line %d: missing ts_ns", lineNo)
+		if err := requireKeys(line, "ts_ns", "worker"); err != nil {
+			return fmt.Errorf("line %d: %v", lineNo, err)
 		}
-		if *e.TS < 0 {
-			return fmt.Errorf("line %d: negative ts_ns %d", lineNo, *e.TS)
+		if e.TS < 0 {
+			return fmt.Errorf("line %d: negative ts_ns %d", lineNo, e.TS)
 		}
-		if *e.TS < lastTS {
-			return fmt.Errorf("line %d: ts_ns %d out of order (previous %d)", lineNo, *e.TS, lastTS)
+		if e.TS < lastTS {
+			return fmt.Errorf("line %d: ts_ns %d out of order (previous %d)", lineNo, e.TS, lastTS)
 		}
-		lastTS = *e.TS
-		if e.Worker == nil {
-			return fmt.Errorf("line %d: missing worker", lineNo)
+		lastTS = e.TS
+		if e.Worker < 0 {
+			return fmt.Errorf("line %d: negative worker %d", lineNo, e.Worker)
 		}
-		if *e.Worker < 0 {
-			return fmt.Errorf("line %d: negative worker %d", lineNo, *e.Worker)
-		}
-		switch {
-		case lifecycle[e.Kind]:
-			if e.Tx == 0 {
-				return fmt.Errorf("line %d: %s event without tx", lineNo, e.Kind)
-			}
-		case e.Kind == "conflict":
-			if e.Tx == 0 {
-				return fmt.Errorf("line %d: conflict event without tx", lineNo)
-			}
-			if e.Detector == "" || e.M1 == "" || e.M2 == "" {
-				return fmt.Errorf("line %d: conflict event needs detector, m1, m2", lineNo)
-			}
-		case e.Kind == "decision":
-			if e.Detector == "" || e.M1 == "" || e.M2 == "" {
-				return fmt.Errorf("line %d: decision event needs detector, m1, m2", lineNo)
-			}
-		default:
+		if !kinds[e.Kind] {
 			return fmt.Errorf("line %d: unknown kind %q", lineNo, e.Kind)
+		}
+		if e.Kind != decision && e.Tx == 0 {
+			return fmt.Errorf("line %d: %s event without tx", lineNo, e.Kind)
+		}
+		if (e.Kind == conflict || e.Kind == decision) && (e.Detector == "" || e.M1 == "" || e.M2 == "") {
+			return fmt.Errorf("line %d: %s event needs detector, m1, m2", lineNo, e.Kind)
 		}
 		counts[e.Kind]++
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if lineNo == 0 {
-		return fmt.Errorf("no events: input is empty")
-	}
-	if counts["begin"] == 0 {
+	if counts[begin] == 0 {
 		return fmt.Errorf("no begin events in %d lines", lineNo)
 	}
-	if counts["commit"] == 0 {
+	if counts[commit] == 0 {
 		return fmt.Errorf("no commit events in %d lines", lineNo)
 	}
-	fmt.Printf("ok: %d events (%d begin, %d commit, %d abort, %d conflict, %d decision)\n",
-		lineNo, counts["begin"], counts["commit"], counts["abort"], counts["conflict"], counts["decision"])
+	fmt.Fprintf(w, "ok: %d events (%d begin, %d commit, %d abort, %d conflict, %d decision)\n",
+		lineNo, counts[begin], counts[commit], counts[abort], counts[conflict], counts[decision])
 	return nil
 }
 
 // checkChrome validates the Chrome trace_event document shape: phases
 // are single characters, timestamps are present on every event, and
 // complete ("X") events carry durations.
-func checkChrome(r io.Reader) error {
+func checkChrome(raw []byte, w io.Writer) error {
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		TraceEvents     []struct {
@@ -140,7 +171,7 @@ func checkChrome(r io.Reader) error {
 			TID  *int     `json:"tid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		return err
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -162,66 +193,18 @@ func checkChrome(r io.Reader) error {
 		}
 		counts[e.Ph]++
 	}
-	fmt.Printf("ok: %d chrome events (%d complete, %d instant, %d metadata)\n",
+	fmt.Fprintf(w, "ok: %d chrome events (%d complete, %d instant, %d metadata)\n",
 		len(doc.TraceEvents), counts["X"], counts["i"], counts["M"])
 	return nil
 }
 
-// snapshotDoc mirrors internal/telemetry's Snapshot JSON schema field
-// for field; DisallowUnknownFields turns any exporter drift — a renamed
-// cascade counter, a new stage left out of this mirror — into a CI
-// failure here instead of a silent break in downstream consumers.
-type snapshotDoc struct {
-	Engine struct {
-		TxBegun     uint64 `json:"tx_begun"`
-		TxCommitted uint64 `json:"tx_committed"`
-		TxAborted   uint64 `json:"tx_aborted"`
-	} `json:"engine"`
-	Detectors []struct {
-		ID               uint16 `json:"id"`
-		Kind             string `json:"kind"`
-		ADT              string `json:"adt"`
-		Invocations      uint64 `json:"invocations"`
-		Checks           uint64 `json:"checks"`
-		Conflicts        uint64 `json:"conflicts"`
-		Rollbacks        uint64 `json:"rollbacks"`
-		LogEntries       uint64 `json:"log_entries"`
-		Probes           uint64 `json:"probes"`
-		Collisions       uint64 `json:"collisions"`
-		FallbackScans    uint64 `json:"fallback_scans"`
-		FastAdmits       uint64 `json:"cascade_fast_admits"`
-		FilterHits       uint64 `json:"cascade_filter_hits"`
-		OptScans         uint64 `json:"cascade_opt_scans"`
-		OptRetries       uint64 `json:"cascade_opt_retries"`
-		CascadeFallbacks uint64 `json:"cascade_fallbacks"`
-		ReentrantHits    uint64 `json:"reentrant_hits"`
-		BatchesWhole     uint64 `json:"batches_whole"`
-		BatchesSplit     uint64 `json:"batches_split"`
-		BatchesSerial    uint64 `json:"batches_serialized"`
-		Shard            int64  `json:"shard"`
-		ShardLocal       uint64 `json:"shard_local"`
-		ShardCross       uint64 `json:"shard_cross"`
-		ActiveHighWater  int64  `json:"active_high_water"`
-		JournalHighWater int64  `json:"journal_high_water"`
-		Pairs            []struct {
-			M1        string `json:"m1"`
-			M2        string `json:"m2"`
-			Checks    uint64 `json:"checks"`
-			Conflicts uint64 `json:"conflicts"`
-		} `json:"pairs"`
-		Modes []struct {
-			Mode     string `json:"mode"`
-			Acquired uint64 `json:"acquired"`
-			Waits    uint64 `json:"waits"`
-		} `json:"modes"`
-	} `json:"detectors"`
-}
-
-func checkSnapshot(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc snapshotDoc
-	if err := dec.Decode(&doc); err != nil {
+// checkSnapshot validates a telemetry snapshot document (`commlat
+// -telemetry-out` or /debug/telemetry): every detector row carries id,
+// kind and adt, and per-pair attribution does not exceed the detector
+// totals it decomposes.
+func checkSnapshot(raw []byte, w io.Writer) error {
+	var doc telemetry.Snapshot
+	if err := decodeStrict(raw, &doc); err != nil {
 		return err
 	}
 	e := doc.Engine
@@ -260,48 +243,9 @@ func checkSnapshot(r io.Reader) error {
 		fastAdmits += d.FastAdmits
 		filterHits += d.FilterHits
 	}
-	fmt.Printf("ok: snapshot with %d detectors (%d tx begun; cascade: %d fast admits, %d filter hits)\n",
+	fmt.Fprintf(w, "ok: snapshot with %d detectors (%d tx begun; cascade: %d fast admits, %d filter hits)\n",
 		len(doc.Detectors), e.TxBegun, fastAdmits, filterHits)
 	return nil
-}
-
-// flightDoc mirrors internal/telemetry's FlightDoc JSON schema, same
-// lockstep discipline as snapshotDoc.
-type flightDoc struct {
-	Epoch   uint64 `json:"epoch"`
-	Dropped uint64 `json:"dropped"`
-	Records []struct {
-		TS       *int64   `json:"ts_ns"`
-		Tx       uint64   `json:"tx"`
-		Epoch    uint64   `json:"epoch"`
-		Worker   *int     `json:"worker"`
-		Detector string   `json:"detector"`
-		Method   string   `json:"method"`
-		Verdict  string   `json:"verdict"`
-		Retries  int      `json:"retries"`
-		N        int      `json:"n"`
-		Shards   []int    `json:"shards"`
-		Stages   []string `json:"stages"`
-		StageNS  struct {
-			SigFilterNS    uint32 `json:"sig_filter_ns"`
-			OptIndexNS     uint32 `json:"opt_index_ns"`
-			PreciseNS      uint32 `json:"precise_ns"`
-			RendezvousNS   uint32 `json:"rendezvous_ns"`
-			BatchPublishNS uint32 `json:"batch_publish_ns"`
-			BatchProbeNS   uint32 `json:"batch_probe_ns"`
-			CommitNS       uint32 `json:"commit_release_ns"`
-		} `json:"stage_ns"`
-	} `json:"records"`
-}
-
-var flightVerdicts = map[string]bool{
-	"admitted": true, "conflict": true,
-	"batch_whole": true, "batch_split": true, "batch_serial": true,
-}
-
-var flightStages = map[string]bool{
-	"sig_filter": true, "opt_index": true, "precise": true, "rendezvous": true,
-	"batch_publish": true, "batch_probe": true, "commit_release": true,
 }
 
 // checkFlight validates a flight-recorder document (`commlat flightrec
@@ -309,37 +253,35 @@ var flightStages = map[string]bool{
 // a worker and a known verdict; stage spellings must come from the
 // pipeline vocabulary; the timeline is oldest-first; and a run that
 // recorded anything must have buffered at least one record.
-func checkFlight(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc flightDoc
-	if err := dec.Decode(&doc); err != nil {
+func checkFlight(raw []byte, w io.Writer) error {
+	var doc telemetry.FlightDoc
+	if err := decodeStrict(raw, &doc); err != nil {
 		return err
 	}
 	if len(doc.Records) == 0 {
 		return fmt.Errorf("flight document has no records")
 	}
+	if err := requireRowKeys(raw, "records", "ts_ns", "worker"); err != nil {
+		return err
+	}
 	var lastTS int64
-	verdicts := map[string]int{}
+	counts := map[string]int{}
 	for i, rec := range doc.Records {
-		if rec.TS == nil {
-			return fmt.Errorf("records[%d]: missing ts_ns", i)
+		if rec.TS < lastTS {
+			return fmt.Errorf("records[%d]: ts_ns %d out of order (previous %d)", i, rec.TS, lastTS)
 		}
-		if *rec.TS < lastTS {
-			return fmt.Errorf("records[%d]: ts_ns %d out of order (previous %d)", i, *rec.TS, lastTS)
+		lastTS = rec.TS
+		if rec.Worker < 0 {
+			return fmt.Errorf("records[%d]: negative worker", i)
 		}
-		lastTS = *rec.TS
-		if rec.Worker == nil || *rec.Worker < 0 {
-			return fmt.Errorf("records[%d]: missing or negative worker", i)
-		}
-		if !flightVerdicts[rec.Verdict] {
+		if !verdicts[rec.Verdict] {
 			return fmt.Errorf("records[%d]: unknown verdict %q", i, rec.Verdict)
 		}
 		if rec.Epoch > doc.Epoch {
 			return fmt.Errorf("records[%d]: record epoch %d past document epoch %d", i, rec.Epoch, doc.Epoch)
 		}
 		for _, st := range rec.Stages {
-			if !flightStages[st] {
+			if !stages[st] {
 				return fmt.Errorf("records[%d]: unknown stage %q", i, st)
 			}
 		}
@@ -348,40 +290,21 @@ func checkFlight(r io.Reader) error {
 				return fmt.Errorf("records[%d]: shard %d out of range", i, sh)
 			}
 		}
-		verdicts[rec.Verdict]++
+		counts[rec.Verdict]++
 	}
-	fmt.Printf("ok: %d flight records (epoch %d, %d reclaimed; %d admitted, %d conflict)\n",
-		len(doc.Records), doc.Epoch, doc.Dropped, verdicts["admitted"], verdicts["conflict"])
+	fmt.Fprintf(w, "ok: %d flight records (epoch %d, %d reclaimed; %d admitted, %d conflict)\n",
+		len(doc.Records), doc.Epoch, doc.Dropped,
+		counts[telemetry.FlightAdmitted.String()], counts[telemetry.FlightConflict.String()])
 	return nil
-}
-
-// percentilesDoc mirrors internal/telemetry's LatencySnapshot schema.
-type percentilesDoc struct {
-	Enabled bool `json:"enabled"`
-	Stages  []struct {
-		Stage   string  `json:"stage"`
-		Count   *uint64 `json:"count"`
-		SumNS   uint64  `json:"sum_ns"`
-		P50NS   float64 `json:"p50_ns"`
-		P90NS   float64 `json:"p90_ns"`
-		P99NS   float64 `json:"p99_ns"`
-		P999NS  float64 `json:"p999_ns"`
-		Buckets []struct {
-			LeNS  uint64 `json:"le_ns"`
-			Count uint64 `json:"count"`
-		} `json:"buckets"`
-	} `json:"stages"`
 }
 
 // checkPercentiles validates a stage-latency percentile document
 // (`commlat flightrec -percentiles` or /debug/commlat/percentiles):
 // stage names from the pipeline vocabulary, monotone percentiles, and
 // bucket counts that decompose each stage's total.
-func checkPercentiles(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc percentilesDoc
-	if err := dec.Decode(&doc); err != nil {
+func checkPercentiles(raw []byte, w io.Writer) error {
+	var doc telemetry.LatencySnapshot
+	if err := decodeStrict(raw, &doc); err != nil {
 		return err
 	}
 	if len(doc.Stages) == 0 {
@@ -389,10 +312,10 @@ func checkPercentiles(r io.Reader) error {
 	}
 	var total uint64
 	for i, st := range doc.Stages {
-		if !flightStages[st.Stage] {
+		if !stages[st.Stage] {
 			return fmt.Errorf("stages[%d]: unknown stage %q", i, st.Stage)
 		}
-		if st.Count == nil || *st.Count == 0 {
+		if st.Count == 0 {
 			return fmt.Errorf("stages[%d] (%s): missing or zero count", i, st.Stage)
 		}
 		if !(st.P50NS <= st.P90NS && st.P90NS <= st.P99NS && st.P99NS <= st.P999NS) {
@@ -408,61 +331,40 @@ func checkPercentiles(r io.Reader) error {
 			lastLe = int64(b.LeNS)
 			n += b.Count
 		}
-		if n != *st.Count {
-			return fmt.Errorf("stages[%d] (%s): bucket counts sum to %d, want %d", i, st.Stage, n, *st.Count)
+		if n != st.Count {
+			return fmt.Errorf("stages[%d] (%s): bucket counts sum to %d, want %d", i, st.Stage, n, st.Count)
 		}
-		total += *st.Count
+		total += st.Count
 	}
-	fmt.Printf("ok: %d latency stages, %d observations\n", len(doc.Stages), total)
+	fmt.Fprintf(w, "ok: %d latency stages, %d observations\n", len(doc.Stages), total)
 	return nil
 }
 
-// auditDoc mirrors internal/telemetry's AuditDoc schema.
-type auditDoc struct {
-	Entries []struct {
-		TS           *int64  `json:"ts_ns"`
-		Controller   string  `json:"controller"`
-		Det          uint16  `json:"detector_id"`
-		Window       int     `json:"window"`
-		ConflictRate float64 `json:"conflict_rate"`
-		CrossRate    float64 `json:"crossing_rate"`
-		Lo           float64 `json:"lo"`
-		Hi           float64 `json:"hi"`
-		FromRung     int     `json:"from_rung"`
-		ToRung       int     `json:"to_rung"`
-		Moved        bool    `json:"moved"`
-		Reason       string  `json:"reason"`
-	} `json:"entries"`
-}
-
-var auditReasons = map[string]bool{"climb": true, "backoff": true, "hold": true, "pinned": true}
-
-// checkAudit validates a controller audit document (`commlat flightrec
-// -audit` or /debug/commlat/audit): known reasons, rates in [0,1],
-// moves consistent with from/to rungs.
-func checkAudit(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc auditDoc
-	if err := dec.Decode(&doc); err != nil {
+// checkAudit validates a controller audit document (`commlat adaptive
+// -audit`, `commlat flightrec -audit` or /debug/commlat/audit): known
+// reasons, a conflict rate in [0,1], moves consistent with from/to
+// rungs.
+func checkAudit(raw []byte, w io.Writer) error {
+	var doc telemetry.AuditDoc
+	if err := decodeStrict(raw, &doc); err != nil {
 		return err
 	}
 	if len(doc.Entries) == 0 {
 		return fmt.Errorf("audit document has no entries")
 	}
+	if err := requireRowKeys(raw, "entries", "ts_ns"); err != nil {
+		return err
+	}
 	moves := 0
 	for i, e := range doc.Entries {
-		if e.TS == nil {
-			return fmt.Errorf("entries[%d]: missing ts_ns", i)
-		}
 		if e.Controller == "" {
 			return fmt.Errorf("entries[%d]: missing controller", i)
 		}
-		if !auditReasons[e.Reason] {
+		if !reasons[e.Reason] {
 			return fmt.Errorf("entries[%d]: unknown reason %q", i, e.Reason)
 		}
-		if e.ConflictRate < 0 || e.ConflictRate > 1 || e.CrossRate < 0 || e.CrossRate > 1 {
-			return fmt.Errorf("entries[%d]: rate outside [0,1]: conflict %g crossing %g", i, e.ConflictRate, e.CrossRate)
+		if e.ConflictRate < 0 || e.ConflictRate > 1 {
+			return fmt.Errorf("entries[%d]: conflict rate %g outside [0,1]", i, e.ConflictRate)
 		}
 		if e.Moved != (e.FromRung != e.ToRung) {
 			return fmt.Errorf("entries[%d]: moved=%v but rung %d -> %d", i, e.Moved, e.FromRung, e.ToRung)
@@ -471,45 +373,49 @@ func checkAudit(r io.Reader) error {
 			moves++
 		}
 	}
-	fmt.Printf("ok: %d audit entries (%d rung moves)\n", len(doc.Entries), moves)
+	fmt.Fprintf(w, "ok: %d audit entries (%d rung moves)\n", len(doc.Entries), moves)
 	return nil
 }
 
-func main() {
-	args := os.Args[1:]
+// modes maps the leading mode flag to its validator.
+var modes = map[string]func([]byte, io.Writer) error{
+	"-chrome":      checkChrome,
+	"-snapshot":    checkSnapshot,
+	"-flight":      checkFlight,
+	"-percentiles": checkPercentiles,
+	"-audit":       checkAudit,
+}
+
+// run validates the input args name — an optional mode flag, then a
+// path (none or "-" reads stdin) — and prints the "ok:" line to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	validate := check
-	if len(args) > 0 && args[0] == "-chrome" {
-		validate = checkChrome
+	if len(args) > 0 && modes[args[0]] != nil {
+		validate = modes[args[0]]
 		args = args[1:]
 	}
-	if len(args) > 0 && args[0] == "-snapshot" {
-		validate = checkSnapshot
-		args = args[1:]
-	}
-	if len(args) > 0 && args[0] == "-flight" {
-		validate = checkFlight
-		args = args[1:]
-	}
-	if len(args) > 0 && args[0] == "-percentiles" {
-		validate = checkPercentiles
-		args = args[1:]
-	}
-	if len(args) > 0 && args[0] == "-audit" {
-		validate = checkAudit
-		args = args[1:]
-	}
-	in := io.Reader(os.Stdin)
+	in := stdin
 	if len(args) > 0 && args[0] != "-" {
 		f, err := os.Open(args[0])
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracecheck:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-	if err := validate(in); err != nil {
-		fmt.Fprintln(os.Stderr, "tracecheck: FAIL:", err)
+	raw, err := io.ReadAll(in)
+	if err != nil {
+		return err
+	}
+	if err := validate(raw, stdout); err != nil {
+		return fmt.Errorf("FAIL: %v", err)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
 }
