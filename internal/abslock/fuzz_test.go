@@ -216,23 +216,16 @@ func (lm *lockModel) heldData() int {
 }
 
 // requireDrained fails unless m holds nothing at all: no stripe locks,
-// no fast slots, every filter cell back at zero.
+// every cell free with its stripe count back at zero.
 func requireDrained(t *testing.T, what string, m *Manager) {
 	t.Helper()
 	if n := m.HeldLocks(); n != 0 {
 		t.Fatalf("%s: HeldLocks = %d after every transaction ended", what, n)
 	}
-	if n := m.FastHolds(); n != 0 {
-		t.Fatalf("%s: FastHolds = %d after every transaction ended", what, n)
-	}
-	ft := m.fast
-	cells := uint64(1)
-	for !ft.filter.SameCell(0, cells) {
-		cells <<= 1
-	}
-	for c := uint64(0); c < cells; c++ {
-		if n := ft.filter.Count(c); n != 0 {
-			t.Fatalf("%s: filter cell %d = %d after every transaction ended", what, c, n)
+	for i := range m.fast.cells {
+		c := &m.fast.cells[i]
+		if o, n := c.owner.Load(), c.stripe.Load(); o != 0 || n != 0 {
+			t.Fatalf("%s: cell %d has owner %d and stripe count %d after every transaction ended", what, i, o, n)
 		}
 	}
 }

@@ -94,8 +94,8 @@ type Manager struct {
 	stripes []stripe
 
 	// fast is the pre-stripe conflict-signature prefilter table (see
-	// prefilter.go): datum acquisitions whose filter cell is unoccupied
-	// take their lock without a stripe mutex.
+	// prefilter.go): datum acquisitions whose cell is unoccupied take
+	// their lock without a stripe mutex.
 	fast *fastTable
 
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
@@ -146,7 +146,7 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Mana
 		covers:   make([]uint64, len(scheme.Modes)),
 		mask:     uint32(n - 1),
 		stripes:  make([]stripe, n),
-		fast:     newFastTable(defaultFastSlots, 0),
+		fast:     newFastTable(defaultFastSlots),
 		dsHooked: map[*engine.Tx]struct{}{},
 	}
 	for i := range m.stripes {
@@ -306,17 +306,21 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 	}
 	var adm admission
 	var err error
+	var kv core.Value // the current keyed acquisition's key-function result
 	for i := 0; i < len(acqs) && err == nil; i++ {
 		a := &acqs[i]
-		var kv core.Value
-		mode, v, hash, rerr := a.resolve(h.name, args, ret, &kv)
+		mode, v, rerr := a.resolve(h.name, args, ret)
 		switch {
 		case rerr != nil:
 			err = rerr
 		case a.Target == TargetDS:
 			err = m.acquireDS(tx, mode)
 		default:
-			err = m.acquireDatum(tx, a.Key, v, hash, mode, &adm)
+			if a.keyFn != nil {
+				kv = a.keyFn(*v)
+				v = &kv
+			}
+			err = m.acquireDatum(tx, a.Key, v, v.Hash()^a.keyH, mode, &adm)
 		}
 	}
 	m.tele.ReentrantHitN(adm.reentrant)
@@ -329,12 +333,11 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 }
 
 // resolve evaluates one acquisition against an invocation, outside any
-// lock: its mode (guards applied) and, for a datum target, the value it
-// locks — the argument or return value, through the key function for
-// keyed modes (kv is the caller's scratch for its result) — with the
-// datum-key hash. Tagged values carry a cheap precomputed hash; only
-// KindRef datum values (kd-tree points and the like) pay for formatting.
-func (a *compiledAcq) resolve(method string, args []core.Value, ret, kv *core.Value) (mode int, v *core.Value, h uint64, err error) {
+// lock: its mode (guards applied) and, for a datum target, the argument
+// or return value it names. A keyed mode locks that value's image under
+// the key function, which the caller applies; one the caller of
+// NewManager never supplied is refused here.
+func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value) (mode int, v *core.Value, err error) {
 	mode = a.Mode
 	if a.Guard != nil {
 		inv := core.MakeInvocation(method, core.MakeVec(args...), core.Value{})
@@ -343,81 +346,77 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret, kv *core.Va
 		}
 		weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
 		if err != nil {
-			return 0, nil, 0, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
+			return 0, nil, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
 		}
 		if weak {
 			mode = a.WeakMode
 		}
 	}
 	if a.Target == TargetDS {
-		return mode, nil, 0, nil
+		return mode, nil, nil
+	}
+	if a.Key != "" && a.keyFn == nil {
+		return 0, nil, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
 	}
 	v = ret
 	if a.Target == TargetArg {
-		v = kv // a missing argument locks the nil value
 		if a.Arg < len(args) {
 			v = &args[a.Arg]
+		} else {
+			v = new(core.Value) // a missing argument locks the nil value
 		}
 	}
-	if a.Key != "" {
-		if a.keyFn == nil {
-			return 0, nil, 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
-		}
-		*kv = a.keyFn(*v)
-		v = kv
-	}
-	return mode, v, v.Hash() ^ a.keyH, nil
+	return mode, v, nil
 }
 
 // acquireDatum takes one datum lock in mode for tx, by the cheapest
 // sound route.
 //
-// A transaction that already holds the datum's fast slot is resolved
+// A transaction that already owns the datum's fast cell is resolved
 // against its own hold. If a held mode covers the requested one
 // (incompat[mode] ⊆ incompat[held]) the grant is immediate and touches
 // no shared state: every other holder is compatible with the held mode
 // and hence with this one, and any later acquirer that conflicts with
 // this one conflicts with the held mode and is refused on that account.
 // Otherwise the hold is widened in place: the new mode mask is stored
-// into the slot and then the filter cell is probed; a count beyond the
-// slot's own publication means some other party published first, so the
-// mask reverts and the stripe decides. A stripe acquirer publishes into
-// the filter before it scans the fast chains, so of an upgrader and a
-// racing acquirer at least one sees the other.
+// into the cell and then its stripe count is probed; a non-zero count
+// means some stripe acquirer published first, so the mask reverts and
+// the stripe decides. A stripe acquirer increments the count before it
+// inspects the cell, so of an upgrader and a racing acquirer at least
+// one sees the other.
 //
-// A datum the transaction does not hold takes a fresh fast slot when
-// its filter cell is otherwise empty (publish, then probe), and the
-// stripe path when it is not.
+// A datum the transaction does not hold claims its cell when the cell is
+// free and no stripe hold maps to it (publish, then probe), and takes
+// the stripe path when it is not — including when the cell's owner is
+// this transaction, for another datum.
 func (m *Manager) acquireDatum(tx *engine.Tx, key string, v *core.Value, h uint64, mode int, adm *admission) error {
 	ft := m.fast
+	c := ft.cellFor(h)
 	bit := uint64(1) << uint(mode)
-	own, held := ft.ownHold(h, tx.ID())
-	if own != 0 && held&m.covers[mode] != 0 {
-		m.tele.ModeAcquire(uint16(mode))
-		adm.reentrant++
-		return nil
+	own := c.owner.Load() == tx.ID() && c.hash.Load() == h
+	var held uint64
+	if own {
+		if held = c.modes.Load(); held&m.covers[mode] != 0 {
+			m.tele.ModeAcquire(uint16(mode))
+			adm.reentrant++
+			return nil
+		}
 	}
 	t0 := telemetry.LatClock()
 	granted := false
-	if own != 0 {
+	if own {
 		// The pre-probe keeps a hopeless upgrade from flashing a wider
 		// mask at compatible stripe acquirers.
-		if ft.filter.Count(h) == 1 {
-			ft.modes[own-1].Store(held | bit)
-			if granted = ft.filter.Count(h) == 1; granted {
+		if c.stripe.Load() == 0 {
+			c.modes.Store(held | bit)
+			if granted = c.stripe.Load() == 0; granted {
 				adm.reentrant++
 			} else {
-				ft.modes[own-1].Store(held)
+				c.modes.Store(held)
 			}
 		}
-	} else if s, ok := ft.free.Pop(); ok {
-		ft.publish(s, tx.ID(), h, bit)
-		if granted = ft.filter.Count(h) == 1; granted {
-			ft.attach(tx, s)
-			adm.fast = true
-		} else {
-			ft.retract(s)
-		}
+	} else if granted = ft.claim(tx, c, h, bit); granted {
+		adm.fast = true
 	}
 	t0 = telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
 	if granted {
@@ -534,10 +533,10 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode i
 	}
 	if isNew {
 		// Publish the hold into the shared prefilter before scanning
-		// for fast-path holders: a concurrent fast acquirer either sees
+		// for a fast-path holder: a concurrent fast acquirer either sees
 		// this increment and diverts to the stripes, or published its
-		// slot early enough for the scan below to find it.
-		m.fast.filter.Add(dk.h)
+		// cell early enough for the scan below to find it.
+		m.fast.cellFor(dk.h).stripe.Add(1)
 		if lst, hooked := s.held[tx]; !hooked {
 			if n := len(s.freeHeld); n > 0 {
 				lst = s.freeHeld[n-1]
@@ -562,7 +561,7 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode i
 
 // retractStripeAcq undoes one just-recorded stripe acquisition after its
 // fast-table conflict scan refused it. For a brand-new holder the holder
-// record, held-list entry, and filter increment all go; for a mode
+// record, held-list entry, and stripe-count increment all go; for a mode
 // upgrade the holder's mode mask reverts. Must run with s.mu held.
 func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, dk *datumKey, l *dlock, isNew bool, prevModes uint64) {
 	if !isNew {
@@ -575,7 +574,7 @@ func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, dk *datumKey, l *dl
 		return
 	}
 	dropHolder(l, tx)
-	m.fast.filter.Remove(dk.h)
+	m.fast.cellFor(dk.h).stripe.Add(-1)
 	if lst := s.held[tx]; len(lst) > 0 {
 		n := len(lst) - 1
 		lst[n] = datumKey{}
@@ -599,14 +598,7 @@ func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (bool, error) {
 			continue
 		}
 		if conflicting := h.modes & mask; conflicting != 0 {
-			// Attribute the conflict to (held mode, acquiring mode); with
-			// several conflicting held modes, the lowest-numbered one.
-			held := uint16(bits.TrailingZeros64(conflicting))
-			m.tele.ModeWait(uint16(mode))
-			m.tele.Conflict(held, uint16(mode))
-			telemetry.EmitConflict(tx.Worker(), tx.ID(), tx.Item(), m.tele.ID(), held, uint16(mode))
-			return false, engine.Conflict("abstract lock held in a conflicting mode by tx %d (%s acquiring %s)",
-				h.tx.ID(), m.scheme.ADT, m.scheme.Modes[mode])
+			return false, m.refuse(tx, h.tx.ID(), conflicting, mode)
 		}
 	}
 	m.tele.ModeAcquire(uint16(mode))
@@ -616,6 +608,21 @@ func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (bool, error) {
 	}
 	l.holders = append(l.holders, holder{tx: tx, modes: 1 << uint(mode)})
 	return true, nil
+}
+
+// refuse counts and reports tx's acquisition of mode refused by holder's
+// hold, of whose modes conflicting (non-empty) are incompatible with it.
+// The conflict is attributed to (held mode, acquiring mode); with several
+// conflicting held modes, the lowest-numbered one.
+func (m *Manager) refuse(tx *engine.Tx, holder, conflicting uint64, mode int) error {
+	held := uint16(bits.TrailingZeros64(conflicting))
+	m.tele.ModeWait(uint16(mode))
+	m.tele.Conflict(held, uint16(mode))
+	if telemetry.TraceEnabled() {
+		telemetry.EmitConflict(tx.Worker(), tx.ID(), tx.Item(), m.tele.ID(), held, uint16(mode))
+	}
+	return engine.Conflict("abstract lock held in a conflicting mode by tx %d (%s acquiring %s)",
+		holder, m.scheme.ADT, m.scheme.Modes[mode])
 }
 
 func (s *stripe) recycle(l *dlock) {
@@ -642,7 +649,7 @@ func (s *stripe) ReleaseTx(tx *engine.Tx) {
 		dk := &lst[i]
 		if l := s.lookup(dk); l != nil {
 			dropHolder(l, tx)
-			s.mgr.fast.filter.Remove(dk.h)
+			s.mgr.fast.cellFor(dk.h).stripe.Add(-1)
 			if len(l.holders) == 0 {
 				s.remove(dk)
 				s.recycle(l)
@@ -691,23 +698,20 @@ func (m *Manager) HeldLocks() int {
 		}
 		s.mu.Unlock()
 	}
-	ft := m.fast
-	if ft.nLive.Load() == 0 {
-		return n
-	}
-	fastOnly := map[uint64]struct{}{}
-	for i := range ft.ver {
-		v := ft.ver[i].Load()
-		h := ft.hash[i].Load()
-		if v&fastLive == 0 || ft.ver[i].Load() != v {
+	// A hash has one cell, so no two live cells hold the same datum.
+	for i := range m.fast.cells {
+		c := &m.fast.cells[i]
+		o := c.owner.Load()
+		h := c.hash.Load()
+		if o == 0 || c.owner.Load() != o {
 			continue // free, or released under the read
 		}
 		s := m.stripeFor(h)
 		s.mu.Lock()
 		if _, both := s.data[h]; !both {
-			fastOnly[h] = struct{}{}
+			n++
 		}
 		s.mu.Unlock()
 	}
-	return n + len(fastOnly)
+	return n
 }

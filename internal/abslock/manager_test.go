@@ -48,12 +48,12 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 	tx.Commit()
 
 	// The same with the two holds on different paths: a foreign lock on a
-	// key that shares key 1's filter cell keeps the upgrade off the fast
-	// path, so the write hold lands in the stripe beside the
-	// transaction's own fast read hold.
+	// key that shares key 1's cell keeps the upgrade off the fast path, so
+	// the write hold lands in the stripe beside the transaction's own
+	// fast read hold.
 	ft := m.fast
 	other := int64(2)
-	for !ft.filter.SameCell(core.VInt(1).Hash(), core.VInt(other).Hash()) {
+	for ft.cellFor(core.VInt(other).Hash()) != ft.cellFor(core.VInt(1).Hash()) {
 		other++
 	}
 	tx1, tx2 := engine.NewTx(), engine.NewTx()

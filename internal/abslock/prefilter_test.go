@@ -45,8 +45,8 @@ func TestFastPathDisjointAccess(t *testing.T) {
 }
 
 // TestFastPathSharedKeyFallsBack checks that compatible sharing of one
-// datum never fast-admits: the second reader must see the first one's
-// filter cell and take the stripe path, where read/read still shares.
+// datum never fast-admits: the second reader must find the first one's
+// cell owned and take the stripe path, where read/read still shares.
 func TestFastPathSharedKeyFallsBack(t *testing.T) {
 	m := newRWSetManager(t)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
@@ -86,8 +86,8 @@ func TestFastPathStripeFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx1.Abort()
-	// tx2's stripe hold alone now guards the datum; its filter count must
-	// keep writers off the fast path and into the conflict.
+	// tx2's stripe hold alone now guards the datum; the cell's stripe
+	// count must keep writers off the fast path and into the conflict.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
 	if err := m.PreAcquire(tx3, "add", core.MakeVec(core.V(int64(9)))); !engine.IsConflict(err) {
@@ -95,16 +95,13 @@ func TestFastPathStripeFirst(t *testing.T) {
 	}
 }
 
-// TestFastPathSlotExhaustion shrinks the fast table to two slots and
-// checks that acquisitions past its capacity overflow to the stripes
-// without changing any verdict, and that mixed fast/stripe holds drain.
-func TestFastPathSlotExhaustion(t *testing.T) {
-	s, err := Synthesize(rwSetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(s.Reduce(), nil)
-	m.fast = newFastTable(2, 0)
+// TestFastPathCellCollision shrinks the fast table to two cells, so that
+// most of eight distinct datums map to a cell another datum occupies, and
+// checks that those overflow to the stripes without changing any
+// verdict, and that mixed fast/stripe holds drain.
+func TestFastPathCellCollision(t *testing.T) {
+	m := newRWSetManager(t)
+	m.fast = newFastTable(2)
 
 	const n = 8
 	txs := make([]*engine.Tx, n)
@@ -114,26 +111,68 @@ func TestFastPathSlotExhaustion(t *testing.T) {
 			t.Fatalf("disjoint add %d: %v", i, err)
 		}
 	}
-	if got := m.FastHolds(); got > 2 {
-		t.Fatalf("FastHolds = %d with a 2-slot table", got)
+	if got := m.FastHolds(); got == 0 || got > 2 {
+		t.Fatalf("FastHolds = %d with a 2-cell table", got)
+	}
+	if got := m.HeldLocks(); got != n {
+		t.Errorf("HeldLocks = %d with %d keys locked", got, n)
 	}
 	// Every datum is guarded regardless of which path holds it.
 	for i := 0; i < n; i++ {
 		probe := engine.NewTx()
 		if err := m.PreAcquire(probe, "contains", core.MakeVec(core.V(int64(i)))); !engine.IsConflict(err) {
-			t.Fatalf("key %d unguarded after slot exhaustion: %v", i, err)
+			t.Fatalf("key %d unguarded after a cell collision: %v", i, err)
 		}
 		probe.Abort()
 	}
 	for _, tx := range txs {
 		tx.Commit()
 	}
-	if got := m.FastHolds(); got != 0 {
-		t.Errorf("FastHolds = %d after drain, want 0", got)
+	requireDrained(t, "cell collision", m)
+}
+
+// TestFastPathOwnCellCollision maps two datums of one transaction to one
+// cell: the second finds the cell owned — by its own transaction, for
+// another datum — and is held in a stripe, which in turn keeps a later
+// upgrade of the first off the fast path. Both stay guarded and both
+// release.
+func TestFastPathOwnCellCollision(t *testing.T) {
+	m := newRWSetManager(t)
+	m.fast = newFastTable(1)
+	key := func(k int64) core.Vec { return core.MakeVec(core.V(k)) }
+
+	tx := engine.NewTx()
+	for k := int64(1); k <= 2; k++ {
+		if err := m.PreAcquire(tx, "contains", key(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := m.HeldLocks(); got != 0 {
-		t.Errorf("HeldLocks = %d after drain, want 0", got)
+	if fast, held := m.FastHolds(), m.HeldLocks(); fast != 1 || held != 2 {
+		t.Fatalf("FastHolds = %d, HeldLocks = %d with keys 1 and 2 read-locked in one cell, want 1 and 2", fast, held)
 	}
+	before := m.Telemetry().Snapshot().ReentrantHits
+	if err := m.PreAcquire(tx, "add", key(1)); err != nil {
+		t.Fatalf("upgrade of the fast-held key: %v", err)
+	}
+	if got := m.Telemetry().Snapshot().ReentrantHits - before; got != 0 {
+		t.Errorf("the upgrade was granted in place with a stripe hold mapped to its cell")
+	}
+	if err := m.PreAcquire(tx, "contains", key(1)); err != nil {
+		t.Fatalf("covered re-acquisition of the fast-held key: %v", err)
+	}
+	probe := engine.NewTx()
+	if err := m.PreAcquire(probe, "contains", key(1)); !engine.IsConflict(err) {
+		t.Errorf("reader under the stripe-held upgrade should conflict, got %v", err)
+	}
+	if err := m.PreAcquire(probe, "add", key(2)); !engine.IsConflict(err) {
+		t.Errorf("writer under the stripe-held read should conflict, got %v", err)
+	}
+	if err := m.PreAcquire(probe, "contains", key(2)); err != nil {
+		t.Errorf("readers of the stripe-held key should share: %v", err)
+	}
+	probe.Abort()
+	tx.Commit()
+	requireDrained(t, "own-cell collision", m)
 }
 
 // TestFastPathConcurrentDisjoint hammers disjoint keyspaces from many

@@ -3,6 +3,7 @@ package flowgraph
 import (
 	"testing"
 
+	"commlat/internal/abslock"
 	"commlat/internal/core"
 	"commlat/internal/engine"
 )
@@ -63,6 +64,26 @@ func TestSpecLattice(t *testing.T) {
 	}
 	if !part.LE(ex) || ex.LE(part) {
 		t.Error("partitioned should be strictly below exclusive")
+	}
+}
+
+// TestNewGraphRequiresNodeIsolation: the Graph has no lock of its own, so
+// NewGraph takes only specifications it can place at or below RWSpec,
+// where commuting invocations touch disjoint nodes or both read.
+func TestNewGraphRequiresNodeIsolation(t *testing.T) {
+	for name, spec := range map[string]*core.Spec{
+		"rw": RWSpec(), "ex": ExclusiveSpec(), "part": PartitionedSpec(), "bottom": core.Bottom(Sig()),
+	} {
+		keys := map[string]abslock.KeyFunc{PartKey: func(v core.Value) core.Value { return core.VInt(v.Int() % 4) }}
+		if _, err := NewGraph(diamond(), spec, keys); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// Reads of a node's height commuting with its relabel: nothing orders
+	// the two accesses.
+	racy := RWSpec().Set("relabel", "height", core.True())
+	if g, err := NewGraph(diamond(), racy, nil); err == nil {
+		t.Errorf("NewGraph accepted a specification above RWSpec: %+v", g)
 	}
 }
 

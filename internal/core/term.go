@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -108,8 +109,11 @@ func (ConstTerm) isTerm() {}
 func (FnTerm) isTerm()    {}
 func (ArithTerm) isTerm() {}
 
-func (t ArgTerm) String() string { return fmt.Sprintf("v%s[%d]", t.Side, t.Index) }
-func (t RetTerm) String() string { return fmt.Sprintf("r%s", t.Side) }
+// The String forms are the prover's term keys (termKey), built once per
+// comparison at every level of an implication proof: plain concatenation,
+// not fmt.
+func (t ArgTerm) String() string { return "v" + t.Side.String() + "[" + strconv.Itoa(t.Index) + "]" }
+func (t RetTerm) String() string { return "r" + t.Side.String() }
 func (t ConstTerm) String() string {
 	if s, ok := t.V.AsString(); ok {
 		return fmt.Sprintf("%q", s)
@@ -121,7 +125,7 @@ func (t FnTerm) String() string {
 	for i, a := range t.Args {
 		args[i] = a.String()
 	}
-	return fmt.Sprintf("%s@s%s(%s)", t.Fn, t.State, strings.Join(args, ", "))
+	return t.Fn + "@s" + t.State.String() + "(" + strings.Join(args, ", ") + ")"
 }
 func (t ArithTerm) String() string {
 	return fmt.Sprintf("(%s %s %s)", t.L, t.Op, t.R)

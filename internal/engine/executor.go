@@ -20,10 +20,13 @@ type Stats struct {
 	Committed uint64        // iterations that committed
 	Aborts    uint64        // abort/retry events
 	Elapsed   time.Duration // wall-clock time of the run
-	// Busy is the summed per-worker time spent inside iteration bodies
-	// and commit/abort processing, excluding backoff sleeps and idle
-	// steal attempts. Busy/(Workers*Elapsed) approximates utilization;
-	// Busy/Committed is the paper's per-iteration overhead quantity.
+	// Busy is the summed per-worker lifetime minus the time each worker
+	// measured itself idle: backoff sleeps, and the yield-and-pop-again
+	// spin after an empty pop. Iteration bodies, commit/abort processing,
+	// successful pops and the loop around them are inside it; the clock is
+	// read only around the idle stretches, not per item.
+	// Busy/(Workers*Elapsed) approximates utilization; Busy/Committed is
+	// the paper's per-iteration overhead quantity.
 	Busy time.Duration
 	// MaxedBackoffRetries counts retries taken after backoff had already
 	// saturated at Options.MaxBackoff — a high count relative to Aborts
@@ -122,7 +125,7 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 		go func(w int) {
 			defer wg.Done()
 			wk := worker[T]{
-				id: w, wl: wl.forWorker(w), body: body, opts: opts,
+				id: w, wl: wl.forWorker(w), body: body, opts: opts, born: time.Now(),
 				// PCG seeded by (run seed, worker index): reproducible for a
 				// fixed Options.Seed, distinct per worker.
 				rng:   rand.New(rand.NewPCG(uint64(opts.Seed), uint64(w))),
@@ -145,18 +148,17 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 				mu.Lock()
 				stats.Committed += wk.stats.Committed
 				stats.Aborts += wk.stats.Aborts
-				stats.Busy += wk.stats.Busy
+				stats.Busy += time.Since(wk.born) - wk.idle
 				stats.MaxedBackoffRetries += wk.stats.MaxedBackoffRetries
 				mu.Unlock()
 			}()
 			for !stop.Load() {
 				m, finished := wk.wl.PopBatch(wk.items)
+				for m == 0 && !finished && !stop.Load() {
+					m, finished = wk.spin()
+				}
 				if m == 0 {
-					if finished {
-						return
-					}
-					runtime.Gosched()
-					continue
+					return
 				}
 				err := wk.run(m)
 				wk.wl.doneN(m)
@@ -192,13 +194,25 @@ type worker[T any] struct {
 	body    BatchBody[T]
 	opts    Options
 	rng     *rand.Rand
-	stats   Stats           // this worker's share, folded into the run's at exit
+	stats   Stats           // this worker's counts, folded into the run's at exit
+	born    time.Time       // Stats.Busy is the time since born that is not idle
+	idle    time.Duration   // measured backoff sleeps and empty-pop spins
 	taskCtx context.Context // non-nil while `go tool trace` records
 
 	items []T
 	txs   []*Tx
 	errs  []error
 	cache TxCache
+}
+
+// spin yields and pops again after an empty pop, counting the whole
+// round as idle time.
+func (wk *worker[T]) spin() (m int, finished bool) {
+	t0 := time.Now()
+	runtime.Gosched()
+	m, finished = wk.wl.PopBatch(wk.items)
+	wk.idle += time.Since(t0)
+	return m, finished
 }
 
 // run processes the m items just popped: one attempt as a group, then
@@ -239,7 +253,9 @@ func (wk *worker[T]) retry(i int) error {
 		if backoff >= wk.opts.maxBackoff() {
 			wk.stats.MaxedBackoffRetries++
 		}
+		t0 := time.Now()
 		time.Sleep(time.Duration(wk.rng.Int64N(int64(backoff) + 1)))
+		wk.idle += time.Since(t0)
 		if backoff < wk.opts.maxBackoff() {
 			backoff *= 2
 		}
@@ -254,13 +270,11 @@ func (wk *worker[T]) retry(i int) error {
 // transaction, and aborts every transaction the body reports failed
 // (undo, then release). On return errs[i] is nil for a committed item
 // and the conflict for one to retry; any other failure is returned and
-// cancels the run. Busy time is counted here, so backoff sleeps between
-// attempts never enter it.
+// cancels the run.
 func (wk *worker[T]) attempt(lo, hi int) error {
 	if wk.taskCtx != nil {
 		defer rtrace.StartRegion(wk.taskCtx, "attempt").End()
 	}
-	t0 := time.Now()
 	txs, items, errs := wk.txs[lo:hi], wk.items[lo:hi], wk.errs[lo:hi]
 	wk.cache.GetBatch(txs)
 	for i, tx := range txs {
@@ -288,7 +302,6 @@ func (wk *worker[T]) attempt(lo, hi int) error {
 	wk.cache.PutBatch(txs)
 	wk.stats.Committed += uint64(committed)
 	wk.stats.Aborts += uint64(conflicts)
-	wk.stats.Busy += time.Since(t0)
 	return fatal
 }
 
