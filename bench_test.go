@@ -256,6 +256,7 @@ func BenchmarkDetectorLiberalLock(b *testing.B)       { bench.DetectorLiberalLoc
 func BenchmarkDetectorForwardGatekeeper(b *testing.B) { bench.DetectorForwardGatekeeper(b) }
 func BenchmarkDetectorCascadeGatekeeper(b *testing.B) { bench.DetectorCascadeGatekeeper(b) }
 func BenchmarkDetectorGeneralGatekeeper(b *testing.B) { bench.DetectorGeneralGatekeeper(b) }
+func BenchmarkDetectorUnionFindGKFind(b *testing.B)   { bench.DetectorUnionFindGKFind(b) }
 func BenchmarkDetectorUnionFindGeneric(b *testing.B)  { bench.DetectorUnionFindGeneric(b) }
 func BenchmarkDetectorUnionFindML(b *testing.B)       { bench.DetectorUnionFindML(b) }
 

@@ -621,8 +621,8 @@ func (m *Manager) refuse(tx *engine.Tx, holder, conflicting uint64, mode int) er
 	if telemetry.TraceEnabled() {
 		telemetry.EmitConflict(tx.Worker(), tx.ID(), tx.Item(), m.tele.ID(), held, uint16(mode))
 	}
-	return engine.Conflict("abstract lock held in a conflicting mode by tx %d (%s acquiring %s)",
-		holder, m.scheme.ADT, m.scheme.Modes[mode])
+	return engine.ConflictBy(holder, "abstract lock held in a conflicting mode: %s acquiring %s",
+		m.scheme.ADT, &m.scheme.Modes[mode]) // the scheme is immutable: a pointer boxes without copying
 }
 
 func (s *stripe) recycle(l *dlock) {

@@ -1,6 +1,7 @@
 package abslock
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -89,6 +90,10 @@ func TestManagerConflictAndRelease(t *testing.T) {
 	err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(7))))
 	if !engine.IsConflict(err) {
 		t.Fatalf("expected conflict, got %v", err)
+	}
+	var ce *engine.ConflictError
+	if !errors.As(err, &ce) || ce.Holder != tx1.ID() {
+		t.Errorf("conflict %v names holder %+v, want tx %d", err, ce, tx1.ID())
 	}
 	// Different element: fine.
 	if err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(8)))); err != nil {

@@ -66,14 +66,20 @@ func (f *Forest) FindNoCompress(x int64) int64 {
 // path — the concrete-state mutation that makes finds conflict under
 // memory-level detection even though they commute semantically.
 func (f *Forest) Find(x int64) int64 {
-	r, _ := f.FindW(x)
+	r := f.FindNoCompress(x)
+	for f.parent[x] != r {
+		x, f.parent[x] = f.parent[x], r
+	}
 	return r
 }
 
 // FindW is Find returning the concrete writes compression performed.
-func (f *Forest) FindW(x int64) (int64, []Write) {
+func (f *Forest) FindW(x int64) (int64, []Write) { return f.findW(x, nil) }
+
+// findW is FindW appending the writes to ws, so a caller that owns a
+// scratch buffer pays no allocation per compressing find.
+func (f *Forest) findW(x int64, ws []Write) (int64, []Write) {
 	r := f.FindNoCompress(x)
-	var ws []Write
 	for f.parent[x] != r {
 		next := f.parent[x]
 		ws = append(ws, Write{Idx: x, Old: next, New: r})
@@ -105,10 +111,12 @@ func (f *Forest) Union(a, b int64) bool {
 // UnionW is Union returning the concrete writes performed (the loser
 // representative's parent write plus any path compression by the
 // internal finds).
-func (f *Forest) UnionW(a, b int64) (bool, []Write) {
-	ra, wsa := f.FindW(a)
-	rb, wsb := f.FindW(b)
-	ws := append(wsa, wsb...)
+func (f *Forest) UnionW(a, b int64) (bool, []Write) { return f.unionW(a, b, nil) }
+
+// unionW is UnionW appending the writes to ws.
+func (f *Forest) unionW(a, b int64, ws []Write) (bool, []Write) {
+	ra, ws := f.findW(a, ws)
+	rb, ws := f.findW(b, ws)
 	if ra == rb {
 		return false, ws
 	}

@@ -26,12 +26,21 @@ import (
 // structure under study): a synthesized abstract-locking scheme over a
 // tiny get/merge specification serializes iterations that touch the same
 // component lists, so the replace-style merge bookkeeping never races.
+//
+// The locks are the only synchronization. edges is indexed by
+// representative and never resized, and compsSpec lets two invocations
+// run together only when no component one of them writes is a component
+// the other names, so they touch different slice elements — different
+// memory, which a map's shared buckets would not be. edges[r] is read
+// and written only between the grant of a lock on r and its release at
+// the transaction's end (a merge's undo runs before the release), and a
+// grant after a release is a happens-before edge: a compare-and-swap or
+// a mutex in the lock manager.
 type compEdges struct {
 	mgr    *abslock.Manager
 	hGet   *abslock.Method // compiled acquisitions of get
 	hMerge *abslock.Method // and of merge
-	mu     sync.Mutex
-	edges  map[int64][]workload.Edge
+	edges  [][]workload.Edge
 }
 
 // compsSpec: scans of the same component share; merges conflict with any
@@ -66,7 +75,7 @@ func newCompEdges(n int, edges []workload.Edge) *compEdges {
 		mgr:    mgr,
 		hGet:   mgr.Method("get"),
 		hMerge: mgr.Method("merge"),
-		edges:  make(map[int64][]workload.Edge, n),
+		edges:  make([][]workload.Edge, n),
 	}
 	for _, e := range edges {
 		c.edges[e.U] = append(c.edges[e.U], e)
@@ -80,8 +89,6 @@ func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
 	if err := c.mgr.Acquire(tx, c.hGet, core.VInt(r)); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.edges[r], nil
 }
 
@@ -91,20 +98,9 @@ func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.
 	if err := c.mgr.Acquire(tx, c.hMerge, core.VInt(winner), core.VInt(loser)); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	oldW := c.edges[winner]
-	oldL, hadL := c.edges[loser]
-	c.edges[winner] = merged
-	delete(c.edges, loser)
-	c.mu.Unlock()
-	tx.OnUndo(func() {
-		c.mu.Lock()
-		c.edges[winner] = oldW
-		if hadL {
-			c.edges[loser] = oldL
-		}
-		c.mu.Unlock()
-	})
+	oldW, oldL := c.edges[winner], c.edges[loser]
+	c.edges[winner], c.edges[loser] = merged, nil
+	tx.OnUndo(func() { c.edges[winner], c.edges[loser] = oldW, oldL })
 	return nil
 }
 
@@ -113,39 +109,50 @@ func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.
 func (c *compEdges) seqGet(r int64) []workload.Edge { return c.edges[r] }
 
 func (c *compEdges) seqMerge(winner, loser int64, merged []workload.Edge) {
-	c.edges[winner] = merged
-	delete(c.edges, loser)
+	c.edges[winner], c.edges[loser] = merged, nil
 }
 
-// mstLog accumulates accepted edges with abort tombstones.
+// mstLog accumulates accepted edges with abort tombstones. The entries of
+// one transaction are chained newest first from its Tx.Attach word, so an
+// abort tombstones them without a closure or a node per edge.
 type mstLog struct {
 	mu    sync.Mutex
-	edges []*mstEdge
+	edges []mstEdge
 }
 
 type mstEdge struct {
 	e       workload.Edge
+	prev    uint64 // the same transaction's previous entry: index+1, 0 = none
 	aborted bool
 }
 
-func (l *mstLog) add(e workload.Edge) func() {
-	l.mu.Lock()
-	me := &mstEdge{e: e}
-	l.edges = append(l.edges, me)
-	l.mu.Unlock()
-	return func() {
-		l.mu.Lock()
-		me.aborted = true
-		l.mu.Unlock()
+// add logs e as accepted by tx, to be tombstoned should tx abort.
+func (l *mstLog) add(tx *engine.Tx, e workload.Edge) {
+	head, isNew := tx.Attach(l)
+	if isNew {
+		tx.OnUndoer(l)
 	}
+	l.mu.Lock()
+	l.edges = append(l.edges, mstEdge{e: e, prev: *head})
+	*head = uint64(len(l.edges))
+	l.mu.Unlock()
+}
+
+// UndoTx tombstones the edges tx added.
+func (l *mstLog) UndoTx(tx *engine.Tx) {
+	l.mu.Lock()
+	for i := *tx.AttachedWord(l); i != 0; i = l.edges[i-1].prev {
+		l.edges[i-1].aborted = true
+	}
+	l.mu.Unlock()
 }
 
 func (l *mstLog) committed() []workload.Edge {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []workload.Edge
-	for _, me := range l.edges {
-		if !me.aborted {
+	for i := range l.edges {
+		if me := &l.edges[i]; !me.aborted {
 			out = append(out, me.e)
 		}
 	}
@@ -212,7 +219,7 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	if err := comps.merge(tx, winner, loser, merged); err != nil {
 		return false, err
 	}
-	tx.OnUndo(mst.add(best))
+	mst.add(tx, best)
 	push(winner)
 	return true, nil
 }

@@ -63,6 +63,26 @@ func TestRunAllVariants(t *testing.T) {
 	}
 }
 
+// TestRunFourWorkersOnUnlockedLists is the race detector's look at the
+// component lists and the MST log, whose only synchronization across
+// transactions is the abstract locks: enough components that four
+// workers really overlap on disjoint ones.
+func TestRunFourWorkersOnUnlockedLists(t *testing.T) {
+	nodes, edges := workload.Mesh(20, 20, 5)
+	want, wantEdges := Kruskal(nodes, edges)
+	gk := unionfind.NewGK(nodes)
+	res, err := Run(gk, nodes, edges, engine.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Edges != wantEdges || !almostEqual(res.Weight, want) {
+		t.Errorf("MST %v/%d, want %v/%d (stats %+v)", res.Weight, res.Edges, want, wantEdges, res.Stats)
+	}
+	if n := gk.LiveWrites(); n != 0 {
+		t.Errorf("journal holds %d writes after the run", n)
+	}
+}
+
 func TestRunDisconnectedGraph(t *testing.T) {
 	// Two disjoint triangles: a spanning forest of 4 edges.
 	edges := []workload.Edge{
@@ -132,9 +152,12 @@ func TestCompEdgesGuarding(t *testing.T) {
 
 func TestMSTLogTombstones(t *testing.T) {
 	l := &mstLog{}
-	undo := l.add(workload.Edge{W: 1})
-	l.add(workload.Edge{W: 2})
-	undo()
+	loses, wins := engine.NewTx(), engine.NewTx()
+	l.add(loses, workload.Edge{W: 1})
+	l.add(wins, workload.Edge{W: 2})
+	l.add(loses, workload.Edge{W: 3})
+	loses.Abort()
+	wins.Commit()
 	got := l.committed()
 	if len(got) != 1 || got[0].W != 2 {
 		t.Errorf("committed = %+v", got)

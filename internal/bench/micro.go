@@ -45,6 +45,7 @@ func Micros() []Micro {
 		{"DetectorForwardGatekeeper", DetectorForwardGatekeeper},
 		{"DetectorCascadeGatekeeper", DetectorCascadeGatekeeper},
 		{"DetectorGeneralGatekeeper", DetectorGeneralGatekeeper},
+		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
 		{"DetectorUnionFindGeneric", DetectorUnionFindGeneric},
 		{"DetectorUnionFindML", DetectorUnionFindML},
 		{"CondEval", CondEval},
@@ -273,6 +274,51 @@ func benchUnionFind(b *testing.B, uf unionfind.Sets) {
 // union-find (undo/redo journal, rollback checks).
 func DetectorGeneralGatekeeper(b *testing.B) {
 	benchUnionFind(b, unionfind.NewGK(1<<16))
+}
+
+// DetectorUnionFindGKFind: what Borůvka asks of the hand-built general
+// gatekeeper, which DetectorGeneralGatekeeper's root-to-root unions do
+// not — finds that compress a path and unions of fresh representatives
+// that compress on the way, all journaled. One iteration is one
+// transaction of eight guarded calls on eight fresh elements (allocs/op
+// is an integer: any allocation inside the transaction shows as ≥ 1),
+// on a structure rebuilt every 2¹⁵ calls, whose cost amortizes to zero.
+func DetectorUnionFindGKFind(b *testing.B) {
+	const perForest = 1 << 15
+	b.ReportAllocs()
+	var uf *unionfind.GK
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := int64(i * 8 % perForest)
+		if e == 0 {
+			uf = unionfind.NewGK(perForest)
+		}
+		tx := engine.GetTx()
+		var err error
+		union := func(a, b int64) {
+			if err == nil {
+				_, err = uf.Union(tx, a, b)
+			}
+		}
+		find := func(a int64) {
+			if err == nil {
+				_, err = uf.Find(tx, a)
+			}
+		}
+		union(e, e+1) // a chain e → e+1 → e+2 → e+3
+		union(e+1, e+2)
+		union(e+2, e+3)
+		find(e) // compresses two links
+		union(e+4, e+5)
+		union(e+5, e+6)
+		union(e, e+4) // compresses e+4's path, then joins the two roots
+		find(e + 1)   // compresses across the union edge
+		if err != nil {
+			b.Fatal(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+	}
 }
 
 // DetectorUnionFindGeneric: the spec-interpreting generic gatekeeper —

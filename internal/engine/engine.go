@@ -14,16 +14,47 @@ import (
 	"commlat/internal/telemetry"
 )
 
-// ErrConflict is the sentinel returned (possibly wrapped) by conflict
-// detectors when a method invocation does not commute with a concurrently
-// executing transaction. The executor responds by aborting and retrying
-// the current transaction.
+// ErrConflict is the sentinel every conflict error wraps (see
+// ConflictError), returned by conflict detectors when a method
+// invocation does not commute with a concurrently executing transaction.
+// The executor responds by aborting and retrying the current
+// transaction.
 var ErrConflict = errors.New("engine: conflict")
 
-// Conflict wraps ErrConflict with a human-readable description of what
-// failed to commute; errors.Is(err, ErrConflict) matches it.
-func Conflict(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrConflict, fmt.Sprintf(format, args...))
+// ConflictError is the typed conflict a detector returns: which live
+// transaction refused the invocation, and a description that is only
+// formatted if somebody reads it. Detectors build one inside their
+// critical section on every refusal and the executor retries without
+// ever printing it, so construction does no formatting.
+// errors.Is(err, ErrConflict) matches it.
+type ConflictError struct {
+	// Holder is the id of a live transaction whose record refused the
+	// invocation; 0 when the detector cannot name one.
+	Holder uint64
+	format string
+	args   []any
+}
+
+func (e *ConflictError) Error() string {
+	msg := ErrConflict.Error() + ": " + fmt.Sprintf(e.format, e.args...)
+	if e.Holder != 0 {
+		msg += fmt.Sprintf(" (tx %d)", e.Holder)
+	}
+	return msg
+}
+
+// Unwrap makes errors.Is(err, ErrConflict) hold.
+func (e *ConflictError) Unwrap() error { return ErrConflict }
+
+// Conflict returns a ConflictError that names no holder. Arguments are
+// formatted when Error is called: pass values, not pointers to state the
+// caller goes on to recycle.
+func Conflict(format string, args ...any) error { return ConflictBy(0, format, args...) }
+
+// ConflictBy is Conflict naming the transaction that holds the
+// conflicting record; Error appends it to the description.
+func ConflictBy(holder uint64, format string, args ...any) error {
+	return &ConflictError{Holder: holder, format: format, args: args}
 }
 
 // IsConflict reports whether err denotes a speculation conflict.

@@ -92,7 +92,29 @@ func TestConflictError(t *testing.T) {
 	if IsConflict(errors.New("other")) {
 		t.Error("unrelated error must not be a conflict")
 	}
+	if got, want := err.Error(), "engine: conflict: lock a busy"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+
+	// The typed form names the holder, survives wrapping, and formats
+	// nothing until it is read.
+	var reads countingStringer
+	err = ConflictBy(42, "node %s is held", &reads)
+	if reads != 0 {
+		t.Errorf("constructing the conflict formatted its arguments %d times", reads)
+	}
+	var ce *ConflictError
+	if wrapped := errors.Join(errors.New("discharge 7"), err); !errors.As(wrapped, &ce) || ce.Holder != 42 || !IsConflict(wrapped) {
+		t.Fatalf("errors.As through a wrapper: %v, %+v", wrapped, ce)
+	}
+	if got, want := ce.Error(), "engine: conflict: node n is held (tx 42)"; got != want || reads != 1 {
+		t.Errorf("Error() = %q after %d reads, want %q after 1", got, reads, want)
+	}
 }
+
+type countingStringer int
+
+func (c *countingStringer) String() string { *c++; return "n" }
 
 // pop1 pops a single item: the value, whether one was taken, and
 // whether the worklist reported termination.

@@ -1096,8 +1096,8 @@ func (c *Cascade) conflict(tx *engine.Tx, plan *cascadePlan, inv1, inv2 core.Inv
 	if telemetry.TraceEnabled() {
 		telemetry.EmitConflict(tx.Worker(), tx.ID(), tx.Item(), c.tele.ID(), plan.m1, plan.m2)
 	}
-	return engine.Conflict("cascade: %s%v does not commute with active %s%v of tx %d",
-		inv2.Method, inv2.Args, inv1.Method, inv1.Args, holder)
+	return engine.ConflictBy(holder, "cascade: %s%v does not commute with active %s%v",
+		inv2.Method, inv2.Args, inv1.Method, inv1.Args)
 }
 
 // checkOverflow runs the precise check against every live overflow

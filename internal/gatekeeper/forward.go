@@ -104,7 +104,7 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 				if !mentionsSide(ft, core.Second) {
 					slot := len(slots)
 					slots[key] = slot
-					m1.cmPost = append(m1.cmPost, loggedFn{ft, slot})
+					m1.cmPost = append(m1.cmPost, loggedFn{ft, compileTerm(ft, nil, res), slot})
 				}
 			} else {
 				if mentionsRet(ft, core.First) {
@@ -112,7 +112,7 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 				}
 				slot := len(slots)
 				slots[key] = slot
-				m1.cmPre = append(m1.cmPre, loggedFn{ft, slot})
+				m1.cmPre = append(m1.cmPre, loggedFn{ft, compileTerm(ft, nil, res), slot})
 			}
 		}
 		// Non-pure s2 functions must be evaluated in the state the
@@ -129,6 +129,7 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 				return nil, fmt.Errorf("gatekeeper: (%s,%s): non-pure s1 function nested inside %s(s2,...) is not supported", m1.name, m2.name, ft.Fn)
 			}
 			plan.fn2 = append(plan.fn2, ft)
+			plan.fn2Eval = append(plan.fn2Eval, compileTerm(ft, nil, res))
 		}
 	}
 	for i := range g.methods {
@@ -237,9 +238,9 @@ func (g *Forward) logFns(e *entry, fns []loggedFn) error {
 	if len(fns) == 0 {
 		return nil
 	}
-	env := core.PairEnv{Inv1: e.inv, S1: g.res, S2: g.res}
+	g.ctx = checkCtx{env: core.PairEnv{Inv1: e.inv, S1: g.res, S2: g.res}}
 	for _, lf := range fns {
-		v, err := core.EvalTerm(lf.ft, &env)
+		v, err := lf.eval(&g.ctx)
 		if err != nil {
 			return fmt.Errorf("gatekeeper: evaluating %s for %s: %w", lf.ft, e.inv.Method, err)
 		}
@@ -257,18 +258,18 @@ func (g *Forward) captureS2(e *entry) error {
 		return nil
 	}
 	vals := g.arena()
-	env := core.PairEnv{Inv2: e.inv, S1: g.res, S2: g.res}
+	g.ctx = checkCtx{env: core.PairEnv{Inv2: e.inv, S1: g.res, S2: g.res}}
 	for i := range g.checks {
 		p := &g.checks[i]
 		n := len(p.plan.fn2)
 		if n == 0 {
 			continue
 		}
-		env.Inv1 = p.e.inv
-		for j, ft := range p.plan.fn2 {
-			v, err := core.EvalTerm(ft, &env)
+		g.ctx.env.Inv1 = p.e.inv
+		for j, eval := range p.plan.fn2Eval {
+			v, err := eval(&g.ctx)
 			if err != nil {
-				return fmt.Errorf("gatekeeper: evaluating %s for (%s,%s): %w", ft, p.e.inv.Method, e.inv.Method, err)
+				return fmt.Errorf("gatekeeper: evaluating %s for (%s,%s): %w", p.plan.fn2[j], p.e.inv.Method, e.inv.Method, err)
 			}
 			vals[j] = v
 		}

@@ -82,6 +82,7 @@ type pairPlan struct {
 	// rollback, bound to log1 slots by position (a forward gatekeeper
 	// binds log1 to the first method's log instead and leaves fn1 empty).
 	fn1, fn2 []core.FnTerm
+	fn2Eval  []termFn // fn2 compiled, for the gatekeeper that values it before execution
 
 	// Disequality index compilation (see index.go). When indexed, keys
 	// holds one compiled guard per CNF clause of the condition; incoming
@@ -116,9 +117,11 @@ type pending struct {
 	immediate bool
 }
 
-// loggedFn is one primitive function of Cm with its assigned log slot.
+// loggedFn is one primitive function of Cm with its assigned log slot,
+// compiled like the conditions that read the slot.
 type loggedFn struct {
 	ft   core.FnTerm
+	eval termFn
 	slot int
 }
 
@@ -387,8 +390,8 @@ func (l *logged) check(tx *engine.Tx, e *entry) error {
 			l.tele.Check(p.plan.m1id, p.plan.m2id)
 			if p.plan.never {
 				l.conflict(tx, p.plan)
-				return engine.Conflict("gatekeeper: %s never commutes with active %s (tx %d)",
-					e.inv.Method, p.e.inv.Method, p.e.tx.ID())
+				return engine.ConflictBy(p.e.tx.ID(), "gatekeeper: %s never commutes with active %s",
+					e.inv.Method, p.e.inv.Method)
 			}
 			ctx.env.Inv1 = p.e.inv
 			ctx.log1, ctx.pre2 = p.log1, p.pre2
@@ -401,8 +404,8 @@ func (l *logged) check(tx *engine.Tx, e *entry) error {
 			}
 		}
 		l.conflict(tx, p.plan)
-		return engine.Conflict("gatekeeper: %s%v does not commute with active %s%v (tx %d)",
-			e.inv.Method, e.inv.Args, p.e.inv.Method, p.e.inv.Args, p.e.tx.ID())
+		return engine.ConflictBy(p.e.tx.ID(), "gatekeeper: %s%v does not commute with active %s%v",
+			e.inv.Method, e.inv.Args, p.e.inv.Method, p.e.inv.Args)
 	}
 	return nil
 }

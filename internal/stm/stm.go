@@ -32,7 +32,7 @@ func (o *Obj) Read(tx *engine.Tx) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.writer != nil && o.writer != tx {
-		return engine.Conflict("stm: object written by tx %d", o.writer.ID())
+		return engine.ConflictBy(o.writer.ID(), "stm: object written by another transaction")
 	}
 	if o.readers == nil {
 		o.readers = make(map[*engine.Tx]struct{})
@@ -50,11 +50,11 @@ func (o *Obj) Write(tx *engine.Tx) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.writer != nil && o.writer != tx {
-		return engine.Conflict("stm: object written by tx %d", o.writer.ID())
+		return engine.ConflictBy(o.writer.ID(), "stm: object written by another transaction")
 	}
 	for r := range o.readers {
 		if r != tx {
-			return engine.Conflict("stm: object read by tx %d", r.ID())
+			return engine.ConflictBy(r.ID(), "stm: object read by another transaction")
 		}
 	}
 	if o.writer == tx {
