@@ -257,6 +257,7 @@ func BenchmarkDetectorForwardGatekeeper(b *testing.B) { bench.DetectorForwardGat
 func BenchmarkDetectorCascadeGatekeeper(b *testing.B) { bench.DetectorCascadeGatekeeper(b) }
 func BenchmarkDetectorGeneralGatekeeper(b *testing.B) { bench.DetectorGeneralGatekeeper(b) }
 func BenchmarkDetectorUnionFindGKFind(b *testing.B)   { bench.DetectorUnionFindGKFind(b) }
+func BenchmarkDetectorForwardKDTree(b *testing.B)     { bench.DetectorForwardKDTree(b) }
 func BenchmarkDetectorUnionFindGeneric(b *testing.B)  { bench.DetectorUnionFindGeneric(b) }
 func BenchmarkDetectorUnionFindML(b *testing.B)       { bench.DetectorUnionFindML(b) }
 

@@ -1,8 +1,10 @@
 package kdtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -282,6 +284,166 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 				t.Fatalf("after removals Nearest(%v) = %v, want %v", q, got, want)
 			}
 		}
+	}
+}
+
+// refBuildNode is the bulk load Build replaced, kept as its reference:
+// sort every sub-slice on each candidate axis, walk the midpoint off a
+// run of equal coordinates, copy each half.
+func refBuildNode(pts []Point) *node {
+	box := emptyBox
+	for _, p := range pts {
+		box = box.Extend(p)
+	}
+	if len(pts) <= leafCap {
+		return &node{leaf: true, pts: pts, box: box, count: len(pts)}
+	}
+	type axisWidth struct {
+		axis  int
+		width float64
+	}
+	axes := []axisWidth{}
+	for i := 0; i < 3; i++ {
+		axes = append(axes, axisWidth{axis: i, width: box.Max[i] - box.Min[i]})
+	}
+	sort.SliceStable(axes, func(i, j int) bool { return axes[i].width > axes[j].width })
+	for _, aw := range axes {
+		axis := aw.axis
+		if aw.width == 0 {
+			continue
+		}
+		sort.Slice(pts, func(i, j int) bool { return pts[i][axis] < pts[j][axis] })
+		mid := len(pts) / 2
+		for mid < len(pts) && pts[mid][axis] == pts[mid-1][axis] {
+			mid++
+		}
+		if mid == len(pts) {
+			mid = len(pts) / 2
+			for mid > 1 && pts[mid][axis] == pts[mid-1][axis] {
+				mid--
+			}
+			if mid <= 0 || pts[mid][axis] == pts[mid-1][axis] {
+				continue
+			}
+		}
+		return &node{
+			axis:  axis,
+			split: pts[mid][axis],
+			left:  refBuildNode(append([]Point(nil), pts[:mid]...)),
+			right: refBuildNode(append([]Point(nil), pts[mid:]...)),
+			box:   box,
+			count: len(pts),
+		}
+	}
+	return &node{leaf: true, pts: pts, box: box, count: len(pts)}
+}
+
+// sameShape reports the first difference between two subtrees: axis,
+// split, count and box at every node, and the same points (in any order)
+// in every leaf — and a leaf of got (Build's side) whose window could
+// grow into its neighbour's points.
+func sameShape(got, want *node, path string) string {
+	switch {
+	case got == nil || want == nil:
+		if got != want {
+			return path + ": one side is empty"
+		}
+		return ""
+	case got.leaf != want.leaf || got.count != want.count || got.box != want.box:
+		return fmt.Sprintf("%s: leaf/count/box = %v/%d/%v, want %v/%d/%v", path,
+			got.leaf, got.count, got.box, want.leaf, want.count, want.box)
+	case got.leaf:
+		if cap(got.pts) != len(got.pts) {
+			return fmt.Sprintf("%s: leaf window of %d points has capacity %d", path, len(got.pts), cap(got.pts))
+		}
+		g, w := append([]Point(nil), got.pts...), append([]Point(nil), want.pts...)
+		sort.Slice(g, func(i, j int) bool { return Less(g[i], g[j]) })
+		sort.Slice(w, func(i, j int) bool { return Less(w[i], w[j]) })
+		if !slices.Equal(g, w) {
+			return fmt.Sprintf("%s: leaf holds %v, want %v", path, g, w)
+		}
+		return ""
+	case got.axis != want.axis || got.split != want.split:
+		return fmt.Sprintf("%s: split %d@%v, want %d@%v", path, got.axis, got.split, want.axis, want.split)
+	}
+	if d := sameShape(got.left, want.left, path+"L"); d != "" {
+		return d
+	}
+	return sameShape(got.right, want.right, path+"R")
+}
+
+// TestBuildMatchesSortReference: selection must reproduce the sort-built
+// tree node for node — on uniform floats, on a grid where most
+// coordinates tie (duplicates included), and on inputs flat along one
+// or two axes, at the sizes where the leaf rule and the midpoint rule
+// change.
+func TestBuildMatchesSortReference(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(r *rand.Rand) Point
+	}{
+		{"uniform", func(r *rand.Rand) Point { return Point{r.Float64(), r.Float64(), r.Float64()} }},
+		{"grid7", func(r *rand.Rand) Point { return randPoint(r, 7) }},
+		{"flat-z", func(r *rand.Rand) Point { return Point{float64(r.Intn(40)), r.Float64(), 3} }},
+		{"flat-yz", func(r *rand.Rand) Point { return Point{float64(r.Intn(25)), 2, 3} }},
+	}
+	sizes := []int{0, 1, leafCap, leafCap + 1}
+	r := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 1000; trial++ {
+		g := gens[trial%len(gens)]
+		n := 2 + r.Intn(300)
+		if trial < len(gens)*len(sizes) {
+			n = sizes[trial/len(gens)]
+		} else if trial >= 1000-2*len(gens) {
+			n = 5000
+		}
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = g.gen(r)
+		}
+		in := append([]Point(nil), pts...)
+		got := Build(pts)
+		if !slices.Equal(pts, in) {
+			t.Fatalf("%s n=%d: Build reordered its argument", g.name, n)
+		}
+		var want *node
+		if n > 0 {
+			want = refBuildNode(append([]Point(nil), pts...))
+		}
+		if d := sameShape(got.root, want, "root"); d != "" {
+			t.Fatalf("%s n=%d (trial %d): %s", g.name, n, trial, d)
+		}
+	}
+}
+
+// TestBuildLeavesDoNotShareGrowth: the leaves of a built tree are
+// windows of one array; adding into one must not overwrite the next.
+func TestBuildLeavesDoNotShareGrowth(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var pts []Point
+	seen := map[Point]bool{}
+	for len(pts) < 64 {
+		if p := randPoint(r, 9); !seen[p] {
+			seen[p] = true
+			pts = append(pts, p)
+		}
+	}
+	tr := Build(pts)
+	for len(pts) < 400 {
+		if p := randPoint(r, 9); !seen[p] {
+			seen[p] = true
+			pts = append(pts, p)
+			tr.Add(p)
+		}
+	}
+	checkBoxes(t, tr.root)
+	for _, p := range pts {
+		if !tr.Contains(p) {
+			t.Fatalf("lost %v after adds into a built tree", p)
+		}
+	}
+	if tr.Len() != len(pts) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(pts))
 	}
 }
 

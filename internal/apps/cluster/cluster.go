@@ -17,28 +17,57 @@ import (
 // Merge is one dendrogram node: two clusters replaced by their midpoint.
 type Merge struct {
 	A, B, Parent kdtree.Point
-	aborted      bool
 }
 
 // Dendrogram accumulates merges; aborted transactions tombstone their
 // records (the merge log is a boosted auxiliary structure, like the
-// paper's worklists).
+// paper's worklists). The records of one transaction are chained newest
+// first from its Tx.Attach word, so an abort tombstones them without a
+// closure or a node per merge.
 type Dendrogram struct {
 	mu     sync.Mutex
-	merges []*Merge
+	merges []mergeRec
 }
 
-// add records a merge and returns an undo that tombstones it.
-func (d *Dendrogram) add(a, b, parent kdtree.Point) func() {
-	d.mu.Lock()
-	m := &Merge{A: a, B: b, Parent: parent}
-	d.merges = append(d.merges, m)
-	d.mu.Unlock()
-	return func() {
-		d.mu.Lock()
-		m.aborted = true
-		d.mu.Unlock()
+type mergeRec struct {
+	Merge
+	prev    uint64 // the same transaction's previous record: index+1, 0 = none
+	aborted bool
+}
+
+// newDendrogram returns a dendrogram with room for the n − 1 merges of
+// n points (aborted attempts beyond that grow it).
+func newDendrogram(n int) *Dendrogram {
+	return &Dendrogram{merges: make([]mergeRec, 0, n)}
+}
+
+// add records a merge made by tx, to be tombstoned should tx abort. A
+// nil tx (the sequential algorithm) records it for good.
+func (d *Dendrogram) add(tx *engine.Tx, a, b, parent kdtree.Point) {
+	rec := mergeRec{Merge: Merge{A: a, B: b, Parent: parent}}
+	var head *uint64
+	if tx != nil {
+		var isNew bool
+		if head, isNew = tx.Attach(d); isNew {
+			tx.OnUndoer(d)
+		}
+		rec.prev = *head
 	}
+	d.mu.Lock()
+	d.merges = append(d.merges, rec)
+	if head != nil {
+		*head = uint64(len(d.merges))
+	}
+	d.mu.Unlock()
+}
+
+// UndoTx tombstones the merges tx recorded.
+func (d *Dendrogram) UndoTx(tx *engine.Tx) {
+	d.mu.Lock()
+	for i := *tx.AttachedWord(d); i != 0; i = d.merges[i-1].prev {
+		d.merges[i-1].aborted = true
+	}
+	d.mu.Unlock()
 }
 
 // Merges returns the committed merges in commit order.
@@ -46,9 +75,9 @@ func (d *Dendrogram) Merges() []Merge {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]Merge, 0, len(d.merges))
-	for _, m := range d.merges {
-		if !m.aborted {
-			out = append(out, *m)
+	for i := range d.merges {
+		if m := &d.merges[i]; !m.aborted {
+			out = append(out, m.Merge)
 		}
 	}
 	return out
@@ -96,7 +125,7 @@ func Step(tx *engine.Tx, idx kdtree.Index, d *Dendrogram, p kdtree.Point, push f
 	if _, err := idx.Add(tx, c); err != nil {
 		return false, err
 	}
-	tx.OnUndo(d.add(p, n, c))
+	d.add(tx, p, n, c)
 	push(c)
 	return true, nil
 }
@@ -112,7 +141,7 @@ type Result struct {
 // merges.
 func Run(idx kdtree.Index, pts []kdtree.Point, opts engine.Options) (*Dendrogram, Result, error) {
 	idx.Seed(pts)
-	d := &Dendrogram{}
+	d := newDendrogram(len(pts))
 	wl := engine.NewWorklist(pts...)
 	stats, err := engine.Run(wl, opts, func(tx *engine.Tx, p kdtree.Point, wl *engine.Worklist[kdtree.Point]) error {
 		_, err := Step(tx, idx, d, p, func(q kdtree.Point) { wl.Push(q) })
@@ -129,7 +158,7 @@ func Sequential(pts []kdtree.Point) *Dendrogram {
 	for _, p := range pts {
 		t.Add(p)
 	}
-	d := &Dendrogram{}
+	d := newDendrogram(len(pts))
 	queue := append([]kdtree.Point(nil), pts...)
 	for len(queue) > 0 {
 		p := queue[0]
@@ -149,7 +178,7 @@ func Sequential(pts []kdtree.Point) *Dendrogram {
 		t.Remove(n)
 		c := Midpoint(p, n)
 		t.Add(c)
-		d.add(p, n, c)
+		d.add(nil, p, n, c)
 		queue = append(queue, c)
 	}
 	return d
@@ -165,7 +194,7 @@ type ProfileResult struct {
 // index idx (Table 1's kd-ml vs kd-gk rows).
 func Profile(idx kdtree.Index, pts []kdtree.Point) (ProfileResult, error) {
 	idx.Seed(pts)
-	d := &Dendrogram{}
+	d := newDendrogram(len(pts))
 	res, err := parameter.Profile(pts, func(tx *engine.Tx, p kdtree.Point, push func(kdtree.Point)) (bool, error) {
 		return Step(tx, idx, d, p, push)
 	})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"commlat/internal/adt/kdtree"
@@ -140,15 +141,25 @@ func TestMidpoint(t *testing.T) {
 	}
 }
 
+// TestDendrogramTombstones drives the log with real transactions: an
+// abort tombstones every merge its transaction recorded and no one
+// else's, interleaved or not.
 func TestDendrogramTombstones(t *testing.T) {
+	pt := func(x float64) kdtree.Point { return kdtree.Point{x, 0, 0} }
 	d := &Dendrogram{}
-	undo := d.add(kdtree.Point{1, 0, 0}, kdtree.Point{2, 0, 0}, kdtree.Point{1.5, 0, 0})
-	d.add(kdtree.Point{3, 0, 0}, kdtree.Point{4, 0, 0}, kdtree.Point{3.5, 0, 0})
-	undo()
-	merges := d.Merges()
-	if len(merges) != 1 || merges[0].A != (kdtree.Point{3, 0, 0}) {
-		t.Errorf("Merges = %+v", merges)
+	tx1, tx2 := engine.NewTx(), engine.NewTx()
+	d.add(tx1, pt(1), pt(2), pt(1.5))
+	d.add(tx2, pt(3), pt(4), pt(3.5))
+	d.add(tx1, pt(5), pt(6), pt(5.5))
+	d.add(nil, pt(7), pt(8), pt(7.5))
+	tx1.Abort()
+	tx2.Commit()
+	want := []Merge{{pt(3), pt(4), pt(3.5)}, {pt(7), pt(8), pt(7.5)}}
+	if got := d.Merges(); !slices.Equal(got, want) {
+		t.Errorf("Merges = %+v, want %+v", got, want)
 	}
+	// A transaction that recorded nothing here must be able to abort.
+	engine.NewTx().Abort()
 }
 
 func TestTwoPoints(t *testing.T) {

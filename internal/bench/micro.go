@@ -19,11 +19,14 @@ import (
 
 	"commlat/internal/abslock"
 	"commlat/internal/adt/intset"
+	"commlat/internal/adt/kdtree"
 	"commlat/internal/adt/unionfind"
+	"commlat/internal/apps/cluster"
 	"commlat/internal/core"
 	"commlat/internal/engine"
 	"commlat/internal/gatekeeper"
 	"commlat/internal/telemetry"
+	"commlat/internal/workload"
 )
 
 // Micro is one named detector micro-benchmark.
@@ -46,6 +49,8 @@ func Micros() []Micro {
 		{"DetectorCascadeGatekeeper", DetectorCascadeGatekeeper},
 		{"DetectorGeneralGatekeeper", DetectorGeneralGatekeeper},
 		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
+		// Budget 7, none of it the gatekeeper's: see the function.
+		{"DetectorForwardKDTree", DetectorForwardKDTree},
 		{"DetectorUnionFindGeneric", DetectorUnionFindGeneric},
 		{"DetectorUnionFindML", DetectorUnionFindML},
 		{"CondEval", CondEval},
@@ -313,6 +318,69 @@ func DetectorUnionFindGKFind(b *testing.B) {
 		union(e+5, e+6)
 		union(e, e+4) // compresses e+4's path, then joins the two roots
 		find(e + 1)   // compresses across the union edge
+		if err != nil {
+			b.Fatal(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+	}
+}
+
+// DetectorForwardKDTree: what clustering asks of the forward gatekeeper
+// through kdtree.GKTree, which no intset row reaches — ref-kind
+// arguments the disequality index cannot key, a logged dist(a, r) per
+// nearest, an undo hook per mutation. One iteration is one transaction
+// shaped like cluster.Step: contains(p), n = nearest(p), nearest(n), and
+// in every third transaction remove(p), remove(n), add(midpoint), with p
+// there the midpoint the last such transaction added, so that all three
+// change the tree. The tree is reseeded (off the clock) every 2¹²
+// transactions.
+//
+// Its budget is what the value domain and the wrapper allocate, counted
+// per transaction: every core.V(Point) boxes its point — one per
+// argument and one per nearest result, 5 in the queries and 3 more in
+// the mutations of every third transaction, 6 on average — and each of
+// those three mutations allocates its Undo closure, 1 on average: 7.
+// The tree's own bucket growth adds a few hundredths, so allocs/op
+// reads 7, and one allocation per transaction on the gatekeeper's
+// logged path reads 8.
+func DetectorForwardKDTree(b *testing.B) {
+	const perTree = 1 << 12
+	pts := workload.RandomPoints(perTree, 1000, 1)
+	b.ReportAllocs()
+	var t *kdtree.GKTree
+	var merged kdtree.Point // the last midpoint added; in the tree
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perTree == 0 {
+			b.StopTimer()
+			t = kdtree.NewGK()
+			t.Seed(pts)
+			merged = pts[0]
+			b.StartTimer()
+		}
+		p, merge := pts[i%perTree], i%3 == 2
+		if merge {
+			p = merged
+		}
+		tx := engine.GetTx()
+		_, err := t.Contains(tx, p)
+		var n kdtree.Point
+		if err == nil {
+			n, err = t.Nearest(tx, p)
+		}
+		if err == nil {
+			_, err = t.Nearest(tx, n)
+		}
+		if err == nil && merge {
+			merged = cluster.Midpoint(p, n)
+			if _, err = t.Remove(tx, p); err == nil {
+				_, err = t.Remove(tx, n)
+			}
+			if err == nil {
+				_, err = t.Add(tx, merged)
+			}
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,16 @@ type Invocation struct {
 	Ret    Value
 }
 
+// Release zeroes the invocation in place — the values it holds, not the
+// whole record — and returns a spilled argument list to its pool, so a
+// recycled record that embeds an Invocation retains no user-type
+// references.
+func (inv *Invocation) Release() {
+	inv.Method = ""
+	inv.Args.Release()
+	inv.Ret = Value{}
+}
+
 // NewInvocation builds an Invocation from an argument slice. Values are
 // assumed already normalized (the tagged constructors normalize at
 // construction time).

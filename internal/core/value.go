@@ -520,3 +520,20 @@ func MapKey(v Value) (Value, bool) {
 		return Value{}, false
 	}
 }
+
+// Keyable is MapKey's second result alone, asked through the pointer:
+// no Value is moved and nothing is hashed, so a caller holding mostly
+// unkeyable values (refs) pays a kind test per value and makes MapKey's
+// by-value round trip only for the ones it will key.
+func (v *Value) Keyable() bool {
+	switch v.kind {
+	case KindNil, KindBool, KindInt, KindString, KindNaN:
+		return true
+	case KindFloat:
+		x := math.Float64frombits(v.bits)
+		// NaN differs from its own truncation, so it is keyable, as in MapKey.
+		return x != math.Trunc(x) || (x > -maxExactFloatKey && x < maxExactFloatKey)
+	default:
+		return false
+	}
+}

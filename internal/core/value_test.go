@@ -296,6 +296,24 @@ func TestMapKeyRejectsNonBasicKinds(t *testing.T) {
 	}
 }
 
+func TestKeyableIsMapKeysSecondResult(t *testing.T) {
+	type pt struct{ x, y int }
+	for _, v := range []Value{
+		Nil(), VBool(true), VInt(0), VInt(1 << 60), VString("a"), Unset(),
+		VFloat(5), VFloat(5.5), VFloat(math.Copysign(0, -1)), VFloat(math.NaN()),
+		VFloat(1<<53 - 1), VFloat(1 << 53), VFloat(-(1 << 53)), VFloat(math.Inf(1)), VFloat(math.Inf(-1)),
+		V(pt{1, 2}), V([]int{1}),
+	} {
+		k, ok := MapKey(v)
+		if got := v.Keyable(); got != ok {
+			t.Errorf("Keyable(%v) = %v, MapKey says %v", v, got, ok)
+		}
+		if ok && !k.Keyable() {
+			t.Errorf("canonical key %v of %v is not keyable", k, v)
+		}
+	}
+}
+
 func TestArithNonNumeric(t *testing.T) {
 	if _, err := arith(OpAdd, VString("a"), VInt(1)); err == nil {
 		t.Error("arith on string should error")

@@ -652,10 +652,8 @@ func (c *Cascade) pairCommutes(plan *cascadePlan, inv1, inv2 core.Invocation, sc
 	if plan.never {
 		return false
 	}
-	sc.ctx.env.Inv1 = inv1
-	sc.ctx.env.Inv2 = inv2
-	sc.ctx.env.S1 = c.res
-	sc.ctx.env.S2 = c.res
+	sc.inv1, sc.inv2 = inv1, inv2
+	sc.ctx.inv1, sc.ctx.inv2 = &sc.inv1, &sc.inv2
 	c.checkMu.Lock()
 	ok, err := plan.check(&sc.ctx)
 	c.checkMu.Unlock()

@@ -255,9 +255,10 @@ type cascadePlan struct {
 // compiled-term context's address escapes into term closures, so a
 // stack instance would heap-allocate per call; pooling amortizes it.
 type cascadeScratch struct {
-	ctx    checkCtx
-	keys   []uint64     // published key hashes of this invocation
-	argBuf []core.Value // deep-copy target for spilled candidate args
+	ctx        checkCtx
+	inv1, inv2 core.Invocation // the invocations ctx points at, by value
+	keys       []uint64        // published key hashes of this invocation
+	argBuf     []core.Value    // deep-copy target for spilled candidate args
 
 	// Latency-attribution state for this admission: precise-check time
 	// accumulated by runCheck (subtracted from the slow-path total to
@@ -271,6 +272,7 @@ var cascadeScratchPool = sync.Pool{New: func() any { return new(cascadeScratch) 
 
 func (sc *cascadeScratch) reset() {
 	sc.ctx = checkCtx{}
+	sc.inv1, sc.inv2 = core.Invocation{}, core.Invocation{}
 	sc.keys = sc.keys[:0]
 	for i := range sc.argBuf {
 		sc.argBuf[i] = core.Value{}
@@ -720,7 +722,7 @@ func (c *Cascade) admit(tx *engine.Tx, mid uint16, args *core.Vec, eff *Effect, 
 	c.tele.CascadeFilterHit()
 	t1 := telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
 	sc = c.scratch(sc, mid, args, eff)
-	err := c.slowCheck(tx, mid, sc.ctx.env.Inv2, sc)
+	err := c.slowCheck(tx, mid, sc.inv2, sc)
 	if obsInstrumented(t1) {
 		// The filter stage was observed at t1 and the precise checks one
 		// by one in runCheck; what is left of t1→now is the optimistic
@@ -762,10 +764,8 @@ func putScratch(sc *cascadeScratch) {
 // (probes never read Inv1 again afterwards for the plan being checked).
 func (c *Cascade) bindCtx(sc *cascadeScratch, mid uint16, args core.Vec, ret core.Value) core.Invocation {
 	inv := core.MakeInvocation(c.names[mid], args, ret)
-	sc.ctx.env.Inv1 = inv
-	sc.ctx.env.Inv2 = inv
-	sc.ctx.env.S1 = c.res
-	sc.ctx.env.S2 = c.res
+	sc.inv1, sc.inv2 = inv, inv
+	sc.ctx.inv1, sc.ctx.inv2 = &sc.inv1, &sc.inv2
 	return inv
 }
 
@@ -1070,12 +1070,12 @@ func (c *Cascade) runCheck(tx *engine.Tx, plan *cascadePlan, inv1, inv2 core.Inv
 		return c.conflict(tx, plan, inv1, inv2, holder)
 	}
 	pt := telemetry.LatClock()
-	saved := sc.ctx.env.Inv1
-	sc.ctx.env.Inv1 = inv1
+	saved := sc.inv1
+	sc.inv1 = inv1
 	c.checkMu.Lock()
 	ok, err := plan.check(&sc.ctx)
 	c.checkMu.Unlock()
-	sc.ctx.env.Inv1 = saved
+	sc.inv1 = saved
 	if pt != 0 {
 		// Stage 3: each precise evaluation lands in the histogram on its
 		// own; the accumulated sum lets the caller subtract it back out
@@ -1131,7 +1131,7 @@ func (c *Cascade) checkOverflow(tx *engine.Tx, mid uint16, inv core.Invocation, 
 // at-least-one-sees guarantee against concurrent fast-path invocations,
 // whose stage-1 admission requires a zero overflow count.
 func (c *Cascade) admitOverflow(tx *engine.Tx, mid uint16, eff *Effect, sc *cascadeScratch) (uint64, error) {
-	inv := sc.ctx.env.Inv2
+	inv := sc.inv2
 	c.tele.CascadeFallback()
 	c.ovMu.Lock()
 	var idx uint32

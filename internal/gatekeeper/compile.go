@@ -26,16 +26,29 @@ import (
 // unequal to every value, so it can never be confused with a logged one.
 var unset = core.Unset()
 
-// checkCtx is the per-check evaluation context. log1 holds the first
-// (active) invocation's logged slot values; pre2 holds the
+// checkCtx is the per-check evaluation context. inv1 and inv2 point at
+// the first (active) and second (incoming) invocation where their owner
+// already stores them — a logged gatekeeper's entries, a cascade
+// scratch's own copies — so binding a side is one pointer store, never
+// an invocation copy; a side no term reads points at noInv. log1 holds
+// the first invocation's logged slot values; pre2 holds the
 // pre-evaluated stateful values of the pair's plan (fn2Pre slots for
 // forward gatekeepers, fn2 slots for general ones). Slices may be nil
 // when a plan has no slots of that kind.
+//
+// The pointers are valid only while their owner keeps the invocations
+// in place: for a logged gatekeeper, inside the atomic section that
+// took its mutex (end clears them); for a cascade scratch, until reset.
 type checkCtx struct {
-	env  core.PairEnv
-	log1 []core.Value
-	pre2 []core.Value
+	inv1, inv2 *core.Invocation
+	log1       []core.Value
+	pre2       []core.Value
 }
+
+// noInv stands in for the side of a context no invocation is bound to:
+// an argument read reports "no argument", a return read yields nil.
+// Never written.
+var noInv core.Invocation
 
 type checkFn func(ctx *checkCtx) (bool, error)
 type termFn func(ctx *checkCtx) (core.Value, error)
@@ -138,23 +151,23 @@ func compileTermStructural(t core.Term, bind map[string]slotBinding, res core.St
 		idx := x.Index
 		if x.Side == core.First {
 			return func(ctx *checkCtx) (core.Value, error) {
-				if idx < 0 || idx >= ctx.env.Inv1.Args.Len() {
-					return core.Value{}, fmt.Errorf("core: %s has no argument %d", ctx.env.Inv1.Method, idx)
+				if idx < 0 || idx >= ctx.inv1.Args.Len() {
+					return core.Value{}, fmt.Errorf("core: %s has no argument %d", ctx.inv1.Method, idx)
 				}
-				return ctx.env.Inv1.Args.At(idx), nil
+				return ctx.inv1.Args.At(idx), nil
 			}
 		}
 		return func(ctx *checkCtx) (core.Value, error) {
-			if idx < 0 || idx >= ctx.env.Inv2.Args.Len() {
-				return core.Value{}, fmt.Errorf("core: %s has no argument %d", ctx.env.Inv2.Method, idx)
+			if idx < 0 || idx >= ctx.inv2.Args.Len() {
+				return core.Value{}, fmt.Errorf("core: %s has no argument %d", ctx.inv2.Method, idx)
 			}
-			return ctx.env.Inv2.Args.At(idx), nil
+			return ctx.inv2.Args.At(idx), nil
 		}
 	case core.RetTerm:
 		if x.Side == core.First {
-			return func(ctx *checkCtx) (core.Value, error) { return ctx.env.Inv1.Ret, nil }
+			return func(ctx *checkCtx) (core.Value, error) { return ctx.inv1.Ret, nil }
 		}
-		return func(ctx *checkCtx) (core.Value, error) { return ctx.env.Inv2.Ret, nil }
+		return func(ctx *checkCtx) (core.Value, error) { return ctx.inv2.Ret, nil }
 	case core.ConstTerm:
 		v := x.V
 		return func(*checkCtx) (core.Value, error) { return v, nil }

@@ -181,7 +181,7 @@ func (g *Forward) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	if err != nil {
 		return core.Value{}, err
 	}
-	e, t0 := g.begin(tx, mid, args)
+	e, t0 := g.begin(tx, mid, &args)
 	defer g.end(tx, mid, t0, &err)
 	mt := &g.methods[mid]
 
@@ -195,7 +195,6 @@ func (g *Forward) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 		err = g.captureS2(e)
 	}
 	if err != nil {
-		g.putEntry(e)
 		return core.Value{}, err
 	}
 
@@ -215,7 +214,6 @@ func (g *Forward) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 		if eff.Undo != nil {
 			eff.Undo()
 		}
-		g.putEntry(e)
 		return eff.Ret, err
 	}
 
@@ -238,7 +236,7 @@ func (g *Forward) logFns(e *entry, fns []loggedFn) error {
 	if len(fns) == 0 {
 		return nil
 	}
-	g.ctx = checkCtx{env: core.PairEnv{Inv1: e.inv, S1: g.res, S2: g.res}}
+	g.bind(&e.inv, &noInv, nil)
 	for _, lf := range fns {
 		v, err := lf.eval(&g.ctx)
 		if err != nil {
@@ -258,14 +256,14 @@ func (g *Forward) captureS2(e *entry) error {
 		return nil
 	}
 	vals := g.arena()
-	g.ctx = checkCtx{env: core.PairEnv{Inv2: e.inv, S1: g.res, S2: g.res}}
+	g.bind(&noInv, &e.inv, nil)
 	for i := range g.checks {
 		p := &g.checks[i]
 		n := len(p.plan.fn2)
 		if n == 0 {
 			continue
 		}
-		g.ctx.env.Inv1 = p.e.inv
+		g.ctx.inv1 = &p.e.inv
 		for j, eval := range p.plan.fn2Eval {
 			v, err := eval(&g.ctx)
 			if err != nil {

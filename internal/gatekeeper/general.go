@@ -96,6 +96,7 @@ func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, 
 				return nil, fmt.Errorf("gatekeeper: (%s,%s): s2 function nested inside %s(s1,...) is not supported", m1, m2, ft.Fn)
 			}
 			plan.fn1 = append(plan.fn1, ft)
+			plan.fn1Eval = append(plan.fn1Eval, compileTerm(ft, nil, res))
 		}
 		for _, ft := range secondStateFns(plan.cond) {
 			if spec.Pure[ft.Fn] {
@@ -105,6 +106,7 @@ func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, 
 				return nil, fmt.Errorf("gatekeeper: (%s,%s): s1 function nested inside %s(s2,...) is not supported", m1, m2, ft.Fn)
 			}
 			plan.fn2 = append(plan.fn2, ft)
+			plan.fn2Eval = append(plan.fn2Eval, compileTerm(ft, nil, res))
 		}
 		bind := map[string]slotBinding{}
 		for i, ft := range plan.fn1 {
@@ -135,7 +137,7 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	if err != nil {
 		return core.Value{}, err
 	}
-	e, t0 := g.begin(tx, mid, args)
+	e, t0 := g.begin(tx, mid, &args)
 	defer g.end(tx, mid, t0, &err)
 	e.seqPre = g.seq
 
@@ -172,7 +174,6 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 			g.byTxJ[tx] = lst[:len(lst)-1]
 			putJentry(own)
 		}
-		g.putEntry(e)
 		return eff.Ret, err
 	}
 
@@ -275,9 +276,9 @@ func (g *General) rollbackEval(e *entry) {
 			// State s2: evaluate the non-pure fn2 terms of every check.
 			for i := range g.checks {
 				p := &g.checks[i]
-				env := &core.PairEnv{Inv1: p.e.inv, Inv2: e.inv, S1: g.res, S2: g.res}
-				for j, ft := range p.plan.fn2 {
-					if v, err := core.EvalTerm(ft, env); err == nil {
+				g.bind(&p.e.inv, &e.inv, nil)
+				for j, eval := range p.plan.fn2Eval {
+					if v, err := eval(&g.ctx); err == nil {
 						p.pre2[j] = v
 					}
 				}
@@ -285,9 +286,9 @@ func (g *General) rollbackEval(e *entry) {
 		}
 		for _, i := range needState[pt] {
 			p := &g.checks[i]
-			env := &core.PairEnv{Inv1: p.e.inv, Inv2: e.inv, S1: g.res, S2: g.res}
-			for j, ft := range p.plan.fn1 {
-				if v, err := core.EvalTerm(ft, env); err == nil {
+			g.bind(&p.e.inv, &e.inv, nil)
+			for j, eval := range p.plan.fn1Eval {
+				if v, err := eval(&g.ctx); err == nil {
 					p.log1[j] = v
 				}
 			}

@@ -216,12 +216,26 @@ func TestForwardDisableIndexEquivalence(t *testing.T) {
 	off := newGSetCfg(t, preciseSetSpec(), Config{DisableIndex: true})
 	r := rand.New(rand.NewSource(7))
 	methods := []string{"add", "remove", "contains"}
+	// A third of the keys are ints the index buckets; the others are the
+	// two kinds it cannot key — ref values and integral floats from 2⁵³ —
+	// so probes fall back to the scan and entries are filed unkeyed while
+	// other transactions hold both sorts.
+	type refKey struct{ k int64 }
+	spell := func(x int64) core.Value {
+		switch k := x % 6; x / 6 {
+		case 1:
+			return core.V(refKey{k})
+		case 2:
+			return core.VFloat(float64(1<<53 + 2*k))
+		}
+		return core.VInt(x)
+	}
 	const nTx = 3
 	txOn, txOff := make([]*engine.Tx, nTx), make([]*engine.Tx, nTx)
 	for i := range txOn {
 		txOn[i], txOff[i] = engine.NewTx(), engine.NewTx()
 	}
-	for step := 0; step < 400; step++ {
+	for step := 0; step < 1200; step++ {
 		i := r.Intn(nTx)
 		if r.Intn(12) == 0 {
 			txOn[i].Commit()
@@ -230,11 +244,11 @@ func TestForwardDisableIndexEquivalence(t *testing.T) {
 			continue
 		}
 		m := methods[r.Intn(len(methods))]
-		x := int64(r.Intn(6))
-		retOn, errOn := on.invoke(txOn[i], m, x)
-		retOff, errOff := off.invoke(txOff[i], m, x)
+		x := int64(r.Intn(18))
+		retOn, errOn := on.invokeV(txOn[i], m, x, spell(x))
+		retOff, errOff := off.invokeV(txOff[i], m, x, spell(x))
 		if (errOn == nil) != (errOff == nil) || retOn != retOff {
-			t.Fatalf("step %d %s(%d): indexed (%v,%v) vs scan (%v,%v)", step, m, x, retOn, errOn, retOff, errOff)
+			t.Fatalf("step %d %s(%v): indexed (%v,%v) vs scan (%v,%v)", step, m, spell(x), retOn, errOn, retOff, errOff)
 		}
 	}
 	for i := range txOn {
@@ -243,6 +257,10 @@ func TestForwardDisableIndexEquivalence(t *testing.T) {
 	}
 	if on.key() != off.key() {
 		t.Fatalf("final states diverge: %s vs %s", on.key(), off.key())
+	}
+	st := on.g.Stats()
+	if st.Probes == 0 || st.FallbackScans == 0 || st.Collisions == 0 || st.Conflicts == 0 {
+		t.Errorf("indexed run should probe, fall back on unkeyable probes, meet unkeyed entries and refuse: %+v", st)
 	}
 }
 

@@ -44,6 +44,11 @@ type entry struct {
 	gen  uint64
 	pos  int
 
+	// id is the entry's fixed place in the gatekeeper's entry table, from
+	// 1; nextTx is the id of the next younger active entry of the same
+	// transaction (0 = none) — the chain release walks.
+	id, nextTx uint32
+
 	// l and undo let the entry itself serve as the transaction's undo
 	// hook (engine.Undoer): registering the pooled entry pointer
 	// allocates nothing, where wrapping an Effect's Undo in a fresh
@@ -63,8 +68,6 @@ func (e *entry) UndoTx(*engine.Tx) {
 	e.l.mu.Unlock()
 }
 
-var entryPool = sync.Pool{New: func() any { return new(entry) }}
-
 // pairPlan is the static plan for one ordered method pair: the
 // condition to check when the second method arrives while the first is
 // active, compiled once into a closure checker whose stateful terms
@@ -82,7 +85,10 @@ type pairPlan struct {
 	// rollback, bound to log1 slots by position (a forward gatekeeper
 	// binds log1 to the first method's log instead and leaves fn1 empty).
 	fn1, fn2 []core.FnTerm
-	fn2Eval  []termFn // fn2 compiled, for the gatekeeper that values it before execution
+	// fn1 and fn2 compiled without bindings, for the gatekeeper to value
+	// them live in the state it has arranged: a forward one fn2 before
+	// execution, a general one both under rollback.
+	fn1Eval, fn2Eval []termFn
 
 	// Disequality index compilation (see index.go). When indexed, keys
 	// holds one compiled guard per CNF clause of the condition; incoming
@@ -154,9 +160,20 @@ type logged struct {
 
 	mu       sync.Mutex
 	nActive  int
-	byTx     map[*engine.Tx][]*entry // each tx's own active entries, for O(own) release
-	txLists  [][]*entry              // recycled byTx slices
 	probeGen uint64
+	// entries is every entry this gatekeeper made, by id; free is the
+	// stack of those not in use. Both ends of an entry's life hold mu
+	// already, so neither needs synchronization of its own; they start
+	// empty and grow to the active high-water mark. A transaction's
+	// active entries are chained oldest first through nextTx, the chain's
+	// ends in the transaction's Tx.Attach word (head id in the low half,
+	// tail id in the high half), so ending a transaction walks its own
+	// entries and the gatekeeper keeps no per-transaction map. cur is the
+	// entry the open section took and has not recorded: end returns it,
+	// which covers a refusal and a panicking exec alike.
+	entries []*entry
+	free    []*entry
+	cur     *entry
 
 	// per-Invoke scratch, reused under mu to keep the hot path
 	// allocation-free. nvals counts the recorded-value slots the queued
@@ -167,8 +184,10 @@ type logged struct {
 	probeKeys []core.Value
 	// ctx is the compiled-checker evaluation context. A local checkCtx
 	// escapes (its address flows into checker function values), so the
-	// hot paths reuse this one field instead; it retains at most the
-	// latest invocation between calls.
+	// hot paths reuse this one field instead. It points into entries —
+	// the section's own and the active ones it is checked against — and
+	// into the scratch above, so it is meaningful only inside the section
+	// that took mu; end clears it.
 	ctx checkCtx
 }
 
@@ -182,7 +201,6 @@ func (l *logged) init(kind string, spec *core.Spec, res core.StateFn) {
 	l.mids = make(map[string]uint16, n)
 	l.methods = make([]method, n)
 	l.plans = make([]pairPlan, n*n)
-	l.byTx = map[*engine.Tx][]*entry{}
 	l.tele = telemetry.Register(kind, spec.Sig.Name, names)
 	for i, m := range names {
 		l.mids[m] = uint16(i)
@@ -248,27 +266,43 @@ func (l *logged) resolve(method string) (uint16, error) {
 }
 
 // begin opens an invocation's atomic section: mutex taken, invocation
-// counted, check queue emptied, and a pooled entry bound to tx with its
-// log sized. The second result is the latency mark end observes from.
-func (l *logged) begin(tx *engine.Tx, mid uint16, args core.Vec) (*entry, int64) {
+// counted, and a recycled entry bound to tx with the arguments copied
+// into it and its log sized. The entry stays the section's own (cur)
+// until record files it. The second result is the latency mark end
+// observes from.
+func (l *logged) begin(tx *engine.Tx, mid uint16, args *core.Vec) (*entry, int64) {
 	l.mu.Lock()
 	l.tele.IncInvocation()
 	mt := &l.methods[mid]
-	e := entryPool.Get().(*entry)
+	var e *entry
+	if n := len(l.free); n > 0 {
+		e = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	} else {
+		e = &entry{id: uint32(len(l.entries) + 1)}
+		l.entries = append(l.entries, e)
+	}
 	e.tx, e.mid, e.l = tx, mid, l
-	e.inv = core.Invocation{Method: mt.name, Args: args}
+	e.inv.Method = mt.name
+	e.inv.Args = *args
 	if cap(e.log) >= mt.logLen {
 		e.log = e.log[:mt.logLen]
 	} else {
 		e.log = make([]core.Value, mt.logLen)
 	}
-	l.checks = l.checks[:0]
-	l.nvals = 0
+	l.cur = e
 	return e, telemetry.LatClock()
 }
 
 // end closes the section begin opened — deferred, so a panicking exec
-// still unlocks — observing the invocation from mark t0 first.
+// still unlocks — observing the invocation from mark t0 first. It
+// returns the section's entry to the free stack unless record filed it
+// (a refusal, a failed evaluation, a panic), and leaves no scratch
+// pointing at an entry or a user value: entries are recycled and their
+// transactions end outside any section, so a pointer kept past here
+// would dangle into another invocation, and a kept window or queue
+// would pin the last arguments for as long as the gatekeeper idles.
 func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 	if obsInstrumented(t0) {
 		// The whole mutex-held check-execute-log sequence is one precise
@@ -277,7 +311,36 @@ func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 		rec.Mark(telemetry.StagePrecise, since(t0))
 		observe(tx, &rec, t0, 1<<telemetry.StagePrecise)
 	}
+	if l.cur != nil {
+		l.putEntry(l.cur)
+		l.cur = nil
+	}
+	l.bind(nil, nil, nil)
+	for i := range l.checks {
+		l.checks[i] = pending{}
+	}
+	l.checks = l.checks[:0]
+	for i := range l.vals {
+		l.vals[i] = core.Value{}
+	}
+	l.vals, l.nvals = l.vals[:0], 0
+	// probeKeys is cleared to its capacity — the most keys any plan has —
+	// since a section can probe a plan with fewer keys after one with more.
+	l.probeKeys = l.probeKeys[:cap(l.probeKeys)]
+	for i := range l.probeKeys {
+		l.probeKeys[i] = core.Value{}
+	}
+	l.probeKeys = l.probeKeys[:0]
 	l.mu.Unlock()
+}
+
+// bind points the checker context at the first (active) and second
+// (incoming) invocation, with log1 the first one's recorded values and
+// no pre-evaluated second-side values; a side nothing is bound to takes
+// &noInv.
+func (l *logged) bind(inv1, inv2 *core.Invocation, log1 []core.Value) {
+	l.ctx.inv1, l.ctx.inv2 = inv1, inv2
+	l.ctx.log1, l.ctx.pre2 = log1, nil
 }
 
 // gather queues the commutativity checks the incoming invocation e owes
@@ -327,16 +390,18 @@ func (l *logged) scanPair(tx *engine.Tx, plan *pairPlan) {
 // they still run the checker.
 func (l *logged) probePair(tx *engine.Tx, e *entry, plan *pairPlan) {
 	l.tele.IncProbe()
-	l.ctx = checkCtx{env: core.PairEnv{Inv2: e.inv, S1: l.res, S2: l.res}}
+	l.bind(&noInv, &e.inv, nil)
 	keys := l.probeKeys[:0]
 	for _, pk := range plan.keys {
 		v, err := pk.probe(&l.ctx)
-		k, kok := core.MapKey(v)
-		if err != nil || !kok {
+		// Keyability is asked through the pointer first: an unkeyable
+		// value (every kd-tree point) never makes MapKey's by-value trip.
+		if err != nil || !v.Keyable() {
 			l.probeKeys = keys
 			l.scanPair(tx, plan)
 			return
 		}
+		k, _ := core.MapKey(v)
 		keys = append(keys, k)
 	}
 	l.probeKeys = keys
@@ -368,18 +433,17 @@ func (l *logged) arena() []core.Value {
 	if cap(l.vals) < l.nvals {
 		l.vals = make([]core.Value, l.nvals)
 	}
-	vals := l.vals[:l.nvals]
-	for i := range vals {
-		vals[i] = unset
+	l.vals = l.vals[:l.nvals]
+	for i := range l.vals {
+		l.vals[i] = unset
 	}
-	return vals
+	return l.vals
 }
 
 // check runs every queued check in order with the pair's compiled
 // checker. The first active invocation e does not commute with yields
 // an engine.Conflict; a checker failure yields a plain error.
 func (l *logged) check(tx *engine.Tx, e *entry) error {
-	l.ctx = checkCtx{env: core.PairEnv{Inv2: e.inv, S1: l.res, S2: l.res}}
 	ctx := &l.ctx
 	for i := range l.checks {
 		p := &l.checks[i]
@@ -393,7 +457,7 @@ func (l *logged) check(tx *engine.Tx, e *entry) error {
 				return engine.ConflictBy(p.e.tx.ID(), "gatekeeper: %s never commutes with active %s",
 					e.inv.Method, p.e.inv.Method)
 			}
-			ctx.env.Inv1 = p.e.inv
+			ctx.inv1, ctx.inv2 = &p.e.inv, &e.inv
 			ctx.log1, ctx.pre2 = p.log1, p.pre2
 			ok, err := p.plan.check(ctx)
 			if err != nil {
@@ -420,22 +484,26 @@ func (l *logged) conflict(tx *engine.Tx, plan *pairPlan) {
 }
 
 // record makes an admitted invocation active: filed in its method's key
-// slots and active list and on its transaction's own list. It reports
-// whether this is the transaction's first entry here, which is when the
-// gatekeeper registers its hooks.
+// slots and active list and at the tail of its transaction's chain. It
+// reports whether this is the transaction's first entry here, which is
+// when the gatekeeper registers its hooks.
 func (l *logged) record(tx *engine.Tx, e *entry) (first bool) {
+	l.cur = nil
 	mt := &l.methods[e.mid]
 	l.indexEntry(mt, e)
 	e.pos = len(mt.active)
 	mt.active = append(mt.active, e)
 	l.nActive++
 	l.tele.ObserveActive(l.nActive)
-	es, seen := l.byTx[tx]
-	if !seen {
-		es = popList(&l.txLists)
+	ends, _ := tx.Attach(l)
+	head, tail := uint32(*ends), uint32(*ends>>32)
+	if head == 0 {
+		head = e.id
+	} else {
+		l.entries[tail-1].nextTx = e.id
 	}
-	l.byTx[tx] = append(es, e)
-	return !seen
+	*ends = uint64(e.id)<<32 | uint64(head)
+	return head == e.id
 }
 
 // popList takes a recycled empty list (nil when none is parked), so
@@ -458,7 +526,7 @@ func (l *logged) indexEntry(mt *method, e *entry) {
 	if len(mt.slots) == 0 {
 		return
 	}
-	l.ctx = checkCtx{env: core.PairEnv{Inv1: e.inv, S1: l.res, S2: l.res}, log1: e.log}
+	l.bind(&e.inv, &noInv, e.log)
 	if cap(e.keys) >= len(mt.slots) {
 		e.keys = e.keys[:len(mt.slots)]
 	} else {
@@ -466,12 +534,11 @@ func (l *logged) indexEntry(mt *method, e *entry) {
 	}
 	for i, s := range mt.slots {
 		v, err := s.extract(&l.ctx)
-		if err == nil {
-			if k, kok := core.MapKey(v); kok {
-				e.keys[i] = k
-				s.insert(k, e)
-				continue
-			}
+		if err == nil && v.Keyable() {
+			k, _ := core.MapKey(v)
+			e.keys[i] = k
+			s.insert(k, e)
+			continue
 		}
 		e.keys[i] = unset
 		s.insertUnkeyed(e)
@@ -500,17 +567,17 @@ func (l *logged) removeActive(mt *method, e *entry) {
 	mt.active = es[:last]
 }
 
-// putEntry recycles an entry whose invocation did not join the active
-// log (or just left it). Every Value field is zeroed so a recycled
-// record retains no user-type references through the pool (heap-growth
-// fix: a ref-kind argument or log entry would otherwise pin arbitrary
-// user object graphs for the lifetime of the pooled entry).
+// putEntry pushes an entry whose invocation did not join the active log
+// (or just left it) onto the free stack. Everything the invocation set
+// is zeroed — the values it set, not the arrays they sit in — so a
+// recycled record retains no user-type references (heap-growth fix: a
+// ref-kind argument or log entry would otherwise pin arbitrary user
+// object graphs for as long as the entry waits). Caller holds mu.
 func (l *logged) putEntry(e *entry) {
 	e.tx = nil
 	e.l = nil
 	e.undo = nil
-	e.inv.Args.Release()
-	e.inv = core.Invocation{}
+	e.inv.Release()
 	e.seqPre = 0
 	for i := range e.log {
 		e.log[i] = core.Value{}
@@ -521,28 +588,28 @@ func (l *logged) putEntry(e *entry) {
 	e.keys = e.keys[:0]
 	e.gen = 0
 	e.pos = 0
-	entryPool.Put(e)
+	e.nextTx = 0
+	l.free = append(l.free, e)
 }
 
 // release drops all of tx's active invocations and their logs (§3.3.1
-// step 4) and observes the commit stage from mark t0. It walks only the
-// transaction's own entries, so ending a transaction costs O(its
-// invocations) regardless of the active window size; the per-tx entry
-// list is recycled for the next transaction. Caller holds mu.
+// step 4), oldest first, and observes the commit stage from mark t0. It
+// walks only the transaction's own chain, so ending a transaction costs
+// O(its invocations) regardless of the active window size. Caller holds
+// mu.
 func (l *logged) release(tx *engine.Tx, t0 int64) {
-	es := l.byTx[tx]
-	for i, e := range es {
-		mt := &l.methods[e.mid]
-		l.removeActive(mt, e)
-		l.dropFromIndex(mt, e)
-		l.nActive--
-		l.putEntry(e)
-		es[i] = nil
+	if ends := tx.AttachedWord(l); ends != nil {
+		for id := uint32(*ends); id != 0; {
+			e := l.entries[id-1]
+			id = e.nextTx
+			mt := &l.methods[e.mid]
+			l.removeActive(mt, e)
+			l.dropFromIndex(mt, e)
+			l.nActive--
+			l.putEntry(e)
+		}
+		*ends = 0
 	}
-	if es != nil {
-		l.txLists = append(l.txLists, es[:0])
-	}
-	delete(l.byTx, tx)
 	telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 }
 

@@ -128,3 +128,65 @@ func TestTxPoolDropsHooks(t *testing.T) {
 		t.Errorf("tx pool retains %d MiB through stale hooks (limit %d MiB)", grew>>20, limit>>20)
 	}
 }
+
+// refusedBlobScenario leaves a gatekeeper idle right after it refused an
+// invocation whose argument pins a 1 MiB blob — the refusal is the last
+// thing its scratch saw — and returns the live-heap growth. invoke adds
+// v for tx under a specification where equal arguments conflict.
+func refusedBlobScenario(t *testing.T, invoke func(tx *engine.Tx, v core.Value) error, active func() int) uint64 {
+	t.Helper()
+	base := heapBaseline()
+	func() {
+		v := core.V(&blob{data: make([]byte, blobSize)})
+		holder, refused := engine.NewTx(), engine.NewTx()
+		if err := invoke(holder, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := invoke(refused, v); !engine.IsConflict(err) {
+			t.Fatalf("second add of one blob must be refused, got %v", err)
+		}
+		refused.Abort()
+		holder.Commit()
+	}()
+	if n := active(); n != 0 {
+		t.Fatalf("%d invocations still active", n)
+	}
+	after := heapAfterOneGC()
+	if after <= base {
+		return 0
+	}
+	return after - base
+}
+
+// TestIdleGatekeeperKeepsNoScratch: the checker context, the check
+// queue and the value windows point at entries and user values only
+// inside an atomic section. A gatekeeper that kept them until the next
+// invocation overwrote them would pin the refused blob here.
+func TestIdleGatekeeperKeepsNoScratch(t *testing.T) {
+	fg, err := NewForward(rwSetSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gg, err := NewGeneral(rwSetSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name   string
+		invoke func(tx *engine.Tx, v core.Value) error
+		active func() int
+	}{
+		{"forward", func(tx *engine.Tx, v core.Value) error {
+			_, err := fg.Invoke(tx, "add", core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
+			return err
+		}, fg.ActiveInvocations},
+		{"general", func(tx *engine.Tx, v core.Value) error {
+			_, err := gg.Invoke(tx, "add", core.Args1(v), func() GEffect { return GEffect{Ret: core.VBool(true)} })
+			return err
+		}, gg.ActiveInvocations},
+	} {
+		if grew := refusedBlobScenario(t, arm.invoke, arm.active); grew > blobSize/2 {
+			t.Errorf("%s: idle gatekeeper retains %d KiB after a refused 1 MiB invocation", arm.name, grew>>10)
+		}
+	}
+}

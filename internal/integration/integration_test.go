@@ -13,6 +13,7 @@ import (
 
 	"commlat/internal/adt/accum"
 	"commlat/internal/adt/intset"
+	"commlat/internal/adt/kdtree"
 	"commlat/internal/adt/unionfind"
 	"commlat/internal/engine"
 )
@@ -146,6 +147,44 @@ func TestCrossStructureSpeculativeWorkload(t *testing.T) {
 	}
 }
 
+// kdGrid presents a kd-gk tree over the 4×4×4 integer grid as a set of
+// the keys 0..63: key x is the point whose coordinates are x's base-4
+// digits. Its membership is read back through the gatekeeper, which
+// after a drained run must refuse nothing.
+type kdGrid struct {
+	t  *kdtree.GKTree
+	tb testing.TB
+}
+
+func gridPoint(x int64) kdtree.Point {
+	return kdtree.Point{float64(x & 3), float64(x >> 2 & 3), float64(x >> 4)}
+}
+
+func (k kdGrid) Add(tx *engine.Tx, x int64) (bool, error)    { return k.t.Add(tx, gridPoint(x)) }
+func (k kdGrid) Remove(tx *engine.Tx, x int64) (bool, error) { return k.t.Remove(tx, gridPoint(x)) }
+func (k kdGrid) Contains(tx *engine.Tx, x int64) (bool, error) {
+	return k.t.Contains(tx, gridPoint(x))
+}
+func (k kdGrid) Nearest(tx *engine.Tx, x int64) (kdtree.Point, error) {
+	return k.t.Nearest(tx, gridPoint(x))
+}
+
+func (k kdGrid) Snapshot() []int64 {
+	var out []int64
+	tx := engine.NewTx()
+	defer tx.Commit()
+	for x := int64(0); x < 64; x++ {
+		in, err := k.t.Contains(tx, gridPoint(x))
+		if err != nil {
+			k.tb.Errorf("detector not drained: contains(%d) after the run: %v", x, err)
+		}
+		if in {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // TestCommittedHistoryOrderFree runs a contended set stream under two
 // real workers and checks the committed history against the final state
 // with an oracle that needs no commit order: per key, the adds that
@@ -153,6 +192,16 @@ func TestCrossStructureSpeculativeWorkload(t *testing.T) {
 // membership (so 0 or 1). A detector that lets an invocation observe an
 // effect that is later undone — or runs check and execute non-atomically
 // — breaks the balance.
+//
+// The kd-gk arm adds nearest queries to the mix. The balance cannot see
+// what a query returned, so that arm also replays its committed
+// transactions serially on a plain tree and compares every return. The
+// order of the replay is the order in which the transactions stamped
+// themselves from a hook that runs before the gatekeeper releases their
+// invocations: whatever another transaction did between a stamp and the
+// release was checked to commute with everything the stamped one did,
+// so forward gatekeeping (§3.3.1) promises exactly this order is a
+// serialization.
 func TestCommittedHistoryOrderFree(t *testing.T) {
 	const keys, opsPerTx = 64, 4
 	nTx := 20000
@@ -163,44 +212,65 @@ func TestCommittedHistoryOrderFree(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	type op struct {
-		kind int // 0 add, 1 remove, 2 contains
+		kind int // 0 add, 1 remove, 2 contains, 3 nearest
 		x    int64
 	}
-	r := rand.New(rand.NewSource(18))
-	items := make([]int, nTx)
-	ops := make([][opsPerTx]op, nTx)
-	for i := range ops {
-		items[i] = i
-		for j := range ops[i] {
-			kind := 2
-			if p := r.Intn(100); p < 40 {
-				kind = 0
-			} else if p < 80 {
-				kind = 1
+	// stream draws n transactions; of every 100 operations adds and
+	// removes take 40 each less half of pNearest, nearest pNearest, and
+	// contains the rest.
+	stream := func(seed int64, n, pNearest int) [][opsPerTx]op {
+		r := rand.New(rand.NewSource(seed))
+		ops := make([][opsPerTx]op, n)
+		for i := range ops {
+			for j := range ops[i] {
+				kind := 2
+				if p := r.Intn(100); p < pNearest {
+					kind = 3
+				} else if p < 40+pNearest/2 {
+					kind = 0
+				} else if p < 80 {
+					kind = 1
+				}
+				ops[i][j] = op{kind: kind, x: int64(r.Intn(keys))}
 			}
-			ops[i][j] = op{kind: kind, x: int64(r.Intn(keys))}
 		}
+		return ops
 	}
+	setOps := stream(18, nTx, 0)
+	kdOps := stream(19, nTx, 20)
 	hashRep := func() intset.Rep { return intset.NewHashRep() }
 	for _, arm := range []struct {
 		name string
 		set  intset.Set
+		ops  [][opsPerTx]op
 		// unsound marks detectors that run the effect before publishing
 		// the invocation (ROADMAP item 1): their violations are reported,
 		// not failed, until that item lands and flips this to false.
 		unsound bool
 	}{
-		{"global-lock", intset.NewGlobalLock(hashRep()), false},
-		{"rw-lock", intset.NewRWLocked(hashRep()), false},
-		{"forward", intset.NewGatekept(hashRep()), false},
-		{"cascade", intset.NewCascaded(hashRep()), true},
-		{"sharded", intset.NewShardedCascaded(hashRep, 4), true},
+		{"global-lock", intset.NewGlobalLock(hashRep()), setOps, false},
+		{"rw-lock", intset.NewRWLocked(hashRep()), setOps, false},
+		{"forward", intset.NewGatekept(hashRep()), setOps, false},
+		{"cascade", intset.NewCascaded(hashRep()), setOps, true},
+		{"sharded", intset.NewShardedCascaded(hashRep, 4), setOps, true},
+		{"kd-gk", kdGrid{kdtree.NewGK(), t}, kdOps, false},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			set := arm.set
+			set, ops, nTx := arm.set, arm.ops, len(arm.ops)
+			items := make([]int, nTx)
+			for i := range items {
+				items[i] = i
+			}
 			// rets[i] holds item i's returns from its last attempt, which
 			// is the one that committed; one worker owns an item at a time.
 			rets := make([][opsPerTx]bool, nTx)
+			kd, isKD := set.(kdGrid)
+			var near [][opsPerTx]kdtree.Point // nearest's returns, like rets
+			var orderMu sync.Mutex
+			var order []int // committed items in stamp order
+			if isKD {
+				near = make([][opsPerTx]kdtree.Point, nTx)
+			}
 			stats, err := engine.RunItems(items, engine.Options{Workers: 2, Seed: 18},
 				func(tx *engine.Tx, i int, _ *engine.Worklist[int]) error {
 					for j, o := range ops[i] {
@@ -210,12 +280,36 @@ func TestCommittedHistoryOrderFree(t *testing.T) {
 							rets[i][j], err = set.Add(tx, o.x)
 						case 1:
 							rets[i][j], err = set.Remove(tx, o.x)
-						default:
+						case 2:
 							rets[i][j], err = set.Contains(tx, o.x)
+						default:
+							near[i][j], err = kd.Nearest(tx, o.x)
 						}
 						if err != nil {
 							return err
 						}
+						if isKD {
+							// The gatekeeper's one mutex is handed back to
+							// the worker that just released it nearly every
+							// time, so two workers interleave whole runs of
+							// transactions (aborts: 2 in 4,000). Yielding
+							// between operations lets the waiter in, and the
+							// arm then overlaps at operation grain (aborts:
+							// one transaction in ten) — which is what gives
+							// the replay something to catch.
+							runtime.Gosched()
+						}
+					}
+					if isKD {
+						// Registered last, so it runs first when the
+						// transaction ends: before the gatekeeper's release.
+						tx.OnRelease(func() {
+							if tx.Status() == engine.Committed {
+								orderMu.Lock()
+								order = append(order, i)
+								orderMu.Unlock()
+							}
+						})
 					}
 					return nil
 				})
@@ -256,6 +350,32 @@ func TestCommittedHistoryOrderFree(t *testing.T) {
 				}
 			}
 			probe.Abort()
+			if isKD {
+				if len(order) != nTx {
+					t.Fatalf("%d transactions stamped a commit, want %d", len(order), nTx)
+				}
+				ref := kdtree.New()
+				for _, i := range order {
+					for j, o := range ops[i] {
+						p := gridPoint(o.x)
+						got, want := any(rets[i][j]), any(nil)
+						switch o.kind {
+						case 0:
+							want = ref.Add(p)
+						case 1:
+							want = ref.Remove(p)
+						case 2:
+							want = ref.Contains(p)
+						default:
+							got, want = near[i][j], ref.Nearest(p)
+						}
+						if got != want {
+							t.Fatalf("item %d op %d (kind %d on %v) returned %v; replayed in commit order it returns %v",
+								i, j, o.kind, p, got, want)
+						}
+					}
+				}
+			}
 			t.Logf("%d transactions, %d aborts", nTx, stats.Aborts)
 			switch {
 			case bad != 0 && arm.unsound:
