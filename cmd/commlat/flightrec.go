@@ -23,7 +23,6 @@ func cmdFlightrec(args []string) error {
 	heatmap := fs.String("heatmap", "", "write the shard-load heatmap document as JSON to this file (- for stdout)")
 	auditOut := fs.String("audit", "", "write the controller audit trail as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
-	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -34,13 +33,7 @@ func cmdFlightrec(args []string) error {
 	defer telemetry.DisableFlight()
 	telemetry.ResetAudit()
 
-	if err := prof.start(); err != nil {
-		return err
-	}
 	summary, err := runTraced(sz)
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
 	if err != nil {
 		return err
 	}
@@ -58,34 +51,18 @@ func cmdFlightrec(args []string) error {
 			return err
 		}
 	}
-	writeDoc := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return write(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
+	for _, doc := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{*out, telemetry.Default.WriteFlightJSON},
+		{*percentiles, telemetry.WritePercentilesJSON},
+		{*heatmap, telemetry.Default.WriteHeatmapJSON},
+		{*auditOut, telemetry.WriteAuditJSON},
+	} {
+		if err := writeTo(doc.path, doc.write); err != nil {
 			return err
 		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeDoc(*out, telemetry.Default.WriteFlightJSON); err != nil {
-		return err
-	}
-	if err := writeDoc(*percentiles, telemetry.WritePercentilesJSON); err != nil {
-		return err
-	}
-	if err := writeDoc(*heatmap, telemetry.Default.WriteHeatmapJSON); err != nil {
-		return err
-	}
-	if err := writeDoc(*auditOut, telemetry.WriteAuditJSON); err != nil {
-		return err
 	}
 
 	fmt.Fprintln(report, summary)

@@ -1,17 +1,8 @@
 // Command commlat regenerates the tables and figures of "Exploiting the
 // Commutativity Lattice" (PLDI 2011) and prints the synthesized
-// abstract-locking artifacts.
-//
-// Usage:
-//
-//	commlat table1  [-rmfa N -rmfb N -mesh N -points N -parts N -seed S]
-//	commlat table2  [-ops N -classes K -threads T -seed S]
-//	commlat fig10   [-threads list -rmfa N -rmfb N -parts N -seed S]
-//	commlat fig11   [-threads list -points N -seed S]
-//	commlat fig12   [-threads list -mesh N -seed S]
-//	commlat matrices [-spec accumulator|set|flowgraph]
-//	commlat model   [-app Preflow-push|Boruvka|Clustering -procs list ...]
-//	commlat specs
+// abstract-locking artifacts. `commlat help` lists the commands (one
+// table, commands(), drives dispatch, the usage text and `all`) and
+// `commlat <command> -h` a command's flags.
 //
 // Paper-scale inputs are a matter of flags (e.g. -points 500000
 // -mesh 1000 -ops 1000000); defaults finish in seconds on a laptop.
@@ -25,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +28,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +43,7 @@ import (
 	"commlat/internal/adt/kdtree"
 	"commlat/internal/adt/unionfind"
 	"commlat/internal/analysis"
+	"commlat/internal/apps"
 	"commlat/internal/bench"
 	"commlat/internal/core"
 	"commlat/internal/spectext"
@@ -59,7 +53,7 @@ import (
 
 func main() {
 	global := flag.NewFlagSet("commlat", flag.ExitOnError)
-	global.Usage = usage
+	global.Usage = func() { usage(os.Stderr) }
 	cpuProfile := global.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := global.String("memprofile", "", "write a heap profile to this file on exit")
 	listen := global.String("listen", "", "serve live telemetry (/metrics, /debug/telemetry, /debug/vars) on this address for the run's duration")
@@ -68,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 	if global.NArg() < 1 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	var srv *http.Server
@@ -91,11 +85,10 @@ func main() {
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "commlat:", err)
-			os.Exit(1)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "commlat:", err)
 			os.Exit(1)
 		}
@@ -120,25 +113,14 @@ func main() {
 			cancel()
 			<-srvDone
 		}
-		if *telemetryOut != "" {
-			if werr := writeTelemetrySnapshot(*telemetryOut); werr != nil {
+		for _, werr := range []error{ // an unset path writes nothing
+			writeTo(*telemetryOut, writeTelemetrySnapshot),
+			writeTo(*memProfile, writeHeapProfile),
+		} {
+			if werr != nil {
 				fmt.Fprintln(os.Stderr, "commlat:", werr)
 				teardownErr = werr
 			}
-		}
-		if *memProfile != "" {
-			f, ferr := os.Create(*memProfile)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "commlat:", ferr)
-				teardownErr = ferr
-				return
-			}
-			runtime.GC() // capture the retained heap, not transient garbage
-			if ferr := pprof.WriteHeapProfile(f); ferr != nil {
-				fmt.Fprintln(os.Stderr, "commlat:", ferr)
-				teardownErr = ferr
-			}
-			f.Close()
 		}
 	}
 
@@ -157,6 +139,12 @@ func main() {
 
 	err := dispatch(global.Arg(0), global.Args()[1:])
 	teardownOnce.Do(teardown)
+	var bad usageError
+	if errors.As(err, &bad) {
+		fmt.Fprintln(os.Stderr, "commlat:", err)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
 	if err == nil {
 		err = teardownErr
 	}
@@ -169,81 +157,100 @@ func main() {
 // writeTelemetrySnapshot dumps the default registry's counters — the
 // same JSON the /debug/telemetry endpoint serves — so batch runs can
 // keep per-stage cascade statistics without a live HTTP listener.
-func writeTelemetrySnapshot(path string) error {
-	data, err := json.MarshalIndent(telemetry.Default.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+func writeTelemetrySnapshot(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(telemetry.Default.Snapshot())
 }
 
-func dispatch(cmd string, args []string) error {
-	var err error
-	switch cmd {
-	case "table1":
-		err = cmdTable1(args)
-	case "table2":
-		err = cmdTable2(args)
-	case "bench":
-		err = cmdBench(args)
-	case "fig10", "fig11", "fig12":
-		err = cmdFig(cmd, args)
-	case "matrices":
-		err = cmdMatrices(args)
-	case "model":
-		err = cmdModel(args)
-	case "specs":
-		err = cmdSpecs(args)
-	case "strengthen":
-		err = cmdStrengthen(args)
-	case "adaptive":
-		err = cmdAdaptive(args)
-	case "trace":
-		err = cmdTrace(args)
-	case "flightrec":
-		err = cmdFlightrec(args)
-	case "check":
-		err = cmdCheck(args)
-	case "all":
-		err = cmdAll(args)
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "commlat: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	return err
+func writeHeapProfile(w io.Writer) error {
+	runtime.GC() // capture the retained heap, not transient garbage
+	return pprof.WriteHeapProfile(w)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `commlat — reproduce "Exploiting the Commutativity Lattice" (PLDI 2011)
+// command is one subcommand. dispatch, the usage text and `all` read
+// the one table of them.
+type command struct {
+	name    string
+	summary string // usage text, continuation lines after "\n"
+	run     func(args []string) error
+	// inAll is the heading under which `all` runs the command with its
+	// default flags; empty leaves the command out of `all`.
+	inAll string
+}
+
+func commands() []command {
+	return []command{
+		{"table1", "critical path / parallelism / overhead per app and variant", cmdTable1,
+			"table 1 — path / parallelism / overhead"},
+		{"table2", "set microbenchmark abort ratios and times", cmdTable2, "table 2 — set microbenchmark"},
+		{"bench", "detector micro-benchmarks (ns/op, allocs/op), serial and\n" +
+			"batched admission rows (DetectorCascadeBatch*, CascadeBatch);\n" +
+			"-json writes BENCH_fresh.json for the CI allocation gate", cmdBench, ""},
+		{"fig10", "preflow-push run time vs threads (part, ex, ml)", cmdFig(10), ""},
+		{"fig11", "clustering run time vs threads (kd-ml vs kd-gk)", cmdFig(11), ""},
+		{"fig12", "Boruvka run time vs threads (uf-ml vs uf-gk)", cmdFig(12), ""},
+		{"matrices", "synthesized lock modes and compatibility matrices (fig. 8)", cmdMatrices,
+			"figure 8 — synthesized matrices"},
+		{"model", "the §5 T·o/min(a,p) scheme-selection model on Table 1's rows", cmdModel,
+			"§5 model — scheme selection (preflow-push)"},
+		{"specs", "print every commutativity specification and its class", cmdSpecs, ""},
+		{"strengthen", "derive the strongest SIMPLE spec below a given one (§4.1)", cmdStrengthen,
+			"§4.1 — strengthening figure 2 to figure 3"},
+		{"adaptive", "run the §5 future-work adaptive scheme selector on the set\n" +
+			"(-shards N overrides the cascade-sharded rung's shard count)", cmdAdaptive,
+			"§5 future work — adaptive selection"},
+		{"trace", "run one app with the telemetry event trace enabled; writes a\n" +
+			"Chrome trace_event JSON (and optionally JSONL) plus the\n" +
+			"per-method-pair conflict attribution table", cmdTrace, ""},
+		{"flightrec", "run one app with stage-latency histograms and the flight\n" +
+			"recorder enabled; prints the percentile table, recent\n" +
+			"admission records and the controller audit trail (-json,\n" +
+			"-percentiles/-heatmap/-audit write the JSON documents)", cmdFlightrec, ""},
+		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
+		{"all", "run every quick experiment (tables, matrices, model, adaptive)", cmdAll, ""},
+		{"help", "print this text", func([]string) error { usage(os.Stderr); return nil }, ""},
+	}
+}
+
+// usageError is a command line the command table cannot run. main
+// reports it after its teardown, like any other error, then prints the
+// usage text and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+func dispatch(name string, args []string) error {
+	for _, c := range commands() {
+		if c.name == name {
+			return c.run(args)
+		}
+	}
+	return usageError(fmt.Sprintf("unknown command %q", name))
+}
+
+func cmdAll(args []string) error {
+	for _, c := range commands() {
+		if c.inAll == "" {
+			continue
+		}
+		fmt.Printf("\n════ %s ════\n", c.inAll)
+		if err := c.run(nil); err != nil {
+			return fmt.Errorf("%s: %w", c.inAll, err)
+		}
+	}
+	return nil
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, `commlat — reproduce "Exploiting the Commutativity Lattice" (PLDI 2011)
 
 commands:
-  table1    critical path / parallelism / overhead per app and variant
-  table2    set microbenchmark abort ratios and times
-  bench     detector micro-benchmarks (ns/op, allocs/op), serial and
-            batched admission rows (DetectorCascadeBatch*, CascadeBatch);
-            -json writes BENCH_fresh.json for the CI allocation gate
-  fig10     preflow-push run time vs threads (ml, ex, part)
-  fig11     clustering run time vs threads (kd-gk vs kd-ml)
-  fig12     Boruvka run time vs threads (uf-gk vs uf-ml)
-  matrices  synthesized lock modes and compatibility matrices (fig. 8)
-  model     the §5 T·o/min(a,p) scheme-selection model on measured data
-  specs     print every commutativity specification and its class
-  strengthen  derive the strongest SIMPLE spec below a given one (§4.1)
-  adaptive  run the §5 future-work adaptive scheme selector on the set
-            (-shards N overrides the cascade-sharded rung's shard count)
-  trace     run one app with the telemetry event trace enabled; writes a
-            Chrome trace_event JSON (and optionally JSONL) plus the
-            per-method-pair conflict attribution table
-  flightrec run one app with stage-latency histograms and the flight
-            recorder enabled; prints the percentile table, recent
-            admission records and the controller audit trail (-json,
-            -percentiles/-heatmap/-audit write the JSON documents)
-  check     parse a textual specification file, classify and synthesize it
-  all       run every quick experiment (tables, matrices, model, adaptive)
-
+`)
+	for _, c := range commands() {
+		fmt.Fprintf(w, "  %-10s %s\n", c.name, strings.ReplaceAll(c.summary, "\n", "\n             "))
+	}
+	fmt.Fprint(w, `
 global flags (before the command):
   -cpuprofile FILE  write a pprof CPU profile of the whole run
   -memprofile FILE  write a pprof heap profile at exit
@@ -254,11 +261,13 @@ global flags (before the command):
                     (engine counters plus per-detector stats, cascade
                     stage counters included; same schema as
                     /debug/telemetry, checked by scripts/tracecheck)
-table1, table2, fig10-12, model, adaptive and bench also accept
--cpuprofile/-memprofile after the command, scoping the profile to that
-command's measured work.
 
-run "commlat <command> -h" for flags.`)
+trace and flightrec pick the variant with -detector, by Table 1's name
+(preflow: part|ex|ml; boruvka: uf-ml|uf-gk|uf-generic; cluster:
+kd-ml|kd-gk).
+
+run "commlat <command> -h" for flags.
+`)
 }
 
 func parseThreads(s string) ([]int, error) {
@@ -273,54 +282,43 @@ func parseThreads(s string) ([]int, error) {
 	return out, nil
 }
 
-// profileFlags registers -cpuprofile/-memprofile on a subcommand's flag
-// set, so profiles can be scoped to one command's work (the global
-// pre-command flags still cover whole runs). Call start after parsing
-// and the returned stop when the command's work is done.
-type profileFlags struct {
-	cpu, mem *string
-	f        *os.File
-}
-
-func addProfileFlags(fs *flag.FlagSet) *profileFlags {
-	p := &profileFlags{}
-	p.cpu = fs.String("cpuprofile", "", "write a pprof CPU profile of this command")
-	p.mem = fs.String("memprofile", "", "write a pprof heap profile when this command ends")
-	return p
-}
-
-func (p *profileFlags) start() error {
-	if *p.cpu == "" {
+// writeTo calls write on the file it creates at path, or on stdout when
+// path is "-"; an empty path asks for nothing and writes nothing.
+func writeTo(path string, write func(io.Writer) error) error {
+	switch path {
+	case "":
 		return nil
+	case "-":
+		return write(os.Stdout)
 	}
-	f, err := os.Create(*p.cpu)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	p.f = f
-	return nil
+	return f.Close()
 }
 
-func (p *profileFlags) stop() error {
-	if p.f != nil {
-		pprof.StopCPUProfile()
-		p.f.Close()
-		p.f = nil
-	}
-	if *p.mem == "" {
-		return nil
-	}
-	f, err := os.Create(*p.mem)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC() // capture the retained heap, not transient garbage
-	return pprof.WriteHeapProfile(f)
+// Default input sizes, laptop-scaled: Table 1 and the model complete in
+// seconds, the figures run larger inputs and the traced runs smaller.
+var (
+	table1Sizes = apps.Sizes{RMFa: 6, RMFb: 6, Mesh: 24, Points: 600, Parts: 32, Seed: 1}
+	figSizes    = apps.Sizes{RMFa: 8, RMFb: 8, Mesh: 48, Points: 1500, Parts: 32, Seed: 1}
+	traceSizes  = apps.Sizes{RMFa: 6, RMFb: 6, Mesh: 16, Points: 400, Parts: 32, Seed: 1}
+)
+
+// addSizeFlags registers the catalogue's input sizes on fs, with *sz as
+// the defaults.
+func addSizeFlags(fs *flag.FlagSet, sz *apps.Sizes) {
+	fs.IntVar(&sz.RMFa, "rmfa", sz.RMFa, "GENRMF frame side (preflow)")
+	fs.IntVar(&sz.RMFb, "rmfb", sz.RMFb, "GENRMF frame count (preflow)")
+	fs.IntVar(&sz.Mesh, "mesh", sz.Mesh, "Boruvka mesh side (paper: 1000)")
+	fs.IntVar(&sz.Points, "points", sz.Points, "clustering points (paper: 100000 in table 1, 500000 in figure 11)")
+	fs.IntVar(&sz.Parts, "parts", sz.Parts, "preflow partitions under part (paper: 32)")
+	fs.Int64Var(&sz.Seed, "seed", sz.Seed, "generator seed")
 }
 
 func cmdBench(args []string) error {
@@ -329,7 +327,6 @@ func cmdBench(args []string) error {
 	out := fs.String("o", "BENCH_fresh.json", "output path for -json (- for stdout)")
 	run := fs.String("run", "", "regexp selecting benchmarks to run (default all)")
 	quiet := fs.Bool("q", false, "suppress the progress table")
-	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -340,58 +337,43 @@ func cmdBench(args []string) error {
 			return fmt.Errorf("bad -run regexp: %w", err)
 		}
 	}
-	if err := prof.start(); err != nil {
-		return err
-	}
 	progress := io.Writer(os.Stderr)
 	if *quiet {
 		progress = nil
 	}
 	results := bench.RunMicros(filter, progress)
-	if err := prof.stop(); err != nil {
-		return err
-	}
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmarks match %q", *run)
 	}
 	if !*jsonOut {
 		return nil
 	}
-	rep := bench.Report(results)
-	if *out == "-" {
-		return bench.WriteJSON(os.Stdout, rep)
+	return writeTo(*out, func(w io.Writer) error { return bench.WriteJSON(w, results) })
+}
+
+// table1Memo keeps Table 1's rows per input sizes for the process: the
+// model reads the rows table1 prints, so `all` measures them once.
+var table1Memo = map[apps.Sizes][]bench.Table1Row{}
+
+func table1Rows(sz apps.Sizes) ([]bench.Table1Row, error) {
+	if rows, ok := table1Memo[sz]; ok {
+		return rows, nil
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
+	rows, err := bench.Table1(apps.Catalogue(sz))
+	if err == nil {
+		table1Memo[sz] = rows
 	}
-	if err := bench.WriteJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return rows, err
 }
 
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	cfg := bench.DefaultTable1()
-	fs.IntVar(&cfg.RMFa, "rmfa", cfg.RMFa, "GENRMF frame side")
-	fs.IntVar(&cfg.RMFb, "rmfb", cfg.RMFb, "GENRMF frame count")
-	fs.IntVar(&cfg.MeshN, "mesh", cfg.MeshN, "Boruvka mesh side (paper: 1000)")
-	fs.IntVar(&cfg.Points, "points", cfg.Points, "clustering points (paper: 100000)")
-	fs.IntVar(&cfg.Parts, "parts", cfg.Parts, "preflow partitions (paper: 32)")
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	prof := addProfileFlags(fs)
+	sz := table1Sizes
+	addSizeFlags(fs, &sz)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := prof.start(); err != nil {
-		return err
-	}
-	rows, err := bench.Table1(cfg)
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
+	rows, err := table1Rows(sz)
 	if err != nil {
 		return err
 	}
@@ -408,20 +390,10 @@ func cmdTable2(args []string) error {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "stream seed")
 	fs.BoolVar(&cfg.Extended, "ext", false, "add extension rows (liberal locks, object STM)")
 	stats := fs.Bool("stats", false, "print gatekeeper work counters (probes, collisions, fallbacks)")
-	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := prof.start(); err != nil {
-		return err
-	}
-	rows, err := bench.Table2(cfg)
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
+	rows := bench.Table2(cfg)
 	fmt.Print(bench.FormatTable2(rows))
 	if *stats {
 		fmt.Println()
@@ -430,45 +402,33 @@ func cmdTable2(args []string) error {
 	return nil
 }
 
-func cmdFig(name string, args []string) error {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	cfg := bench.DefaultFig()
-	threads := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
-	fs.IntVar(&cfg.RMFa, "rmfa", cfg.RMFa, "GENRMF frame side")
-	fs.IntVar(&cfg.RMFb, "rmfb", cfg.RMFb, "GENRMF frame count")
-	fs.IntVar(&cfg.Parts, "parts", cfg.Parts, "preflow partitions")
-	fs.IntVar(&cfg.Points, "points", cfg.Points, "clustering points (paper: 500000)")
-	fs.IntVar(&cfg.MeshN, "mesh", cfg.MeshN, "Boruvka mesh side (paper: 1000)")
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	prof := addProfileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+// cmdFig is the command of the paper's figure n: the thread sweep of the
+// catalogue's app with that figure number.
+func cmdFig(n int) func(args []string) error {
+	return func(args []string) error {
+		fs := flag.NewFlagSet(fmt.Sprintf("fig%d", n), flag.ExitOnError)
+		threadList := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
+		sz := figSizes
+		addSizeFlags(fs, &sz)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		threads, err := parseThreads(*threadList)
+		if err != nil {
+			return err
+		}
+		for _, app := range apps.Catalogue(sz) {
+			if app.Figure != n {
+				continue
+			}
+			fig, err := bench.Fig(app, threads)
+			if err != nil {
+				return err
+			}
+			fmt.Print(fig.String())
+		}
+		return nil
 	}
-	var err error
-	cfg.Threads, err = parseThreads(*threads)
-	if err != nil {
-		return err
-	}
-	if err := prof.start(); err != nil {
-		return err
-	}
-	var fig bench.Figure
-	switch name {
-	case "fig10":
-		fig, err = bench.Fig10(cfg)
-	case "fig11":
-		fig, err = bench.Fig11(cfg)
-	default:
-		fig, err = bench.Fig12(cfg)
-	}
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(fig.String())
-	return nil
 }
 
 func cmdMatrices(args []string) error {
@@ -502,15 +462,10 @@ func cmdMatrices(args []string) error {
 
 func cmdModel(args []string) error {
 	fs := flag.NewFlagSet("model", flag.ExitOnError)
-	app := fs.String("app", "Preflow-push", "Preflow-push | Boruvka | Clustering")
+	appName := fs.String("app", "Preflow-push", "Preflow-push | Boruvka | Clustering")
 	procs := fs.String("procs", "1,2,4,8,64,1024", "processor counts")
-	cfg := bench.DefaultTable1()
-	fs.IntVar(&cfg.RMFa, "rmfa", cfg.RMFa, "GENRMF frame side")
-	fs.IntVar(&cfg.RMFb, "rmfb", cfg.RMFb, "GENRMF frame count")
-	fs.IntVar(&cfg.MeshN, "mesh", cfg.MeshN, "Boruvka mesh side")
-	fs.IntVar(&cfg.Points, "points", cfg.Points, "clustering points")
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	prof := addProfileFlags(fs)
+	sz := table1Sizes
+	addSizeFlags(fs, &sz)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -518,21 +473,15 @@ func cmdModel(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := prof.start(); err != nil {
-		return err
-	}
-	rows, err := bench.Table1(cfg)
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
+	app, err := apps.Lookup(apps.Catalogue(sz), *appName)
 	if err != nil {
 		return err
 	}
-	entries := bench.ModelFromTable1(rows, *app)
-	if len(entries) == 0 {
-		return fmt.Errorf("no Table 1 rows for app %q", *app)
+	rows, err := table1Rows(sz)
+	if err != nil {
+		return err
 	}
-	fmt.Print(bench.FormatModel(entries, ps))
+	fmt.Print(bench.FormatModel(bench.ModelFromTable1(rows, app.Title), ps))
 	return nil
 }
 
@@ -556,15 +505,10 @@ func cmdStrengthen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var spec *core.Spec
-	switch *which {
-	case "set":
-		spec = intset.PreciseSpec()
-	case "kdtree":
-		spec = kdtree.Spec()
-	case "unionfind":
-		spec = unionfind.Spec()
-	default:
+	spec, ok := map[string]*core.Spec{
+		"set": intset.PreciseSpec(), "kdtree": kdtree.Spec(), "unionfind": unionfind.Spec(),
+	}[*which]
+	if !ok {
 		return fmt.Errorf("unknown spec %q", *which)
 	}
 	fmt.Printf("original (%s):\n%s\n", spec.Classify(), spec)
@@ -590,11 +534,7 @@ func cmdAdaptive(args []string) error {
 	start := fs.String("start", "", "starting rung by name (default: the bottom of the ladder)")
 	shards := fs.Int("shards", 0, "shard count for the cascade-sharded rung (0: gatekeeper.DefaultShards for this GOMAXPROCS)")
 	auditOut := fs.String("audit", "", "write the controller decision audit trail as JSON to this file (- for stdout)")
-	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := prof.start(); err != nil {
 		return err
 	}
 	ladder := adaptive.DefaultLadder()
@@ -605,13 +545,7 @@ func cmdAdaptive(args []string) error {
 	}
 	startRung := 0
 	if *start != "" {
-		startRung = -1
-		for i, r := range ladder {
-			if r.Name == *start {
-				startRung = i
-				break
-			}
-		}
+		startRung = slices.IndexFunc(ladder, func(r adaptive.Rung) bool { return r.Name == *start })
 		if startRung < 0 {
 			names := make([]string, len(ladder))
 			for i, r := range ladder {
@@ -623,9 +557,6 @@ func cmdAdaptive(args []string) error {
 	stream := workload.SetOpsClasses(*ops, *classes, *seed)
 	telemetry.ResetAudit()
 	trace, err := adaptive.Run(ladder, stream, *epoch, *window, startRung)
-	if perr := prof.stop(); err == nil {
-		err = perr
-	}
 	if err != nil {
 		return err
 	}
@@ -634,21 +565,7 @@ func cmdAdaptive(args []string) error {
 		fmt.Printf("%-8d %-12s %10.2f %12.0f\n", i, ladder[s.Rung].Name, s.AbortRatio*100, s.Throughput)
 	}
 	fmt.Printf("switches: %d; final set size: %d\n", trace.Switches, len(trace.Final.Snapshot()))
-	if *auditOut != "" {
-		w := io.Writer(os.Stdout)
-		if *auditOut != "-" {
-			f, err := os.Create(*auditOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := telemetry.WriteAuditJSON(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTo(*auditOut, telemetry.WriteAuditJSON)
 }
 
 func cmdCheck(args []string) error {
@@ -711,27 +628,6 @@ func cmdCheck(args []string) error {
 	if spec.Classify() != core.ClassSimple {
 		fmt.Println("\nstrongest SIMPLE specification below it (§4.1):")
 		fmt.Print(spectext.Format(simple))
-	}
-	return nil
-}
-
-func cmdAll(args []string) error {
-	steps := []struct {
-		title string
-		run   func([]string) error
-	}{
-		{"figure 8 — synthesized matrices", cmdMatrices},
-		{"table 1 — path / parallelism / overhead", cmdTable1},
-		{"table 2 — set microbenchmark", cmdTable2},
-		{"§5 model — scheme selection (preflow-push)", cmdModel},
-		{"§4.1 — strengthening figure 2 to figure 3", cmdStrengthen},
-		{"§5 future work — adaptive selection", cmdAdaptive},
-	}
-	for _, st := range steps {
-		fmt.Printf("\n════ %s ════\n", st.title)
-		if err := st.run(nil); err != nil {
-			return fmt.Errorf("%s: %w", st.title, err)
-		}
 	}
 	return nil
 }

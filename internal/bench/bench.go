@@ -1,7 +1,10 @@
-// Package bench is the experiment harness: one entry point per table and
-// figure of the paper's evaluation (§5), each returning typed rows that
-// render in the paper's format. cmd/commlat exposes them as subcommands
-// and bench_test.go wires them into `go test -bench`.
+// Package bench is the experiment harness: the paper's evaluation (§5)
+// computed from three tables. Table 1, figures 10–12 and the
+// T·o/min(a,p) model are loops over apps.Catalogue (Table1, Fig, and
+// ModelFromTable1 over Table 1's rows, not a second measurement); Table 2
+// is a loop over Table2Schemes; the detector micro-benchmarks are the
+// rows of Micros. cmd/commlat exposes each as a subcommand and the root
+// bench_test.go ranges over the same tables under `go test -bench`.
 //
 // Absolute numbers differ from the paper's (different machine, runtime
 // and scale — see EXPERIMENTS.md); the quantities compared and the
@@ -10,69 +13,11 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
+
+	"commlat/internal/apps"
+	"commlat/internal/engine"
 )
-
-// Series is one line of a figure: elapsed seconds per thread count.
-type Series struct {
-	Name    string
-	Threads []int
-	Seconds []float64
-}
-
-// Speedups converts the series to speedup over the given serial time.
-func (s Series) Speedups(serial float64) []float64 {
-	out := make([]float64, len(s.Seconds))
-	for i, sec := range s.Seconds {
-		if sec > 0 {
-			out[i] = serial / sec
-		}
-	}
-	return out
-}
-
-// Figure is a set of series over a common thread axis plus the serial
-// baseline time.
-type Figure struct {
-	Title         string
-	SerialSeconds float64
-	Series        []Series
-}
-
-// String renders the figure as a text table of times and speedups.
-func (f Figure) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (serial %.3fs)\n", f.Title, f.SerialSeconds)
-	if len(f.Series) == 0 {
-		return b.String()
-	}
-	fmt.Fprintf(&b, "%-12s", "threads")
-	for _, th := range f.Series[0].Threads {
-		fmt.Fprintf(&b, "%10d", th)
-	}
-	b.WriteByte('\n')
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "%-12s", s.Name+" t")
-		for _, sec := range s.Seconds {
-			fmt.Fprintf(&b, "%9.3fs", sec)
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "%-12s", s.Name+" x")
-		for _, sp := range s.Speedups(f.SerialSeconds) {
-			fmt.Fprintf(&b, "%9.2fx", sp)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// timed runs f and returns the elapsed wall-clock time.
-func timed(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
 
 // median3 runs f three times and returns the median duration, for less
 // noisy single-shot measurements.
@@ -88,4 +33,30 @@ func median3(f func() time.Duration) time.Duration {
 		b = a
 	}
 	return b
+}
+
+// sequentialTime is the median of three unguarded solves: Table 1's T
+// and the figures' serial baseline.
+func sequentialTime(app apps.App) time.Duration {
+	return median3(func() time.Duration {
+		_, d := app.Sequential()
+		return d
+	})
+}
+
+// solveTime is the median of three guarded solves of app under v at the
+// given worker count, each on a fresh structure.
+func solveTime(app apps.App, v apps.Variant, workers int) (time.Duration, error) {
+	var runErr error
+	d := median3(func() time.Duration {
+		s, err := v.Run(engine.Options{Workers: workers})
+		if err != nil {
+			runErr = err
+		}
+		return s.Wall
+	})
+	if runErr != nil {
+		return 0, fmt.Errorf("%s/%s: %w", app.Key, v.Name, runErr)
+	}
+	return d, nil
 }

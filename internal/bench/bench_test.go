@@ -1,16 +1,23 @@
 package bench
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
 	"strings"
 	"testing"
+
+	"commlat/internal/apps"
+	"commlat/internal/engine"
+	"commlat/internal/parameter"
 )
+
+// tiny sizes every catalogue input so a whole table runs in a test.
+var tiny = apps.Sizes{RMFa: 4, RMFb: 4, Mesh: 12, Points: 150, Parts: 8, Seed: 1}
 
 func TestTable2SmallShape(t *testing.T) {
 	cfg := Table2Config{Ops: 4000, Classes: 10, Threads: 4, Seed: 1, Extended: true}
-	rows, err := Table2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Table2(cfg)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -51,8 +58,7 @@ func TestTable2SmallShape(t *testing.T) {
 }
 
 func TestTable1SmallShape(t *testing.T) {
-	cfg := Table1Config{RMFa: 4, RMFb: 4, MeshN: 12, Points: 150, Parts: 8, Seed: 1}
-	rows, err := Table1(cfg)
+	rows, err := Table1(apps.Catalogue(tiny))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +94,18 @@ func TestFiguresRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figures are timing sweeps")
 	}
-	cfg := FigConfig{Threads: []int{1, 2}, RMFa: 4, RMFb: 4, Parts: 8, Points: 200, MeshN: 12, Seed: 1}
-	for name, f := range map[string]func(FigConfig) (Figure, error){
-		"fig10": Fig10, "fig11": Fig11, "fig12": Fig12,
-	} {
-		fig, err := f(cfg)
+	threads := []int{1, 2}
+	for _, app := range apps.Catalogue(apps.Sizes{RMFa: 4, RMFb: 4, Mesh: 12, Points: 200, Parts: 8, Seed: 1}) {
+		fig, err := Fig(app, threads)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
+		name := fig.Title
 		if len(fig.Series) < 2 {
 			t.Errorf("%s: %d series", name, len(fig.Series))
 		}
 		for _, s := range fig.Series {
-			if len(s.Seconds) != len(cfg.Threads) {
+			if len(s.Seconds) != len(threads) {
 				t.Errorf("%s/%s: %d points", name, s.Name, len(s.Seconds))
 			}
 			for _, sec := range s.Seconds {
@@ -111,6 +116,50 @@ func TestFiguresRunSmall(t *testing.T) {
 		}
 		if out := fig.String(); !strings.Contains(out, "threads") {
 			t.Errorf("%s: rendering:\n%s", name, out)
+		}
+	}
+}
+
+// A guarded run that fails is reported by Table 1 and by the figures
+// alike, as app/variant: err.
+func TestFailingRunIsReported(t *testing.T) {
+	boom := errors.New("boom")
+	app := apps.Catalogue(tiny)[0]
+	app.Variants = append(app.Variants[:1:1], apps.Variant{
+		Name:    "broken",
+		Run:     func(engine.Options) (apps.Solve, error) { return apps.Solve{}, boom },
+		Profile: func() (parameter.Result, error) { return parameter.Result{}, nil },
+	})
+	_, errTable := Table1([]apps.App{app})
+	_, errFig := Fig(app, []int{1})
+	for name, err := range map[string]error{"Table1": errTable, "Fig": errFig} {
+		if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "preflow/broken: ") {
+			t.Errorf("%s: err = %v, want preflow/broken: boom", name, err)
+		}
+	}
+}
+
+// Every budgeted name is a row of Micros: a row renamed or dropped from
+// the table would otherwise surface only in CI's alloc-gate job.
+func TestBudgetNamesAreMicros(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_budget.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget Budget
+	if err := json.Unmarshal(data, &budget); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range Micros() {
+		if rows[m.Name] {
+			t.Errorf("row %s listed twice", m.Name)
+		}
+		rows[m.Name] = true
+	}
+	for name := range budget {
+		if !rows[name] {
+			t.Errorf("budgeted benchmark %s is not a row of Micros()", name)
 		}
 	}
 }

@@ -2,74 +2,52 @@ package bench
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
-	"commlat/internal/adt/flowgraph"
-	"commlat/internal/adt/kdtree"
-	"commlat/internal/adt/unionfind"
-	"commlat/internal/apps/boruvka"
-	"commlat/internal/apps/cluster"
-	"commlat/internal/apps/preflow"
-	"commlat/internal/engine"
-	"commlat/internal/workload"
+	"commlat/internal/apps"
 )
 
-// FigConfig sizes the scalability figures and picks the thread axis.
-type FigConfig struct {
-	Threads    []int
-	RMFa, RMFb int
-	Parts      int
-	Points     int
-	MeshN      int
-	Seed       int64
+// Series is one line of a figure: elapsed seconds per thread count.
+type Series struct {
+	Name    string
+	Threads []int
+	Seconds []float64
 }
 
-// DefaultFig is a laptop-scaled configuration.
-func DefaultFig() FigConfig {
-	return FigConfig{
-		Threads: []int{1, 2, 4, 8},
-		RMFa:    8, RMFb: 8, Parts: 32,
-		Points: 1500,
-		MeshN:  48,
-		Seed:   1,
+// Speedups converts the series to speedup over the given serial time.
+func (s Series) Speedups(serial float64) []float64 {
+	out := make([]float64, len(s.Seconds))
+	for i, sec := range s.Seconds {
+		if sec > 0 {
+			out[i] = serial / sec
+		}
 	}
+	return out
 }
 
-// Fig10 reproduces figure 10: preflow-push run time versus threads for
-// the ml (read/write locks), ex (exclusive locks) and part (partition
-// locks) conflict detectors. The paper's shape: run time is inversely
-// correlated with lattice height — lower-precision schemes win because
-// their parallelism still exceeds the machine's cores while their
-// per-operation overhead is lower.
-func Fig10(cfg FigConfig) (Figure, error) {
-	mkNet := func() *flowgraph.Net { return workload.GenRMF(cfg.RMFa, cfg.RMFb, 1, 1000, cfg.Seed) }
-	fig := Figure{Title: "Figure 10: preflow-push run time vs threads"}
-	fig.SerialSeconds = median3(func() time.Duration {
-		net := mkNet()
-		return timed(func() { preflow.Sequential(net) })
-	}).Seconds()
-	variants := []struct {
-		name string
-		mk   func() *flowgraph.Graph
-	}{
-		{"ml", func() *flowgraph.Graph { return flowgraph.NewRW(mkNet()) }},
-		{"ex", func() *flowgraph.Graph { return flowgraph.NewExclusive(mkNet()) }},
-		{"part", func() *flowgraph.Graph { return flowgraph.NewPartitioned(mkNet(), cfg.Parts) }},
+// Figure is a set of series over a common thread axis plus the serial
+// baseline time.
+type Figure struct {
+	Title         string
+	SerialSeconds float64
+	Series        []Series
+}
+
+// Fig reproduces the paper's scalability figure of one app (figure 10
+// preflow-push, 11 clustering, 12 Borůvka): run time versus threads, one
+// series per reported variant in Table 1's order. The shape the paper
+// reports for each is on its catalogue entry.
+func Fig(app apps.App, threads []int) (Figure, error) {
+	fig := Figure{
+		Title:         fmt.Sprintf("Figure %d: %s run time vs threads", app.Figure, app.Title),
+		SerialSeconds: sequentialTime(app).Seconds(),
 	}
-	for _, v := range variants {
-		s := Series{Name: v.name, Threads: cfg.Threads}
-		for _, th := range cfg.Threads {
-			var runErr error
-			d := median3(func() time.Duration {
-				g := v.mk()
-				return timed(func() {
-					if _, _, err := preflow.Run(g, engine.Options{Workers: th}); err != nil {
-						runErr = err
-					}
-				})
-			})
-			if runErr != nil {
-				return fig, fmt.Errorf("fig10 %s/%d: %w", v.name, th, runErr)
+	for _, v := range app.Reported() {
+		s := Series{Name: v.Name, Threads: threads}
+		for _, th := range threads {
+			d, err := solveTime(app, v, th)
+			if err != nil {
+				return fig, err
 			}
 			s.Seconds = append(s.Seconds, d.Seconds())
 		}
@@ -78,81 +56,29 @@ func Fig10(cfg FigConfig) (Figure, error) {
 	return fig, nil
 }
 
-// Fig11 reproduces figure 11: agglomerative clustering versus threads,
-// forward gatekeeper (kd-gk) against the memory-level baseline (kd-ml).
-// The paper's shape: the gatekeeper scales while the baseline does not,
-// despite the gatekeeper's higher precision.
-func Fig11(cfg FigConfig) (Figure, error) {
-	pts := workload.RandomPoints(cfg.Points, 1000, cfg.Seed)
-	fig := Figure{Title: "Figure 11: clustering run time vs threads"}
-	fig.SerialSeconds = median3(func() time.Duration {
-		return timed(func() { cluster.Sequential(pts) })
-	}).Seconds()
-	variants := []struct {
-		name string
-		mk   func() kdtree.Index
-	}{
-		{"kd-gk", func() kdtree.Index { return kdtree.NewGK() }},
-		{"kd-ml", func() kdtree.Index { return kdtree.NewML() }},
+// String renders the figure as a text table of times and speedups.
+func (f Figure) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (serial %.3fs)\n", f.Title, f.SerialSeconds)
+	if len(f.Series) == 0 {
+		return b.String()
 	}
-	for _, v := range variants {
-		s := Series{Name: v.name, Threads: cfg.Threads}
-		for _, th := range cfg.Threads {
-			var runErr error
-			d := median3(func() time.Duration {
-				idx := v.mk()
-				return timed(func() {
-					if _, _, err := cluster.Run(idx, pts, engine.Options{Workers: th}); err != nil {
-						runErr = err
-					}
-				})
-			})
-			if runErr != nil {
-				return fig, fmt.Errorf("fig11 %s/%d: %w", v.name, th, runErr)
-			}
-			s.Seconds = append(s.Seconds, d.Seconds())
+	fmt.Fprintf(&b, "%-12s", "threads")
+	for _, th := range f.Series[0].Threads {
+		fmt.Fprintf(&b, "%10d", th)
+	}
+	b.WriteByte('\n')
+	for _, s := range f.Series {
+		fmt.Fprintf(&b, "%-12s", s.Name+" t")
+		for _, sec := range s.Seconds {
+			fmt.Fprintf(&b, "%9.3fs", sec)
 		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// Fig12 reproduces figure 12: Borůvka's algorithm versus threads, the
-// concrete general gatekeeper (uf-gk) against the memory-level baseline
-// (uf-ml). The paper's shape: despite general gatekeeping's complexity,
-// it has lower overhead than tracking every read and write of path
-// compression, and scales better.
-func Fig12(cfg FigConfig) (Figure, error) {
-	nodes, edges := workload.Mesh(cfg.MeshN, cfg.MeshN, cfg.Seed)
-	fig := Figure{Title: "Figure 12: Boruvka run time vs threads"}
-	fig.SerialSeconds = median3(func() time.Duration {
-		return timed(func() { boruvka.Sequential(nodes, edges) })
-	}).Seconds()
-	variants := []struct {
-		name string
-		mk   func() unionfind.Sets
-	}{
-		{"uf-gk", func() unionfind.Sets { return unionfind.NewGK(nodes) }},
-		{"uf-ml", func() unionfind.Sets { return unionfind.NewML(nodes) }},
-	}
-	for _, v := range variants {
-		s := Series{Name: v.name, Threads: cfg.Threads}
-		for _, th := range cfg.Threads {
-			var runErr error
-			d := median3(func() time.Duration {
-				uf := v.mk()
-				return timed(func() {
-					if _, err := boruvka.Run(uf, nodes, edges, engine.Options{Workers: th}); err != nil {
-						runErr = err
-					}
-				})
-			})
-			if runErr != nil {
-				return fig, fmt.Errorf("fig12 %s/%d: %w", v.name, th, runErr)
-			}
-			s.Seconds = append(s.Seconds, d.Seconds())
+		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-12s", s.Name+" x")
+		for _, sp := range s.Speedups(f.SerialSeconds) {
+			fmt.Fprintf(&b, "%9.2fx", sp)
 		}
-		fig.Series = append(fig.Series, s)
+		b.WriteByte('\n')
 	}
-	return fig, nil
+	return b.String()
 }

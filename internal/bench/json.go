@@ -58,21 +58,16 @@ func RunMicros(filter *regexp.Regexp, progress io.Writer) []MicroResult {
 	return out
 }
 
-// Report wraps results in the BENCH_fresh.json document.
-func Report(results []MicroResult) MicroReport {
-	return MicroReport{
+// WriteJSON renders results as the BENCH_fresh.json document, indented.
+func WriteJSON(w io.Writer, results []MicroResult) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(MicroReport{
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		GoVersion:  runtime.Version(),
 		Benchmarks: results,
-	}
-}
-
-// WriteJSON renders the report as indented JSON.
-func WriteJSON(w io.Writer, rep MicroReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	})
 }
 
 // Budget is the checked-in allocation budget (BENCH_budget.json): for

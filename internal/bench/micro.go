@@ -1,16 +1,15 @@
 // Detector micro-benchmarks: the raw cost of one guarded operation under
 // each conflict detector, plus window sweeps for the disequality index.
-// These are plain func(*testing.B) so two harnesses can share them:
-// bench_test.go wraps them as ordinary `go test -bench` benchmarks
-// (stable names, so EXPERIMENTS.md numbers stay comparable across PRs),
-// and `commlat bench` runs them via testing.Benchmark to emit
-// BENCH_fresh.json for the allocation-regression gate.
+// Micros is the one table of them, and two harnesses range over it:
+// `commlat bench` runs the rows via testing.Benchmark to emit
+// BENCH_fresh.json for the allocation-regression gate, and the root
+// bench_test.go runs them as BenchmarkMicro/<row> (row names are stable,
+// so EXPERIMENTS.md numbers stay comparable across PRs).
 //
 // All benchmarks drive transactions through the engine.GetTx/PutTx pool:
 // with the tagged value representation and pooled detector records, the
 // indexed fast paths run at 0 allocs/op in steady state, and the CI gate
-// (scripts/allocgate against BENCH_budget.json) keeps them
-// there.
+// (scripts/allocgate against BENCH_budget.json) keeps them there.
 package bench
 
 import (
@@ -35,72 +34,85 @@ type Micro struct {
 	F    func(b *testing.B)
 }
 
-// Micros lists every detector micro-benchmark in a stable order. Names
-// match the Benchmark* functions in bench_test.go minus the "Benchmark"
-// prefix (sub-benchmarks join with '/').
+// Micros lists every detector micro-benchmark in a stable order
+// (sub-rows join with '/'). BENCH_budget.json budgets each by name.
 func Micros() []Micro {
+	// The forward gatekeeper running figure 2's precise set spec.
+	forward := func(b *testing.B) { benchSetAdd(b, intset.NewGatekept(intset.NewHashRep())) }
+	// The lattice cascade running the same spec. The steady state is
+	// disjoint-key, so nearly every iteration is a stage-1
+	// signature-filter admission with zero locks taken by the detector.
+	cascade := func(b *testing.B) { benchSetAdd(b, intset.NewCascaded(intset.NewHashRep())) }
+	// The cascade through the batched admission path at a fixed batch
+	// size. The acceptance target is DetectorCascadeBatch32 at ≥2× the
+	// serial cascade's throughput.
+	cascadeBatch := func(batch int) func(*testing.B) {
+		return func(b *testing.B) { benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), batch) }
+	}
+	// The hand-built general gatekeeper for union-find (undo/redo
+	// journal, rollback checks).
+	general := func(b *testing.B) { benchUnionFind(b, unionfind.NewGK(1<<16)) }
+
 	ms := []Micro{
-		{"DetectorAbslockRW", DetectorAbslockRW},
+		// Synthesized read/write abstract locks (figure 3's spec)
+		// guarding a hash set.
+		{"DetectorAbslockRW", func(b *testing.B) { benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep())) }},
 		{"DetectorAbslockReentrant", DetectorAbslockReentrant},
 		{"DetectorAbslockHeld256", DetectorAbslockHeld256},
-		{"DetectorGlobalLock", DetectorGlobalLock},
-		{"DetectorLiberalLock", DetectorLiberalLock},
-		{"DetectorForwardGatekeeper", DetectorForwardGatekeeper},
-		{"DetectorCascadeGatekeeper", DetectorCascadeGatekeeper},
-		{"DetectorGeneralGatekeeper", DetectorGeneralGatekeeper},
+		// The ⊥ spec — one global exclusive lock.
+		{"DetectorGlobalLock", func(b *testing.B) { benchSetAdd(b, intset.NewGlobalLock(intset.NewHashRep())) }},
+		// The footnote-6 guarded-mode scheme: figure 2 with locks.
+		{"DetectorLiberalLock", func(b *testing.B) { benchSetAdd(b, intset.NewLiberalLocked(intset.NewHashRep())) }},
+		{"DetectorForwardGatekeeper", forward},
+		{"DetectorCascadeGatekeeper", cascade},
+		{"DetectorGeneralGatekeeper", general},
 		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
 		// Budget 7, none of it the gatekeeper's: see the function.
 		{"DetectorForwardKDTree", DetectorForwardKDTree},
-		{"DetectorUnionFindGeneric", DetectorUnionFindGeneric},
-		{"DetectorUnionFindML", DetectorUnionFindML},
+		// The spec-interpreting generic gatekeeper — ablation against the
+		// concrete one above (same conditions, different machinery).
+		{"DetectorUnionFindGeneric", func(b *testing.B) { benchUnionFind(b, unionfind.NewGeneric(1<<16)) }},
+		// Union-find under abstract locks.
+		{"DetectorUnionFindML", func(b *testing.B) { benchUnionFind(b, unionfind.NewML(1<<16)) }},
 		{"CondEval", CondEval},
-		{"DetectorForwardGatekeeper/traced", DetectorForwardGatekeeperTraced},
-		{"DetectorCascadeGatekeeper/traced", DetectorCascadeGatekeeperTraced},
-		{"DetectorGeneralGatekeeper/traced", DetectorGeneralGatekeeperTraced},
+		{"DetectorForwardGatekeeper/traced", traced(forward)},
+		{"DetectorCascadeGatekeeper/traced", traced(cascade)},
+		{"DetectorGeneralGatekeeper/traced", traced(general)},
 		{"TelemetryEmit", TelemetryEmit},
 		{"CascadeSlowPath", CascadeSlowPath},
 		{"ForwardScanFallback", ForwardScanFallback},
-		{"DetectorCascadeBatch8", DetectorCascadeBatch8},
-		{"DetectorCascadeBatch32", DetectorCascadeBatch32},
-		{"DetectorCascadeBatch128", DetectorCascadeBatch128},
+		{"DetectorCascadeBatch8", cascadeBatch(8)},
+		{"DetectorCascadeBatch32", cascadeBatch(32)},
+		{"DetectorCascadeBatch128", cascadeBatch(128)},
 		{"DetectorCascadeSharded", DetectorCascadeSharded},
 		{"DetectorCascadeShardedCross", DetectorCascadeShardedCross},
 		{"DetectorCascadePairSerial", DetectorCascadePairSerial},
-		{"DetectorForwardGatekeeper/latency", DetectorForwardGatekeeperLatency},
-		{"DetectorCascadeGatekeeper/latency", DetectorCascadeGatekeeperLatency},
-		{"DetectorCascadeBatch32/latency", DetectorCascadeBatch32Latency},
-		{"DetectorCascadeSharded/latency", DetectorCascadeShardedLatency},
+		// The cascade's latency row is the instrumented fast path (one
+		// clock read and one histogram add per admission); the batch row
+		// adds publish/probe phase marks plus one group flight record per
+		// batch.
+		{"DetectorForwardGatekeeper/latency", withLatency(forward)},
+		{"DetectorCascadeGatekeeper/latency", withLatency(cascade)},
+		{"DetectorCascadeBatch32/latency", withLatency(cascadeBatch(32))},
+		{"DetectorCascadeSharded/latency", withLatency(DetectorCascadeSharded)},
 		{"TelemetryLatencyObserve", TelemetryLatencyObserve},
 		{"TelemetryFlightRecord", TelemetryFlightRecord},
 	}
-	for _, w := range []int{64, 512, 4096} {
-		w := w
-		ms = append(ms, Micro{
-			Name: fmt.Sprintf("ForwardIndexed/indexed/window=%d", w),
-			F:    func(b *testing.B) { ForwardWindow(b, false, w) },
-		})
-	}
-	for _, w := range []int{64, 512, 4096} {
-		w := w
-		ms = append(ms, Micro{
-			Name: fmt.Sprintf("CascadeIndexed/window=%d", w),
-			F:    func(b *testing.B) { CascadeWindow(b, w) },
-		})
-	}
-	for _, w := range []int{64, 512, 4096} {
-		w := w
-		ms = append(ms, Micro{
-			Name: fmt.Sprintf("GeneralIndexed/set/indexed/window=%d", w),
-			F:    func(b *testing.B) { GeneralSetWindow(b, false, w) },
-		})
-	}
-	for _, n := range []int{8, 32, 128} {
+	// Window sweeps: cost per op against the number of active invocations
+	// (flat for the indexed detectors; CascadeBatch falls with the batch).
+	for _, sweep := range []struct {
+		name string
+		f    func(b *testing.B, window int)
+	}{
+		{"ForwardIndexed/indexed", func(b *testing.B, w int) { ForwardWindow(b, false, w) }},
+		{"CascadeIndexed", CascadeWindow},
+		{"GeneralIndexed/set/indexed", func(b *testing.B, w int) { GeneralSetWindow(b, false, w) }},
+		{"CascadeBatch/batch=8", func(b *testing.B, w int) { CascadeBatchWindow(b, 8, w) }},
+		{"CascadeBatch/batch=32", func(b *testing.B, w int) { CascadeBatchWindow(b, 32, w) }},
+		{"CascadeBatch/batch=128", func(b *testing.B, w int) { CascadeBatchWindow(b, 128, w) }},
+	} {
 		for _, w := range []int{64, 512, 4096} {
-			n, w := n, w
-			ms = append(ms, Micro{
-				Name: fmt.Sprintf("CascadeBatch/batch=%d/window=%d", n, w),
-				F:    func(b *testing.B) { CascadeBatchWindow(b, n, w) },
-			})
+			ms = append(ms, Micro{fmt.Sprintf("%s/window=%d", sweep.name, w), func(b *testing.B) { sweep.f(b, w) }})
 		}
 	}
 	return ms
@@ -122,19 +134,18 @@ func benchSetAdd(b *testing.B, s intset.Set) {
 	}
 }
 
-// DetectorAbslockRW: synthesized read/write abstract locks (figure 3's
-// spec) guarding a hash set.
-func DetectorAbslockRW(b *testing.B) {
-	benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep()))
+// must unwraps a constructor whose arguments are fixed here, so that it
+// can fail only by a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
-func newRWSetManager(b *testing.B) *abslock.Manager {
-	b.Helper()
-	scheme, err := abslock.Synthesize(intset.RWSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return abslock.NewManager(scheme.Reduce(), nil)
+// newRWSetManager is a lock manager over figure 3's read/write scheme.
+func newRWSetManager() *abslock.Manager {
+	return abslock.NewManager(must(abslock.Synthesize(intset.RWSpec())).Reduce(), nil)
 }
 
 // DetectorAbslockReentrant: one transaction reads a key, reads it three
@@ -142,7 +153,7 @@ func newRWSetManager(b *testing.B) *abslock.Manager {
 // preflow discharge on one node. One new fast hold, three covered
 // re-acquisitions, one in-place upgrade; ns/op is the whole transaction.
 func DetectorAbslockReentrant(b *testing.B) {
-	m := newRWSetManager(b)
+	m := newRWSetManager()
 	contains, add := m.Method("contains"), m.Method("add")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -167,7 +178,7 @@ func DetectorAbslockReentrant(b *testing.B) {
 // stays that of a covered re-acquisition in DetectorAbslockReentrant
 // rather than growing with the locks held.
 func DetectorAbslockHeld256(b *testing.B) {
-	m := newRWSetManager(b)
+	m := newRWSetManager()
 	contains := m.Method("contains")
 	tx := engine.NewTx()
 	for k := int64(0); k < 256; k++ {
@@ -184,31 +195,6 @@ func DetectorAbslockHeld256(b *testing.B) {
 	}
 	b.StopTimer()
 	tx.Commit()
-}
-
-// DetectorGlobalLock: the ⊥ spec — one global exclusive lock.
-func DetectorGlobalLock(b *testing.B) {
-	benchSetAdd(b, intset.NewGlobalLock(intset.NewHashRep()))
-}
-
-// DetectorLiberalLock: the footnote-6 guarded-mode scheme implementing
-// figure 2 with locks.
-func DetectorLiberalLock(b *testing.B) {
-	benchSetAdd(b, intset.NewLiberalLocked(intset.NewHashRep()))
-}
-
-// DetectorForwardGatekeeper: the forward gatekeeper running figure 2's
-// precise set spec.
-func DetectorForwardGatekeeper(b *testing.B) {
-	benchSetAdd(b, intset.NewGatekept(intset.NewHashRep()))
-}
-
-// DetectorCascadeGatekeeper: the lattice cascade running figure 2's
-// precise set spec. The steady state is disjoint-key, so nearly every
-// iteration is a stage-1 signature-filter admission with zero locks
-// taken by the detector.
-func DetectorCascadeGatekeeper(b *testing.B) {
-	benchSetAdd(b, intset.NewCascaded(intset.NewHashRep()))
 }
 
 // benchSetAddBatch is benchSetAdd through the batched admission
@@ -246,21 +232,6 @@ func benchSetAddBatch(b *testing.B, s *intset.CascadeSet, batch int) {
 	}
 }
 
-// DetectorCascadeBatch8/32/128: DetectorCascadeGatekeeper through the
-// batched admission path at fixed batch sizes. The acceptance target is
-// DetectorCascadeBatch32 at ≥2× the serial cascade's throughput.
-func DetectorCascadeBatch8(b *testing.B) {
-	benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), 8)
-}
-
-func DetectorCascadeBatch32(b *testing.B) {
-	benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), 32)
-}
-
-func DetectorCascadeBatch128(b *testing.B) {
-	benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), 128)
-}
-
 func benchUnionFind(b *testing.B, uf unionfind.Sets) {
 	b.Helper()
 	b.ReportAllocs()
@@ -273,12 +244,6 @@ func benchUnionFind(b *testing.B, uf unionfind.Sets) {
 		tx.Commit()
 		engine.PutTx(tx)
 	}
-}
-
-// DetectorGeneralGatekeeper: the hand-built general gatekeeper for
-// union-find (undo/redo journal, rollback checks).
-func DetectorGeneralGatekeeper(b *testing.B) {
-	benchUnionFind(b, unionfind.NewGK(1<<16))
 }
 
 // DetectorUnionFindGKFind: what Borůvka asks of the hand-built general
@@ -389,81 +354,29 @@ func DetectorForwardKDTree(b *testing.B) {
 	}
 }
 
-// DetectorUnionFindGeneric: the spec-interpreting generic gatekeeper —
-// ablation against the concrete one above (same conditions, different
-// machinery).
-func DetectorUnionFindGeneric(b *testing.B) {
-	benchUnionFind(b, unionfind.NewGeneric(1<<16))
+// traced runs a row with the telemetry event trace enabled (unsampled):
+// the cost of instrumented speculation, which must stay at 0 allocs/op.
+func traced(f func(*testing.B)) func(*testing.B) {
+	return func(b *testing.B) {
+		telemetry.EnableTrace(1<<12, 1)
+		defer telemetry.DisableTrace()
+		f(b)
+	}
 }
 
-// DetectorUnionFindML: union-find under abstract locks.
-func DetectorUnionFindML(b *testing.B) {
-	benchUnionFind(b, unionfind.NewML(1<<16))
-}
-
-// DetectorForwardGatekeeperTraced is DetectorForwardGatekeeper with the
-// telemetry event trace enabled (unsampled): the cost of instrumented
-// speculation, which must stay at 0 allocs/op.
-func DetectorForwardGatekeeperTraced(b *testing.B) {
-	telemetry.EnableTrace(1<<12, 1)
-	defer telemetry.DisableTrace()
-	benchSetAdd(b, intset.NewGatekept(intset.NewHashRep()))
-}
-
-// DetectorCascadeGatekeeperTraced is DetectorCascadeGatekeeper with the
-// telemetry event trace enabled (unsampled).
-func DetectorCascadeGatekeeperTraced(b *testing.B) {
-	telemetry.EnableTrace(1<<12, 1)
-	defer telemetry.DisableTrace()
-	benchSetAdd(b, intset.NewCascaded(intset.NewHashRep()))
-}
-
-// DetectorGeneralGatekeeperTraced is DetectorGeneralGatekeeper with the
-// telemetry event trace enabled (unsampled).
-func DetectorGeneralGatekeeperTraced(b *testing.B) {
-	telemetry.EnableTrace(1<<12, 1)
-	defer telemetry.DisableTrace()
-	benchUnionFind(b, unionfind.NewGK(1<<16))
-}
-
-// withLatency runs a micro-benchmark with the stage-latency histograms
-// and the flight recorder both enabled: the fully instrumented
-// admission cost. Like the traced rows, instrumented admissions must
-// stay at 0 allocs/op — stage marks are atomic adds into fixed arrays
-// and flight records are stack-built into pre-sized rings.
-func withLatency(b *testing.B, f func(*testing.B)) {
-	b.Helper()
-	telemetry.EnableLatency()
-	telemetry.EnableFlight(1 << 10)
-	defer telemetry.DisableLatency()
-	defer telemetry.DisableFlight()
-	f(b)
-}
-
-// DetectorForwardGatekeeperLatency is DetectorForwardGatekeeper with
-// latency attribution and the flight recorder on.
-func DetectorForwardGatekeeperLatency(b *testing.B) {
-	withLatency(b, DetectorForwardGatekeeper)
-}
-
-// DetectorCascadeGatekeeperLatency is DetectorCascadeGatekeeper with
-// latency attribution and the flight recorder on — the instrumented
-// fast path (one clock read and one histogram add per admission).
-func DetectorCascadeGatekeeperLatency(b *testing.B) {
-	withLatency(b, DetectorCascadeGatekeeper)
-}
-
-// DetectorCascadeBatch32Latency is DetectorCascadeBatch32 with latency
-// attribution and the flight recorder on — publish/probe phase marks
-// plus one group flight record per batch.
-func DetectorCascadeBatch32Latency(b *testing.B) {
-	withLatency(b, DetectorCascadeBatch32)
-}
-
-// DetectorCascadeShardedLatency is DetectorCascadeSharded with latency
-// attribution and the flight recorder on.
-func DetectorCascadeShardedLatency(b *testing.B) {
-	withLatency(b, DetectorCascadeSharded)
+// withLatency runs a row with the stage-latency histograms and the
+// flight recorder both enabled: the fully instrumented admission cost.
+// Like the traced rows, instrumented admissions must stay at 0
+// allocs/op — stage marks are atomic adds into fixed arrays and flight
+// records are stack-built into pre-sized rings.
+func withLatency(f func(*testing.B)) func(*testing.B) {
+	return func(b *testing.B) {
+		telemetry.EnableLatency()
+		telemetry.EnableFlight(1 << 10)
+		defer telemetry.DisableLatency()
+		defer telemetry.DisableFlight()
+		f(b)
+	}
 }
 
 // TelemetryLatencyObserve measures one enabled stage observation — the
@@ -525,34 +438,31 @@ func CondEval(b *testing.B) {
 	}
 }
 
-// ForwardWindow measures one forward-gatekept add against `window`
-// active adds on distinct keys. Indexed probes miss in O(1); with the
-// index disabled every active entry is scanned.
-func ForwardWindow(b *testing.B, disable bool, window int) {
+// hold opens the transaction that keeps n invocations, on keys held(0)
+// … held(n-1), active in a detector for a row's duration; the row
+// commits it when done.
+func hold(b *testing.B, n int, held func(i int) int64, invoke func(*engine.Tx, int64) error) *engine.Tx {
 	b.Helper()
-	g, err := gatekeeper.NewForwardConfig(intset.PreciseSpec(), nil,
-		gatekeeper.Config{DisableIndex: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
 	holder := engine.NewTx()
-	defer holder.Commit()
-	for i := int64(1); i <= int64(window); i++ {
-		if _, err := g.Invoke(holder, "add", core.Args1(core.VInt(-i)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
+	for i := 0; i < n; i++ {
+		if err := invoke(holder, held(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	base := int64(1) << 40
+	return holder
+}
+
+// window is the shape the window rows share: a holder keeps n
+// invocations active, and each measured iteration invokes once more, on
+// the key fresh(i), in a pooled transaction of its own.
+func window(b *testing.B, n int, held, fresh func(i int) int64, invoke func(*engine.Tx, int64) error) {
+	b.Helper()
+	defer hold(b, n, held, invoke).Commit()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	for i := 0; i < b.N; i++ {
 		tx := engine.GetTx()
-		k := base | int64(n&8191)
-		if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
+		if err := invoke(tx, fresh(i)); err != nil {
 			b.Error(err)
 		}
 		tx.Commit()
@@ -560,38 +470,47 @@ func ForwardWindow(b *testing.B, disable bool, window int) {
 	}
 }
 
+// The distinct-key rows hold the negative keys -1 … -window and measure
+// on 8192 keys far above them, so no measured key meets a held one.
+func heldBelow(i int) int64  { return -int64(i + 1) }
+func freshAbove(i int) int64 { return 1<<40 | int64(i&8191) }
+func sameKey(i int) int64    { return int64(i) }
+
+// added is the effect of an add that changed the set: the return value
+// is all of it that the detectors log.
+func added() gatekeeper.Effect { return gatekeeper.Effect{Ret: core.VBool(true)} }
+
+// ForwardWindow measures one forward-gatekept add against `window`
+// active adds on distinct keys. Indexed probes miss in O(1); with the
+// index disabled every active entry is scanned.
+func ForwardWindow(b *testing.B, disable bool, n int) {
+	b.Helper()
+	g := must(gatekeeper.NewForwardConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
+		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), added)
+		return err
+	})
+}
+
 // GeneralSetWindow is ForwardWindow's shape under the general
 // gatekeeper: same spec, but every check replays through the undo/redo
 // journal machinery.
-func GeneralSetWindow(b *testing.B, disable bool, window int) {
+func GeneralSetWindow(b *testing.B, disable bool, n int) {
 	b.Helper()
-	g, err := gatekeeper.NewGeneralConfig(intset.PreciseSpec(), nil,
-		gatekeeper.Config{DisableIndex: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	holder := engine.NewTx()
-	defer holder.Commit()
-	for i := int64(1); i <= int64(window); i++ {
-		if _, err := g.Invoke(holder, "add", core.Args1(core.VInt(-i)), func() gatekeeper.GEffect {
+	g := must(gatekeeper.NewGeneralConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
+		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.GEffect {
 			return gatekeeper.GEffect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	base := int64(1) << 40
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tx := engine.GetTx()
-		k := base | int64(n&8191)
-		if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.GEffect {
-			return gatekeeper.GEffect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Error(err)
-		}
-		tx.Commit()
-		engine.PutTx(tx)
+		})
+		return err
+	})
+}
+
+// cascadeAdd is one add of key k, changing the set, through c.
+func cascadeAdd(c *gatekeeper.Cascade) func(*engine.Tx, int64) error {
+	return func(tx *engine.Tx, k int64) error {
+		_, err := c.Invoke(tx, "add", core.Args1(core.VInt(k)), added)
+		return err
 	}
 }
 
@@ -599,58 +518,21 @@ func GeneralSetWindow(b *testing.B, disable bool, window int) {
 // active adds on distinct keys: the incoming key's filter cell is
 // empty, so every iteration is a stage-1 admission regardless of the
 // window size — the cascade's answer to ForwardWindow.
-func CascadeWindow(b *testing.B, window int) {
+func CascadeWindow(b *testing.B, n int) {
 	b.Helper()
-	c, err := gatekeeper.NewCascade(intset.PreciseSpec(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	holder := engine.NewTx()
-	defer holder.Commit()
-	for i := int64(1); i <= int64(window); i++ {
-		if _, err := c.Invoke(holder, "add", core.Args1(core.VInt(-i)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	base := int64(1) << 40
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tx := engine.GetTx()
-		k := base | int64(n&8191)
-		if _, err := c.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Error(err)
-		}
-		tx.Commit()
-		engine.PutTx(tx)
-	}
+	window(b, n, heldBelow, freshAbove, cascadeAdd(must(gatekeeper.NewCascade(intset.PreciseSpec(), nil))))
 }
 
 // CascadeBatchWindow is CascadeWindow through the batched admission
-// path: `window` active adds on distinct negative keys stay live while
+// path: `held` active adds on distinct negative keys stay live while
 // batches of `batch` disjoint positive keys admit and group-commit.
 // Like CascadeWindow, the incoming cells are empty, so every batch
 // admits whole on the combined-signature probe and the cost stays flat
-// in the window.
-func CascadeBatchWindow(b *testing.B, batch, window int) {
+// in `held`.
+func CascadeBatchWindow(b *testing.B, batch, held int) {
 	b.Helper()
-	c, err := gatekeeper.NewCascade(intset.PreciseSpec(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	holder := engine.NewTx()
-	defer holder.Commit()
-	for i := int64(1); i <= int64(window); i++ {
-		if _, err := c.Invoke(holder, "add", core.Args1(core.VInt(-i)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	c := must(gatekeeper.NewCascade(intset.PreciseSpec(), nil))
+	defer hold(b, held, heldBelow, cascadeAdd(c)).Commit()
 	exec := func(run []gatekeeper.BatchOp) {
 		for k := range run {
 			run[k].Ret = core.VBool(true)
@@ -690,32 +572,14 @@ func CascadeBatchWindow(b *testing.B, batch, window int) {
 // filter hits, the optimistic bucket scan surfaces the holder's slot,
 // and the precise checker admits (both adds returned false).
 func CascadeSlowPath(b *testing.B) {
-	c, err := gatekeeper.NewCascade(intset.PreciseSpec(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	holder := engine.NewTx()
-	defer holder.Commit()
-	const window = 64
-	for i := int64(0); i < window; i++ {
-		if _, err := c.Invoke(holder, "add", core.Args1(core.VInt(i)), func() gatekeeper.Effect {
+	c := must(gatekeeper.NewCascade(intset.PreciseSpec(), nil))
+	const n = 64
+	window(b, n, sameKey, func(i int) int64 { return int64(i) % n }, func(tx *engine.Tx, k int64) error {
+		_, err := c.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
 			return gatekeeper.Effect{Ret: core.VBool(false)}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tx := engine.GetTx()
-		if _, err := c.Invoke(tx, "add", core.Args1(core.VInt(int64(n)%window)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(false)}
-		}); err != nil {
-			b.Error(err)
-		}
-		tx.Commit()
-		engine.PutTx(tx)
-	}
+		})
+		return err
+	})
 }
 
 // scanFallbackSpec is a specification whose pair condition is ordered
@@ -735,31 +599,9 @@ func scanFallbackSpec() *core.Spec {
 // scanned and precisely checked per op — the cost the index normally
 // avoids, isolated.
 func ForwardScanFallback(b *testing.B) {
-	g, err := gatekeeper.NewForward(scanFallbackSpec(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	holder := engine.NewTx()
-	defer holder.Commit()
-	const window = 64
-	for i := int64(0); i < window; i++ {
-		if _, err := g.Invoke(holder, "op", core.Args1(core.VInt(i)), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	base := int64(1) << 40
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		tx := engine.GetTx()
-		if _, err := g.Invoke(tx, "op", core.Args1(core.VInt(base+int64(n&1023))), func() gatekeeper.Effect {
-			return gatekeeper.Effect{Ret: core.VBool(true)}
-		}); err != nil {
-			b.Error(err)
-		}
-		tx.Commit()
-		engine.PutTx(tx)
-	}
+	g := must(gatekeeper.NewForward(scanFallbackSpec(), nil))
+	window(b, 64, sameKey, func(i int) int64 { return 1<<40 + int64(i&1023) }, func(tx *engine.Tx, k int64) error {
+		_, err := g.Invoke(tx, "op", core.Args1(core.VInt(k)), added)
+		return err
+	})
 }

@@ -50,15 +50,11 @@ func FormatModel(entries []ModelEntry, procs []int) string {
 		fmt.Fprintf(&b, "  T@p=%-4d", p)
 	}
 	b.WriteByte('\n')
-	winners := map[int]int{}
-	for _, p := range procs {
-		winners[p] = SelectScheme(entries, p)
-	}
 	for i, e := range entries {
 		fmt.Fprintf(&b, "%-12s %9.2f %12.2f", e.Name, e.Overhead, e.Parallelism)
 		for _, p := range procs {
 			mark := " "
-			if winners[p] == i {
+			if SelectScheme(entries, p) == i {
 				mark = "*"
 			}
 			fmt.Fprintf(&b, " %7.3f%s", e.PredictedTime(p), mark)

@@ -3,16 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"commlat/internal/adt/flowgraph"
-	"commlat/internal/adt/kdtree"
-	"commlat/internal/adt/unionfind"
-	"commlat/internal/apps/boruvka"
-	"commlat/internal/apps/cluster"
-	"commlat/internal/apps/preflow"
-	"commlat/internal/engine"
-	"commlat/internal/workload"
+	"commlat/internal/apps"
 )
 
 // Table1Row is one line of Table 1: an application/variant pair with its
@@ -27,127 +19,30 @@ type Table1Row struct {
 	Overhead    float64
 }
 
-// Table1Config sizes the Table 1 inputs. The paper's sizes (GENRMF
-// challenge input, 1000×1000 mesh, 100k points) are reachable via
-// cmd/commlat flags; defaults here are laptop-scaled.
-type Table1Config struct {
-	RMFa, RMFb int   // GENRMF frame size and count
-	MeshN      int   // Borůvka mesh is MeshN × MeshN
-	Points     int   // clustering input size
-	Parts      int   // preflow partition count (paper: 32)
-	Seed       int64 // generator seed
-}
-
-// DefaultTable1 is a configuration that completes in seconds.
-func DefaultTable1() Table1Config {
-	return Table1Config{RMFa: 6, RMFb: 6, MeshN: 24, Points: 600, Parts: 32, Seed: 1}
-}
-
 // Table1 reproduces Table 1: critical path lengths, average parallelism
-// and overheads for preflow-push (part, ex, ml), Borůvka (uf-ml, uf-gk)
-// and clustering (kd-ml, kd-gk).
-func Table1(cfg Table1Config) ([]Table1Row, error) {
+// and overheads for every reported variant of every app of the catalogue
+// — preflow-push (part, ex, ml), Borůvka (uf-ml, uf-gk) and clustering
+// (kd-ml, kd-gk) under apps.Catalogue.
+func Table1(cat []apps.App) ([]Table1Row, error) {
 	var rows []Table1Row
-
-	// --- preflow-push ----------------------------------------------------
-	mkNet := func() *flowgraph.Net { return workload.GenRMF(cfg.RMFa, cfg.RMFb, 1, 1000, cfg.Seed) }
-	seqFlow := median3(func() time.Duration {
-		net := mkNet()
-		return timed(func() { preflow.Sequential(net) })
-	})
-	preflowVariants := []struct {
-		name string
-		mk   func() *flowgraph.Graph
-	}{
-		{"part", func() *flowgraph.Graph { return flowgraph.NewPartitioned(mkNet(), cfg.Parts) }},
-		{"ex", func() *flowgraph.Graph { return flowgraph.NewExclusive(mkNet()) }},
-		{"ml", func() *flowgraph.Graph { return flowgraph.NewRW(mkNet()) }},
-	}
-	for _, v := range preflowVariants {
-		prof, err := preflow.Profile(v.mk())
-		if err != nil {
-			return nil, fmt.Errorf("preflow/%s profile: %w", v.name, err)
-		}
-		t1 := median3(func() time.Duration {
-			g := v.mk()
-			return timed(func() {
-				if _, _, err := preflow.Run(g, engine.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
+	for _, app := range cat {
+		seq := sequentialTime(app)
+		for _, v := range app.Reported() {
+			prof, err := v.Profile()
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s profile: %w", app.Key, v.Name, err)
+			}
+			t1, err := solveTime(app, v, 1)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, Table1Row{
+				App: app.Title, Variant: v.Name,
+				PathLength:  prof.CriticalPath,
+				Parallelism: prof.AvgParallelism,
+				Overhead:    float64(t1) / float64(seq),
 			})
-		})
-		rows = append(rows, Table1Row{
-			App: "Preflow-push", Variant: v.name,
-			PathLength:  prof.CriticalPath,
-			Parallelism: prof.AvgParallelism,
-			Overhead:    float64(t1) / float64(seqFlow),
-		})
-	}
-
-	// --- Borůvka ----------------------------------------------------------
-	nodes, edges := workload.Mesh(cfg.MeshN, cfg.MeshN, cfg.Seed)
-	seqMST := median3(func() time.Duration {
-		return timed(func() { boruvka.Sequential(nodes, edges) })
-	})
-	ufVariants := []struct {
-		name string
-		mk   func() unionfind.Sets
-	}{
-		{"uf-ml", func() unionfind.Sets { return unionfind.NewML(nodes) }},
-		{"uf-gk", func() unionfind.Sets { return unionfind.NewGK(nodes) }},
-	}
-	for _, v := range ufVariants {
-		prof, err := boruvka.Profile(v.mk(), nodes, edges)
-		if err != nil {
-			return nil, fmt.Errorf("boruvka/%s profile: %w", v.name, err)
 		}
-		t1 := median3(func() time.Duration {
-			uf := v.mk()
-			return timed(func() {
-				if _, err := boruvka.Run(uf, nodes, edges, engine.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			})
-		})
-		rows = append(rows, Table1Row{
-			App: "Boruvka", Variant: v.name,
-			PathLength:  prof.CriticalPath,
-			Parallelism: prof.AvgParallelism,
-			Overhead:    float64(t1) / float64(seqMST),
-		})
-	}
-
-	// --- clustering --------------------------------------------------------
-	pts := workload.RandomPoints(cfg.Points, 1000, cfg.Seed)
-	seqCluster := median3(func() time.Duration {
-		return timed(func() { cluster.Sequential(pts) })
-	})
-	kdVariants := []struct {
-		name string
-		mk   func() kdtree.Index
-	}{
-		{"kd-ml", func() kdtree.Index { return kdtree.NewML() }},
-		{"kd-gk", func() kdtree.Index { return kdtree.NewGK() }},
-	}
-	for _, v := range kdVariants {
-		prof, err := cluster.Profile(v.mk(), pts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster/%s profile: %w", v.name, err)
-		}
-		t1 := median3(func() time.Duration {
-			idx := v.mk()
-			return timed(func() {
-				if _, _, err := cluster.Run(idx, pts, engine.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			})
-		})
-		rows = append(rows, Table1Row{
-			App: "Clustering", Variant: v.name,
-			PathLength:  prof.CriticalPath,
-			Parallelism: prof.AvgParallelism,
-			Overhead:    float64(t1) / float64(seqCluster),
-		})
 	}
 	return rows, nil
 }

@@ -61,35 +61,28 @@ func DefaultTable2() Table2Config {
 	return Table2Config{Ops: 100_000, Classes: 10, Threads: 4, Seed: 1}
 }
 
-// Table2Schemes enumerates the microbenchmark's four schemes in lattice
-// order: the ⊥ global lock, exclusive element locks, read/write element
-// locks (figure 3) and the forward gatekeeper (figure 2).
-func Table2Schemes() []string {
-	return []string{"Global Lock", "Abs. Lock (Ex.)", "Abs. Lock (RW)", "Gatekeeper"}
+// Scheme is one conflict-detection scheme of the set microbenchmark: a
+// row of Table 2 and the constructor of a fresh guarded set under it.
+type Scheme struct {
+	Name string
+	// Extended marks a row beyond the paper's table (Table2Config.Extended).
+	Extended bool
+	New      func() intset.Set
 }
 
-// Table2ExtendedSchemes are the extension rows (not in the paper's
-// table): liberal guarded locks and the object-STM baseline.
-func Table2ExtendedSchemes() []string {
-	return []string{"Liberal (ext.)", "STM (ext.)"}
-}
-
-func newScheme(name string) intset.Set {
-	switch name {
-	case "Global Lock":
-		return intset.NewGlobalLock(intset.NewHashRep())
-	case "Abs. Lock (Ex.)":
-		return intset.NewExclusiveLocked(intset.NewHashRep())
-	case "Abs. Lock (RW)":
-		return intset.NewRWLocked(intset.NewHashRep())
-	case "Gatekeeper":
-		return intset.NewGatekept(intset.NewHashRep())
-	case "Liberal (ext.)":
-		return intset.NewLiberalLocked(intset.NewHashRep())
-	case "STM (ext.)":
-		return intset.NewSTM(1024)
-	default:
-		panic("bench: unknown scheme " + name)
+// Table2Schemes lists the microbenchmark's schemes. The paper's four
+// come in lattice order: the ⊥ global lock, exclusive element locks,
+// read/write element locks (figure 3) and the forward gatekeeper
+// (figure 2); the extension rows are liberal guarded locks and the
+// object-STM baseline.
+func Table2Schemes() []Scheme {
+	return []Scheme{
+		{"Global Lock", false, func() intset.Set { return intset.NewGlobalLock(intset.NewHashRep()) }},
+		{"Abs. Lock (Ex.)", false, func() intset.Set { return intset.NewExclusiveLocked(intset.NewHashRep()) }},
+		{"Abs. Lock (RW)", false, func() intset.Set { return intset.NewRWLocked(intset.NewHashRep()) }},
+		{"Gatekeeper", false, func() intset.Set { return intset.NewGatekept(intset.NewHashRep()) }},
+		{"Liberal (ext.)", true, func() intset.Set { return intset.NewLiberalLocked(intset.NewHashRep()) }},
+		{"STM (ext.)", true, func() intset.Set { return intset.NewSTM(1024) }},
 	}
 }
 
@@ -102,42 +95,41 @@ func newScheme(name string) intset.Set {
 // single-CPU host; elapsed time measures the scheme's total work
 // including retried operations. On conflict the oldest transaction
 // commits (making progress) and the operation retries.
-func RunSetMicro(s intset.Set, ops []workload.SetOp, threads int) (engine.Stats, time.Duration, error) {
+func RunSetMicro(s intset.Set, ops []workload.SetOp, threads int) engine.Stats {
 	var aborts uint64
-	d := timed(func() {
-		open := make([]*engine.Tx, 0, threads)
-		commitOldest := func() {
-			open[0].Commit()
-			open = open[1:]
-		}
-		for _, op := range ops {
-			for {
-				tx := engine.NewTx()
-				var err error
-				if op.Add {
-					_, err = s.Add(tx, op.X)
-				} else {
-					_, err = s.Contains(tx, op.X)
-				}
-				if err == nil {
-					open = append(open, tx)
-					if len(open) == threads {
-						commitOldest()
-					}
-					break
-				}
-				tx.Abort()
-				aborts++
-				if len(open) > 0 {
+	start := time.Now()
+	open := make([]*engine.Tx, 0, threads)
+	commitOldest := func() {
+		open[0].Commit()
+		open = open[1:]
+	}
+	for _, op := range ops {
+		for {
+			tx := engine.NewTx()
+			var err error
+			if op.Add {
+				_, err = s.Add(tx, op.X)
+			} else {
+				_, err = s.Contains(tx, op.X)
+			}
+			if err == nil {
+				open = append(open, tx)
+				if len(open) == threads {
 					commitOldest()
 				}
+				break
+			}
+			tx.Abort()
+			aborts++
+			if len(open) > 0 {
+				commitOldest()
 			}
 		}
-		for _, tx := range open {
-			tx.Commit()
-		}
-	})
-	return engine.Stats{Committed: uint64(len(ops)), Aborts: aborts, Elapsed: d}, d, nil
+	}
+	for _, tx := range open {
+		tx.Commit()
+	}
+	return engine.Stats{Committed: uint64(len(ops)), Aborts: aborts, Elapsed: time.Since(start)}
 }
 
 // Table2 reproduces Table 2: for each scheme, abort ratio and time on
@@ -146,36 +138,29 @@ func RunSetMicro(s intset.Set, ops []workload.SetOp, threads int) (engine.Stats,
 // lets non-mutating adds share, read/write locks let reads share,
 // exclusive locks serialize same-element access, the global lock
 // serializes everything).
-func Table2(cfg Table2Config) ([]Table2Row, error) {
+func Table2(cfg Table2Config) []Table2Row {
 	distinct := workload.SetOpsDistinct(cfg.Ops, cfg.Seed)
 	repeated := workload.SetOpsClasses(cfg.Ops, cfg.Classes, cfg.Seed)
-	schemes := Table2Schemes()
-	if cfg.Extended {
-		schemes = append(schemes, Table2ExtendedSchemes()...)
-	}
 	var rows []Table2Row
-	for _, name := range schemes {
-		sd := newScheme(name)
-		statsD, durD, err := RunSetMicro(sd, distinct, cfg.Threads)
-		if err != nil {
-			return nil, fmt.Errorf("%s/distinct: %w", name, err)
+	for _, sc := range Table2Schemes() {
+		if sc.Extended && !cfg.Extended {
+			continue
 		}
-		sr := newScheme(name)
-		statsR, durR, err := RunSetMicro(sr, repeated, cfg.Threads)
-		if err != nil {
-			return nil, fmt.Errorf("%s/repeats: %w", name, err)
-		}
+		sd := sc.New()
+		statsD := RunSetMicro(sd, distinct, cfg.Threads)
+		sr := sc.New()
+		statsR := RunSetMicro(sr, repeated, cfg.Threads)
 		rows = append(rows, Table2Row{
-			Scheme:          name,
+			Scheme:          sc.Name,
 			DistinctAborts:  statsD.AbortRatio(),
-			DistinctSeconds: durD.Seconds(),
+			DistinctSeconds: statsD.Elapsed.Seconds(),
 			RepeatedAborts:  statsR.AbortRatio(),
-			RepeatedSeconds: durR.Seconds(),
+			RepeatedSeconds: statsR.Elapsed.Seconds(),
 			DistinctTele:    captureTele(sd),
 			RepeatedTele:    captureTele(sr),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // FormatTable2Stats renders the detector telemetry collected by Table2
