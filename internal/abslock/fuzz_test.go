@@ -137,15 +137,23 @@ func TestReduceNeverChangesSemantics(t *testing.T) {
 // the managers are checked against: one holder-mode table per datum and
 // one for the ds-lock, acquisitions taken in scheme order and compared
 // with every other transaction's held modes. No stripes, no fast path,
-// no owner-side shortcuts.
+// no owner-side shortcuts, no hashes: a datum is the value a mode guards
+// up to ValueEq, named by its canonical key.
 type lockModel struct {
 	scheme *Scheme
-	ds     map[int]uint64            // tx → held ds modes
-	data   map[string]map[int]uint64 // datum → tx → held modes
+	ds     map[int]uint64           // tx → held ds modes
+	data   map[datum]map[int]uint64 // datum → tx → held modes
+}
+
+// datum is a key-function name ("" for identity) and core.MapKey of the
+// guarded value.
+type datum struct {
+	key string
+	v   core.Value
 }
 
 func newLockModel(s *Scheme) *lockModel {
-	return &lockModel{scheme: s, ds: map[int]uint64{}, data: map[string]map[int]uint64{}}
+	return &lockModel{scheme: s, ds: map[int]uint64{}, data: map[datum]map[int]uint64{}}
 }
 
 // invoke runs inv's pre and post acquisitions for tx and reports whether
@@ -172,11 +180,15 @@ func (lm *lockModel) invoke(t *testing.T, tx int, inv core.Invocation) bool {
 				if a.Target == TargetArg {
 					v = inv.Args.At(a.Arg)
 				}
-				datum := a.Key + "/" + v.String()
-				if lm.data[datum] == nil {
-					lm.data[datum] = map[int]uint64{}
+				k, ok := core.MapKey(v)
+				if !ok {
+					t.Fatalf("the model cannot name the unkeyable %v", v)
 				}
-				holders = lm.data[datum]
+				d := datum{a.Key, k}
+				if lm.data[d] == nil {
+					lm.data[d] = map[int]uint64{}
+				}
+				holders = lm.data[d]
 			}
 			for other, held := range holders {
 				if other == tx {
@@ -216,11 +228,15 @@ func (lm *lockModel) heldData() int {
 }
 
 // requireDrained fails unless m holds nothing at all: no stripe locks,
-// every cell free with its stripe count back at zero.
+// the ds-lock's included, and every cell — the ds-lock's is one — free
+// with its stripe count back at zero.
 func requireDrained(t *testing.T, what string, m *Manager) {
 	t.Helper()
 	if n := m.HeldLocks(); n != 0 {
 		t.Fatalf("%s: HeldLocks = %d after every transaction ended", what, n)
+	}
+	if l := m.stripeFor(dsHash).data[dsHash]; l != nil {
+		t.Fatalf("%s: ds-lock has %d stripe holders after every transaction ended", what, len(l.holders))
 	}
 	for i := range m.fast.cells {
 		c := &m.fast.cells[i]
@@ -240,7 +256,10 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 // upgrades (alone and against foreign holders) and plans mixing held
 // with new datums; a refused invocation aborts its transaction only
 // half the time, so partial acquisitions and reverted upgrades stay
-// behind and must match too.
+// behind and must match too. A quarter of the fresh argument and return
+// values are respelled as the equal float, and another quarter replaced
+// by key 0's cell neighbour, which parks on the cell and sends key 0's
+// acquirers — under either spelling — to the stripes.
 func checkAgainstModel(t *testing.T, seed int64, steps int) {
 	r := rand.New(rand.NewSource(seed))
 	spec := randSimpleSpec(r)
@@ -255,6 +274,18 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 		newManagerWithStripes(scheme, nil, 1),
 	}
 	model := newLockModel(scheme)
+	ft := mgrs[0].fast
+	neighbour := cellNeighbour(ft, ft.cellFor(core.VInt(0).Hash()), 3)
+	respell := func(v core.Value) core.Value {
+		switch i, isInt := v.AsInt(); {
+		case !isInt:
+		case r.Intn(4) == 0:
+			return core.VFloat(float64(i))
+		case r.Intn(3) == 0:
+			return core.VInt(neighbour)
+		}
+		return v
+	}
 
 	const nTx = 4
 	var txs [nTx][]*engine.Tx
@@ -288,9 +319,12 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 			continue
 		}
 		inv := randInvocation(r, spec.Sig)
+		inv.Ret = respell(inv.Ret)
 		for k := 0; k < inv.Args.Len(); k++ {
 			if len(used[i]) > 0 && r.Intn(2) == 0 {
 				inv.Args.Set(k, used[i][r.Intn(len(used[i]))])
+			} else {
+				inv.Args.Set(k, respell(inv.Args.At(k)))
 			}
 			used[i] = append(used[i], inv.Args.At(k))
 		}

@@ -33,33 +33,24 @@ type dlock struct {
 }
 
 // stripe is one shard of the datum-lock table: its own mutex, lock map,
-// per-transaction held-key lists, and a small free list of recycled
-// dlocks so steady-state acquisition does not allocate. The padding keeps
+// per-transaction held lists, and free lists of recycled dlocks and held
+// lists so steady-state acquisition does not allocate. The padding keeps
 // adjacent stripes on separate cache lines.
 //
-// The lock map is keyed by the datum key's precomputed 64-bit hash with
-// small collision buckets, not by the datumKey struct itself: a struct
-// key embedding a tagged core.Value would make every map operation hash
-// two strings and an interface field, which dominated the guarded
-// application profiles. Hashing a uint64 is a single memhash64. Emptied
-// buckets are deleted (so distinct-heavy workloads don't grow the map
-// without bound) but their backing arrays are recycled through
-// freeSlots, keeping steady-state acquisition allocation-free.
+// A datum is named by its 64-bit hash alone, here as in the fast cells:
+// spellings of one key (5 and 5.0) hash alike and share a lock, two
+// datums whose hashes collide share one too (a conservative refusal at
+// 2⁻⁶⁴ per pair), and neither the table nor a held list retains a value.
+// Locks with no holder are deleted, so distinct-heavy workloads don't
+// grow the map without bound.
 type stripe struct {
-	mu        sync.Mutex
-	data      map[uint64][]dslot
-	held      map[*engine.Tx][]datumKey
-	free      []*dlock
-	freeHeld  [][]datumKey // recycled per-tx held-key lists
-	freeSlots [][]dslot    // recycled collision-bucket backing arrays
-	mgr       *Manager     // back-pointer for the shared prefilter
-	_         [24]byte
-}
-
-// dslot is one datum lock in a stripe's collision bucket.
-type dslot struct {
-	dk datumKey
-	l  *dlock
+	mu       sync.Mutex
+	data     map[uint64]*dlock
+	held     map[*engine.Tx][]uint64
+	free     []*dlock
+	freeHeld [][]uint64 // recycled per-tx held lists
+	mgr      *Manager   // back-pointer for the shared prefilter
+	_        [48]byte
 }
 
 // maxFreeDlocks caps each stripe's dlock free list.
@@ -74,13 +65,13 @@ const maxFreeDlocks = 64
 // locks are held to transaction end, per §3.2).
 //
 // The datum-lock table is striped: keys hash to one of a power-of-two
-// number of stripes (sized from GOMAXPROCS), each with its own mutex,
-// and the ds-lock has a dedicated stripe of its own, so disjoint
-// acquisitions proceed in parallel instead of serializing on one global
-// mutex. Held-key lists are partitioned per stripe, so releasing a
-// transaction locks only the stripes it actually touched. Acquisitions
-// are taken one at a time in scheme order — no two stripe mutexes are
-// ever held together, so lock-order inversion is impossible.
+// number of stripes (sized from GOMAXPROCS), each with its own mutex, so
+// disjoint acquisitions proceed in parallel instead of serializing on
+// one global mutex. The ds-lock is the datum of the reserved hash dsHash
+// and takes the same routes. Held lists are partitioned per stripe, so
+// releasing a transaction locks only the stripes it actually touched.
+// Acquisitions are taken one at a time in scheme order — no two stripe
+// mutexes are ever held together, so lock-order inversion is impossible.
 type Manager struct {
 	scheme   *Scheme
 	methods  map[string]*Method
@@ -99,17 +90,11 @@ type Manager struct {
 	fast *fastTable
 
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
-
-	dsMu     sync.Mutex
-	ds       dlock
-	dsHooked map[*engine.Tx]struct{}
 }
 
-type datumKey struct {
-	h   uint64 // precomputed v.Hash() ^ fnv64(key); derived, so safe under ==
-	key string // "" for identity, else key-function name (namespaces values)
-	v   core.Value
-}
+// dsHash names the whole-structure lock among the datum hashes, which
+// are v.Hash() ^ fnv64(key function name) of the value a mode guards.
+const dsHash = ^uint64(0)
 
 // numStripes picks the stripe count: the smallest power of two covering
 // 4× GOMAXPROCS (over-provisioning reduces collision-induced contention),
@@ -147,11 +132,10 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Mana
 		mask:     uint32(n - 1),
 		stripes:  make([]stripe, n),
 		fast:     newFastTable(defaultFastSlots),
-		dsHooked: map[*engine.Tx]struct{}{},
 	}
 	for i := range m.stripes {
-		m.stripes[i].data = map[uint64][]dslot{}
-		m.stripes[i].held = map[*engine.Tx][]datumKey{}
+		m.stripes[i].data = map[uint64]*dlock{}
+		m.stripes[i].held = map[*engine.Tx][]uint64{}
 		m.stripes[i].mgr = m
 	}
 	for i := range scheme.Modes {
@@ -306,21 +290,11 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 	}
 	var adm admission
 	var err error
-	var kv core.Value // the current keyed acquisition's key-function result
 	for i := 0; i < len(acqs) && err == nil; i++ {
-		a := &acqs[i]
-		mode, v, rerr := a.resolve(h.name, args, ret)
-		switch {
-		case rerr != nil:
-			err = rerr
-		case a.Target == TargetDS:
-			err = m.acquireDS(tx, mode)
-		default:
-			if a.keyFn != nil {
-				kv = a.keyFn(*v)
-				v = &kv
-			}
-			err = m.acquireDatum(tx, a.Key, v, v.Hash()^a.keyH, mode, &adm)
+		var mode int
+		var datum uint64
+		if mode, datum, err = acqs[i].resolve(h.name, args, ret); err == nil {
+			err = m.acquireDatum(tx, datum, mode, &adm)
 		}
 	}
 	m.tele.ReentrantHitN(adm.reentrant)
@@ -333,11 +307,11 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 }
 
 // resolve evaluates one acquisition against an invocation, outside any
-// lock: its mode (guards applied) and, for a datum target, the argument
-// or return value it names. A keyed mode locks that value's image under
-// the key function, which the caller applies; one the caller of
+// lock: its mode (guards applied) and the hash of the datum it locks —
+// dsHash, or that of the argument or return value it names. A keyed mode
+// locks that value's image under the key function; one the caller of
 // NewManager never supplied is refused here.
-func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value) (mode int, v *core.Value, err error) {
+func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value) (mode int, datum uint64, err error) {
 	mode = a.Mode
 	if a.Guard != nil {
 		inv := core.MakeInvocation(method, core.MakeVec(args...), core.Value{})
@@ -346,19 +320,19 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value)
 		}
 		weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
 		if err != nil {
-			return 0, nil, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
+			return 0, 0, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
 		}
 		if weak {
 			mode = a.WeakMode
 		}
 	}
 	if a.Target == TargetDS {
-		return mode, nil, nil
+		return mode, dsHash, nil
 	}
 	if a.Key != "" && a.keyFn == nil {
-		return 0, nil, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
+		return 0, 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
 	}
-	v = ret
+	v := ret
 	if a.Target == TargetArg {
 		if a.Arg < len(args) {
 			v = &args[a.Arg]
@@ -366,7 +340,10 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value)
 			v = new(core.Value) // a missing argument locks the nil value
 		}
 	}
-	return mode, v, nil
+	if a.keyFn != nil {
+		return mode, a.keyFn(*v).Hash() ^ a.keyH, nil
+	}
+	return mode, v.Hash() ^ a.keyH, nil
 }
 
 // acquireDatum takes one datum lock in mode for tx, by the cheapest
@@ -389,7 +366,7 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value)
 // free and no stripe hold maps to it (publish, then probe), and takes
 // the stripe path when it is not — including when the cell's owner is
 // this transaction, for another datum.
-func (m *Manager) acquireDatum(tx *engine.Tx, key string, v *core.Value, h uint64, mode int, adm *admission) error {
+func (m *Manager) acquireDatum(tx *engine.Tx, h uint64, mode int, adm *admission) error {
 	ft := m.fast
 	c := ft.cellFor(h)
 	bit := uint64(1) << uint(mode)
@@ -424,88 +401,19 @@ func (m *Manager) acquireDatum(tx *engine.Tx, key string, v *core.Value, h uint6
 		return nil
 	}
 	adm.slow = true
-	dk := datumKey{h: h, key: key, v: *v}
 	s := m.stripeFor(h)
 	s.mu.Lock()
-	err := m.acquireInStripe(s, tx, &dk, mode)
+	err := m.acquireInStripe(s, tx, h, mode)
 	s.mu.Unlock()
 	telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
 	return err
 }
 
-// acquireDS takes the whole-structure lock on its dedicated stripe.
-func (m *Manager) acquireDS(tx *engine.Tx, mode int) error {
-	t0 := telemetry.LatClock()
-	defer telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
-	m.dsMu.Lock()
-	defer m.dsMu.Unlock()
-	isNew, err := m.lockModes(tx, &m.ds, mode)
-	if err != nil {
-		return err
-	}
-	if isNew {
-		if _, hooked := m.dsHooked[tx]; !hooked {
-			m.dsHooked[tx] = struct{}{}
-			tx.OnReleaser(m)
-		}
-	}
-	return nil
-}
-
-// lookup finds dk's lock in its collision bucket (s.mu held).
-func (s *stripe) lookup(dk *datumKey) *dlock {
-	slots := s.data[dk.h]
-	for i := range slots {
-		if slots[i].dk == *dk {
-			return slots[i].l
-		}
-	}
-	return nil
-}
-
-// insert adds dk's lock to its collision bucket (s.mu held), reusing a
-// recycled backing array for fresh buckets when one is available.
-func (s *stripe) insert(dk *datumKey, l *dlock) {
-	slots, ok := s.data[dk.h]
-	if !ok {
-		if n := len(s.freeSlots); n > 0 {
-			slots = s.freeSlots[n-1]
-			s.freeSlots[n-1] = nil
-			s.freeSlots = s.freeSlots[:n-1]
-		}
-	}
-	s.data[dk.h] = append(slots, dslot{*dk, l})
-}
-
-// remove drops dk from its collision bucket (s.mu held). The emptied
-// slot is zeroed (datum keys embed core.Values that may reference user
-// data); an emptied bucket is deleted from the map and its backing
-// array recycled.
-func (s *stripe) remove(dk *datumKey) {
-	slots := s.data[dk.h]
-	for i := range slots {
-		if slots[i].dk == *dk {
-			last := len(slots) - 1
-			slots[i] = slots[last]
-			slots[last] = dslot{}
-			if last == 0 {
-				delete(s.data, dk.h)
-				if len(s.freeSlots) < maxFreeDlocks {
-					s.freeSlots = append(s.freeSlots, slots[:0])
-				}
-			} else {
-				s.data[dk.h] = slots[:last]
-			}
-			return
-		}
-	}
-}
-
 // acquireInStripe must run with s.mu held.
-func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode int) error {
-	l := s.lookup(dk)
-	fresh := false
-	if l == nil {
+func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) error {
+	l := s.data[h]
+	fresh := l == nil
+	if fresh {
 		if n := len(s.free); n > 0 {
 			l = s.free[n-1]
 			s.free[n-1] = nil
@@ -513,82 +421,69 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, dk *datumKey, mode i
 		} else {
 			l = &dlock{}
 		}
-		s.insert(dk, l)
-		fresh = true
+		s.data[h] = l
 	}
-	var prevModes uint64
-	for i := range l.holders {
-		if l.holders[i].tx == tx {
-			prevModes = l.holders[i].modes
-			break
-		}
-	}
-	isNew, err := m.lockModes(tx, l, mode)
+	prev, err := m.lockModes(tx, l, mode)
 	if err != nil {
 		if fresh {
-			s.remove(dk) // don't leave an empty lock behind
-			s.recycle(l)
+			s.recycle(h, l) // don't leave an empty lock behind
 		}
 		return err
 	}
-	if isNew {
+	if prev == 0 {
 		// Publish the hold into the shared prefilter before scanning
 		// for a fast-path holder: a concurrent fast acquirer either sees
 		// this increment and diverts to the stripes, or published its
 		// cell early enough for the scan below to find it.
-		m.fast.cellFor(dk.h).stripe.Add(1)
-		if lst, hooked := s.held[tx]; !hooked {
+		m.fast.cellFor(h).stripe.Add(1)
+		lst, hooked := s.held[tx]
+		if !hooked {
 			if n := len(s.freeHeld); n > 0 {
 				lst = s.freeHeld[n-1]
 				s.freeHeld[n-1] = nil
 				s.freeHeld = s.freeHeld[:n-1]
 			}
-			s.held[tx] = append(lst, *dk)
 			tx.OnReleaser(s)
-		} else {
-			s.held[tx] = append(lst, *dk)
 		}
+		s.held[tx] = append(lst, h)
 	}
-	if err := m.conflictScan(tx, dk, mode); err != nil {
+	if err := m.conflictScan(tx, h, mode); err != nil {
 		// The scan found a conflicting fast-path holder: take back the
 		// hold recorded above so a refused acquisition leaves nothing
 		// behind — exactly as a lockModes refusal leaves nothing behind.
-		m.retractStripeAcq(s, tx, dk, l, isNew, prevModes)
+		m.retractStripeAcq(s, tx, h, l, prev)
 		return err
 	}
 	return nil
 }
 
 // retractStripeAcq undoes one just-recorded stripe acquisition after its
-// fast-table conflict scan refused it. For a brand-new holder the holder
-// record, held-list entry, and stripe-count increment all go; for a mode
-// upgrade the holder's mode mask reverts. Must run with s.mu held.
-func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, dk *datumKey, l *dlock, isNew bool, prevModes uint64) {
-	if !isNew {
+// fast-table conflict scan refused it. For a brand-new holder (prev 0)
+// the holder record, held-list entry, and stripe-count increment all go;
+// for a mode upgrade the holder's mode mask reverts to prev. Must run
+// with s.mu held.
+func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, h uint64, l *dlock, prev uint64) {
+	if prev != 0 {
 		for i := range l.holders {
 			if l.holders[i].tx == tx {
-				l.holders[i].modes = prevModes
+				l.holders[i].modes = prev
 				break
 			}
 		}
 		return
 	}
 	dropHolder(l, tx)
-	m.fast.cellFor(dk.h).stripe.Add(-1)
-	if lst := s.held[tx]; len(lst) > 0 {
-		n := len(lst) - 1
-		lst[n] = datumKey{}
-		s.held[tx] = lst[:n]
-	}
+	m.fast.cellFor(h).stripe.Add(-1)
+	lst := s.held[tx]
+	s.held[tx] = lst[:len(lst)-1]
 	if len(l.holders) == 0 {
-		s.remove(dk)
-		s.recycle(l)
+		s.recycle(h, l)
 	}
 }
 
-// lockModes adds mode to tx's hold on l, reporting whether tx is a new
-// holder of l. The caller must hold the lock guarding l.
-func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (bool, error) {
+// lockModes adds mode to tx's hold on l and returns the modes tx held on
+// it before, 0 for a new holder. The caller must hold l's stripe mutex.
+func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (prev uint64, err error) {
 	mask := m.incompat[mode]
 	var own *holder
 	for i := range l.holders {
@@ -598,16 +493,17 @@ func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (bool, error) {
 			continue
 		}
 		if conflicting := h.modes & mask; conflicting != 0 {
-			return false, m.refuse(tx, h.tx.ID(), conflicting, mode)
+			return 0, m.refuse(tx, h.tx.ID(), conflicting, mode)
 		}
 	}
 	m.tele.ModeAcquire(uint16(mode))
 	if own != nil {
+		prev = own.modes
 		own.modes |= 1 << uint(mode)
-		return false, nil
+		return prev, nil
 	}
 	l.holders = append(l.holders, holder{tx: tx, modes: 1 << uint(mode)})
-	return true, nil
+	return 0, nil
 }
 
 // refuse counts and reports tx's acquisition of mode refused by holder's
@@ -625,7 +521,9 @@ func (m *Manager) refuse(tx *engine.Tx, holder, conflicting uint64, mode int) er
 		m.scheme.ADT, &m.scheme.Modes[mode]) // the scheme is immutable: a pointer boxes without copying
 }
 
-func (s *stripe) recycle(l *dlock) {
+// recycle takes the holderless lock l of datum h out of the table.
+func (s *stripe) recycle(h uint64, l *dlock) {
+	delete(s.data, h)
 	for i := range l.holders {
 		l.holders[i] = holder{}
 	}
@@ -638,39 +536,25 @@ func (s *stripe) recycle(l *dlock) {
 // ReleaseTx drops everything tx holds in this stripe. The stripe itself
 // is the transaction's release hook (engine.Releaser), installed on the
 // transaction's first acquisition there, so registration allocates no
-// closure. The held-key list is zeroed (datum keys embed core.Values
-// that may reference user data) and recycled.
+// closure.
 func (s *stripe) ReleaseTx(tx *engine.Tx) {
 	t0 := telemetry.LatClock()
 	defer telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 	s.mu.Lock()
 	lst := s.held[tx]
-	for i := range lst {
-		dk := &lst[i]
-		if l := s.lookup(dk); l != nil {
-			dropHolder(l, tx)
-			s.mgr.fast.cellFor(dk.h).stripe.Add(-1)
-			if len(l.holders) == 0 {
-				s.remove(dk)
-				s.recycle(l)
-			}
+	for _, h := range lst {
+		l := s.data[h]
+		dropHolder(l, tx)
+		s.mgr.fast.cellFor(h).stripe.Add(-1)
+		if len(l.holders) == 0 {
+			s.recycle(h, l)
 		}
-		lst[i] = datumKey{}
 	}
 	if lst != nil {
 		s.freeHeld = append(s.freeHeld, lst[:0])
 	}
 	delete(s.held, tx)
 	s.mu.Unlock()
-}
-
-// ReleaseTx drops the transaction's ds-lock hold; the Manager is the
-// ds-lock's release hook (engine.Releaser).
-func (m *Manager) ReleaseTx(tx *engine.Tx) {
-	m.dsMu.Lock()
-	dropHolder(&m.ds, tx)
-	delete(m.dsHooked, tx)
-	m.dsMu.Unlock()
 }
 
 func dropHolder(l *dlock, tx *engine.Tx) {
@@ -685,18 +569,26 @@ func dropHolder(l *dlock, tx *engine.Tx) {
 }
 
 // HeldLocks reports how many distinct data locks are currently held
-// (for tests and diagnostics). A datum held on the fast path and in a
-// stripe at once — by two compatible transactions, or by one whose
-// in-place upgrade was refused — counts once.
+// (for tests and diagnostics); the ds-lock is not one. A datum held on
+// the fast path and in a stripe at once — by two compatible
+// transactions, or by one whose in-place upgrade was refused — counts
+// once.
 func (m *Manager) HeldLocks() int {
+	inStripe := func(h uint64) bool {
+		s := m.stripeFor(h)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.data[h] != nil
+	}
 	n := 0
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		for _, slots := range s.data {
-			n += len(slots)
-		}
+		n += len(s.data)
 		s.mu.Unlock()
+	}
+	if inStripe(dsHash) {
+		n--
 	}
 	// A hash has one cell, so no two live cells hold the same datum.
 	for i := range m.fast.cells {
@@ -706,12 +598,9 @@ func (m *Manager) HeldLocks() int {
 		if o == 0 || c.owner.Load() != o {
 			continue // free, or released under the read
 		}
-		s := m.stripeFor(h)
-		s.mu.Lock()
-		if _, both := s.data[h]; !both {
+		if h != dsHash && !inStripe(h) {
 			n++
 		}
-		s.mu.Unlock()
 	}
 	return n
 }

@@ -2,8 +2,10 @@ package abslock
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
@@ -16,6 +18,16 @@ func newRWSetManager(t *testing.T) *Manager {
 		t.Fatal(err)
 	}
 	return NewManager(s.Reduce(), nil)
+}
+
+// cellNeighbour returns the first int from `from` up whose lock (under
+// no key function) maps to cell c: another datum of the same cell, which
+// a transaction can park on to send c's other datums to the stripes.
+func cellNeighbour(ft *fastTable, c *cell, from int64) int64 {
+	for ft.cellFor(core.VInt(from).Hash()) != c {
+		from++
+	}
+	return from
 }
 
 func TestManagerSameTxReentrant(t *testing.T) {
@@ -52,11 +64,7 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 	// key that shares key 1's cell keeps the upgrade off the fast path, so
 	// the write hold lands in the stripe beside the transaction's own
 	// fast read hold.
-	ft := m.fast
-	other := int64(2)
-	for ft.cellFor(core.VInt(other).Hash()) != ft.cellFor(core.VInt(1).Hash()) {
-		other++
-	}
+	other := cellNeighbour(m.fast, m.fast.cellFor(core.VInt(1).Hash()), 2)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	if err := m.PreAcquire(tx1, "contains", key); err != nil {
 		t.Fatal(err)
@@ -228,4 +236,151 @@ func TestManagerConcurrentStress(t *testing.T) {
 	if m.HeldLocks() != 0 {
 		t.Errorf("locks leaked: %d", m.HeldLocks())
 	}
+}
+
+// TestSpellingsOfOneKeyShareALock: a datum is a value up to ValueEq, so
+// the set's write lock on 5 refuses a second writer on 5.0 — and, under
+// a key function, on any argument with an equal image — by whichever
+// route the two acquisitions reach the table. A transaction parked on
+// a neighbour (another datum of the same cell) sends the writers that
+// come after it to the stripes.
+func TestSpellingsOfOneKeyShareALock(t *testing.T) {
+	plain := func() *Manager { return newRWSetManager(t) }
+	keyed := func() *Manager {
+		part, err := rwSetSpec().PartitionSpec("part")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Synthesize(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewManager(s.Reduce(), map[string]KeyFunc{"part": func(v core.Value) core.Value {
+			switch i := v.Int(); {
+			case i >= 100:
+				return v // the neighbours
+			case i%2 == 0:
+				return core.VInt(5)
+			default:
+				return core.VFloat(5)
+			}
+		}})
+	}
+	spellings := []struct {
+		name          string
+		mgr           func() *Manager
+		first, second core.Value
+	}{
+		{"int then float", plain, core.VInt(5), core.VFloat(5)},
+		{"float then int", plain, core.VFloat(5), core.VInt(5)},
+		{"keyed images 5 and 5.0", keyed, core.VInt(10), core.VInt(11)},
+	}
+	routes := []struct {
+		name                   string
+		parkFirst, parkBetween bool
+		stripeHolds            int32 // on the cell once the second writer is refused
+	}{
+		{"cell/cell", false, false, 0},    // the second writer finds the cell owned
+		{"cell/stripe", false, true, 1},   // ... finds the parked neighbour's stripe hold on it
+		{"stripe/stripe", true, false, 1}, // both writers find the neighbour in the cell
+	}
+	for _, sp := range spellings {
+		for _, rt := range routes {
+			m := sp.mgr()
+			add := m.Method("add")
+			cellOf := func(v core.Value) *cell {
+				for i := range add.pre {
+					if add.pre[i].Target == TargetArg {
+						_, h, err := add.pre[i].resolve("add", []core.Value{v}, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m.fast.cellFor(h)
+					}
+				}
+				t.Fatal("add locks no argument")
+				return nil
+			}
+			c := cellOf(sp.first)
+			neighbour := int64(100)
+			for cellOf(core.VInt(neighbour)) != c {
+				neighbour++
+			}
+			parked, tx1, tx2 := engine.NewTx(), engine.NewTx(), engine.NewTx()
+			park := func(now bool) {
+				if now {
+					if err := m.Acquire(parked, add, core.VInt(neighbour)); err != nil {
+						t.Fatalf("%s, %s: parking on %d: %v", sp.name, rt.name, neighbour, err)
+					}
+				}
+			}
+			park(rt.parkFirst)
+			if err := m.Acquire(tx1, add, sp.first); err != nil {
+				t.Fatalf("%s, %s: first writer: %v", sp.name, rt.name, err)
+			}
+			park(rt.parkBetween)
+			err := m.Acquire(tx2, add, sp.second)
+			var ce *engine.ConflictError
+			if !errors.As(err, &ce) || ce.Holder != tx1.ID() {
+				t.Errorf("%s, %s: add(%v) under tx %d's add(%v) = %v, want a conflict naming it",
+					sp.name, rt.name, sp.second, tx1.ID(), sp.first, err)
+			}
+			if fast, n := m.FastHolds(), c.stripe.Load(); fast != 1 || n != rt.stripeHolds {
+				t.Errorf("%s, %s: %d cells owned and %d stripe holds on the cell, want 1 and %d: not the route the case names",
+					sp.name, rt.name, fast, n, rt.stripeHolds)
+			}
+			for _, tx := range []*engine.Tx{parked, tx1, tx2} {
+				tx.Abort()
+			}
+			requireDrained(t, sp.name+", "+rt.name, m)
+		}
+	}
+}
+
+// held is a ref-valued datum with a finalizer to watch.
+type held struct{ id [16]byte }
+
+// lockRefOnStripe write-locks a fresh *held for tx on the stripe route,
+// behind parked's lock on a neighbour, and keeps no reference to it.
+//
+//go:noinline
+func lockRefOnStripe(t *testing.T, m *Manager, parked, tx *engine.Tx, collected chan struct{}) {
+	v := &held{id: [16]byte{1}}
+	runtime.SetFinalizer(v, func(*held) { close(collected) })
+	add := m.Method("add")
+	c := m.fast.cellFor(core.VRef(v).Hash())
+	neighbour := cellNeighbour(m.fast, c, 0)
+	if err := m.Acquire(parked, add, core.VInt(neighbour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(tx, add, core.VRef(v)); err != nil {
+		t.Fatal(err)
+	}
+	if fast, n := m.FastHolds(), c.stripe.Load(); fast != 1 || n != 1 {
+		t.Fatalf("%d cells owned and %d stripe holds: the ref's lock is not on the stripe route", fast, n)
+	}
+}
+
+// TestManagerRetainsNoDatumValue: a lock names its datum by hash, so
+// holding one — on the stripe route, which used to keep the value in the
+// table and in the held list — does not keep the datum's value alive.
+func TestManagerRetainsNoDatumValue(t *testing.T) {
+	m := newRWSetManager(t)
+	parked, tx := engine.NewTx(), engine.NewTx()
+	defer parked.Abort()
+	defer tx.Abort()
+	collected := make(chan struct{})
+	lockRefOnStripe(t, m, parked, tx, collected)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if got := m.HeldLocks(); got != 2 {
+				t.Errorf("HeldLocks = %d with the neighbour and the collected ref locked, want 2", got)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the manager pins the value of a datum it holds a lock on")
 }

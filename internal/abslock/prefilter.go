@@ -16,7 +16,8 @@ import (
 // a fast acquirer writes its hold and then reads the stripe count, a
 // stripe acquirer increments the count (see acquireInStripe) and then
 // reads the hold, so of two racing conflicting acquirers at least one
-// observes the other. The ds-lock is never fast-pathed.
+// observes the other. The ds-lock is the datum of hash dsHash, no
+// different from any other here.
 //
 // Fast admission demands a free cell and a zero stripe count, so
 // compatible sharing of one datum (two readers of the same key) always
@@ -120,14 +121,14 @@ func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
 // another transaction on the same datum in an incompatible mode. The
 // mask is read before the hash (see cell), and the owner re-read rejects
 // a cell released under the reads: not a holder.
-func (m *Manager) conflictScan(tx *engine.Tx, dk *datumKey, mode int) error {
-	c := m.fast.cellFor(dk.h)
+func (m *Manager) conflictScan(tx *engine.Tx, h uint64, mode int) error {
+	c := m.fast.cellFor(h)
 	holder := c.owner.Load()
 	if holder == 0 || holder == tx.ID() {
 		return nil
 	}
 	conflicting := c.modes.Load() & m.incompat[mode]
-	if conflicting == 0 || c.hash.Load() != dk.h || c.owner.Load() != holder {
+	if conflicting == 0 || c.hash.Load() != h || c.owner.Load() != holder {
 		return nil
 	}
 	return m.refuse(tx, holder, conflicting, mode)

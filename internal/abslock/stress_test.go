@@ -1,6 +1,7 @@
 package abslock
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -198,22 +199,43 @@ func moveSpec() *core.Spec {
 	return s
 }
 
+// sizeClearSpec is all ds-lock: sizes share, a clear excludes everything.
+// Its reduced scheme has the two ds modes, clear:ds covering both.
+func sizeClearSpec() *core.Spec {
+	sig := &core.ADTSig{Name: "sized", Methods: []core.MethodSig{
+		{Name: "size", HasRet: true},
+		{Name: "clear"},
+	}}
+	s := core.NewSpec(sig)
+	s.Set("size", "size", core.True())
+	s.Set("size", "clear", core.False())
+	s.Set("clear", "clear", core.False())
+	return s
+}
+
 // TestReentrantScenarios walks the owner-side paths one at a time —
 // each scripted schedule names the route every acquisition must take —
-// on the striped and single-stripe managers alike.
+// on the striped and single-stripe managers alike, for data locks
+// (moveSpec) and for the ds-lock (sizeClearSpec), which is a datum too:
+// it owns a cell, but is no data lock to HeldLocks.
 func TestReentrantScenarios(t *testing.T) {
 	type step struct {
 		tx       int
 		method   string
 		args     []int64
 		conflict bool
+		by       int // if non-zero, the refusal must name transaction by-1
 	}
 	get := func(tx int, k int64) step { return step{tx: tx, method: "get", args: []int64{k}} }
 	move := func(tx int, a, b int64) step { return step{tx: tx, method: "move", args: []int64{a, b}} }
+	size := func(tx int) step { return step{tx: tx, method: "size"} }
+	clear := func(tx int) step { return step{tx: tx, method: "clear"} }
 	refused := func(s step) step { s.conflict = true; return s }
+	refusedBy := func(holder int, s step) step { s.conflict, s.by = true, holder+1; return s }
 
 	scenarios := []struct {
 		name      string
+		ds        bool // on sizeClearSpec
 		steps     []step
 		reentrant uint64 // acquisitions granted against the owner's own hold
 		fast      int    // live fast slots afterwards
@@ -258,13 +280,33 @@ func TestReentrantScenarios(t *testing.T) {
 			reentrant: 2, fast: 1, held: 1,
 			abort: []int{0},
 		},
+		{
+			name: "covered ds re-acquisition", ds: true,
+			steps:     []step{clear(0), size(0), clear(0), refusedBy(0, size(1))},
+			reentrant: 2, fast: 1,
+		},
+		{
+			name: "ds upgrade alone, visible to others", ds: true,
+			steps:     []step{size(0), clear(0), refusedBy(0, size(1))},
+			reentrant: 1, fast: 1,
+		},
+		{
+			name: "ds upgrade refused by a compatible second holder", ds: true,
+			steps: []step{size(0), size(1), refusedBy(1, clear(0)), refusedBy(0, clear(1)),
+				size(0), size(2)},
+			reentrant: 1, fast: 1,
+		},
 	}
-	scheme, err := Synthesize(moveSpec())
-	if err != nil {
-		t.Fatal(err)
+	schemes := map[bool]*Scheme{}
+	for ds, spec := range map[bool]*core.Spec{false: moveSpec(), true: sizeClearSpec()} {
+		scheme, err := Synthesize(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes[ds] = scheme.Reduce()
 	}
-	scheme = scheme.Reduce()
 	for _, sc := range scenarios {
+		scheme := schemes[sc.ds]
 		mgrs := map[string]*Manager{
 			"striped":       NewManager(scheme, nil),
 			"single-stripe": newManagerWithStripes(scheme, nil, 1),
@@ -283,6 +325,10 @@ func TestReentrantScenarios(t *testing.T) {
 				if got := err != nil; got != st.conflict {
 					t.Fatalf("%s/%s step %d (tx %d %s%v): conflict=%v, want %v",
 						sc.name, name, i, st.tx, st.method, st.args, got, st.conflict)
+				}
+				var ce *engine.ConflictError
+				if st.by != 0 && (!errors.As(err, &ce) || ce.Holder != txs[st.by-1].ID()) {
+					t.Errorf("%s/%s step %d: %v names holder %+v, want tx %d", sc.name, name, i, err, ce, txs[st.by-1].ID())
 				}
 			}
 			if got := m.Telemetry().Snapshot().ReentrantHits; got != sc.reentrant {

@@ -89,14 +89,7 @@ func sideLocal(c Cond) (Side, bool) {
 }
 
 func hasFn(t Term) bool {
-	switch x := t.(type) {
-	case FnTerm:
-		return true
-	case ArithTerm:
-		return hasFn(x.L) || hasFn(x.R)
-	default:
-		return false
-	}
+	return AnyTerm(t, func(t Term) bool { _, ok := t.(FnTerm); return ok })
 }
 
 // OwnEnv builds the evaluation environment for a side-local guard over a
@@ -123,17 +116,5 @@ func MentionsRet(c Cond, side Side) bool {
 }
 
 func termMentionsRet(t Term, side Side) bool {
-	switch x := t.(type) {
-	case RetTerm:
-		return x.Side == side
-	case FnTerm:
-		for _, a := range x.Args {
-			if termMentionsRet(a, side) {
-				return true
-			}
-		}
-	case ArithTerm:
-		return termMentionsRet(x.L, side) || termMentionsRet(x.R, side)
-	}
-	return false
+	return AnyTerm(t, func(t Term) bool { r, ok := t.(RetTerm); return ok && r.Side == side })
 }

@@ -191,6 +191,25 @@ func SwapTermSides(t Term) Term {
 	}
 }
 
+// AnyTerm reports whether pred holds of t or of one of its subterms,
+// asked in pre-order and stopping at the first that does.
+func AnyTerm(t Term, pred func(Term) bool) bool {
+	if pred(t) {
+		return true
+	}
+	switch x := t.(type) {
+	case FnTerm:
+		for _, a := range x.Args {
+			if AnyTerm(a, pred) {
+				return true
+			}
+		}
+	case ArithTerm:
+		return AnyTerm(x.L, pred) || AnyTerm(x.R, pred)
+	}
+	return false
+}
+
 // termSides reports which invocation sides a term's arguments and return
 // values mention, and whether it mentions a state function on each side.
 type sideInfo struct {

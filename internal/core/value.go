@@ -291,35 +291,17 @@ func (v Value) String() string {
 	}
 }
 
-// Hash returns a cheap 64-bit hash consistent with ValueEq for values
-// MapKey can canonicalize: numbers hash by their canonical numeric key
-// (so int64(5) and float64(5.0) collide as ValueEq demands), strings by
-// their precomputed FNV hash. Ref values fall back to hashing their
-// printed form and are the only kind whose Hash allocates.
+// Hash is KeyHash made total: the canonical key hash where there is one
+// (so int64(5) and float64(5.0) collide as ValueEq demands), and for the
+// values KeyHash refuses a hash of the representation — still equal for
+// == refs, which hash by their printed form (the only allocating case).
 func (v Value) Hash() uint64 {
+	if h, ok := v.KeyHash(); ok {
+		return h
+	}
 	switch v.kind {
-	case KindNil:
-		return 0x9e3779b97f4a7c15
-	case KindBool:
-		if v.bits != 0 {
-			return 0x5bd1e9955bd1e995
-		}
-		return 0x2545f4914f6cdd1d
-	case KindInt:
+	case KindFloat: // integral, at or beyond ±2^53
 		return splitmix64(v.bits)
-	case KindFloat:
-		f := math.Float64frombits(v.bits)
-		if k, ok := MapKey(v); ok && k.kind == KindInt {
-			return splitmix64(k.bits)
-		}
-		if math.IsNaN(f) {
-			return 0x7ff8000000000000
-		}
-		return splitmix64(v.bits)
-	case KindString:
-		return splitmix64(v.bits)
-	case KindNaN:
-		return 0x7ff8000000000000
 	case KindUnset:
 		return 0xdeadbeefdeadbeef
 	default:
@@ -327,12 +309,12 @@ func (v Value) Hash() uint64 {
 	}
 }
 
-// KeyHash returns Hash of v's canonical map key without materializing
-// the intermediate Value: it fuses MapKey and Hash through a pointer
-// receiver so hot paths (the cascade's key and probe hashing) avoid
-// two 40-byte Value copies per key. The boolean mirrors MapKey's
-// second result: false means v cannot be keyed soundly and the caller
-// must treat it as colliding with everything.
+// KeyHash is the canonical key hash, the one name detectors give a
+// value: the hash of MapKey(v) without materializing the key, through a
+// pointer receiver so no Value is copied. ValueEq-equal keyable values
+// have equal hashes. The boolean is MapKey's second result: false means
+// v cannot be keyed soundly and the caller must treat it as colliding
+// with everything.
 func (v *Value) KeyHash() (uint64, bool) {
 	switch v.kind {
 	case KindNil:
@@ -518,22 +500,5 @@ func MapKey(v Value) (Value, bool) {
 		return VFloat(x), true
 	default:
 		return Value{}, false
-	}
-}
-
-// Keyable is MapKey's second result alone, asked through the pointer:
-// no Value is moved and nothing is hashed, so a caller holding mostly
-// unkeyable values (refs) pays a kind test per value and makes MapKey's
-// by-value round trip only for the ones it will key.
-func (v *Value) Keyable() bool {
-	switch v.kind {
-	case KindNil, KindBool, KindInt, KindString, KindNaN:
-		return true
-	case KindFloat:
-		x := math.Float64frombits(v.bits)
-		// NaN differs from its own truncation, so it is keyable, as in MapKey.
-		return x != math.Trunc(x) || (x > -maxExactFloatKey && x < maxExactFloatKey)
-	default:
-		return false
 	}
 }

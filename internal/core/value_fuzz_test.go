@@ -216,10 +216,18 @@ func FuzzValueSemanticsMatchBoxed(f *testing.F) {
 			}
 		}
 
-		// Hash must respect ValueEq on keyable values (the index relies
-		// on it via MapKey, but hashing the canonical key must agree).
-		if okA && okB && ka == kb && ka.Hash() != kb.Hash() {
-			t.Fatalf("equal keys hash differently for %#v, %#v", ba, bb)
+		// KeyHash is MapKey then Hash in one step — the canonical key's
+		// hash and MapKey's ok — and Hash is KeyHash wherever that is ok,
+		// so ValueEq-equal keyable values (equal keys, above) hash alike.
+		for _, c := range []struct {
+			v, k Value
+			ok   bool
+		}{{va, ka, okA}, {vb, kb, okB}} {
+			h, ok := c.v.KeyHash()
+			if ok != c.ok || ok && (h != c.k.Hash() || h != c.v.Hash()) {
+				t.Fatalf("KeyHash(%#v) = %#x, %v; MapKey gives %v, %v hashing to %#x; Hash = %#x",
+					c.v.Unbox(), h, ok, c.k, c.ok, c.k.Hash(), c.v.Hash())
+			}
 		}
 	})
 }

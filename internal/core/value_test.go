@@ -296,7 +296,7 @@ func TestMapKeyRejectsNonBasicKinds(t *testing.T) {
 	}
 }
 
-func TestKeyableIsMapKeysSecondResult(t *testing.T) {
+func TestKeyHashOkIsMapKeysSecondResult(t *testing.T) {
 	type pt struct{ x, y int }
 	for _, v := range []Value{
 		Nil(), VBool(true), VInt(0), VInt(1 << 60), VString("a"), Unset(),
@@ -305,11 +305,15 @@ func TestKeyableIsMapKeysSecondResult(t *testing.T) {
 		V(pt{1, 2}), V([]int{1}),
 	} {
 		k, ok := MapKey(v)
-		if got := v.Keyable(); got != ok {
-			t.Errorf("Keyable(%v) = %v, MapKey says %v", v, got, ok)
+		h, got := v.KeyHash()
+		if got != ok {
+			t.Errorf("KeyHash(%v) ok = %v, MapKey says %v", v, got, ok)
 		}
-		if ok && !k.Keyable() {
-			t.Errorf("canonical key %v of %v is not keyable", k, v)
+		if !ok {
+			continue
+		}
+		if kh, kok := k.KeyHash(); !kok || kh != h {
+			t.Errorf("canonical key %v of %v hashes to %#x, %v; the value to %#x", k, v, kh, kok, h)
 		}
 	}
 }

@@ -289,58 +289,23 @@ func (g *Forward) ReleaseTx(tx *engine.Tx) {
 // mentionsRet reports whether the term references the return value of the
 // given side anywhere.
 func mentionsRet(t core.Term, side core.Side) bool {
-	switch x := t.(type) {
-	case core.RetTerm:
-		return x.Side == side
-	case core.FnTerm:
-		for _, a := range x.Args {
-			if mentionsRet(a, side) {
-				return true
-			}
-		}
-	case core.ArithTerm:
-		return mentionsRet(x.L, side) || mentionsRet(x.R, side)
-	}
-	return false
+	return core.AnyTerm(t, func(t core.Term) bool { r, ok := t.(core.RetTerm); return ok && r.Side == side })
 }
 
 // mentionsSide reports whether the term references an argument or return
 // value of the given side anywhere.
 func mentionsSide(t core.Term, side core.Side) bool {
-	switch x := t.(type) {
-	case core.ArgTerm:
-		return x.Side == side
-	case core.RetTerm:
-		return x.Side == side
-	case core.FnTerm:
-		for _, a := range x.Args {
-			if mentionsSide(a, side) {
-				return true
-			}
-		}
-	case core.ArithTerm:
-		return mentionsSide(x.L, side) || mentionsSide(x.R, side)
-	}
-	return false
+	return mentionsRet(t, side) ||
+		core.AnyTerm(t, func(t core.Term) bool { a, ok := t.(core.ArgTerm); return ok && a.Side == side })
 }
 
 // containsNonPureFn reports whether t contains a state-function
 // application on the given side that is not declared pure.
 func containsNonPureFn(t core.Term, side core.Side, pure map[string]bool) bool {
-	switch x := t.(type) {
-	case core.FnTerm:
-		if x.State == side && !pure[x.Fn] {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsNonPureFn(a, side, pure) {
-				return true
-			}
-		}
-	case core.ArithTerm:
-		return containsNonPureFn(x.L, side, pure) || containsNonPureFn(x.R, side, pure)
-	}
-	return false
+	return core.AnyTerm(t, func(t core.Term) bool {
+		f, ok := t.(core.FnTerm)
+		return ok && f.State == side && !pure[f.Fn]
+	})
 }
 
 // secondStateFns collects the distinct s2-state function applications in

@@ -1,6 +1,8 @@
 package gatekeeper
 
 import (
+	"math"
+
 	"commlat/internal/core"
 )
 
@@ -8,9 +10,9 @@ import (
 // both gatekeepers. core.DecomposeDiseq proves, per ordered method
 // pair, that the pair condition is implied whenever a set of
 // disequality guards x ≠ y all hold; the gatekeeper then buckets active
-// invocations by the canonical key (core.MapKey) of each guard's
-// x-value, and an incoming invocation probes with its y-values. Only
-// colliding entries — those that might falsify a guard — reach the full
+// invocations by the canonical key hash (core.Value.KeyHash) of each
+// guard's x-value, and an incoming invocation probes with its y-values.
+// Only colliding entries — those that might falsify a guard — reach the full
 // compiled checker, so on workloads over distinct keys the per-check
 // cost is O(1) expected in the active-window size instead of linear.
 // This realizes, for gatekeepers, the same hashing idea the paper's
@@ -20,20 +22,24 @@ import (
 // insert/remove cycles over fresh keys allocate nothing: the map entry
 // reuses a pooled bucket whose element slice keeps its capacity.
 
+// nanKey is the key hash all NaNs share.
+var nanKey = core.VFloat(math.NaN()).Hash()
+
 // keySlot is one distinct guard key term of a method: the bucket map
-// from canonical key values to the active entries whose x-value hashed
+// from canonical key hashes to the active entries whose x-value hashed
 // there, plus the entries whose x-value the index could not key
-// (core.MapKey rejected it) and which therefore collide with every
-// probe.
+// (KeyHash refused it) and which therefore collide with every probe.
+// ValueEq-equal values share a hash, so a probe misses no entry it could
+// conflict with; unequal values sharing one only meet in the checker.
 type keySlot struct {
 	term    core.Term // the guard's x term, for dedup and diagnostics
 	extract termFn    // compiled x evaluator, run at insert time
-	index   map[core.Value]*bucket
+	index   map[uint64]*bucket
 	unkeyed []*entry
 	free    []*bucket // recycled empty buckets
 }
 
-// bucket holds the active entries of one canonical key. The slice keeps
+// bucket holds the active entries of one key hash. The slice keeps
 // its capacity across recycling, so a hot key churns with zero
 // allocations after warm-up.
 type bucket struct {
@@ -50,9 +56,9 @@ func (s *keySlot) getBucket() *bucket {
 	return &bucket{}
 }
 
-// insert buckets e under key k; insertUnkeyed records an entry whose
+// insert buckets e under key hash k; insertUnkeyed records an entry whose
 // key could not be canonicalized.
-func (s *keySlot) insert(k core.Value, e *entry) {
+func (s *keySlot) insert(k uint64, e *entry) {
 	b := s.index[k]
 	if b == nil {
 		b = s.getBucket()
@@ -63,28 +69,27 @@ func (s *keySlot) insert(k core.Value, e *entry) {
 
 func (s *keySlot) insertUnkeyed(e *entry) { s.unkeyed = append(s.unkeyed, e) }
 
-// remove drops e from the slot. k must be the key insert was called
-// with (entries remember their keys); the unset sentinel means e was
-// recorded unkeyed.
-func (s *keySlot) remove(k core.Value, e *entry) {
-	if k.IsUnset() {
+// remove drops e from the slot, as the entry remembers having been
+// filed: under k.h, or unkeyed.
+func (s *keySlot) remove(k entryKey, e *entry) {
+	if !k.keyed {
 		removeElem(&s.unkeyed, e)
 		return
 	}
-	b := s.index[k]
+	b := s.index[k.h]
 	if b == nil {
 		return
 	}
 	removeElem(&b.es, e)
 	if len(b.es) == 0 {
-		delete(s.index, k)
+		delete(s.index, k.h)
 		b.es = b.es[:0]
 		s.free = append(s.free, b)
 	}
 }
 
 // probe returns the entries bucketed under k (nil when none).
-func (s *keySlot) probe(k core.Value) []*entry {
+func (s *keySlot) probe(k uint64) []*entry {
 	if b := s.index[k]; b != nil {
 		return b.es
 	}

@@ -33,14 +33,13 @@ type entry struct {
 	log    []core.Value
 	seqPre uint64 // state s1 = current state with journal entries seq > seqPre undone
 
-	// keys holds the entry's canonical index key per key slot of its
-	// method (aligned with the method's slots); the unset sentinel marks
-	// a slot where the entry is filed as unkeyed. gen is the
-	// probe-generation stamp used to deduplicate an entry reachable
-	// through several guards of one probe. pos is the entry's position
-	// in its method's active list, maintained under swap-deletes so a
-	// transaction's release touches only its own entries.
-	keys []core.Value
+	// keys holds how the entry is filed in each key slot of its method
+	// (aligned with the method's slots). gen is the probe-generation
+	// stamp used to deduplicate an entry reachable through several guards
+	// of one probe. pos is the entry's position in its method's active
+	// list, maintained under swap-deletes so a transaction's release
+	// touches only its own entries.
+	keys []entryKey
 	gen  uint64
 	pos  int
 
@@ -55,6 +54,13 @@ type entry struct {
 	// closure allocated per mutating invocation.
 	l    *logged
 	undo func()
+}
+
+// entryKey is an entry's place in one key slot: the bucket of its
+// x-value's canonical key hash, or the unkeyed list.
+type entryKey struct {
+	h     uint64
+	keyed bool
 }
 
 // UndoTx rolls back the entry's effect under the gatekeeper mutex.
@@ -181,7 +187,7 @@ type logged struct {
 	checks    []pending
 	nvals     int
 	vals      []core.Value
-	probeKeys []core.Value
+	probeKeys []uint64
 	// ctx is the compiled-checker evaluation context. A local checkCtx
 	// escapes (its address flows into checker function values), so the
 	// hot paths reuse this one field instead. It points into entries —
@@ -248,7 +254,7 @@ func (l *logged) slotFor(m1 uint16) func(x core.Term, extract termFn) *keySlot {
 				return s
 			}
 		}
-		s := &keySlot{term: x, extract: extract, index: map[core.Value]*bucket{}}
+		s := &keySlot{term: x, extract: extract, index: map[uint64]*bucket{}}
 		mt.slots = append(mt.slots, s)
 		return s
 	}
@@ -324,13 +330,6 @@ func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 		l.vals[i] = core.Value{}
 	}
 	l.vals, l.nvals = l.vals[:0], 0
-	// probeKeys is cleared to its capacity — the most keys any plan has —
-	// since a section can probe a plan with fewer keys after one with more.
-	l.probeKeys = l.probeKeys[:cap(l.probeKeys)]
-	for i := range l.probeKeys {
-		l.probeKeys[i] = core.Value{}
-	}
-	l.probeKeys = l.probeKeys[:0]
 	l.mu.Unlock()
 }
 
@@ -384,31 +383,29 @@ func (l *logged) scanPair(tx *engine.Tx, plan *pairPlan) {
 // of the plan's first method. A probe value the index cannot
 // canonicalize (or evaluate) falls back to the full scan. For
 // purely-disequality conditions a collision on a non-NaN key queues an
-// immediate conflict: equal keys mean equal values (core.MapKey's
-// contract), which falsifies a guard and with it the whole condition.
-// NaN keys collide conservatively — NaN ≠ NaN holds under ValueEq — so
-// they still run the checker.
+// immediate conflict: equal key hashes mean equal values (up to a 2⁻⁶⁴
+// hash collision, refused conservatively), which falsifies a guard and
+// with it the whole condition. NaN keys collide conservatively — NaN ≠
+// NaN holds under ValueEq — so they still run the checker.
 func (l *logged) probePair(tx *engine.Tx, e *entry, plan *pairPlan) {
 	l.tele.IncProbe()
 	l.bind(&noInv, &e.inv, nil)
 	keys := l.probeKeys[:0]
 	for _, pk := range plan.keys {
 		v, err := pk.probe(&l.ctx)
-		// Keyability is asked through the pointer first: an unkeyable
-		// value (every kd-tree point) never makes MapKey's by-value trip.
-		if err != nil || !v.Keyable() {
+		k, ok := v.KeyHash()
+		if err != nil || !ok {
 			l.probeKeys = keys
 			l.scanPair(tx, plan)
 			return
 		}
-		k, _ := core.MapKey(v)
 		keys = append(keys, k)
 	}
 	l.probeKeys = keys
 	l.probeGen++
 	gen := l.probeGen
 	for i, pk := range plan.keys {
-		imm := plan.pureDiseq && keys[i].Kind() != core.KindNaN
+		imm := plan.pureDiseq && keys[i] != nanKey
 		for _, ae := range pk.slot.probe(keys[i]) {
 			if ae.tx != tx && ae.gen != gen {
 				ae.gen = gen
@@ -530,18 +527,18 @@ func (l *logged) indexEntry(mt *method, e *entry) {
 	if cap(e.keys) >= len(mt.slots) {
 		e.keys = e.keys[:len(mt.slots)]
 	} else {
-		e.keys = make([]core.Value, len(mt.slots))
+		e.keys = make([]entryKey, len(mt.slots))
 	}
 	for i, s := range mt.slots {
 		v, err := s.extract(&l.ctx)
-		if err == nil && v.Keyable() {
-			k, _ := core.MapKey(v)
-			e.keys[i] = k
+		k, ok := v.KeyHash()
+		ok = ok && err == nil
+		if ok {
 			s.insert(k, e)
-			continue
+		} else {
+			s.insertUnkeyed(e)
 		}
-		e.keys[i] = unset
-		s.insertUnkeyed(e)
+		e.keys[i] = entryKey{k, ok}
 	}
 }
 
@@ -581,9 +578,6 @@ func (l *logged) putEntry(e *entry) {
 	e.seqPre = 0
 	for i := range e.log {
 		e.log[i] = core.Value{}
-	}
-	for i := range e.keys {
-		e.keys[i] = core.Value{}
 	}
 	e.keys = e.keys[:0]
 	e.gen = 0

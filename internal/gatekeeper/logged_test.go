@@ -78,43 +78,3 @@ func TestPanickingExecReturnsItsEntry(t *testing.T) {
 		})
 	}
 }
-
-// TestEndClearsProbeKeysToHighWater: one section can probe a plan with
-// two guards and then a plan with one, which leaves the probe-key
-// scratch shorter than it was filled. end must clear what the longer
-// probe wrote, or an idle gatekeeper pins that probe's second key.
-func TestEndClearsProbeKeysToHighWater(t *testing.T) {
-	sig := &core.ADTSig{Name: "twokeys", Methods: []core.MethodSig{
-		{Name: "p", Params: []string{"x", "y"}},
-		{Name: "q", Params: []string{"x"}},
-		{Name: "r", Params: []string{"x", "y"}},
-	}}
-	spec := core.NewSpec(sig)
-	ne := func(i int) core.Cond { return core.Ne(core.Arg1(i), core.Arg2(i)) }
-	for _, pr := range spec.Pairs() {
-		spec.Set(pr[0], pr[1], core.True())
-	}
-	spec.Set("p", "r", core.And(ne(0), ne(1)))
-	spec.Set("q", "r", ne(0))
-	g, err := NewForward(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, m := len(g.plan("p", "r").keys), len(g.plan("q", "r").keys); n != 2 || m != 1 {
-		t.Fatalf("plans probe %d and %d keys, want 2 then 1", n, m)
-	}
-	tx := engine.NewTx()
-	if _, err := g.Invoke(tx, "r", core.Args2(core.VString("first"), core.VString("second")),
-		func() Effect { return Effect{} }); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	if cap(g.probeKeys) < 2 {
-		t.Fatalf("probe scratch never held two keys (cap %d)", cap(g.probeKeys))
-	}
-	for i, k := range g.probeKeys[:cap(g.probeKeys)] {
-		if k != (core.Value{}) {
-			t.Errorf("probeKeys[%d] = %v outlived the section", i, k)
-		}
-	}
-}

@@ -68,7 +68,7 @@ func retentionScenario(t *testing.T, invoke func(tx *engine.Tx, v core.Value) er
 
 // TestForwardPoolsDropUserValues: after a transaction with 64 active
 // 1 MiB-blob invocations commits, the recycled entries must not pin the
-// blobs (putEntry zeroes inv/log/keys). Without the zeroing the pool
+// blobs (putEntry zeroes inv and log). Without the zeroing the pool
 // retains ~64 MiB here.
 func TestForwardPoolsDropUserValues(t *testing.T) {
 	g, err := NewForward(rwSetSpec(), nil)
