@@ -10,9 +10,9 @@ import (
 )
 
 // cmdFlightrec runs one application with the stage-latency histograms
-// and the flight recorder enabled, then prints the percentile table,
-// the most recent admission records, and the controller audit trail —
-// the offline twin of the /debug/commlat/ endpoints.
+// and the flight recorder enabled, then prints the percentile table and
+// the most recent admission records — the offline twin of the
+// /debug/commlat/ endpoints.
 func cmdFlightrec(args []string) error {
 	fs := flag.NewFlagSet("flightrec", flag.ExitOnError)
 	sz := addAppFlags(fs)
@@ -21,7 +21,6 @@ func cmdFlightrec(args []string) error {
 	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout)")
 	percentiles := fs.String("percentiles", "", "write the stage-latency percentile document as JSON to this file (- for stdout)")
 	heatmap := fs.String("heatmap", "", "write the shard-load heatmap document as JSON to this file (- for stdout)")
-	auditOut := fs.String("audit", "", "write the controller audit trail as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -31,7 +30,6 @@ func cmdFlightrec(args []string) error {
 	telemetry.EnableFlight(*ring)
 	defer telemetry.DisableLatency()
 	defer telemetry.DisableFlight()
-	telemetry.ResetAudit()
 
 	summary, err := runTraced(sz)
 	if err != nil {
@@ -40,10 +38,9 @@ func cmdFlightrec(args []string) error {
 
 	doc := telemetry.Default.FlightSnapshot()
 	lat := telemetry.SnapshotLatency()
-	audit := telemetry.AuditTrail()
 
 	report := io.Writer(os.Stdout)
-	if *jsonMode || *out == "-" || *percentiles == "-" || *heatmap == "-" || *auditOut == "-" {
+	if *jsonMode || *out == "-" || *percentiles == "-" || *heatmap == "-" {
 		report = os.Stderr
 	}
 	if *jsonMode {
@@ -58,7 +55,6 @@ func cmdFlightrec(args []string) error {
 		{*out, telemetry.Default.WriteFlightJSON},
 		{*percentiles, telemetry.WritePercentilesJSON},
 		{*heatmap, telemetry.Default.WriteHeatmapJSON},
-		{*auditOut, telemetry.WriteAuditJSON},
 	} {
 		if err := writeTo(doc.path, doc.write); err != nil {
 			return err
@@ -70,7 +66,5 @@ func cmdFlightrec(args []string) error {
 	fmt.Fprint(report, telemetry.FormatLatencyTable(lat))
 	fmt.Fprintln(report)
 	fmt.Fprint(report, telemetry.FormatFlightTable(doc, *max))
-	fmt.Fprintln(report)
-	fmt.Fprint(report, telemetry.FormatAuditTable(audit))
 	return nil
 }

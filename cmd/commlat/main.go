@@ -28,7 +28,6 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"commlat/internal/abslock"
-	"commlat/internal/adaptive"
 	"commlat/internal/adt/accum"
 	"commlat/internal/adt/flowgraph"
 	"commlat/internal/adt/intset"
@@ -48,7 +46,6 @@ import (
 	"commlat/internal/core"
 	"commlat/internal/spectext"
 	"commlat/internal/telemetry"
-	"commlat/internal/workload"
 )
 
 func main() {
@@ -197,18 +194,15 @@ func commands() []command {
 		{"specs", "print every commutativity specification and its class", cmdSpecs, ""},
 		{"strengthen", "derive the strongest SIMPLE spec below a given one (§4.1)", cmdStrengthen,
 			"§4.1 — strengthening figure 2 to figure 3"},
-		{"adaptive", "run the §5 future-work adaptive scheme selector on the set\n" +
-			"(-shards N overrides the cascade-sharded rung's shard count)", cmdAdaptive,
-			"§5 future work — adaptive selection"},
 		{"trace", "run one app with the telemetry event trace enabled; writes a\n" +
 			"Chrome trace_event JSON (and optionally JSONL) plus the\n" +
 			"per-method-pair conflict attribution table", cmdTrace, ""},
 		{"flightrec", "run one app with stage-latency histograms and the flight\n" +
-			"recorder enabled; prints the percentile table, recent\n" +
-			"admission records and the controller audit trail (-json,\n" +
-			"-percentiles/-heatmap/-audit write the JSON documents)", cmdFlightrec, ""},
+			"recorder enabled; prints the percentile table and recent\n" +
+			"admission records (-json, -percentiles/-heatmap write the\n" +
+			"JSON documents)", cmdFlightrec, ""},
 		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
-		{"all", "run every quick experiment (tables, matrices, model, adaptive)", cmdAll, ""},
+		{"all", "run every quick experiment (tables, matrices, model, strengthening)", cmdAll, ""},
 		{"help", "print this text", func([]string) error { usage(os.Stderr); return nil }, ""},
 	}
 }
@@ -522,50 +516,6 @@ func cmdStrengthen(args []string) error {
 	fmt.Println("synthesized reduced lock matrix:")
 	fmt.Println(scheme.Reduce().MatrixString())
 	return nil
-}
-
-func cmdAdaptive(args []string) error {
-	fs := flag.NewFlagSet("adaptive", flag.ExitOnError)
-	ops := fs.Int("ops", 60000, "operations")
-	classes := fs.Int("classes", 10, "equivalence classes")
-	epoch := fs.Int("epoch", 5000, "epoch size")
-	window := fs.Int("window", 4, "overlap window (threads)")
-	seed := fs.Int64("seed", 1, "stream seed")
-	start := fs.String("start", "", "starting rung by name (default: the bottom of the ladder)")
-	shards := fs.Int("shards", 0, "shard count for the cascade-sharded rung (0: gatekeeper.DefaultShards for this GOMAXPROCS)")
-	auditOut := fs.String("audit", "", "write the controller decision audit trail as JSON to this file (- for stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ladder := adaptive.DefaultLadder()
-	for i := range ladder {
-		if ladder[i].Name == "cascade-sharded" {
-			ladder[i] = adaptive.ShardedRung(*shards)
-		}
-	}
-	startRung := 0
-	if *start != "" {
-		startRung = slices.IndexFunc(ladder, func(r adaptive.Rung) bool { return r.Name == *start })
-		if startRung < 0 {
-			names := make([]string, len(ladder))
-			for i, r := range ladder {
-				names[i] = r.Name
-			}
-			return fmt.Errorf("unknown rung %q (ladder: %s)", *start, strings.Join(names, ", "))
-		}
-	}
-	stream := workload.SetOpsClasses(*ops, *classes, *seed)
-	telemetry.ResetAudit()
-	trace, err := adaptive.Run(ladder, stream, *epoch, *window, startRung)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %-12s %10s %12s\n", "epoch", "rung", "abort %", "ops/s")
-	for i, s := range trace.Samples {
-		fmt.Printf("%-8d %-12s %10.2f %12.0f\n", i, ladder[s.Rung].Name, s.AbortRatio*100, s.Throughput)
-	}
-	fmt.Printf("switches: %d; final set size: %d\n", trace.Switches, len(trace.Final.Snapshot()))
-	return writeTo(*auditOut, telemetry.WriteAuditJSON)
 }
 
 func cmdCheck(args []string) error {

@@ -95,12 +95,6 @@ func TestCmdTable2Small(t *testing.T) {
 	}
 }
 
-func TestCmdAdaptiveSmall(t *testing.T) {
-	if err := cmdAdaptive([]string{"-ops", "4000", "-epoch", "1000"}); err != nil {
-		t.Errorf("adaptive: %v", err)
-	}
-}
-
 func TestUnknownCommandIsAUsageError(t *testing.T) {
 	// Returned, not os.Exit(2) from inside dispatch: main has a CPU
 	// profile to stop and a -listen server to drain first.

@@ -16,6 +16,7 @@ func variants() map[string]Set {
 		"global":     NewGlobalLock(NewHashRep()),
 		"exclusive":  NewExclusiveLocked(NewHashRep()),
 		"rw":         NewRWLocked(NewHashRep()),
+		"liberal":    NewLiberalLocked(NewHashRep()),
 		"partition8": NewPartitionLocked(NewHashRep(), 8),
 		"gatekeeper": NewGatekept(NewHashRep()),
 		"gk-sorted":  NewGatekept(NewSortedRep()),
@@ -93,9 +94,10 @@ func TestAbortRollsBackAllVariants(t *testing.T) {
 
 // TestPermissivenessOrdering: the lattice position predicts which
 // concurrent accesses are allowed. Two concurrent contains of the SAME
-// element: exclusive locks conflict; rw locks, partition locks and the
-// gatekeeper do not. A non-mutating add of a present element: only the
-// gatekeeper (precise spec) allows a concurrent contains.
+// element: exclusive locks conflict; rw locks, liberal locks, partition
+// locks and the gatekeeper do not. A non-mutating add of a present
+// element: only the gatekeeper (precise spec) and the liberal locks
+// (its guarded modes) allow a concurrent contains.
 func TestPermissivenessOrdering(t *testing.T) {
 	mustConflict := func(name string, err error) {
 		if !engine.IsConflict(err) {

@@ -27,10 +27,10 @@ type chromeEvent struct {
 
 // WriteChromeTrace renders events as Chrome trace_event JSON: each
 // transaction becomes one complete ("X") slice from its begin event to
-// its commit or abort on the worker's track, conflicts and decisions
-// become instant events, and unpaired lifecycle events degrade to
-// instants, so hand-driven transactions without begin events still
-// load. Load the output in chrome://tracing or ui.perfetto.dev.
+// its commit or abort on the worker's track, conflicts become instant
+// events, and unpaired lifecycle events degrade to instants, so
+// hand-driven transactions without begin events still load. Load the
+// output in chrome://tracing or ui.perfetto.dev.
 func (r *Registry) WriteChromeTrace(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
@@ -99,14 +99,6 @@ func (r *Registry) WriteChromeTrace(w io.Writer, evs []Event) error {
 			}); err != nil {
 				return err
 			}
-		case EvDecision:
-			if err := write(chromeEvent{
-				Name: "decision " + r.label(e.Det, e.M1) + "→" + r.label(e.Det, e.M2),
-				Ph:   "i", TS: us(e.TS), PID: 1, TID: tid, Scope: "g",
-				Args: map[string]any{"detector": r.detName(e.Det), "epoch": e.Item},
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	// Transactions still open when the trace was cut: flush as instants.
@@ -159,8 +151,8 @@ func encodeInline(bw *bufio.Writer, v any) error {
 // --- JSONL ----------------------------------------------------------------
 
 // EventJSON is one line of the JSONL event trace: an Event with its
-// detector and label IDs resolved to names. Which optional fields a line
-// carries depends on its kind (see WriteJSONL).
+// detector and label IDs resolved to names. Only conflict lines carry
+// the detector and label fields.
 type EventJSON struct {
 	TS       int64  `json:"ts_ns"`
 	Kind     string `json:"kind"`
@@ -170,7 +162,6 @@ type EventJSON struct {
 	Detector string `json:"detector,omitempty"`
 	M1       string `json:"m1,omitempty"`
 	M2       string `json:"m2,omitempty"`
-	Epoch    int64  `json:"epoch,omitempty"`
 }
 
 // WriteJSONL renders events one JSON object per line, resolving
@@ -179,18 +170,10 @@ func (r *Registry) WriteJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range evs {
-		je := EventJSON{TS: e.TS, Kind: e.Kind.String(), Worker: int(e.Worker), Tx: e.Tx}
-		switch e.Kind {
-		case EvConflict:
-			je.Item = e.Item
+		je := EventJSON{TS: e.TS, Kind: e.Kind.String(), Worker: int(e.Worker), Tx: e.Tx, Item: e.Item}
+		if e.Kind == EvConflict {
 			je.Detector = r.detName(e.Det)
 			je.M1, je.M2 = r.label(e.Det, e.M1), r.label(e.Det, e.M2)
-		case EvDecision:
-			je.Epoch = e.Item
-			je.Detector = r.detName(e.Det)
-			je.M1, je.M2 = r.label(e.Det, e.M1), r.label(e.Det, e.M2)
-		default:
-			je.Item = e.Item
 		}
 		if err := enc.Encode(je); err != nil {
 			return err

@@ -1,4 +1,4 @@
-// Exporters for the latency/flight/audit layer: JSON documents for the
+// Exporters for the latency and flight layer: JSON documents for the
 // /debug/commlat/ endpoints and the flightrec subcommand, human-readable
 // tables for the CLI, and the Prometheus-native histogram section of
 // /metrics. The exported document types here are the schema:
@@ -181,16 +181,6 @@ func (r *Registry) Heatmap() HeatmapDoc {
 // WriteHeatmapJSON writes the shard-load heatmap as indented JSON.
 func (r *Registry) WriteHeatmapJSON(w io.Writer) error { return writeJSON(w, r.Heatmap()) }
 
-// --- Controller audit JSON ------------------------------------------------
-
-// AuditDoc is the controller decision-trail document.
-type AuditDoc struct {
-	Entries []AuditEntry `json:"entries"`
-}
-
-// WriteAuditJSON writes the controller audit trail as indented JSON.
-func WriteAuditJSON(w io.Writer) error { return writeJSON(w, AuditDoc{Entries: AuditTrail()}) }
-
 // --- Human-readable tables ------------------------------------------------
 
 // FormatLatencyTable renders the percentile table the flightrec
@@ -236,21 +226,6 @@ func FormatFlightTable(doc FlightDoc, max int) string {
 	return b.String()
 }
 
-// FormatAuditTable renders the controller decision trail.
-func FormatAuditTable(entries []AuditEntry) string {
-	var b strings.Builder
-	if len(entries) == 0 {
-		return "(no controller decisions recorded)\n"
-	}
-	fmt.Fprintf(&b, "%-12s %-16s %8s %10s %6s %6s %-8s\n",
-		"ts ns", "controller", "window", "conflict", "from", "to", "reason")
-	for _, e := range entries {
-		fmt.Fprintf(&b, "%-12d %-16s %8d %9.4f%% %6d %6d %-8s\n",
-			e.TS, e.Controller, e.Window, 100*e.ConflictRate, e.FromRung, e.ToRung, e.Reason)
-	}
-	return b.String()
-}
-
 // --- Prometheus histogram section -----------------------------------------
 
 // promLatency appends the stage histograms to the /metrics payload as a
@@ -275,20 +250,5 @@ func promLatency(bw *bufio.Writer) {
 	if d := FlightDropped(); d > 0 {
 		p("# HELP commlat_flight_reclaimed_total Flight records reclaimed by ring wraparound.\n# TYPE commlat_flight_reclaimed_total counter\n")
 		p("commlat_flight_reclaimed_total %d\n", d)
-	}
-	// Last-known rung per controller, from the audit trail.
-	last := map[string]AuditEntry{}
-	var names []string
-	for _, e := range AuditTrail() {
-		if _, ok := last[e.Controller]; !ok {
-			names = append(names, e.Controller)
-		}
-		last[e.Controller] = e
-	}
-	if len(names) > 0 {
-		p("# HELP commlat_controller_rung Current rung value per adaptive controller.\n# TYPE commlat_controller_rung gauge\n")
-		for _, name := range names {
-			p("commlat_controller_rung{controller=%q} %d\n", name, last[name].ToRung)
-		}
 	}
 }

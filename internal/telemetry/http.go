@@ -2,63 +2,59 @@ package telemetry
 
 import (
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 )
 
-// Handler serves the registry over HTTP:
-//
-//	/metrics                   Prometheus text exposition (counters +
-//	                           stage-latency histograms)
-//	/debug/telemetry           JSON Snapshot
-//	/debug/vars                expvar (includes the "commlat" var once
-//	                           PublishExpvar has run; Handler calls it
-//	                           for the Default registry)
-//	/debug/commlat/flightrec   flight-recorder snapshot (JSON)
-//	/debug/commlat/percentiles stage-latency percentile dump (JSON)
-//	/debug/commlat/heatmap     shard-load heatmap (JSON)
-//	/debug/commlat/audit       controller decision audit trail (JSON)
-//
-// cmd/commlat mounts this behind the global -listen flag.
+// Handler serves the registry over HTTP, one endpoint per row of its
+// table. The index page at / is written from the same rows, so it links
+// exactly the endpoints served. cmd/commlat mounts this behind the
+// global -listen flag.
 func Handler(r *Registry) http.Handler {
 	if r == Default {
 		PublishExpvar()
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	serveJSON := func(path string, write func(io.Writer) error) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = write(w)
-		})
+	const jsonType = "application/json"
+	endpoints := []struct {
+		path, what string
+		serve      http.HandlerFunc
+	}{
+		{"/metrics", "Prometheus text: counters and stage-latency histograms",
+			writeAs("text/plain; version=0.0.4; charset=utf-8", r.WritePrometheus)},
+		{"/debug/telemetry", "JSON snapshot", writeAs(jsonType, func(w io.Writer) error { return writeJSON(w, r.Snapshot()) })},
+		{"/debug/vars", "expvar; the Default registry publishes the commlat var", expvar.Handler().ServeHTTP},
+		{"/debug/commlat/flightrec", "flight-recorder snapshot", writeAs(jsonType, r.WriteFlightJSON)},
+		{"/debug/commlat/percentiles", "stage-latency percentiles", writeAs(jsonType, WritePercentilesJSON)},
+		{"/debug/commlat/heatmap", "shard-load heatmap", writeAs(jsonType, r.WriteHeatmapJSON)},
 	}
-	serveJSON("/debug/telemetry", func(w io.Writer) error { return writeJSON(w, r.Snapshot()) })
-	serveJSON("/debug/commlat/flightrec", r.WriteFlightJSON)
-	serveJSON("/debug/commlat/percentiles", WritePercentilesJSON)
-	serveJSON("/debug/commlat/heatmap", r.WriteHeatmapJSON)
-	serveJSON("/debug/commlat/audit", WriteAuditJSON)
+	mux := http.NewServeMux()
+	var index strings.Builder
+	index.WriteString("<html><body><h1>commlat telemetry</h1><ul>\n")
+	for _, e := range endpoints {
+		mux.HandleFunc(e.path, e.serve)
+		fmt.Fprintf(&index, "<li><a href=\"%s\">%s</a> (%s)</li>\n", e.path, e.path, e.what)
+	}
+	index.WriteString("</ul></body></html>")
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {
 			http.NotFound(w, req)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write([]byte(`<html><body><h1>commlat telemetry</h1><ul>
-<li><a href="/metrics">/metrics</a> (Prometheus text)</li>
-<li><a href="/debug/telemetry">/debug/telemetry</a> (JSON snapshot)</li>
-<li><a href="/debug/vars">/debug/vars</a> (expvar)</li>
-<li><a href="/debug/commlat/flightrec">/debug/commlat/flightrec</a> (flight-recorder snapshot)</li>
-<li><a href="/debug/commlat/percentiles">/debug/commlat/percentiles</a> (stage-latency percentiles)</li>
-<li><a href="/debug/commlat/heatmap">/debug/commlat/heatmap</a> (shard-load heatmap)</li>
-<li><a href="/debug/commlat/audit">/debug/commlat/audit</a> (controller audit trail)</li>
-</ul></body></html>`))
+		_, _ = io.WriteString(w, index.String())
 	})
 	return mux
+}
+
+// writeAs serves what write writes, under the content type ctype.
+func writeAs(ctype string, write func(io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ctype)
+		_ = write(w)
+	}
 }
 
 var expvarOnce sync.Once

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The latency, flight and audit recorders are process-wide; these tests
+// The latency and flight recorders are process-wide; these tests
 // enable, exercise and disable them serially (no t.Parallel) so they
 // never observe each other's state.
 
@@ -174,60 +174,11 @@ func TestTelemetryFlightDisabledIsNoop(t *testing.T) {
 	}
 }
 
-func TestTelemetryAuditTrail(t *testing.T) {
-	ResetAudit()
-	RecordAudit(AuditEntry{
-		Controller: "batch", Window: 256, ConflictRate: 0.002,
-		FromRung: 8, ToRung: 32,
-		Moved: true, Reason: AuditClimb,
-	})
-	RecordAudit(AuditEntry{
-		Controller: "batch", Window: 256, ConflictRate: 0.02,
-		FromRung: 32, ToRung: 32,
-		Moved: false, Reason: AuditHold,
-	})
-	trail := AuditTrail()
-	if len(trail) != 2 {
-		t.Fatalf("trail length %d", len(trail))
-	}
-	if trail[0].Reason != AuditClimb || !trail[0].Moved || trail[0].ToRung != 32 {
-		t.Fatalf("first entry: %+v", trail[0])
-	}
-	if trail[0].TS == 0 {
-		t.Fatal("entry not timestamped")
-	}
-	if trail[1].TS < trail[0].TS {
-		t.Fatal("trail out of order")
-	}
-	// Overflow: the ring keeps the newest auditCap entries.
-	for i := 0; i < auditCap+10; i++ {
-		RecordAudit(AuditEntry{Controller: "shard", Window: i})
-	}
-	trail = AuditTrail()
-	if len(trail) != auditCap {
-		t.Fatalf("overflowed trail length %d, want %d", len(trail), auditCap)
-	}
-	if trail[len(trail)-1].Window != auditCap+9 {
-		t.Fatalf("newest entry window %d", trail[len(trail)-1].Window)
-	}
-	ResetAudit()
-	if len(AuditTrail()) != 0 {
-		t.Fatal("ResetAudit left entries")
-	}
-
-	defer ResetAudit() // exerciseRing leaves the always-on trail disabled
-	exerciseRing(t, &audit, auditCap,
-		func(w, seq int) { RecordAudit(AuditEntry{FromRung: w, Window: seq}) },
-		AuditTrail, func(e AuditEntry) (int, int) { return e.FromRung, e.Window })
-}
-
 func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	EnableLatency()
 	EnableFlight(64)
 	defer DisableLatency()
 	defer DisableFlight()
-	ResetAudit()
-	defer ResetAudit()
 
 	r := NewRegistry()
 	router := r.Register("sharded", "set", []string{"add"})
@@ -246,8 +197,6 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	rec := FlightRecord{Tx: 7, Det: router.ID(), Verdict: FlightAdmitted, Shards: 0b11}
 	rec.Mark(StageRendezvous, 500)
 	RecordFlight(0, &rec)
-	RecordAudit(AuditEntry{Controller: "shard", Window: 512, ConflictRate: 0.001,
-		FromRung: 4, ToRung: 8, Moved: true, Reason: AuditClimb})
 
 	h := Handler(r)
 	get := func(path string) (int, string) {
@@ -301,18 +250,6 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("shares do not cover the group: %+v", hm.Shards)
 	}
 
-	code, body = get("/debug/commlat/audit")
-	if code != 200 {
-		t.Fatalf("/audit: %d", code)
-	}
-	var ad AuditDoc
-	if err := json.Unmarshal([]byte(body), &ad); err != nil {
-		t.Fatalf("audit JSON: %v", err)
-	}
-	if len(ad.Entries) != 1 || ad.Entries[0].Reason != AuditClimb {
-		t.Fatalf("audit doc: %+v", ad)
-	}
-
 	code, body = get("/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
@@ -321,7 +258,6 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 		"commlat_stage_latency_ns_bucket{stage=\"rendezvous\"",
 		"commlat_stage_latency_ns_count{stage=\"rendezvous\"} 1",
 		"commlat_flight_epoch 0",
-		"commlat_controller_rung{controller=\"shard\"} 8",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -337,8 +273,6 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 	EnableFlight(64)
 	defer DisableLatency()
 	defer DisableFlight()
-	ResetAudit()
-	defer ResetAudit()
 
 	r := NewRegistry()
 	d := r.Register("cascade", "set", []string{"add"})
@@ -366,14 +300,13 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 				RecordFlight(w, &rec)
 				if i%64 == 0 {
 					AdvanceFlightEpoch()
-					RecordAudit(AuditEntry{Controller: "batch", Window: 64, Reason: AuditHold})
 				}
 			}
 		}(w)
 	}
 	paths := []string{
 		"/metrics", "/debug/telemetry", "/debug/commlat/flightrec",
-		"/debug/commlat/percentiles", "/debug/commlat/heatmap", "/debug/commlat/audit",
+		"/debug/commlat/percentiles", "/debug/commlat/heatmap",
 	}
 	for s := 0; s < 2; s++ {
 		scrapers.Add(1)

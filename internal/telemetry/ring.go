@@ -9,17 +9,15 @@ import (
 type EventKind uint8
 
 // Event kinds. Begin/Commit/Abort are transaction lifecycle; Conflict is
-// a detector rejecting an invocation; Decision is an adaptive-controller
-// rung change.
+// a detector rejecting an invocation.
 const (
 	EvBegin EventKind = iota + 1
 	EvCommit
 	EvAbort
 	EvConflict
-	EvDecision
 )
 
-var kindNames = []string{EvBegin: "begin", EvCommit: "commit", EvAbort: "abort", EvConflict: "conflict", EvDecision: "decision"}
+var kindNames = []string{EvBegin: "begin", EvCommit: "commit", EvAbort: "abort", EvConflict: "conflict"}
 
 // String returns the JSONL spelling of the kind.
 func (k EventKind) String() string { return enumName(kindNames, k) }
@@ -36,8 +34,7 @@ func enumName[E ~uint8](names []string, v E) string {
 
 // Event is one fixed-size trace record. M1/M2 are label IDs in the
 // detector Det's vocabulary (method pair for gatekeepers, mode pair for
-// lock managers, rung transition for the adaptive controller); Det 0 is
-// the engine.
+// lock managers); Det 0 is the engine.
 type Event struct {
 	TS     int64 // nanoseconds since the trace was enabled
 	Tx     uint64
@@ -66,8 +63,8 @@ var tr = tracer{ring: ring[Event]{shards: make([]ringShard[Event], ringShards)}}
 // capacity (rounded up to a power of two; <=0 means 1<<14 events) and
 // sampling rate: sample N keeps roughly one in N transactions (their
 // begin/commit/abort/conflict events as a unit, so traces stay
-// pairable); N <= 1 keeps everything. Decision events are never
-// sampled out. Enabling resets any previous trace.
+// pairable); N <= 1 keeps everything. Enabling resets any previous
+// trace.
 func EnableTrace(perShard, sample int) {
 	if perShard <= 0 {
 		perShard = 1 << 14
@@ -99,7 +96,7 @@ func Emit(worker int, kind EventKind, tx uint64, item int64, det, m1, m2 uint16)
 	if !tr.enabled.Load() {
 		return
 	}
-	if s := tr.sample.Load(); s > 1 && kind != EvDecision && tx%s != 0 {
+	if s := tr.sample.Load(); s > 1 && tx%s != 0 {
 		return
 	}
 	tr.put(worker, &Event{
@@ -113,13 +110,6 @@ func Emit(worker int, kind EventKind, tx uint64, item int64, det, m1, m2 uint16)
 //commvet:observation
 func EmitConflict(worker int, tx uint64, item int64, det, m1, m2 uint16) {
 	Emit(worker, EvConflict, tx, item, det, m1, m2)
-}
-
-// EmitDecision records an adaptive rung change (from, to).
-//
-//commvet:observation
-func EmitDecision(det uint16, epoch int64, from, to uint16) {
-	Emit(0, EvDecision, 0, epoch, det, from, to)
 }
 
 // TraceEvents drains a copy of the buffered events, oldest first,

@@ -33,11 +33,11 @@ func (s *ringShard[T]) lapped() uint64 {
 	return 0
 }
 
-// ring is the record mechanism under the event trace, the flight
-// recorder and the audit trail: fixed per-worker windows that overwrite
-// their oldest record when full, so what is buffered is always the most
-// recent window and nothing is released record by record. The shard
-// count is fixed at construction and is a power of two.
+// ring is the record mechanism under the event trace and the flight
+// recorder: fixed per-worker windows that overwrite their oldest record
+// when full, so what is buffered is always the most recent window and
+// nothing is released record by record. The shard count is fixed at
+// construction and is a power of two.
 type ring[T stamped] struct {
 	enabled atomic.Bool
 	shards  []ringShard[T]

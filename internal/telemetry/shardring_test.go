@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// exerciseRing is the one test of the ring mechanics. The tracer, flight
-// and audit tests each run it against their instantiation: write and
-// drain go through the recorder's exported surface, id reads back which
-// writer wrote a record and its sequence number. r must be enabled at
-// perShard records and empty; it is left disabled.
+// exerciseRing is the one test of the ring mechanics. The tracer and
+// flight tests each run it against their instantiation: write and drain
+// go through the recorder's exported surface, id reads back which writer
+// wrote a record and its sequence number. r must be enabled at perShard
+// records and empty; it is left disabled.
 func exerciseRing[T stamped](t *testing.T, r *ring[T], perShard int,
 	write func(writer, seq int), drain func() []T, id func(T) (writer, seq int)) {
 	t.Helper()
@@ -45,14 +45,11 @@ func exerciseRing[T stamped](t *testing.T, r *ring[T], perShard int,
 	<-drained
 
 	// Wrap-around keeps exactly the newest perShard records of each
-	// shard, and every writer's survivors are its newest, in order.
+	// writer's shard, and every writer's survivors are its newest, in
+	// order.
 	got := drain()
-	shards := writers
-	if len(r.shards) < shards {
-		shards = len(r.shards)
-	}
-	if len(got) != shards*perShard {
-		t.Fatalf("ring kept %d records, want %d shards x %d", len(got), shards, perShard)
+	if len(got) != writers*perShard {
+		t.Fatalf("ring kept %d records, want %d shards x %d", len(got), writers, perShard)
 	}
 	if want := uint64(writers*perWriter - len(got)); r.dropped() != want {
 		t.Fatalf("dropped = %d, want written - kept = %d", r.dropped(), want)
@@ -65,12 +62,12 @@ func exerciseRing[T stamped](t *testing.T, r *ring[T], perShard int,
 			continue
 		}
 		pw, _ := id(got[i-1])
-		if ts, prev := rec.stamp(), got[i-1].stamp(); ts < prev || (ts == prev && shards == writers && w < pw) {
+		if ts, prev := rec.stamp(), got[i-1].stamp(); ts < prev || (ts == prev && w < pw) {
 			t.Fatalf("drain not sorted by (TS, worker) at %d", i)
 		}
 	}
 	for w, seqs := range kept {
-		if shards == writers && len(seqs) != perShard {
+		if len(seqs) != perShard {
 			t.Fatalf("writer %d kept %d records, want %d", w, len(seqs), perShard)
 		}
 		for i, seq := range seqs {

@@ -21,7 +21,7 @@
 //     atomic load; enabled, it is a couple of mutex-guarded stores into
 //     a preallocated per-worker ring — still allocation-free.
 //   - The package depends only on the standard library, so every layer
-//     (engine, gatekeepers, lock manager, adaptive controller) can use
+//     (engine, gatekeepers, lock manager, ADTs) can use
 //     it without import cycles.
 package telemetry
 
@@ -58,13 +58,13 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // Detector holds the fixed-slot counters of one conflict-detector
 // instance. Labels are the detector's vocabulary: method names for
-// gatekeepers, lock-mode names for abstract-lock managers, rung names
-// for the adaptive controller. Pair counters are indexed
+// gatekeepers, lock-mode names for abstract-lock managers. Pair counters
+// are indexed
 // labelID1*n + labelID2; IDs are positions in the label list, compiled
 // into the detector's plans at construction time.
 type Detector struct {
 	id     uint16
-	kind   string // "forward", "general", "abslock", "adaptive", ...
+	kind   string // "forward", "general", "abslock", ...
 	adt    string // guarded ADT / scheme name
 	labels []string
 	n      int
@@ -245,8 +245,7 @@ func (d *Detector) ShardLocals() uint64 { return d.shardLocal.Load() }
 func (d *Detector) ShardCrossings() uint64 { return d.shardCross.Load() }
 
 // Check counts one pairwise commutativity evaluation of (first m1,
-// incoming m2), attributing it to the pair. The adaptive controller
-// reuses it to count rung transitions.
+// incoming m2), attributing it to the pair.
 func (d *Detector) Check(m1, m2 uint16) {
 	d.checks.Add(1)
 	if i := int(m1)*d.n + int(m2); i < len(d.pairChecks) {

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -149,10 +151,9 @@ func TestRingTraceBasics(t *testing.T) {
 	Emit(1, EvCommit, 10, 42, 0, 0, 0)
 	Emit(2, EvAbort, 11, 43, 0, 0, 0)
 	EmitConflict(2, 11, 43, 1, 0, 1)
-	EmitDecision(3, 5, 1, 2)
 	evs := TraceEvents()
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4", len(evs))
 	}
 	kinds := map[EventKind]int{}
 	for i, e := range evs {
@@ -161,7 +162,7 @@ func TestRingTraceBasics(t *testing.T) {
 			t.Fatalf("events not time-ordered")
 		}
 	}
-	if kinds[EvBegin] != 1 || kinds[EvCommit] != 1 || kinds[EvAbort] != 1 || kinds[EvConflict] != 1 || kinds[EvDecision] != 1 {
+	if kinds[EvBegin] != 1 || kinds[EvCommit] != 1 || kinds[EvAbort] != 1 || kinds[EvConflict] != 1 {
 		t.Fatalf("kinds = %v", kinds)
 	}
 	if TraceDropped() != 0 {
@@ -190,29 +191,29 @@ func TestRingOverwriteAndSampling(t *testing.T) {
 		t.Fatalf("dropped = %d, want 6", TraceDropped())
 	}
 
-	// Sampling keeps a transaction's events together (tx % sample == 0)
-	// and never drops decisions.
+	// Sampling keeps or drops a transaction as a unit: a kept one
+	// (tx % sample == 0) keeps its begin, conflict and commit or abort
+	// together, a sampled-out one leaves no event — its conflict
+	// included.
 	EnableTrace(64, 4)
 	for tx := uint64(0); tx < 8; tx++ {
 		Emit(0, EvBegin, tx, 0, 0, 0, 0)
-		Emit(0, EvCommit, tx, 0, 0, 0, 0)
+		EmitConflict(0, tx, 0, 1, 0, 1)
+		end := EvCommit
+		if tx == 4 {
+			end = EvAbort
+		}
+		Emit(0, end, tx, 0, 0, 0, 0)
 	}
-	EmitDecision(1, 1, 0, 1)
 	evs = TraceEvents()
 	DisableTrace()
-	var lifecycle, decisions int
+	byTx := map[uint64][]EventKind{}
 	for _, e := range evs {
-		if e.Kind == EvDecision {
-			decisions++
-			continue
-		}
-		lifecycle++
-		if e.Tx%4 != 0 {
-			t.Fatalf("sampled-in tx %d not on sample boundary", e.Tx)
-		}
+		byTx[e.Tx] = append(byTx[e.Tx], e.Kind)
 	}
-	if lifecycle != 4 || decisions != 1 {
-		t.Fatalf("lifecycle = %d, decisions = %d", lifecycle, decisions)
+	want := map[uint64][]EventKind{0: {EvBegin, EvConflict, EvCommit}, 4: {EvBegin, EvConflict, EvAbort}}
+	if fmt.Sprint(byTx) != fmt.Sprint(want) {
+		t.Fatalf("sampled trace = %v, want %v", byTx, want)
 	}
 
 	// Disabled: Emit is a no-op, TraceEvents is empty.
@@ -288,15 +289,13 @@ func fixedEvents() []Event {
 		{TS: 2500, Tx: 2, Item: 8, Worker: 1, Kind: EvAbort},
 		{TS: 3000, Tx: 1, Item: 7, Worker: 0, Kind: EvCommit},
 		{TS: 3500, Tx: 9, Item: 3, Worker: 2, Kind: EvCommit}, // no matching begin
-		{TS: 4000, Tx: 0, Item: 2, Worker: 0, Kind: EvDecision, Det: 2, M1: 0, M2: 1},
-		{TS: 4500, Tx: 4, Item: 1, Worker: 3, Kind: EvBegin}, // still open at cut
+		{TS: 4500, Tx: 4, Item: 1, Worker: 3, Kind: EvBegin},  // still open at cut
 	}
 }
 
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Register("forward", "set", []string{"add", "remove"})
-	r.Register("adaptive", "ladder", []string{"global", "exclusive"})
 	return r
 }
 
@@ -344,27 +343,21 @@ func TestWriteJSONL(t *testing.T) {
 	if len(lines) != len(fixedEvents()) {
 		t.Fatalf("got %d lines, want %d", len(lines), len(fixedEvents()))
 	}
-	var conflicts, decisions int
+	var conflicts int
 	for _, line := range lines {
 		var je map[string]any
 		if err := json.Unmarshal([]byte(line), &je); err != nil {
 			t.Fatalf("bad line %q: %v", line, err)
 		}
-		switch je["kind"] {
-		case "conflict":
+		if je["kind"] == "conflict" {
 			conflicts++
 			if je["detector"] != "forward/set" || je["m1"] != "add" || je["m2"] != "remove" {
 				t.Fatalf("conflict line %q lacks attribution", line)
 			}
-		case "decision":
-			decisions++
-			if je["detector"] != "adaptive/ladder" || je["m1"] != "global" || je["m2"] != "exclusive" {
-				t.Fatalf("decision line %q lacks attribution", line)
-			}
 		}
 	}
-	if conflicts != 1 || decisions != 1 {
-		t.Fatalf("conflicts = %d, decisions = %d", conflicts, decisions)
+	if conflicts != 1 {
+		t.Fatalf("conflicts = %d", conflicts)
 	}
 }
 
@@ -419,7 +412,23 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code, _ := get("/nope"); code != 404 {
 		t.Fatalf("/nope: %d", code)
 	}
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
-		t.Fatalf("/: %d %q", code, body)
+	code, index := get("/")
+	if code != 200 {
+		t.Fatalf("/: %d %q", code, index)
+	}
+	// The index is written from the endpoint table: every link it shows
+	// is served, and a path with no row is neither linked nor served.
+	links := regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(index, -1)
+	if len(links) != 6 {
+		t.Fatalf("/ links %d endpoints, want 6: %q", len(links), index)
+	}
+	for _, l := range links {
+		if code, _ := get(l[1]); code != 200 {
+			t.Errorf("%s, linked from /: %d", l[1], code)
+		}
+	}
+	const unrouted = "/debug/commlat/" + "audit"
+	if code, _ := get(unrouted); code != 404 || strings.Contains(index, unrouted) {
+		t.Errorf("%s: %d, linked %v", unrouted, code, strings.Contains(index, unrouted))
 	}
 }

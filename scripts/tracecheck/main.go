@@ -11,12 +11,11 @@
 //	go run ./scripts/tracecheck -snapshot telemetry.json
 //	commlat flightrec -app cluster -json | go run ./scripts/tracecheck -flight
 //	go run ./scripts/tracecheck -percentiles percentiles.json
-//	go run ./scripts/tracecheck -audit audit.json
 //
 // The schema of a document is the exported internal/telemetry type that
-// writes it (EventJSON, Snapshot, FlightDoc, LatencySnapshot, AuditDoc):
+// writes it (EventJSON, Snapshot, FlightDoc, LatencySnapshot):
 // tracecheck decodes into that type with unknown fields refused, takes
-// its vocabularies from the Stage, FlightVerdict, EventKind and Audit*
+// its vocabularies from the Stage, FlightVerdict and EventKind
 // constants, and adds only what a type cannot say — required keys being
 // present, timelines in order, counts that decompose their totals.
 // testdata/ pins the spellings: main_test must accept one document of
@@ -53,7 +52,6 @@ var (
 	kinds    = vocabulary(telemetry.EvBegin)
 	verdicts = vocabulary(telemetry.FlightAdmitted)
 	stages   = vocabulary(telemetry.Stage(0))
-	reasons  = map[string]bool{telemetry.AuditClimb: true, telemetry.AuditBackoff: true, telemetry.AuditHold: true}
 )
 
 // decodeStrict decodes raw into doc, refusing fields the type does not
@@ -111,7 +109,7 @@ func check(raw []byte, w io.Writer) error {
 		counts = map[string]int{}
 	)
 	begin, commit, abort := telemetry.EvBegin.String(), telemetry.EvCommit.String(), telemetry.EvAbort.String()
-	conflict, decision := telemetry.EvConflict.String(), telemetry.EvDecision.String()
+	conflict := telemetry.EvConflict.String()
 	for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
 		lineNo++
 		if len(line) == 0 {
@@ -137,10 +135,10 @@ func check(raw []byte, w io.Writer) error {
 		if !kinds[e.Kind] {
 			return fmt.Errorf("line %d: unknown kind %q", lineNo, e.Kind)
 		}
-		if e.Kind != decision && e.Tx == 0 {
+		if e.Tx == 0 {
 			return fmt.Errorf("line %d: %s event without tx", lineNo, e.Kind)
 		}
-		if (e.Kind == conflict || e.Kind == decision) && (e.Detector == "" || e.M1 == "" || e.M2 == "") {
+		if e.Kind == conflict && (e.Detector == "" || e.M1 == "" || e.M2 == "") {
 			return fmt.Errorf("line %d: %s event needs detector, m1, m2", lineNo, e.Kind)
 		}
 		counts[e.Kind]++
@@ -151,8 +149,8 @@ func check(raw []byte, w io.Writer) error {
 	if counts[commit] == 0 {
 		return fmt.Errorf("no commit events in %d lines", lineNo)
 	}
-	fmt.Fprintf(w, "ok: %d events (%d begin, %d commit, %d abort, %d conflict, %d decision)\n",
-		lineNo, counts[begin], counts[commit], counts[abort], counts[conflict], counts[decision])
+	fmt.Fprintf(w, "ok: %d events (%d begin, %d commit, %d abort, %d conflict)\n",
+		lineNo, counts[begin], counts[commit], counts[abort], counts[conflict])
 	return nil
 }
 
@@ -340,50 +338,12 @@ func checkPercentiles(raw []byte, w io.Writer) error {
 	return nil
 }
 
-// checkAudit validates a controller audit document (`commlat adaptive
-// -audit`, `commlat flightrec -audit` or /debug/commlat/audit): known
-// reasons, a conflict rate in [0,1], moves consistent with from/to
-// rungs.
-func checkAudit(raw []byte, w io.Writer) error {
-	var doc telemetry.AuditDoc
-	if err := decodeStrict(raw, &doc); err != nil {
-		return err
-	}
-	if len(doc.Entries) == 0 {
-		return fmt.Errorf("audit document has no entries")
-	}
-	if err := requireRowKeys(raw, "entries", "ts_ns"); err != nil {
-		return err
-	}
-	moves := 0
-	for i, e := range doc.Entries {
-		if e.Controller == "" {
-			return fmt.Errorf("entries[%d]: missing controller", i)
-		}
-		if !reasons[e.Reason] {
-			return fmt.Errorf("entries[%d]: unknown reason %q", i, e.Reason)
-		}
-		if e.ConflictRate < 0 || e.ConflictRate > 1 {
-			return fmt.Errorf("entries[%d]: conflict rate %g outside [0,1]", i, e.ConflictRate)
-		}
-		if e.Moved != (e.FromRung != e.ToRung) {
-			return fmt.Errorf("entries[%d]: moved=%v but rung %d -> %d", i, e.Moved, e.FromRung, e.ToRung)
-		}
-		if e.Moved {
-			moves++
-		}
-	}
-	fmt.Fprintf(w, "ok: %d audit entries (%d rung moves)\n", len(doc.Entries), moves)
-	return nil
-}
-
 // modes maps the leading mode flag to its validator.
 var modes = map[string]func([]byte, io.Writer) error{
 	"-chrome":      checkChrome,
 	"-snapshot":    checkSnapshot,
 	"-flight":      checkFlight,
 	"-percentiles": checkPercentiles,
-	"-audit":       checkAudit,
 }
 
 // run validates the input args name — an optional mode flag, then a

@@ -10,9 +10,8 @@ import (
 )
 
 // The fixtures were written by the exporters of the commit before the
-// exported telemetry types became the schema (audit.json less the three
-// always-zero keys that commit's AuditEntry still had), so they pin the
-// JSON spellings from outside the types: a renamed tag makes the strict
+// exported telemetry types became the schema, so they pin the JSON
+// spellings from outside the types: a renamed tag makes the strict
 // decode refuse the fixture's old key.
 var fixtures = map[string]string{
 	"":             "trace.jsonl",
@@ -20,7 +19,6 @@ var fixtures = map[string]string{
 	"-snapshot":    "snapshot.json",
 	"-flight":      "flight.json",
 	"-percentiles": "percentiles.json",
-	"-audit":       "audit.json",
 }
 
 func TestGoldenFixturesAccepted(t *testing.T) {
@@ -107,9 +105,6 @@ func TestSemanticRulesReject(t *testing.T) {
 		{"unknown latency stage", "-percentiles", func(d obj) { row(d, "stages", 0)["stage"] = "warmup" }, `unknown stage "warmup"`},
 		{"bucket sum differs from count", "-percentiles", func(d obj) { row(d, "stages", 0)["count"] = 6 }, "bucket counts sum to 5, want 6"},
 		{"percentiles not monotone", "-percentiles", func(d obj) { row(d, "stages", 0)["p50_ns"] = 1e9 }, "not monotone"},
-		{"entry without ts_ns", "-audit", func(d obj) { delete(row(d, "entries", 0), "ts_ns") }, "entries[0]: missing ts_ns"},
-		{"unknown reason", "-audit", func(d obj) { row(d, "entries", 0)["reason"] = "pinned" }, `unknown reason "pinned"`},
-		{"moved inconsistent with rungs", "-audit", func(d obj) { row(d, "entries", 1)["moved"] = true }, "moved=true but rung 1 -> 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
