@@ -379,7 +379,7 @@ func (m *Manager) acquireDatum(tx *engine.Tx, h uint64, mode int, adm *admission
 			return nil
 		}
 	}
-	t0 := telemetry.LatClock()
+	t0 := telemetry.TxClock(tx.ID())
 	granted := false
 	if own {
 		// The pre-probe keeps a hopeless upgrade from flashing a wider
@@ -538,7 +538,7 @@ func (s *stripe) recycle(h uint64, l *dlock) {
 // transaction's first acquisition there, so registration allocates no
 // closure.
 func (s *stripe) ReleaseTx(tx *engine.Tx) {
-	t0 := telemetry.LatClock()
+	t0 := telemetry.TxClock(tx.ID())
 	defer telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 	s.mu.Lock()
 	lst := s.held[tx]

@@ -9,6 +9,7 @@ import (
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
+	"commlat/internal/telemetry"
 )
 
 func newRWSetManager(t *testing.T) *Manager {
@@ -383,4 +384,39 @@ func TestManagerRetainsNoDatumValue(t *testing.T) {
 		}
 	}
 	t.Error("the manager pins the value of a datum it holds a lock on")
+}
+
+// TestManagerObservesWholeTransactions: the lock paths time a transaction
+// only if telemetry.Observed picks its id. One fresh acquisition and a
+// commit leave one sig_filter and one commit_release observation for an
+// observed transaction, and none for another.
+func TestManagerObservesWholeTransactions(t *testing.T) {
+	m := newRWSetManager(t)
+	add := m.Method("add")
+	defer telemetry.DisableLatency()
+	for _, observed := range []bool{true, false} {
+		telemetry.EnableLatency()
+		tx := engine.GetTx()
+		for telemetry.Observed(tx.ID()) != observed {
+			tx.Abort()
+			engine.PutTx(tx)
+			tx = engine.GetTx()
+		}
+		if err := m.Acquire(tx, add, core.VInt(1)); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+		want := uint64(0)
+		if observed {
+			want = 1
+		}
+		counts := map[string]uint64{}
+		for _, st := range telemetry.SnapshotLatency().Stages {
+			counts[st.Stage] = st.Count
+		}
+		if len(counts) != 2*int(want) || counts["sig_filter"] != want || counts["commit_release"] != want {
+			t.Errorf("observed=%v: stage observations %v, want %d sig_filter and %d commit_release", observed, counts, want, want)
+		}
+	}
 }

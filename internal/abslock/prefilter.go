@@ -105,7 +105,7 @@ func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
 	p, _ := tx.Attach(ft)
 	w := *p
 	*p = 0
-	t0 := telemetry.LatClock()
+	t0 := telemetry.TxClock(tx.ID())
 	for w != 0 {
 		c := &ft.cells[w-1]
 		w = uint64(c.txNext)

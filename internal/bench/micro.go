@@ -52,11 +52,16 @@ func Micros() []Micro {
 	// The hand-built general gatekeeper for union-find (undo/redo
 	// journal, rollback checks).
 	general := func(b *testing.B) { benchUnionFind(b, unionfind.NewGK(1<<16)) }
+	// The spec-interpreting generic gatekeeper (gatekeeper.General) —
+	// ablation against the concrete one above (same conditions, different
+	// machinery).
+	generic := func(b *testing.B) { benchUnionFind(b, unionfind.NewGeneric(1<<16)) }
+	// Synthesized read/write abstract locks (figure 3's spec) guarding a
+	// hash set.
+	abslockRW := func(b *testing.B) { benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep())) }
 
 	ms := []Micro{
-		// Synthesized read/write abstract locks (figure 3's spec)
-		// guarding a hash set.
-		{"DetectorAbslockRW", func(b *testing.B) { benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep())) }},
+		{"DetectorAbslockRW", abslockRW},
 		{"DetectorAbslockReentrant", DetectorAbslockReentrant},
 		{"DetectorAbslockHeld256", DetectorAbslockHeld256},
 		// The ⊥ spec — one global exclusive lock.
@@ -69,9 +74,7 @@ func Micros() []Micro {
 		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
 		// Budget 7, none of it the gatekeeper's: see the function.
 		{"DetectorForwardKDTree", DetectorForwardKDTree},
-		// The spec-interpreting generic gatekeeper — ablation against the
-		// concrete one above (same conditions, different machinery).
-		{"DetectorUnionFindGeneric", func(b *testing.B) { benchUnionFind(b, unionfind.NewGeneric(1<<16)) }},
+		{"DetectorUnionFindGeneric", generic},
 		// Union-find under abstract locks.
 		{"DetectorUnionFindML", func(b *testing.B) { benchUnionFind(b, unionfind.NewML(1<<16)) }},
 		{"CondEval", CondEval},
@@ -90,8 +93,11 @@ func Micros() []Micro {
 		// The cascade's latency row is the instrumented fast path (one
 		// clock read and one histogram add per admission); the batch row
 		// adds publish/probe phase marks plus one group flight record per
-		// batch.
+		// batch. Every measured transaction is an observed one (getTx), so
+		// the lock and logged-gatekeeper rows time each admission whole.
+		{"DetectorAbslockRW/latency", withLatency(abslockRW)},
 		{"DetectorForwardGatekeeper/latency", withLatency(forward)},
+		{"DetectorUnionFindGeneric/latency", withLatency(generic)},
 		{"DetectorCascadeGatekeeper/latency", withLatency(cascade)},
 		{"DetectorCascadeBatch32/latency", withLatency(cascadeBatch(32))},
 		{"DetectorCascadeSharded/latency", withLatency(DetectorCascadeSharded)},
@@ -125,7 +131,7 @@ func benchSetAdd(b *testing.B, s intset.Set) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := engine.GetTx()
+		tx := getTx()
 		if _, err := s.Add(tx, int64(i%1024)); err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +223,7 @@ func benchSetAddBatch(b *testing.B, s *intset.CascadeSet, batch int) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		cache.GetBatch(txs[:n])
+		getBatch(&cache, txs[:n])
 		for k := 0; k < n; k++ {
 			xs[k] = int64((i + k) & 1023)
 		}
@@ -237,7 +243,7 @@ func benchUnionFind(b *testing.B, uf unionfind.Sets) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := engine.GetTx()
+		tx := getTx()
 		if _, err := uf.Union(tx, int64(i%(1<<15)), int64(i%(1<<15))+1); err != nil {
 			b.Fatal(err)
 		}
@@ -365,17 +371,52 @@ func traced(f func(*testing.B)) func(*testing.B) {
 }
 
 // withLatency runs a row with the stage-latency histograms and the
-// flight recorder both enabled: the fully instrumented admission cost.
-// Like the traced rows, instrumented admissions must stay at 0
-// allocs/op — stage marks are atomic adds into fixed arrays and flight
-// records are stack-built into pre-sized rings.
+// flight recorder both enabled, and with every measured transaction an
+// observed one: the fully instrumented admission cost. Like the traced
+// rows, instrumented admissions must stay at 0 allocs/op — stage marks
+// are atomic adds into fixed arrays and flight records are stack-built
+// into pre-sized rings — and since no measured admission is sampled
+// out, one allocation on the observed path reads as 1 alloc/op.
 func withLatency(f func(*testing.B)) func(*testing.B) {
 	return func(b *testing.B) {
 		telemetry.EnableLatency()
 		telemetry.EnableFlight(1 << 10)
+		observeAll = true
 		defer telemetry.DisableLatency()
 		defer telemetry.DisableFlight()
+		defer func() { observeAll = false }()
 		f(b)
+	}
+}
+
+// observeAll is set while a withLatency row runs: getTx and getBatch
+// then begin only transactions that telemetry.Observed picks.
+var observeAll bool
+
+// getTx is engine.GetTx for a measured transaction of a serial row.
+func getTx() *engine.Tx {
+	if observeAll {
+		engine.AlignTxIDs()
+	}
+	return engine.GetTx()
+}
+
+// getBatch is cache.GetBatch for a measured batch. Under withLatency the
+// batch's first transaction, which carries its group flight record, is
+// an observed one, even when parallel workers race for the ids.
+func getBatch(cache *engine.TxCache, txs []*engine.Tx) {
+	for {
+		if observeAll {
+			engine.AlignTxIDs()
+		}
+		cache.GetBatch(txs)
+		if !observeAll || telemetry.Observed(txs[0].ID()) {
+			return
+		}
+		for _, tx := range txs {
+			tx.Abort()
+		}
+		cache.PutBatch(txs)
 	}
 }
 

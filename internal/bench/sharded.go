@@ -98,7 +98,7 @@ func DetectorCascadeSharded(b *testing.B) {
 			if n == 0 {
 				return
 			}
-			cache.GetBatch(txs[:n])
+			getBatch(&cache, txs[:n])
 			for k := 0; k < n; k++ {
 				xs[k] = keys[(i+k)&1023]
 			}

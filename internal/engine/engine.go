@@ -62,6 +62,26 @@ func IsConflict(err error) bool { return errors.Is(err, ErrConflict) }
 
 var txIDs atomic.Uint64
 
+// AlignTxIDs skips at most seven ids, so that the next transaction begun
+// is one telemetry.Observed picks. A run calls it as it starts: which of
+// its transactions the stage histograms and the flight recorder observe
+// then depends on the run alone, not on how many transactions the
+// process began before it, and a one-worker run repeated on the same
+// input observes the same transactions. The instrumented benchmarks call
+// it before each transaction they measure, so that every one is observed.
+func AlignTxIDs() {
+	for {
+		cur := txIDs.Load()
+		next := cur
+		for !telemetry.Observed(next + 1) {
+			next++
+		}
+		if next == cur || txIDs.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}
+
 // Status is the lifecycle state of a transaction.
 type Status int
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -326,6 +327,36 @@ func TestRunCountsCommits(t *testing.T) {
 		}
 		if sum.Load() != 99*100/2 {
 			t.Errorf("sum = %d", sum.Load())
+		}
+	})
+}
+
+// TestRunObservesTheSameTransactions: a run starts at an id
+// telemetry.Observed picks, so a one-worker run observes the same of its
+// transactions however many the process began before it.
+func TestRunObservesTheSameTransactions(t *testing.T) {
+	forEntryPoints(t, func(t *testing.T, run runFunc) {
+		observed := func(skip int) []int {
+			for i := 0; i < skip; i++ {
+				NewTx().Abort()
+			}
+			var got []int
+			items := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+			if _, err := run(items, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
+				if telemetry.Observed(tx.ID()) {
+					got = append(got, item)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		first := observed(0)
+		for skip := 1; skip < 8; skip++ {
+			if got := observed(skip); fmt.Sprint(got) != fmt.Sprint(first) || len(got) != 3 {
+				t.Fatalf("after %d spare transactions the run observed items %v, before %v; want the same 3", skip, got, first)
+			}
 		}
 	})
 }

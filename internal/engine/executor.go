@@ -112,6 +112,7 @@ func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
 // buffers, pop up to n items at a time and put them through body until
 // the worklist reports termination or a worker fails.
 func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) (Stats, error) {
+	AlignTxIDs()
 	start := time.Now()
 	var stats Stats
 	var mu sync.Mutex // guards stats while workers fold their counts in

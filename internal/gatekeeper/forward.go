@@ -280,7 +280,7 @@ func (g *Forward) captureS2(e *entry) error {
 // step 4). Installed automatically as a transaction release hook
 // (engine.Releaser, so registration allocates nothing).
 func (g *Forward) ReleaseTx(tx *engine.Tx) {
-	t0 := telemetry.LatClock()
+	t0 := telemetry.TxClock(tx.ID())
 	g.mu.Lock()
 	g.release(tx, t0)
 	g.mu.Unlock()

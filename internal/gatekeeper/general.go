@@ -323,7 +323,7 @@ func (g *General) UndoTx(tx *engine.Tx) {
 // active invocations. Installed as a tx release hook (engine.Releaser);
 // on abort the journal was already emptied by UndoTx.
 func (g *General) ReleaseTx(tx *engine.Tx) {
-	t0 := telemetry.LatClock()
+	t0 := telemetry.TxClock(tx.ID())
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	jlst := g.byTxJ[tx]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
@@ -615,13 +616,111 @@ func TestUnknownMethodRejected(t *testing.T) {
 	}
 }
 
+// takeTx returns a pooled transaction that telemetry.Observed observes
+// (observed true) or skips (false), ending the others it draws unused:
+// tests never assume which ids they are handed.
+func takeTx(observed bool) *engine.Tx {
+	for {
+		tx := engine.GetTx()
+		if telemetry.Observed(tx.ID()) == observed {
+			return tx
+		}
+		tx.Abort()
+		engine.PutTx(tx)
+	}
+}
+
+// stageCounts returns the observations recorded per stage, by name.
+func stageCounts() map[string]uint64 {
+	counts := map[string]uint64{}
+	for _, st := range telemetry.SnapshotLatency().Stages {
+		counts[st.Stage] = st.Count
+	}
+	return counts
+}
+
+// flightOf returns the buffered flight records of detector det.
+func flightOf(det uint16) []telemetry.FlightRecord {
+	var recs []telemetry.FlightRecord
+	for _, rec := range telemetry.FlightRecords() {
+		if rec.Det == det {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
 // TestGeneralRecordsLatencyAndFlight: the general gatekeeper shares the
-// forward gatekeeper's observation sites, so with the stage histograms
-// and the flight recorder on, every invocation lands in the precise
-// stage with one flight record and every transaction end in the
-// commit/release stage.
+// forward gatekeeper's observation sites, which observe whole
+// transactions. With the stage histograms and the flight recorder on, an
+// observed transaction leaves every invocation in the precise stage with
+// one flight record and its end in the commit/release stage; an
+// unobserved one leaves nothing but a flight record for a refusal.
 func TestGeneralRecordsLatencyAndFlight(t *testing.T) {
 	g, err := NewGeneral(rwSetSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer telemetry.DisableLatency()
+	defer telemetry.DisableFlight()
+	add := func(tx *engine.Tx, k int64) error {
+		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() GEffect {
+			return GEffect{Ret: core.VBool(true)}
+		})
+		return err
+	}
+	det := g.Telemetry().ID()
+	const perTx = 4
+	for _, observed := range []bool{true, false} {
+		telemetry.EnableLatency()
+		telemetry.EnableFlight(64)
+		tx := takeTx(observed)
+		for k := int64(0); k < perTx; k++ {
+			if err := add(tx, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx.Commit()
+		engine.PutTx(tx)
+		want, wantRecs := map[string]uint64{}, 0
+		if observed {
+			want[telemetry.StagePrecise.String()] = perTx
+			want[telemetry.StageCommit.String()] = 1
+			wantRecs = perTx
+		}
+		if got := stageCounts(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("observed=%v: stage observations %v, want %v", observed, got, want)
+		}
+		if got := len(flightOf(det)); got != wantRecs {
+			t.Errorf("observed=%v: %d flight records for %d invocations, want %d", observed, got, perTx, wantRecs)
+		}
+	}
+
+	// A refusal is recorded even in a transaction that is not observed.
+	telemetry.EnableFlight(64)
+	holder, tx := takeTx(false), takeTx(false)
+	if err := add(holder, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := add(tx, 7); !engine.IsConflict(err) {
+		t.Fatalf("second add of 7: err = %v, want a conflict", err)
+	}
+	recs := flightOf(det)
+	if len(recs) != 1 || recs[0].Verdict != telemetry.FlightConflict || recs[0].Tx != tx.ID() {
+		t.Errorf("flight records %+v, want one conflict of tx %d", recs, tx.ID())
+	}
+	tx.Abort()
+	holder.Commit()
+	engine.PutTx(tx)
+	engine.PutTx(holder)
+}
+
+// TestForwardTimesAdmissionWhenLatencyStopsMidway: an observed admission
+// whose latency recording is switched off while it runs is still timed
+// whole, from its start mark to its end — not clamped to a 0 ns precise
+// observation and flight mark.
+func TestForwardTimesAdmissionWhenLatencyStopsMidway(t *testing.T) {
+	g, err := NewForward(rwSetSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,35 +728,31 @@ func TestGeneralRecordsLatencyAndFlight(t *testing.T) {
 	telemetry.EnableFlight(64)
 	defer telemetry.DisableLatency()
 	defer telemetry.DisableFlight()
-	const nTx, perTx = 3, 4
-	for i := 0; i < nTx; i++ {
-		tx := engine.NewTx()
-		for j := 0; j < perTx; j++ {
-			if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(int64(i*perTx+j))), func() GEffect {
-				return GEffect{Ret: core.VBool(true)}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tx.Commit()
+	tx := takeTx(true)
+	if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(1)), func() Effect {
+		telemetry.DisableLatency()
+		time.Sleep(time.Microsecond) // the admission takes at least this long
+		return Effect{Ret: core.VBool(true)}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	counts := map[string]uint64{}
+	tx.Commit()
+	engine.PutTx(tx)
+
+	var precise *telemetry.StageLatency
 	for _, st := range telemetry.SnapshotLatency().Stages {
-		counts[st.Stage] = st.Count
-	}
-	if got := counts[telemetry.StagePrecise.String()]; got != nTx*perTx {
-		t.Errorf("precise stage holds %d observations, want %d", got, nTx*perTx)
-	}
-	if got := counts[telemetry.StageCommit.String()]; got != nTx {
-		t.Errorf("commit_release stage holds %d observations, want %d", got, nTx)
-	}
-	records := 0
-	for _, rec := range telemetry.FlightRecords() {
-		if rec.Det == g.Telemetry().ID() {
-			records++
+		if st.Stage == telemetry.StagePrecise.String() {
+			precise = &st
 		}
 	}
-	if records != nTx*perTx {
-		t.Errorf("%d flight records for %d invocations", records, nTx*perTx)
+	if precise == nil || precise.Count != 1 {
+		t.Fatalf("precise stage row %+v, want one observation", precise)
+	}
+	if b := precise.Buckets; len(b) != 1 || b[0].LeNS < 1 {
+		t.Errorf("precise observation in buckets %+v, want one above 0 ns", b)
+	}
+	recs := flightOf(g.Telemetry().ID())
+	if len(recs) != 1 || recs[0].StageNS[telemetry.StagePrecise] == 0 {
+		t.Errorf("flight records %+v, want one with a non-zero precise mark", recs)
 	}
 }

@@ -298,7 +298,7 @@ func (l *logged) begin(tx *engine.Tx, mid uint16, args *core.Vec) (*entry, int64
 		e.log = make([]core.Value, mt.logLen)
 	}
 	l.cur = e
-	return e, telemetry.LatClock()
+	return e, telemetry.TxClock(tx.ID())
 }
 
 // end closes the section begin opened — deferred, so a panicking exec

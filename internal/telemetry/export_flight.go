@@ -187,6 +187,7 @@ func (r *Registry) WriteHeatmapJSON(w io.Writer) error { return writeJSON(w, r.H
 // subcommand prints.
 func FormatLatencyTable(s LatencySnapshot) string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "latency: stage counts are of observed transactions (1 in %d on the lock and logged-gatekeeper paths)\n", observeEvery)
 	fmt.Fprintf(&b, "%-16s %12s %12s %12s %12s %12s %12s\n",
 		"stage", "count", "p50 ns", "p90 ns", "p99 ns", "p99.9 ns", "mean ns")
 	for _, st := range s.Stages {

@@ -48,10 +48,13 @@ func (v FlightVerdict) String() string { return enumName(verdictNames, v) }
 // FlightRecord is one fixed-size admission record. StageNS holds the
 // per-stage tick counts (nanoseconds, saturating at ~4.29s per stage)
 // for the stages whose bit is set in Stages; both are filled from the
-// same LatClock marks the histograms use, so they are only non-zero
-// while latency recording is on. Shards is a bitmask of the shard IDs
-// (mod 64) the admission touched; 0 for unsharded detectors. N is the
-// batch length for Batch* verdicts, 0 for single admissions.
+// same start marks the histograms use, so they are only non-zero while
+// latency recording is on (and, on the logged gatekeepers, only for an
+// Observed transaction). The gatekeepers record the admissions of
+// Observed transactions and every refusal (FlightConflict): no refusal
+// is sampled out. Shards is a bitmask of the shard IDs (mod 64) the
+// admission touched; 0 for unsharded detectors. N is the batch length
+// for Batch* verdicts, 0 for single admissions.
 type FlightRecord struct {
 	TS      int64 // ns on the latency clock
 	Tx      uint64

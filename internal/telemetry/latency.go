@@ -14,6 +14,11 @@
 // nanoseconds, so bucketing is one bits.Len64. Export merges the shards
 // lock-free (plain atomic loads, no stop-the-world) into one histogram
 // per stage plus an interpolated percentile table.
+//
+// The lock and logged-gatekeeper paths observe whole transactions, one
+// in observeEvery, chosen by id (Observed): their start marks come from
+// TxClock, which is 0 for a transaction that is not observed, so such a
+// transaction reads no clock at all.
 package telemetry
 
 import (
@@ -113,6 +118,38 @@ func LatClock() int64 {
 		return 0
 	}
 	return int64(time.Since(latBase))
+}
+
+// observeEvery is the sampling period of whole-transaction observation:
+// the stage histograms and flight records of the lock and logged
+// gatekeeper paths cover one transaction in observeEvery.
+const observeEvery = 8
+
+// Observed reports whether transaction tx is one the stage histograms
+// and the flight recorder observe: tx % observeEvery == 0. The rule is
+// the event trace's sampling rule, so `-sample 8` traces exactly the
+// observed transactions.
+func Observed(tx uint64) bool { return tx%observeEvery == 0 }
+
+// TxClock is LatClock for an admission or release of transaction tx: 0
+// unless latency recording is on and tx is Observed. Off, it costs at
+// most LatClock's one atomic load.
+func TxClock(tx uint64) int64 {
+	if !Observed(tx) {
+		return 0
+	}
+	return LatClock()
+}
+
+// Since returns the nanoseconds from a start mark to now, 0 for a 0
+// mark. It reads the clock whether or not recording is still on, so an
+// admission whose recording is switched off midway still measures its
+// whole duration.
+func Since(mark int64) int64 {
+	if mark == 0 {
+		return 0
+	}
+	return int64(time.Since(latBase)) - mark
 }
 
 // StageObserve records the duration from mark start to now against the

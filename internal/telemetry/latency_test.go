@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The latency and flight recorders are process-wide; these tests
@@ -79,6 +80,58 @@ func TestTelemetryLatencyDisabledClock(t *testing.T) {
 	defer DisableLatency()
 	if LatClock() == 0 {
 		t.Fatal("LatClock returned the disabled sentinel while enabled")
+	}
+}
+
+// TestTelemetryObservedRule: one transaction id in observeEvery is
+// observed, and the trace's -sample rule at the same period keeps
+// exactly those transactions.
+func TestTelemetryObservedRule(t *testing.T) {
+	n := 0
+	for tx := uint64(0); tx < 100*observeEvery; tx++ {
+		if Observed(tx) {
+			n++
+		}
+	}
+	if n != 100 || !Observed(0) || Observed(1) {
+		t.Fatalf("%d of %d ids observed, want 100", n, 100*observeEvery)
+	}
+	EnableTrace(64, observeEvery)
+	defer DisableTrace()
+	for tx := uint64(1); tx <= 4*observeEvery; tx++ {
+		Emit(0, EvBegin, tx, 0, 0, 0, 0)
+	}
+	for _, e := range TraceEvents() {
+		if !Observed(e.Tx) {
+			t.Errorf("-sample %d traced unobserved tx %d", observeEvery, e.Tx)
+		}
+	}
+	if got := len(TraceEvents()); got != 4 {
+		t.Errorf("-sample %d traced %d of %d transactions, want 4", observeEvery, got, 4*observeEvery)
+	}
+}
+
+func TestTelemetryTxClockAndSince(t *testing.T) {
+	DisableLatency()
+	if TxClock(observeEvery) != 0 {
+		t.Fatal("TxClock != 0 while latency recording is off")
+	}
+	if Since(0) != 0 {
+		t.Fatal("Since(0) must be 0")
+	}
+	EnableLatency()
+	defer DisableLatency()
+	if TxClock(observeEvery+1) != 0 {
+		t.Fatal("TxClock != 0 for an unobserved transaction")
+	}
+	mark := TxClock(observeEvery)
+	if mark == 0 {
+		t.Fatal("TxClock returned the disabled sentinel for an observed transaction")
+	}
+	DisableLatency()
+	time.Sleep(time.Microsecond)
+	if d := Since(mark); d <= 0 {
+		t.Fatalf("Since(mark) = %d after DisableLatency, want the elapsed time", d)
 	}
 }
 

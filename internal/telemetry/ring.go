@@ -54,7 +54,7 @@ func (e Event) stamp() int64 { return e.TS }
 type tracer struct {
 	ring[Event]
 	sample  atomic.Uint64
-	startNS atomic.Int64
+	startNS atomic.Int64 // the latency clock's reading at EnableTrace
 }
 
 var tr = tracer{ring: ring[Event]{shards: make([]ringShard[Event], ringShards)}}
@@ -74,7 +74,7 @@ func EnableTrace(perShard, sample int) {
 	}
 	tr.enabled.Store(false)
 	tr.sample.Store(uint64(sample))
-	tr.startNS.Store(time.Now().UnixNano())
+	tr.startNS.Store(int64(time.Since(latBase)))
 	tr.enable(perShard)
 }
 
@@ -88,8 +88,10 @@ func DisableTrace() { tr.disable() }
 func TraceEnabled() bool { return tr.enabled.Load() }
 
 // Emit records one event into the worker's ring. With tracing disabled
-// this is a single atomic load; enabled, it allocates nothing. The
-// transaction-ID sampling filter keeps a transaction's events together.
+// this is a single atomic load; enabled, it allocates nothing and reads
+// one monotonic clock, so a wall-clock step cannot reorder the trace.
+// The transaction-ID sampling filter keeps a transaction's events
+// together.
 //
 //commvet:observation
 func Emit(worker int, kind EventKind, tx uint64, item int64, det, m1, m2 uint16) {
@@ -100,7 +102,7 @@ func Emit(worker int, kind EventKind, tx uint64, item int64, det, m1, m2 uint16)
 		return
 	}
 	tr.put(worker, &Event{
-		TS: time.Now().UnixNano() - tr.startNS.Load(), Tx: tx, Item: item, Det: det, M1: m1, M2: m2,
+		TS: int64(time.Since(latBase)) - tr.startNS.Load(), Tx: tx, Item: item, Det: det, M1: m1, M2: m2,
 		Worker: uint16(worker & (ringShards - 1)), Kind: kind,
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -167,6 +168,31 @@ func TestRingTraceBasics(t *testing.T) {
 	}
 	if TraceDropped() != 0 {
 		t.Fatalf("dropped = %d", TraceDropped())
+	}
+}
+
+// TestRingTraceMonotonicStamps: ts_ns counts from EnableTrace on the
+// monotonic clock, so the first event lands near 0 and one worker's
+// stamps never decrease — the drain, which sorts stably by stamp, keeps
+// them in emission order.
+func TestRingTraceMonotonicStamps(t *testing.T) {
+	EnableTrace(1<<10, 1)
+	defer DisableTrace()
+	const n = 500
+	for tx := uint64(0); tx < n; tx++ {
+		Emit(0, EvBegin, tx, 0, 0, 0, 0)
+	}
+	evs := TraceEvents()
+	if len(evs) != n {
+		t.Fatalf("got %d events, want %d", len(evs), n)
+	}
+	if ts := evs[0].TS; ts < 0 || ts > int64(time.Second) {
+		t.Fatalf("first event stamped %d ns after EnableTrace", ts)
+	}
+	for i, e := range evs {
+		if e.Tx != uint64(i) {
+			t.Fatalf("event %d is tx %d: a stamp went backwards (ts %d)", i, e.Tx, e.TS)
+		}
 	}
 }
 
