@@ -382,7 +382,7 @@ func cmdTable2(args []string) error {
 	fs.IntVar(&cfg.Classes, "classes", cfg.Classes, "equivalence classes (paper: 10)")
 	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "overlap window / threads (paper: 4)")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "stream seed")
-	fs.BoolVar(&cfg.Extended, "ext", false, "add extension rows (liberal locks, object STM)")
+	fs.BoolVar(&cfg.Extended, "ext", false, "add extension rows (object STM)")
 	stats := fs.Bool("stats", false, "print gatekeeper work counters (probes, collisions, fallbacks)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -567,10 +567,6 @@ func cmdCheck(args []string) error {
 		fmt.Println(scheme.Reduce().MatrixString())
 	case core.ClassOnline:
 		fmt.Println("ONLINE-CHECKABLE: implementable by a forward gatekeeper (§3.3.1).")
-		if scheme, err := abslock.SynthesizeLiberal(spec); err == nil {
-			fmt.Println("...and GUARDED-SIMPLE: liberal locking (footnote 6) also applies:")
-			fmt.Println(scheme.Reduce().MatrixString())
-		}
 	default:
 		fmt.Println("GENERAL: requires a general gatekeeper (§3.3.2).")
 	}

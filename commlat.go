@@ -159,10 +159,6 @@ var (
 	// Synthesize builds the sound and complete locking scheme for a
 	// SIMPLE specification (Theorem 1).
 	Synthesize = abslock.Synthesize
-	// SynthesizeLiberal builds the guarded-mode ("liberal", §3.2
-	// footnote 6) locking scheme for GUARDED-SIMPLE specifications such
-	// as the precise set spec of figure 2.
-	SynthesizeLiberal = abslock.SynthesizeLiberal
 	// NewLockManager runs a synthesized scheme.
 	NewLockManager = abslock.NewManager
 )

@@ -21,10 +21,6 @@ func TestCoversMatchesRowInclusion(t *testing.T) {
 		}
 		return s.Reduce()
 	}
-	liberal, err := abslock.SynthesizeLiberal(intset.PreciseSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	partKeys := map[string]abslock.KeyFunc{
 		flowgraph.PartKey: func(v core.Value) core.Value { return core.VInt(v.Int() % 32) },
 	}
@@ -35,7 +31,7 @@ func TestCoversMatchesRowInclusion(t *testing.T) {
 		"flowgraph rw":          {simple(flowgraph.RWSpec()), nil},
 		"flowgraph exclusive":   {simple(flowgraph.ExclusiveSpec()), nil},
 		"flowgraph partitioned": {simple(flowgraph.PartitionedSpec()), partKeys},
-		"set liberal":           {liberal.Reduce(), nil},
+		"set rw":                {simple(intset.RWSpec()), nil},
 	}
 	for name, sc := range schemes {
 		m := abslock.NewManager(sc.s, sc.keys)

@@ -161,18 +161,8 @@ func newLockModel(s *Scheme) *lockModel {
 func (lm *lockModel) invoke(t *testing.T, tx int, inv core.Invocation) bool {
 	for _, post := range []bool{false, true} {
 		for _, a := range lm.scheme.Acquire[inv.Method] {
-			if (a.After || a.Target == TargetRet) != post {
+			if (a.Target == TargetRet) != post {
 				continue
-			}
-			mode := a.Mode
-			if a.Guard != nil {
-				weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if weak {
-					mode = a.WeakMode
-				}
 			}
 			holders := lm.ds
 			if a.Target != TargetDS {
@@ -195,12 +185,12 @@ func (lm *lockModel) invoke(t *testing.T, tx int, inv core.Invocation) bool {
 					continue
 				}
 				for h := range lm.scheme.Modes {
-					if held>>uint(h)&1 != 0 && lm.scheme.Incompat[mode][h] {
+					if held>>uint(h)&1 != 0 && lm.scheme.Incompat[a.Mode][h] {
 						return false
 					}
 				}
 			}
-			holders[tx] |= 1 << uint(mode)
+			holders[tx] |= 1 << uint(a.Mode)
 		}
 	}
 	return true

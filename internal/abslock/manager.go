@@ -155,7 +155,7 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Mana
 		}
 	}
 	for name, acqs := range scheme.Acquire {
-		m.methods[name] = compileMethod(name, acqs, keys)
+		m.methods[name] = compileMethod(acqs, keys)
 	}
 	labels := make([]string, len(scheme.Modes))
 	for i, mode := range scheme.Modes {
@@ -198,7 +198,6 @@ func (m *Manager) stripeFor(h uint64) *stripe {
 // acquire through them, skipping the per-call name lookup and the
 // argument-vector copy of the string-keyed API.
 type Method struct {
-	name      string
 	pre, post []compiledAcq
 }
 
@@ -209,14 +208,14 @@ type compiledAcq struct {
 	keyH  uint64  // fnv64(Key); 0 for identity
 }
 
-func compileMethod(name string, acqs []Acquisition, keys map[string]KeyFunc) *Method {
-	h := &Method{name: name}
+func compileMethod(acqs []Acquisition, keys map[string]KeyFunc) *Method {
+	h := &Method{}
 	for _, a := range acqs {
 		c := compiledAcq{Acquisition: a}
 		if a.Key != "" {
 			c.keyFn, c.keyH = keys[a.Key], fnv64(a.Key)
 		}
-		if a.After || a.Target == TargetRet {
+		if a.Target == TargetRet {
 			h.post = append(h.post, c)
 		} else {
 			h.pre = append(h.pre, c)
@@ -238,9 +237,8 @@ func (m *Manager) Acquire(tx *engine.Tx, h *Method, args ...core.Value) error {
 	return m.acquire(tx, h, args, nil)
 }
 
-// AcquirePost takes the post-execution locks: return-value targets plus
-// any guarded acquisitions whose guard inspects the return value. A
-// conflict here means the invocation must be rolled back by the
+// AcquirePost takes the post-execution locks, those on the return value.
+// A conflict here means the invocation must be rolled back by the
 // transaction's undo log.
 func (m *Manager) AcquirePost(tx *engine.Tx, h *Method, ret core.Value, args ...core.Value) error {
 	return m.acquire(tx, h, args, &ret)
@@ -291,10 +289,9 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 	var adm admission
 	var err error
 	for i := 0; i < len(acqs) && err == nil; i++ {
-		var mode int
 		var datum uint64
-		if mode, datum, err = acqs[i].resolve(h.name, args, ret); err == nil {
-			err = m.acquireDatum(tx, datum, mode, &adm)
+		if datum, err = acqs[i].resolve(args, ret); err == nil {
+			err = m.acquireDatum(tx, datum, acqs[i].Mode, &adm)
 		}
 	}
 	m.tele.ReentrantHitN(adm.reentrant)
@@ -307,30 +304,16 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 }
 
 // resolve evaluates one acquisition against an invocation, outside any
-// lock: its mode (guards applied) and the hash of the datum it locks —
-// dsHash, or that of the argument or return value it names. A keyed mode
-// locks that value's image under the key function; one the caller of
-// NewManager never supplied is refused here.
-func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value) (mode int, datum uint64, err error) {
-	mode = a.Mode
-	if a.Guard != nil {
-		inv := core.MakeInvocation(method, core.MakeVec(args...), core.Value{})
-		if ret != nil {
-			inv.Ret = *ret
-		}
-		weak, err := core.Eval(a.Guard, core.OwnEnv(inv))
-		if err != nil {
-			return 0, 0, fmt.Errorf("abslock: evaluating guard for %s: %w", method, err)
-		}
-		if weak {
-			mode = a.WeakMode
-		}
-	}
+// lock: the hash of the datum it locks — dsHash, or that of the argument
+// or return value it names. A keyed mode locks that value's image under
+// the key function; one the caller of NewManager never supplied is
+// refused here.
+func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) (datum uint64, err error) {
 	if a.Target == TargetDS {
-		return mode, dsHash, nil
+		return dsHash, nil
 	}
 	if a.Key != "" && a.keyFn == nil {
-		return 0, 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
+		return 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
 	}
 	v := ret
 	if a.Target == TargetArg {
@@ -341,9 +324,9 @@ func (a *compiledAcq) resolve(method string, args []core.Value, ret *core.Value)
 		}
 	}
 	if a.keyFn != nil {
-		return mode, a.keyFn(*v).Hash() ^ a.keyH, nil
+		return a.keyFn(*v).Hash() ^ a.keyH, nil
 	}
-	return mode, v.Hash() ^ a.keyH, nil
+	return v.Hash() ^ a.keyH, nil
 }
 
 // acquireDatum takes one datum lock in mode for tx, by the cheapest

@@ -292,7 +292,7 @@ func TestSpellingsOfOneKeyShareALock(t *testing.T) {
 			cellOf := func(v core.Value) *cell {
 				for i := range add.pre {
 					if add.pre[i].Target == TargetArg {
-						_, h, err := add.pre[i].resolve("add", []core.Value{v}, nil)
+						h, err := add.pre[i].resolve([]core.Value{v}, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -49,16 +49,6 @@ type Acquisition struct {
 	Target Target
 	Arg    int    // argument index when Target == TargetArg
 	Key    string // pure key function applied to the value, "" = identity
-
-	// Liberal locking (SynthesizeLiberal, the footnote-6 extension):
-	// when Guard is non-nil it is a predicate over the invoking
-	// invocation's own arguments and return value (bound as invocation
-	// 1); if it evaluates true, WeakMode is acquired instead of Mode.
-	Guard    core.Cond
-	WeakMode int
-	// After schedules the acquisition after execution — required when
-	// the guard (or the target) needs the return value.
-	After bool
 }
 
 // Scheme is a synthesized abstract-locking conflict detector.
@@ -237,15 +227,6 @@ func (s *Scheme) Reduce() *Scheme {
 				continue
 			}
 			a.Mode = remap[a.Mode]
-			if a.Guard != nil {
-				// Guarded mode pairs survive together by construction
-				// (each weak mode is incompatible with its counterpart's
-				// strong mode, so neither is ever superfluous).
-				if remap[a.WeakMode] < 0 {
-					continue
-				}
-				a.WeakMode = remap[a.WeakMode]
-			}
 			out.Acquire[m] = append(out.Acquire[m], a)
 		}
 	}

@@ -33,14 +33,6 @@ type LockedSet struct {
 	r   guardedRep
 }
 
-func newLockedSet(scheme *abslock.Scheme, keys map[string]abslock.KeyFunc, rep Rep) *LockedSet {
-	s := &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), r: guardedRep{rep: rep}}
-	for op, method := range opNames {
-		s.ops[op] = s.mgr.Method(method)
-	}
-	return s
-}
-
 type lockedOp int
 
 const (
@@ -123,7 +115,11 @@ func NewLocked(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Lock
 	if err != nil {
 		return nil, err
 	}
-	return newLockedSet(scheme, keys, rep), nil
+	s := &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), r: guardedRep{rep: rep}}
+	for op, method := range opNames {
+		s.ops[op] = s.mgr.Method(method)
+	}
+	return s, nil
 }
 
 // Telemetry returns the lock manager's telemetry detector, which
@@ -155,19 +151,6 @@ func NewRWLocked(rep Rep) *LockedSet {
 		panic(err)
 	}
 	return s
-}
-
-// NewLiberalLocked guards rep with the liberal (guarded-mode) locking
-// scheme synthesized from the PRECISE specification of figure 2 — the
-// footnote-6 extension: non-mutating operations take weak modes, so
-// concurrent non-mutating adds of the same element proceed, with lock
-// overhead instead of gatekeeper logging.
-func NewLiberalLocked(rep Rep) *LockedSet {
-	scheme, err := abslock.SynthesizeLiberal(PreciseSpec())
-	if err != nil {
-		panic(err) // figure 2 is GUARDED-SIMPLE
-	}
-	return newLockedSet(scheme, nil, rep)
 }
 
 // NewPartitionLocked guards rep with locks on nparts partitions (§4.2).

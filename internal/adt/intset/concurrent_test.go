@@ -16,7 +16,6 @@ func variants() map[string]Set {
 		"global":     NewGlobalLock(NewHashRep()),
 		"exclusive":  NewExclusiveLocked(NewHashRep()),
 		"rw":         NewRWLocked(NewHashRep()),
-		"liberal":    NewLiberalLocked(NewHashRep()),
 		"partition8": NewPartitionLocked(NewHashRep(), 8),
 		"gatekeeper": NewGatekept(NewHashRep()),
 		"gk-sorted":  NewGatekept(NewSortedRep()),
@@ -94,10 +93,9 @@ func TestAbortRollsBackAllVariants(t *testing.T) {
 
 // TestPermissivenessOrdering: the lattice position predicts which
 // concurrent accesses are allowed. Two concurrent contains of the SAME
-// element: exclusive locks conflict; rw locks, liberal locks, partition
-// locks and the gatekeeper do not. A non-mutating add of a present
-// element: only the gatekeeper (precise spec) and the liberal locks
-// (its guarded modes) allow a concurrent contains.
+// element: exclusive locks conflict; rw locks, partition locks and the
+// gatekeeper do not. A non-mutating add of a present element: only the
+// gatekeeper (precise spec) allows a concurrent contains.
 func TestPermissivenessOrdering(t *testing.T) {
 	mustConflict := func(name string, err error) {
 		if !engine.IsConflict(err) {
@@ -145,7 +143,7 @@ func TestPermissivenessOrdering(t *testing.T) {
 		}
 		_, err := s.Contains(tx2, 5)
 		switch name {
-		case "gatekeeper", "gk-sorted", "liberal":
+		case "gatekeeper", "gk-sorted":
 			mustOK(name, err) // precise spec: the add did not mutate
 		default:
 			mustConflict(name, err)

@@ -66,8 +66,6 @@ func Micros() []Micro {
 		{"DetectorAbslockHeld256", DetectorAbslockHeld256},
 		// The ⊥ spec — one global exclusive lock.
 		{"DetectorGlobalLock", func(b *testing.B) { benchSetAdd(b, intset.NewGlobalLock(intset.NewHashRep())) }},
-		// The footnote-6 guarded-mode scheme: figure 2 with locks.
-		{"DetectorLiberalLock", func(b *testing.B) { benchSetAdd(b, intset.NewLiberalLocked(intset.NewHashRep())) }},
 		{"DetectorForwardGatekeeper", forward},
 		{"DetectorCascadeGatekeeper", cascade},
 		{"DetectorGeneralGatekeeper", general},

@@ -45,9 +45,8 @@ func captureTele(s intset.Set) *telemetry.DetectorSnapshot {
 }
 
 // Table2Config sizes the set microbenchmark. The paper runs 1M operations
-// on 4 threads with 10 equivalence classes. Extended adds two rows beyond
-// the paper: the liberal guarded-lock scheme (footnote 6, implementing
-// figure 2 with locks) and the object-STM set (the §4.3 lattice point FC).
+// on 4 threads with 10 equivalence classes. Extended adds a row beyond
+// the paper: the object-STM set (the §4.3 lattice point FC).
 type Table2Config struct {
 	Ops      int
 	Classes  int
@@ -73,15 +72,13 @@ type Scheme struct {
 // Table2Schemes lists the microbenchmark's schemes. The paper's four
 // come in lattice order: the ⊥ global lock, exclusive element locks,
 // read/write element locks (figure 3) and the forward gatekeeper
-// (figure 2); the extension rows are liberal guarded locks and the
-// object-STM baseline.
+// (figure 2); the extension row is the object-STM baseline.
 func Table2Schemes() []Scheme {
 	return []Scheme{
 		{"Global Lock", false, func() intset.Set { return intset.NewGlobalLock(intset.NewHashRep()) }},
 		{"Abs. Lock (Ex.)", false, func() intset.Set { return intset.NewExclusiveLocked(intset.NewHashRep()) }},
 		{"Abs. Lock (RW)", false, func() intset.Set { return intset.NewRWLocked(intset.NewHashRep()) }},
 		{"Gatekeeper", false, func() intset.Set { return intset.NewGatekept(intset.NewHashRep()) }},
-		{"Liberal (ext.)", true, func() intset.Set { return intset.NewLiberalLocked(intset.NewHashRep()) }},
 		{"STM (ext.)", true, func() intset.Set { return intset.NewSTM(1024) }},
 	}
 }

@@ -204,8 +204,9 @@ func termOnlineCheckable(t Term, pure map[string]bool) bool {
 	}
 }
 
-// termSideInfoPure is termSideInfo but pure functions do not count as
-// state mentions of their attached side.
+// termSideInfoPure reports which sides a term's arguments, return values
+// and state functions mention; pure functions do not count as state
+// mentions of their attached side.
 func termSideInfoPure(t Term, pure map[string]bool) sideInfo {
 	var si sideInfo
 	switch x := t.(type) {

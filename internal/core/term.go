@@ -224,26 +224,6 @@ func (si *sideInfo) merge(o sideInfo) {
 	}
 }
 
-func termSideInfo(t Term) sideInfo {
-	var si sideInfo
-	switch x := t.(type) {
-	case ArgTerm:
-		si.val[x.Side] = true
-	case RetTerm:
-		si.val[x.Side] = true
-	case ConstTerm:
-	case FnTerm:
-		si.stat[x.State] = true
-		for _, a := range x.Args {
-			si.merge(termSideInfo(a))
-		}
-	case ArithTerm:
-		si.merge(termSideInfo(x.L))
-		si.merge(termSideInfo(x.R))
-	}
-	return si
-}
-
 // termKey produces a canonical string key for structural comparison of
 // terms (used by Simplify and Implies). The String form is already
 // canonical for our constructors.
