@@ -20,7 +20,6 @@ func cmdFlightrec(args []string) error {
 	jsonMode := fs.Bool("json", false, "write the flight-recorder document as JSON to stdout (tables go to stderr)")
 	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout)")
 	percentiles := fs.String("percentiles", "", "write the stage-latency percentile document as JSON to this file (- for stdout)")
-	heatmap := fs.String("heatmap", "", "write the shard-load heatmap document as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -40,7 +39,7 @@ func cmdFlightrec(args []string) error {
 	lat := telemetry.SnapshotLatency()
 
 	report := io.Writer(os.Stdout)
-	if *jsonMode || *out == "-" || *percentiles == "-" || *heatmap == "-" {
+	if *jsonMode || *out == "-" || *percentiles == "-" {
 		report = os.Stderr
 	}
 	if *jsonMode {
@@ -54,7 +53,6 @@ func cmdFlightrec(args []string) error {
 	}{
 		{*out, telemetry.Default.WriteFlightJSON},
 		{*percentiles, telemetry.WritePercentilesJSON},
-		{*heatmap, telemetry.Default.WriteHeatmapJSON},
 	} {
 		if err := writeTo(doc.path, doc.write); err != nil {
 			return err

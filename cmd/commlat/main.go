@@ -53,7 +53,7 @@ func main() {
 	global.Usage = func() { usage(os.Stderr) }
 	cpuProfile := global.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := global.String("memprofile", "", "write a heap profile to this file on exit")
-	listen := global.String("listen", "", "serve live telemetry (/metrics, /debug/telemetry, /debug/vars) on this address for the run's duration")
+	listen := global.String("listen", "", "serve live telemetry (/debug/telemetry, /debug/commlat/flightrec, /debug/commlat/percentiles) on this address for the run's duration")
 	telemetryOut := global.String("telemetry-out", "", "write a final telemetry snapshot (JSON, cascade stage counters included) to this file on exit")
 	if err := global.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -101,8 +101,8 @@ func main() {
 			pprof.StopCPUProfile()
 		}
 		if srv != nil {
-			// Drain in-flight scrapes before exiting: a Prometheus poll
-			// that raced the run's end still gets its complete response.
+			// Drain in-flight requests before exiting: a scrape that
+			// raced the run's end still gets its complete document.
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			if serr := srv.Shutdown(ctx); serr != nil {
 				fmt.Fprintln(os.Stderr, "commlat: telemetry server shutdown:", serr)
@@ -199,7 +199,7 @@ func commands() []command {
 			"per-method-pair conflict attribution table", cmdTrace, ""},
 		{"flightrec", "run one app with stage-latency histograms and the flight\n" +
 			"recorder enabled; prints the percentile table and recent\n" +
-			"admission records (-json, -percentiles/-heatmap write the\n" +
+			"admission records (-json, -o and -percentiles write the\n" +
 			"JSON documents)", cmdFlightrec, ""},
 		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
 		{"all", "run every quick experiment (tables, matrices, model, strengthening)", cmdAll, ""},
@@ -248,9 +248,11 @@ commands:
 global flags (before the command):
   -cpuprofile FILE  write a pprof CPU profile of the whole run
   -memprofile FILE  write a pprof heap profile at exit
-  -listen ADDR      serve live telemetry over HTTP while the command runs
-                    (/metrics Prometheus text, /debug/telemetry JSON,
-                    /debug/vars expvar)
+  -listen ADDR      serve live telemetry over HTTP while the command runs,
+                    the JSON documents the CLI writes: /debug/telemetry
+                    (as -telemetry-out), /debug/commlat/flightrec and
+                    /debug/commlat/percentiles (as flightrec -o and
+                    -percentiles)
   -telemetry-out FILE  write the final telemetry snapshot as JSON on exit
                     (engine counters plus per-detector stats, cascade
                     stage counters included; same schema as

@@ -370,7 +370,6 @@ func CommitBatch(txs []*Tx) {
 		return
 	}
 	br.ReleaseTxBatch(txs)
-	telemetry.AdvanceFlightEpoch()
 	for _, tx := range txs {
 		tx.end = nil
 		tx.endWord = 0

@@ -279,76 +279,3 @@ func (d DetectorSnapshot) TopPair() (label string, share float64, ok bool) {
 	}
 	return best.M1 + "/" + best.M2, 100 * float64(best.Conflicts) / float64(d.Conflicts), true
 }
-
-// --- Prometheus text ------------------------------------------------------
-
-// WritePrometheus renders the registry's counters in the Prometheus
-// text exposition format (the /metrics payload).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	s := r.Snapshot()
-	bw := bufio.NewWriter(w)
-	p := func(format string, args ...any) { fmt.Fprintf(bw, format, args...) }
-
-	p("# HELP commlat_tx_total Transactions by outcome.\n# TYPE commlat_tx_total counter\n")
-	p("commlat_tx_total{outcome=\"begun\"} %d\n", s.Engine.TxBegun)
-	p("commlat_tx_total{outcome=\"committed\"} %d\n", s.Engine.TxCommitted)
-	p("commlat_tx_total{outcome=\"aborted\"} %d\n", s.Engine.TxAborted)
-
-	counter := func(name, help string, get func(DetectorSnapshot) uint64) {
-		p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, d := range s.Detectors {
-			if v := get(d); v != 0 {
-				p("%s{detector=%q,id=\"%d\"} %d\n", name, d.Kind+"/"+d.ADT, d.ID, v)
-			}
-		}
-	}
-	counter("commlat_detector_invocations_total", "Guarded invocations processed.", func(d DetectorSnapshot) uint64 { return d.Invocations })
-	counter("commlat_detector_checks_total", "Pairwise commutativity conditions evaluated.", func(d DetectorSnapshot) uint64 { return d.Checks })
-	counter("commlat_detector_conflicts_total", "Invocations rejected.", func(d DetectorSnapshot) uint64 { return d.Conflicts })
-	counter("commlat_detector_rollbacks_total", "Journal rollback sweeps.", func(d DetectorSnapshot) uint64 { return d.Rollbacks })
-	counter("commlat_detector_log_entries_total", "Primitive-function results logged.", func(d DetectorSnapshot) uint64 { return d.LogEntries })
-	counter("commlat_detector_index_probes_total", "Disequality-index probes.", func(d DetectorSnapshot) uint64 { return d.Probes })
-	counter("commlat_detector_index_collisions_total", "Entries surfaced by probes.", func(d DetectorSnapshot) uint64 { return d.Collisions })
-	counter("commlat_detector_index_fallback_scans_total", "Full active-list scans.", func(d DetectorSnapshot) uint64 { return d.FallbackScans })
-	counter("commlat_cascade_fast_admits_total", "Invocations admitted by the signature filter alone.", func(d DetectorSnapshot) uint64 { return d.FastAdmits })
-	counter("commlat_cascade_filter_hits_total", "Signature-filter hits that fell through to the optimistic path.", func(d DetectorSnapshot) uint64 { return d.FilterHits })
-	counter("commlat_cascade_opt_scans_total", "Optimistic lock-free chain scans.", func(d DetectorSnapshot) uint64 { return d.OptScans })
-	counter("commlat_cascade_opt_retries_total", "Version-stamp races retried on the optimistic path.", func(d DetectorSnapshot) uint64 { return d.OptRetries })
-	counter("commlat_cascade_fallbacks_total", "Invocations through the mutex-guarded overflow path.", func(d DetectorSnapshot) uint64 { return d.CascadeFallbacks })
-	counter("commlat_abslock_reentrant_hits_total", "Lock acquisitions granted against the transaction's own existing hold.", func(d DetectorSnapshot) uint64 { return d.ReentrantHits })
-	counter("commlat_batches_whole_total", "Admission batches admitted whole.", func(d DetectorSnapshot) uint64 { return d.BatchesWhole })
-	counter("commlat_batches_split_total", "Admission batches split into a grouped prefix and a serialized rest.", func(d DetectorSnapshot) uint64 { return d.BatchesSplit })
-	counter("commlat_batches_serialized_total", "Admission batches fully serialized.", func(d DetectorSnapshot) uint64 { return d.BatchesSerial })
-	counter("commlat_shard_local_total", "Admissions routed to a single shard.", func(d DetectorSnapshot) uint64 { return d.ShardLocal })
-	counter("commlat_shard_cross_total", "Admissions that crossed shards (rendezvous).", func(d DetectorSnapshot) uint64 { return d.ShardCross })
-
-	p("# HELP commlat_detector_active_high_water Peak active-log size.\n# TYPE commlat_detector_active_high_water gauge\n")
-	for _, d := range s.Detectors {
-		if d.ActiveHighWater != 0 {
-			p("commlat_detector_active_high_water{detector=%q,id=\"%d\"} %d\n", d.Kind+"/"+d.ADT, d.ID, d.ActiveHighWater)
-		}
-	}
-	p("# HELP commlat_pair_conflicts_total Conflicts by (active, incoming) label pair.\n# TYPE commlat_pair_conflicts_total counter\n")
-	for _, d := range s.Detectors {
-		for _, pr := range d.Pairs {
-			if pr.Conflicts != 0 {
-				p("commlat_pair_conflicts_total{detector=%q,id=\"%d\",m1=%q,m2=%q} %d\n",
-					d.Kind+"/"+d.ADT, d.ID, pr.M1, pr.M2, pr.Conflicts)
-			}
-		}
-	}
-	p("# HELP commlat_mode_acquired_total Lock-mode acquisitions.\n# TYPE commlat_mode_acquired_total counter\n")
-	p("# HELP commlat_mode_waits_total Failed (would-block) lock-mode acquisitions.\n# TYPE commlat_mode_waits_total counter\n")
-	for _, d := range s.Detectors {
-		for _, m := range d.Modes {
-			if m.Acquired != 0 {
-				p("commlat_mode_acquired_total{detector=%q,id=\"%d\",mode=%q} %d\n", d.Kind+"/"+d.ADT, d.ID, m.Mode, m.Acquired)
-			}
-			if m.Waits != 0 {
-				p("commlat_mode_waits_total{detector=%q,id=\"%d\",mode=%q} %d\n", d.Kind+"/"+d.ADT, d.ID, m.Mode, m.Waits)
-			}
-		}
-	}
-	promLatency(bw)
-	return bw.Flush()
-}

@@ -6,22 +6,12 @@
 // per-stage tick counts, the shard set it touched, and how many times
 // it was retried.
 //
-// Reclamation realizes the ROADMAP's epoch-based log-reclamation item
-// for the telemetry rings: records are never released individually.
-// A global epoch counter advances at group-commit boundaries
-// (engine.CommitBatch calls AdvanceFlightEpoch — one atomic add, the
-// "pointer bump"), every record is stamped with the epoch it was
-// written under, and slots are reclaimed wholesale by ring wraparound:
-// by the time the ring laps itself the overwritten records are at
-// least one full ring of admissions — many epochs — old. Snapshots
-// report the current epoch and the wraparound drop count so a consumer
-// can tell a quiet ring from a lapped one.
+// Records are never released individually: ring wraparound reclaims the
+// oldest slots wholesale, and snapshots report the wraparound drop
+// count so a consumer can tell a quiet ring from a lapped one.
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // FlightVerdict classifies how an admission (or admission batch) ended.
 type FlightVerdict uint8
@@ -58,7 +48,6 @@ func (v FlightVerdict) String() string { return enumName(verdictNames, v) }
 type FlightRecord struct {
 	TS      int64 // ns on the latency clock
 	Tx      uint64
-	Epoch   uint64
 	StageNS [NumStages]uint32
 	Shards  uint64
 	Det     uint16
@@ -84,25 +73,17 @@ func (r *FlightRecord) Mark(st Stage, ns int64) {
 
 func (r FlightRecord) stamp() int64 { return r.TS }
 
-// flightRec is the process-wide recorder. Off by default: RecordFlight
-// behind FlightEnabled is one atomic load.
-type flightRec struct {
-	ring[FlightRecord]
-	epoch atomic.Uint64
-}
-
-var fr = flightRec{ring: ring[FlightRecord]{shards: make([]ringShard[FlightRecord], ringShards)}}
+// fr is the process-wide recorder. Off by default: RecordFlight behind
+// FlightEnabled is one atomic load.
+var fr = ring[FlightRecord]{shards: make([]ringShard[FlightRecord], ringShards)}
 
 // EnableFlight starts the flight recorder with the given per-worker
 // ring capacity (rounded up to a power of two; <=0 means 1<<10
-// records). Enabling resets any previous recording and restarts the
-// epoch counter.
+// records). Enabling resets any previous recording.
 func EnableFlight(perShard int) {
 	if perShard <= 0 {
 		perShard = 1 << 10
 	}
-	fr.enabled.Store(false)
-	fr.epoch.Store(0)
 	fr.enable(perShard)
 }
 
@@ -117,19 +98,7 @@ func DisableFlight() { fr.disable() }
 //commvet:gate
 func FlightEnabled() bool { return fr.enabled.Load() }
 
-// AdvanceFlightEpoch bumps the reclamation epoch — called by the engine
-// at each group-commit boundary. Disabled, it is one atomic load.
-func AdvanceFlightEpoch() {
-	if fr.enabled.Load() {
-		fr.epoch.Add(1)
-	}
-}
-
-// FlightEpoch returns the current group-commit epoch.
-func FlightEpoch() uint64 { return fr.epoch.Load() }
-
-// RecordFlight stamps the record with the clock and current epoch and
-// appends it to the worker's ring, overwriting the oldest slot when
+// RecordFlight stamps the record with the clock and appends it to the worker's ring, overwriting the oldest slot when
 // full (wholesale reclamation — no per-record release). Callers gate on
 // FlightEnabled before building the record.
 //
@@ -139,7 +108,6 @@ func RecordFlight(worker int, rec *FlightRecord) {
 		return
 	}
 	rec.TS = int64(time.Since(latBase))
-	rec.Epoch = fr.epoch.Load()
 	rec.Worker = uint16(worker & (ringShards - 1))
 	fr.put(worker, rec)
 }

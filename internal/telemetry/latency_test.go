@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -154,29 +155,22 @@ func TestTelemetryLatencyStageChaining(t *testing.T) {
 	}
 }
 
-func TestTelemetryFlightEpochAndWraparound(t *testing.T) {
+func TestTelemetryFlightWraparound(t *testing.T) {
 	EnableFlight(4)
 	defer DisableFlight()
-	exerciseRing(t, &fr.ring, 4,
+	exerciseRing(t, &fr, 4,
 		func(w, seq int) { RecordFlight(w, &FlightRecord{Tx: uint64(seq)}) },
 		FlightRecords, func(r FlightRecord) (int, int) { return int(r.Worker), int(r.Tx) })
 
 	EnableFlight(4)
-	if FlightEpoch() != 0 {
-		t.Fatalf("fresh epoch = %d", FlightEpoch())
-	}
 	for i := 0; i < 3; i++ {
 		rec := FlightRecord{Tx: uint64(i + 1), Verdict: FlightAdmitted}
 		rec.Mark(StageSigFilter, 100)
 		RecordFlight(0, &rec)
 	}
-	AdvanceFlightEpoch()
 	for i := 3; i < 10; i++ {
 		rec := FlightRecord{Tx: uint64(i + 1), Verdict: FlightConflict}
 		RecordFlight(0, &rec)
-	}
-	if FlightEpoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", FlightEpoch())
 	}
 	recs := FlightRecords()
 	if len(recs) != 4 {
@@ -189,12 +183,33 @@ func TestTelemetryFlightEpochAndWraparound(t *testing.T) {
 		if r.Tx <= 6 {
 			t.Fatalf("record %d survived wraparound; want the newest 4", r.Tx)
 		}
-		if r.Epoch != 1 {
-			t.Fatalf("record %d stamped epoch %d, want 1", r.Tx, r.Epoch)
-		}
 		if r.Verdict.String() != "conflict" {
 			t.Fatalf("verdict: %s", r.Verdict)
 		}
+	}
+}
+
+// TestTelemetryFlightStageMap: stage_ns keys exactly the stages a
+// record traversed — one timed at 0 ns, as with latency recording off,
+// is keyed with 0, an untraversed one is absent — and the flight table
+// lists them in pipeline order.
+func TestTelemetryFlightStageMap(t *testing.T) {
+	r := NewRegistry()
+	d := r.Register("cascade", "set", []string{"add"})
+	rec := FlightRecord{Tx: 1, Det: d.ID(), Verdict: FlightConflict}
+	rec.Mark(StageCommit, 75)
+	rec.Mark(StagePrecise, 0)
+	rec.Mark(StageSigFilter, 120)
+	j := r.flightJSON(&rec)
+	if got := fmt.Sprint(j.StageNS); got != "map[commit_release:75 precise:0 sig_filter:120]" {
+		t.Fatalf("stage_ns = %s", got)
+	}
+	table := FormatFlightTable(FlightDoc{Records: []FlightRecordJSON{j}}, 0)
+	if !strings.Contains(table, " sig_filter,precise,commit_release\n") {
+		t.Fatalf("flight table stages not in pipeline order:\n%s", table)
+	}
+	if j := r.flightJSON(&FlightRecord{Verdict: FlightAdmitted}); j.StageNS != nil {
+		t.Fatalf("record with no stages has stage_ns %v", j.StageNS)
 	}
 }
 
@@ -220,11 +235,6 @@ func TestTelemetryFlightDisabledIsNoop(t *testing.T) {
 	if n := len(FlightRecords()); n != 0 {
 		t.Fatalf("disabled recorder buffered %d records", n)
 	}
-	before := FlightEpoch()
-	AdvanceFlightEpoch()
-	if FlightEpoch() != before {
-		t.Fatal("disabled epoch advanced")
-	}
 }
 
 func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
@@ -240,11 +250,6 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	sh0 := r.Register("cascade", "set", []string{"add"})
 	sh0.SetShard(1)
 	sh0.IncInvocation()
-	sh1 := r.Register("cascade", "set", []string{"add"})
-	sh1.SetShard(2)
-	sh1.IncInvocation()
-	sh1.IncInvocation()
-	sh1.IncInvocation()
 
 	StageRecord(0, StageRendezvous, 500)
 	rec := FlightRecord{Tx: 7, Det: router.ID(), Verdict: FlightAdmitted, Shards: 0b11}
@@ -287,35 +292,6 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	if fd.Records[0].Detector != "sharded/set" {
 		t.Fatalf("detector name: %q", fd.Records[0].Detector)
 	}
-
-	code, body = get("/debug/commlat/heatmap")
-	if code != 200 {
-		t.Fatalf("/heatmap: %d", code)
-	}
-	var hm HeatmapDoc
-	if err := json.Unmarshal([]byte(body), &hm); err != nil {
-		t.Fatalf("heatmap JSON: %v", err)
-	}
-	if len(hm.Routers) != 1 || len(hm.Shards) != 2 {
-		t.Fatalf("heatmap doc: %+v", hm)
-	}
-	if hm.Shards[0].Share+hm.Shards[1].Share < 0.999 {
-		t.Fatalf("shares do not cover the group: %+v", hm.Shards)
-	}
-
-	code, body = get("/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics: %d", code)
-	}
-	for _, want := range []string{
-		"commlat_stage_latency_ns_bucket{stage=\"rendezvous\"",
-		"commlat_stage_latency_ns_count{stage=\"rendezvous\"} 1",
-		"commlat_flight_epoch 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
 }
 
 // TestTelemetryConcurrentScrape races live recording against the HTTP
@@ -329,7 +305,6 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 
 	r := NewRegistry()
 	d := r.Register("cascade", "set", []string{"add"})
-	d.SetShard(1)
 	h := Handler(r)
 
 	var writers, scrapers sync.WaitGroup
@@ -351,16 +326,10 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 				rec := FlightRecord{Tx: uint64(i), Verdict: FlightAdmitted}
 				rec.Mark(StageSigFilter, 50)
 				RecordFlight(w, &rec)
-				if i%64 == 0 {
-					AdvanceFlightEpoch()
-				}
 			}
 		}(w)
 	}
-	paths := []string{
-		"/metrics", "/debug/telemetry", "/debug/commlat/flightrec",
-		"/debug/commlat/percentiles", "/debug/commlat/heatmap",
-	}
+	paths := []string{"/debug/telemetry", "/debug/commlat/flightrec", "/debug/commlat/percentiles"}
 	for s := 0; s < 2; s++ {
 		scrapers.Add(1)
 		go func() {

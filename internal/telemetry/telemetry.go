@@ -1,7 +1,8 @@
 // Package telemetry is the runtime's zero-allocation instrumentation
 // layer: per-detector conflict-attribution counters, engine transaction
 // counters, a per-worker ring-buffer event trace, and exporters (Chrome
-// trace_event JSON, JSONL, Prometheus text, expvar).
+// trace_event JSON, JSONL, and one JSON document per recorder: the
+// counter Snapshot, the FlightDoc and the LatencySnapshot).
 //
 // The paper's whole argument (§5) is that a specification's position on
 // the commutativity lattice shows up as measurable abort ratios and
@@ -434,7 +435,7 @@ type EngineSnapshot struct {
 }
 
 // Snapshot copies every registered detector's counters plus the engine
-// counters, for programmatic use, expvar, and the HTTP exporters.
+// counters, for programmatic use, -telemetry-out and /debug/telemetry.
 type Snapshot struct {
 	Engine    EngineSnapshot     `json:"engine"`
 	Detectors []DetectorSnapshot `json:"detectors"`

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -102,46 +101,6 @@ func TestFormatAttribution(t *testing.T) {
 	r2.Register("forward", "idle", []string{"a"})
 	if out := FormatAttribution(r2.Snapshot()); strings.Contains(out, "idle") {
 		t.Fatalf("idle detector listed:\n%s", out)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	d := r.Register("general", "set", []string{"add", "remove"})
-	d.IncInvocation()
-	d.Check(0, 1)
-	d.Conflict(0, 1)
-	m := r.Register("abslock", "accum", []string{"I", "W"})
-	m.ModeAcquire(1)
-	m.ModeWait(1)
-	m.ReentrantHitN(3)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`commlat_tx_total{outcome="begun"} 0`,
-		`commlat_detector_conflicts_total{detector="general/set",id="1"} 1`,
-		`commlat_pair_conflicts_total{detector="general/set",id="1",m1="add",m2="remove"} 1`,
-		`commlat_mode_acquired_total{detector="abslock/accum",id="2",mode="W"} 1`,
-		`commlat_mode_waits_total{detector="abslock/accum",id="2",mode="W"} 1`,
-		`commlat_abslock_reentrant_hits_total{detector="abslock/accum",id="2"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-	// Every non-comment line must be name{labels} value.
-	sc := bufio.NewScanner(&buf)
-	_ = sc
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") || line == "" {
-			continue
-		}
-		if !strings.Contains(line, " ") {
-			t.Fatalf("malformed line %q", line)
-		}
 	}
 }
 
@@ -419,42 +378,86 @@ func TestEmitEnabledZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHandlerEndpoints: the live server serves exactly the typed
+// documents the CLI writes. Each endpoint's body decodes into its type
+// with unknown fields refused, and the index at / links exactly the
+// table.
 func TestHandlerEndpoints(t *testing.T) {
+	EnableLatency()
+	EnableFlight(64)
+	defer DisableLatency()
+	defer DisableFlight()
+
 	r := NewRegistry()
 	d := r.Register("forward", "set", []string{"add", "remove"})
 	d.IncInvocation()
+	StageRecord(0, StageRendezvous, 500)
+	rec := FlightRecord{Tx: 7, Det: d.ID(), Method: 1, Verdict: FlightAdmitted, Shards: 0b11}
+	rec.Mark(StageRendezvous, 500)
+	RecordFlight(0, &rec)
+
 	h := Handler(r)
-	get := func(path string) (int, string) {
+	get := func(path string) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		return w.Code, w.Body.String()
+		return w
 	}
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "commlat_detector_invocations_total") {
-		t.Fatalf("/metrics: %d %q", code, body)
+	var (
+		snap   Snapshot
+		flight FlightDoc
+		lat    LatencySnapshot
+	)
+	table := []struct {
+		path string
+		doc  any
+		ok   func() bool
+	}{
+		{"/debug/telemetry", &snap, func() bool {
+			return len(snap.Detectors) == 1 && snap.Detectors[0].Invocations == 1
+		}},
+		{"/debug/commlat/flightrec", &flight, func() bool {
+			if len(flight.Records) != 1 {
+				return false
+			}
+			got := flight.Records[0]
+			return got.Detector == "forward/set" && got.Method == "remove" && got.Verdict == "admitted" &&
+				fmt.Sprint(got.Shards) == "[0 1]" && fmt.Sprint(got.StageNS) == "map[rendezvous:500]"
+		}},
+		{"/debug/commlat/percentiles", &lat, func() bool {
+			return lat.Enabled && len(lat.Stages) == 1 && lat.Stages[0].Stage == "rendezvous"
+		}},
 	}
-	if code, body := get("/debug/telemetry"); code != 200 || !strings.Contains(body, `"kind": "forward"`) {
-		t.Fatalf("/debug/telemetry: %d %q", code, body)
-	}
-	if code, _ := get("/nope"); code != 404 {
-		t.Fatalf("/nope: %d", code)
-	}
-	code, index := get("/")
-	if code != 200 {
-		t.Fatalf("/: %d %q", code, index)
-	}
-	// The index is written from the endpoint table: every link it shows
-	// is served, and a path with no row is neither linked nor served.
-	links := regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(index, -1)
-	if len(links) != 6 {
-		t.Fatalf("/ links %d endpoints, want 6: %q", len(links), index)
-	}
-	for _, l := range links {
-		if code, _ := get(l[1]); code != 200 {
-			t.Errorf("%s, linked from /: %d", l[1], code)
+	var want []string
+	for _, e := range table {
+		want = append(want, e.path)
+		w := get(e.path)
+		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: %d %q", e.path, w.Code, w.Header().Get("Content-Type"))
+		}
+		dec := json.NewDecoder(w.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(e.doc); err != nil {
+			t.Fatalf("%s: %v", e.path, err)
+		}
+		if !e.ok() {
+			t.Errorf("%s: unexpected document %+v", e.path, e.doc)
 		}
 	}
-	const unrouted = "/debug/commlat/" + "audit"
-	if code, _ := get(unrouted); code != 404 || strings.Contains(index, unrouted) {
-		t.Errorf("%s: %d, linked %v", unrouted, code, strings.Contains(index, unrouted))
+
+	w := get("/")
+	if w.Code != 200 {
+		t.Fatalf("/: %d", w.Code)
+	}
+	var linked []string
+	for _, l := range regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(w.Body.String(), -1) {
+		linked = append(linked, l[1])
+	}
+	if fmt.Sprint(linked) != fmt.Sprint(want) {
+		t.Fatalf("/ links %v, want %v", linked, want)
+	}
+	for _, p := range []string{"/nope", "/debug/commlat/" + "audit"} {
+		if code := get(p).Code; code != 404 {
+			t.Errorf("%s: %d, want 404", p, code)
+		}
 	}
 }

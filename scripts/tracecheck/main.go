@@ -18,9 +18,9 @@
 // its vocabularies from the Stage, FlightVerdict and EventKind
 // constants, and adds only what a type cannot say — required keys being
 // present, timelines in order, counts that decompose their totals.
-// testdata/ pins the spellings: main_test must accept one document of
-// each kind written before the types became the schema, so renaming a
-// JSON tag fails tier 1 at the rename. With -chrome the input is checked
+// testdata/ pins the spellings: main_test must accept one checked-in
+// document of each kind, so renaming a JSON tag fails tier 1 at the
+// rename. With -chrome the input is checked
 // against the external Chrome trace_event format instead: a traceEvents
 // array whose entries all carry a phase and a timestamp.
 package main
@@ -248,7 +248,7 @@ func checkSnapshot(raw []byte, w io.Writer) error {
 
 // checkFlight validates a flight-recorder document (`commlat flightrec
 // -json` or /debug/commlat/flightrec): every record needs a timestamp,
-// a worker and a known verdict; stage spellings must come from the
+// a worker and a known verdict; the stage_ns keys must come from the
 // pipeline vocabulary; the timeline is oldest-first; and a run that
 // recorded anything must have buffered at least one record.
 func checkFlight(raw []byte, w io.Writer) error {
@@ -275,10 +275,7 @@ func checkFlight(raw []byte, w io.Writer) error {
 		if !verdicts[rec.Verdict] {
 			return fmt.Errorf("records[%d]: unknown verdict %q", i, rec.Verdict)
 		}
-		if rec.Epoch > doc.Epoch {
-			return fmt.Errorf("records[%d]: record epoch %d past document epoch %d", i, rec.Epoch, doc.Epoch)
-		}
-		for _, st := range rec.Stages {
+		for st := range rec.StageNS {
 			if !stages[st] {
 				return fmt.Errorf("records[%d]: unknown stage %q", i, st)
 			}
@@ -290,8 +287,8 @@ func checkFlight(raw []byte, w io.Writer) error {
 		}
 		counts[rec.Verdict]++
 	}
-	fmt.Fprintf(w, "ok: %d flight records (epoch %d, %d reclaimed; %d admitted, %d conflict)\n",
-		len(doc.Records), doc.Epoch, doc.Dropped,
+	fmt.Fprintf(w, "ok: %d flight records (%d reclaimed; %d admitted, %d conflict)\n",
+		len(doc.Records), doc.Dropped,
 		counts[telemetry.FlightAdmitted.String()], counts[telemetry.FlightConflict.String()])
 	return nil
 }

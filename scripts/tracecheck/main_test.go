@@ -10,7 +10,8 @@ import (
 )
 
 // The fixtures were written by the exporters of the commit before the
-// exported telemetry types became the schema, so they pin the JSON
+// exported telemetry types became the schema (flight.json was rewritten
+// when stage_ns became a map keyed by stage name), so they pin the JSON
 // spellings from outside the types: a renamed tag makes the strict
 // decode refuse the fixture's old key.
 var fixtures = map[string]string{
@@ -99,8 +100,11 @@ func TestSemanticRulesReject(t *testing.T) {
 		{"record without ts_ns", "-flight", func(d obj) { delete(row(d, "records", 0), "ts_ns") }, "records[0]: missing ts_ns"},
 		{"record timeline out of order", "-flight", func(d obj) { row(d, "records", 1)["ts_ns"] = 1 }, "out of order"},
 		{"unknown verdict", "-flight", func(d obj) { row(d, "records", 0)["verdict"] = "maybe" }, `unknown verdict "maybe"`},
-		{"unknown stage", "-flight", func(d obj) { row(d, "records", 0)["stages"] = []any{"warmup"} }, `unknown stage "warmup"`},
-		{"record epoch past document epoch", "-flight", func(d obj) { row(d, "records", 0)["epoch"] = 9 }, "past document epoch"},
+		{"unknown stage", "-flight", func(d obj) {
+			ns := row(d, "records", 0)["stage_ns"].(obj)
+			ns["warmup"] = ns["sig_filter"]
+			delete(ns, "sig_filter")
+		}, `unknown stage "warmup"`},
 		{"shard out of range", "-flight", func(d obj) { row(d, "records", 0)["shards"] = []any{64} }, "shard 64 out of range"},
 		{"unknown latency stage", "-percentiles", func(d obj) { row(d, "stages", 0)["stage"] = "warmup" }, `unknown stage "warmup"`},
 		{"bucket sum differs from count", "-percentiles", func(d obj) { row(d, "stages", 0)["count"] = 6 }, "bucket counts sum to 5, want 6"},
