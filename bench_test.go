@@ -141,6 +141,7 @@ func BenchmarkManagerContention(b *testing.B) {
 		b.Fatal(err)
 	}
 	mgr := abslock.NewManager(scheme.Reduce(), nil)
+	add, contains := mgr.Method("add"), mgr.Method("contains")
 	var gid atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -150,13 +151,13 @@ func BenchmarkManagerContention(b *testing.B) {
 			i++
 			tx := engine.GetTx()
 			k := base | (i & 1023)
-			if err := mgr.PreAcquire(tx, "add", core.Args1(core.VInt(k))); err != nil {
+			if err := mgr.Acquire(tx, add, core.VInt(k)); err != nil {
 				b.Error(err)
 				tx.Abort()
 				engine.PutTx(tx)
 				continue
 			}
-			if err := mgr.PreAcquire(tx, "contains", core.Args1(core.VInt(k+(1<<20)))); err != nil {
+			if err := mgr.Acquire(tx, contains, core.VInt(k+(1<<20))); err != nil {
 				b.Error(err)
 				tx.Abort()
 				engine.PutTx(tx)

@@ -54,7 +54,7 @@ func main() {
 	cpuProfile := global.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := global.String("memprofile", "", "write a heap profile to this file on exit")
 	listen := global.String("listen", "", "serve live telemetry (/debug/telemetry, /debug/commlat/flightrec, /debug/commlat/percentiles) on this address for the run's duration")
-	telemetryOut := global.String("telemetry-out", "", "write a final telemetry snapshot (JSON, cascade stage counters included) to this file on exit")
+	telemetryOut := global.String("telemetry-out", "", "write a final telemetry snapshot (JSON, cascade stage counters and lock mode rows included) to this file on exit")
 	if err := global.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -255,7 +255,7 @@ global flags (before the command):
                     -percentiles)
   -telemetry-out FILE  write the final telemetry snapshot as JSON on exit
                     (engine counters plus per-detector stats, cascade
-                    stage counters included; same schema as
+                    stages and lock mode rows included; same schema as
                     /debug/telemetry, checked by scripts/tracecheck)
 
 trace and flightrec pick the variant with -detector, by Table 1's name

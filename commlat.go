@@ -169,10 +169,9 @@ type (
 	ForwardGatekeeper = gatekeeper.Forward
 	// GeneralGatekeeper implements arbitrary L1 specifications.
 	GeneralGatekeeper = gatekeeper.General
-	// Effect is a forward-gatekept invocation's result and inverse.
+	// Effect is a gatekept invocation's result, inverse and (under a
+	// general gatekeeper) exact redo.
 	Effect = gatekeeper.Effect
-	// GEffect adds the exact redo a general gatekeeper needs.
-	GEffect = gatekeeper.GEffect
 )
 
 var (

@@ -37,7 +37,7 @@ func TestFacade(t *testing.T) {
 
 	total := 0
 	tx1 := commlat.NewTx()
-	if _, err := mgr.Invoke(tx1, "inc", commlat.MakeArgs(commlat.V(int64(1))), func() commlat.Value {
+	if _, err := mgr.Invoke(tx1, mgr.Method("inc"), commlat.MakeArgs(commlat.V(int64(1))), func() commlat.Value {
 		total++
 		tx1.OnUndo(func() { total-- })
 		return commlat.Value{}
@@ -45,7 +45,7 @@ func TestFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2 := commlat.NewTx()
-	_, err = mgr.Invoke(tx2, "get", commlat.Args{}, func() commlat.Value { return commlat.V(int64(total)) })
+	_, err = mgr.Invoke(tx2, mgr.Method("get"), commlat.Args{}, func() commlat.Value { return commlat.V(int64(total)) })
 	if !commlat.IsConflict(err) {
 		t.Fatalf("get under live inc should conflict, got %v", err)
 	}

@@ -38,11 +38,13 @@ func main() {
 	fmt.Println("reduced compatibility matrix (figure 8b):")
 	fmt.Println(reduced.MatrixString())
 
-	// 4. Run transactions against the synthesized detector.
+	// 4. Run transactions against the synthesized detector, through
+	// handles fetched once per method.
 	mgr := abslock.NewManager(reduced, nil)
+	inc, read := mgr.Method("inc"), mgr.Method("read")
 	total := 0
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	if _, err := mgr.Invoke(tx1, "inc", core.Args1(core.VInt(5)), func() core.Value {
+	if _, err := mgr.Invoke(tx1, inc, core.Args1(core.VInt(5)), func() core.Value {
 		total += 5
 		tx1.OnUndo(func() { total -= 5 })
 		return core.Value{}
@@ -50,7 +52,7 @@ func main() {
 		panic(err)
 	}
 	// A concurrent increment commutes...
-	if _, err := mgr.Invoke(tx2, "inc", core.Args1(core.VInt(3)), func() core.Value {
+	if _, err := mgr.Invoke(tx2, inc, core.Args1(core.VInt(3)), func() core.Value {
 		total += 3
 		tx2.OnUndo(func() { total -= 3 })
 		return core.Value{}
@@ -60,7 +62,7 @@ func main() {
 	fmt.Println("two concurrent increments: no conflict, total =", total)
 	// ...but a read under a live increment conflicts.
 	tx3 := engine.NewTx()
-	_, err = mgr.Invoke(tx3, "read", core.Vec{}, func() core.Value { return core.VInt(int64(total)) })
+	_, err = mgr.Invoke(tx3, read, core.Vec{}, func() core.Value { return core.VInt(int64(total)) })
 	fmt.Println("concurrent read conflicts:", engine.IsConflict(err))
 	tx3.Abort()
 	tx1.Commit()

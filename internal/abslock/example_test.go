@@ -25,9 +25,10 @@ func ExampleSynthesize() {
 	fmt.Println("full modes:", len(scheme.Modes), "reduced modes:", len(reduced.Modes))
 
 	mgr := abslock.NewManager(reduced, nil)
+	inc, read := mgr.Method("inc"), mgr.Method("read")
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	err1 := mgr.PreAcquire(tx1, "inc", core.MakeVec(core.V(int64(1))))
-	err2 := mgr.PreAcquire(tx2, "read", core.Vec{})
+	err1 := mgr.Acquire(tx1, inc, core.VInt(1))
+	err2 := mgr.Acquire(tx2, read)
 	fmt.Println("inc acquired:", err1 == nil)
 	fmt.Println("read conflicts:", engine.IsConflict(err2))
 	tx2.Abort()

@@ -320,7 +320,7 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 		}
 		want := model.invoke(t, i, inv)
 		for k, m := range mgrs {
-			_, err := m.Invoke(txs[i][k], inv.Method, inv.Args, func() core.Value { return inv.Ret })
+			_, err := m.Invoke(txs[i][k], m.Method(inv.Method), inv.Args, func() core.Value { return inv.Ret })
 			if err != nil && !engine.IsConflict(err) {
 				t.Fatalf("seed %d step %d: %s: %v", seed, step, names[k], err)
 			}

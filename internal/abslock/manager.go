@@ -110,9 +110,9 @@ func numStripes() int {
 
 // NewManager creates a lock manager for scheme. keys must provide an
 // implementation for every key function named by the scheme's
-// acquisitions (nil is fine for purely identity schemes). Schemes with
-// more than 64 modes are rejected; Reduce() keeps real schemes far below
-// that.
+// acquisitions (nil is fine for purely identity schemes); a missing one
+// panics here, as do more than 64 modes (Reduce() keeps real schemes far
+// below that).
 func NewManager(scheme *Scheme, keys map[string]KeyFunc) *Manager {
 	return newManagerWithStripes(scheme, keys, numStripes())
 }
@@ -155,7 +155,7 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Mana
 		}
 	}
 	for name, acqs := range scheme.Acquire {
-		m.methods[name] = compileMethod(acqs, keys)
+		m.methods[name] = compileMethod(scheme.ADT, acqs, keys)
 	}
 	labels := make([]string, len(scheme.Modes))
 	for i, mode := range scheme.Modes {
@@ -193,10 +193,10 @@ func (m *Manager) stripeFor(h uint64) *stripe {
 }
 
 // Method is one method's acquisitions compiled against a manager: split
-// by phase, key functions and key-name hashes resolved. Wrappers that
-// guard a fixed method set fetch their handles once (Manager.Method) and
-// acquire through them, skipping the per-call name lookup and the
-// argument-vector copy of the string-keyed API.
+// by phase, key functions and key-name hashes resolved. It is the only
+// way to acquire: callers fetch their handles once (Manager.Method), so a
+// misspelt method name fails at construction instead of acquiring
+// nothing.
 type Method struct {
 	pre, post []compiledAcq
 }
@@ -204,16 +204,19 @@ type Method struct {
 // compiledAcq is one Acquisition with its key function resolved.
 type compiledAcq struct {
 	Acquisition
-	keyFn KeyFunc // nil for identity, and for a key the caller never supplied
+	keyFn KeyFunc // nil for identity
 	keyH  uint64  // fnv64(Key); 0 for identity
 }
 
-func compileMethod(acqs []Acquisition, keys map[string]KeyFunc) *Method {
+func compileMethod(adt string, acqs []Acquisition, keys map[string]KeyFunc) *Method {
 	h := &Method{}
 	for _, a := range acqs {
 		c := compiledAcq{Acquisition: a}
 		if a.Key != "" {
-			c.keyFn, c.keyH = keys[a.Key], fnv64(a.Key)
+			if c.keyFn = keys[a.Key]; c.keyFn == nil {
+				panic(fmt.Sprintf("abslock: %s: no implementation for key function %q", adt, a.Key))
+			}
+			c.keyH = fnv64(a.Key)
 		}
 		if a.Target == TargetRet {
 			h.post = append(h.post, c)
@@ -224,10 +227,15 @@ func compileMethod(acqs []Acquisition, keys map[string]KeyFunc) *Method {
 	return h
 }
 
-// Method returns the compiled handle for a method of the scheme, or nil
-// for a method that acquires nothing (a nil handle is valid to acquire
-// through).
-func (m *Manager) Method(name string) *Method { return m.methods[name] }
+// Method returns the compiled handle for a method of the scheme; it
+// panics on a name the scheme does not list.
+func (m *Manager) Method(name string) *Method {
+	h, ok := m.methods[name]
+	if !ok {
+		panic(fmt.Sprintf("abslock: %s has no method %q", m.scheme.ADT, name))
+	}
+	return h
+}
 
 // Acquire takes the ds-lock and argument locks for an invocation of h's
 // method with args, in the scheme's modes. On conflict it returns an
@@ -244,20 +252,9 @@ func (m *Manager) AcquirePost(tx *engine.Tx, h *Method, ret core.Value, args ...
 	return m.acquire(tx, h, args, &ret)
 }
 
-// PreAcquire is Acquire by method name.
-func (m *Manager) PreAcquire(tx *engine.Tx, method string, args core.Vec) error {
-	return m.acquire(tx, m.methods[method], args.Slice(), nil)
-}
-
-// PostAcquire is AcquirePost by method name.
-func (m *Manager) PostAcquire(tx *engine.Tx, method string, args core.Vec, ret core.Value) error {
-	return m.acquire(tx, m.methods[method], args.Slice(), &ret)
-}
-
-// Invoke guards a complete method invocation: pre-acquire, execute,
-// post-acquire. exec runs only if the pre-acquisitions succeed.
-func (m *Manager) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() core.Value) (core.Value, error) {
-	h := m.methods[method]
+// Invoke guards a complete invocation of h's method: pre-acquire,
+// execute, post-acquire. exec runs only if the pre-acquisitions succeed.
+func (m *Manager) Invoke(tx *engine.Tx, h *Method, args core.Vec, exec func() core.Value) (core.Value, error) {
 	if err := m.acquire(tx, h, args.Slice(), nil); err != nil {
 		return core.Value{}, err
 	}
@@ -279,9 +276,6 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 	if ret == nil {
 		m.tele.IncInvocation()
 	}
-	if h == nil {
-		return nil
-	}
 	acqs := h.pre
 	if ret != nil {
 		acqs = h.post
@@ -289,10 +283,7 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 	var adm admission
 	var err error
 	for i := 0; i < len(acqs) && err == nil; i++ {
-		var datum uint64
-		if datum, err = acqs[i].resolve(args, ret); err == nil {
-			err = m.acquireDatum(tx, datum, acqs[i].Mode, &adm)
-		}
+		err = m.acquireDatum(tx, acqs[i].resolve(args, ret), acqs[i].Mode, &adm)
 	}
 	m.tele.ReentrantHitN(adm.reentrant)
 	if adm.slow {
@@ -306,14 +297,10 @@ func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core
 // resolve evaluates one acquisition against an invocation, outside any
 // lock: the hash of the datum it locks — dsHash, or that of the argument
 // or return value it names. A keyed mode locks that value's image under
-// the key function; one the caller of NewManager never supplied is
-// refused here.
-func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) (datum uint64, err error) {
+// the key function.
+func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 	if a.Target == TargetDS {
-		return dsHash, nil
-	}
-	if a.Key != "" && a.keyFn == nil {
-		return 0, fmt.Errorf("abslock: no implementation for key function %q", a.Key)
+		return dsHash
 	}
 	v := ret
 	if a.Target == TargetArg {
@@ -324,9 +311,9 @@ func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) (datum uint64,
 		}
 	}
 	if a.keyFn != nil {
-		return a.keyFn(*v).Hash() ^ a.keyH, nil
+		return a.keyFn(*v).Hash() ^ a.keyH
 	}
-	return v.Hash() ^ a.keyH, nil
+	return v.Hash() ^ a.keyH
 }
 
 // acquireDatum takes one datum lock in mode for tx, by the cheapest

@@ -3,6 +3,7 @@ package abslock
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,12 @@ func newRWSetManager(t *testing.T) *Manager {
 	return NewManager(s.Reduce(), nil)
 }
 
+// pre takes method's pre-execution locks for tx, fetching its handle by
+// name: the shorthand the tests use in place of a handle per method.
+func pre(m *Manager, tx *engine.Tx, method string, args core.Vec) error {
+	return m.Acquire(tx, m.Method(method), args.Slice()...)
+}
+
 // cellNeighbour returns the first int from `from` up whose lock (under
 // no key function) maps to cell c: another datum of the same cell, which
 // a transaction can park on to send c's other datums to the stripes.
@@ -36,10 +43,10 @@ func TestManagerSameTxReentrant(t *testing.T) {
 	tx := engine.NewTx()
 	defer tx.Abort()
 	// A transaction may re-acquire its own locks in any mode.
-	if err := m.PreAcquire(tx, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx, "add", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx, "add", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatalf("self-upgrade should not conflict: %v", err)
 	}
 }
@@ -52,7 +59,7 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 	tx := engine.NewTx()
 	key := core.MakeVec(core.V(int64(1)))
 	for _, method := range []string{"contains", "add"} {
-		if err := m.PreAcquire(tx, method, key); err != nil {
+		if err := pre(m, tx, method, key); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.HeldLocks(); got != 1 {
@@ -67,13 +74,13 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 	// fast read hold.
 	other := cellNeighbour(m.fast, m.fast.cellFor(core.VInt(1).Hash()), 2)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	if err := m.PreAcquire(tx1, "contains", key); err != nil {
+	if err := pre(m, tx1, "contains", key); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(other))); err != nil {
+	if err := pre(m, tx2, "add", core.MakeVec(core.V(other))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx1, "add", key); err != nil {
+	if err := pre(m, tx1, "add", key); err != nil {
 		t.Fatal(err)
 	}
 	if fast := m.FastHolds(); fast != 1 {
@@ -93,10 +100,10 @@ func TestManagerConflictAndRelease(t *testing.T) {
 	m := newRWSetManager(t)
 	tx1 := engine.NewTx()
 	tx2 := engine.NewTx()
-	if err := m.PreAcquire(tx1, "add", core.MakeVec(core.V(int64(7)))); err != nil {
+	if err := pre(m, tx1, "add", core.MakeVec(core.V(int64(7)))); err != nil {
 		t.Fatal(err)
 	}
-	err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(7))))
+	err := pre(m, tx2, "contains", core.MakeVec(core.V(int64(7))))
 	if !engine.IsConflict(err) {
 		t.Fatalf("expected conflict, got %v", err)
 	}
@@ -105,12 +112,12 @@ func TestManagerConflictAndRelease(t *testing.T) {
 		t.Errorf("conflict %v names holder %+v, want tx %d", err, ce, tx1.ID())
 	}
 	// Different element: fine.
-	if err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(8)))); err != nil {
+	if err := pre(m, tx2, "contains", core.MakeVec(core.V(int64(8)))); err != nil {
 		t.Fatal(err)
 	}
 	// Commit tx1; its locks vanish via the release hook.
 	tx1.Commit()
-	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(int64(7)))); err != nil {
+	if err := pre(m, tx2, "add", core.MakeVec(core.V(int64(7)))); err != nil {
 		t.Fatalf("lock should be free after commit: %v", err)
 	}
 	tx2.Abort()
@@ -124,16 +131,16 @@ func TestManagerReadersShare(t *testing.T) {
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if err := m.PreAcquire(tx1, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx1, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx2, "contains", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatalf("two contains on the same key should share: %v", err)
 	}
 	// But a writer now conflicts with both.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := m.PreAcquire(tx3, "remove", core.MakeVec(core.V(int64(1)))); !engine.IsConflict(err) {
+	if err := pre(m, tx3, "remove", core.MakeVec(core.V(int64(1)))); !engine.IsConflict(err) {
 		t.Fatalf("remove under readers should conflict, got %v", err)
 	}
 }
@@ -142,13 +149,13 @@ func TestManagerInvokeExecGating(t *testing.T) {
 	m := newRWSetManager(t)
 	tx1 := engine.NewTx()
 	defer tx1.Abort()
-	if err := m.PreAcquire(tx1, "add", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx1, "add", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := engine.NewTx()
 	defer tx2.Abort()
 	ran := false
-	_, err := m.Invoke(tx2, "add", core.MakeVec(core.V(int64(1))), func() core.Value {
+	_, err := m.Invoke(tx2, m.Method("add"), core.MakeVec(core.V(int64(1))), func() core.Value {
 		ran = true
 		return core.VBool(true)
 	})
@@ -158,7 +165,7 @@ func TestManagerInvokeExecGating(t *testing.T) {
 	if ran {
 		t.Error("exec must not run when pre-acquisition conflicts")
 	}
-	ret, err := m.Invoke(tx2, "add", core.MakeVec(core.V(int64(2))), func() core.Value { return core.VBool(true) })
+	ret, err := m.Invoke(tx2, m.Method("add"), core.MakeVec(core.V(int64(2))), func() core.Value { return core.VBool(true) })
 	if err != nil || ret != core.VBool(true) {
 		t.Fatalf("Invoke = %v, %v", ret, err)
 	}
@@ -173,12 +180,25 @@ func TestManagerMissingKeyFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(s, nil)
-	tx := engine.NewTx()
-	defer tx.Abort()
-	if err := m.PreAcquire(tx, "add", core.MakeVec(core.V(int64(1)))); err == nil || engine.IsConflict(err) {
-		t.Errorf("missing key function should be a hard error, got %v", err)
-	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"part"`) {
+			t.Errorf("NewManager without the key function: panic %q, want one naming \"part\"", msg)
+		}
+	}()
+	NewManager(s, nil)
+}
+
+// TestManagerRefusesUnknownMethod: a name outside the scheme has no
+// handle, so a misspelling cannot acquire nothing.
+func TestManagerRefusesUnknownMethod(t *testing.T) {
+	m := newRWSetManager(t)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "set") || !strings.Contains(msg, `"nosuch"`) {
+			t.Errorf("Method(\"nosuch\"): panic %q, want one naming the ADT and the method", msg)
+		}
+	}()
+	m.Method("nosuch")
 }
 
 func TestManagerPartitionSharing(t *testing.T) {
@@ -196,15 +216,15 @@ func TestManagerPartitionSharing(t *testing.T) {
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if err := m.PreAcquire(tx1, "add", core.MakeVec(core.V(int64(2)))); err != nil {
+	if err := pre(m, tx1, "add", core.MakeVec(core.V(int64(2)))); err != nil {
 		t.Fatal(err)
 	}
 	// 4 is a different element but the same partition: conflict.
-	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(int64(4)))); !engine.IsConflict(err) {
+	if err := pre(m, tx2, "add", core.MakeVec(core.V(int64(4)))); !engine.IsConflict(err) {
 		t.Fatalf("same-partition add should conflict, got %v", err)
 	}
 	// 3 is the other partition: allowed.
-	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(int64(3)))); err != nil {
+	if err := pre(m, tx2, "add", core.MakeVec(core.V(int64(3)))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,7 +243,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				tx := engine.NewTx()
 				el := int64((seed*31 + int64(i)) % 5)
-				if err := m.PreAcquire(tx, "add", core.MakeVec(core.V(el))); err == nil {
+				if err := pre(m, tx, "add", core.MakeVec(core.V(el))); err == nil {
 					if prev, loaded := owners.LoadOrStore(el, tx.ID()); loaded {
 						t.Errorf("two writers on %d: %v and %d", el, prev, tx.ID())
 					}
@@ -292,11 +312,7 @@ func TestSpellingsOfOneKeyShareALock(t *testing.T) {
 			cellOf := func(v core.Value) *cell {
 				for i := range add.pre {
 					if add.pre[i].Target == TargetArg {
-						h, err := add.pre[i].resolve([]core.Value{v}, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return m.fast.cellFor(h)
+						return m.fast.cellFor(add.pre[i].resolve([]core.Value{v}, nil))
 					}
 				}
 				t.Fatal("add locks no argument")
@@ -349,12 +365,12 @@ func lockRefOnStripe(t *testing.T, m *Manager, parked, tx *engine.Tx, collected 
 	v := &held{id: [16]byte{1}}
 	runtime.SetFinalizer(v, func(*held) { close(collected) })
 	add := m.Method("add")
-	c := m.fast.cellFor(core.VRef(v).Hash())
+	c := m.fast.cellFor(core.V(v).Hash())
 	neighbour := cellNeighbour(m.fast, c, 0)
 	if err := m.Acquire(parked, add, core.VInt(neighbour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(tx, add, core.VRef(v)); err != nil {
+	if err := m.Acquire(tx, add, core.V(v)); err != nil {
 		t.Fatal(err)
 	}
 	if fast, n := m.FastHolds(), c.stripe.Load(); fast != 1 || n != 1 {

@@ -15,10 +15,10 @@ import (
 func TestFastPathDisjointAccess(t *testing.T) {
 	m := newRWSetManager(t)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	if err := m.PreAcquire(tx1, "add", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx1, "add", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx2, "add", core.MakeVec(core.V(int64(2)))); err != nil {
+	if err := pre(m, tx2, "add", core.MakeVec(core.V(int64(2)))); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.FastHolds(); got == 0 {
@@ -28,7 +28,7 @@ func TestFastPathDisjointAccess(t *testing.T) {
 	// even though tx1 never touched a stripe.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := m.PreAcquire(tx3, "contains", core.MakeVec(core.V(int64(1)))); !engine.IsConflict(err) {
+	if err := pre(m, tx3, "contains", core.MakeVec(core.V(int64(1)))); !engine.IsConflict(err) {
 		t.Fatalf("reader under a fast-held writer should conflict, got %v", err)
 	}
 	tx1.Commit()
@@ -39,7 +39,7 @@ func TestFastPathDisjointAccess(t *testing.T) {
 	// The datum is free again — and free for the fast path.
 	tx4 := engine.NewTx()
 	defer tx4.Abort()
-	if err := m.PreAcquire(tx4, "add", core.MakeVec(core.V(int64(1)))); err != nil {
+	if err := pre(m, tx4, "add", core.MakeVec(core.V(int64(1)))); err != nil {
 		t.Fatalf("lock should be free after commit: %v", err)
 	}
 }
@@ -52,11 +52,11 @@ func TestFastPathSharedKeyFallsBack(t *testing.T) {
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if err := m.PreAcquire(tx1, "contains", core.MakeVec(core.V(int64(5)))); err != nil {
+	if err := pre(m, tx1, "contains", core.MakeVec(core.V(int64(5)))); err != nil {
 		t.Fatal(err)
 	}
 	fastBefore := m.FastHolds()
-	if err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(5)))); err != nil {
+	if err := pre(m, tx2, "contains", core.MakeVec(core.V(int64(5)))); err != nil {
 		t.Fatalf("readers should share: %v", err)
 	}
 	if got := m.FastHolds(); got != fastBefore {
@@ -66,7 +66,7 @@ func TestFastPathSharedKeyFallsBack(t *testing.T) {
 	// a writer must conflict with the stripe-held read.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := m.PreAcquire(tx3, "remove", core.MakeVec(core.V(int64(5)))); !engine.IsConflict(err) {
+	if err := pre(m, tx3, "remove", core.MakeVec(core.V(int64(5)))); !engine.IsConflict(err) {
 		t.Fatalf("writer under readers should conflict, got %v", err)
 	}
 }
@@ -79,10 +79,10 @@ func TestFastPathStripeFirst(t *testing.T) {
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx2.Abort()
 	// Two reads drive tx2's hold onto the stripe path.
-	if err := m.PreAcquire(tx1, "contains", core.MakeVec(core.V(int64(9)))); err != nil {
+	if err := pre(m, tx1, "contains", core.MakeVec(core.V(int64(9)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PreAcquire(tx2, "contains", core.MakeVec(core.V(int64(9)))); err != nil {
+	if err := pre(m, tx2, "contains", core.MakeVec(core.V(int64(9)))); err != nil {
 		t.Fatal(err)
 	}
 	tx1.Abort()
@@ -90,7 +90,7 @@ func TestFastPathStripeFirst(t *testing.T) {
 	// count must keep writers off the fast path and into the conflict.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := m.PreAcquire(tx3, "add", core.MakeVec(core.V(int64(9)))); !engine.IsConflict(err) {
+	if err := pre(m, tx3, "add", core.MakeVec(core.V(int64(9)))); !engine.IsConflict(err) {
 		t.Fatalf("writer under a stripe-held read should conflict, got %v", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestFastPathCellCollision(t *testing.T) {
 	txs := make([]*engine.Tx, n)
 	for i := range txs {
 		txs[i] = engine.NewTx()
-		if err := m.PreAcquire(txs[i], "add", core.MakeVec(core.V(int64(i)))); err != nil {
+		if err := pre(m, txs[i], "add", core.MakeVec(core.V(int64(i)))); err != nil {
 			t.Fatalf("disjoint add %d: %v", i, err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestFastPathCellCollision(t *testing.T) {
 	// Every datum is guarded regardless of which path holds it.
 	for i := 0; i < n; i++ {
 		probe := engine.NewTx()
-		if err := m.PreAcquire(probe, "contains", core.MakeVec(core.V(int64(i)))); !engine.IsConflict(err) {
+		if err := pre(m, probe, "contains", core.MakeVec(core.V(int64(i)))); !engine.IsConflict(err) {
 			t.Fatalf("key %d unguarded after a cell collision: %v", i, err)
 		}
 		probe.Abort()
@@ -143,7 +143,7 @@ func TestFastPathOwnCellCollision(t *testing.T) {
 
 	tx := engine.NewTx()
 	for k := int64(1); k <= 2; k++ {
-		if err := m.PreAcquire(tx, "contains", key(k)); err != nil {
+		if err := pre(m, tx, "contains", key(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,23 +151,23 @@ func TestFastPathOwnCellCollision(t *testing.T) {
 		t.Fatalf("FastHolds = %d, HeldLocks = %d with keys 1 and 2 read-locked in one cell, want 1 and 2", fast, held)
 	}
 	before := m.Telemetry().Snapshot().ReentrantHits
-	if err := m.PreAcquire(tx, "add", key(1)); err != nil {
+	if err := pre(m, tx, "add", key(1)); err != nil {
 		t.Fatalf("upgrade of the fast-held key: %v", err)
 	}
 	if got := m.Telemetry().Snapshot().ReentrantHits - before; got != 0 {
 		t.Errorf("the upgrade was granted in place with a stripe hold mapped to its cell")
 	}
-	if err := m.PreAcquire(tx, "contains", key(1)); err != nil {
+	if err := pre(m, tx, "contains", key(1)); err != nil {
 		t.Fatalf("covered re-acquisition of the fast-held key: %v", err)
 	}
 	probe := engine.NewTx()
-	if err := m.PreAcquire(probe, "contains", key(1)); !engine.IsConflict(err) {
+	if err := pre(m, probe, "contains", key(1)); !engine.IsConflict(err) {
 		t.Errorf("reader under the stripe-held upgrade should conflict, got %v", err)
 	}
-	if err := m.PreAcquire(probe, "add", key(2)); !engine.IsConflict(err) {
+	if err := pre(m, probe, "add", key(2)); !engine.IsConflict(err) {
 		t.Errorf("writer under the stripe-held read should conflict, got %v", err)
 	}
-	if err := m.PreAcquire(probe, "contains", key(2)); err != nil {
+	if err := pre(m, probe, "contains", key(2)); err != nil {
 		t.Errorf("readers of the stripe-held key should share: %v", err)
 	}
 	probe.Abort()
@@ -196,7 +196,7 @@ func TestFastPathConcurrentDisjoint(t *testing.T) {
 				// Key ranges overlap pairwise so fast holds, stripe
 				// fallbacks, and genuine conflicts all occur.
 				k := int64(w*4 + i%8)
-				err := m.PreAcquire(tx, "add", core.MakeVec(core.V(k)))
+				err := pre(m, tx, "add", core.MakeVec(core.V(k)))
 				if err != nil && !engine.IsConflict(err) {
 					t.Errorf("unexpected error: %v", err)
 				}

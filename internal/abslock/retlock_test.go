@@ -45,7 +45,7 @@ func TestRetLockScheme(t *testing.T) {
 	}
 }
 
-func TestRetLockPostAcquireConflict(t *testing.T) {
+func TestRetLockPostConflict(t *testing.T) {
 	scheme, err := Synthesize(retSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -55,18 +55,18 @@ func TestRetLockPostAcquireConflict(t *testing.T) {
 	// tx1's get returns handle 7: the ret lock is taken after execution.
 	tx1 := engine.NewTx()
 	defer tx1.Abort()
-	ret, err := m.Invoke(tx1, "get", core.MakeVec(core.V(int64(1))), func() core.Value { return core.VInt(int64(7)) })
+	ret, err := m.Invoke(tx1, m.Method("get"), core.MakeVec(core.V(int64(1))), func() core.Value { return core.VInt(int64(7)) })
 	if err != nil || ret != core.VInt(int64(7)) {
 		t.Fatalf("get = %v, %v", ret, err)
 	}
 	// destroy(7) conflicts with the live get's return handle.
 	tx2 := engine.NewTx()
 	defer tx2.Abort()
-	if err := m.PreAcquire(tx2, "destroy", core.MakeVec(core.V(int64(7)))); !engine.IsConflict(err) {
+	if err := pre(m, tx2, "destroy", core.MakeVec(core.V(int64(7)))); !engine.IsConflict(err) {
 		t.Fatalf("destroy(7) should conflict, got %v", err)
 	}
 	// destroy(8) proceeds.
-	if err := m.PreAcquire(tx2, "destroy", core.MakeVec(core.V(int64(8)))); err != nil {
+	if err := pre(m, tx2, "destroy", core.MakeVec(core.V(int64(8)))); err != nil {
 		t.Fatal(err)
 	}
 	// The reverse direction: destroy(9) live, then a get returning 9
@@ -74,11 +74,11 @@ func TestRetLockPostAcquireConflict(t *testing.T) {
 	// roll the execution back via the tx undo log.
 	tx3, tx4 := engine.NewTx(), engine.NewTx()
 	defer tx3.Abort()
-	if err := m.PreAcquire(tx3, "destroy", core.MakeVec(core.V(int64(9)))); err != nil {
+	if err := pre(m, tx3, "destroy", core.MakeVec(core.V(int64(9)))); err != nil {
 		t.Fatal(err)
 	}
 	executed := false
-	_, err = m.Invoke(tx4, "get", core.MakeVec(core.V(int64(2))), func() core.Value {
+	_, err = m.Invoke(tx4, m.Method("get"), core.MakeVec(core.V(int64(2))), func() core.Value {
 		executed = true
 		return core.VInt(int64(9))
 	})

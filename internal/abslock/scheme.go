@@ -185,8 +185,9 @@ func Synthesize(spec *core.Spec) (*Scheme, error) {
 
 // Reduce removes superfluous modes: a mode compatible with every mode
 // (including itself) can never cause a conflict, so acquiring it is pure
-// overhead (§3.2's optimization, figure 8a → 8b). The result is a new
-// scheme; the receiver is unchanged.
+// overhead (§3.2's optimization, figure 8a → 8b). Every method keeps its
+// entry, empty when all its modes go, so it still has a handle. The result
+// is a new scheme; the receiver is unchanged.
 func (s *Scheme) Reduce() *Scheme {
 	keep := make([]bool, len(s.Modes))
 	for i := range s.Modes {
@@ -222,6 +223,7 @@ func (s *Scheme) Reduce() *Scheme {
 		}
 	}
 	for m, acqs := range s.Acquire {
+		out.Acquire[m] = []Acquisition{}
 		for _, a := range acqs {
 			if remap[a.Mode] < 0 {
 				continue

@@ -108,6 +108,44 @@ func TestReduceAccumulator(t *testing.T) {
 	}
 }
 
+// TestReduceKeepsEmptyMethods: a method whose modes all reduce away
+// keeps an empty entry, so it still has a handle, and an invocation
+// through that handle takes no lock and is admitted under a live inc.
+func TestReduceKeepsEmptyMethods(t *testing.T) {
+	spec := core.NewSpec(&core.ADTSig{Name: "accumulator", Methods: []core.MethodSig{
+		{Name: "inc", Params: []string{"x"}},
+		{Name: "read", HasRet: true},
+		{Name: "capacity", HasRet: true},
+	}})
+	spec.Set("inc", "inc", core.True())
+	spec.Set("inc", "read", core.False())
+	spec.Set("read", "read", core.True())
+	for _, m := range []string{"inc", "read", "capacity"} {
+		spec.Set("capacity", m, core.True())
+	}
+	full, err := Synthesize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := full.Reduce()
+	if acqs, ok := r.Acquire["capacity"]; !ok || len(acqs) != 0 {
+		t.Fatalf("reduced capacity acquisitions = %+v (present %v), want an empty entry", acqs, ok)
+	}
+	m := NewManager(r, nil)
+	tx1, tx2 := engine.NewTx(), engine.NewTx()
+	defer tx1.Abort()
+	defer tx2.Abort()
+	if err := m.Acquire(tx1, m.Method("inc"), core.VInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Invoke(tx2, m.Method("capacity"), core.Vec{}, func() core.Value { return core.VInt(8) }); err != nil {
+		t.Fatalf("capacity under a live inc: %v, want no conflict", err)
+	}
+	if got := m.HeldLocks(); got != 0 {
+		t.Errorf("HeldLocks = %d, want 0 (only inc's ds-lock is held)", got)
+	}
+}
+
 func TestSynthesizeSetRW(t *testing.T) {
 	s, err := Synthesize(rwSetSpec())
 	if err != nil {
@@ -191,19 +229,19 @@ func schemeAllows(t *testing.T, s *Scheme, keys map[string]KeyFunc, inv1, inv2 c
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if err := m.PreAcquire(tx1, inv1.Method, inv1.Args); err != nil {
+	if err := pre(m, tx1, inv1.Method, inv1.Args); err != nil {
 		t.Fatalf("tx1 pre-acquire conflicted with empty table: %v", err)
 	}
-	if err := m.PostAcquire(tx1, inv1.Method, inv1.Args, inv1.Ret); err != nil {
+	if err := m.AcquirePost(tx1, m.Method(inv1.Method), inv1.Ret, inv1.Args.Slice()...); err != nil {
 		t.Fatalf("tx1 post-acquire conflicted: %v", err)
 	}
-	if err := m.PreAcquire(tx2, inv2.Method, inv2.Args); err != nil {
+	if err := pre(m, tx2, inv2.Method, inv2.Args); err != nil {
 		if !engine.IsConflict(err) {
 			t.Fatal(err)
 		}
 		return false
 	}
-	if err := m.PostAcquire(tx2, inv2.Method, inv2.Args, inv2.Ret); err != nil {
+	if err := m.AcquirePost(tx2, m.Method(inv2.Method), inv2.Ret, inv2.Args.Slice()...); err != nil {
 		if !engine.IsConflict(err) {
 			t.Fatal(err)
 		}

@@ -56,8 +56,8 @@ func TestManagerStripedMatchesSingleStripeOracle(t *testing.T) {
 			}
 			inv := randInvocation(r, spec.Sig)
 			exec := func() core.Value { return inv.Ret }
-			_, errS := striped.Invoke(txs[i].s, inv.Method, inv.Args, exec)
-			_, errO := oracle.Invoke(txs[i].o, inv.Method, inv.Args, exec)
+			_, errS := striped.Invoke(txs[i].s, striped.Method(inv.Method), inv.Args, exec)
+			_, errO := oracle.Invoke(txs[i].o, oracle.Method(inv.Method), inv.Args, exec)
 			if engine.IsConflict(errS) != engine.IsConflict(errO) {
 				t.Fatalf("seed %d step %d: striped %v vs oracle %v for %s%v",
 					seed, step, errS, errO, inv.Method, inv.Args)
@@ -129,7 +129,7 @@ func TestManagerStripedConcurrentStress(t *testing.T) {
 				if write {
 					method = "upd"
 				}
-				err := m.PreAcquire(tx, method, core.MakeVec(core.V(k)))
+				err := pre(m, tx, method, core.MakeVec(core.V(k)))
 				if err == nil {
 					// Claim the key and validate exclusion. The release
 					// hook below is registered after the manager's own,
@@ -318,7 +318,7 @@ func TestReentrantScenarios(t *testing.T) {
 				for _, k := range st.args {
 					args.Append(core.VInt(k))
 				}
-				err := m.PreAcquire(txs[st.tx], st.method, args)
+				err := pre(m, txs[st.tx], st.method, args)
 				if err != nil && !engine.IsConflict(err) {
 					t.Fatalf("%s/%s step %d: %v", sc.name, name, i, err)
 				}
@@ -344,7 +344,7 @@ func TestReentrantScenarios(t *testing.T) {
 				txs[i].Abort()
 				// The datum is free again, and free for the fast path.
 				probe := engine.NewTx()
-				if err := m.PreAcquire(probe, "move", core.Args2(core.VInt(1), core.VInt(1))); err != nil {
+				if err := pre(m, probe, "move", core.Args2(core.VInt(1), core.VInt(1))); err != nil {
 					t.Errorf("%s/%s: datum still guarded after its holder aborted: %v", sc.name, name, err)
 				}
 				probe.Commit()

@@ -34,9 +34,10 @@ func Spec() *core.Spec {
 // Accumulator is the guarded ADT: a total guarded by the abstract locking
 // scheme synthesized from Spec (reduced to figure 8b's two ds modes).
 type Accumulator struct {
-	mgr *abslock.Manager
-	mu  sync.Mutex
-	sum int64
+	mgr       *abslock.Manager
+	inc, read *abslock.Method // compiled acquisition handles
+	mu        sync.Mutex
+	sum       int64
 }
 
 // New creates a zeroed accumulator behind its synthesized detector.
@@ -45,12 +46,13 @@ func New() *Accumulator {
 	if err != nil {
 		panic(err) // figure 7's spec is SIMPLE
 	}
-	return &Accumulator{mgr: abslock.NewManager(scheme.Reduce(), nil)}
+	mgr := abslock.NewManager(scheme.Reduce(), nil)
+	return &Accumulator{mgr: mgr, inc: mgr.Method("inc"), read: mgr.Method("read")}
 }
 
 // Inc adds x to the accumulator within tx.
 func (a *Accumulator) Inc(tx *engine.Tx, x int64) error {
-	if err := a.mgr.PreAcquire(tx, "inc", core.Args1(core.VInt(x))); err != nil {
+	if err := a.mgr.Acquire(tx, a.inc, core.VInt(x)); err != nil {
 		return err
 	}
 	a.mu.Lock()
@@ -66,7 +68,7 @@ func (a *Accumulator) Inc(tx *engine.Tx, x int64) error {
 
 // Read returns the current total within tx.
 func (a *Accumulator) Read(tx *engine.Tx) (int64, error) {
-	if err := a.mgr.PreAcquire(tx, "read", core.Vec{}); err != nil {
+	if err := a.mgr.Acquire(tx, a.read); err != nil {
 		return 0, err
 	}
 	a.mu.Lock()

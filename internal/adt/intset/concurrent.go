@@ -241,9 +241,6 @@ func (s *GatekeptSet) Contains(tx *engine.Tx, x int64) (bool, error) {
 	return s.invoke(tx, "contains", x)
 }
 
-// GateStats returns the forward gatekeeper's work counters.
-func (s *GatekeptSet) GateStats() gatekeeper.Stats { return s.g.Stats() }
-
 // Telemetry returns the gatekeeper's telemetry detector, which
 // additionally attributes checks and conflicts per method pair.
 func (s *GatekeptSet) Telemetry() *telemetry.Detector { return s.g.Telemetry() }
@@ -378,10 +375,6 @@ func (s *CascadeSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.inv
 func (s *CascadeSet) Contains(tx *engine.Tx, x int64) (bool, error) {
 	return s.invoke(tx, "contains", x)
 }
-
-// GateStats returns the cascade's work counters (stage counters
-// included).
-func (s *CascadeSet) GateStats() gatekeeper.Stats { return s.c.Stats() }
 
 // Telemetry returns the cascade's telemetry detector.
 func (s *CascadeSet) Telemetry() *telemetry.Detector { return s.c.Telemetry() }

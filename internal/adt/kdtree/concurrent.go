@@ -206,9 +206,6 @@ func (k *GKTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
 	return ret.Unbox().(Point), nil
 }
 
-// GateStats returns the forward gatekeeper's work counters.
-func (k *GKTree) GateStats() gatekeeper.Stats { return k.g.Stats() }
-
 // Telemetry returns the gatekeeper's telemetry detector, which
 // additionally attributes checks and conflicts per method pair.
 func (k *GKTree) Telemetry() *telemetry.Detector { return k.g.Telemetry() }
@@ -317,14 +314,19 @@ func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 }
 
 // Nearest queries under the lock discipline (serialized against all
-// mutators by the synthesized ds lock).
+// mutators by the synthesized ds lock), then locks the returned point in
+// the scheme's post-execution nearest:ret mode.
 func (l *LockedTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
 	if err := l.mgr.Acquire(tx, l.nearest, core.V(p)); err != nil {
 		return None, err
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.t.Nearest(p), nil
+	q := l.t.Nearest(p)
+	l.mu.Unlock()
+	if err := l.mgr.AcquirePost(tx, l.nearest, core.V(q), core.V(p)); err != nil {
+		return None, err
+	}
+	return q, nil
 }
 
 // Contains queries membership under the lock discipline.

@@ -156,6 +156,26 @@ func TestLockedTreeSerializesQueriesAgainstMutators(t *testing.T) {
 	}
 }
 
+// TestLockedTreeNearestLocksItsResult: the reduced SIMPLE scheme lists a
+// post-execution nearest:ret mode (incompatible with remove:a), so a
+// query holds a lock on its argument and one on the point it returned.
+func TestLockedTreeNearestLocksItsResult(t *testing.T) {
+	l := NewLocked()
+	l.Seed([]Point{{0, 0, 0}, {100, 100, 100}})
+	tx := engine.NewTx()
+	defer tx.Abort()
+	q, err := l.Nearest(tx, Point{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q != (Point{0, 0, 0}) {
+		t.Fatalf("Nearest = %v, want the origin", q)
+	}
+	if got := l.mgr.HeldLocks(); got != 2 {
+		t.Errorf("HeldLocks = %d after Nearest, want 2 (the query point and the result)", got)
+	}
+}
+
 // TestLockedTreeProfileCollapses: under the lock point, clustering's
 // parallelism collapses toward 1 — every merge serializes against every
 // query — while kd-gk stays parallel (the quantitative form of the

@@ -138,13 +138,13 @@ func (u *Generic) Forest() *Forest { return u.f }
 // Union merges under the generic general gatekeeper.
 func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 	var merged bool
-	_, err := u.g.Invoke(tx, "union", core.Args2(core.VInt(a), core.VInt(b)), func() gatekeeper.GEffect {
+	_, err := u.g.Invoke(tx, "union", core.Args2(core.VInt(a), core.VInt(b)), func() gatekeeper.Effect {
 		var ws []Write
 		merged, ws = u.f.UnionW(a, b)
 		if len(ws) == 0 {
-			return gatekeeper.GEffect{}
+			return gatekeeper.Effect{}
 		}
-		return gatekeeper.GEffect{
+		return gatekeeper.Effect{
 			Undo: func() { u.f.Revert(ws) },
 			Redo: func() { u.f.Apply(ws) },
 		}
@@ -157,9 +157,9 @@ func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 
 // Find returns a's representative under the generic general gatekeeper.
 func (u *Generic) Find(tx *engine.Tx, a int64) (int64, error) {
-	ret, err := u.g.Invoke(tx, "find", core.Args1(core.VInt(a)), func() gatekeeper.GEffect {
+	ret, err := u.g.Invoke(tx, "find", core.Args1(core.VInt(a)), func() gatekeeper.Effect {
 		r, ws := u.f.FindW(a)
-		eff := gatekeeper.GEffect{Ret: core.VInt(r)}
+		eff := gatekeeper.Effect{Ret: core.VInt(r)}
 		if len(ws) > 0 {
 			eff.Undo = func() { u.f.Revert(ws) }
 			eff.Redo = func() { u.f.Apply(ws) }

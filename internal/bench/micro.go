@@ -538,8 +538,8 @@ func GeneralSetWindow(b *testing.B, disable bool, n int) {
 	b.Helper()
 	g := must(gatekeeper.NewGeneralConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
 	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.GEffect {
-			return gatekeeper.GEffect{Ret: core.VBool(true)}
+		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
+			return gatekeeper.Effect{Ret: core.VBool(true)}
 		})
 		return err
 	})

@@ -96,12 +96,6 @@ func VFloat(f float64) Value { return Value{kind: KindFloat, bits: math.Float64b
 // calls are O(1).
 func VString(s string) Value { return Value{kind: KindString, bits: fnv64(s), str: s} }
 
-// VRef wraps an arbitrary user value. Basic kinds are normalized into
-// their unboxed representations (so VRef never hides an int64 where
-// ValueEq would miss it); anything else is stored in the ref escape hatch
-// and must be comparable with == if it will be compared or indexed.
-func VRef(x any) Value { return V(x) }
-
 // Unset returns the detector-internal sentinel marking an unfilled slot.
 // It compares unequal (via ValueEq) to every value including itself.
 func Unset() Value { return Value{kind: KindUnset} }
@@ -109,11 +103,11 @@ func Unset() Value { return Value{kind: KindUnset} }
 // V converts a Go value into a tagged Value, normalizing so that equality
 // and ordering behave uniformly: every integer kind becomes KindInt
 // (int64) and float32 becomes KindFloat (float64). A Value passes through
-// unchanged; nil becomes the nil Value; other types go to KindRef.
+// unchanged; nil becomes the nil Value; other types go to KindRef, and
+// must be comparable with == if they will be compared or indexed.
 //
-// V replaces the boxed representation's Norm: normalization now happens
-// once at construction, and every later ValueEq/Compare/MapKey/Hash is
-// allocation-free.
+// Normalization happens once at construction, so every later
+// ValueEq/Compare/MapKey/Hash is allocation-free.
 func V(x any) Value {
 	switch v := x.(type) {
 	case nil:
@@ -153,12 +147,6 @@ func V(x any) Value {
 	}
 }
 
-// Norm is retained from the boxed representation as a synonym for V: it
-// normalizes a Go value into the canonical tagged form. With tagged
-// values it allocates only when x is a non-basic user type (interface
-// construction at the call site).
-func Norm(x any) Value { return V(x) }
-
 // Kind reports the value's kind tag.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -174,11 +162,6 @@ func (v Value) AsBool() (bool, bool) { return v.bits != 0, v.kind == KindBool }
 // AsInt returns the integer payload, if v is an int.
 func (v Value) AsInt() (int64, bool) { return int64(v.bits), v.kind == KindInt }
 
-// AsFloat returns the float payload, if v is a float.
-func (v Value) AsFloat() (float64, bool) {
-	return math.Float64frombits(v.bits), v.kind == KindFloat
-}
-
 // AsNumber returns v as a float64 if it is numeric (int or float).
 func (v Value) AsNumber() (float64, bool) {
 	switch v.kind {
@@ -193,9 +176,6 @@ func (v Value) AsNumber() (float64, bool) {
 
 // AsString returns the string payload, if v is a string.
 func (v Value) AsString() (string, bool) { return v.str, v.kind == KindString }
-
-// AsRef returns the ref payload, if v is a user-type value.
-func (v Value) AsRef() (any, bool) { return v.ref, v.kind == KindRef }
 
 // Bool returns the boolean payload or panics, mirroring a .(bool)
 // assertion on the old boxed representation.

@@ -464,7 +464,7 @@ func TestForwardScanFallback(t *testing.T) {
 	if err := op(tx2, 3); !engine.IsConflict(err) { // 5 < 3 fails
 		t.Fatalf("op(3) should conflict, got %v", err)
 	}
-	st := fw.Stats()
+	st := fw.Telemetry().Snapshot()
 	if st.FallbackScans < 2 {
 		t.Errorf("FallbackScans = %d, want ≥ 2 (every ordered-spec check scans)", st.FallbackScans)
 	}

@@ -23,10 +23,14 @@ import (
 // Effect is what executing a method invocation produced: its return value
 // and an inverse action that undoes its state change (nil for read-only
 // invocations, which also covers mutating methods that happened not to
-// change anything, e.g. add of a present element).
+// change anything, e.g. add of a present element). A general gatekeeper
+// requires Undo to restore the exact prior state and Redo to re-apply the
+// exact change, to roll the structure back to earlier states and forward
+// again (§3.3.2); the others ignore Redo.
 type Effect struct {
 	Ret  core.Value
 	Undo func()
+	Redo func()
 }
 
 // Forward is a forward gatekeeper (§3.3.1): it builds up information
@@ -50,7 +54,8 @@ type Config struct {
 }
 
 // Stats is the work a gatekeeper performed — the raw material of the
-// overhead comparison in §3.4 — as its telemetry detector counts it.
+// overhead comparison in §3.4 — as its telemetry detector counts it
+// (Telemetry().Snapshot()).
 // Reading the disequality-index counters: Probes are indexed pair
 // lookups, Collisions the active entries those probes surfaced for full
 // checking (hash collisions plus unkeyable entries), FallbackScans full

@@ -459,7 +459,7 @@ func TestForwardStatsCounters(t *testing.T) {
 	if _, err := s.invoke(tx2, "remove", 5); !engine.IsConflict(err) {
 		t.Fatal("expected conflict")
 	}
-	st := s.g.Stats()
+	st := s.g.Telemetry().Snapshot()
 	if st.Invocations != 3 {
 		t.Errorf("Invocations = %d, want 3", st.Invocations)
 	}

@@ -10,19 +10,6 @@ import (
 	"commlat/internal/telemetry"
 )
 
-// GEffect is the result of executing a method invocation under a general
-// gatekeeper. Mutating invocations must supply exact-state Undo and Redo
-// actions: Undo restores the concrete state to what it was immediately
-// before the invocation, and Redo re-applies the exact change. The
-// gatekeeper drives them to roll the structure back to earlier states
-// when evaluating conditions that are not ONLINE-CHECKABLE, then restore
-// it (§3.3.2).
-type GEffect struct {
-	Ret  core.Value
-	Undo func()
-	Redo func()
-}
-
 // jentry is one journaled mutation by an active transaction, a node of
 // the seq-ordered doubly-linked journal. The list shape lets a
 // transaction's entries be unlinked in O(1) each at commit or abort,
@@ -132,7 +119,7 @@ func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, 
 // active invocations from other transactions, rolling the structure back
 // as needed to evaluate stateful condition terms in the right states. On
 // conflict the invocation's own effect is undone before returning.
-func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() GEffect) (_ core.Value, err error) {
+func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() Effect) (_ core.Value, err error) {
 	mid, err := g.resolve(method)
 	if err != nil {
 		return core.Value{}, err
@@ -146,7 +133,7 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	var own *jentry
 	if eff.Undo != nil {
 		if eff.Redo == nil {
-			panic("gatekeeper: GEffect with Undo but no Redo")
+			panic("gatekeeper: general gatekeeper Effect with Undo but no Redo")
 		}
 		g.seq++
 		own = jentryPool.Get().(*jentry)

@@ -177,9 +177,9 @@ func FuzzGeneralAgreesWithForward(f *testing.F) {
 				})
 			}
 			gen.invoke = func(tx *engine.Tx, method string, args core.Vec, apply func() fuzzOp) (core.Value, error) {
-				return gg.Invoke(tx, method, args, func() GEffect {
+				return gg.Invoke(tx, method, args, func() Effect {
 					op := apply()
-					return GEffect{Ret: op.ret, Undo: op.undo, Redo: op.redo}
+					return Effect{Ret: op.ret, Undo: op.undo, Redo: op.redo}
 				})
 			}
 			arms = append(arms, fwd, gen)

@@ -97,15 +97,15 @@ func (u *guf) loser(a, b int64) int64 {
 }
 
 func (u *guf) union(tx *engine.Tx, a, b int64) error {
-	_, err := u.g.Invoke(tx, "union", core.MakeVec(core.V(a), core.V(b)), func() GEffect {
+	_, err := u.g.Invoke(tx, "union", core.MakeVec(core.V(a), core.V(b)), func() Effect {
 		ra, rb := u.rep(a), u.rep(b)
 		if ra == rb {
-			return GEffect{}
+			return Effect{}
 		}
 		l := u.loser(a, b)
 		w := ra + rb - l
 		u.parent[l] = w
-		return GEffect{
+		return Effect{
 			Undo: func() { u.parent[l] = l },
 			Redo: func() { u.parent[l] = w },
 		}
@@ -114,8 +114,8 @@ func (u *guf) union(tx *engine.Tx, a, b int64) error {
 }
 
 func (u *guf) find(tx *engine.Tx, a int64) (int64, error) {
-	ret, err := u.g.Invoke(tx, "find", core.MakeVec(core.V(a)), func() GEffect {
-		return GEffect{Ret: core.VInt(u.rep(a))}
+	ret, err := u.g.Invoke(tx, "find", core.MakeVec(core.V(a)), func() Effect {
+		return Effect{Ret: core.VInt(u.rep(a))}
 	})
 	if err != nil {
 		return 0, err
@@ -517,8 +517,8 @@ func TestGeneralPanicsWithoutRedo(t *testing.T) {
 			t.Error("Undo without Redo should panic")
 		}
 	}()
-	_, _ = u.g.Invoke(tx, "union", core.MakeVec(core.V(int64(0)), core.V(int64(1))), func() GEffect {
-		return GEffect{Undo: func() {}}
+	_, _ = u.g.Invoke(tx, "union", core.MakeVec(core.V(int64(0)), core.V(int64(1))), func() Effect {
+		return Effect{Undo: func() {}}
 	})
 }
 
@@ -536,7 +536,7 @@ func TestGeneralStatsCounters(t *testing.T) {
 	if _, err := u.find(tx2, 1); !engine.IsConflict(err) {
 		t.Fatal("expected conflict")
 	}
-	st := u.g.Stats()
+	st := u.g.Telemetry().Snapshot()
 	if st.Invocations != 3 {
 		t.Errorf("Invocations = %d, want 3", st.Invocations)
 	}
@@ -573,7 +573,7 @@ func TestUnknownMethodRejected(t *testing.T) {
 	}
 	ran := false
 	effect := func() Effect { ran = true; return Effect{Ret: core.VBool(true)} }
-	geffect := func() GEffect { ran = true; return GEffect{Ret: core.VBool(true)} }
+	geffect := func() Effect { ran = true; return Effect{Ret: core.VBool(true)} }
 	for _, tc := range []struct {
 		name   string
 		invoke func(tx *engine.Tx) error
@@ -664,8 +664,8 @@ func TestGeneralRecordsLatencyAndFlight(t *testing.T) {
 	defer telemetry.DisableLatency()
 	defer telemetry.DisableFlight()
 	add := func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() GEffect {
-			return GEffect{Ret: core.VBool(true)}
+		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() Effect {
+			return Effect{Ret: core.VBool(true)}
 		})
 		return err
 	}

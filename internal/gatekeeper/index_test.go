@@ -101,11 +101,11 @@ func TestForwardIndexDistinctKeysSkipChecker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := s.g.Stats()
+	before := s.g.Telemetry().Snapshot()
 	if _, err := s.invoke(tx2, "add", 1000); err != nil {
 		t.Fatal(err)
 	}
-	after := s.g.Stats()
+	after := s.g.Telemetry().Snapshot()
 	if d := after.Checks - before.Checks; d != 0 {
 		t.Errorf("distinct-key probe ran %d checks, want 0", d)
 	}
@@ -128,7 +128,7 @@ func TestForwardPureDiseqImmediateConflict(t *testing.T) {
 	if _, err := s.invoke(tx2, "add", 5); !engine.IsConflict(err) {
 		t.Fatalf("same-key adds must conflict under rw spec, got %v", err)
 	}
-	st := s.g.Stats()
+	st := s.g.Telemetry().Snapshot()
 	if st.Checks != 0 {
 		t.Errorf("pure-disequality collision evaluated %d checkers, want 0", st.Checks)
 	}
@@ -170,7 +170,7 @@ func TestForwardNaNKeysStayConservative(t *testing.T) {
 	if _, err := s.g.Invoke(tx2, "add", core.MakeVec(core.V(math.NaN())), func() Effect { return Effect{Ret: core.VBool(true)} }); err != nil {
 		t.Fatalf("NaN adds commute (NaN != NaN): %v", err)
 	}
-	st := s.g.Stats()
+	st := s.g.Telemetry().Snapshot()
 	if st.Collisions == 0 {
 		t.Errorf("NaN probe should collide conservatively")
 	}
@@ -199,7 +199,7 @@ func TestForwardUnkeyableValuesFallBack(t *testing.T) {
 	if _, err := s.g.Invoke(tx2, "add", core.MakeVec(core.V(pt{1, 2})), exec); !engine.IsConflict(err) {
 		t.Fatalf("equal struct keys must conflict, got %v", err)
 	}
-	if st := s.g.Stats(); st.FallbackScans == 0 {
+	if st := s.g.Telemetry().Snapshot(); st.FallbackScans == 0 {
 		t.Errorf("unkeyable probes should count fallback scans")
 	}
 	// Huge integral floats are ValueEq-hazardous and must also take the
@@ -258,7 +258,7 @@ func TestForwardDisableIndexEquivalence(t *testing.T) {
 	if on.key() != off.key() {
 		t.Fatalf("final states diverge: %s vs %s", on.key(), off.key())
 	}
-	st := on.g.Stats()
+	st := on.g.Telemetry().Snapshot()
 	if st.Probes == 0 || st.FallbackScans == 0 || st.Collisions == 0 || st.Conflicts == 0 {
 		t.Errorf("indexed run should probe, fall back on unkeyable probes, meet unkeyed entries and refuse: %+v", st)
 	}
@@ -310,22 +310,22 @@ func newGenSet(t *testing.T, cfg Config) *genSet {
 }
 
 func (s *genSet) invokeV(tx *engine.Tx, method string, x int64, arg core.Value) (bool, error) {
-	ret, err := s.g.Invoke(tx, method, core.MakeVec(core.V(arg)), func() GEffect {
+	ret, err := s.g.Invoke(tx, method, core.MakeVec(core.V(arg)), func() Effect {
 		switch method {
 		case "add":
 			if s.elems[x] {
-				return GEffect{Ret: core.VBool(false)}
+				return Effect{Ret: core.VBool(false)}
 			}
 			s.elems[x] = true
-			return GEffect{Ret: core.VBool(true), Undo: func() { delete(s.elems, x) }, Redo: func() { s.elems[x] = true }}
+			return Effect{Ret: core.VBool(true), Undo: func() { delete(s.elems, x) }, Redo: func() { s.elems[x] = true }}
 		case "remove":
 			if !s.elems[x] {
-				return GEffect{Ret: core.VBool(false)}
+				return Effect{Ret: core.VBool(false)}
 			}
 			delete(s.elems, x)
-			return GEffect{Ret: core.VBool(true), Undo: func() { s.elems[x] = true }, Redo: func() { delete(s.elems, x) }}
+			return Effect{Ret: core.VBool(true), Undo: func() { s.elems[x] = true }, Redo: func() { delete(s.elems, x) }}
 		default:
-			return GEffect{Ret: core.VBool(s.elems[x])}
+			return Effect{Ret: core.VBool(s.elems[x])}
 		}
 	})
 	if err != nil {
@@ -378,7 +378,7 @@ func TestGeneralIndexedMatchesInterpretedOracle(t *testing.T) {
 				t.Fatalf("seed %d: state divergence at %d", seed, x)
 			}
 		}
-		if st := s.g.Stats(); st.Probes == 0 {
+		if st := s.g.Telemetry().Snapshot(); st.Probes == 0 {
 			t.Fatalf("seed %d: index never probed", seed)
 		}
 	}

@@ -615,9 +615,6 @@ func (l *logged) ActiveInvocations() int {
 	return l.nActive
 }
 
-// Stats returns a snapshot of the gatekeeper's work counters.
-func (l *logged) Stats() Stats { return l.tele.Snapshot() }
-
 // Telemetry returns the gatekeeper's telemetry detector, whose snapshot
 // additionally attributes checks and conflicts per method pair.
 func (l *logged) Telemetry() *telemetry.Detector { return l.tele }

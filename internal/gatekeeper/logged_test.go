@@ -35,9 +35,9 @@ func TestPanickingExecReturnsItsEntry(t *testing.T) {
 			return err
 		}},
 		{"general", &gg.logged, func(tx *engine.Tx, x int64, exec func()) error {
-			_, err := gg.Invoke(tx, "add", core.Args1(core.VInt(x)), func() GEffect {
+			_, err := gg.Invoke(tx, "add", core.Args1(core.VInt(x)), func() Effect {
 				exec()
-				return GEffect{Ret: core.VBool(true)}
+				return Effect{Ret: core.VBool(true)}
 			})
 			return err
 		}},

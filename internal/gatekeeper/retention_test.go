@@ -95,8 +95,8 @@ func TestGeneralPoolsDropUserValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	grew := retentionScenario(t, func(tx *engine.Tx, v core.Value) error {
-		_, err := g.Invoke(tx, "add", core.Args1(v), func() GEffect {
-			return GEffect{Ret: core.VBool(true)}
+		_, err := g.Invoke(tx, "add", core.Args1(v), func() Effect {
+			return Effect{Ret: core.VBool(true)}
 		})
 		return err
 	})
@@ -181,7 +181,7 @@ func TestIdleGatekeeperKeepsNoScratch(t *testing.T) {
 			return err
 		}, fg.ActiveInvocations},
 		{"general", func(tx *engine.Tx, v core.Value) error {
-			_, err := gg.Invoke(tx, "add", core.Args1(v), func() GEffect { return GEffect{Ret: core.VBool(true)} })
+			_, err := gg.Invoke(tx, "add", core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
 			return err
 		}, gg.ActiveInvocations},
 	} {

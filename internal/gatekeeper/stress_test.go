@@ -142,7 +142,7 @@ func TestForwardIndexedMatchesInterpretedOracle(t *testing.T) {
 			}
 		}
 		// The schedules above must actually have exercised the index.
-		if st := s.g.Stats(); st.Probes == 0 {
+		if st := s.g.Telemetry().Snapshot(); st.Probes == 0 {
 			t.Fatalf("seed %d: index never probed", seed)
 		}
 	}

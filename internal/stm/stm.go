@@ -5,10 +5,11 @@
 // live transaction has read or written, or reads an object another has
 // written — the concrete-commutativity specification FC of §4.3.
 //
-// The `-ml` ADT variants (kd-ml, uf-ml, and the read/write-lock flow
-// graph) are built from stm.Var cells, so their conflict behaviour is
-// exactly object/memory-level, in contrast to the semantic detectors in
-// abslock and gatekeeper.
+// The memory-level variants kd-ml and uf-ml, and intset's STMSet, guard
+// their objects with Obj handles, so their conflict behaviour is exactly
+// object/memory-level, in contrast to the semantic detectors in abslock
+// and gatekeeper. (The flow graph's ml point is its read/write
+// specification synthesized into abstract locks.)
 package stm
 
 import (
@@ -80,44 +81,3 @@ func (o *Obj) ReleaseTx(tx *engine.Tx) {
 		o.writer = nil
 	}
 }
-
-// Var is a transactional variable: an Obj plus a value of type T with
-// automatic undo logging on transactional writes.
-type Var[T any] struct {
-	o Obj
-	v T
-}
-
-// NewVar creates a Var initialized to v.
-func NewVar[T any](v T) *Var[T] {
-	return &Var[T]{v: v}
-}
-
-// Read returns the value after acquiring the cell in read mode.
-func (c *Var[T]) Read(tx *engine.Tx) (T, error) {
-	if err := c.o.Read(tx); err != nil {
-		var zero T
-		return zero, err
-	}
-	return c.v, nil
-}
-
-// Write stores nv after acquiring the cell in write mode, registering an
-// undo action that restores the previous value if tx aborts.
-func (c *Var[T]) Write(tx *engine.Tx, nv T) error {
-	if err := c.o.Write(tx); err != nil {
-		return err
-	}
-	old := c.v
-	tx.OnUndo(func() { c.v = old })
-	c.v = nv
-	return nil
-}
-
-// Load reads the value without conflict detection. Only safe during
-// single-threaded phases (setup, validation).
-func (c *Var[T]) Load() T { return c.v }
-
-// Store writes the value without conflict detection. Only safe during
-// single-threaded phases.
-func (c *Var[T]) Store(v T) { c.v = v }

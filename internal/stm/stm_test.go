@@ -10,100 +10,81 @@ import (
 )
 
 func TestReadersShare(t *testing.T) {
-	v := NewVar(42)
+	var o Obj
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if x, err := v.Read(tx1); err != nil || x != 42 {
-		t.Fatalf("Read = %v, %v", x, err)
+	if err := o.Read(tx1); err != nil {
+		t.Fatalf("Read = %v", err)
 	}
-	if x, err := v.Read(tx2); err != nil || x != 42 {
-		t.Fatalf("second reader should share: %v, %v", x, err)
+	if err := o.Read(tx2); err != nil {
+		t.Fatalf("second reader should share: %v", err)
 	}
 }
 
 func TestWriteConflictsWithReader(t *testing.T) {
-	v := NewVar(1)
+	var o Obj
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx2.Abort()
-	if _, err := v.Read(tx1); err != nil {
+	if err := o.Read(tx1); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Write(tx2, 2); !engine.IsConflict(err) {
+	if err := o.Write(tx2); !engine.IsConflict(err) {
 		t.Fatalf("write under reader should conflict, got %v", err)
 	}
 	tx1.Commit()
-	if err := v.Write(tx2, 2); err != nil {
+	if err := o.Write(tx2); err != nil {
 		t.Fatalf("write after reader commit: %v", err)
-	}
-	if v.Load() != 2 {
-		t.Errorf("Load = %d", v.Load())
 	}
 }
 
 func TestReadConflictsWithWriter(t *testing.T) {
-	v := NewVar(1)
+	var o Obj
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx2.Abort()
-	if err := v.Write(tx1, 5); err != nil {
+	if err := o.Write(tx1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Read(tx2); !engine.IsConflict(err) {
+	if err := o.Read(tx2); !engine.IsConflict(err) {
 		t.Fatalf("read under writer should conflict, got %v", err)
 	}
-	if err := v.Write(tx2, 6); !engine.IsConflict(err) {
+	if err := o.Write(tx2); !engine.IsConflict(err) {
 		t.Fatalf("write under writer should conflict, got %v", err)
 	}
 	tx1.Abort()
-	if x, err := v.Read(tx2); err != nil || x != 1 {
-		t.Fatalf("after abort Read = %v, %v (undo should restore 1)", x, err)
+	if err := o.Read(tx2); err != nil {
+		t.Fatalf("read after writer abort: %v", err)
 	}
 }
 
 func TestOwnUpgradeAndReentrancy(t *testing.T) {
-	v := NewVar(1)
+	var o Obj
 	tx := engine.NewTx()
-	if _, err := v.Read(tx); err != nil {
+	if err := o.Read(tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Write(tx, 2); err != nil {
+	if err := o.Write(tx); err != nil {
 		t.Fatalf("self upgrade failed: %v", err)
 	}
-	if x, err := v.Read(tx); err != nil || x != 2 {
-		t.Fatalf("read own write = %v, %v", x, err)
+	if err := o.Read(tx); err != nil {
+		t.Fatalf("read own write: %v", err)
 	}
-	if err := v.Write(tx, 3); err != nil {
+	if err := o.Write(tx); err != nil {
 		t.Fatalf("re-write failed: %v", err)
 	}
 	tx.Abort()
-	if v.Load() != 1 {
-		t.Errorf("nested undo should restore 1, got %d", v.Load())
-	}
-}
-
-func TestAbortRestoresInOrder(t *testing.T) {
-	a, b := NewVar("a0"), NewVar("b0")
-	tx := engine.NewTx()
-	if err := a.Write(tx, "a1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Write(tx, "b1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Write(tx, "a2"); err != nil {
-		t.Fatal(err)
-	}
-	tx.Abort()
-	if a.Load() != "a0" || b.Load() != "b0" {
-		t.Errorf("abort left %q %q", a.Load(), b.Load())
+	other := engine.NewTx()
+	defer other.Abort()
+	if err := o.Write(other); err != nil {
+		t.Errorf("object still held after the upgrader aborted: %v", err)
 	}
 }
 
 func TestReleaseFreesObject(t *testing.T) {
-	v := NewVar(0)
+	var o Obj
 	for i := 0; i < 100; i++ {
 		tx := engine.NewTx()
-		if err := v.Write(tx, i); err != nil {
+		if err := o.Write(tx); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		if i%2 == 0 {
@@ -115,36 +96,35 @@ func TestReleaseFreesObject(t *testing.T) {
 }
 
 func TestConcurrentCounter(t *testing.T) {
-	// N workers increment a shared counter transactionally; final value
-	// must equal the number of commits.
-	v := NewVar(0)
+	// N workers increment a counter guarded by one object; the final
+	// value must equal the number of commits.
+	var o Obj
+	var counter int
 	var commits atomic.Int64
 	items := make([]int, 800)
 	_, err := engine.RunItems(items, engine.Options{Workers: 8}, func(tx *engine.Tx, _ int, _ *engine.Worklist[int]) error {
-		x, err := v.Read(tx)
-		if err != nil {
+		if err := o.Read(tx); err != nil {
 			return err
 		}
-		if err := v.Write(tx, x+1); err != nil {
+		if err := o.Write(tx); err != nil {
 			return err
 		}
+		counter++
+		tx.OnUndo(func() { counter-- })
 		commits.Add(1)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Load() != 800 || commits.Load() != 800 {
-		t.Errorf("counter = %d, commits = %d, want 800", v.Load(), commits.Load())
+	if counter != 800 || commits.Load() != 800 {
+		t.Errorf("counter = %d, commits = %d, want 800", counter, commits.Load())
 	}
 }
 
 func TestConcurrentDisjointVars(t *testing.T) {
-	// Writes to distinct vars never conflict.
-	vars := make([]*Var[int], 64)
-	for i := range vars {
-		vars[i] = NewVar(0)
-	}
+	// Writes to distinct objects never conflict.
+	objs := make([]Obj, 64)
 	var conflicts atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -154,8 +134,8 @@ func TestConcurrentDisjointVars(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 200; i++ {
 				tx := engine.NewTx()
-				v := vars[w*8+r.Intn(8)] // per-worker slice of vars
-				if err := v.Write(tx, i); err != nil {
+				o := &objs[w*8+r.Intn(8)] // per-worker slice of objects
+				if err := o.Write(tx); err != nil {
 					conflicts.Add(1)
 					tx.Abort()
 					continue
@@ -171,18 +151,19 @@ func TestConcurrentDisjointVars(t *testing.T) {
 }
 
 func TestVisibleReaderBlocksWriterUntilRelease(t *testing.T) {
-	v := NewVar(0)
+	var o Obj
 	tx1 := engine.NewTx()
-	if _, err := v.Read(tx1); err != nil {
+	if err := o.Read(tx1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Spin until the writer gets in (after tx1 aborts).
+		// Spin until the writer gets in (after tx1 aborts): the test
+		// finishes only if the abort released the read.
 		for {
 			tx := engine.NewTx()
-			if err := v.Write(tx, 9); err == nil {
+			if err := o.Write(tx); err == nil {
 				tx.Commit()
 				return
 			}
@@ -191,7 +172,4 @@ func TestVisibleReaderBlocksWriterUntilRelease(t *testing.T) {
 	}()
 	tx1.Abort()
 	<-done
-	if v.Load() != 9 {
-		t.Errorf("Load = %d, want 9", v.Load())
-	}
 }
