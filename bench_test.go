@@ -178,10 +178,11 @@ func benchForwardHotPath(b *testing.B, activeMethod string, nActive int) {
 	// A long-lived transaction keeps nActive invocations in the log, so
 	// every benchmark invocation is checked against all of them ("checks")
 	// or skips them via the trivially-true pair condition ("trivial").
+	active, contains := g.Method(activeMethod), g.Method("contains")
 	holder := engine.NewTx()
 	defer holder.Commit()
 	for i := int64(1); i <= int64(nActive); i++ {
-		if _, err := g.Invoke(holder, activeMethod, core.Args1(core.VInt(-i)), func() gatekeeper.Effect {
+		if _, err := g.Invoke(holder, active, core.Args1(core.VInt(-i)), func() gatekeeper.Effect {
 			return gatekeeper.Effect{Ret: core.VBool(activeMethod == "add")}
 		}); err != nil {
 			b.Fatal(err)
@@ -196,7 +197,7 @@ func benchForwardHotPath(b *testing.B, activeMethod string, nActive int) {
 			i++
 			tx := engine.GetTx()
 			k := base | (i & 1023)
-			if _, err := g.Invoke(tx, "contains", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
+			if _, err := g.Invoke(tx, contains, core.Args1(core.VInt(k)), func() gatekeeper.Effect {
 				return gatekeeper.Effect{Ret: core.VBool(false)}
 			}); err != nil {
 				b.Error(err)

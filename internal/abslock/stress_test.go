@@ -18,6 +18,11 @@ import (
 // decisions on identical schedules, and the striped table must hold no
 // locks once every transaction has ended.
 
+// releaseFunc is a closure as an engine.Releaser, for tests.
+type releaseFunc func()
+
+func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
+
 // TestManagerStripedMatchesSingleStripeOracle replays deterministic
 // random schedules of interleaved invocations from several transactions
 // against a striped manager and a single-stripe oracle, requiring the
@@ -140,13 +145,13 @@ func TestManagerStripedConcurrentStress(t *testing.T) {
 						if v != 1<<16 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-(1 << 16)) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-(1 << 16)) }))
 					} else {
 						v := occupancy[k].Add(1)
 						if v>>16 != 0 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-1) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-1) }))
 					}
 					tx.Commit()
 				} else {

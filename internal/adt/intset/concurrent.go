@@ -29,14 +29,16 @@ type Set interface {
 // differs.
 type LockedSet struct {
 	mgr *abslock.Manager
-	ops [3]*abslock.Method // compiled acquisition handles, by lockedOp
+	ops [3]*abslock.Method // compiled acquisition handles, by setOp
 	r   guardedRep
 }
 
-type lockedOp int
+// setOp indexes a set operation: every guarded set passes it down to
+// guardedRep.effect, and the handle tables are indexed by it.
+type setOp int
 
 const (
-	opAdd lockedOp = iota
+	opAdd setOp = iota
 	opRemove
 	opContains
 )
@@ -52,13 +54,13 @@ type guardedRep struct {
 	rep Rep
 }
 
-// effect applies method to x and returns its result, with the inverse
-// as Undo when the set changed.
-func (r *guardedRep) effect(method string, x int64) gatekeeper.Effect {
+// effect applies op to x and returns its result, with the inverse as
+// Undo when the set changed.
+func (r *guardedRep) effect(op setOp, x int64) gatekeeper.Effect {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch method {
-	case "add":
+	switch op {
+	case opAdd:
 		if r.rep.Add(x) {
 			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
 				r.mu.Lock()
@@ -67,7 +69,7 @@ func (r *guardedRep) effect(method string, x int64) gatekeeper.Effect {
 			}}
 		}
 		return gatekeeper.Effect{Ret: core.VBool(false)}
-	case "remove":
+	case opRemove:
 		if r.rep.Remove(x) {
 			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() {
 				r.mu.Lock()
@@ -81,7 +83,7 @@ func (r *guardedRep) effect(method string, x int64) gatekeeper.Effect {
 	}
 }
 
-// addRun is effect("add") over one admission run, the mutex taken once.
+// addRun is effect(opAdd) over one admission run, the mutex taken once.
 func (r *guardedRep) addRun(run []gatekeeper.BatchOp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -165,7 +167,7 @@ func NewPartitionLocked(rep Rep, nparts int) *LockedSet {
 }
 
 // invoke guards one operation: pre-acquire, apply, post-acquire.
-func (s *LockedSet) invoke(tx *engine.Tx, op lockedOp, x int64) (bool, error) {
+func (s *LockedSet) invoke(tx *engine.Tx, op setOp, x int64) (bool, error) {
 	h, arg := s.ops[op], core.VInt(x)
 	if err := s.mgr.Acquire(tx, h, arg); err != nil {
 		return false, err
@@ -179,8 +181,8 @@ func (s *LockedSet) invoke(tx *engine.Tx, op lockedOp, x int64) (bool, error) {
 
 // apply runs op on the representation, registering the inverse with tx
 // when it changed the set.
-func (s *LockedSet) apply(tx *engine.Tx, op lockedOp, x int64) bool {
-	e := s.r.effect(opNames[op], x)
+func (s *LockedSet) apply(tx *engine.Tx, op setOp, x int64) bool {
+	e := s.r.effect(op, x)
 	if e.Undo != nil {
 		tx.OnUndo(e.Undo)
 	}
@@ -207,8 +209,9 @@ func (s *LockedSet) Snapshot() []int64 { return s.r.elems() }
 // permissive detector for sets: non-mutating adds/removes and reads of
 // untouched elements all proceed concurrently.
 type GatekeptSet struct {
-	g *gatekeeper.Forward
-	r guardedRep
+	g   *gatekeeper.Forward
+	ops [3]*gatekeeper.Method // method handles, by setOp
+	r   guardedRep
 }
 
 // NewGatekept builds the forward-gatekept set over rep.
@@ -217,12 +220,16 @@ func NewGatekept(rep Rep) *GatekeptSet {
 	if err != nil {
 		panic(err) // the precise set spec is ONLINE-CHECKABLE
 	}
-	return &GatekeptSet{g: g, r: guardedRep{rep: rep}}
+	s := &GatekeptSet{g: g, r: guardedRep{rep: rep}}
+	for op, method := range opNames {
+		s.ops[op] = g.Method(method)
+	}
+	return s
 }
 
-func (s *GatekeptSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
-	ret, err := s.g.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		return s.r.effect(method, x)
+func (s *GatekeptSet) invoke(tx *engine.Tx, op setOp, x int64) (bool, error) {
+	ret, err := s.g.Invoke(tx, s.ops[op], core.Args1(core.VInt(x)), func() gatekeeper.Effect {
+		return s.r.effect(op, x)
 	})
 	if err != nil {
 		return false, err
@@ -231,14 +238,14 @@ func (s *GatekeptSet) invoke(tx *engine.Tx, method string, x int64) (bool, error
 }
 
 // Add inserts x under gatekeeping; it reports whether the set changed.
-func (s *GatekeptSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "add", x) }
+func (s *GatekeptSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opAdd, x) }
 
 // Remove deletes x under gatekeeping.
-func (s *GatekeptSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "remove", x) }
+func (s *GatekeptSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opRemove, x) }
 
 // Contains queries membership under gatekeeping.
 func (s *GatekeptSet) Contains(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "contains", x)
+	return s.invoke(tx, opContains, x)
 }
 
 // Telemetry returns the gatekeeper's telemetry detector, which
@@ -261,22 +268,16 @@ type CascadeSet struct {
 
 // NewCascaded builds the cascade-guarded set over rep.
 func NewCascaded(rep Rep) *CascadeSet {
-	return NewCascadedConfig(rep, gatekeeper.CascadeConfig{})
-}
-
-// NewCascadedConfig is NewCascaded with explicit cascade configuration
-// (tests use small slot tables to exercise the overflow path).
-func NewCascadedConfig(rep Rep, cfg gatekeeper.CascadeConfig) *CascadeSet {
-	c, err := gatekeeper.NewCascadeConfig(PreciseSpec(), nil, cfg)
+	c, err := gatekeeper.NewCascade(PreciseSpec(), nil)
 	if err != nil {
 		panic(err) // the precise set spec is log-free, hence cascadable
 	}
 	return &CascadeSet{c: c, r: guardedRep{rep: rep}}
 }
 
-func (s *CascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
-	ret, err := s.c.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		return s.r.effect(method, x)
+func (s *CascadeSet) invoke(tx *engine.Tx, op setOp, x int64) (bool, error) {
+	ret, err := s.c.Invoke(tx, opNames[op], core.Args1(core.VInt(x)), func() gatekeeper.Effect {
+		return s.r.effect(op, x)
 	})
 	if err != nil {
 		return false, err
@@ -285,7 +286,7 @@ func (s *CascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool, error)
 }
 
 // Add inserts x under the cascade; it reports whether the set changed.
-func (s *CascadeSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "add", x) }
+func (s *CascadeSet) Add(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opAdd, x) }
 
 // addBatchPool recycles the BatchOp staging slices of AddBatch so a
 // steady-state batched worker allocates nothing per batch.
@@ -369,11 +370,11 @@ func commitAdds(s Set, opsp *[]gatekeeper.BatchOp, p int, txs []*engine.Tx, xs [
 }
 
 // Remove deletes x under the cascade.
-func (s *CascadeSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, "remove", x) }
+func (s *CascadeSet) Remove(tx *engine.Tx, x int64) (bool, error) { return s.invoke(tx, opRemove, x) }
 
 // Contains queries membership under the cascade.
 func (s *CascadeSet) Contains(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "contains", x)
+	return s.invoke(tx, opContains, x)
 }
 
 // Telemetry returns the cascade's telemetry detector.

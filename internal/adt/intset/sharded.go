@@ -28,13 +28,7 @@ type paddedRep struct {
 // one representation shard (called once per shard), shards <= 0 means
 // gatekeeper.DefaultShards.
 func NewShardedCascaded(mk func() Rep, shards int) *ShardedCascadeSet {
-	return NewShardedCascadedConfig(mk, gatekeeper.CascadeConfig{}, shards)
-}
-
-// NewShardedCascadedConfig is NewShardedCascaded with explicit
-// per-shard cascade configuration.
-func NewShardedCascadedConfig(mk func() Rep, cfg gatekeeper.CascadeConfig, shards int) *ShardedCascadeSet {
-	c, err := gatekeeper.NewShardedConfig(PreciseSpec(), nil, cfg, shards)
+	c, err := gatekeeper.NewSharded(PreciseSpec(), nil, shards)
 	if err != nil {
 		panic(err) // the precise set spec is log-free, hence cascadable
 	}
@@ -56,10 +50,10 @@ func (s *ShardedCascadeSet) repFor(x int64) *guardedRep {
 	return &s.reps[sh].guardedRep
 }
 
-func (s *ShardedCascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
+func (s *ShardedCascadeSet) invoke(tx *engine.Tx, op setOp, x int64) (bool, error) {
 	r := s.repFor(x)
-	ret, err := s.c.Invoke(tx, method, core.Args1(core.VInt(x)), func() gatekeeper.Effect {
-		return r.effect(method, x)
+	ret, err := s.c.Invoke(tx, opNames[op], core.Args1(core.VInt(x)), func() gatekeeper.Effect {
+		return r.effect(op, x)
 	})
 	if err != nil {
 		return false, err
@@ -69,17 +63,17 @@ func (s *ShardedCascadeSet) invoke(tx *engine.Tx, method string, x int64) (bool,
 
 // Add inserts x; it reports whether the set changed.
 func (s *ShardedCascadeSet) Add(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "add", x)
+	return s.invoke(tx, opAdd, x)
 }
 
 // Remove deletes x.
 func (s *ShardedCascadeSet) Remove(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "remove", x)
+	return s.invoke(tx, opRemove, x)
 }
 
 // Contains queries membership.
 func (s *ShardedCascadeSet) Contains(tx *engine.Tx, x int64) (bool, error) {
-	return s.invoke(tx, "contains", x)
+	return s.invoke(tx, opContains, x)
 }
 
 // AddBatch is CascadeSet.AddBatch through the router: the batch splits

@@ -146,8 +146,7 @@ func TestShardedSetBatchStressRace(t *testing.T) {
 				if got, wantN := len(s.Snapshot()), len(want); got != wantN {
 					t.Errorf("snapshot has %d elements, want %d", got, wantN)
 				}
-				d := s.Telemetry()
-				if d.ShardLocals() == 0 {
+				if s.Telemetry().Snapshot().ShardLocal == 0 {
 					t.Error("no shard-local admissions counted")
 				}
 			})

@@ -133,8 +133,9 @@ func (m *MLTree) Contains(tx *engine.Tx, p Point) (bool, error) {
 // tracks semantic information — the paper's (x, dist(x, r)) log — it
 // admits far more parallelism than kd-ml and pays no per-node tracking.
 type GKTree struct {
-	g *gatekeeper.Forward
-	t *Tree
+	g                              *gatekeeper.Forward
+	add, remove, nearest, contains *gatekeeper.Method
+	t                              *Tree
 }
 
 // NewGK creates an empty kd-gk tree.
@@ -143,7 +144,11 @@ func NewGK() *GKTree {
 	if err != nil {
 		panic(err) // figure 4's spec is ONLINE-CHECKABLE with dist pure
 	}
-	return &GKTree{g: g, t: New()}
+	return &GKTree{
+		g: g, t: New(),
+		add: g.Method("add"), remove: g.Method("remove"),
+		nearest: g.Method("nearest"), contains: g.Method("contains"),
+	}
 }
 
 // Seed bulk-loads points without conflict detection, building a balanced
@@ -169,7 +174,7 @@ func (k *GKTree) Len() int {
 
 // Add inserts p under gatekeeping.
 func (k *GKTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, "add", core.Args1(core.V(p)), func() gatekeeper.Effect {
+	ret, err := k.g.Invoke(tx, k.add, core.Args1(core.V(p)), func() gatekeeper.Effect {
 		if k.t.Add(p) {
 			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { k.t.Remove(p) }}
 		}
@@ -183,7 +188,7 @@ func (k *GKTree) Add(tx *engine.Tx, p Point) (bool, error) {
 
 // Remove deletes p under gatekeeping.
 func (k *GKTree) Remove(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, "remove", core.Args1(core.V(p)), func() gatekeeper.Effect {
+	ret, err := k.g.Invoke(tx, k.remove, core.Args1(core.V(p)), func() gatekeeper.Effect {
 		if k.t.Remove(p) {
 			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { k.t.Add(p) }}
 		}
@@ -197,7 +202,7 @@ func (k *GKTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 
 // Nearest queries under gatekeeping.
 func (k *GKTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
-	ret, err := k.g.Invoke(tx, "nearest", core.Args1(core.V(p)), func() gatekeeper.Effect {
+	ret, err := k.g.Invoke(tx, k.nearest, core.Args1(core.V(p)), func() gatekeeper.Effect {
 		return gatekeeper.Effect{Ret: core.V(k.t.Nearest(p))}
 	})
 	if err != nil {
@@ -212,7 +217,7 @@ func (k *GKTree) Telemetry() *telemetry.Detector { return k.g.Telemetry() }
 
 // Contains queries membership under gatekeeping.
 func (k *GKTree) Contains(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, "contains", core.Args1(core.V(p)), func() gatekeeper.Effect {
+	ret, err := k.g.Invoke(tx, k.contains, core.Args1(core.V(p)), func() gatekeeper.Effect {
 		return gatekeeper.Effect{Ret: core.VBool(k.t.Contains(p))}
 	})
 	if err != nil {

@@ -118,8 +118,9 @@ func (m *ML) undoOnAbort(tx *engine.Tx, ws []Write) {
 // systematic construction working end to end); GK is the faster of the
 // two.
 type Generic struct {
-	g *gatekeeper.General
-	f *Forest
+	g           *gatekeeper.General
+	union, find *gatekeeper.Method
+	f           *Forest
 }
 
 // NewGeneric creates a generic-engine union-find with n elements.
@@ -129,7 +130,7 @@ func NewGeneric(n int) *Generic {
 	if err != nil {
 		panic(err) // the general engine accepts all L1 specs
 	}
-	return &Generic{g: g, f: f}
+	return &Generic{g: g, union: g.Method("union"), find: g.Method("find"), f: f}
 }
 
 // Forest exposes the underlying forest.
@@ -138,7 +139,7 @@ func (u *Generic) Forest() *Forest { return u.f }
 // Union merges under the generic general gatekeeper.
 func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 	var merged bool
-	_, err := u.g.Invoke(tx, "union", core.Args2(core.VInt(a), core.VInt(b)), func() gatekeeper.Effect {
+	_, err := u.g.Invoke(tx, u.union, core.Args2(core.VInt(a), core.VInt(b)), func() gatekeeper.Effect {
 		var ws []Write
 		merged, ws = u.f.UnionW(a, b)
 		if len(ws) == 0 {
@@ -157,7 +158,7 @@ func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 
 // Find returns a's representative under the generic general gatekeeper.
 func (u *Generic) Find(tx *engine.Tx, a int64) (int64, error) {
-	ret, err := u.g.Invoke(tx, "find", core.Args1(core.VInt(a)), func() gatekeeper.Effect {
+	ret, err := u.g.Invoke(tx, u.find, core.Args1(core.VInt(a)), func() gatekeeper.Effect {
 		r, ws := u.f.FindW(a)
 		eff := gatekeeper.Effect{Ret: core.VInt(r)}
 		if len(ws) > 0 {

@@ -525,8 +525,9 @@ func added() gatekeeper.Effect { return gatekeeper.Effect{Ret: core.VBool(true)}
 func ForwardWindow(b *testing.B, disable bool, n int) {
 	b.Helper()
 	g := must(gatekeeper.NewForwardConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	add := g.Method("add")
 	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), added)
+		_, err := g.Invoke(tx, add, core.Args1(core.VInt(k)), added)
 		return err
 	})
 }
@@ -537,8 +538,9 @@ func ForwardWindow(b *testing.B, disable bool, n int) {
 func GeneralSetWindow(b *testing.B, disable bool, n int) {
 	b.Helper()
 	g := must(gatekeeper.NewGeneralConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	add := g.Method("add")
 	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() gatekeeper.Effect {
+		_, err := g.Invoke(tx, add, core.Args1(core.VInt(k)), func() gatekeeper.Effect {
 			return gatekeeper.Effect{Ret: core.VBool(true)}
 		})
 		return err
@@ -639,8 +641,9 @@ func scanFallbackSpec() *core.Spec {
 // avoids, isolated.
 func ForwardScanFallback(b *testing.B) {
 	g := must(gatekeeper.NewForward(scanFallbackSpec(), nil))
+	op := g.Method("op")
 	window(b, 64, sameKey, func(i int) int64 { return 1<<40 + int64(i&1023) }, func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "op", core.Args1(core.VInt(k)), added)
+		_, err := g.Invoke(tx, op, core.Args1(core.VInt(k)), added)
 		return err
 	})
 }

@@ -28,8 +28,8 @@ var ErrConflict = errors.New("engine: conflict")
 // ever printing it, so construction does no formatting.
 // errors.Is(err, ErrConflict) matches it.
 type ConflictError struct {
-	// Holder is the id of a live transaction whose record refused the
-	// invocation; 0 when the detector cannot name one.
+	// Holder is the id of the live transaction whose record refused the
+	// invocation.
 	Holder uint64
 	format string
 	args   []any
@@ -46,13 +46,10 @@ func (e *ConflictError) Error() string {
 // Unwrap makes errors.Is(err, ErrConflict) hold.
 func (e *ConflictError) Unwrap() error { return ErrConflict }
 
-// Conflict returns a ConflictError that names no holder. Arguments are
-// formatted when Error is called: pass values, not pointers to state the
-// caller goes on to recycle.
-func Conflict(format string, args ...any) error { return ConflictBy(0, format, args...) }
-
-// ConflictBy is Conflict naming the transaction that holds the
-// conflicting record; Error appends it to the description.
+// ConflictBy returns a ConflictError naming the transaction that holds
+// the conflicting record; Error appends it to the description. Arguments
+// are formatted when Error is called: pass values, not pointers to state
+// the caller goes on to recycle.
 func ConflictBy(holder uint64, format string, args ...any) error {
 	return &ConflictError{Holder: holder, format: format, args: args}
 }
@@ -93,17 +90,22 @@ const (
 )
 
 // Undoer is a detector (or data structure) that can roll back its state
-// for an aborting transaction. Registering an Undoer with OnUndoer
-// instead of a closure with OnUndo avoids a heap allocation per
-// registration: the hook stores the interface pair (pointer receiver,
-// no capture) inline.
+// for an aborting transaction. Registering a pointer receiver with
+// OnUndoer stores the interface pair inline: no closure, no allocation.
 type Undoer interface {
 	UndoTx(tx *Tx)
 }
 
+// UndoFunc is an inverse action as an Undoer, the form OnUndo registers.
+// A func value is pointer-shaped, so the interface holds it without an
+// allocation of its own.
+type UndoFunc func()
+
+// UndoTx runs the inverse action.
+func (f UndoFunc) UndoTx(*Tx) { f() }
+
 // Releaser is a detector that must be notified when a transaction ends
 // (by commit or abort): lock release, gatekeeper log cleanup, and so on.
-// The allocation-free counterpart of OnRelease closures.
 type Releaser interface {
 	ReleaseTx(tx *Tx)
 }
@@ -113,25 +115,6 @@ type Releaser interface {
 type attachment struct {
 	owner any
 	word  uint64
-}
-
-// txHook is one registered undo or release action: either a closure or
-// an interface target. Exactly one of fn/u/r is set.
-type txHook struct {
-	fn func()
-	u  Undoer
-	r  Releaser
-}
-
-func (h *txHook) run(tx *Tx) {
-	switch {
-	case h.fn != nil:
-		h.fn()
-	case h.u != nil:
-		h.u.UndoTx(tx)
-	case h.r != nil:
-		h.r.ReleaseTx(tx)
-	}
 }
 
 // Tx is a speculative transaction. A transaction accumulates undo actions
@@ -144,8 +127,8 @@ func (h *txHook) run(tx *Tx) {
 // speculative iteration owns its transaction.
 type Tx struct {
 	id      uint64
-	undo    []txHook
-	release []txHook
+	undo    []Undoer
+	release []Releaser
 	end     Releaser // single-owner end hook; see OnEnd
 	endWord uint64   // scratch word owned by the end releaser; see EndWord
 	attach  []attachment
@@ -256,31 +239,21 @@ func (tx *Tx) EndWord() *uint64 { return &tx.endWord }
 // OnUndo registers an inverse action to run (in LIFO order) if the
 // transaction aborts. Data structure wrappers call this after every
 // successful mutating invocation.
-func (tx *Tx) OnUndo(f func()) {
-	tx.mustBeActive()
-	tx.undo = append(tx.undo, txHook{fn: f})
-}
+func (tx *Tx) OnUndo(f func()) { tx.OnUndoer(UndoFunc(f)) }
 
-// OnUndoer registers u.UndoTx(tx) as an undo action without allocating
-// a closure.
+// OnUndoer registers u.UndoTx(tx) as an undo action, ordered with the
+// OnUndo actions.
 func (tx *Tx) OnUndoer(u Undoer) {
 	tx.mustBeActive()
-	tx.undo = append(tx.undo, txHook{u: u})
+	tx.undo = append(tx.undo, u)
 }
 
-// OnRelease registers a hook that runs when the transaction ends, whether
-// by commit or abort. Release hooks run after undo actions during an
-// abort.
-func (tx *Tx) OnRelease(f func()) {
-	tx.mustBeActive()
-	tx.release = append(tx.release, txHook{fn: f})
-}
-
-// OnReleaser registers r.ReleaseTx(tx) as a release hook without
-// allocating a closure.
+// OnReleaser registers r.ReleaseTx(tx) to run when the transaction ends,
+// whether by commit or abort. Release hooks run after undo actions
+// during an abort.
 func (tx *Tx) OnReleaser(r Releaser) {
 	tx.mustBeActive()
-	tx.release = append(tx.release, txHook{r: r})
+	tx.release = append(tx.release, r)
 }
 
 // OnEnd registers r in the transaction's single "end owner" slot: a
@@ -313,7 +286,7 @@ func (tx *Tx) Commit() {
 		tx.endWord = 0
 	}
 	clearHooks(&tx.undo)
-	clearAttach(&tx.attach)
+	clearHooks(&tx.attach)
 	telemetry.TxCommit(int(tx.worker), tx.id, tx.item)
 }
 
@@ -347,7 +320,7 @@ func CommitBatch(txs []*Tx) {
 		if tx.end != nil && len(tx.release) == 0 {
 			r = tx.end
 		} else if tx.end == nil && len(tx.release) == 1 {
-			r = tx.release[0].r
+			r = tx.release[0]
 		}
 		if r != brr || r == nil {
 			b, ok := r.(BatchReleaser)
@@ -375,7 +348,7 @@ func CommitBatch(txs []*Tx) {
 		tx.endWord = 0
 		clearHooks(&tx.release)
 		clearHooks(&tx.undo)
-		clearAttach(&tx.attach)
+		clearHooks(&tx.attach)
 	}
 	if telemetry.TraceEnabled() {
 		for _, tx := range txs {
@@ -392,7 +365,7 @@ func (tx *Tx) Abort() {
 	tx.mustBeActive()
 	tx.status = Aborted
 	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i].run(tx)
+		tx.undo[i].UndoTx(tx)
 	}
 	clearHooks(&tx.undo)
 	if u, ok := tx.end.(Undoer); ok {
@@ -404,37 +377,24 @@ func (tx *Tx) Abort() {
 		e.ReleaseTx(tx)
 		tx.endWord = 0
 	}
-	clearAttach(&tx.attach)
+	clearHooks(&tx.attach)
 	telemetry.TxAbort(int(tx.worker), tx.id, tx.item)
 }
 
 func (tx *Tx) runRelease() {
 	for i := len(tx.release) - 1; i >= 0; i-- {
-		tx.release[i].run(tx)
+		tx.release[i].ReleaseTx(tx)
 	}
 	clearHooks(&tx.release)
 }
 
-// clearHooks empties a hook slice but keeps its capacity, zeroing every
-// entry so pooled transactions retain no closure or detector references
-// across iterations.
-func clearHooks(hs *[]txHook) {
+// clearHooks empties a hook or attachment slice but keeps its capacity,
+// zeroing every entry so pooled transactions retain no closure or
+// detector references across iterations.
+func clearHooks[T any](hs *[]T) {
 	s := *hs
-	for i := range s {
-		s[i] = txHook{}
-	}
+	clear(s)
 	*hs = s[:0]
-}
-
-// clearAttach empties the attachment list but keeps its capacity,
-// zeroing every entry so pooled transactions retain no detector
-// references across iterations.
-func clearAttach(at *[]attachment) {
-	s := *at
-	for i := range s {
-		s[i] = attachment{}
-	}
-	*at = s[:0]
 }
 
 func (tx *Tx) mustBeActive() {

@@ -13,6 +13,22 @@ import (
 	"commlat/internal/telemetry"
 )
 
+// releaseFunc is a closure as a Releaser, for tests.
+type releaseFunc func()
+
+func (f releaseFunc) ReleaseTx(*Tx) { f() }
+
+// namedUndoer is an Undoer value that records its name when it runs.
+type namedUndoer struct {
+	name  string
+	order *[]string
+}
+
+func (u *namedUndoer) UndoTx(*Tx) { *u.order = append(*u.order, u.name) }
+
+// TestTxLifecycle: OnUndo closures and OnUndoer values, registered
+// alternately, undo in one LIFO order, and the release hooks run after
+// them.
 func TestTxLifecycle(t *testing.T) {
 	tx := NewTx()
 	if tx.Status() != Active {
@@ -20,13 +36,15 @@ func TestTxLifecycle(t *testing.T) {
 	}
 	var order []string
 	tx.OnUndo(func() { order = append(order, "undo1") })
-	tx.OnUndo(func() { order = append(order, "undo2") })
-	tx.OnRelease(func() { order = append(order, "rel") })
+	tx.OnUndoer(&namedUndoer{"undo2", &order})
+	tx.OnUndo(func() { order = append(order, "undo3") })
+	tx.OnUndoer(&namedUndoer{"undo4", &order})
+	tx.OnReleaser(releaseFunc(func() { order = append(order, "rel") }))
 	tx.Abort()
 	if tx.Status() != Aborted {
 		t.Fatal("tx should be aborted")
 	}
-	want := []string{"undo2", "undo1", "rel"}
+	want := []string{"undo4", "undo3", "undo2", "undo1", "rel"}
 	if len(order) != len(want) {
 		t.Fatalf("got %v, want %v", order, want)
 	}
@@ -41,7 +59,7 @@ func TestTxCommitSkipsUndo(t *testing.T) {
 	tx := NewTx()
 	undone, released := false, false
 	tx.OnUndo(func() { undone = true })
-	tx.OnRelease(func() { released = true })
+	tx.OnReleaser(releaseFunc(func() { released = true }))
 	tx.Commit()
 	if undone {
 		t.Error("commit must not run undo actions")
@@ -83,9 +101,9 @@ func TestTxIDsUnique(t *testing.T) {
 }
 
 func TestConflictError(t *testing.T) {
-	err := Conflict("lock %s busy", "a")
+	err := ConflictBy(0, "lock %s busy", "a")
 	if !IsConflict(err) {
-		t.Error("Conflict should satisfy IsConflict")
+		t.Error("ConflictBy should satisfy IsConflict")
 	}
 	if !errors.Is(err, ErrConflict) {
 		t.Error("errors.Is should match ErrConflict")
@@ -97,8 +115,8 @@ func TestConflictError(t *testing.T) {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}
 
-	// The typed form names the holder, survives wrapping, and formats
-	// nothing until it is read.
+	// A named holder survives wrapping, and nothing is formatted until
+	// the error is read.
 	var reads countingStringer
 	err = ConflictBy(42, "node %s is held", &reads)
 	if reads != 0 {
@@ -366,7 +384,7 @@ func TestRunRetriesOnConflict(t *testing.T) {
 		var tries atomic.Int64
 		stats, err := run([]int{1}, Options{Workers: 2}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if tries.Add(1) < 3 {
-				return Conflict("try again")
+				return ConflictBy(0, "try again")
 			}
 			return nil
 		})
@@ -394,7 +412,7 @@ func TestRunRetriesOnlyConflictedItems(t *testing.T) {
 		var tries [30]atomic.Int64
 		stats, err := run(items, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if tries[item].Add(1) == 1 && item%3 == 0 {
-				return Conflict("first try of %d", item)
+				return ConflictBy(0, "first try of %d", item)
 			}
 			return nil
 		})
@@ -423,7 +441,7 @@ func TestRunUndoRunsPerAbort(t *testing.T) {
 		_, err := run([]int{1}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			tx.OnUndo(func() { undone.Add(1) })
 			if tries.Add(1) < 4 {
-				return Conflict("retry")
+				return ConflictBy(0, "retry")
 			}
 			return nil
 		})
@@ -461,7 +479,7 @@ func TestRunMaxRetries(t *testing.T) {
 		var tries atomic.Int64
 		stats, err := run([]int{1}, Options{Workers: 1, MaxRetries: 5}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			tries.Add(1)
-			return Conflict("forever")
+			return ConflictBy(0, "forever")
 		})
 		if err == nil || !IsConflict(err) {
 			t.Errorf("err = %v, want the livelock-guard error wrapping the conflict", err)
@@ -501,7 +519,7 @@ func TestRunBodyPanic(t *testing.T) {
 		_, err := run([]int{1, 2, 3}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if item == 2 {
 				tx.OnUndo(func() { order = append(order, "undo") })
-				tx.OnRelease(func() { order = append(order, "release") })
+				tx.OnReleaser(releaseFunc(func() { order = append(order, "release") }))
 				panic("kaboom")
 			}
 			return nil
@@ -529,9 +547,9 @@ func TestRunConcurrentCounterWithLockDiscipline(t *testing.T) {
 	items := make([]int, 500)
 	stats, err := RunItems(items, Options{Workers: 8}, func(tx *Tx, item int, wl *Worklist[int]) error {
 		if !held.CompareAndSwap(0, 1) {
-			return Conflict("counter busy")
+			return ConflictBy(0, "counter busy")
 		}
-		tx.OnRelease(func() { held.Store(0) })
+		tx.OnReleaser(releaseFunc(func() { held.Store(0) }))
 		mu.Lock()
 		counter++
 		mu.Unlock()
@@ -571,7 +589,7 @@ func TestRunSeedReproducibleBackoff(t *testing.T) {
 			var tries atomic.Int64
 			stats, err := run([]int{1, 2, 3}, Options{Workers: 1, Seed: seed}, func(tx *Tx, item int, wl *Worklist[int]) error {
 				if tries.Add(1)%3 == 0 {
-					return Conflict("periodic")
+					return ConflictBy(0, "periodic")
 				}
 				return nil
 			})
@@ -618,7 +636,7 @@ func TestRunBusyExcludesBackoff(t *testing.T) {
 			stats, err := run([]int{1}, Options{Workers: 1, Seed: seed, MaxBackoff: ceiling},
 				func(tx *Tx, item int, wl *Worklist[int]) error {
 					if tries.Add(1) <= conflicts {
-						return Conflict("forced")
+						return ConflictBy(0, "forced")
 					}
 					return nil
 				})
@@ -670,7 +688,7 @@ func TestRunMaxedBackoffRetries(t *testing.T) {
 		var tries atomic.Int64
 		stats, err := run([]int{1}, Options{Workers: 1, MaxBackoff: time.Microsecond}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if tries.Add(1) < 5 {
-				return Conflict("retry")
+				return ConflictBy(0, "retry")
 			}
 			return nil
 		})
@@ -687,7 +705,7 @@ func TestRunMaxedBackoffRetries(t *testing.T) {
 		tries.Store(0)
 		stats, err = run([]int{1}, Options{Workers: 1, MaxBackoff: time.Second}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if tries.Add(1) < 4 {
-				return Conflict("retry")
+				return ConflictBy(0, "retry")
 			}
 			return nil
 		})
@@ -707,7 +725,7 @@ func TestRunEmitsTraceEvents(t *testing.T) {
 		var tries atomic.Int64
 		_, err := run([]int{7}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if tries.Add(1) < 2 {
-				return Conflict("once")
+				return ConflictBy(0, "once")
 			}
 			return nil
 		})

@@ -133,7 +133,7 @@ func FuzzCascadeAgreesWithGatekeeper(f *testing.F) {
 			}
 			x := int64(argB % 8) // small key space: force collisions
 			args := core.Args1(core.VInt(x))
-			fr, ferr := fw.Invoke(fwTx[ti], method, args, runOp(fwRep, method, x))
+			fr, ferr := fw.Invoke(fwTx[ti], fw.Method(method), args, runOp(fwRep, method, x))
 			cr, cerr := cs.Invoke(csTx[ti], method, args, runOp(csRep, method, x))
 			if (ferr == nil) != (cerr == nil) {
 				t.Fatalf("%s(%d) tx%d: forward err=%v cascade err=%v", method, x, ti, ferr, cerr)

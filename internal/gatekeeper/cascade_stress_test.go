@@ -76,13 +76,13 @@ func cascadeExclusionStress(t *testing.T, cfg CascadeConfig, opsPerWorker int) {
 						if v != 1<<16 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-(1 << 16)) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-(1 << 16)) }))
 					} else {
 						v := occupancy[k].Add(1)
 						if v>>16 != 0 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-1) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-1) }))
 					}
 					if r.Intn(4) == 0 {
 						tx.Abort()

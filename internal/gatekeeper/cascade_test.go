@@ -332,7 +332,7 @@ func TestCascadeScanSpecAgreesWithForward(t *testing.T) {
 			return err == nil, true
 		}
 		fwOK, _ := verdict(func(tx *engine.Tx, x int64) error {
-			_, err := fw.Invoke(tx, "op", core.Args1(core.VInt(x)), func() Effect {
+			_, err := fw.Invoke(tx, fw.Method("op"), core.Args1(core.VInt(x)), func() Effect {
 				return Effect{Ret: core.VBool(true)}
 			})
 			return err
@@ -447,7 +447,7 @@ func TestForwardScanFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := func(tx *engine.Tx, x int64) error {
-		_, err := fw.Invoke(tx, "op", core.Args1(core.VInt(x)), func() Effect {
+		_, err := fw.Invoke(tx, fw.Method("op"), core.Args1(core.VInt(x)), func() Effect {
 			return Effect{Ret: core.VBool(true)}
 		})
 		return err

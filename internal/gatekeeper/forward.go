@@ -170,9 +170,10 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 	return g, nil
 }
 
-// Invoke executes one guarded method invocation for tx. exec performs the
-// operation on the underlying structure and reports its effect. If the
-// invocation does not commute with some active invocation, Invoke undoes
+// Invoke executes one guarded invocation of mt's method (a handle from
+// g.Method) for tx. exec performs the operation on the underlying
+// structure and reports its effect. If the invocation does not commute
+// with some active invocation, Invoke undoes
 // the effect inside its atomic section and returns an error satisfying
 // engine.IsConflict. On success the effect's undo action (if any) is
 // registered with tx so that a later abort rolls it back, and the
@@ -181,14 +182,9 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 // Arguments travel in a flat core.Vec passed by value — build it with
 // core.Args1/Args2/... at the call site; no argument slice is ever
 // allocated.
-func (g *Forward) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() Effect) (_ core.Value, err error) {
-	mid, err := g.resolve(method)
-	if err != nil {
-		return core.Value{}, err
-	}
-	e, t0 := g.begin(tx, mid, &args)
-	defer g.end(tx, mid, t0, &err)
-	mt := &g.methods[mid]
+func (g *Forward) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() Effect) (_ core.Value, err error) {
+	e, t0 := g.begin(tx, mt, &args)
+	defer g.end(tx, mt.id, t0, &err)
 
 	// Before execution: our own non-pure s1 functions, logged in the
 	// pre-state; then the checks this invocation owes, except for pairs

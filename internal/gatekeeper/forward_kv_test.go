@@ -77,7 +77,7 @@ func newFKV(t *testing.T, init map[int64]int64) *fkv {
 }
 
 func (kv *fkv) put(tx *engine.Tx, k, v int64) (int64, error) {
-	ret, err := kv.g.Invoke(tx, "put", core.MakeVec(core.V(k), core.V(v)), func() Effect {
+	ret, err := kv.g.Invoke(tx, kv.g.Method("put"), core.MakeVec(core.V(k), core.V(v)), func() Effect {
 		old := kv.m[k]
 		if old == v {
 			return Effect{Ret: core.VInt(old)}
@@ -92,7 +92,7 @@ func (kv *fkv) put(tx *engine.Tx, k, v int64) (int64, error) {
 }
 
 func (kv *fkv) get(tx *engine.Tx, k int64) (int64, error) {
-	ret, err := kv.g.Invoke(tx, "get", core.MakeVec(core.V(k)), func() Effect {
+	ret, err := kv.g.Invoke(tx, kv.g.Method("get"), core.MakeVec(core.V(k)), func() Effect {
 		return Effect{Ret: core.VInt(kv.m[k])}
 	})
 	if err != nil {

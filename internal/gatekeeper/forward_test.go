@@ -70,7 +70,7 @@ func (s *gset) invoke(tx *engine.Tx, method string, x int64) (bool, error) {
 // the logical key x — e.g. float64(5.0) for 5 — to exercise the index's
 // cross-type key canonicalization.
 func (s *gset) invokeV(tx *engine.Tx, method string, x int64, arg core.Value) (bool, error) {
-	ret, err := s.g.Invoke(tx, method, core.MakeVec(core.V(arg)), func() Effect {
+	ret, err := s.g.Invoke(tx, s.g.Method(method), core.MakeVec(core.V(arg)), func() Effect {
 		switch method {
 		case "add":
 			if s.elems[x] {
@@ -388,7 +388,7 @@ func TestForwardKdStyleLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	nearest := func(tx *engine.Tx, a int64) (int64, error) {
-		ret, err := g.Invoke(tx, "nearest", core.MakeVec(core.V(a)), func() Effect {
+		ret, err := g.Invoke(tx, g.Method("nearest"), core.MakeVec(core.V(a)), func() Effect {
 			best, bd := int64(-1), int64(1<<62)
 			for p := range points {
 				if d := dist(a, p); d < bd {
@@ -403,7 +403,7 @@ func TestForwardKdStyleLogging(t *testing.T) {
 		return ret.Int(), nil
 	}
 	add := func(tx *engine.Tx, a int64) (bool, error) {
-		ret, err := g.Invoke(tx, "add", core.MakeVec(core.V(a)), func() Effect {
+		ret, err := g.Invoke(tx, g.Method("add"), core.MakeVec(core.V(a)), func() Effect {
 			if points[a] {
 				return Effect{Ret: core.VBool(false)}
 			}

@@ -115,17 +115,14 @@ func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, 
 	return g, nil
 }
 
-// Invoke executes one guarded invocation for tx, checking it against all
-// active invocations from other transactions, rolling the structure back
-// as needed to evaluate stateful condition terms in the right states. On
-// conflict the invocation's own effect is undone before returning.
-func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func() Effect) (_ core.Value, err error) {
-	mid, err := g.resolve(method)
-	if err != nil {
-		return core.Value{}, err
-	}
-	e, t0 := g.begin(tx, mid, &args)
-	defer g.end(tx, mid, t0, &err)
+// Invoke executes one guarded invocation of mt's method (a handle from
+// g.Method) for tx, checking it against all active invocations from
+// other transactions, rolling the structure back as needed to evaluate
+// stateful condition terms in the right states. On conflict the
+// invocation's own effect is undone before returning.
+func (g *General) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() Effect) (_ core.Value, err error) {
+	e, t0 := g.begin(tx, mt, &args)
+	defer g.end(tx, mt.id, t0, &err)
 	e.seqPre = g.seq
 
 	eff := exec()
@@ -150,7 +147,7 @@ func (g *General) Invoke(tx *engine.Tx, method string, args core.Vec, exec func(
 	// Gather the checks (execution already happened, so r2-bearing probe
 	// keys are fine here), then value their stateful terms under
 	// rollback and check.
-	g.gather(tx, e, g.methods[mid].post)
+	g.gather(tx, e, mt.post)
 	g.rollbackEval(e)
 	if err = g.check(tx, e); err != nil {
 		if own != nil {

@@ -171,13 +171,13 @@ func FuzzGeneralAgreesWithForward(f *testing.F) {
 			}
 			fwd.active, gen.active = fg.ActiveInvocations, gg.ActiveInvocations
 			fwd.invoke = func(tx *engine.Tx, method string, args core.Vec, apply func() fuzzOp) (core.Value, error) {
-				return fg.Invoke(tx, method, args, func() Effect {
+				return fg.Invoke(tx, fg.Method(method), args, func() Effect {
 					op := apply()
 					return Effect{Ret: op.ret, Undo: op.undo}
 				})
 			}
 			gen.invoke = func(tx *engine.Tx, method string, args core.Vec, apply func() fuzzOp) (core.Value, error) {
-				return gg.Invoke(tx, method, args, func() Effect {
+				return gg.Invoke(tx, gg.Method(method), args, func() Effect {
 					op := apply()
 					return Effect{Ret: op.ret, Undo: op.undo, Redo: op.redo}
 				})

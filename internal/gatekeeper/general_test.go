@@ -3,6 +3,7 @@ package gatekeeper
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func (u *guf) loser(a, b int64) int64 {
 }
 
 func (u *guf) union(tx *engine.Tx, a, b int64) error {
-	_, err := u.g.Invoke(tx, "union", core.MakeVec(core.V(a), core.V(b)), func() Effect {
+	_, err := u.g.Invoke(tx, u.g.Method("union"), core.MakeVec(core.V(a), core.V(b)), func() Effect {
 		ra, rb := u.rep(a), u.rep(b)
 		if ra == rb {
 			return Effect{}
@@ -114,7 +115,7 @@ func (u *guf) union(tx *engine.Tx, a, b int64) error {
 }
 
 func (u *guf) find(tx *engine.Tx, a int64) (int64, error) {
-	ret, err := u.g.Invoke(tx, "find", core.MakeVec(core.V(a)), func() Effect {
+	ret, err := u.g.Invoke(tx, u.g.Method("find"), core.MakeVec(core.V(a)), func() Effect {
 		return Effect{Ret: core.VInt(u.rep(a))}
 	})
 	if err != nil {
@@ -517,7 +518,7 @@ func TestGeneralPanicsWithoutRedo(t *testing.T) {
 			t.Error("Undo without Redo should panic")
 		}
 	}()
-	_, _ = u.g.Invoke(tx, "union", core.MakeVec(core.V(int64(0)), core.V(int64(1))), func() Effect {
+	_, _ = u.g.Invoke(tx, u.g.Method("union"), core.MakeVec(core.V(int64(0)), core.V(int64(1))), func() Effect {
 		return Effect{Undo: func() {}}
 	})
 }
@@ -548,12 +549,12 @@ func TestGeneralStatsCounters(t *testing.T) {
 	}
 }
 
-// TestUnknownMethodRejected: a method name outside the signature must be
-// refused before exec runs, by every detector. The logged gatekeepers
-// used to execute it, check nothing (no plan names it) and log it — a
-// misspelt name in an ADT wrapper silently switched conflict detection
-// off.
-func TestUnknownMethodRejected(t *testing.T) {
+// TestGatekeeperRefusesUnknownMethod: the logged gatekeepers resolve a
+// method name once, when the caller fetches its handle, and panic on a
+// name outside the signature, naming the ADT and the method. Unchecked,
+// such a method would execute, match no plan and join the log — a
+// misspelt name in an ADT wrapper would switch conflict detection off.
+func TestGatekeeperRefusesUnknownMethod(t *testing.T) {
 	spec := rwSetSpec()
 	fwd, err := NewForward(spec, nil)
 	if err != nil {
@@ -563,6 +564,27 @@ func TestUnknownMethodRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name   string
+		method func(string) *Method
+	}{{"forward", fwd.Method}, {"general", gen.Method}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, spec.Sig.Name) || !strings.Contains(msg, `"typo"`) {
+					t.Errorf("Method(\"typo\"): panic %q, want one naming the ADT and the method", msg)
+				}
+			}()
+			tc.method("typo")
+		})
+	}
+}
+
+// TestUnknownMethodRejected: a method name outside the signature must be
+// refused before exec runs, by the detectors that take method names on
+// every invocation.
+func TestUnknownMethodRejected(t *testing.T) {
+	spec := rwSetSpec()
 	cas, err := NewCascade(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -573,20 +595,11 @@ func TestUnknownMethodRejected(t *testing.T) {
 	}
 	ran := false
 	effect := func() Effect { ran = true; return Effect{Ret: core.VBool(true)} }
-	geffect := func() Effect { ran = true; return Effect{Ret: core.VBool(true)} }
 	for _, tc := range []struct {
 		name   string
 		invoke func(tx *engine.Tx) error
 		active func() int
 	}{
-		{"forward", func(tx *engine.Tx) error {
-			_, err := fwd.Invoke(tx, "typo", core.Args1(core.VInt(1)), effect)
-			return err
-		}, fwd.ActiveInvocations},
-		{"general", func(tx *engine.Tx) error {
-			_, err := gen.Invoke(tx, "typo", core.Args1(core.VInt(1)), geffect)
-			return err
-		}, gen.ActiveInvocations},
 		{"cascade", func(tx *engine.Tx) error {
 			_, err := cas.Invoke(tx, "typo", core.Args1(core.VInt(1)), effect)
 			return err
@@ -664,7 +677,7 @@ func TestGeneralRecordsLatencyAndFlight(t *testing.T) {
 	defer telemetry.DisableLatency()
 	defer telemetry.DisableFlight()
 	add := func(tx *engine.Tx, k int64) error {
-		_, err := g.Invoke(tx, "add", core.Args1(core.VInt(k)), func() Effect {
+		_, err := g.Invoke(tx, g.Method("add"), core.Args1(core.VInt(k)), func() Effect {
 			return Effect{Ret: core.VBool(true)}
 		})
 		return err
@@ -729,7 +742,7 @@ func TestForwardTimesAdmissionWhenLatencyStopsMidway(t *testing.T) {
 	defer telemetry.DisableLatency()
 	defer telemetry.DisableFlight()
 	tx := takeTx(true)
-	if _, err := g.Invoke(tx, "add", core.Args1(core.VInt(1)), func() Effect {
+	if _, err := g.Invoke(tx, g.Method("add"), core.Args1(core.VInt(1)), func() Effect {
 		telemetry.DisableLatency()
 		time.Sleep(time.Microsecond) // the admission takes at least this long
 		return Effect{Ret: core.VBool(true)}

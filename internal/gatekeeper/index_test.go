@@ -26,10 +26,10 @@ func rwSetSpec() *core.Spec {
 
 // plan and keySlots look the core's per-method tables up by name.
 func (l *logged) plan(m1, m2 string) *pairPlan {
-	return &l.plans[int(l.mids[m1])*len(l.methods)+int(l.mids[m2])]
+	return &l.plans[int(l.Method(m1).id)*len(l.methods)+int(l.Method(m2).id)]
 }
 
-func (l *logged) keySlots(m string) []*keySlot { return l.methods[l.mids[m]].slots }
+func (l *logged) keySlots(m string) []*keySlot { return l.Method(m).slots }
 
 func TestForwardIndexPlanShapes(t *testing.T) {
 	s := newGSet(t)
@@ -164,10 +164,10 @@ func TestForwardNaNKeysStayConservative(t *testing.T) {
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
-	if _, err := s.g.Invoke(tx1, "add", core.MakeVec(core.V(math.NaN())), func() Effect { return Effect{Ret: core.VBool(true)} }); err != nil {
+	if _, err := s.g.Invoke(tx1, s.g.Method("add"), core.MakeVec(core.V(math.NaN())), func() Effect { return Effect{Ret: core.VBool(true)} }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.g.Invoke(tx2, "add", core.MakeVec(core.V(math.NaN())), func() Effect { return Effect{Ret: core.VBool(true)} }); err != nil {
+	if _, err := s.g.Invoke(tx2, s.g.Method("add"), core.MakeVec(core.V(math.NaN())), func() Effect { return Effect{Ret: core.VBool(true)} }); err != nil {
 		t.Fatalf("NaN adds commute (NaN != NaN): %v", err)
 	}
 	st := s.g.Telemetry().Snapshot()
@@ -186,17 +186,17 @@ func TestForwardUnkeyableValuesFallBack(t *testing.T) {
 	defer tx1.Abort()
 	defer tx2.Abort()
 	exec := func() Effect { return Effect{Ret: core.VBool(true)} }
-	if _, err := s.g.Invoke(tx1, "add", core.MakeVec(core.V(pt{1, 2})), exec); err != nil {
+	if _, err := s.g.Invoke(tx1, s.g.Method("add"), core.MakeVec(core.V(pt{1, 2})), exec); err != nil {
 		t.Fatal(err)
 	}
 	// Distinct struct key: unkeyable probe falls back to the scan and
 	// the checker admits it.
-	if _, err := s.g.Invoke(tx2, "add", core.MakeVec(core.V(pt{3, 4})), exec); err != nil {
+	if _, err := s.g.Invoke(tx2, s.g.Method("add"), core.MakeVec(core.V(pt{3, 4})), exec); err != nil {
 		t.Fatalf("distinct struct keys commute: %v", err)
 	}
 	// Equal struct key: the scan fallback must still catch the
 	// conflict.
-	if _, err := s.g.Invoke(tx2, "add", core.MakeVec(core.V(pt{1, 2})), exec); !engine.IsConflict(err) {
+	if _, err := s.g.Invoke(tx2, s.g.Method("add"), core.MakeVec(core.V(pt{1, 2})), exec); !engine.IsConflict(err) {
 		t.Fatalf("equal struct keys must conflict, got %v", err)
 	}
 	if st := s.g.Telemetry().Snapshot(); st.FallbackScans == 0 {
@@ -206,7 +206,7 @@ func TestForwardUnkeyableValuesFallBack(t *testing.T) {
 	// fallback, still reaching the right decision.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if _, err := s.g.Invoke(tx3, "add", core.MakeVec(core.V(float64(1<<53))), exec); err != nil {
+	if _, err := s.g.Invoke(tx3, s.g.Method("add"), core.MakeVec(core.V(float64(1<<53))), exec); err != nil {
 		t.Fatalf("2^53 float vs struct keys commute: %v", err)
 	}
 }
@@ -310,7 +310,7 @@ func newGenSet(t *testing.T, cfg Config) *genSet {
 }
 
 func (s *genSet) invokeV(tx *engine.Tx, method string, x int64, arg core.Value) (bool, error) {
-	ret, err := s.g.Invoke(tx, method, core.MakeVec(core.V(arg)), func() Effect {
+	ret, err := s.g.Invoke(tx, s.g.Method(method), core.MakeVec(core.V(arg)), func() Effect {
 		switch method {
 		case "add":
 			if s.elems[x] {

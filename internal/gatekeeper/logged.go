@@ -137,9 +137,12 @@ type loggedFn struct {
 	slot int
 }
 
-// method is one method's row of the log, indexed by method ID.
-type method struct {
+// Method is one method's row of the log, indexed by method ID, and the
+// handle Invoke takes: callers fetch it once with Method and pass it on
+// every invocation, so no name is looked up on the hot path.
+type Method struct {
 	name   string
+	id     uint16
 	cmPre  []loggedFn // Cm: non-pure s1 functions, evaluated pre-execution
 	cmPost []loggedFn // Cm: pure s1 functions, evaluated post-execution
 	logLen int        // log slots per entry
@@ -158,8 +161,7 @@ type logged struct {
 	spec *core.Spec
 	res  core.StateFn // live resolver against the guarded structure
 
-	mids    map[string]uint16
-	methods []method
+	methods []Method
 	plans   []pairPlan // ordered pairs, row-major by (m1, m2)
 
 	tele *telemetry.Detector // attribution counters (method vocabulary)
@@ -204,13 +206,11 @@ func (l *logged) init(kind string, spec *core.Spec, res core.StateFn) {
 	names := spec.Sig.MethodNames()
 	n := len(names)
 	l.spec, l.res = spec, res
-	l.mids = make(map[string]uint16, n)
-	l.methods = make([]method, n)
+	l.methods = make([]Method, n)
 	l.plans = make([]pairPlan, n*n)
 	l.tele = telemetry.Register(kind, spec.Sig.Name, names)
 	for i, m := range names {
-		l.mids[m] = uint16(i)
-		l.methods[i].name = m
+		l.methods[i].name, l.methods[i].id = m, uint16(i)
 	}
 	for i1, m1 := range names {
 		for i2, m2 := range names {
@@ -260,26 +260,27 @@ func (l *logged) slotFor(m1 uint16) func(x core.Term, extract termFn) *keySlot {
 	}
 }
 
-// resolve maps a method name to its ID. A name outside the signature is
-// refused before anything runs: unchecked, it would execute, match no
-// plan and join the log — conflict detection silently off.
-func (l *logged) resolve(method string) (uint16, error) {
-	mid, ok := l.mids[method]
-	if !ok {
-		return 0, fmt.Errorf("gatekeeper: %s has no method %q", l.spec.Sig.Name, method)
+// Method returns the handle Invoke takes for the named method. It
+// panics on a name the signature does not list: unchecked, such a
+// method would execute, match no plan and join the log — conflict
+// detection silently off.
+func (l *logged) Method(name string) *Method {
+	for i := range l.methods {
+		if l.methods[i].name == name {
+			return &l.methods[i]
+		}
 	}
-	return mid, nil
+	panic(fmt.Sprintf("gatekeeper: %s has no method %q", l.spec.Sig.Name, name))
 }
 
-// begin opens an invocation's atomic section: mutex taken, invocation
+// begin opens an invocation of mt's method: mutex taken, invocation
 // counted, and a recycled entry bound to tx with the arguments copied
 // into it and its log sized. The entry stays the section's own (cur)
 // until record files it. The second result is the latency mark end
 // observes from.
-func (l *logged) begin(tx *engine.Tx, mid uint16, args *core.Vec) (*entry, int64) {
+func (l *logged) begin(tx *engine.Tx, mt *Method, args *core.Vec) (*entry, int64) {
 	l.mu.Lock()
 	l.tele.IncInvocation()
-	mt := &l.methods[mid]
 	var e *entry
 	if n := len(l.free); n > 0 {
 		e = l.free[n-1]
@@ -289,7 +290,7 @@ func (l *logged) begin(tx *engine.Tx, mid uint16, args *core.Vec) (*entry, int64
 		e = &entry{id: uint32(len(l.entries) + 1)}
 		l.entries = append(l.entries, e)
 	}
-	e.tx, e.mid, e.l = tx, mid, l
+	e.tx, e.mid, e.l = tx, mt.id, l
 	e.inv.Method = mt.name
 	e.inv.Args = *args
 	if cap(e.log) >= mt.logLen {
@@ -519,7 +520,7 @@ func popList[T any](free *[][]T) []T {
 // indexEntry computes the entry's key per key slot of its method and
 // files it in the corresponding buckets (or as unkeyed where the value
 // resists canonicalization).
-func (l *logged) indexEntry(mt *method, e *entry) {
+func (l *logged) indexEntry(mt *Method, e *entry) {
 	if len(mt.slots) == 0 {
 		return
 	}
@@ -543,7 +544,7 @@ func (l *logged) indexEntry(mt *method, e *entry) {
 }
 
 // dropFromIndex removes the entry from every key slot it was filed in.
-func (l *logged) dropFromIndex(mt *method, e *entry) {
+func (l *logged) dropFromIndex(mt *Method, e *entry) {
 	for i, s := range mt.slots {
 		if i >= len(e.keys) {
 			break
@@ -554,7 +555,7 @@ func (l *logged) dropFromIndex(mt *method, e *entry) {
 
 // removeActive swap-deletes the entry from its method's active list,
 // keeping the moved entry's pos current.
-func (l *logged) removeActive(mt *method, e *entry) {
+func (l *logged) removeActive(mt *Method, e *entry) {
 	es := mt.active
 	last := len(es) - 1
 	moved := es[last]

@@ -28,14 +28,14 @@ func TestPanickingExecReturnsItsEntry(t *testing.T) {
 		add  func(tx *engine.Tx, x int64, exec func()) error
 	}{
 		{"forward", &fg.logged, func(tx *engine.Tx, x int64, exec func()) error {
-			_, err := fg.Invoke(tx, "add", core.Args1(core.VInt(x)), func() Effect {
+			_, err := fg.Invoke(tx, fg.Method("add"), core.Args1(core.VInt(x)), func() Effect {
 				exec()
 				return Effect{Ret: core.VBool(true)}
 			})
 			return err
 		}},
 		{"general", &gg.logged, func(tx *engine.Tx, x int64, exec func()) error {
-			_, err := gg.Invoke(tx, "add", core.Args1(core.VInt(x)), func() Effect {
+			_, err := gg.Invoke(tx, gg.Method("add"), core.Args1(core.VInt(x)), func() Effect {
 				exec()
 				return Effect{Ret: core.VBool(true)}
 			})
@@ -67,7 +67,7 @@ func TestPanickingExecReturnsItsEntry(t *testing.T) {
 					t.Fatalf("add(%d) after the panic: %v", x, err)
 				}
 			}
-			active := l.methods[l.mids["add"]].active
+			active := l.Method("add").active
 			if len(active) != 2 || active[0] == active[1] || len(l.entries) != 2 {
 				t.Fatalf("two invocations share an entry or took a new one: %d active, %d entries", len(active), len(l.entries))
 			}

@@ -8,6 +8,11 @@ import (
 	"commlat/internal/engine"
 )
 
+// releaseFunc is a closure as an engine.Releaser, for tests.
+type releaseFunc func()
+
+func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
+
 // blob is a user-type argument with a deliberately large heap footprint:
 // if a pooled record (entry, jentry or Tx hook) fails to zero its
 // Value fields on release, every pooled record pins one of these.
@@ -76,7 +81,7 @@ func TestForwardPoolsDropUserValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	grew := retentionScenario(t, func(tx *engine.Tx, v core.Value) error {
-		_, err := g.Invoke(tx, "add", core.Args1(v), func() Effect {
+		_, err := g.Invoke(tx, g.Method("add"), core.Args1(v), func() Effect {
 			return Effect{Ret: core.VBool(true)}
 		})
 		return err
@@ -95,7 +100,7 @@ func TestGeneralPoolsDropUserValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	grew := retentionScenario(t, func(tx *engine.Tx, v core.Value) error {
-		_, err := g.Invoke(tx, "add", core.Args1(v), func() Effect {
+		_, err := g.Invoke(tx, g.Method("add"), core.Args1(v), func() Effect {
 			return Effect{Ret: core.VBool(true)}
 		})
 		return err
@@ -115,7 +120,7 @@ func TestTxPoolDropsHooks(t *testing.T) {
 		tx := engine.GetTx()
 		payload := &blob{data: make([]byte, blobSize)}
 		tx.OnUndo(func() { _ = payload })
-		tx.OnRelease(func() { _ = payload })
+		tx.OnReleaser(releaseFunc(func() { _ = payload }))
 		tx.Commit()
 		engine.PutTx(tx)
 	}
@@ -177,11 +182,11 @@ func TestIdleGatekeeperKeepsNoScratch(t *testing.T) {
 		active func() int
 	}{
 		{"forward", func(tx *engine.Tx, v core.Value) error {
-			_, err := fg.Invoke(tx, "add", core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
+			_, err := fg.Invoke(tx, fg.Method("add"), core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
 			return err
 		}, fg.ActiveInvocations},
 		{"general", func(tx *engine.Tx, v core.Value) error {
-			_, err := gg.Invoke(tx, "add", core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
+			_, err := gg.Invoke(tx, gg.Method("add"), core.Args1(v), func() Effect { return Effect{Ret: core.VBool(true)} })
 			return err
 		}, gg.ActiveInvocations},
 	} {

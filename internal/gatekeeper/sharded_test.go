@@ -101,7 +101,7 @@ func TestShardSingleShardMatchesCascade(t *testing.T) {
 	if n := s.ActiveInvocations(); n != 0 {
 		t.Fatalf("window leaked %d invocations", n)
 	}
-	if s.Telemetry().ShardLocals() == 0 {
+	if s.Telemetry().Snapshot().ShardLocal == 0 {
 		t.Fatal("no shard-local admissions counted")
 	}
 }
@@ -139,7 +139,7 @@ func TestShardRendezvousConflict(t *testing.T) {
 	if n := s.ActiveInvocations(); n != 0 {
 		t.Fatalf("window leaked %d invocations after abort", n)
 	}
-	if s.Telemetry().ShardCrossings() == 0 {
+	if s.Telemetry().Snapshot().ShardCross == 0 {
 		t.Fatal("no crossing admissions counted for a two-key spec")
 	}
 }
@@ -319,13 +319,13 @@ func shardedExclusionStress(t *testing.T, shards, opsPerWorker int) {
 						if v != 1<<16 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-(1 << 16)) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-(1 << 16)) }))
 					} else {
 						v := occupancy[k].Add(1)
 						if v>>16 != 0 {
 							violations.Add(1)
 						}
-						tx.OnRelease(func() { occupancy[k].Add(-1) })
+						tx.OnReleaser(releaseFunc(func() { occupancy[k].Add(-1) }))
 					}
 					if r.Intn(4) == 0 {
 						tx.Abort()
@@ -414,10 +414,10 @@ func TestShardRendezvousStressRace(t *testing.T) {
 					if occY[y].Add(1) != 1 {
 						violations.Add(1)
 					}
-					tx.OnRelease(func() {
+					tx.OnReleaser(releaseFunc(func() {
 						occX[x].Add(-1)
 						occY[y].Add(-1)
-					})
+					}))
 					if r.Intn(4) == 0 {
 						tx.Abort()
 					} else {
@@ -446,7 +446,7 @@ func TestShardRendezvousStressRace(t *testing.T) {
 	if total != 0 {
 		t.Fatalf("occupancy counters did not drain: %d", total)
 	}
-	if c.Telemetry().ShardCrossings() == 0 {
+	if c.Telemetry().Snapshot().ShardCross == 0 {
 		t.Fatal("stress never exercised the rendezvous path")
 	}
 }

@@ -18,6 +18,11 @@ import (
 	"commlat/internal/engine"
 )
 
+// releaseFunc is a closure as an engine.Releaser, for tests.
+type releaseFunc func()
+
+func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
+
 // TestCrossStructureRollback: a transaction mutates a gatekept set, an
 // abstract-locked accumulator and a general-gatekept union-find, then
 // aborts; every structure must roll back.
@@ -303,13 +308,13 @@ func TestCommittedHistoryOrderFree(t *testing.T) {
 					if isKD {
 						// Registered last, so it runs first when the
 						// transaction ends: before the gatekeeper's release.
-						tx.OnRelease(func() {
+						tx.OnReleaser(releaseFunc(func() {
 							if tx.Status() == engine.Committed {
 								orderMu.Lock()
 								order = append(order, i)
 								orderMu.Unlock()
 							}
-						})
+						}))
 					}
 					return nil
 				})

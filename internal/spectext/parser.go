@@ -56,6 +56,9 @@ func Parse(src string) (*core.Spec, error) {
 			if err != nil {
 				return nil, err
 			}
+			if _, dup := sig.Method(ms.Name); dup {
+				return nil, fmt.Errorf("line %d: duplicate method %q", lineno+1, ms.Name)
+			}
 			sig.Methods = append(sig.Methods, ms)
 		case head.kind == tokIdent && head.text == "oriented":
 			if len(toks) < 5 || toks[1].kind != tokIdent || toks[2].text != "~" ||

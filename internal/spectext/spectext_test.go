@@ -270,6 +270,17 @@ func TestFuzzRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDuplicateMethodRejected: a method declared twice is refused at its
+// second declaration, with that line's number. Format would print each
+// of its pair lines twice, which Parse refuses: accepting it breaks the
+// round trip FuzzParseSpec checks.
+func TestDuplicateMethodRejected(t *testing.T) {
+	_, err := Parse("adt A\nmethod t(A00)#00\nmethod t(A)")
+	if err == nil || !strings.Contains(err.Error(), `line 3: duplicate method "t"`) {
+		t.Fatalf("Parse = %v, want a line-3 duplicate-method error", err)
+	}
+}
+
 func TestDuplicatePairRejected(t *testing.T) {
 	src := `adt a
 method m(x)

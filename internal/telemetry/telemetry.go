@@ -239,12 +239,6 @@ func (d *Detector) ShardLocalN(n int) { addN(&d.shardLocal, n) }
 // method is not key-routable): the rendezvous path.
 func (d *Detector) ShardCross() { d.shardCross.Add(1) }
 
-// ShardLocals returns the single-shard admission count (for tests).
-func (d *Detector) ShardLocals() uint64 { return d.shardLocal.Load() }
-
-// ShardCrossings returns the cross-shard admission count (for tests).
-func (d *Detector) ShardCrossings() uint64 { return d.shardCross.Load() }
-
 // Check counts one pairwise commutativity evaluation of (first m1,
 // incoming m2), attributing it to the pair.
 func (d *Detector) Check(m1, m2 uint16) {
@@ -294,12 +288,6 @@ func (d *Detector) ObserveJournal(n int) {
 		d.journalHW.Store(v)
 	}
 }
-
-// Invocations returns the invocation count (for tests).
-func (d *Detector) Invocations() uint64 { return d.invocations.Load() }
-
-// Conflicts returns the conflict count (for tests).
-func (d *Detector) Conflicts() uint64 { return d.conflicts.Load() }
 
 // --- Engine transaction counters ----------------------------------------
 
