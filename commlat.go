@@ -151,7 +151,9 @@ type (
 	LockScheme = abslock.Scheme
 	// LockManager enforces a scheme at run time.
 	LockManager = abslock.Manager
-	// KeyFunc implements a pure key function for keyed (partition) locks.
+	// KeyFunc implements a pure key function for keyed (partition)
+	// locks, returning the 64-bit identity of the key's image: equal
+	// images must give equal words.
 	KeyFunc = abslock.KeyFunc
 )
 

@@ -22,7 +22,7 @@ func TestCoversMatchesRowInclusion(t *testing.T) {
 		return s.Reduce()
 	}
 	partKeys := map[string]abslock.KeyFunc{
-		flowgraph.PartKey: func(v core.Value) core.Value { return core.VInt(v.Int() % 32) },
+		flowgraph.PartKey: func(v core.Value) uint64 { return uint64(v.Int() % 32) },
 	}
 	schemes := map[string]struct {
 		s    *abslock.Scheme

@@ -11,9 +11,11 @@ import (
 	"commlat/internal/telemetry"
 )
 
-// KeyFunc evaluates a pure key function (such as a partition map) used by
-// keyed lock acquisitions.
-type KeyFunc func(core.Value) core.Value
+// KeyFunc evaluates a pure key function (such as a partition map) for
+// keyed lock acquisitions, returning the 64-bit identity of the key's
+// image: equal images must give equal words (two images that share a
+// word share a lock, which can only add a refusal).
+type KeyFunc func(core.Value) uint64
 
 // maxModes bounds a manageable scheme: mode hold-sets and incompatibility
 // rows are 64-bit masks, which comfortably covers every scheme in this
@@ -92,8 +94,8 @@ type Manager struct {
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
 }
 
-// dsHash names the whole-structure lock among the datum hashes, which
-// are v.Hash() ^ fnv64(key function name) of the value a mode guards.
+// dsHash names the whole-structure lock among the datum hashes that
+// compiledAcq.resolve computes.
 const dsHash = ^uint64(0)
 
 // numStripes picks the stripe count: the smallest power of two covering
@@ -262,42 +264,28 @@ func (m *Manager) Invoke(tx *engine.Tx, h *Method, args core.Vec, exec func() co
 	return ret, m.acquire(tx, h, args.Slice(), &ret)
 }
 
-// admission tallies how one acquire call's datum acquisitions were
-// granted, for the per-invocation telemetry counters.
-type admission struct {
-	reentrant  int  // granted against the transaction's own fast hold
-	fast, slow bool // some acquisition published a fast slot / reached a stripe
-}
-
 // acquire is the one admission path: the pre-phase acquisitions of h
 // when ret is nil, the post-phase ones otherwise, resolved and taken one
 // at a time.
 func (m *Manager) acquire(tx *engine.Tx, h *Method, args []core.Value, ret *core.Value) error {
+	t := tx.Tally(m.tele)
+	acqs := h.post
 	if ret == nil {
-		m.tele.IncInvocation()
+		t.Invocations++
+		acqs = h.pre
 	}
-	acqs := h.pre
-	if ret != nil {
-		acqs = h.post
+	for i := range acqs {
+		if err := m.acquireDatum(tx, t, acqs[i].resolve(args, ret), acqs[i].Mode); err != nil {
+			return err
+		}
 	}
-	var adm admission
-	var err error
-	for i := 0; i < len(acqs) && err == nil; i++ {
-		err = m.acquireDatum(tx, acqs[i].resolve(args, ret), acqs[i].Mode, &adm)
-	}
-	m.tele.ReentrantHitN(adm.reentrant)
-	if adm.slow {
-		m.tele.CascadeFilterHit()
-	} else if adm.fast {
-		m.tele.CascadeFastAdmit()
-	}
-	return err
+	return nil
 }
 
 // resolve evaluates one acquisition against an invocation, outside any
 // lock: the hash of the datum it locks — dsHash, or that of the argument
 // or return value it names. A keyed mode locks that value's image under
-// the key function.
+// the key function, named by the word the function returns.
 func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 	if a.Target == TargetDS {
 		return dsHash
@@ -311,7 +299,7 @@ func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 		}
 	}
 	if a.keyFn != nil {
-		return a.keyFn(*v).Hash() ^ a.keyH
+		return a.keyFn(*v) ^ a.keyH
 	}
 	return v.Hash() ^ a.keyH
 }
@@ -336,7 +324,10 @@ func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 // free and no stripe hold maps to it (publish, then probe), and takes
 // the stripe path when it is not — including when the cell's owner is
 // this transaction, for another datum.
-func (m *Manager) acquireDatum(tx *engine.Tx, h uint64, mode int, adm *admission) error {
+//
+// It counts its route into t (a reentrant grant, a cell claimed, or a
+// stripe reached) and a grant once it stands.
+func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode int) error {
 	ft := m.fast
 	c := ft.cellFor(h)
 	bit := uint64(1) << uint(mode)
@@ -344,8 +335,8 @@ func (m *Manager) acquireDatum(tx *engine.Tx, h uint64, mode int, adm *admission
 	var held uint64
 	if own {
 		if held = c.modes.Load(); held&m.covers[mode] != 0 {
-			m.tele.ModeAcquire(uint16(mode))
-			adm.reentrant++
+			t.ModeAcquire(uint16(mode))
+			t.ReentrantHits++
 			return nil
 		}
 	}
@@ -357,25 +348,28 @@ func (m *Manager) acquireDatum(tx *engine.Tx, h uint64, mode int, adm *admission
 		if c.stripe.Load() == 0 {
 			c.modes.Store(held | bit)
 			if granted = c.stripe.Load() == 0; granted {
-				adm.reentrant++
+				t.ReentrantHits++
 			} else {
 				c.modes.Store(held)
 			}
 		}
 	} else if granted = ft.claim(tx, c, h, bit); granted {
-		adm.fast = true
+		t.FastAdmits++
 	}
 	t0 = telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
 	if granted {
-		m.tele.ModeAcquire(uint16(mode))
+		t.ModeAcquire(uint16(mode))
 		return nil
 	}
-	adm.slow = true
+	t.FilterHits++
 	s := m.stripeFor(h)
 	s.mu.Lock()
 	err := m.acquireInStripe(s, tx, h, mode)
 	s.mu.Unlock()
 	telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
+	if err == nil {
+		t.ModeAcquire(uint16(mode))
+	}
 	return err
 }
 
@@ -466,7 +460,6 @@ func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (prev uint64, err
 			return 0, m.refuse(tx, h.tx.ID(), conflicting, mode)
 		}
 	}
-	m.tele.ModeAcquire(uint16(mode))
 	if own != nil {
 		prev = own.modes
 		own.modes |= 1 << uint(mode)

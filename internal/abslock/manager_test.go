@@ -211,7 +211,7 @@ func TestManagerPartitionSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(s.Reduce(), map[string]KeyFunc{
-		"part": func(v core.Value) core.Value { return core.VInt(v.Int() % 2) },
+		"part": func(v core.Value) uint64 { return uint64(v.Int() % 2) },
 	})
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
@@ -276,14 +276,14 @@ func TestSpellingsOfOneKeyShareALock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewManager(s.Reduce(), map[string]KeyFunc{"part": func(v core.Value) core.Value {
+		return NewManager(s.Reduce(), map[string]KeyFunc{"part": func(v core.Value) uint64 {
 			switch i := v.Int(); {
 			case i >= 100:
-				return v // the neighbours
+				return v.Hash() // the neighbours
 			case i%2 == 0:
-				return core.VInt(5)
+				return core.VInt(5).Hash()
 			default:
-				return core.VFloat(5)
+				return core.VFloat(5).Hash()
 			}
 		}})
 	}

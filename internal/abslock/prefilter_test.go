@@ -150,11 +150,11 @@ func TestFastPathOwnCellCollision(t *testing.T) {
 	if fast, held := m.FastHolds(), m.HeldLocks(); fast != 1 || held != 2 {
 		t.Fatalf("FastHolds = %d, HeldLocks = %d with keys 1 and 2 read-locked in one cell, want 1 and 2", fast, held)
 	}
-	before := m.Telemetry().Snapshot().ReentrantHits
+	before := tx.Tally(m.Telemetry()).ReentrantHits
 	if err := pre(m, tx, "add", key(1)); err != nil {
 		t.Fatalf("upgrade of the fast-held key: %v", err)
 	}
-	if got := m.Telemetry().Snapshot().ReentrantHits - before; got != 0 {
+	if got := tx.Tally(m.Telemetry()).ReentrantHits - before; got != 0 {
 		t.Errorf("the upgrade was granted in place with a stripe hold mapped to its cell")
 	}
 	if err := pre(m, tx, "contains", key(1)); err != nil {
@@ -215,4 +215,41 @@ func TestFastPathConcurrentDisjoint(t *testing.T) {
 	if got := m.HeldLocks(); got != 0 {
 		t.Errorf("HeldLocks = %d after stress, want 0", got)
 	}
+}
+
+// TestRefusedStripeAcquisitionIsNoGrant: a reader that finds its key's
+// cell owned by another transaction's write hold falls to the stripes,
+// where the key's lock is free, and the cell scan then refuses it. The
+// attempt counts as a wait of the read mode and not as an acquisition.
+func TestRefusedStripeAcquisitionIsNoGrant(t *testing.T) {
+	m := newRWSetManager(t)
+	writer, reader := engine.NewTx(), engine.NewTx()
+	key := core.MakeVec(core.V(int64(7)))
+	if err := pre(m, writer, "add", key); err != nil {
+		t.Fatal(err)
+	}
+	if m.FastHolds() != 1 {
+		t.Fatalf("FastHolds = %d after one write, want 1", m.FastHolds())
+	}
+	if err := pre(m, reader, "contains", key); !engine.IsConflict(err) {
+		t.Fatalf("read under a fast-held write: %v, want a conflict", err)
+	}
+	reader.Abort()
+	writer.Commit()
+	requireDrained(t, "refused stripe read", m)
+
+	snap := m.Telemetry().Snapshot()
+	if snap.FilterHits != 1 {
+		t.Errorf("%d invocations reached a stripe, want the reader's 1", snap.FilterHits)
+	}
+	read := m.Scheme().Modes[m.Method("contains").pre[0].Mode].String()
+	for _, row := range snap.Modes {
+		if row.Mode == read {
+			if row.Acquired != 0 || row.Waits != 1 {
+				t.Errorf("mode %s: acquired %d, waits %d; want 0 and 1", read, row.Acquired, row.Waits)
+			}
+			return
+		}
+	}
+	t.Errorf("no counter row for the refused mode %s in %+v", read, snap.Modes)
 }

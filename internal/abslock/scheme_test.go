@@ -255,7 +255,7 @@ func schemeAllows(t *testing.T, s *Scheme, keys map[string]KeyFunc, inv1, inv2 c
 // two invocations to proceed concurrently exactly when the specification
 // says they commute.
 func TestTheorem1SoundAndComplete(t *testing.T) {
-	partKeys := map[string]KeyFunc{"part": func(v core.Value) core.Value { return core.VInt(v.Int() % 2) }}
+	partKeys := map[string]KeyFunc{"part": func(v core.Value) uint64 { return uint64(v.Int() % 2) }}
 	pureEnv := func(fn string, args []core.Value) (core.Value, error) {
 		return core.VInt(args[0].Int() % 2), nil
 	}

@@ -336,7 +336,13 @@ func TestReentrantScenarios(t *testing.T) {
 					t.Errorf("%s/%s step %d: %v names holder %+v, want tx %d", sc.name, name, i, err, ce, txs[st.by-1].ID())
 				}
 			}
-			if got := m.Telemetry().Snapshot().ReentrantHits; got != sc.reentrant {
+			// The transactions are live, so their grants are still
+			// pending in their tallies.
+			var got uint64
+			for _, tx := range txs {
+				got += uint64(tx.Tally(m.Telemetry()).ReentrantHits)
+			}
+			if got != sc.reentrant {
 				t.Errorf("%s/%s: %d acquisitions resolved against the owner's hold, want %d", sc.name, name, got, sc.reentrant)
 			}
 			if got := m.FastHolds(); got != sc.fast {
@@ -452,15 +458,98 @@ func TestHoldLookupBounded(t *testing.T) {
 	if fast < n*9/10 {
 		t.Errorf("only %d of %d locks are fast holds", fast, n)
 	}
-	before := m.Telemetry().Snapshot().ReentrantHits
+	before := tx.Tally(m.Telemetry()).ReentrantHits
 	for k := int64(0); k < n; k++ {
 		if err := m.Acquire(tx, contains, core.VInt(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Telemetry().Snapshot().ReentrantHits - before; got != uint64(fast) {
+	if got := tx.Tally(m.Telemetry()).ReentrantHits - before; got != fast {
 		t.Errorf("%d re-acquisitions resolved against the owner's %d fast holds", got, fast)
 	}
 	tx.Commit()
 	requireDrained(t, "256 locks", m)
+}
+
+// TestTalliedCountersExact: grants count into their transaction's tally
+// and reach the detector when it ends. After several goroutines have run
+// many committed and aborted transactions on one manager, the invocation
+// and per-mode acquisition counters equal exactly what the goroutines
+// did, and the route counters add up to the acquisitions. Readers share
+// keys, so grants may take the stripe path as well as fast cells and
+// covered re-acquisitions; writers keep to keys of their own, so nothing
+// is refused. Run with -race.
+func TestTalliedCountersExact(t *testing.T) {
+	m := newRWSetManager(t)
+	add, contains := m.Method("add"), m.Method("contains")
+	const workers = 4
+	iters := 400
+	if testing.Short() {
+		iters = 100
+	}
+	type call struct {
+		h *Method
+		k int64
+	}
+	var wg sync.WaitGroup
+	counted := make([]map[int]uint64, workers) // per worker: mode → grants
+	invocations := make([]uint64, workers)
+	for w := range workers {
+		counted[w] = map[int]uint64{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range iters {
+				own := int64(w+1)<<32 | int64(i)
+				shared := int64(i % 4)
+				tx := engine.NewTx()
+				for _, c := range []call{{contains, shared}, {add, own}, {contains, own}, {contains, shared}} {
+					if err := m.Acquire(tx, c.h, core.VInt(c.k)); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					invocations[w]++
+					for _, a := range c.h.pre {
+						counted[w][a.Mode]++
+					}
+				}
+				if i%3 == 0 {
+					tx.Abort()
+				} else {
+					tx.Commit()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	requireDrained(t, "tallied counters", m)
+
+	var wantInv, wantAcq uint64
+	want := map[string]uint64{}
+	for w := range workers {
+		wantInv += invocations[w]
+		for mode, n := range counted[w] {
+			want[m.Scheme().Modes[mode].String()] += n
+			wantAcq += n
+		}
+	}
+	snap := m.Telemetry().Snapshot()
+	if snap.Invocations != wantInv {
+		t.Errorf("invocations = %d, want %d", snap.Invocations, wantInv)
+	}
+	var acq uint64
+	for _, row := range snap.Modes {
+		if row.Acquired != want[row.Mode] || row.Waits != 0 {
+			t.Errorf("mode %s: acquired %d, waits %d; want %d and 0", row.Mode, row.Acquired, row.Waits, want[row.Mode])
+		}
+		acq += row.Acquired
+	}
+	if acq != wantAcq {
+		t.Errorf("%d acquisitions over the mode rows, want %d", acq, wantAcq)
+	}
+	// Each granted acquisition took exactly one route.
+	if routes := snap.ReentrantHits + snap.FastAdmits + snap.FilterHits; routes != acq {
+		t.Errorf("routes: %d reentrant + %d fast cells + %d stripes, want %d",
+			snap.ReentrantHits, snap.FastAdmits, snap.FilterHits, acq)
+	}
 }

@@ -83,14 +83,15 @@ func NewExclusive(net *Net) *Graph {
 }
 
 // NewPartitioned guards net with locks on nparts node partitions (the
-// "part" point; the paper uses 32). Node ids are non-negative, so the
-// partition map is an unsigned remainder, and a mask when nparts is a
-// power of two.
+// "part" point; the paper uses 32). Node ids are non-negative ints (every
+// method locks core.VInt(u)), so the partition map is an unsigned
+// remainder, and a mask when nparts is a power of two; its word is the
+// partition number. AsInt reads the id without copying the Value.
 func NewPartitioned(net *Net, nparts int) *Graph {
 	n := uint64(nparts)
-	part := func(v core.Value) core.Value { return core.VInt(int64(uint64(v.Int()) % n)) }
+	part := func(v core.Value) uint64 { u, _ := v.AsInt(); return uint64(u) % n }
 	if n&(n-1) == 0 {
-		part = func(v core.Value) core.Value { return core.VInt(int64(uint64(v.Int()) & (n - 1))) }
+		part = func(v core.Value) uint64 { u, _ := v.AsInt(); return uint64(u) & (n - 1) }
 	}
 	g, err := NewGraph(net, PartitionedSpec(), map[string]abslock.KeyFunc{PartKey: part})
 	if err != nil {

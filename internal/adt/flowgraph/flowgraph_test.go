@@ -74,7 +74,7 @@ func TestNewGraphRequiresNodeIsolation(t *testing.T) {
 	for name, spec := range map[string]*core.Spec{
 		"rw": RWSpec(), "ex": ExclusiveSpec(), "part": PartitionedSpec(), "bottom": core.Bottom(Sig()),
 	} {
-		keys := map[string]abslock.KeyFunc{PartKey: func(v core.Value) core.Value { return core.VInt(v.Int() % 4) }}
+		keys := map[string]abslock.KeyFunc{PartKey: func(v core.Value) uint64 { return uint64(v.Int() % 4) }}
 		if _, err := NewGraph(diamond(), spec, keys); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

@@ -158,7 +158,7 @@ func NewRWLocked(rep Rep) *LockedSet {
 // NewPartitionLocked guards rep with locks on nparts partitions (§4.2).
 func NewPartitionLocked(rep Rep, nparts int) *LockedSet {
 	s, err := NewLocked(rep, PartitionedSpec(), map[string]abslock.KeyFunc{
-		PartitionKey: func(v core.Value) core.Value { return core.VInt(Partition(v.Int(), nparts)) },
+		PartitionKey: func(v core.Value) uint64 { return uint64(Partition(v.Int(), nparts)) },
 	})
 	if err != nil {
 		panic(err)

@@ -159,8 +159,10 @@ func (v Value) IsUnset() bool { return v.kind == KindUnset }
 // AsBool returns the boolean payload, if v is a bool.
 func (v Value) AsBool() (bool, bool) { return v.bits != 0, v.kind == KindBool }
 
-// AsInt returns the integer payload, if v is an int.
-func (v Value) AsInt() (int64, bool) { return int64(v.bits), v.kind == KindInt }
+// AsInt returns the integer payload, if v is an int. Like KeyHash it
+// has a pointer receiver, so no Value is copied: key functions on the
+// lock path read their argument with it.
+func (v *Value) AsInt() (int64, bool) { return int64(v.bits), v.kind == KindInt }
 
 // AsNumber returns v as a float64 if it is numeric (int or float).
 func (v Value) AsNumber() (float64, bool) {

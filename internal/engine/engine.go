@@ -133,8 +133,10 @@ type Tx struct {
 	endWord uint64   // scratch word owned by the end releaser; see EndWord
 	attach  []attachment
 	status  Status
-	worker  int32 // executor worker running this tx (0 when hand-driven)
-	item    int64 // traced work-item key (-1 when unknown)
+	worker  int32             // executor worker running this tx (0 when hand-driven)
+	item    int64             // traced work-item key (-1 when unknown)
+	tallies []telemetry.Tally // any but the first detector's pending counts
+	tally   telemetry.Tally   // the first detector's; see Tally
 }
 
 // NewTx creates a fresh active transaction.
@@ -164,7 +166,7 @@ func PutTx(tx *Tx) {
 	if tx.status == Active {
 		panic("engine: PutTx on an active transaction")
 	}
-	//commvet:ignore Commit/Abort drain and nil out every hook slice entry before the transaction can get here (Active is rejected above); the slices keep capacity by design
+	//commvet:ignore Commit/Abort drain and nil out every hook and tally entry before the transaction can get here (Active is rejected above); the slices keep capacity by design
 	txPool.Put(tx)
 }
 
@@ -211,6 +213,40 @@ func (tx *Tx) Attach(owner any) (word *uint64, isNew bool) {
 	}
 	tx.attach = append(tx.attach, attachment{owner: owner})
 	return &tx.attach[len(tx.attach)-1].word, true
+}
+
+// Tally returns the transaction's pending counts for detector d (see
+// telemetry.Tally), empty on first use; Commit, Abort and CommitBatch
+// flush them into d. For the usual one-detector transaction the lookup
+// is one pointer compare. As with Attach, the next call with another
+// detector may invalidate the pointer.
+func (tx *Tx) Tally(d *telemetry.Detector) *telemetry.Tally {
+	if td := tx.tally.Detector(); td == d {
+		return &tx.tally
+	} else if td == nil {
+		tx.tally = telemetry.NewTally(d)
+		return &tx.tally
+	}
+	for i := range tx.tallies {
+		if tx.tallies[i].Detector() == d {
+			return &tx.tallies[i]
+		}
+	}
+	tx.tallies = append(tx.tallies, telemetry.NewTally(d))
+	return &tx.tallies[len(tx.tallies)-1]
+}
+
+// flushTallies flushes and empties the tallies, keeping capacity.
+func (tx *Tx) flushTallies() {
+	if tx.tally.Detector() == nil {
+		return
+	}
+	tx.tally.Flush()
+	tx.tally = telemetry.Tally{}
+	for i := range tx.tallies {
+		tx.tallies[i].Flush()
+	}
+	clearHooks(&tx.tallies)
 }
 
 // AttachedWord returns owner's attachment word, or nil if owner never
@@ -287,6 +323,7 @@ func (tx *Tx) Commit() {
 	}
 	clearHooks(&tx.undo)
 	clearHooks(&tx.attach)
+	tx.flushTallies()
 	telemetry.TxCommit(int(tx.worker), tx.id, tx.item)
 }
 
@@ -349,6 +386,7 @@ func CommitBatch(txs []*Tx) {
 		clearHooks(&tx.release)
 		clearHooks(&tx.undo)
 		clearHooks(&tx.attach)
+		tx.flushTallies()
 	}
 	if telemetry.TraceEnabled() {
 		for _, tx := range txs {
@@ -378,6 +416,7 @@ func (tx *Tx) Abort() {
 		tx.endWord = 0
 	}
 	clearHooks(&tx.attach)
+	tx.flushTallies()
 	telemetry.TxAbort(int(tx.worker), tx.id, tx.item)
 }
 

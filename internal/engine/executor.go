@@ -182,10 +182,10 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 }
 
 // txPool recycles transaction shells between iterations; Commit and
-// Abort clear the undo/release hooks (zeroing every entry, so no
-// detector or closure reference survives into the pool) but keep their
-// slice capacity, so a steady-state worker allocates nothing per
-// transaction. GetTx/PutTx expose the pool to benchmarks and tests.
+// Abort clear the undo/release hooks and the counter tallies (zeroing
+// every entry, so no detector or closure reference survives into the
+// pool) but keep their slice capacity, so a steady-state worker
+// allocates nothing per transaction. GetTx/PutTx expose the pool to benchmarks and tests.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // worker is one executor goroutine's state.

@@ -18,6 +18,10 @@
 //     (or mode) IDs assigned at detector construction; the hot path
 //     performs array-indexed atomic adds only, never a map lookup or an
 //     allocation.
+//   - A lock manager's grants count into a Tally instead: plain
+//     increments on the transaction's own memory, added into the atomics
+//     when it ends. Those counters are exact once every transaction that
+//     counted has ended; a snapshot misses a live one's pending counts.
 //   - Event tracing is off by default. Disabled, an emission is one
 //     atomic load; enabled, it is a couple of mutex-guarded stores into
 //     a preallocated per-worker ring — still allocation-free.
@@ -81,8 +85,8 @@ type Detector struct {
 	activeHW    atomic.Int64 // active-log size high-water mark
 	journalHW   atomic.Int64 // journal length high-water mark
 
-	// Cascade stage counters (lattice-cascade detectors only): how far
-	// down the filter pipeline each invocation had to fall.
+	// Stage counters: how far down the filter pipeline each invocation
+	// had to fall (lock managers: each acquisition, fast cell or stripe).
 	fastAdmits  atomic.Uint64 // stage 1: signature-filter misses admitted lock-free
 	filterHits  atomic.Uint64 // stage 1 hits that fell through to stage 2
 	optScans    atomic.Uint64 // stage 2: optimistic lock-free bucket/chain scans
@@ -199,10 +203,6 @@ func addN(c *atomic.Uint64, n int) {
 	}
 }
 
-// ReentrantHitN counts n lock acquisitions granted against the
-// transaction's own existing hold (one atomic add per invocation).
-func (d *Detector) ReentrantHitN(n int) { addN(&d.reentrant, n) }
-
 // CascadeFastAdmitN counts n invocations admitted by the signature
 // filter alone in one batch probe (one atomic add for the group).
 func (d *Detector) CascadeFastAdmitN(n int) { addN(&d.fastAdmits, n) }
@@ -270,6 +270,50 @@ func (d *Detector) ModeAcquire(mode uint16) {
 func (d *Detector) ModeWait(mode uint16) {
 	if int(mode) < len(d.waits) {
 		d.waits[mode].Add(1)
+	}
+}
+
+// tallyModes is how many lock modes a Tally counts itself.
+const tallyModes = 16
+
+// Tally is one detector's pending counts for one transaction
+// (engine.Tx.Tally), so that a grant writes no shared cache line: the
+// goroutine driving the transaction bumps it with plain increments, and
+// the transaction's end adds it into the detector (Flush), each field
+// into the snapshot counter of its name. Refusals, and acquisitions of
+// modes past the first 16, count straight into the detector.
+type Tally struct {
+	d *Detector
+
+	Invocations, ReentrantHits, FastAdmits, FilterHits int
+	acquired                                           [tallyModes]int // per mode
+}
+
+// NewTally returns an empty tally for d.
+func NewTally(d *Detector) Tally { return Tally{d: d} }
+
+// Detector returns the detector the tally counts for.
+func (t *Tally) Detector() *Detector { return t.d }
+
+// ModeAcquire counts one successful acquisition of the given mode.
+func (t *Tally) ModeAcquire(mode uint16) {
+	if mode < tallyModes {
+		t.acquired[mode]++
+	} else {
+		t.d.ModeAcquire(mode)
+	}
+}
+
+// Flush adds the pending counts into the detector, one atomic add per
+// non-zero counter. The transaction discards the tally afterwards.
+func (t *Tally) Flush() {
+	d := t.d
+	addN(&d.invocations, t.Invocations)
+	addN(&d.reentrant, t.ReentrantHits)
+	addN(&d.fastAdmits, t.FastAdmits)
+	addN(&d.filterHits, t.FilterHits)
+	for i := range min(tallyModes, len(d.acquired)) {
+		addN(&d.acquired[i], t.acquired[i])
 	}
 }
 

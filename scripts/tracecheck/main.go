@@ -198,8 +198,8 @@ func checkChrome(raw []byte, w io.Writer) error {
 
 // checkSnapshot validates a telemetry snapshot document (`commlat
 // -telemetry-out` or /debug/telemetry): every detector row carries id,
-// kind and adt, and per-pair attribution does not exceed the detector
-// totals it decomposes.
+// kind and adt, and no part exceeds its whole: per-pair attribution the
+// detector totals, a lock manager's reentrant grants its acquisitions.
 func checkSnapshot(raw []byte, w io.Writer) error {
 	var doc telemetry.Snapshot
 	if err := decodeStrict(raw, &doc); err != nil {
@@ -233,10 +233,16 @@ func checkSnapshot(raw []byte, w io.Writer) error {
 		if pairConflicts > d.Conflicts {
 			return fmt.Errorf("detectors[%d] (%s): pair conflicts %d exceed total %d", i, d.Kind, pairConflicts, d.Conflicts)
 		}
+		var acquired uint64
 		for j, m := range d.Modes {
 			if m.Mode == "" {
 				return fmt.Errorf("detectors[%d].modes[%d]: missing mode", i, j)
 			}
+			acquired += m.Acquired
+		}
+		// Every reentrant grant is also an acquisition of its mode.
+		if d.Kind == "abslock" && d.ReentrantHits > acquired {
+			return fmt.Errorf("detectors[%d] (%s): reentrant hits %d exceed %d acquisitions", i, d.Kind, d.ReentrantHits, acquired)
 		}
 		fastAdmits += d.FastAdmits
 		filterHits += d.FilterHits

@@ -90,6 +90,7 @@ func TestSemanticRulesReject(t *testing.T) {
 		{"unknown field", "-snapshot", func(d obj) { row(d, "detectors", 0)["bogus"] = 1 }, `unknown field "bogus"`},
 		{"renamed tag", "-flight", func(d obj) { d["reclaimed"] = d["dropped"]; delete(d, "dropped") }, `unknown field "reclaimed"`},
 		{"pair checks over total", "-snapshot", func(d obj) { row(row(d, "detectors", 0), "pairs", 0)["checks"] = 99 }, "pair checks 100 exceed total 3"},
+		{"reentrant hits over acquisitions", "-snapshot", func(d obj) { row(d, "detectors", 1)["reentrant_hits"] = 3 }, "reentrant hits 3 exceed 2 acquisitions"},
 		{"event without ts_ns", "", func(d obj) { delete(row(d, "lines", 1), "ts_ns") }, "line 2: missing ts_ns"},
 		{"event timeline out of order", "", func(d obj) {
 			l := d["lines"].([]any)
