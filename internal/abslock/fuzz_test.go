@@ -230,7 +230,7 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 	}
 	for i := range m.fast.cells {
 		c := &m.fast.cells[i]
-		if o, n := c.owner.Load(), c.stripe.Load(); o != 0 || n != 0 {
+		if o, n := c.state.Load(), c.stripe.Load(); o != 0 || n != 0 {
 			t.Fatalf("%s: cell %d has owner %d and stripe count %d after every transaction ended", what, i, o, n)
 		}
 	}

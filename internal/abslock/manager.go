@@ -301,6 +301,9 @@ func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 	if a.keyFn != nil {
 		return a.keyFn(*v) ^ a.keyH
 	}
+	if h, ok := v.KeyHash(); ok {
+		return h ^ a.keyH
+	}
 	return v.Hash() ^ a.keyH
 }
 
@@ -313,17 +316,19 @@ func (a *compiledAcq) resolve(args []core.Value, ret *core.Value) uint64 {
 // no shared state: every other holder is compatible with the held mode
 // and hence with this one, and any later acquirer that conflicts with
 // this one conflicts with the held mode and is refused on that account.
-// Otherwise the hold is widened in place: the new mode mask is stored
-// into the cell and then its stripe count is probed; a non-zero count
-// means some stripe acquirer published first, so the mask reverts and
-// the stripe decides. A stripe acquirer increments the count before it
-// inspects the cell, so of an upgrader and a racing acquirer at least
+// Otherwise the hold is widened in place: the widened state word is
+// stored into the cell and then its stripe count is probed; a non-zero
+// count means some stripe acquirer published first, so the word reverts
+// and the stripe decides. A stripe acquirer increments the count before
+// it inspects the cell, so of an upgrader and a racing acquirer at least
 // one sees the other.
 //
 // A datum the transaction does not hold claims its cell when the cell is
 // free and no stripe hold maps to it (publish, then probe), and takes
 // the stripe path when it is not — including when the cell's owner is
-// this transaction, for another datum.
+// this transaction, for another datum. A mode the cell's word cannot
+// hold (cellModes and up) takes the stripe path whenever it is not
+// covered.
 //
 // It counts its route into t (a reentrant grant, a cell claimed, or a
 // stripe reached) and a grant once it stands.
@@ -331,30 +336,33 @@ func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode
 	ft := m.fast
 	c := ft.cellFor(h)
 	bit := uint64(1) << uint(mode)
-	own := c.owner.Load() == tx.ID() && c.hash.Load() == h
-	var held uint64
-	if own {
-		if held = c.modes.Load(); held&m.covers[mode] != 0 {
-			t.ModeAcquire(uint16(mode))
-			t.ReentrantHits++
-			return nil
-		}
+	st := c.state.Load()
+	own := cellOwner(st) == tx.ID() && c.hash.Load() == h
+	if own && st&cellModeMask&m.covers[mode] != 0 {
+		t.ModeAcquire(uint16(mode))
+		t.ReentrantHits++
+		return nil
 	}
 	t0 := telemetry.TxClock(tx.ID())
 	granted := false
-	if own {
+	switch {
+	case mode >= cellModes:
+		// No room in the word: the stripes decide.
+	case own:
 		// The pre-probe keeps a hopeless upgrade from flashing a wider
 		// mask at compatible stripe acquirers.
 		if c.stripe.Load() == 0 {
-			c.modes.Store(held | bit)
+			c.state.Store(st | bit)
 			if granted = c.stripe.Load() == 0; granted {
 				t.ReentrantHits++
 			} else {
-				c.modes.Store(held)
+				c.state.Store(st)
 			}
 		}
-	} else if granted = ft.claim(tx, c, h, bit); granted {
-		t.FastAdmits++
+	default:
+		if granted = ft.claim(tx, c, h, bit); granted {
+			t.FastAdmits++
+		}
 	}
 	t0 = telemetry.StageObserve(tx.Worker(), telemetry.StageSigFilter, t0)
 	if granted {
@@ -556,9 +564,9 @@ func (m *Manager) HeldLocks() int {
 	// A hash has one cell, so no two live cells hold the same datum.
 	for i := range m.fast.cells {
 		c := &m.fast.cells[i]
-		o := c.owner.Load()
+		st := c.state.Load()
 		h := c.hash.Load()
-		if o == 0 || c.owner.Load() != o {
+		if st == 0 || !ownerStable(c, st) {
 			continue // free, or released under the read
 		}
 		if h != dsHash && !inStripe(h) {

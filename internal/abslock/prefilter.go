@@ -11,13 +11,14 @@ import (
 // prefilter to abstract locking: a datum acquisition whose cell of a
 // direct-mapped table is unoccupied takes its lock there, without
 // touching a stripe mutex. A cell is indexed by the datum-key hash and
-// holds at most one fast hold (owner, hash, mode mask) beside a count of
-// the stripe holds that map to it. Each side publishes before it probes:
-// a fast acquirer writes its hold and then reads the stripe count, a
-// stripe acquirer increments the count (see acquireInStripe) and then
-// reads the hold, so of two racing conflicting acquirers at least one
-// observes the other. The ds-lock is the datum of hash dsHash, no
-// different from any other here.
+// holds at most one fast hold — one word packing the owner and its mode
+// mask, beside the datum's hash — and a count of the stripe holds that
+// map to it. Each side publishes before it probes: a fast acquirer
+// writes its hold and then reads the stripe count, a stripe acquirer
+// increments the count (see acquireInStripe) and then reads the hold, so
+// of two racing conflicting acquirers at least one observes the other.
+// The ds-lock is the datum of hash dsHash, no different from any other
+// here.
 //
 // Fast admission demands a free cell and a zero stripe count, so
 // compatible sharing of one datum (two readers of the same key) always
@@ -27,37 +28,46 @@ import (
 // remain those of the mode-incompatibility relation. The owner of a cell
 // re-acquires its datum against the cell itself (Manager.acquireDatum):
 // covered modes with no shared write at all, wider ones by widening the
-// cell's mask in place.
+// cell's mask in place. Modes from cellModes up, which the word has no
+// room for, always take the stripes.
 
 // defaultFastSlots sizes the fast-hold table (a power of two). At 32
 // bytes a cell the table is 128 KiB per manager, and a manager is built
 // and zeroed per guarded structure, so the size is set-up time.
 const defaultFastSlots = 1 << 12
 
+// A cell's state word holds cellModes modes in its low byte (selected by
+// cellModeMask) below the owner's transaction id. Every reduced scheme in
+// this repository has at most eight modes.
+const cellModes, cellModeMask = 8, 1<<8 - 1
+
+// cellOwner is the owner half of a state word: a transaction id, 0 when
+// the cell is free.
+func cellOwner(st uint64) uint64 { return st >> cellModes }
+
 // cell is one entry of the fast-hold table.
 //
-// Its owner writes hash and then modes after winning owner, and clears
-// modes before owner on release, so a claimed cell starts with an empty
-// mask and a non-zero mask read under one owner comes with that owner's
-// hash. modes is outside the seqlock: the owner widens it in place (an
-// upgrade, reverted if refused) without touching owner. It is one atomic
-// word, every value a reader can load is a mask the owner did publish,
-// and the upgrade is ordered against readers by publish-then-probe on
-// the stripe count.
+// state is the owner's transaction id over its mode mask, 0 while free:
+// ids have 56 bits, 22 years at 10⁸ transactions a second. A claim is one
+// CAS from 0, a release one store of 0, and the owner widens its mask in
+// place. A claimer stores hash after its CAS, only when it differs, so a
+// reader may pair a fresh claim with the last holder's stale hash — but
+// only before that claim probes the stripe count the reader incremented
+// first, so it retracts (DESIGN.md §8). Ids are never reused: an
+// unchanged owner half means the same claim, not a recycled cell.
 type cell struct {
-	// owner is the holder's transaction id, 0 while the cell is free.
-	// Ids are never reused, so a reader that loads the same owner around
-	// its reads of the other fields saw that transaction's claim, not a
-	// recycled cell. (A transaction may claim a cell again after its own
-	// retracted claim; DESIGN.md §8 has why a reader that straddles both
-	// can at worst be refused, never miss a granted hold.)
 	//commvet:seqlock protects=hash
-	owner  atomic.Uint64
+	state  atomic.Uint64
 	hash   atomic.Uint64
-	modes  atomic.Uint64
 	stripe atomic.Int32 // stripe holds on datums that map here
 	txNext uint32       // owner's release chain: cell+1, 0 terminates; owner-only
+	_      uint64       // to 32 bytes, so that no cell straddles a cache line
 }
+
+// ownerStable reports whether c is still owned by the transaction whose
+// state word a reader loaded as st. It compares the owner half only: an
+// in-place widening leaves the owner holding every mode st showed.
+func ownerStable(c *cell, st uint64) bool { return cellOwner(c.state.Load()) == cellOwner(st) }
 
 // fastTable is the lock-free fast-hold store shared by all stripes of
 // one Manager.
@@ -74,20 +84,21 @@ func newFastTable(n int) *fastTable {
 func (ft *fastTable) cellFor(h uint64) *cell { return &ft.cells[h&ft.mask] }
 
 // claim takes the free cell c for tx's fresh hold on datum-key hash h
-// and threads it onto the transaction's release chain. It reports false,
-// leaving nothing behind, when the cell is owned — by anyone, for any
-// datum — or a stripe hold maps to it.
-func (ft *fastTable) claim(tx *engine.Tx, c *cell, h, modeMask uint64) bool {
+// in the mode of bit (below 1<<cellModes) and threads it onto the
+// transaction's release chain. It reports false, leaving nothing behind,
+// when the cell is owned — by anyone, for any datum — or a stripe hold
+// maps to it.
+func (ft *fastTable) claim(tx *engine.Tx, c *cell, h, bit uint64) bool {
 	// The pre-probe keeps a hopeless claim from flashing its mode at
 	// compatible stripe acquirers.
-	if c.stripe.Load() != 0 || !c.owner.CompareAndSwap(0, tx.ID()) {
+	if c.stripe.Load() != 0 || !c.state.CompareAndSwap(0, tx.ID()<<cellModes|bit) {
 		return false
 	}
-	c.hash.Store(h)
-	c.modes.Store(modeMask)
+	if c.hash.Load() != h {
+		c.hash.Store(h)
+	}
 	if c.stripe.Load() != 0 {
-		c.modes.Store(0)
-		c.owner.Store(0)
+		c.state.Store(0)
 		return false
 	}
 	p, isNew := tx.Attach(ft)
@@ -109,8 +120,7 @@ func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
 	for w != 0 {
 		c := &ft.cells[w-1]
 		w = uint64(c.txNext)
-		c.modes.Store(0)
-		c.owner.Store(0)
+		c.state.Store(0)
 	}
 	telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 }
@@ -119,16 +129,17 @@ func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
 // recording its own hold in the cell's stripe count, a stripe acquirer
 // inspects the one cell its datum-key hash maps to for a fast hold of
 // another transaction on the same datum in an incompatible mode. The
-// mask is read before the hash (see cell), and the owner re-read rejects
-// a cell released under the reads: not a holder.
+// owner and mask come in one load, the hash after it, and the owner
+// re-read rejects a cell released under the reads: not a holder.
 func (m *Manager) conflictScan(tx *engine.Tx, h uint64, mode int) error {
 	c := m.fast.cellFor(h)
-	holder := c.owner.Load()
+	st := c.state.Load()
+	holder := cellOwner(st)
 	if holder == 0 || holder == tx.ID() {
 		return nil
 	}
-	conflicting := c.modes.Load() & m.incompat[mode]
-	if conflicting == 0 || c.hash.Load() != h || c.owner.Load() != holder {
+	conflicting := st & cellModeMask & m.incompat[mode]
+	if conflicting == 0 || c.hash.Load() != h || !ownerStable(c, st) {
 		return nil
 	}
 	return m.refuse(tx, holder, conflicting, mode)
@@ -139,7 +150,7 @@ func (m *Manager) conflictScan(tx *engine.Tx, h uint64, mode int) error {
 func (m *Manager) FastHolds() int {
 	n := 0
 	for i := range m.fast.cells {
-		if m.fast.cells[i].owner.Load() != 0 {
+		if m.fast.cells[i].state.Load() != 0 {
 			n++
 		}
 	}

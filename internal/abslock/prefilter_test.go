@@ -1,8 +1,12 @@
 package abslock
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
@@ -252,4 +256,143 @@ func TestRefusedStripeAcquisitionIsNoGrant(t *testing.T) {
 		}
 	}
 	t.Errorf("no counter row for the refused mode %s in %+v", read, snap.Modes)
+}
+
+// TestOneCellStaleHashExclusion runs a one-cell table, so writers of
+// keys 1 and 2 claim and release the same cell over and over and every
+// claim can find the other key's hash left behind. Meanwhile another
+// writer takes the same keys on the stripe route alone. No key may ever
+// have two write holders at once. Run with -race.
+func TestOneCellStaleHashExclusion(t *testing.T) {
+	m := newRWSetManager(t)
+	m.fast = newFastTable(1)
+	add := m.Method("add")
+	ops := 10000
+	if testing.Short() {
+		ops = 1000
+	}
+	var writers [3]atomic.Int32 // per key 1 and 2: live write holders
+	var doubled atomic.Bool
+	var stripeGrants atomic.Int32
+	hold := func(k int64) {
+		if writers[k].Add(1) > 1 {
+			doubled.Store(true)
+		}
+		runtime.Gosched()
+		writers[k].Add(-1)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				k := int64(1 + (w+i)%2)
+				tx := engine.NewTx()
+				if err := m.Acquire(tx, add, core.VInt(k)); err != nil {
+					tx.Abort()
+					continue
+				}
+				hold(k)
+				tx.Commit()
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < ops; i++ {
+			k := int64(1 + i%2)
+			args := []core.Value{core.VInt(k)}
+			tx := engine.NewTx()
+			var err error
+			for j := range add.pre {
+				a := &add.pre[j]
+				s := m.stripeFor(a.resolve(args, nil))
+				s.mu.Lock()
+				err = m.acquireInStripe(s, tx, a.resolve(args, nil), a.Mode)
+				s.mu.Unlock()
+				if err != nil {
+					break
+				}
+			}
+			if err != nil {
+				tx.Abort()
+				continue
+			}
+			stripeGrants.Add(1)
+			hold(k)
+			tx.Commit()
+		}
+	}()
+	wg.Wait()
+	if doubled.Load() {
+		t.Fatal("a key had two write holders at once")
+	}
+	if stripeGrants.Load() == 0 {
+		t.Error("the stripe-route writer was never granted: the test raced nothing")
+	}
+	requireDrained(t, "one-cell stale hash", m)
+}
+
+// TestModesBeyondTheCellWord: a scheme with nine modes, whose mode 8 the
+// cell's state word has no bit for. Mode 8 must take the stripe route,
+// be refused there by another transaction's conflicting fast hold of
+// mode 0 on the same datum, and, once granted on a free datum, refuse a
+// later mode-0 acquirer from the stripe.
+func TestModesBeyondTheCellWord(t *testing.T) {
+	const n = 9
+	s := &Scheme{ADT: "wide", Acquire: map[string][]Acquisition{
+		"low":  {{Mode: 0, Target: TargetArg}},
+		"high": {{Mode: n - 1, Target: TargetArg}},
+	}}
+	for i := 0; i < n; i++ {
+		s.Modes = append(s.Modes, Mode{Method: fmt.Sprintf("m%d", i), Slot: "x"})
+	}
+	s.Incompat = make([][]bool, n)
+	for i := range s.Incompat {
+		s.Incompat[i] = make([]bool, n)
+	}
+	s.Incompat[0][n-1], s.Incompat[n-1][0] = true, true
+	m := NewManager(s, nil)
+	low, high := m.Method("low"), m.Method("high")
+
+	lowTx := engine.NewTx()
+	if err := m.Acquire(lowTx, low, core.VInt(5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lowTx.Tally(m.Telemetry()).FastAdmits; got != 1 {
+		t.Fatalf("mode 0 on a free datum: %d fast admits, want 1", got)
+	}
+	highTx := engine.NewTx()
+	if err := m.Acquire(highTx, high, core.VInt(5)); !engine.IsConflict(err) {
+		t.Fatalf("mode 8 under a fast-held mode 0: %v, want a conflict", err)
+	}
+	if tl := highTx.Tally(m.Telemetry()); tl.FilterHits != 1 || tl.FastAdmits != 0 {
+		t.Errorf("refused mode 8: %d filter hits, %d fast admits; want 1 and 0", tl.FilterHits, tl.FastAdmits)
+	}
+	highTx.Abort()
+
+	highTx = engine.NewTx()
+	if err := m.Acquire(highTx, high, core.VInt(6)); err != nil {
+		t.Fatal(err)
+	}
+	if tl := highTx.Tally(m.Telemetry()); tl.FilterHits != 1 || tl.FastAdmits != 0 || m.FastHolds() != 1 {
+		t.Errorf("mode 8 on a free datum: %d filter hits, %d fast admits, %d fast holds; want 1, 0 and 1", tl.FilterHits, tl.FastAdmits, m.FastHolds())
+	}
+	probe := engine.NewTx()
+	if err := m.Acquire(probe, low, core.VInt(6)); !engine.IsConflict(err) {
+		t.Errorf("mode 0 under a stripe-held mode 8: %v, want a conflict", err)
+	}
+	probe.Abort()
+	highTx.Commit()
+	lowTx.Commit()
+	requireDrained(t, "nine modes", m)
+}
+
+// TestCellIs32Bytes: two cells to a half line, so none straddles one.
+func TestCellIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(cell{}); n != 32 {
+		t.Errorf("cell is %d bytes, want 32", n)
+	}
 }

@@ -32,6 +32,7 @@ type Graph struct {
 	// Compiled acquisition handles, one per method of Sig.
 	getNeighbors, height, excess, relabel, pushFlow *abslock.Method
 
+	ids []core.Value // ids[u] = core.VInt(u), built once: no call builds a Value
 	net *Net
 }
 
@@ -53,6 +54,10 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 		return nil, err
 	}
 	mgr := abslock.NewManager(scheme.Reduce(), keys)
+	ids := make([]core.Value, net.Len())
+	for u := range ids {
+		ids[u] = core.VInt(int64(u))
+	}
 	return &Graph{
 		mgr:          mgr,
 		getNeighbors: mgr.Method("getNeighbors"),
@@ -60,6 +65,7 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 		excess:       mgr.Method("excess"),
 		relabel:      mgr.Method("relabel"),
 		pushFlow:     mgr.Method("pushFlow"),
+		ids:          ids,
 		net:          net,
 	}, nil
 }
@@ -104,17 +110,21 @@ func NewPartitioned(net *Net, nparts int) *Graph {
 // transactions.
 func (g *Graph) Net() *Net { return g.net }
 
-// Neighbors returns a snapshot of u's residual arcs.
+// Neighbors returns u's residual arcs: the network's own list, not a
+// copy, valid until tx ends; callers must not write to it. Only tx's own
+// pushes change it: every spec NewGraph admits holds u's lock to the end,
+// and every write to the list — pushFlow(u, ·), or pushFlow(·, u) on a
+// reverse arc — needs u's write lock.
 func (g *Graph) Neighbors(tx *engine.Tx, u int64) ([]Arc, error) {
-	if err := g.mgr.Acquire(tx, g.getNeighbors, core.VInt(u)); err != nil {
+	if err := g.mgr.Acquire(tx, g.getNeighbors, g.ids[u:u+1]...); err != nil {
 		return nil, err
 	}
-	return append([]Arc(nil), g.net.Arcs(u)...), nil
+	return g.net.Arcs(u), nil
 }
 
 // Height reads u's label.
 func (g *Graph) Height(tx *engine.Tx, u int64) (int64, error) {
-	if err := g.mgr.Acquire(tx, g.height, core.VInt(u)); err != nil {
+	if err := g.mgr.Acquire(tx, g.height, g.ids[u:u+1]...); err != nil {
 		return 0, err
 	}
 	return g.net.Height(u), nil
@@ -122,7 +132,7 @@ func (g *Graph) Height(tx *engine.Tx, u int64) (int64, error) {
 
 // Excess reads u's excess flow.
 func (g *Graph) Excess(tx *engine.Tx, u int64) (int64, error) {
-	if err := g.mgr.Acquire(tx, g.excess, core.VInt(u)); err != nil {
+	if err := g.mgr.Acquire(tx, g.excess, g.ids[u:u+1]...); err != nil {
 		return 0, err
 	}
 	return g.net.Excess(u), nil
@@ -130,7 +140,7 @@ func (g *Graph) Excess(tx *engine.Tx, u int64) (int64, error) {
 
 // Relabel sets u's label.
 func (g *Graph) Relabel(tx *engine.Tx, u, h int64) error {
-	if err := g.mgr.Acquire(tx, g.relabel, core.VInt(u)); err != nil {
+	if err := g.mgr.Acquire(tx, g.relabel, g.ids[u:u+1]...); err != nil {
 		return err
 	}
 	old := g.net.SetHeight(u, h)
@@ -141,8 +151,8 @@ func (g *Graph) Relabel(tx *engine.Tx, u, h int64) error {
 // Push moves amt units along u's arc with index ai (whose head is the
 // second locked node).
 func (g *Graph) Push(tx *engine.Tx, u int64, ai int, amt int64) error {
-	v := int64(g.net.Arcs(u)[ai].To)
-	if err := g.mgr.Acquire(tx, g.pushFlow, core.VInt(u), core.VInt(v)); err != nil {
+	v := g.net.Arcs(u)[ai].To
+	if err := g.mgr.Acquire(tx, g.pushFlow, g.ids[u], g.ids[v]); err != nil {
 		return err
 	}
 	if err := g.net.Push(u, ai, amt); err != nil {

@@ -189,21 +189,43 @@ func TestPushUndoRestores(t *testing.T) {
 	}
 }
 
-func TestNeighborsSnapshot(t *testing.T) {
+// TestNeighborsInPlace pins Neighbors' contract: the list is the
+// network's own, so it shows the holder's pushes, and no other
+// transaction can push into the node while the holder holds it.
+func TestNeighborsInPlace(t *testing.T) {
 	g := NewRW(diamond())
-	tx := engine.NewTx()
-	defer tx.Abort()
-	arcs, err := g.Neighbors(tx, 0)
+	seed := engine.NewTx()
+	if err := g.Push(seed, 0, 1, 4); err != nil { // 0→2, so 2→0 has capacity
+		t.Fatal(err)
+	}
+	seed.Commit()
+
+	tx1 := engine.NewTx()
+	arcs, err := g.Neighbors(tx1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arcs) != 2 || arcs[0].To != 1 || arcs[1].To != 2 {
-		t.Errorf("Neighbors = %+v", arcs)
+	if len(arcs) != 2 || arcs[0].To != 1 || arcs[1].To != 2 || arcs[0].Cap != 5 || arcs[1].Cap != 3 {
+		t.Fatalf("Neighbors = %+v", arcs)
 	}
-	// Mutating the snapshot must not touch the network.
-	arcs[0].Cap = 0
-	if g.Net().Arcs(0)[0].Cap != 5 {
-		t.Error("snapshot aliases network storage")
+	if err := g.Push(tx1, 0, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if arcs[0].Cap != 2 {
+		t.Errorf("after the holder's push of 3, the list shows cap %d, want 2", arcs[0].Cap)
+	}
+	// Node 2 is free, but pushing along 2→0 writes node 0's reverse arc.
+	tx2 := engine.NewTx()
+	if err := g.Push(tx2, 2, 0, 1); !engine.IsConflict(err) {
+		t.Fatalf("a push into a node another transaction holds should conflict, got %v", err)
+	}
+	if arcs[1].Cap != 3 {
+		t.Errorf("a refused push changed the holder's list: cap %d, want 3", arcs[1].Cap)
+	}
+	tx2.Abort()
+	tx1.Abort()
+	if arcs[0].Cap != 5 {
+		t.Errorf("abort left cap %d in the list, want 5", arcs[0].Cap)
 	}
 }
 

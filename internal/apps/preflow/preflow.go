@@ -147,8 +147,7 @@ func Discharge(tx *engine.Tx, g *flowgraph.Graph, u int64, push func(int64)) (bo
 		if err := g.Push(tx, u, i, amt); err != nil {
 			return worked, err
 		}
-		worked = true
-		arcs[i].Cap -= amt
+		worked = true // arcs is u's own list: it shows the push
 		e -= amt
 		if v != src && v != sink {
 			push(v)

@@ -171,3 +171,44 @@ func TestGenRMFShape(t *testing.T) {
 		t.Errorf("flow = %d out of expected range", flow)
 	}
 }
+
+// TestDischargeAllocatesOnlyUndo pins a discharge on a warmed graph to
+// its undo closures, one per push or relabel: it copies no arc list and
+// builds no argument Value.
+func TestDischargeAllocatesOnlyUndo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops transactions at random under -race")
+	}
+	n := flowgraph.NewNet(4, 0, 3)
+	n.AddEdge(0, 1, 10)
+	n.AddEdge(1, 2, 3)
+	n.AddEdge(1, 3, 4)
+	g := flowgraph.NewRW(n)
+	n.SetHeight(0, 4)
+	saturateSource(n)
+	n.SetHeight(1, 1)
+	// Node 1 pushes 3 to node 2 and 4 to the sink, then relabels above
+	// the source, the one neighbour its 3 left units can still reach.
+	const pushes, relabels = 2, 1
+	discharge := func() *engine.Tx {
+		tx := engine.GetTx()
+		if worked, err := Discharge(tx, g, 1, func(int64) {}); !worked || err != nil {
+			t.Fatalf("Discharge = %v, %v", worked, err)
+		}
+		return tx
+	}
+	tx := discharge()
+	if n.Excess(2) != 3 || n.Excess(3) != 4 || n.Height(1) != 5 {
+		t.Fatalf("discharge left excess %d, %d and height %d, want 3, 4 and 5", n.Excess(2), n.Excess(3), n.Height(1))
+	}
+	tx.Abort()
+	engine.PutTx(tx)
+	allocs := testing.AllocsPerRun(100, func() {
+		tx := discharge()
+		tx.Abort()
+		engine.PutTx(tx)
+	})
+	if allocs > pushes+relabels {
+		t.Errorf("Discharge allocates %v per call, want at most %d (its undo closures)", allocs, pushes+relabels)
+	}
+}
