@@ -35,6 +35,10 @@ import (
 // representative's invocation touches. Transactions are recorded by id,
 // never by pointer, so no log, journal entry or recycled state keeps a
 // pooled engine.Tx reachable.
+//
+// An invocation counts itself into its transaction's telemetry.Tally,
+// not into the detector, so the telemetry's invocation count is exact
+// only once the counted transactions have ended, as abslock's is.
 type GK struct {
 	mu   sync.Mutex
 	f    *Forest
@@ -240,7 +244,7 @@ func (g *GK) drop(c *cell, tx uint64) {
 func (g *GK) Union(tx *engine.Tx, a, b int64) (bool, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tele.IncInvocation()
+	tx.Tally(g.tele).Invocations++
 	st, id := g.enter(tx), tx.ID()
 
 	var ra0, rb0 int64
@@ -296,7 +300,7 @@ func (g *GK) Union(tx *engine.Tx, a, b int64) (bool, error) {
 func (g *GK) Find(tx *engine.Tx, a int64) (int64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.tele.IncInvocation()
+	tx.Tally(g.tele).Invocations++
 	st, id := g.enter(tx), tx.ID()
 
 	var ra int64

@@ -389,3 +389,52 @@ func FuzzGKAgreesWithGeneric(f *testing.F) {
 		}
 	})
 }
+
+// TestGKCountsOnceTransactionsEnd pins the gatekeeper's counters over a
+// fixed history: compressing finds, unions, a find re-executed under
+// another transaction's live union, one refusal and one abort. An
+// invocation counts into its transaction's tally, so the snapshot is
+// read after every transaction has ended; the numbers are the ones the
+// gatekeeper gave when each invocation added to the detector directly.
+func TestGKCountsOnceTransactionsEnd(t *testing.T) {
+	g := NewGK(8)
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := engine.NewTx()
+	must(g.Union(a, 0, 1))
+	must(g.Union(a, 2, 3))
+	must(g.Union(a, 1, 3))
+	must(g.Find(a, 0)) // compresses 0's path
+	if n := g.Telemetry().Snapshot().Invocations; n != 0 {
+		t.Errorf("a live transaction's invocations reached the detector: %d", n)
+	}
+	a.Commit()
+
+	b, c := engine.NewTx(), engine.NewTx()
+	must(g.Union(b, 4, 5))
+	must(g.Find(c, 2)) // b's union is live: re-executed in the base state
+	if _, err := g.Find(c, 4); !engine.IsConflict(err) {
+		t.Fatalf("find(4) under b's union: want a conflict, got %v", err)
+	}
+	c.Abort()
+	must(g.Find(b, 6))
+	b.Commit()
+
+	d := engine.NewTx()
+	must(g.Find(d, 1))
+	must(g.Union(d, 6, 7))
+	d.Commit()
+
+	s := g.Telemetry().Snapshot()
+	got := [3]uint64{s.Invocations, s.LogEntries, s.Rollbacks}
+	if want := [3]uint64{10, 6, 2}; got != want {
+		t.Errorf("invocations, log entries, rollbacks = %v, want %v", got, want)
+	}
+	if err := g.drained(); err != nil {
+		t.Error(err)
+	}
+}

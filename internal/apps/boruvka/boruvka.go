@@ -27,20 +27,33 @@ import (
 // tiny get/merge specification serializes iterations that touch the same
 // component lists, so the replace-style merge bookkeeping never races.
 //
-// The locks are the only synchronization. edges is indexed by
-// representative and never resized, and compsSpec lets two invocations
-// run together only when no component one of them writes is a component
-// the other names, so they touch different slice elements — different
+// The locks are the only synchronization. edges and saved are indexed by
+// component and never resized, and compsSpec lets two invocations run
+// together only when no component one of them writes is a component the
+// other names, so they touch different slice elements — different
 // memory, which a map's shared buckets would not be. edges[r] is read
 // and written only between the grant of a lock on r and its release at
-// the transaction's end (a merge's undo runs before the release), and a
-// grant after a release is a happens-before edge: a compare-and-swap or
-// a mutex in the lock manager.
+// the transaction's end, and saved[l] only by the holder of merge's
+// exclusive lock on l (UndoTx and ReleaseTx run before the lock
+// manager's release hooks). A grant after a release is a happens-before
+// edge: a compare-and-swap or a mutex in the lock manager.
 type compEdges struct {
 	mgr    *abslock.Manager
 	hGet   *abslock.Method // compiled acquisitions of get
 	hMerge *abslock.Method // and of merge
 	edges  [][]workload.Edge
+	saved  []savedMerge // by loser: the pre-merge lists of a live merge
+}
+
+// savedMerge is what undoing one merge needs. A live transaction's merges
+// are chained newest first from its Tx.Attach(c) word, so a merge
+// registers no closure. Cells are indexed by the loser because a
+// component loses at most once in a transaction: after its union it is
+// no longer a representative, while a winner may win again.
+type savedMerge struct {
+	oldW, oldL []workload.Edge
+	winner     int64
+	next       int64 // the same transaction's previous merge: loser+1, 0 = none
 }
 
 // compsSpec: scans of the same component share; merges conflict with any
@@ -76,6 +89,20 @@ func newCompEdges(n int, edges []workload.Edge) *compEdges {
 		hGet:   mgr.Method("get"),
 		hMerge: mgr.Method("merge"),
 		edges:  make([][]workload.Edge, n),
+		saved:  make([]savedMerge, n),
+	}
+	// Every list is carved out of one array, capped at its own end;
+	// lists are replaced, never appended to, so they cannot overlap.
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	all := make([]workload.Edge, 2*len(edges))
+	lo := 0
+	for r, d := range deg {
+		c.edges[r] = all[lo : lo : lo+d]
+		lo += d
 	}
 	for _, e := range edges {
 		c.edges[e.U] = append(c.edges[e.U], e)
@@ -92,16 +119,44 @@ func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
 	return c.edges[r], nil
 }
 
-// merge replaces the winner's list and deletes the loser's, registering
-// an exact undo with tx. Both components are exclusively locked.
+// merge replaces the winner's list and deletes the loser's, saving both
+// for an exact undo. Both components are exclusively locked.
 func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.Edge) error {
 	if err := c.mgr.Acquire(tx, c.hMerge, core.VInt(winner), core.VInt(loser)); err != nil {
 		return err
 	}
-	oldW, oldL := c.edges[winner], c.edges[loser]
+	head, isNew := tx.Attach(c)
+	c.saved[loser] = savedMerge{oldW: c.edges[winner], oldL: c.edges[loser], winner: winner, next: int64(*head)}
+	*head = uint64(loser) + 1
+	if isNew {
+		tx.OnUndoer(c)
+	}
+	// Release hooks run newest first: registered after this merge's
+	// grants, the releaser empties the cells before the locks go.
+	tx.OnReleaser(c)
 	c.edges[winner], c.edges[loser] = merged, nil
-	tx.OnUndo(func() { c.edges[winner], c.edges[loser] = oldW, oldL })
 	return nil
+}
+
+// UndoTx restores the lists tx's merges replaced, newest first.
+func (c *compEdges) UndoTx(tx *engine.Tx) {
+	for l := int64(*tx.AttachedWord(c)); l != 0; l = c.saved[l-1].next {
+		s := &c.saved[l-1]
+		c.edges[s.winner], c.edges[l-1] = s.oldW, s.oldL
+	}
+}
+
+// ReleaseTx empties tx's saved cells, so no ended merge keeps a list
+// reachable. The first call of a transaction with several merges does
+// it all; the chain is then empty for the others.
+func (c *compEdges) ReleaseTx(tx *engine.Tx) {
+	head := tx.AttachedWord(c)
+	for l := int64(*head); l != 0; {
+		s := &c.saved[l-1]
+		l = s.next
+		*s = savedMerge{}
+	}
+	*head = 0
 }
 
 // seqGet and seqMerge are the lock-free variants for the sequential
@@ -166,6 +221,18 @@ type Result struct {
 	Stats  engine.Stats
 }
 
+// survivors holds the reused buffers a step collects a component's
+// surviving edges in, so that the merged list is a step's one allocation.
+var survivors = sync.Pool{New: func() any { return new([]workload.Edge) }}
+
+// mergeLists returns a fresh list of surviving followed by other. A
+// merge installs it: a list is never mutated in place once published.
+func mergeLists(surviving, other []workload.Edge) []workload.Edge {
+	merged := make([]workload.Edge, len(surviving)+len(other))
+	copy(merged[copy(merged, surviving):], other)
+	return merged
+}
+
 // step is one Borůvka iteration on component representative item.
 func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	item int64, push func(int64)) (bool, error) {
@@ -182,7 +249,9 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	}
 	best := workload.Edge{W: -1}
 	var bestRep int64
-	surviving := edges[:0:0]
+	buf := survivors.Get().(*[]workload.Edge)
+	defer survivors.Put(buf)
+	surviving := (*buf)[:0]
 	for _, e := range edges {
 		rv, err := uf.Find(tx, e.V)
 		if err != nil {
@@ -197,6 +266,7 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 			bestRep = rv
 		}
 	}
+	*buf = surviving
 	if best.W < 0 {
 		return false, nil // no outgoing edge: spanning tree of this component done
 	}
@@ -215,8 +285,7 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	if err != nil {
 		return false, err
 	}
-	merged := append(append([]workload.Edge(nil), surviving...), otherEdges...)
-	if err := comps.merge(tx, winner, loser, merged); err != nil {
+	if err := comps.merge(tx, winner, loser, mergeLists(surviving, otherEdges)); err != nil {
 		return false, err
 	}
 	mst.add(tx, best)
@@ -282,6 +351,8 @@ func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 	for i := range queue {
 		queue[i] = int64(i)
 	}
+	buf := survivors.Get().(*[]workload.Edge)
+	defer survivors.Put(buf)
 	var weight float64
 	count := 0
 	for len(queue) > 0 {
@@ -293,7 +364,7 @@ func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 		r := item
 		best := workload.Edge{W: -1}
 		var bestRep int64
-		var surviving []workload.Edge
+		surviving := (*buf)[:0]
 		for _, e := range comps.seqGet(r) {
 			rv := f.Find(e.V)
 			if rv == r {
@@ -304,6 +375,7 @@ func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 				best, bestRep = e, rv
 			}
 		}
+		*buf = surviving
 		if best.W < 0 {
 			continue
 		}
@@ -312,7 +384,7 @@ func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 		if winner < loser {
 			winner, loser = loser, winner
 		}
-		comps.seqMerge(winner, loser, append(surviving, comps.seqGet(bestRep)...))
+		comps.seqMerge(winner, loser, mergeLists(surviving, comps.seqGet(bestRep)))
 		weight += best.W
 		count++
 		queue = append(queue, winner)

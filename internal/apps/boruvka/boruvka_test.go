@@ -1,8 +1,10 @@
 package boruvka
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"commlat/internal/adt/unionfind"
 	"commlat/internal/engine"
@@ -179,6 +181,155 @@ func TestStarGraph(t *testing.T) {
 		}
 		if res.Edges != wantEdges || !almostEqual(res.Weight, want) {
 			t.Errorf("%s: %v/%d, want %v/%d", name, res.Weight, res.Edges, want, wantEdges)
+		}
+	}
+}
+
+// stepOnce runs one step on item in a pooled transaction and commits or
+// aborts it, reporting whether the step merged.
+func stepOnce(t *testing.T, uf unionfind.Sets, comps *compEdges, mst *mstLog, item int64, commit bool) bool {
+	t.Helper()
+	tx := engine.GetTx()
+	merged, err := step(tx, uf, comps, mst, item, func(int64) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commit {
+		tx.Commit()
+	} else {
+		tx.Abort()
+	}
+	engine.PutTx(tx)
+	return merged
+}
+
+// TestStepAllocatesOnlyMergedList pins a warmed step to the merged list
+// it installs: the survivors go to a reused buffer and the merge's undo
+// to the component's saved cell. A stale step allocates nothing.
+func TestStepAllocatesOnlyMergedList(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops transactions and buffers at random under -race")
+	}
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
+	uf := unionfind.NewGK(3)
+	comps := newCompEdges(3, edges)
+	mst := &mstLog{edges: make([]mstEdge, 0, 256)} // aborted entries stay, as tombstones
+	merging := func() {
+		if !stepOnce(t, uf, comps, mst, 0, false) {
+			t.Fatal("step(0) did not merge")
+		}
+	}
+	merging()
+	if allocs := testing.AllocsPerRun(100, merging); allocs > 1 {
+		t.Errorf("a merging step allocates %v, want at most 1 (its merged list)", allocs)
+	}
+	if !stepOnce(t, uf, comps, mst, 0, true) {
+		t.Fatal("step(0) did not merge")
+	}
+	stale := func() {
+		if stepOnce(t, uf, comps, mst, 0, false) {
+			t.Fatal("a step on a merged-away component merged")
+		}
+	}
+	stale()
+	if allocs := testing.AllocsPerRun(100, stale); allocs != 0 {
+		t.Errorf("a stale step allocates %v, want 0", allocs)
+	}
+}
+
+// sameList reports whether a and b are one slice: same array, length
+// and capacity.
+func sameList(a, b []workload.Edge) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+}
+
+// savedEmpty reports a saved cell that still holds anything.
+func savedEmpty(c *compEdges) error {
+	for l, s := range c.saved {
+		if s.oldW != nil || s.oldL != nil || s.winner != 0 || s.next != 0 {
+			return fmt.Errorf("saved[%d] = %+v after its transaction ended", l, s)
+		}
+	}
+	return nil
+}
+
+// TestMergeUndoRestoresLists: aborting a merging step puts back exactly
+// the lists it replaced, whether the step's own component won (item 1)
+// or its neighbour's did (item 0); committing leaves the merged list.
+// Either way the saved cells keep no list once the transaction has
+// ended.
+func TestMergeUndoRestoresLists(t *testing.T) {
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
+	const winner, loser = 1, 0
+	for _, item := range []int64{0, 1} {
+		comps := newCompEdges(3, edges)
+		uf, mst := unionfind.NewGK(3), &mstLog{}
+		oldW, oldL := comps.edges[winner], comps.edges[loser]
+		if !stepOnce(t, uf, comps, mst, item, false) {
+			t.Fatalf("step(%d) did not merge", item)
+		}
+		if !sameList(comps.edges[winner], oldW) || !sameList(comps.edges[loser], oldL) {
+			t.Errorf("step(%d) aborted: lists %v and %v, want %v and %v",
+				item, comps.edges[winner], comps.edges[loser], oldW, oldL)
+		}
+		if err := savedEmpty(comps); err != nil {
+			t.Errorf("step(%d) aborted: %v", item, err)
+		}
+		if !stepOnce(t, uf, comps, mst, item, true) {
+			t.Fatalf("step(%d) did not merge", item)
+		}
+		if n := len(comps.edges[winner]); n != 4 || comps.edges[loser] != nil {
+			t.Errorf("step(%d) committed: winner holds %d edges, loser %v; want 4 and nil",
+				item, n, comps.edges[loser])
+		}
+		if err := savedEmpty(comps); err != nil {
+			t.Errorf("step(%d) committed: %v", item, err)
+		}
+	}
+}
+
+// TestMergeUndoChain: one transaction's merges are undone newest first,
+// including two into the same winner.
+func TestMergeUndoChain(t *testing.T) {
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 3}}
+	comps := newCompEdges(4, edges)
+	var before [4][]workload.Edge
+	copy(before[:], comps.edges)
+	tx := engine.NewTx()
+	for _, l := range []int64{0, 1, 2} {
+		merged := mergeLists(comps.edges[3], comps.edges[l])
+		if err := comps.merge(tx, 3, l, merged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(comps.edges[3]); n != 6 {
+		t.Fatalf("winner holds %d edges after three merges, want 6", n)
+	}
+	tx.Abort()
+	for r := range before {
+		if !sameList(comps.edges[r], before[r]) {
+			t.Errorf("edges[%d] = %v after abort, want %v", r, comps.edges[r], before[r])
+		}
+	}
+	if err := savedEmpty(comps); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCompEdgesListsInInputOrder: the lists carved out of one array hold
+// each component's edges in input order, oriented away from it, and end
+// at their own capacity.
+func TestCompEdgesListsInInputOrder(t *testing.T) {
+	nodes, edges := workload.Mesh(5, 4, 7)
+	want := make([][]workload.Edge, nodes)
+	for _, e := range edges {
+		want[e.U] = append(want[e.U], e)
+		want[e.V] = append(want[e.V], workload.Edge{U: e.V, V: e.U, W: e.W})
+	}
+	comps := newCompEdges(nodes, edges)
+	for r, got := range comps.edges {
+		if fmt.Sprint(got) != fmt.Sprint(want[r]) || cap(got) != len(got) {
+			t.Errorf("edges[%d] = %v (cap %d), want %v", r, got, cap(got), want[r])
 		}
 	}
 }
