@@ -17,8 +17,7 @@ func cmdFlightrec(args []string) error {
 	fs := flag.NewFlagSet("flightrec", flag.ExitOnError)
 	sz := addAppFlags(fs)
 	ring := fs.Int("ring", 1<<10, "per-worker flight ring capacity in records (rounded up to a power of two)")
-	jsonMode := fs.Bool("json", false, "write the flight-recorder document as JSON to stdout (tables go to stderr)")
-	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout)")
+	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout; the tables then go to stderr)")
 	percentiles := fs.String("percentiles", "", "write the stage-latency percentile document as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
 	if err := fs.Parse(args); err != nil {
@@ -39,13 +38,8 @@ func cmdFlightrec(args []string) error {
 	lat := telemetry.SnapshotLatency()
 
 	report := io.Writer(os.Stdout)
-	if *jsonMode || *out == "-" || *percentiles == "-" {
+	if *out == "-" || *percentiles == "-" {
 		report = os.Stderr
-	}
-	if *jsonMode {
-		if err := telemetry.Default.WriteFlightJSON(os.Stdout); err != nil {
-			return err
-		}
 	}
 	for _, doc := range []struct {
 		path  string

@@ -223,6 +223,16 @@ func TestTraceDocumentsPassTracecheck(t *testing.T) {
 	}
 	tracecheck("-chrome", chrome)
 
+	// A document sent to stdout with -o - or -jsonl - is all of stdout:
+	// the report goes to stderr.
+	small := []string{"-app", "boruvka", "-mesh", "6", "-threads", "2"}
+	tracecheck(captureStdout(t, func() error {
+		return dispatch("trace", append(small, "-jsonl", "-", "-o", chrome))
+	}))
+	tracecheck("-chrome", captureStdout(t, func() error {
+		return dispatch("trace", append(small, "-o", "-", "-jsonl", filepath.Join(dir, "trace.jsonl")))
+	}))
+
 	flight, percentiles := filepath.Join(dir, "flight.json"), filepath.Join(dir, "percentiles.json")
 	if err := dispatch("flightrec", []string{"-app", "cluster", "-points", "150", "-threads", "4", "-o", flight, "-percentiles", percentiles}); err != nil {
 		t.Fatal(err)

@@ -40,9 +40,13 @@ func cmdTrace(args []string) error {
 	evs := telemetry.TraceEvents()
 	snap := telemetry.Default.Snapshot()
 
+	// A document on stdout sends the human report to stderr, so the
+	// stream stays one parseable document.
 	report := io.Writer(os.Stdout)
-	if *jsonMode {
+	if *jsonMode || *out == "-" || *jsonlPath == "-" {
 		report = os.Stderr
+	}
+	if *jsonMode {
 		if err := telemetry.Default.WriteJSONL(os.Stdout, evs); err != nil {
 			return err
 		}

@@ -402,12 +402,13 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) 
 		}
 		return err
 	}
+	c := m.fast.cellFor(h)
 	if prev == 0 {
 		// Publish the hold into the shared prefilter before scanning
 		// for a fast-path holder: a concurrent fast acquirer either sees
 		// this increment and diverts to the stripes, or published its
 		// cell early enough for the scan below to find it.
-		m.fast.cellFor(h).stripe.Add(1)
+		c.stripe.Add(1)
 		lst, hooked := s.held[tx]
 		if !hooked {
 			if n := len(s.freeHeld); n > 0 {
@@ -419,7 +420,7 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) 
 		}
 		s.held[tx] = append(lst, h)
 	}
-	if err := m.conflictScan(tx, h, mode); err != nil {
+	if err := m.conflictScan(tx, c, c.state.Load(), h, mode); err != nil {
 		// The scan found a conflicting fast-path holder: take back the
 		// hold recorded above so a refused acquisition leaves nothing
 		// behind — exactly as a lockModes refusal leaves nothing behind.

@@ -56,7 +56,6 @@ func cellOwner(st uint64) uint64 { return st >> cellModes }
 // first, so it retracts (DESIGN.md §8). Ids are never reused: an
 // unchanged owner half means the same claim, not a recycled cell.
 type cell struct {
-	//commvet:seqlock protects=hash
 	state  atomic.Uint64
 	hash   atomic.Uint64
 	stripe atomic.Int32 // stripe holds on datums that map here
@@ -126,14 +125,14 @@ func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
 }
 
 // conflictScan is the stripe path's view into the fast table: after
-// recording its own hold in the cell's stripe count, a stripe acquirer
-// inspects the one cell its datum-key hash maps to for a fast hold of
-// another transaction on the same datum in an incompatible mode. The
-// owner and mask come in one load, the hash after it, and the owner
-// re-read rejects a cell released under the reads: not a holder.
-func (m *Manager) conflictScan(tx *engine.Tx, h uint64, mode int) error {
-	c := m.fast.cellFor(h)
-	st := c.state.Load()
+// recording its own hold in the stripe count of c, the cell its
+// datum-key hash h maps to, a stripe acquirer loads c's state word as st
+// and looks for a fast hold of another transaction on the same datum in
+// an incompatible mode. The owner and mask come in that one load, the
+// hash after it, and the owner re-read rejects a cell released under the
+// reads: its owner is not a holder, whichever datum's hash the cell now
+// shows (TestConflictScanRechecksOwner).
+func (m *Manager) conflictScan(tx *engine.Tx, c *cell, st, h uint64, mode int) error {
 	holder := cellOwner(st)
 	if holder == 0 || holder == tx.ID() {
 		return nil

@@ -335,6 +335,44 @@ func TestOneCellStaleHashExclusion(t *testing.T) {
 	requireDrained(t, "one-cell stale hash", m)
 }
 
+// TestConflictScanRechecksOwner replays, one step at a time, a stripe
+// reader that loads a cell's state word just before the cell changes
+// hands: the writer it loaded releases, and another transaction claims
+// the cell for the reader's own datum, in a compatible mode, before the
+// reader loads the hash. The loaded owner then holds nothing, so the
+// scan must not refuse the reader against it on the new claim's hash.
+func TestConflictScanRechecksOwner(t *testing.T) {
+	m := newRWSetManager(t)
+	m.fast = newFastTable(1)
+	c := &m.fast.cells[0]
+	add, contains := m.Method("add"), m.Method("contains")
+	read := &contains.pre[0]
+	key := func(k int64) []core.Value { return []core.Value{core.VInt(k)} }
+	h1, h2 := read.resolve(key(1), nil), read.resolve(key(2), nil)
+
+	gone, fresh, reader := engine.NewTx(), engine.NewTx(), engine.NewTx()
+	if err := m.Acquire(gone, add, key(2)...); err != nil || m.FastHolds() != 1 {
+		t.Fatalf("write of key 2: %v with %d fast holds, want a fast hold", err, m.FastHolds())
+	}
+	st := c.state.Load()
+	if err := m.conflictScan(reader, c, st, h2, read.Mode); !engine.IsConflict(err) {
+		t.Fatalf("read of key 2 under its fast-held write: %v, want a conflict", err)
+	}
+	gone.Commit()
+	if err := m.Acquire(fresh, contains, key(1)...); err != nil || m.FastHolds() != 1 {
+		t.Fatalf("read of key 1: %v with %d fast holds, want a fast hold", err, m.FastHolds())
+	}
+	if c.hash.Load() != h1 || st&cellModeMask&m.incompat[read.Mode] == 0 {
+		t.Fatal("the stale word must pair a conflicting mode with the reader's datum")
+	}
+	if err := m.conflictScan(reader, c, st, h1, read.Mode); err != nil {
+		t.Fatalf("read of key 1 refused on a stale state word: %v", err)
+	}
+	fresh.Abort()
+	reader.Abort()
+	requireDrained(t, "stale state word", m)
+}
+
 // TestModesBeyondTheCellWord: a scheme with nine modes, whose mode 8 the
 // cell's state word has no bit for. Mode 8 must take the stripe route,
 // be refused there by another transaction's conflicting fast hold of

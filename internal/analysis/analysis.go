@@ -1,11 +1,11 @@
 // Package analysis implements commvet, a stdlib-only static-analysis
 // suite for the hand-maintained concurrency disciplines of this module:
-// atomic-only field access, seqlock version pairing, zero-on-release
-// pooling, cache-line padding and the telemetry double gate, plus static
-// verification of commutativity specifications (specvet). The dynamic
-// checks — race-detector stress sweeps and brute-force model enumeration
-// — stay as the backstop; the analyzers here are the first line of
-// defense, cheap enough to run on every build.
+// zero-on-release pooling, cache-line padding and the telemetry double
+// gate, plus static verification of commutativity specifications
+// (specvet). The dynamic checks — race-detector stress sweeps, the
+// abstract-lock fast cell's targeted tests and brute-force model
+// enumeration — stay as the backstop; the analyzers here are the first
+// line of defense, cheap enough to run on every build.
 //
 // Analyzers communicate through source directives:
 //
@@ -16,13 +16,6 @@
 //	                                 dominated by an enabled gate (gatecheck)
 //	//commvet:gate                   marks a function whose result counts as
 //	                                 that gate
-//	//commvet:seqlock protects=a,b   on a version-word field: the named sibling
-//	                                 fields may only be read under a re-checked
-//	                                 load of this word, and writers must
-//	                                 advance it (seqlock)
-//	//commvet:padded                 marks a struct that must be ≥ one cache
-//	                                 line even without a blank pad field
-//	                                 (padcheck)
 package analysis
 
 import (
@@ -49,7 +42,7 @@ type Analyzer struct {
 }
 
 // Suite is the full analyzer suite in a stable order.
-var Suite = []*Analyzer{AtomicField, Seqlock, PoolZero, PadCheck, GateCheck}
+var Suite = []*Analyzer{PoolZero, PadCheck, GateCheck}
 
 // Pass is one analyzer's run over one package.
 type Pass struct {
@@ -218,16 +211,6 @@ func (s *suppressor) filter(fs []Finding) []Finding {
 type Facts struct {
 	Observations map[*types.Func]bool
 	Gates        map[*types.Func]bool
-	Seqlocks     map[*types.Var]*SeqlockFact
-	Padded       map[*types.TypeName]bool
-}
-
-// SeqlockFact describes one version-word field and the sibling fields
-// its //commvet:seqlock directive protects.
-type SeqlockFact struct {
-	Version   *types.Var
-	Protected map[*types.Var]bool
-	Names     []string // declared protects= names, for diagnostics
 }
 
 // CollectFacts scans every package's directives into one fact base.
@@ -235,85 +218,28 @@ func CollectFacts(pkgs []*Package) *Facts {
 	facts := &Facts{
 		Observations: map[*types.Func]bool{},
 		Gates:        map[*types.Func]bool{},
-		Seqlocks:     map[*types.Var]*SeqlockFact{},
-		Padded:       map[*types.TypeName]bool{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
-				switch decl := d.(type) {
-				case *ast.FuncDecl:
-					obj, _ := pkg.Info.Defs[decl.Name].(*types.Func)
-					if obj == nil {
-						continue
-					}
-					if _, ok := directiveArg(decl.Doc, "observation"); ok {
-						facts.Observations[obj] = true
-					}
-					if _, ok := directiveArg(decl.Doc, "gate"); ok {
-						facts.Gates[obj] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range decl.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						_, inDoc := directiveArg(ts.Doc, "padded")
-						_, inDecl := directiveArg(decl.Doc, "padded")
-						if inDoc || inDecl {
-							if tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName); tn != nil {
-								facts.Padded[tn] = true
-							}
-						}
-						st, ok := ts.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						collectSeqlockFacts(pkg, st, facts)
-					}
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				obj, _ := pkg.Info.Defs[decl.Name].(*types.Func)
+				if obj == nil {
+					continue
+				}
+				if _, ok := directiveArg(decl.Doc, "observation"); ok {
+					facts.Observations[obj] = true
+				}
+				if _, ok := directiveArg(decl.Doc, "gate"); ok {
+					facts.Gates[obj] = true
 				}
 			}
 		}
 	}
 	return facts
-}
-
-func collectSeqlockFacts(pkg *Package, st *ast.StructType, facts *Facts) {
-	byName := map[string]*types.Var{}
-	for _, fld := range st.Fields.List {
-		for _, name := range fld.Names {
-			if v, _ := pkg.Info.Defs[name].(*types.Var); v != nil {
-				byName[name.Name] = v
-			}
-		}
-	}
-	for _, fld := range st.Fields.List {
-		arg, ok := directiveArg(fld.Doc, "seqlock")
-		if !ok {
-			arg, ok = directiveArg(fld.Comment, "seqlock")
-		}
-		if !ok || len(fld.Names) == 0 {
-			continue
-		}
-		ver := byName[fld.Names[0].Name]
-		if ver == nil {
-			continue
-		}
-		fact := &SeqlockFact{Version: ver, Protected: map[*types.Var]bool{}}
-		rest, _ := strings.CutPrefix(arg, "protects=")
-		for _, name := range strings.Split(rest, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			fact.Names = append(fact.Names, name)
-			if v := byName[name]; v != nil {
-				fact.Protected[v] = true
-			}
-		}
-		facts.Seqlocks[ver] = fact
-	}
 }
 
 // --- shared AST helpers ---
@@ -329,24 +255,32 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// fieldOf resolves e (after stripping parens and one level of indexing,
-// so both x.f and x.f[i] land on f) to the struct field it selects, or
-// nil if it is not a field selection.
-func fieldOf(info *types.Info, e ast.Expr) *types.Var {
-	e = unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok {
-		e = unparen(ix.X)
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
+// fieldOf resolves sel to the struct field it selects, or nil if it is
+// not a field selection.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return nil
 	}
 	v, _ := s.Obj().(*types.Var)
 	return v
+}
+
+// selectorIn digs the field selector out of an assignment target,
+// stripping index and star expressions: c.txs[i], *p.f, x.f.
+func selectorIn(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.SelectorExpr:
+			return x
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // calleeFunc resolves the called function or method of a call expression.

@@ -34,10 +34,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		dir  string
 		want map[string]int // analyzer name -> finding count
 	}{
-		{"atomicbad", map[string]int{"atomicfield": 1}},
-		{"atomicgood", nil},
-		{"seqlockbad", map[string]int{"seqlock": 2}},
-		{"seqlockgood", nil},
 		{"poolbad", map[string]int{"poolzero": 2}},
 		{"poolgood", nil},
 		{"padbad", map[string]int{"padcheck": 1}},
@@ -65,25 +61,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSeqlockBadMessages pins the two failure modes the cascade
-// distillation seeds: a reader that never revalidates and a writer that
-// never advances the version word.
-func TestSeqlockBadMessages(t *testing.T) {
-	fs := fixtureFindings(t, "seqlockbad")
-	var reader, writer bool
-	for _, f := range fs {
-		if strings.Contains(f.Message, "never re-loads") {
-			reader = true
-		}
-		if strings.Contains(f.Message, "without advancing the version word") {
-			writer = true
-		}
-	}
-	if !reader || !writer {
-		t.Fatalf("want one reader and one writer finding, got %v", fs)
 	}
 }
 

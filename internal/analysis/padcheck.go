@@ -7,9 +7,8 @@ import (
 
 // PadCheck verifies that structs documented as pad-separated really are:
 // any struct declaring a blank cache-line pad field (`_ [N]byte`, N ≥ 8)
-// or carrying a //commvet:padded directive must have a size of at least
-// 64 bytes, so that adjacent elements of an array of them never share a
-// whole cache line. A pad that shrinks below the line under refactoring
+// must have a size of at least 64 bytes, so that adjacent elements of an
+// array of them never share a whole cache line. A pad that shrinks below the line under refactoring
 // (a field removed, a [56]byte pad left behind a now-smaller prefix)
 // silently reintroduces the false sharing the pad was bought to prevent;
 // the telemetry latency shards and the sharded gatekeeper's tickets both
@@ -36,15 +35,11 @@ func runPadCheck(pass *Pass) {
 					continue
 				}
 				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
+				if !ok || !hasPadField(info, st) {
 					continue
 				}
 				tn, _ := info.Defs[ts.Name].(*types.TypeName)
 				if tn == nil {
-					continue
-				}
-				padded := pass.Facts.Padded[tn] || hasPadField(info, st)
-				if !padded {
 					continue
 				}
 				size := pass.Sizes.Sizeof(tn.Type().Underlying())

@@ -1,17 +1,14 @@
 // Bad fixture: a bare //commvet:ignore. It suppresses the underlying
-// atomicfield finding but is itself reported — suppressions must say
+// padcheck finding but is itself reported — suppressions must say
 // why the invariant holds anyway.
 package ignorebad
 
-import "sync/atomic"
-
-type counter struct {
-	hits uint64
-}
-
-func (c *counter) Hit() { atomic.AddUint64(&c.hits, 1) }
-
 //commvet:ignore
-func (c *counter) Report() uint64 {
-	return c.hits
+type shard struct {
+	count uint64
+	_     [16]byte
 }
+
+var shards [8]shard
+
+func bump(i int) { shards[i].count++ }

@@ -2,15 +2,12 @@
 // is not itself reported.
 package ignoregood
 
-import "sync/atomic"
-
-type counter struct {
-	hits uint64
+//commvet:ignore one goroutine bumps every shard, so neighbours sharing a line never contend
+type shard struct {
+	count uint64
+	_     [16]byte
 }
 
-func (c *counter) Hit() { atomic.AddUint64(&c.hits, 1) }
+var shards [8]shard
 
-//commvet:ignore Report runs after the writer goroutines are joined, so the plain read cannot race
-func (c *counter) Report() uint64 {
-	return c.hits
-}
+func bump(i int) { shards[i].count++ }

@@ -15,12 +15,11 @@ import (
 // abort ratio and run time on the distinct-elements and the
 // equivalence-classes inputs of the set microbenchmark.
 type Table2Row struct {
-	Scheme           string
-	DistinctAborts   float64 // abort ratio, 0..1
-	DistinctSeconds  float64
-	RepeatedAborts   float64
-	RepeatedSeconds  float64
-	DistinctElements []int64 // final set contents (for validation); nil in reports
+	Scheme          string
+	DistinctAborts  float64 // abort ratio, 0..1
+	DistinctSeconds float64
+	RepeatedAborts  float64
+	RepeatedSeconds float64
 
 	// DistinctTele and RepeatedTele hold the detector's telemetry
 	// snapshot for each input — work counters plus per-method-pair (or

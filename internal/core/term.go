@@ -228,3 +228,7 @@ func (si *sideInfo) merge(o sideInfo) {
 // terms (used by Simplify and Implies). The String form is already
 // canonical for our constructors.
 func termKey(t Term) string { return t.String() }
+
+// TermKey exposes the canonical string key of a term, the key space
+// gatekeepers use to bind a condition's terms to logged slots.
+func TermKey(t Term) string { return termKey(t) }

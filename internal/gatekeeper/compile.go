@@ -7,23 +7,22 @@ import (
 )
 
 // This file compiles pair conditions into closure trees once, at
-// gatekeeper construction time. The seed runtime re-substituted logged
-// values into the condition AST (core.SubstTerms) and re-interpreted it
-// (core.Eval) on every check, allocating a fresh substitution map each
-// time; a compiled checker instead binds logged and pre-evaluated values
-// by precomputed slot index and evaluates with zero allocations on the
-// hot path: operands are tagged core.Values read straight out of flat
-// slots, never boxed.
+// gatekeeper construction time. A compiled checker binds each term a
+// plan logged or pre-evaluated (keyed by core.TermKey) to a precomputed
+// slot index, and evaluates with zero allocations on the hot path:
+// operands are tagged core.Values read straight out of flat slots, never
+// boxed. A term with no slot, or whose slot holds no value, is evaluated
+// structurally on the invocations themselves.
 //
 // Compiled checkers are NOT safe for concurrent use: function-application
 // nodes reuse a scratch argument buffer allocated at compile time. Every
 // gatekeeper runs its checkers under its own mutex, which serializes them.
 
 // unset marks a slot whose value could not be captured (the general
-// gatekeeper skips terms that fail to evaluate under rollback, exactly
-// as the seed skipped their substitution); the compiled reader then
-// falls back to live structural evaluation. The sentinel kind compares
-// unequal to every value, so it can never be confused with a logged one.
+// gatekeeper skips terms that fail to evaluate under rollback); the
+// compiled reader then falls back to live structural evaluation. The
+// sentinel kind compares unequal to every value, so it can never be
+// confused with a logged one.
 var unset = core.Unset()
 
 // checkCtx is the per-check evaluation context. inv1 and inv2 point at

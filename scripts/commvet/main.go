@@ -1,10 +1,9 @@
 // Command commvet runs the commlat static-analysis suite: the AST/type
-// analyzers of internal/analysis (atomicfield, seqlock, poolzero,
-// padcheck, gatecheck) over the module's packages, plus specvet over the
-// spectext files in -specs. It exits nonzero when anything is found, so
-// CI can require it; -json writes a machine-readable report. The summary
-// line carries the suite's own runtime, so CI time creep stays visible in
-// the job's output.
+// analyzers of internal/analysis (poolzero, padcheck, gatecheck) over
+// the module's packages, plus specvet over the spectext files in -specs.
+// It exits nonzero when anything is found, so CI can require it; -json
+// writes a machine-readable report. The summary line carries the suite's
+// own runtime, so CI time creep stays visible in the job's output.
 //
 // Usage:
 //

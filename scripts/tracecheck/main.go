@@ -9,7 +9,7 @@
 //	commlat trace -app boruvka -json | go run ./scripts/tracecheck
 //	go run ./scripts/tracecheck -chrome trace.json
 //	go run ./scripts/tracecheck -snapshot telemetry.json
-//	commlat flightrec -app cluster -json | go run ./scripts/tracecheck -flight
+//	commlat flightrec -app cluster -o - | go run ./scripts/tracecheck -flight
 //	go run ./scripts/tracecheck -percentiles percentiles.json
 //
 // The schema of a document is the exported internal/telemetry type that
@@ -253,7 +253,7 @@ func checkSnapshot(raw []byte, w io.Writer) error {
 }
 
 // checkFlight validates a flight-recorder document (`commlat flightrec
-// -json` or /debug/commlat/flightrec): every record needs a timestamp,
+// -o` or /debug/commlat/flightrec): every record needs a timestamp,
 // a worker and a known verdict; the stage_ns keys must come from the
 // pipeline vocabulary; the timeline is oldest-first; and a run that
 // recorded anything must have buffered at least one record.
