@@ -219,17 +219,12 @@ func BenchmarkForwardHotPath(b *testing.B) {
 
 // --- Disequality-index ablations ---------------------------------------------
 //
-// The window sweeps of bench.Micros (ForwardIndexed/indexed,
-// GeneralIndexed/set/indexed) with the index disabled — the seed
-// behaviour: every active entry is scanned and checked, so cost grows
-// linearly in the window where the indexed rows stay flat — and the
-// union-find spec, whose conditions the index cannot key.
+// The union-find spec, whose conditions the index cannot key, against
+// the window sweeps of bench.Micros. The same sweeps with the index
+// disabled are BenchmarkIndexDisabled in internal/gatekeeper, where the
+// unindexed constructor lives.
 
 func BenchmarkIndexDisabled(b *testing.B) {
-	for _, w := range []int{64, 512, 4096} {
-		b.Run(fmt.Sprintf("ForwardIndexed/scan/window=%d", w), func(b *testing.B) { bench.ForwardWindow(b, true, w) })
-		b.Run(fmt.Sprintf("GeneralIndexed/set/scan/window=%d", w), func(b *testing.B) { bench.GeneralSetWindow(b, true, w) })
-	}
 	for _, w := range []int{64, 256} {
 		b.Run(fmt.Sprintf("GeneralIndexed/unionfind-fallback/window=%d", w), func(b *testing.B) { benchGeneralUFWindow(b, w) })
 	}

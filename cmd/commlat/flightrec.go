@@ -16,11 +16,11 @@ import (
 func cmdFlightrec(args []string) error {
 	fs := flag.NewFlagSet("flightrec", flag.ExitOnError)
 	sz := addAppFlags(fs)
-	ring := fs.Int("ring", 1<<10, "per-worker flight ring capacity in records (rounded up to a power of two)")
+	ring := fs.Int("ring", 1<<10, "per-worker flight ring capacity in records (at most 1<<20, rounded up to a power of two)")
 	out := fs.String("o", "", "also write the flight-recorder document as JSON to this file (- for stdout; the tables then go to stderr)")
 	percentiles := fs.String("percentiles", "", "write the stage-latency percentile document as JSON to this file (- for stdout)")
 	max := fs.Int("max", 32, "flight records shown in the table (<=0 shows all)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 

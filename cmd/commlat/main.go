@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -214,6 +215,40 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
+// maxRing bounds the -buf and -ring capacities: every worker shard of a
+// recorder is allocated at it, rounded up to a power of two.
+const maxRing = 1 << 20
+
+// countFlags are the size and count flags, each with the largest value
+// it takes; the least is 1 for all of them.
+var countFlags = map[string]int{
+	"rmfa": math.MaxInt, "rmfb": math.MaxInt, "mesh": math.MaxInt, "points": math.MaxInt, "parts": math.MaxInt,
+	"ops": math.MaxInt, "classes": math.MaxInt, "threads": math.MaxInt, "sample": math.MaxInt,
+	"buf": maxRing, "ring": maxRing,
+}
+
+// parseFlags parses a command's flags and then checks every int flag
+// countFlags names, so a size or count no solver or recorder can run is
+// a usageError before anything runs.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var bad error
+	fs.VisitAll(func(f *flag.Flag) {
+		max, ok := countFlags[f.Name]
+		n, isInt := f.Value.(flag.Getter).Get().(int)
+		switch {
+		case bad != nil || !ok || !isInt:
+		case n < 1:
+			bad = usageError(fmt.Sprintf("%s -%s %d: want at least 1", fs.Name(), f.Name, n))
+		case n > max:
+			bad = usageError(fmt.Sprintf("%s -%s %d: want at most %d", fs.Name(), f.Name, n, max))
+		}
+	})
+	return bad
+}
+
 func dispatch(name string, args []string) error {
 	for _, c := range commands() {
 		if c.name == name {
@@ -323,7 +358,7 @@ func cmdBench(args []string) error {
 	out := fs.String("o", "BENCH_fresh.json", "output path for -json (- for stdout)")
 	run := fs.String("run", "", "regexp selecting benchmarks to run (default all)")
 	quiet := fs.Bool("q", false, "suppress the progress table")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var filter *regexp.Regexp
@@ -366,7 +401,7 @@ func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	sz := table1Sizes
 	addSizeFlags(fs, &sz)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	rows, err := table1Rows(sz)
@@ -386,7 +421,7 @@ func cmdTable2(args []string) error {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "stream seed")
 	fs.BoolVar(&cfg.Extended, "ext", false, "add extension rows (object STM)")
 	stats := fs.Bool("stats", false, "print gatekeeper work counters (probes, collisions, fallbacks)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	rows := bench.Table2(cfg)
@@ -406,7 +441,7 @@ func cmdFig(n int) func(args []string) error {
 		threadList := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
 		sz := figSizes
 		addSizeFlags(fs, &sz)
-		if err := fs.Parse(args); err != nil {
+		if err := parseFlags(fs, args); err != nil {
 			return err
 		}
 		threads, err := parseThreads(*threadList)
@@ -430,7 +465,7 @@ func cmdFig(n int) func(args []string) error {
 func cmdMatrices(args []string) error {
 	fs := flag.NewFlagSet("matrices", flag.ExitOnError)
 	which := fs.String("spec", "accumulator", "accumulator | set | flowgraph")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	specs := map[string][]*core.Spec{
@@ -462,7 +497,7 @@ func cmdModel(args []string) error {
 	procs := fs.String("procs", "1,2,4,8,64,1024", "processor counts")
 	sz := table1Sizes
 	addSizeFlags(fs, &sz)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	ps, err := parseThreads(*procs)
@@ -498,7 +533,7 @@ func cmdSpecs(args []string) error {
 func cmdStrengthen(args []string) error {
 	fs := flag.NewFlagSet("strengthen", flag.ExitOnError)
 	which := fs.String("spec", "set", "set | kdtree | unionfind")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	spec, ok := map[string]*core.Spec{
@@ -523,7 +558,7 @@ func cmdStrengthen(args []string) error {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	file := fs.String("file", "", "specification file (see internal/spectext); - for stdin")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *file == "" {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,6 +104,40 @@ func TestUnknownCommandIsAUsageError(t *testing.T) {
 	var bad usageError
 	if !errors.As(err, &bad) || !strings.Contains(err.Error(), `"nope"`) {
 		t.Errorf("dispatch(nope) = %v, want a usageError naming the command", err)
+	}
+}
+
+// Every size and count flag refuses a value no solver or recorder can
+// run — each of these panicked, hung or mislabelled its row — as a
+// usage error naming the flag, before anything runs.
+func TestCountFlagsAreChecked(t *testing.T) {
+	for _, tc := range [][]string{
+		{"trace", "-app", "preflow", "-rmfa", "0"},
+		{"trace", "-app", "preflow", "-rmfb", "0"},
+		{"table1", "-rmfa", "0"},
+		{"fig12", "-mesh", "-1"},
+		{"trace", "-app", "cluster", "-points", "-5"},
+		{"model", "-parts", "0"},
+		{"table2", "-ops", "0"},
+		{"table2", "-classes", "0"},
+		{"table2", "-threads", "0"},
+		{"trace", "-threads", "0"},
+		{"trace", "-sample", "0"},
+		{"trace", "-buf", "0"},
+		{"trace", "-buf", "4611686018427387905"},
+		{"flightrec", "-ring", "-1"},
+		{"flightrec", "-ring", strconv.Itoa(maxRing + 1)},
+	} {
+		err := dispatch(tc[0], tc[1:])
+		var bad usageError
+		if flag := tc[len(tc)-2]; !errors.As(err, &bad) || !strings.Contains(err.Error(), flag+" ") {
+			t.Errorf("%s = %v, want a usageError naming %s", strings.Join(tc, " "), err, flag)
+		}
+	}
+	fs := flag.NewFlagSet("ring", flag.ContinueOnError)
+	fs.Int("buf", 1, "")
+	if err := parseFlags(fs, []string{"-buf", strconv.Itoa(maxRing)}); err != nil {
+		t.Errorf("-buf at its bound: %v", err)
 	}
 }
 

@@ -21,8 +21,8 @@ func cmdTrace(args []string) error {
 	jsonlPath := fs.String("jsonl", "", "also write the event trace as JSONL to this path")
 	jsonMode := fs.Bool("json", false, "write JSONL events to stdout and the attribution table to stderr (no Chrome file unless -o is given)")
 	sample := fs.Int("sample", 1, "keep the events of transactions whose id is a multiple of N; a kept transaction keeps all of them, its conflicts included (-sample 8 keeps the transactions the stage histograms observe)")
-	buf := fs.Int("buf", 1<<14, "per-worker ring capacity in events (rounded up to a power of two)")
-	if err := fs.Parse(args); err != nil {
+	buf := fs.Int("buf", 1<<14, "per-worker ring capacity in events (at most 1<<20, rounded up to a power of two)")
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *out == "" && !*jsonMode {

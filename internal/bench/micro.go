@@ -108,9 +108,9 @@ func Micros() []Micro {
 		name string
 		f    func(b *testing.B, window int)
 	}{
-		{"ForwardIndexed/indexed", func(b *testing.B, w int) { ForwardWindow(b, false, w) }},
+		{"ForwardIndexed/indexed", ForwardWindow},
 		{"CascadeIndexed", CascadeWindow},
-		{"GeneralIndexed/set/indexed", func(b *testing.B, w int) { GeneralSetWindow(b, false, w) }},
+		{"GeneralIndexed/set/indexed", GeneralSetWindow},
 		{"CascadeBatch/batch=8", func(b *testing.B, w int) { CascadeBatchWindow(b, 8, w) }},
 		{"CascadeBatch/batch=32", func(b *testing.B, w int) { CascadeBatchWindow(b, 32, w) }},
 		{"CascadeBatch/batch=128", func(b *testing.B, w int) { CascadeBatchWindow(b, 128, w) }},
@@ -520,11 +520,11 @@ func sameKey(i int) int64    { return int64(i) }
 func added() gatekeeper.Effect { return gatekeeper.Effect{Ret: core.VBool(true)} }
 
 // ForwardWindow measures one forward-gatekept add against `window`
-// active adds on distinct keys. Indexed probes miss in O(1); with the
-// index disabled every active entry is scanned.
-func ForwardWindow(b *testing.B, disable bool, n int) {
+// active adds on distinct keys: indexed probes miss in O(1). The
+// gatekeeper package's BenchmarkIndexDisabled rows are the scan's answer.
+func ForwardWindow(b *testing.B, n int) {
 	b.Helper()
-	g := must(gatekeeper.NewForwardConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	g := must(gatekeeper.NewForward(intset.PreciseSpec(), nil))
 	add := g.Method("add")
 	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
 		_, err := g.Invoke(tx, add, core.Args1(core.VInt(k)), added)
@@ -535,9 +535,9 @@ func ForwardWindow(b *testing.B, disable bool, n int) {
 // GeneralSetWindow is ForwardWindow's shape under the general
 // gatekeeper: same spec, but every check replays through the undo/redo
 // journal machinery.
-func GeneralSetWindow(b *testing.B, disable bool, n int) {
+func GeneralSetWindow(b *testing.B, n int) {
 	b.Helper()
-	g := must(gatekeeper.NewGeneralConfig(intset.PreciseSpec(), nil, gatekeeper.Config{DisableIndex: disable}))
+	g := must(gatekeeper.NewGeneral(intset.PreciseSpec(), nil))
 	add := g.Method("add")
 	window(b, n, heldBelow, freshAbove, func(tx *engine.Tx, k int64) error {
 		_, err := g.Invoke(tx, add, core.Args1(core.VInt(k)), func() gatekeeper.Effect {

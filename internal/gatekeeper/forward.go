@@ -44,24 +44,15 @@ type Forward struct {
 	logged
 }
 
-// Config tunes optional gatekeeper machinery.
-type Config struct {
-	// DisableIndex turns off the disequality-keyed active-set index,
-	// restoring the seed behaviour of scanning every active entry of
-	// each non-trivially-paired method. Benchmarks use it to quantify
-	// the index.
-	DisableIndex bool
-}
-
 // Stats is the work a gatekeeper performed — the raw material of the
 // overhead comparison in §3.4 — as its telemetry detector counts it
 // (Telemetry().Snapshot()).
 // Reading the disequality-index counters: Probes are indexed pair
 // lookups, Collisions the active entries those probes surfaced for full
 // checking (hash collisions plus unkeyable entries), FallbackScans full
-// active-list scans of a non-empty method list (unindexable pair,
-// unkeyable probe value, or index disabled). At large active windows a
-// healthy index shows Probes ≫ Collisions and few FallbackScans.
+// active-list scans of a non-empty method list (unindexable pair or
+// unkeyable probe value). At large active windows a healthy index shows
+// Probes ≫ Collisions and few FallbackScans.
 type Stats = telemetry.DetectorSnapshot
 
 // NewForward constructs a forward gatekeeper for spec guarding a
@@ -70,11 +61,11 @@ type Stats = telemetry.DetectorSnapshot
 // this engine cannot schedule (a non-pure state function needing a return
 // value before it is known).
 func NewForward(spec *core.Spec, res core.StateFn) (*Forward, error) {
-	return NewForwardConfig(spec, res, Config{})
+	return newForward(spec, res, true)
 }
 
-// NewForwardConfig is NewForward with explicit configuration.
-func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, error) {
+// newForward is NewForward with the disequality index on or off.
+func newForward(spec *core.Spec, res core.StateFn, indexed bool) (*Forward, error) {
 	g := &Forward{}
 	g.init("forward", spec, res)
 	logSlots := make([]map[string]int, len(g.methods)) // m1 -> term key -> log slot
@@ -154,7 +145,7 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 		for i, ft := range plan.fn2 {
 			bind[core.TermKey(ft)] = slotBinding{src: srcPre2, slot: i}
 		}
-		g.compile(plan, bind, cfg, true)
+		g.compile(plan, bind, indexed, true)
 		// A probe that needs r2 can only run after execution, but fn2
 		// values must be captured per colliding entry before it —
 		// irreconcilable, so such pairs keep the scan.
@@ -175,9 +166,9 @@ func NewForwardConfig(spec *core.Spec, res core.StateFn, cfg Config) (*Forward, 
 // structure and reports its effect. If the invocation does not commute
 // with some active invocation, Invoke undoes
 // the effect inside its atomic section and returns an error satisfying
-// engine.IsConflict. On success the effect's undo action (if any) is
-// registered with tx so that a later abort rolls it back, and the
-// invocation joins the active log until tx ends.
+// engine.IsConflict. On success the invocation joins the active log
+// until tx ends, and its entry keeps the effect's undo action (if any)
+// for a later abort.
 //
 // Arguments travel in a flat core.Vec passed by value — build it with
 // core.Args1/Args2/... at the call site; no argument slice is ever
@@ -200,7 +191,7 @@ func (g *Forward) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 	}
 
 	eff := exec()
-	e.inv.Ret = eff.Ret
+	e.inv.Ret, e.undo = eff.Ret, eff.Undo
 
 	// After execution: our pure s1 functions (may use the return value),
 	// the probes whose key needs r2 (such plans carry no fn2, enforced
@@ -212,22 +203,9 @@ func (g *Forward) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 		err = g.check(tx, e)
 	}
 	if err != nil {
-		if eff.Undo != nil {
-			eff.Undo()
-		}
-		return eff.Ret, err
+		return eff.Ret, err // end undoes the effect
 	}
-
-	// Success: record as active, wire transaction hooks. Both hooks
-	// register interface pairs (the gatekeeper / the pooled entry), not
-	// closures, so nothing escapes.
-	if g.record(tx, e) {
-		tx.OnReleaser(g)
-	}
-	if eff.Undo != nil {
-		e.undo = eff.Undo
-		tx.OnUndoer(e)
-	}
+	g.record(tx, e)
 	return eff.Ret, nil
 }
 
@@ -275,16 +253,6 @@ func (g *Forward) captureS2(e *entry) error {
 		p.pre2, vals = vals[:n], vals[n:]
 	}
 	return nil
-}
-
-// ReleaseTx drops all of tx's active invocations and their logs (§3.3.1
-// step 4). Installed automatically as a transaction release hook
-// (engine.Releaser, so registration allocates nothing).
-func (g *Forward) ReleaseTx(tx *engine.Tx) {
-	t0 := telemetry.TxClock(tx.ID())
-	g.mu.Lock()
-	g.release(tx, t0)
-	g.mu.Unlock()
 }
 
 // mentionsRet reports whether the term references the return value of the

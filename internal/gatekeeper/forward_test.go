@@ -43,18 +43,18 @@ type gset struct {
 
 func newGSet(t *testing.T, init ...int64) *gset {
 	t.Helper()
-	return newGSetCfg(t, preciseSetSpec(), Config{}, init...)
+	return newGSetCfg(t, preciseSetSpec(), true, init...)
 }
 
-func newGSetCfg(t *testing.T, spec *core.Spec, cfg Config, init ...int64) *gset {
+func newGSetCfg(t *testing.T, spec *core.Spec, indexed bool, init ...int64) *gset {
 	t.Helper()
 	s := &gset{elems: map[int64]bool{}}
 	for _, v := range init {
 		s.elems[v] = true
 	}
-	g, err := NewForwardConfig(spec, func(fn string, args []core.Value) (core.Value, error) {
+	g, err := newForward(spec, func(fn string, args []core.Value) (core.Value, error) {
 		return core.Value{}, fmt.Errorf("set has no state functions, asked for %s", fn)
-	}, cfg)
+	}, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}

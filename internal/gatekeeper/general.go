@@ -3,37 +3,10 @@ package gatekeeper
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"commlat/internal/core"
 	"commlat/internal/engine"
-	"commlat/internal/telemetry"
 )
-
-// jentry is one journaled mutation by an active transaction, a node of
-// the seq-ordered doubly-linked journal. The list shape lets a
-// transaction's entries be unlinked in O(1) each at commit or abort,
-// while rollback sweeps still walk the journal from its newest end.
-type jentry struct {
-	seq  uint64
-	tx   *engine.Tx
-	undo func()
-	redo func()
-
-	prev, next *jentry
-}
-
-var jentryPool = sync.Pool{New: func() any { return new(jentry) }}
-
-// putJentry recycles a journal node, dropping its undo/redo closures.
-func putJentry(j *jentry) {
-	j.seq = 0
-	j.tx = nil
-	j.undo = nil
-	j.redo = nil
-	j.prev, j.next = nil, nil
-	jentryPool.Put(j)
-}
 
 // General is a general gatekeeper (§3.3.2): a forward-style active log
 // plus an undo/redo journal of the mutations performed by live
@@ -49,28 +22,24 @@ func putJentry(j *jentry) {
 // invocation, so they can be (virtually) reordered before it. This is the
 // same stance the paper's union-find gatekeeper takes when it undoes only
 // the "potentially interfering" active unions.
+//
+// The journal holds no records of its own: it is threaded through the
+// entries of the mutations it journals (see logged), so a mutation is
+// one entry from its execution to its transaction's end.
 type General struct {
 	logged
-
-	// The journal, guarded by logged.mu like the log itself.
-	seq    uint64
-	jHead  *jentry // oldest journaled mutation
-	jTail  *jentry // newest journaled mutation
-	jLen   int
-	byTxJ  map[*engine.Tx][]*jentry // each tx's own journal entries, oldest first
-	jLists [][]*jentry              // recycled byTxJ slices
 }
 
 // NewGeneral constructs a general gatekeeper for spec over a structure
 // whose state functions are resolved (against its current state) by res.
 // Any L1 specification is accepted.
 func NewGeneral(spec *core.Spec, res core.StateFn) (*General, error) {
-	return NewGeneralConfig(spec, res, Config{})
+	return newGeneral(spec, res, true)
 }
 
-// NewGeneralConfig is NewGeneral with explicit configuration.
-func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, error) {
-	g := &General{byTxJ: map[*engine.Tx][]*jentry{}}
+// newGeneral is NewGeneral with the disequality index on or off.
+func newGeneral(spec *core.Spec, res core.StateFn, indexed bool) (*General, error) {
+	g := &General{}
 	g.init("general", spec, res)
 	for i := range g.plans {
 		plan := &g.plans[i]
@@ -106,7 +75,7 @@ func NewGeneralConfig(spec *core.Spec, res core.StateFn, cfg Config) (*General, 
 		// a non-pure state function are rejected (union-find's union pairs
 		// stay on the scan). Every gather runs after execution, so r2 in a
 		// probe key needs no special scheduling.
-		g.compile(plan, bind, cfg, false)
+		g.compile(plan, bind, indexed, false)
 		if !plan.trivial {
 			m2 := &g.methods[plan.m2id]
 			m2.post = append(m2.post, plan)
@@ -126,22 +95,14 @@ func (g *General) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 	e.seqPre = g.seq
 
 	eff := exec()
-	e.inv.Ret = eff.Ret
-	var own *jentry
+	e.inv.Ret, e.undo = eff.Ret, eff.Undo
 	if eff.Undo != nil {
 		if eff.Redo == nil {
 			panic("gatekeeper: general gatekeeper Effect with Undo but no Redo")
 		}
-		g.seq++
-		own = jentryPool.Get().(*jentry)
-		own.seq, own.tx, own.undo, own.redo = g.seq, tx, eff.Undo, eff.Redo
-		g.linkJournal(own)
+		e.redo = eff.Redo
+		g.linkJournal(e)
 		g.tele.ObserveJournal(g.jLen)
-		lst, seen := g.byTxJ[tx]
-		if !seen {
-			lst = popList(&g.jLists)
-		}
-		g.byTxJ[tx] = append(lst, own)
 	}
 
 	// Gather the checks (execution already happened, so r2-bearing probe
@@ -150,51 +111,36 @@ func (g *General) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 	g.gather(tx, e, mt.post)
 	g.rollbackEval(e)
 	if err = g.check(tx, e); err != nil {
-		if own != nil {
-			own.undo()
-			g.unlinkJournal(own)
-			lst := g.byTxJ[tx]
-			lst[len(lst)-1] = nil
-			g.byTxJ[tx] = lst[:len(lst)-1]
-			putJentry(own)
-		}
-		return eff.Ret, err
+		return eff.Ret, err // end undoes the effect and unjournals it
 	}
-
-	if g.record(tx, e) {
-		tx.OnUndoer(g)
-		tx.OnReleaser(g)
-	}
+	g.record(tx, e)
 	return eff.Ret, nil
 }
 
-// linkJournal appends j at the journal's newest end.
-func (g *General) linkJournal(j *jentry) {
-	j.prev = g.jTail
-	if g.jTail != nil {
-		g.jTail.next = j
-	} else {
-		g.jHead = j
+// linkJournal journals e's mutation at the journal's newest end.
+func (l *logged) linkJournal(e *entry) {
+	l.seq++
+	e.seq, e.jprev = l.seq, l.jTail
+	if l.jTail != nil {
+		l.jTail.jnext = e
 	}
-	g.jTail = j
-	g.jLen++
+	l.jTail = e
+	l.jLen++
 }
 
-// unlinkJournal removes j from the journal, preserving seq order of the
-// remaining entries.
-func (g *General) unlinkJournal(j *jentry) {
-	if j.prev != nil {
-		j.prev.next = j.next
-	} else {
-		g.jHead = j.next
+// unlinkJournal takes e's mutation out of the journal, preserving seq
+// order of the remaining entries.
+func (l *logged) unlinkJournal(e *entry) {
+	if e.jprev != nil {
+		e.jprev.jnext = e.jnext
 	}
-	if j.next != nil {
-		j.next.prev = j.prev
+	if e.jnext != nil {
+		e.jnext.jprev = e.jprev
 	} else {
-		g.jTail = j.prev
+		l.jTail = e.jprev
 	}
-	j.prev, j.next = nil, nil
-	g.jLen--
+	e.seq, e.jprev, e.jnext = 0, nil, nil
+	l.jLen--
 }
 
 // rollbackEval values the stateful terms of every queued check of the
@@ -235,12 +181,12 @@ func (g *General) rollbackEval(e *entry) {
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i] > points[j] })
 
-	var firstUndone *jentry // oldest journal entry currently undone
+	var firstUndone *entry // oldest journaled entry currently undone
 	evalAt := func(point uint64) {
 		for {
 			n := g.jTail
 			if firstUndone != nil {
-				n = firstUndone.prev
+				n = firstUndone.jprev
 			}
 			if n == nil || n.seq <= point {
 				return
@@ -279,48 +225,9 @@ func (g *General) rollbackEval(e *entry) {
 		}
 	}
 	// Replay forward in order.
-	for n := firstUndone; n != nil; n = n.next {
+	for n := firstUndone; n != nil; n = n.jnext {
 		n.redo()
 	}
-}
-
-// UndoTx undoes the transaction's journaled mutations, newest first, and
-// drops them from the journal. Installed as a tx undo hook
-// (engine.Undoer, so registration allocates nothing).
-func (g *General) UndoTx(tx *engine.Tx) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	lst := g.byTxJ[tx]
-	for i := len(lst) - 1; i >= 0; i-- {
-		lst[i].undo()
-		g.unlinkJournal(lst[i])
-		putJentry(lst[i])
-		lst[i] = nil
-	}
-	if lst != nil {
-		g.jLists = append(g.jLists, lst[:0])
-	}
-	delete(g.byTxJ, tx)
-}
-
-// ReleaseTx drops the transaction's journal entries (now permanent) and
-// active invocations. Installed as a tx release hook (engine.Releaser);
-// on abort the journal was already emptied by UndoTx.
-func (g *General) ReleaseTx(tx *engine.Tx) {
-	t0 := telemetry.TxClock(tx.ID())
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	jlst := g.byTxJ[tx]
-	for i, j := range jlst {
-		g.unlinkJournal(j)
-		putJentry(j)
-		jlst[i] = nil
-	}
-	if jlst != nil {
-		g.jLists = append(g.jLists, jlst[:0])
-	}
-	delete(g.byTxJ, tx)
-	g.release(tx, t0)
 }
 
 // JournalLen reports the number of journaled live mutations.

@@ -147,10 +147,10 @@ func FuzzGeneralAgreesWithForward(f *testing.F) {
 			mode = fuzzKVMode()
 		}
 		var arms []*fuzzArm
-		for _, cfg := range []Config{{}, {DisableIndex: true}} {
+		for _, indexed := range []bool{true, false} {
 			fwd := &fuzzArm{name: "forward", rep: map[int64]int64{}}
 			gen := &fuzzArm{name: "general", rep: map[int64]int64{}}
-			if cfg.DisableIndex {
+			if !indexed {
 				fwd.name, gen.name = "forward/noindex", "general/noindex"
 			}
 			lookup := func(a *fuzzArm) core.StateFn {
@@ -161,13 +161,13 @@ func FuzzGeneralAgreesWithForward(f *testing.F) {
 					return core.VInt(a.rep[args[0].Int()]), nil
 				}
 			}
-			fg, err := NewForwardConfig(mode.spec, lookup(fwd), cfg)
+			fg, err := newForward(mode.spec, lookup(fwd), indexed)
 			if err != nil {
-				t.Fatalf("NewForwardConfig: %v", err)
+				t.Fatalf("newForward: %v", err)
 			}
-			gg, err := NewGeneralConfig(mode.spec, lookup(gen), cfg)
+			gg, err := newGeneral(mode.spec, lookup(gen), indexed)
 			if err != nil {
-				t.Fatalf("NewGeneralConfig: %v", err)
+				t.Fatalf("newGeneral: %v", err)
 			}
 			fwd.active, gen.active = fg.ActiveInvocations, gg.ActiveInvocations
 			fwd.invoke = func(tx *engine.Tx, method string, args core.Vec, apply func() fuzzOp) (core.Value, error) {

@@ -336,6 +336,89 @@ func TestGeneralCommitKeepsEffects(t *testing.T) {
 	}
 }
 
+// TestAbortUnjournalsBeforeRelease: an aborting transaction's mutations
+// leave the journal in the undo hook, while its entries stay active
+// until the release hook. Another transaction invoking in between rolls
+// back over those active entries; were the undone mutations still
+// journaled, its rollback would undo them again and then redo them,
+// re-applying the aborted unions.
+func TestAbortUnjournalsBeforeRelease(t *testing.T) {
+	u := newGUF(t, 8)
+	a := engine.NewTx()
+	var probed bool
+	// Registered before A's first invocation, this undo runs after the
+	// gatekeeper's undo hook and before its release hook.
+	a.OnUndo(func() {
+		probed = true
+		if n, j := u.g.ActiveInvocations(), u.g.JournalLen(); n != 3 || j != 0 {
+			t.Errorf("between undo and release: %d active, journal %d; want 3 active, journal 0", n, j)
+		}
+		b := engine.NewTx()
+		if r, err := u.find(b, 5); err != nil || r != 5 {
+			t.Errorf("find(5) against the aborting unions = %v, %v", r, err)
+		}
+		b.Commit()
+	})
+	for _, p := range [][2]int64{{0, 1}, {2, 3}, {1, 3}} {
+		if err := u.union(a, p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Abort()
+	if !probed {
+		t.Fatal("the probe hook never ran")
+	}
+	for i := int64(0); i < 8; i++ {
+		if u.rep(i) != i {
+			t.Errorf("rep(%d) = %d after the abort, want the forest without its unions", i, u.rep(i))
+		}
+	}
+	if j, n := u.g.JournalLen(), u.g.ActiveInvocations(); j != 0 || n != 0 {
+		t.Errorf("state leaked: journal=%d active=%d", j, n)
+	}
+}
+
+// TestAbortRestoresMixedStructures: one transaction touches a forward
+// gatekeeper, a general one and a closure-undone variable; its abort
+// restores all three, each gatekeeper newest first through its single
+// undo hook.
+func TestAbortRestoresMixedStructures(t *testing.T) {
+	s, u := newGSet(t), newGUF(t, 6)
+	counter := 0
+	tx := engine.NewTx()
+	steps := []func() error{
+		func() error { return u.union(tx, 0, 1) },
+		func() error { _, err := s.invoke(tx, "add", 7); return err },
+		func() error {
+			counter++
+			tx.OnUndo(func() { counter-- })
+			return nil
+		},
+		func() error { return u.union(tx, 1, 2) },
+		func() error { _, err := s.invoke(tx, "add", 8); return err },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	tx.Abort()
+	if len(s.elems) != 0 {
+		t.Errorf("forward set not restored: %v", s.elems)
+	}
+	for i := int64(0); i < 6; i++ {
+		if u.rep(i) != i {
+			t.Errorf("general forest not restored: rep(%d) = %d", i, u.rep(i))
+		}
+	}
+	if counter != 0 {
+		t.Errorf("closure undo not run: counter = %d", counter)
+	}
+	if n, m, j := s.g.ActiveInvocations(), u.g.ActiveInvocations(), u.g.JournalLen(); n+m+j != 0 {
+		t.Errorf("state leaked: forward active=%d, general active=%d, journal=%d", n, m, j)
+	}
+}
+
 func TestGeneralRollbackDepths(t *testing.T) {
 	// Two active unions at different journal depths; a find that must be
 	// checked against both, each at its own rollback point.

@@ -1,6 +1,7 @@
 package gatekeeper
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,14 +60,14 @@ func TestForwardIndexPlanShapes(t *testing.T) {
 		}
 	}
 
-	rw := newGSetCfg(t, rwSetSpec(), Config{})
+	rw := newGSetCfg(t, rwSetSpec(), true)
 	if plan := rw.g.plan("add", "add"); !plan.indexed || !plan.pureDiseq {
 		t.Errorf("rw add~add should be indexed and pureDiseq: %+v", plan)
 	}
 
-	off := newGSetCfg(t, preciseSetSpec(), Config{DisableIndex: true})
+	off := newGSetCfg(t, preciseSetSpec(), false)
 	if plan := off.g.plan("add", "add"); plan.indexed {
-		t.Errorf("DisableIndex must leave plans unindexed")
+		t.Errorf("an unindexed gatekeeper must leave plans unindexed")
 	}
 }
 
@@ -118,7 +119,7 @@ func TestForwardIndexDistinctKeysSkipChecker(t *testing.T) {
 }
 
 func TestForwardPureDiseqImmediateConflict(t *testing.T) {
-	s := newGSetCfg(t, rwSetSpec(), Config{})
+	s := newGSetCfg(t, rwSetSpec(), true)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
@@ -142,7 +143,7 @@ func TestForwardMixedIntFloatKeyCollision(t *testing.T) {
 	// the index hashed them to different buckets the conflict below
 	// would be missed (the map-canonicalization trap).
 	for _, spec := range []*core.Spec{preciseSetSpec(), rwSetSpec()} {
-		s := newGSetCfg(t, spec, Config{})
+		s := newGSetCfg(t, spec, true)
 		tx1, tx2 := engine.NewTx(), engine.NewTx()
 		if _, err := s.invoke(tx1, "add", 5); err != nil { // mutating: ret true
 			t.Fatal(err)
@@ -160,7 +161,7 @@ func TestForwardNaNKeysStayConservative(t *testing.T) {
 	// adds commute under the rw spec. The index files all NaNs in one
 	// bucket (over-approximating collision) but must not treat the
 	// collision as an immediate conflict.
-	s := newGSetCfg(t, rwSetSpec(), Config{})
+	s := newGSetCfg(t, rwSetSpec(), true)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
@@ -181,7 +182,7 @@ func TestForwardNaNKeysStayConservative(t *testing.T) {
 
 func TestForwardUnkeyableValuesFallBack(t *testing.T) {
 	type pt struct{ x, y int64 }
-	s := newGSetCfg(t, rwSetSpec(), Config{})
+	s := newGSetCfg(t, rwSetSpec(), true)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
@@ -213,7 +214,7 @@ func TestForwardUnkeyableValuesFallBack(t *testing.T) {
 
 func TestForwardDisableIndexEquivalence(t *testing.T) {
 	on := newGSet(t)
-	off := newGSetCfg(t, preciseSetSpec(), Config{DisableIndex: true})
+	off := newGSetCfg(t, preciseSetSpec(), false)
 	r := rand.New(rand.NewSource(7))
 	methods := []string{"add", "remove", "contains"}
 	// A third of the keys are ints the index buckets; the others are the
@@ -298,10 +299,10 @@ type genSet struct {
 	elems map[int64]bool
 }
 
-func newGenSet(t *testing.T, cfg Config) *genSet {
+func newGenSet(t *testing.T, indexed bool) *genSet {
 	t.Helper()
 	s := &genSet{elems: map[int64]bool{}}
-	g, err := NewGeneralConfig(preciseSetSpec(), nil, cfg)
+	g, err := newGeneral(preciseSetSpec(), nil, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func (s *genSet) invokeV(tx *engine.Tx, method string, x int64, arg core.Value) 
 func TestGeneralIndexedMatchesInterpretedOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := newGenSet(t, Config{})
+		s := newGenSet(t, true)
 		o := &oracleGK{spec: preciseSetSpec(), elems: map[int64]bool{}}
 		const nTx = 4
 		txs := make([]*engine.Tx, nTx)
@@ -381,5 +382,53 @@ func TestGeneralIndexedMatchesInterpretedOracle(t *testing.T) {
 		if st := s.g.Telemetry().Snapshot(); st.Probes == 0 {
 			t.Fatalf("seed %d: index never probed", seed)
 		}
+	}
+}
+
+// BenchmarkIndexDisabled is the scan's half of the window sweeps in
+// bench.Micros (ForwardIndexed/indexed, GeneralIndexed/set/indexed):
+// one add and commit against `window` active adds on distinct keys with
+// the index off, so every active entry is scanned and checked and the
+// cost grows linearly in the window where the indexed rows stay flat.
+func BenchmarkIndexDisabled(b *testing.B) {
+	for _, w := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("ForwardIndexed/scan/window=%d", w), func(b *testing.B) {
+			g, err := newForward(preciseSetSpec(), nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scanWindow(b, w, g.Method("add"), g.Invoke)
+		})
+		b.Run(fmt.Sprintf("GeneralIndexed/set/scan/window=%d", w), func(b *testing.B) {
+			g, err := newGeneral(preciseSetSpec(), nil, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scanWindow(b, w, g.Method("add"), g.Invoke)
+		})
+	}
+}
+
+// scanWindow keeps adds of -1 … -n active in one transaction while each
+// measured iteration adds a key far above them in a pooled transaction
+// of its own — bench.Micros' window shape.
+func scanWindow(b *testing.B, n int, add *Method, invoke func(*engine.Tx, *Method, core.Vec, func() Effect) (core.Value, error)) {
+	added := func() Effect { return Effect{Ret: core.VBool(true)} }
+	holder := engine.NewTx()
+	defer holder.Commit()
+	for i := 0; i < n; i++ {
+		if _, err := invoke(holder, add, core.Args1(core.VInt(-int64(i+1))), added); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := engine.GetTx()
+		if _, err := invoke(tx, add, core.Args1(core.VInt(1<<40|int64(i&8191))), added); err != nil {
+			b.Error(err)
+		}
+		tx.Commit()
+		engine.PutTx(tx)
 	}
 }

@@ -20,12 +20,13 @@ import (
 // differences reach the core as data — which list a plan sits in, and
 // the value windows on the pending check.
 
-// entry is an active logged invocation: the invocation itself, the
-// result log L_m(v) holding the values of the primitive functions Cm
-// evaluated when it ran (§3.3.1 step 1; stored by slot index, the slot
-// assignment is per method and fixed at construction), and the journal
-// position marking the state it executed in (§3.3.2). A forward
-// gatekeeper leaves seqPre zero, a general one keeps no log.
+// entry is an active logged invocation, and the only record the
+// gatekeeper keeps of it: the invocation itself, the result log L_m(v)
+// holding the values of the primitive functions Cm evaluated when it ran
+// (§3.3.1 step 1; stored by slot index, the slot assignment is per method
+// and fixed at construction), and the journal position marking the state
+// it executed in (§3.3.2). A forward gatekeeper leaves seqPre zero, a
+// general one keeps no log.
 type entry struct {
 	tx     *engine.Tx
 	mid    uint16
@@ -44,16 +45,17 @@ type entry struct {
 	pos  int
 
 	// id is the entry's fixed place in the gatekeeper's entry table, from
-	// 1; nextTx is the id of the next younger active entry of the same
-	// transaction (0 = none) — the chain release walks.
-	id, nextTx uint32
+	// 1; prevTx is the id of the same transaction's next older active
+	// entry (0 = none) — the chain UndoTx and ReleaseTx walk.
+	id, prevTx uint32
 
-	// l and undo let the entry itself serve as the transaction's undo
-	// hook (engine.Undoer): registering the pooled entry pointer
-	// allocates nothing, where wrapping an Effect's Undo in a fresh
-	// closure allocated per mutating invocation.
-	l    *logged
-	undo func()
+	// undo reverts the invocation's effect (nil for none). A general
+	// gatekeeper also journals the effect: seq is the entry's place in the
+	// journal (0 = not journaled), redo re-applies the effect, and
+	// jprev/jnext link the journal in seq order.
+	undo, redo   func()
+	seq          uint64
+	jprev, jnext *entry
 }
 
 // entryKey is an entry's place in one key slot: the bucket of its
@@ -61,17 +63,6 @@ type entry struct {
 type entryKey struct {
 	h     uint64
 	keyed bool
-}
-
-// UndoTx rolls back the entry's effect under the gatekeeper mutex.
-// Undo hooks run before release hooks during an abort, so the entry is
-// still live (not yet recycled) when this fires.
-func (e *entry) UndoTx(*engine.Tx) {
-	e.l.mu.Lock()
-	if e.undo != nil {
-		e.undo()
-	}
-	e.l.mu.Unlock()
 }
 
 // pairPlan is the static plan for one ordered method pair: the
@@ -173,15 +164,22 @@ type logged struct {
 	// stack of those not in use. Both ends of an entry's life hold mu
 	// already, so neither needs synchronization of its own; they start
 	// empty and grow to the active high-water mark. A transaction's
-	// active entries are chained oldest first through nextTx, the chain's
-	// ends in the transaction's Tx.Attach word (head id in the low half,
-	// tail id in the high half), so ending a transaction walks its own
-	// entries and the gatekeeper keeps no per-transaction map. cur is the
-	// entry the open section took and has not recorded: end returns it,
-	// which covers a refusal and a panicking exec alike.
+	// active entries are chained newest first through prevTx from the
+	// head id in its Tx.Attach word, so ending a transaction walks its
+	// own entries and the gatekeeper keeps no per-transaction map. cur is
+	// the entry the open section took and has not recorded: end returns
+	// it, which covers a refusal and a panicking exec alike.
 	entries []*entry
 	free    []*entry
 	cur     *entry
+
+	// The general gatekeeper's undo/redo journal (§3.3.2), threaded
+	// through the entries of its live mutations in seq order, jTail the
+	// newest; seq numbers the mutations. A forward gatekeeper journals
+	// nothing.
+	seq   uint64
+	jTail *entry
+	jLen  int
 
 	// per-Invoke scratch, reused under mu to keep the hot path
 	// allocation-free. nvals counts the recorded-value slots the queued
@@ -227,12 +225,12 @@ func (l *logged) init(kind string, spec *core.Spec, res core.StateFn) {
 	}
 }
 
-// compile builds the plan's checker over bind and, unless the index is
-// configured off, its disequality guards (see compileIndex for
-// statefulX).
-func (l *logged) compile(plan *pairPlan, bind map[string]slotBinding, cfg Config, statefulX bool) {
+// compile builds the plan's checker over bind and, when indexed, its
+// disequality guards (see compileIndex for statefulX). Only tests build
+// an unindexed gatekeeper: the scan is their reference for the index.
+func (l *logged) compile(plan *pairPlan, bind map[string]slotBinding, indexed, statefulX bool) {
 	plan.check = compileCond(plan.cond, bind, l.res)
-	if cfg.DisableIndex || plan.trivial || plan.never {
+	if !indexed || plan.trivial || plan.never {
 		return
 	}
 	keys, pureDiseq, probePost, ok := compileIndex(plan.cond, l.spec.Pure, bind, l.res, statefulX, l.slotFor(plan.m1id))
@@ -290,7 +288,7 @@ func (l *logged) begin(tx *engine.Tx, mt *Method, args *core.Vec) (*entry, int64
 		e = &entry{id: uint32(len(l.entries) + 1)}
 		l.entries = append(l.entries, e)
 	}
-	e.tx, e.mid, e.l = tx, mt.id, l
+	e.tx, e.mid = tx, mt.id
 	e.inv.Method = mt.name
 	e.inv.Args = *args
 	if cap(e.log) >= mt.logLen {
@@ -303,24 +301,31 @@ func (l *logged) begin(tx *engine.Tx, mt *Method, args *core.Vec) (*entry, int64
 }
 
 // end closes the section begin opened — deferred, so a panicking exec
-// still unlocks — observing the invocation from mark t0 first. It
-// returns the section's entry to the free stack unless record filed it
-// (a refusal, a failed evaluation, a panic), and leaves no scratch
-// pointing at an entry or a user value: entries are recycled and their
-// transactions end outside any section, so a pointer kept past here
-// would dangle into another invocation, and a kept window or queue
-// would pin the last arguments for as long as the gatekeeper idles.
+// still unlocks. Unless record filed the section's entry (a refusal, a
+// failed evaluation, a panic), it undoes the entry's effect, takes it
+// out of the journal and returns it to the free stack. It then observes
+// the invocation from mark t0 and leaves no scratch pointing at an
+// entry or a user value: entries are recycled and their transactions
+// end outside any section, so a pointer kept past here would dangle
+// into another invocation, and a kept window or queue would pin the
+// last arguments for as long as the gatekeeper idles.
 func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
+	if e := l.cur; e != nil {
+		if e.undo != nil {
+			e.undo()
+		}
+		if e.seq != 0 {
+			l.unlinkJournal(e)
+		}
+		l.putEntry(e)
+		l.cur = nil
+	}
 	if obsInstrumented(t0) {
 		// The whole mutex-held check-execute-log sequence is one precise
 		// evaluation.
 		rec := telemetry.FlightRecord{Det: l.tele.ID(), Method: mid, Verdict: verdictOf(*err)}
 		rec.Mark(telemetry.StagePrecise, since(t0))
 		observe(tx, &rec, t0, 1<<telemetry.StagePrecise)
-	}
-	if l.cur != nil {
-		l.putEntry(l.cur)
-		l.cur = nil
 	}
 	l.bind(nil, nil, nil)
 	for i := range l.checks {
@@ -482,10 +487,11 @@ func (l *logged) conflict(tx *engine.Tx, plan *pairPlan) {
 }
 
 // record makes an admitted invocation active: filed in its method's key
-// slots and active list and at the tail of its transaction's chain. It
-// reports whether this is the transaction's first entry here, which is
-// when the gatekeeper registers its hooks.
-func (l *logged) record(tx *engine.Tx, e *entry) (first bool) {
+// slots and active list and pushed on its transaction's chain. With the
+// transaction's first entry here it registers the gatekeeper as the
+// transaction's undo and release hook — interface pairs, not closures,
+// so nothing escapes — once for all the entries that follow.
+func (l *logged) record(tx *engine.Tx, e *entry) {
 	l.cur = nil
 	mt := &l.methods[e.mid]
 	l.indexEntry(mt, e)
@@ -493,28 +499,12 @@ func (l *logged) record(tx *engine.Tx, e *entry) (first bool) {
 	mt.active = append(mt.active, e)
 	l.nActive++
 	l.tele.ObserveActive(l.nActive)
-	ends, _ := tx.Attach(l)
-	head, tail := uint32(*ends), uint32(*ends>>32)
-	if head == 0 {
-		head = e.id
-	} else {
-		l.entries[tail-1].nextTx = e.id
+	head, isNew := tx.Attach(l)
+	e.prevTx, *head = uint32(*head), uint64(e.id)
+	if isNew {
+		tx.OnUndoer(l)
+		tx.OnReleaser(l)
 	}
-	*ends = uint64(e.id)<<32 | uint64(head)
-	return head == e.id
-}
-
-// popList takes a recycled empty list (nil when none is parked), so
-// steady-state transactions allocate no per-tx slices.
-func popList[T any](free *[][]T) []T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	lst := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return lst
 }
 
 // indexEntry computes the entry's key per key slot of its method and
@@ -573,8 +563,9 @@ func (l *logged) removeActive(mt *Method, e *entry) {
 // object graphs for as long as the entry waits). Caller holds mu.
 func (l *logged) putEntry(e *entry) {
 	e.tx = nil
-	e.l = nil
-	e.undo = nil
+	e.undo, e.redo = nil, nil
+	e.seq = 0
+	e.jprev, e.jnext = nil, nil
 	e.inv.Release()
 	e.seqPre = 0
 	for i := range e.log {
@@ -583,29 +574,55 @@ func (l *logged) putEntry(e *entry) {
 	e.keys = e.keys[:0]
 	e.gen = 0
 	e.pos = 0
-	e.nextTx = 0
+	e.prevTx = 0
 	l.free = append(l.free, e)
 }
 
-// release drops all of tx's active invocations and their logs (§3.3.1
-// step 4), oldest first, and observes the commit stage from mark t0. It
-// walks only the transaction's own chain, so ending a transaction costs
-// O(its invocations) regardless of the active window size. Caller holds
-// mu.
-func (l *logged) release(tx *engine.Tx, t0 int64) {
-	if ends := tx.AttachedWord(l); ends != nil {
-		for id := uint32(*ends); id != 0; {
-			e := l.entries[id-1]
-			id = e.nextTx
-			mt := &l.methods[e.mid]
-			l.removeActive(mt, e)
-			l.dropFromIndex(mt, e)
-			l.nActive--
-			l.putEntry(e)
+// UndoTx reverts tx's effects, newest first, under mu. Each journaled
+// entry leaves the journal as it is undone, before mu is dropped: the
+// engine runs the release hooks as a later step, and an undone mutation
+// still in the journal until then could be rolled back and re-applied
+// by another transaction's rollbackEval. The entries stay active, their
+// checks in force, until ReleaseTx. Registered as an engine.Undoer.
+func (l *logged) UndoTx(tx *engine.Tx) {
+	l.mu.Lock()
+	for id := uint32(*tx.AttachedWord(l)); id != 0; {
+		e := l.entries[id-1]
+		id = e.prevTx
+		if e.undo != nil {
+			e.undo()
 		}
-		*ends = 0
+		if e.seq != 0 {
+			l.unlinkJournal(e)
+		}
 	}
+	l.mu.Unlock()
+}
+
+// ReleaseTx drops all of tx's active invocations and their logs (§3.3.1
+// step 4) and, on commit, their journaled mutations, now permanent, and
+// observes the commit stage. It walks only the transaction's own chain,
+// so ending a transaction costs O(its invocations) regardless of the
+// active window size. Registered as an engine.Releaser.
+func (l *logged) ReleaseTx(tx *engine.Tx) {
+	t0 := telemetry.TxClock(tx.ID())
+	l.mu.Lock()
+	head := tx.AttachedWord(l)
+	for id := uint32(*head); id != 0; {
+		e := l.entries[id-1]
+		id = e.prevTx
+		if e.seq != 0 {
+			l.unlinkJournal(e)
+		}
+		mt := &l.methods[e.mid]
+		l.removeActive(mt, e)
+		l.dropFromIndex(mt, e)
+		l.nActive--
+		l.putEntry(e)
+	}
+	*head = 0
 	telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
+	l.mu.Unlock()
 }
 
 // ActiveInvocations reports how many invocations are currently logged

@@ -14,7 +14,7 @@ type releaseFunc func()
 func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
 
 // blob is a user-type argument with a deliberately large heap footprint:
-// if a pooled record (entry, jentry or Tx hook) fails to zero its
+// if a pooled record (entry or Tx hook) fails to zero its
 // Value fields on release, every pooled record pins one of these.
 type blob struct{ data []byte }
 
@@ -93,7 +93,7 @@ func TestForwardPoolsDropUserValues(t *testing.T) {
 }
 
 // TestGeneralPoolsDropUserValues is the same check for the general
-// gatekeeper's entry/jentry pools (putEntry/putJentry zeroing).
+// gatekeeper's entries, which also carry its journal (putEntry zeroing).
 func TestGeneralPoolsDropUserValues(t *testing.T) {
 	g, err := NewGeneral(rwSetSpec(), nil)
 	if err != nil {

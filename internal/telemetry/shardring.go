@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,12 +47,19 @@ type ring[T stamped] struct {
 // enable sizes every shard at perShard records (rounded up to a power
 // of two), discarding what was buffered, and opens the gate.
 func (r *ring[T]) enable(perShard int) {
-	n := 1
-	for n < perShard {
-		n <<= 1
-	}
-	r.resize(n)
+	r.resize(pow2AtLeast(perShard))
 	r.enabled.Store(true)
+}
+
+// pow2AtLeast is the least power of two ≥ n, or the largest int power of
+// two when n is above it: doubling stops there instead of overflowing to
+// 0 and looping forever.
+func pow2AtLeast(n int) int {
+	p := 1
+	for p < n && p <= math.MaxInt/2 {
+		p <<= 1
+	}
+	return p
 }
 
 // disable closes the gate and releases the buffers; a put that raced

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -82,5 +83,18 @@ func exerciseRing[T stamped](t *testing.T, r *ring[T], perShard int,
 	write(0, 0)
 	if n := len(drain()); n != 0 || r.dropped() != 0 {
 		t.Fatalf("disabled ring holds %d records, %d dropped", n, r.dropped())
+	}
+}
+
+// A ring capacity rounds up to a power of two for every int: doubling
+// past the largest one used to overflow to 0 and never return.
+func TestPow2AtLeastTerminates(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{math.MinInt, 1}, {0, 1}, {1, 1}, {2, 2}, {5, 8}, {1 << 14, 1 << 14},
+		{1<<62 - 1, 1 << 62}, {1 << 62, 1 << 62}, {1<<62 + 1, 1 << 62}, {math.MaxInt, 1 << 62},
+	} {
+		if got := pow2AtLeast(tc.n); got != tc.want {
+			t.Errorf("pow2AtLeast(%d) = %d, want %d", tc.n, got, tc.want)
+		}
 	}
 }
