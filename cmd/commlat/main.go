@@ -249,6 +249,12 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return bad
 }
 
+// flagError is the usageError for a value of fs's flag name that err
+// rejects after parsing.
+func flagError(fs *flag.FlagSet, name string, err error) error {
+	return usageError(fmt.Sprintf("%s -%s %v", fs.Name(), name, err))
+}
+
 func dispatch(name string, args []string) error {
 	for _, c := range commands() {
 		if c.name == name {
@@ -306,7 +312,7 @@ func parseThreads(s string) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad thread list %q", s)
+			return nil, fmt.Errorf("%q: want comma-separated counts of at least 1", s)
 		}
 		out = append(out, n)
 	}
@@ -365,7 +371,7 @@ func cmdBench(args []string) error {
 	if *run != "" {
 		var err error
 		if filter, err = regexp.Compile(*run); err != nil {
-			return fmt.Errorf("bad -run regexp: %w", err)
+			return flagError(fs, "run", err)
 		}
 	}
 	progress := io.Writer(os.Stderr)
@@ -446,7 +452,7 @@ func cmdFig(n int) func(args []string) error {
 		}
 		threads, err := parseThreads(*threadList)
 		if err != nil {
-			return err
+			return flagError(fs, "threads", err)
 		}
 		for _, app := range apps.Catalogue(sz) {
 			if app.Figure != n {
@@ -502,7 +508,7 @@ func cmdModel(args []string) error {
 	}
 	ps, err := parseThreads(*procs)
 	if err != nil {
-		return err
+		return flagError(fs, "procs", err)
 	}
 	app, err := apps.Lookup(apps.Catalogue(sz), *appName)
 	if err != nil {

@@ -127,6 +127,9 @@ func TestCountFlagsAreChecked(t *testing.T) {
 		{"trace", "-buf", "4611686018427387905"},
 		{"flightrec", "-ring", "-1"},
 		{"flightrec", "-ring", strconv.Itoa(maxRing + 1)},
+		{"fig10", "-threads", "0"},
+		{"model", "-procs", "1,x"},
+		{"bench", "-run", "["},
 	} {
 		err := dispatch(tc[0], tc[1:])
 		var bad usageError

@@ -136,7 +136,7 @@ func TestReduceNeverChangesSemantics(t *testing.T) {
 // lockModel is the executable definition of §3.2's lock discipline that
 // the managers are checked against: one holder-mode table per datum and
 // one for the ds-lock, acquisitions taken in scheme order and compared
-// with every other transaction's held modes. No stripes, no fast path,
+// with every other transaction's held modes. No lock table, no fast path,
 // no owner-side shortcuts, no hashes: a datum is the value a mode guards
 // up to ValueEq, named by its canonical key.
 type lockModel struct {
@@ -225,7 +225,7 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 	if n := m.HeldLocks(); n != 0 {
 		t.Fatalf("%s: HeldLocks = %d after every transaction ended", what, n)
 	}
-	if l := m.stripeFor(dsHash).data[dsHash]; l != nil {
+	if l := m.data[dsHash]; l != nil {
 		t.Fatalf("%s: ds-lock has %d stripe holders after every transaction ended", what, len(l.holders))
 	}
 	for i := range m.fast.cells {
@@ -237,9 +237,9 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 }
 
 // checkAgainstModel drives one random schedule of interleaved
-// transactions through the striped and single-stripe managers and the
-// lock model, requiring the same verdict from all three at every
-// step, the model's count of held data locks throughout, and a fully
+// transactions through a manager and the lock model, requiring the same
+// verdict from both at every step, the model's count of held data locks
+// throughout, and a fully
 // drained table at the end. Half of all invocations reuse argument
 // values the transaction already locked, under a freshly drawn method,
 // so schedules are dense in same-mode and covered re-acquisitions,
@@ -249,7 +249,7 @@ func requireDrained(t *testing.T, what string, m *Manager) {
 // behind and must match too. A quarter of the fresh argument and return
 // values are respelled as the equal float, and another quarter replaced
 // by key 0's cell neighbour, which parks on the cell and sends key 0's
-// acquirers — under either spelling — to the stripes.
+// acquirers — under either spelling — to the stripe route.
 func checkAgainstModel(t *testing.T, seed int64, steps int) {
 	r := rand.New(rand.NewSource(seed))
 	spec := randSimpleSpec(r)
@@ -258,13 +258,9 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	scheme = scheme.Reduce()
-	names := []string{"striped", "single-stripe"}
-	mgrs := []*Manager{
-		NewManager(scheme, nil),
-		newManagerWithStripes(scheme, nil, 1),
-	}
+	m := NewManager(scheme, nil)
 	model := newLockModel(scheme)
-	ft := mgrs[0].fast
+	ft := m.fast
 	neighbour := cellNeighbour(ft, ft.cellFor(core.VInt(0).Hash()), 3)
 	respell := func(v core.Value) core.Value {
 		switch i, isInt := v.AsInt(); {
@@ -278,22 +274,17 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 	}
 
 	const nTx = 4
-	var txs [nTx][]*engine.Tx
+	var txs [nTx]*engine.Tx
 	var used [nTx][]core.Value
 	begin := func(i int) {
-		txs[i] = txs[i][:0]
-		for range mgrs {
-			txs[i] = append(txs[i], engine.NewTx())
-		}
+		txs[i] = engine.NewTx()
 		used[i] = used[i][:0]
 	}
 	end := func(i int, commit bool) {
-		for _, tx := range txs[i] {
-			if commit {
-				tx.Commit()
-			} else {
-				tx.Abort()
-			}
+		if commit {
+			txs[i].Commit()
+		} else {
+			txs[i].Abort()
 		}
 		model.end(i)
 		begin(i)
@@ -319,33 +310,27 @@ func checkAgainstModel(t *testing.T, seed int64, steps int) {
 			used[i] = append(used[i], inv.Args.At(k))
 		}
 		want := model.invoke(t, i, inv)
-		for k, m := range mgrs {
-			_, err := m.Invoke(txs[i][k], m.Method(inv.Method), inv.Args, func() core.Value { return inv.Ret })
-			if err != nil && !engine.IsConflict(err) {
-				t.Fatalf("seed %d step %d: %s: %v", seed, step, names[k], err)
-			}
-			if got := err == nil; got != want {
-				t.Fatalf("seed %d step %d: %s granted=%v, model granted=%v for tx %d %s%v ret %v\n%s",
-					seed, step, names[k], got, want, i, inv.Method, inv.Args.Slice(), inv.Ret, scheme.MatrixString())
-			}
+		_, err := m.Invoke(txs[i], m.Method(inv.Method), inv.Args, func() core.Value { return inv.Ret })
+		if err != nil && !engine.IsConflict(err) {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
+		if got := err == nil; got != want {
+			t.Fatalf("seed %d step %d: granted=%v, model granted=%v for tx %d %s%v ret %v\n%s",
+				seed, step, got, want, i, inv.Method, inv.Args.Slice(), inv.Ret, scheme.MatrixString())
 		}
 		if !want && r.Intn(2) == 0 {
 			end(i, false)
 		}
 		if step%16 == 0 {
-			for k, m := range mgrs {
-				if got, want := m.HeldLocks(), model.heldData(); got != want {
-					t.Fatalf("seed %d step %d: %s HeldLocks = %d, model holds %d data locks", seed, step, names[k], got, want)
-				}
+			if got, want := m.HeldLocks(), model.heldData(); got != want {
+				t.Fatalf("seed %d step %d: HeldLocks = %d, model holds %d data locks", seed, step, got, want)
 			}
 		}
 	}
 	for i := range txs {
 		end(i, i%2 == 0)
 	}
-	for k, m := range mgrs {
-		requireDrained(t, names[k], m)
-	}
+	requireDrained(t, "manager", m)
 }
 
 func TestManagersAgreeWithLockModel(t *testing.T) {

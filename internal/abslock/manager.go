@@ -3,7 +3,6 @@ package abslock
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"commlat/internal/core"
@@ -34,28 +33,7 @@ type dlock struct {
 	holders []holder
 }
 
-// stripe is one shard of the datum-lock table: its own mutex, lock map,
-// per-transaction held lists, and free lists of recycled dlocks and held
-// lists so steady-state acquisition does not allocate. The padding keeps
-// adjacent stripes on separate cache lines.
-//
-// A datum is named by its 64-bit hash alone, here as in the fast cells:
-// spellings of one key (5 and 5.0) hash alike and share a lock, two
-// datums whose hashes collide share one too (a conservative refusal at
-// 2⁻⁶⁴ per pair), and neither the table nor a held list retains a value.
-// Locks with no holder are deleted, so distinct-heavy workloads don't
-// grow the map without bound.
-type stripe struct {
-	mu       sync.Mutex
-	data     map[uint64]*dlock
-	held     map[*engine.Tx][]uint64
-	free     []*dlock
-	freeHeld [][]uint64 // recycled per-tx held lists
-	mgr      *Manager   // back-pointer for the shared prefilter
-	_        [48]byte
-}
-
-// maxFreeDlocks caps each stripe's dlock free list.
+// maxFreeDlocks caps the lock table's dlock free list.
 const maxFreeDlocks = 64
 
 // Manager enforces a synthesized abstract-locking scheme at run time. It
@@ -66,14 +44,14 @@ const maxFreeDlocks = 64
 // released when the owning transaction commits or aborts (all abstract
 // locks are held to transaction end, per §3.2).
 //
-// The datum-lock table is striped: keys hash to one of a power-of-two
-// number of stripes (sized from GOMAXPROCS), each with its own mutex, so
-// disjoint acquisitions proceed in parallel instead of serializing on
-// one global mutex. The ds-lock is the datum of the reserved hash dsHash
-// and takes the same routes. Held lists are partitioned per stripe, so
-// releasing a transaction locks only the stripes it actually touched.
-// Acquisitions are taken one at a time in scheme order — no two stripe
-// mutexes are ever held together, so lock-order inversion is impossible.
+// A hold takes one of two routes. A datum whose fast cell is free is
+// claimed there with one CAS (prefilter.go), which is how disjoint
+// access runs; everything else — shared and colliding datums, upgrades
+// a cell cannot take — is the stripe route: one mutex-guarded lock
+// table. The ds-lock is the datum of the reserved hash dsHash and takes
+// the same routes. The manager is each transaction's single release
+// hook, registered with its first hold on either route, and a
+// transaction that never reached the table releases without its mutex.
 type Manager struct {
 	scheme   *Scheme
 	methods  map[string]*Method
@@ -83,12 +61,24 @@ type Manager struct {
 	// no further check (see acquireDatum).
 	covers []uint64
 
-	mask    uint32
-	stripes []stripe
+	// The stripe route's lock table, under mu: the lock of each datum
+	// held there, each transaction's held list, and free lists of
+	// recycled dlocks and held lists so steady-state acquisition does
+	// not allocate. A datum is named by its 64-bit hash alone, here as in
+	// the fast cells: spellings of one key (5 and 5.0) hash alike and
+	// share a lock, two datums whose hashes collide share one too (a
+	// conservative refusal at 2⁻⁶⁴ per pair), and neither the table nor
+	// a held list retains a value. Locks with no holder are deleted, so
+	// distinct-heavy workloads don't grow the map without bound.
+	mu       sync.Mutex
+	data     map[uint64]*dlock
+	held     map[*engine.Tx][]uint64
+	free     []*dlock
+	freeHeld [][]uint64
 
-	// fast is the pre-stripe conflict-signature prefilter table (see
-	// prefilter.go): datum acquisitions whose cell is unoccupied take
-	// their lock without a stripe mutex.
+	// fast is the conflict-signature prefilter table (see prefilter.go):
+	// datum acquisitions whose cell is unoccupied take their lock
+	// without the table mutex.
 	fast *fastTable
 
 	tele *telemetry.Detector // mode-acquisition counters (mode vocabulary)
@@ -98,17 +88,10 @@ type Manager struct {
 // compiledAcq.resolve computes.
 const dsHash = ^uint64(0)
 
-// numStripes picks the stripe count: the smallest power of two covering
-// 4× GOMAXPROCS (over-provisioning reduces collision-induced contention),
-// capped to keep idle managers small.
-func numStripes() int {
-	target := runtime.GOMAXPROCS(0) * 4
-	n := 1
-	for n < target && n < 256 {
-		n <<= 1
-	}
-	return n
-}
+// stripeHeld marks a transaction's hold word (see holds) once the
+// transaction has a hold on the stripe route. The word's low 32 bits
+// head its chain of fast cells.
+const stripeHeld = 1 << 63
 
 // NewManager creates a lock manager for scheme. keys must provide an
 // implementation for every key function named by the scheme's
@@ -116,13 +99,6 @@ func numStripes() int {
 // panics here, as do more than 64 modes (Reduce() keeps real schemes far
 // below that).
 func NewManager(scheme *Scheme, keys map[string]KeyFunc) *Manager {
-	return newManagerWithStripes(scheme, keys, numStripes())
-}
-
-// newManagerWithStripes is the constructor with an explicit stripe
-// count (a power of two). Tests use a single-stripe manager as the
-// reference oracle for the striped one.
-func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Manager {
 	if len(scheme.Modes) > maxModes {
 		panic(fmt.Sprintf("abslock: scheme has %d modes; the manager supports ≤ %d (reduce the scheme or split the ADT)", len(scheme.Modes), maxModes))
 	}
@@ -131,14 +107,9 @@ func newManagerWithStripes(scheme *Scheme, keys map[string]KeyFunc, n int) *Mana
 		methods:  make(map[string]*Method, len(scheme.Acquire)),
 		incompat: make([]uint64, len(scheme.Modes)),
 		covers:   make([]uint64, len(scheme.Modes)),
-		mask:     uint32(n - 1),
-		stripes:  make([]stripe, n),
+		data:     map[uint64]*dlock{},
+		held:     map[*engine.Tx][]uint64{},
 		fast:     newFastTable(defaultFastSlots),
-	}
-	for i := range m.stripes {
-		m.stripes[i].data = map[uint64]*dlock{}
-		m.stripes[i].held = map[*engine.Tx][]uint64{}
-		m.stripes[i].mgr = m
 	}
 	for i := range scheme.Modes {
 		var mask uint64
@@ -188,10 +159,6 @@ func fnv64(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func (m *Manager) stripeFor(h uint64) *stripe {
-	return &m.stripes[uint32(h>>32^h)&m.mask]
 }
 
 // Method is one method's acquisitions compiled against a manager: split
@@ -347,7 +314,7 @@ func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode
 	granted := false
 	switch {
 	case mode >= cellModes:
-		// No room in the word: the stripes decide.
+		// No room in the word: the table decides.
 	case own:
 		// The pre-probe keeps a hopeless upgrade from flashing a wider
 		// mask at compatible stripe acquirers.
@@ -360,7 +327,7 @@ func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode
 			}
 		}
 	default:
-		if granted = ft.claim(tx, c, h, bit); granted {
+		if granted = m.claim(tx, c, h, bit); granted {
 			t.FastAdmits++
 		}
 	}
@@ -370,10 +337,9 @@ func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode
 		return nil
 	}
 	t.FilterHits++
-	s := m.stripeFor(h)
-	s.mu.Lock()
-	err := m.acquireInStripe(s, tx, h, mode)
-	s.mu.Unlock()
+	m.mu.Lock()
+	err := m.acquireInStripe(tx, h, mode)
+	m.mu.Unlock()
 	telemetry.StageObserve(tx.Worker(), telemetry.StagePrecise, t0)
 	if err == nil {
 		t.ModeAcquire(uint16(mode))
@@ -381,24 +347,24 @@ func (m *Manager) acquireDatum(tx *engine.Tx, t *telemetry.Tally, h uint64, mode
 	return err
 }
 
-// acquireInStripe must run with s.mu held.
-func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) error {
-	l := s.data[h]
+// acquireInStripe must run with m.mu held.
+func (m *Manager) acquireInStripe(tx *engine.Tx, h uint64, mode int) error {
+	l := m.data[h]
 	fresh := l == nil
 	if fresh {
-		if n := len(s.free); n > 0 {
-			l = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
+		if n := len(m.free); n > 0 {
+			l = m.free[n-1]
+			m.free[n-1] = nil
+			m.free = m.free[:n-1]
 		} else {
 			l = &dlock{}
 		}
-		s.data[h] = l
+		m.data[h] = l
 	}
 	prev, err := m.lockModes(tx, l, mode)
 	if err != nil {
 		if fresh {
-			s.recycle(h, l) // don't leave an empty lock behind
+			m.recycle(h, l) // don't leave an empty lock behind
 		}
 		return err
 	}
@@ -406,25 +372,25 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) 
 	if prev == 0 {
 		// Publish the hold into the shared prefilter before scanning
 		// for a fast-path holder: a concurrent fast acquirer either sees
-		// this increment and diverts to the stripes, or published its
-		// cell early enough for the scan below to find it.
+		// this increment and diverts to the stripe route, or published
+		// its cell early enough for the scan below to find it.
 		c.stripe.Add(1)
-		lst, hooked := s.held[tx]
-		if !hooked {
-			if n := len(s.freeHeld); n > 0 {
-				lst = s.freeHeld[n-1]
-				s.freeHeld[n-1] = nil
-				s.freeHeld = s.freeHeld[:n-1]
+		lst, listed := m.held[tx]
+		if !listed {
+			if n := len(m.freeHeld); n > 0 {
+				lst = m.freeHeld[n-1]
+				m.freeHeld[n-1] = nil
+				m.freeHeld = m.freeHeld[:n-1]
 			}
-			tx.OnReleaser(s)
+			*m.holds(tx) |= stripeHeld
 		}
-		s.held[tx] = append(lst, h)
+		m.held[tx] = append(lst, h)
 	}
 	if err := m.conflictScan(tx, c, c.state.Load(), h, mode); err != nil {
 		// The scan found a conflicting fast-path holder: take back the
 		// hold recorded above so a refused acquisition leaves nothing
 		// behind — exactly as a lockModes refusal leaves nothing behind.
-		m.retractStripeAcq(s, tx, h, l, prev)
+		m.retractStripeAcq(tx, h, l, prev)
 		return err
 	}
 	return nil
@@ -434,8 +400,8 @@ func (m *Manager) acquireInStripe(s *stripe, tx *engine.Tx, h uint64, mode int) 
 // fast-table conflict scan refused it. For a brand-new holder (prev 0)
 // the holder record, held-list entry, and stripe-count increment all go;
 // for a mode upgrade the holder's mode mask reverts to prev. Must run
-// with s.mu held.
-func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, h uint64, l *dlock, prev uint64) {
+// with m.mu held.
+func (m *Manager) retractStripeAcq(tx *engine.Tx, h uint64, l *dlock, prev uint64) {
 	if prev != 0 {
 		for i := range l.holders {
 			if l.holders[i].tx == tx {
@@ -447,15 +413,15 @@ func (m *Manager) retractStripeAcq(s *stripe, tx *engine.Tx, h uint64, l *dlock,
 	}
 	dropHolder(l, tx)
 	m.fast.cellFor(h).stripe.Add(-1)
-	lst := s.held[tx]
-	s.held[tx] = lst[:len(lst)-1]
+	lst := m.held[tx]
+	m.held[tx] = lst[:len(lst)-1]
 	if len(l.holders) == 0 {
-		s.recycle(h, l)
+		m.recycle(h, l)
 	}
 }
 
 // lockModes adds mode to tx's hold on l and returns the modes tx held on
-// it before, 0 for a new holder. The caller must hold l's stripe mutex.
+// it before, 0 for a new holder. The caller must hold m.mu.
 func (m *Manager) lockModes(tx *engine.Tx, l *dlock, mode int) (prev uint64, err error) {
 	mask := m.incompat[mode]
 	var own *holder
@@ -494,39 +460,55 @@ func (m *Manager) refuse(tx *engine.Tx, holder, conflicting uint64, mode int) er
 }
 
 // recycle takes the holderless lock l of datum h out of the table.
-func (s *stripe) recycle(h uint64, l *dlock) {
-	delete(s.data, h)
+func (m *Manager) recycle(h uint64, l *dlock) {
+	delete(m.data, h)
 	for i := range l.holders {
 		l.holders[i] = holder{}
 	}
 	l.holders = l.holders[:0]
-	if len(s.free) < maxFreeDlocks {
-		s.free = append(s.free, l)
+	if len(m.free) < maxFreeDlocks {
+		m.free = append(m.free, l)
 	}
 }
 
-// ReleaseTx drops everything tx holds in this stripe. The stripe itself
-// is the transaction's release hook (engine.Releaser), installed on the
-// transaction's first acquisition there, so registration allocates no
-// closure.
-func (s *stripe) ReleaseTx(tx *engine.Tx) {
+// holds returns tx's hold word, registering the manager as tx's release
+// hook on the transaction's first hold.
+func (m *Manager) holds(tx *engine.Tx) *uint64 {
+	p, isNew := tx.Attach(m)
+	if isNew {
+		tx.OnReleaser(m)
+	}
+	return p
+}
+
+// ReleaseTx drops every lock tx holds (engine.Releaser): its fast cells,
+// each link read before its cell is freed since the next owner may
+// overwrite it at once, and then, only if tx reached the stripe route,
+// its entries in the table.
+func (m *Manager) ReleaseTx(tx *engine.Tx) {
+	w := *tx.AttachedWord(m)
 	t0 := telemetry.TxClock(tx.ID())
-	defer telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
-	s.mu.Lock()
-	lst := s.held[tx]
-	for _, h := range lst {
-		l := s.data[h]
-		dropHolder(l, tx)
-		s.mgr.fast.cellFor(h).stripe.Add(-1)
-		if len(l.holders) == 0 {
-			s.recycle(h, l)
+	for link := uint32(w); link != 0; {
+		c := &m.fast.cells[link-1]
+		link = c.txNext
+		c.state.Store(0)
+	}
+	if w&stripeHeld != 0 {
+		m.mu.Lock()
+		lst := m.held[tx]
+		for _, h := range lst {
+			l := m.data[h]
+			dropHolder(l, tx)
+			m.fast.cellFor(h).stripe.Add(-1)
+			if len(l.holders) == 0 {
+				m.recycle(h, l)
+			}
 		}
+		m.freeHeld = append(m.freeHeld, lst[:0])
+		delete(m.held, tx)
+		m.mu.Unlock()
 	}
-	if lst != nil {
-		s.freeHeld = append(s.freeHeld, lst[:0])
-	}
-	delete(s.held, tx)
-	s.mu.Unlock()
+	telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 }
 
 func dropHolder(l *dlock, tx *engine.Tx) {
@@ -542,24 +524,14 @@ func dropHolder(l *dlock, tx *engine.Tx) {
 
 // HeldLocks reports how many distinct data locks are currently held
 // (for tests and diagnostics); the ds-lock is not one. A datum held on
-// the fast path and in a stripe at once — by two compatible
+// the fast path and on the stripe route at once — by two compatible
 // transactions, or by one whose in-place upgrade was refused — counts
 // once.
 func (m *Manager) HeldLocks() int {
-	inStripe := func(h uint64) bool {
-		s := m.stripeFor(h)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.data[h] != nil
-	}
-	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.Lock()
-		n += len(s.data)
-		s.mu.Unlock()
-	}
-	if inStripe(dsHash) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := len(m.data)
+	if m.data[dsHash] != nil {
 		n--
 	}
 	// A hash has one cell, so no two live cells hold the same datum.
@@ -570,7 +542,7 @@ func (m *Manager) HeldLocks() int {
 		if st == 0 || !ownerStable(c, st) {
 			continue // free, or released under the read
 		}
-		if h != dsHash && !inStripe(h) {
+		if h != dsHash && m.data[h] == nil {
 			n++
 		}
 	}

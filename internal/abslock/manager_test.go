@@ -30,7 +30,7 @@ func pre(m *Manager, tx *engine.Tx, method string, args core.Vec) error {
 
 // cellNeighbour returns the first int from `from` up whose lock (under
 // no key function) maps to cell c: another datum of the same cell, which
-// a transaction can park on to send c's other datums to the stripes.
+// a transaction can park on to send c's other datums to the stripe route.
 func cellNeighbour(ft *fastTable, c *cell, from int64) int64 {
 	for ft.cellFor(core.VInt(from).Hash()) != c {
 		from++
@@ -84,7 +84,7 @@ func TestHeldLocksCountsDatumOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fast := m.FastHolds(); fast != 1 {
-		t.Fatalf("FastHolds = %d, want 1: the scenario needs key %d and the upgrade on the stripes", fast, other)
+		t.Fatalf("FastHolds = %d, want 1: the scenario needs key %d and the upgrade on the stripe route", fast, other)
 	}
 	if got := m.HeldLocks(); got != 2 {
 		t.Errorf("HeldLocks = %d with keys 1 and %d locked, want 2", got, other)
@@ -124,6 +124,72 @@ func TestManagerConflictAndRelease(t *testing.T) {
 	if got := m.HeldLocks(); got != 0 {
 		t.Errorf("HeldLocks = %d after both txs ended, want 0", got)
 	}
+}
+
+// TestReleaserAfterFirstGrantSeesEveryLock: the manager is one release
+// hook, registered with its transaction's first hold, and hooks run
+// newest first. So a Releaser registered after that hold runs while every
+// lock the transaction took — before or after it, on the fast path or the
+// stripe route — is still held.
+func TestReleaserAfterFirstGrantSeesEveryLock(t *testing.T) {
+	m := newRWSetManager(t)
+	contains, add := m.Method("contains"), m.Method("add")
+	a, b := engine.NewTx(), engine.NewTx()
+	read := func(tx *engine.Tx, k int64) {
+		t.Helper()
+		if err := m.Acquire(tx, contains, core.VInt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(b, 2)
+	read(a, 1)
+	a.OnReleaser(releaseFunc(func() {
+		for k := int64(1); k <= 3; k++ {
+			w := engine.NewTx()
+			if err := m.Acquire(w, add, core.VInt(k)); !engine.IsConflict(err) {
+				t.Errorf("key %d: a writer was granted while the releaser ran (%v)", k, err)
+			}
+			w.Abort()
+		}
+	}))
+	read(a, 2) // b owns key 2's cell: the stripe route
+	if hits := a.Tally(m.Telemetry()).FilterHits; hits != 1 {
+		t.Fatalf("%d of a's grants took the stripe route, want key 2's alone", hits)
+	}
+	read(a, 3)
+	b.Commit()
+	a.Commit()
+	requireDrained(t, "releaser order", m)
+}
+
+// TestFastOnlyReleaseTakesNoTableMutex: a transaction whose holds are all
+// fast cells commits without taking the table mutex.
+func TestFastOnlyReleaseTakesNoTableMutex(t *testing.T) {
+	m := newRWSetManager(t)
+	add := m.Method("add")
+	tx := engine.NewTx()
+	for k := int64(1); k <= 3; k++ {
+		if err := m.Acquire(tx, add, core.VInt(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.FastHolds(); got != 3 {
+		t.Fatalf("FastHolds = %d, want 3", got)
+	}
+	m.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		tx.Commit()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("a commit holding only fast cells waited for the table mutex")
+	}
+	m.mu.Unlock()
+	<-done
+	requireDrained(t, "fast-only release", m)
 }
 
 func TestManagerReadersShare(t *testing.T) {
@@ -264,7 +330,7 @@ func TestManagerConcurrentStress(t *testing.T) {
 // a key function, on any argument with an equal image — by whichever
 // route the two acquisitions reach the table. A transaction parked on
 // a neighbour (another datum of the same cell) sends the writers that
-// come after it to the stripes.
+// come after it to the stripe route.
 func TestSpellingsOfOneKeyShareALock(t *testing.T) {
 	plain := func() *Manager { return newRWSetManager(t) }
 	keyed := func() *Manager {

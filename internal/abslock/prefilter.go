@@ -4,32 +4,31 @@ import (
 	"sync/atomic"
 
 	"commlat/internal/engine"
-	"commlat/internal/telemetry"
 )
 
 // This file applies the lattice cascade's stage-1 conflict-signature
 // prefilter to abstract locking: a datum acquisition whose cell of a
 // direct-mapped table is unoccupied takes its lock there, without
-// touching a stripe mutex. A cell is indexed by the datum-key hash and
-// holds at most one fast hold — one word packing the owner and its mode
-// mask, beside the datum's hash — and a count of the stripe holds that
-// map to it. Each side publishes before it probes: a fast acquirer
-// writes its hold and then reads the stripe count, a stripe acquirer
-// increments the count (see acquireInStripe) and then reads the hold, so
-// of two racing conflicting acquirers at least one observes the other.
-// The ds-lock is the datum of hash dsHash, no different from any other
-// here.
+// touching the lock table's mutex. A cell is indexed by the datum-key
+// hash and holds at most one fast hold — one word packing the owner and
+// its mode mask, beside the datum's hash — and a count of the stripe
+// holds that map to it. Each side publishes before it probes: a fast
+// acquirer writes its hold and then reads the stripe count, a stripe
+// acquirer increments the count (see acquireInStripe) and then reads the
+// hold, so of two racing conflicting acquirers at least one observes the
+// other. The ds-lock is the datum of hash dsHash, no different from any
+// other here.
 //
 // Fast admission demands a free cell and a zero stripe count, so
 // compatible sharing of one datum (two readers of the same key) always
 // runs the stripe path, and so does a datum whose cell another datum
-// occupies — the fast path accelerates the disjoint-access case the
-// striping was built for, without changing a single verdict: decisions
-// remain those of the mode-incompatibility relation. The owner of a cell
-// re-acquires its datum against the cell itself (Manager.acquireDatum):
-// covered modes with no shared write at all, wider ones by widening the
-// cell's mask in place. Modes from cellModes up, which the word has no
-// room for, always take the stripes.
+// occupies — the fast path carries the disjoint-access case, without
+// changing a single verdict: decisions remain those of the
+// mode-incompatibility relation. The owner of a cell re-acquires its
+// datum against the cell itself (Manager.acquireDatum): covered modes
+// with no shared write at all, wider ones by widening the cell's mask in
+// place. Modes from cellModes up, which the word has no room for, always
+// take the stripe route.
 
 // defaultFastSlots sizes the fast-hold table (a power of two). At 32
 // bytes a cell the table is 128 KiB per manager, and a manager is built
@@ -59,7 +58,7 @@ type cell struct {
 	state  atomic.Uint64
 	hash   atomic.Uint64
 	stripe atomic.Int32 // stripe holds on datums that map here
-	txNext uint32       // owner's release chain: cell+1, 0 terminates; owner-only
+	txNext uint32       // owner's chain of fast cells: cell+1, 0 terminates; owner-only
 	_      uint64       // to 32 bytes, so that no cell straddles a cache line
 }
 
@@ -68,8 +67,7 @@ type cell struct {
 // in-place widening leaves the owner holding every mode st showed.
 func ownerStable(c *cell, st uint64) bool { return cellOwner(c.state.Load()) == cellOwner(st) }
 
-// fastTable is the lock-free fast-hold store shared by all stripes of
-// one Manager.
+// fastTable is one Manager's lock-free fast-hold store.
 type fastTable struct {
 	cells []cell
 	mask  uint64
@@ -84,10 +82,10 @@ func (ft *fastTable) cellFor(h uint64) *cell { return &ft.cells[h&ft.mask] }
 
 // claim takes the free cell c for tx's fresh hold on datum-key hash h
 // in the mode of bit (below 1<<cellModes) and threads it onto the
-// transaction's release chain. It reports false, leaving nothing behind,
-// when the cell is owned — by anyone, for any datum — or a stripe hold
-// maps to it.
-func (ft *fastTable) claim(tx *engine.Tx, c *cell, h, bit uint64) bool {
+// transaction's chain of fast cells. It reports false, leaving nothing
+// behind, when the cell is owned — by anyone, for any datum — or a
+// stripe hold maps to it.
+func (m *Manager) claim(tx *engine.Tx, c *cell, h, bit uint64) bool {
 	// The pre-probe keeps a hopeless claim from flashing its mode at
 	// compatible stripe acquirers.
 	if c.stripe.Load() != 0 || !c.state.CompareAndSwap(0, tx.ID()<<cellModes|bit) {
@@ -100,28 +98,10 @@ func (ft *fastTable) claim(tx *engine.Tx, c *cell, h, bit uint64) bool {
 		c.state.Store(0)
 		return false
 	}
-	p, isNew := tx.Attach(ft)
-	if isNew {
-		tx.OnReleaser(ft)
-	}
+	p := m.holds(tx)
 	c.txNext = uint32(*p)
-	*p = h&ft.mask + 1
+	*p = *p&stripeHeld | (h&m.fast.mask + 1)
 	return true
-}
-
-// ReleaseTx frees every fast hold of tx (engine.Releaser). A link is read
-// before its cell is freed: the next owner may overwrite it at once.
-func (ft *fastTable) ReleaseTx(tx *engine.Tx) {
-	p, _ := tx.Attach(ft)
-	w := *p
-	*p = 0
-	t0 := telemetry.TxClock(tx.ID())
-	for w != 0 {
-		c := &ft.cells[w-1]
-		w = uint64(c.txNext)
-		c.state.Store(0)
-	}
-	telemetry.StageObserve(tx.Worker(), telemetry.StageCommit, t0)
 }
 
 // conflictScan is the stripe path's view into the fast table: after

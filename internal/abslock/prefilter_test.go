@@ -13,7 +13,7 @@ import (
 )
 
 // TestFastPathDisjointAccess checks the prefilter's reason for existing:
-// acquisitions on distinct datums admit without a stripe mutex (visible
+// acquisitions on distinct datums admit without the table mutex (visible
 // as live fast holds), conflicts against fast holds are still detected
 // from the stripe path, and everything drains on release.
 func TestFastPathDisjointAccess(t *testing.T) {
@@ -101,7 +101,7 @@ func TestFastPathStripeFirst(t *testing.T) {
 
 // TestFastPathCellCollision shrinks the fast table to two cells, so that
 // most of eight distinct datums map to a cell another datum occupies, and
-// checks that those overflow to the stripes without changing any
+// checks that those overflow to the stripe route without changing any
 // verdict, and that mixed fast/stripe holds drain.
 func TestFastPathCellCollision(t *testing.T) {
 	m := newRWSetManager(t)
@@ -222,7 +222,7 @@ func TestFastPathConcurrentDisjoint(t *testing.T) {
 }
 
 // TestRefusedStripeAcquisitionIsNoGrant: a reader that finds its key's
-// cell owned by another transaction's write hold falls to the stripes,
+// cell owned by another transaction's write hold falls to the stripe route,
 // where the key's lock is free, and the cell scan then refuses it. The
 // attempt counts as a wait of the read mode and not as an acquisition.
 func TestRefusedStripeAcquisitionIsNoGrant(t *testing.T) {
@@ -308,10 +308,9 @@ func TestOneCellStaleHashExclusion(t *testing.T) {
 			var err error
 			for j := range add.pre {
 				a := &add.pre[j]
-				s := m.stripeFor(a.resolve(args, nil))
-				s.mu.Lock()
-				err = m.acquireInStripe(s, tx, a.resolve(args, nil), a.Mode)
-				s.mu.Unlock()
+				m.mu.Lock()
+				err = m.acquireInStripe(tx, a.resolve(args, nil), a.Mode)
+				m.mu.Unlock()
 				if err != nil {
 					break
 				}

@@ -12,80 +12,13 @@ import (
 	"commlat/internal/engine"
 )
 
-// These tests pit the striped manager against a single-stripe reference
-// manager (one mutex, one table — the seed's shape): striping is a pure
-// performance transformation, so both must reach identical conflict
-// decisions on identical schedules, and the striped table must hold no
-// locks once every transaction has ended.
+// These tests run one manager under real concurrency and scripted
+// schedules; fuzz_test.go checks its verdicts against the lock model.
 
 // releaseFunc is a closure as an engine.Releaser, for tests.
 type releaseFunc func()
 
 func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
-
-// TestManagerStripedMatchesSingleStripeOracle replays deterministic
-// random schedules of interleaved invocations from several transactions
-// against a striped manager and a single-stripe oracle, requiring the
-// same allow/conflict decision at every step.
-func TestManagerStripedMatchesSingleStripeOracle(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		spec := randSimpleSpec(r)
-		scheme, err := Synthesize(spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		scheme = scheme.Reduce()
-		striped := NewManager(scheme, nil)
-		oracle := newManagerWithStripes(scheme, nil, 1)
-
-		const nTx = 4
-		type pair struct{ s, o *engine.Tx }
-		txs := make([]pair, nTx)
-		for i := range txs {
-			txs[i] = pair{engine.NewTx(), engine.NewTx()}
-		}
-		endPair := func(i int) {
-			// Abort both (identical lock-release behavior either way;
-			// there are no undo hooks registered here).
-			txs[i].s.Abort()
-			txs[i].o.Abort()
-			txs[i] = pair{engine.NewTx(), engine.NewTx()}
-		}
-
-		for step := 0; step < 400; step++ {
-			i := r.Intn(nTx)
-			if r.Intn(12) == 0 {
-				endPair(i)
-				continue
-			}
-			inv := randInvocation(r, spec.Sig)
-			exec := func() core.Value { return inv.Ret }
-			_, errS := striped.Invoke(txs[i].s, striped.Method(inv.Method), inv.Args, exec)
-			_, errO := oracle.Invoke(txs[i].o, oracle.Method(inv.Method), inv.Args, exec)
-			if engine.IsConflict(errS) != engine.IsConflict(errO) {
-				t.Fatalf("seed %d step %d: striped %v vs oracle %v for %s%v",
-					seed, step, errS, errO, inv.Method, inv.Args)
-			}
-			if errS != nil {
-				// A rejected invocation aborts its transaction in the
-				// engine; mirror that so residual partial acquisitions
-				// (which may legally differ between the two layouts)
-				// cannot skew later decisions.
-				endPair(i)
-			}
-		}
-		for i := range txs {
-			endPair(i)
-		}
-		if n := striped.HeldLocks(); n != 0 {
-			t.Fatalf("seed %d: striped manager leaked %d locks", seed, n)
-		}
-		if n := oracle.HeldLocks(); n != 0 {
-			t.Fatalf("seed %d: oracle manager leaked %d locks", seed, n)
-		}
-	}
-}
 
 // stressSpec is a minimal updater/observer spec: updates to the same
 // datum never commute, updates and observations of the same datum never
@@ -104,7 +37,7 @@ func stressSpec() *core.Spec {
 	return s
 }
 
-// TestManagerStripedConcurrentStress hammers one striped manager from many
+// TestManagerStripedConcurrentStress hammers one manager from many
 // goroutines under the race detector, checking the writer/reader
 // exclusion the scheme promises with per-key atomic occupancy counters,
 // and that the table drains completely afterwards.
@@ -220,9 +153,8 @@ func sizeClearSpec() *core.Spec {
 
 // TestReentrantScenarios walks the owner-side paths one at a time —
 // each scripted schedule names the route every acquisition must take —
-// on the striped and single-stripe managers alike, for data locks
-// (moveSpec) and for the ds-lock (sizeClearSpec), which is a datum too:
-// it owns a cell, but is no data lock to HeldLocks.
+// for data locks (moveSpec) and for the ds-lock (sizeClearSpec), which is
+// a datum too: it owns a cell, but is no data lock to HeldLocks.
 func TestReentrantScenarios(t *testing.T) {
 	type step struct {
 		tx       int
@@ -311,68 +243,62 @@ func TestReentrantScenarios(t *testing.T) {
 		schemes[ds] = scheme.Reduce()
 	}
 	for _, sc := range scenarios {
-		scheme := schemes[sc.ds]
-		mgrs := map[string]*Manager{
-			"striped":       NewManager(scheme, nil),
-			"single-stripe": newManagerWithStripes(scheme, nil, 1),
+		m := NewManager(schemes[sc.ds], nil)
+		txs := []*engine.Tx{engine.NewTx(), engine.NewTx(), engine.NewTx()}
+		for i, st := range sc.steps {
+			var args core.Vec
+			for _, k := range st.args {
+				args.Append(core.VInt(k))
+			}
+			err := pre(m, txs[st.tx], st.method, args)
+			if err != nil && !engine.IsConflict(err) {
+				t.Fatalf("%s step %d: %v", sc.name, i, err)
+			}
+			if got := err != nil; got != st.conflict {
+				t.Fatalf("%s step %d (tx %d %s%v): conflict=%v, want %v",
+					sc.name, i, st.tx, st.method, st.args, got, st.conflict)
+			}
+			var ce *engine.ConflictError
+			if st.by != 0 && (!errors.As(err, &ce) || ce.Holder != txs[st.by-1].ID()) {
+				t.Errorf("%s step %d: %v names holder %+v, want tx %d", sc.name, i, err, ce, txs[st.by-1].ID())
+			}
 		}
-		for name, m := range mgrs {
-			txs := []*engine.Tx{engine.NewTx(), engine.NewTx(), engine.NewTx()}
-			for i, st := range sc.steps {
-				var args core.Vec
-				for _, k := range st.args {
-					args.Append(core.VInt(k))
-				}
-				err := pre(m, txs[st.tx], st.method, args)
-				if err != nil && !engine.IsConflict(err) {
-					t.Fatalf("%s/%s step %d: %v", sc.name, name, i, err)
-				}
-				if got := err != nil; got != st.conflict {
-					t.Fatalf("%s/%s step %d (tx %d %s%v): conflict=%v, want %v",
-						sc.name, name, i, st.tx, st.method, st.args, got, st.conflict)
-				}
-				var ce *engine.ConflictError
-				if st.by != 0 && (!errors.As(err, &ce) || ce.Holder != txs[st.by-1].ID()) {
-					t.Errorf("%s/%s step %d: %v names holder %+v, want tx %d", sc.name, name, i, err, ce, txs[st.by-1].ID())
-				}
-			}
-			// The transactions are live, so their grants are still
-			// pending in their tallies.
-			var got uint64
-			for _, tx := range txs {
-				got += uint64(tx.Tally(m.Telemetry()).ReentrantHits)
-			}
-			if got != sc.reentrant {
-				t.Errorf("%s/%s: %d acquisitions resolved against the owner's hold, want %d", sc.name, name, got, sc.reentrant)
-			}
-			if got := m.FastHolds(); got != sc.fast {
-				t.Errorf("%s/%s: FastHolds = %d, want %d", sc.name, name, got, sc.fast)
-			}
-			if got := m.HeldLocks(); got != sc.held {
-				t.Errorf("%s/%s: HeldLocks = %d, want %d", sc.name, name, got, sc.held)
-			}
-			for _, i := range sc.abort {
-				txs[i].Abort()
-				// The datum is free again, and free for the fast path.
-				probe := engine.NewTx()
-				if err := pre(m, probe, "move", core.Args2(core.VInt(1), core.VInt(1))); err != nil {
-					t.Errorf("%s/%s: datum still guarded after its holder aborted: %v", sc.name, name, err)
-				}
-				probe.Commit()
-				txs[i] = engine.NewTx()
-			}
-			for _, tx := range txs {
-				tx.Commit()
-			}
-			requireDrained(t, sc.name+"/"+name, m)
+		// The transactions are live, so their grants are still
+		// pending in their tallies.
+		var got uint64
+		for _, tx := range txs {
+			got += uint64(tx.Tally(m.Telemetry()).ReentrantHits)
 		}
+		if got != sc.reentrant {
+			t.Errorf("%s: %d acquisitions resolved against the owner's hold, want %d", sc.name, got, sc.reentrant)
+		}
+		if got := m.FastHolds(); got != sc.fast {
+			t.Errorf("%s: FastHolds = %d, want %d", sc.name, got, sc.fast)
+		}
+		if got := m.HeldLocks(); got != sc.held {
+			t.Errorf("%s: HeldLocks = %d, want %d", sc.name, got, sc.held)
+		}
+		for _, i := range sc.abort {
+			txs[i].Abort()
+			// The datum is free again, and free for the fast path.
+			probe := engine.NewTx()
+			if err := pre(m, probe, "move", core.Args2(core.VInt(1), core.VInt(1))); err != nil {
+				t.Errorf("%s: datum still guarded after its holder aborted: %v", sc.name, err)
+			}
+			probe.Commit()
+			txs[i] = engine.NewTx()
+		}
+		for _, tx := range txs {
+			tx.Commit()
+		}
+		requireDrained(t, sc.name, m)
 	}
 }
 
 // TestUpgradeRaceAtMostOneWriter races two transactions for the write
 // lock of one datum, from the two starting points the in-place upgrade
 // has to get right: both hold the read lock already (one on the fast
-// path, one in the stripe) and upgrade at once, or the fast holder
+// path, one in the table) and upgrade at once, or the fast holder
 // upgrades while a foreign reader arrives. In neither may both be
 // granted. Run with -race.
 func TestUpgradeRaceAtMostOneWriter(t *testing.T) {
@@ -549,7 +475,7 @@ func TestTalliedCountersExact(t *testing.T) {
 	}
 	// Each granted acquisition took exactly one route.
 	if routes := snap.ReentrantHits + snap.FastAdmits + snap.FilterHits; routes != acq {
-		t.Errorf("routes: %d reentrant + %d fast cells + %d stripes, want %d",
+		t.Errorf("routes: %d reentrant + %d fast cells + %d on the stripe route, want %d",
 			snap.ReentrantHits, snap.FastAdmits, snap.FilterHits, acq)
 	}
 }

@@ -35,7 +35,7 @@ import (
 // and written only between the grant of a lock on r and its release at
 // the transaction's end, and saved[l] only by the holder of merge's
 // exclusive lock on l (UndoTx and ReleaseTx run before the lock
-// manager's release hooks). A grant after a release is a happens-before
+// manager's release hook). A grant after a release is a happens-before
 // edge: a compare-and-swap or a mutex in the lock manager.
 type compEdges struct {
 	mgr    *abslock.Manager
@@ -129,11 +129,12 @@ func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.
 	c.saved[loser] = savedMerge{oldW: c.edges[winner], oldL: c.edges[loser], winner: winner, next: int64(*head)}
 	*head = uint64(loser) + 1
 	if isNew {
+		// Hooks run newest first, and the lock manager's release hook
+		// was registered with the transaction's first grant: the undo
+		// and the releaser run while every lock is still held.
 		tx.OnUndoer(c)
+		tx.OnReleaser(c)
 	}
-	// Release hooks run newest first: registered after this merge's
-	// grants, the releaser empties the cells before the locks go.
-	tx.OnReleaser(c)
 	c.edges[winner], c.edges[loser] = merged, nil
 	return nil
 }
@@ -147,16 +148,13 @@ func (c *compEdges) UndoTx(tx *engine.Tx) {
 }
 
 // ReleaseTx empties tx's saved cells, so no ended merge keeps a list
-// reachable. The first call of a transaction with several merges does
-// it all; the chain is then empty for the others.
+// reachable.
 func (c *compEdges) ReleaseTx(tx *engine.Tx) {
-	head := tx.AttachedWord(c)
-	for l := int64(*head); l != 0; {
+	for l := int64(*tx.AttachedWord(c)); l != 0; {
 		s := &c.saved[l-1]
 		l = s.next
 		*s = savedMerge{}
 	}
-	*head = 0
 }
 
 // seqGet and seqMerge are the lock-free variants for the sequential

@@ -330,7 +330,7 @@ func (tx *Tx) Commit() {
 // BatchReleaser is a Releaser that can free many transactions' records
 // under one acquisition of its internal serialization (one release
 // mutex, one set of retraction fences for the whole group). The cascade
-// gatekeeper and the abstract-lock fast table implement it.
+// gatekeeper implements it.
 type BatchReleaser interface {
 	Releaser
 	ReleaseTxBatch(txs []*Tx)
