@@ -75,7 +75,8 @@ func BenchmarkFig(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2: the set microbenchmark, the paper's four schemes.
+// BenchmarkTable2: the set microbenchmark, the paper's four schemes and
+// the memory-level row.
 func BenchmarkTable2(b *testing.B) {
 	const ops = 20000
 	inputs := []struct {
@@ -84,9 +85,6 @@ func BenchmarkTable2(b *testing.B) {
 	}{{"distinct", workload.SetOpsDistinct(ops, 1)}, {"repeats", workload.SetOpsClasses(ops, 10, 1)}}
 	for _, in := range inputs {
 		for _, sc := range bench.Table2Schemes() {
-			if sc.Extended {
-				continue
-			}
 			b.Run(in.name+"/"+sc.Name, func(b *testing.B) {
 				var lastAborts float64
 				for i := 0; i < b.N; i++ {

@@ -229,10 +229,14 @@ var countFlags = map[string]int{
 
 // parseFlags parses a command's flags and then checks every int flag
 // countFlags names, so a size or count no solver or recorder can run is
-// a usageError before anything runs.
+// a usageError before anything runs. So is a leftover argument: no
+// command takes one, and flags after it would go unread.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
 	}
 	var bad error
 	fs.VisitAll(func(f *flag.Flag) {
@@ -265,6 +269,9 @@ func dispatch(name string, args []string) error {
 }
 
 func cmdAll(args []string) error {
+	if err := parseFlags(flag.NewFlagSet("all", flag.ExitOnError), args); err != nil {
+		return err
+	}
 	for _, c := range commands() {
 		if c.inAll == "" {
 			continue
@@ -425,7 +432,6 @@ func cmdTable2(args []string) error {
 	fs.IntVar(&cfg.Classes, "classes", cfg.Classes, "equivalence classes (paper: 10)")
 	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "overlap window / threads (paper: 4)")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "stream seed")
-	fs.BoolVar(&cfg.Extended, "ext", false, "add extension rows (object STM)")
 	stats := fs.Bool("stats", false, "print gatekeeper work counters (probes, collisions, fallbacks)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -481,7 +487,7 @@ func cmdMatrices(args []string) error {
 	}
 	list, ok := specs[*which]
 	if !ok {
-		return fmt.Errorf("unknown spec %q", *which)
+		return flagError(fs, "spec", fmt.Errorf("%q: want accumulator, set or flowgraph", *which))
 	}
 	for _, spec := range list {
 		fmt.Printf("=== %s (%s)\n%s\n", spec.Sig.Name, spec.Classify(), spec)
@@ -523,12 +529,15 @@ func cmdModel(args []string) error {
 }
 
 func cmdSpecs(args []string) error {
+	if err := parseFlags(flag.NewFlagSet("specs", flag.ExitOnError), args); err != nil {
+		return err
+	}
 	all := []*core.Spec{
 		intset.PreciseSpec(), intset.RWSpec(), intset.ExclusiveSpec(),
 		intset.PartitionedSpec(), intset.BottomSpec(),
 		kdtree.Spec(), unionfind.Spec(),
 		flowgraph.RWSpec(), flowgraph.ExclusiveSpec(), flowgraph.PartitionedSpec(),
-		accum.Spec(),
+		accum.Spec(), abslock.MemorySpec(),
 	}
 	for _, s := range all {
 		fmt.Printf("— %s [%s]\n%s\n", s.Sig.Name, s.Classify(), s)
@@ -546,7 +555,7 @@ func cmdStrengthen(args []string) error {
 		"set": intset.PreciseSpec(), "kdtree": kdtree.Spec(), "unionfind": unionfind.Spec(),
 	}[*which]
 	if !ok {
-		return fmt.Errorf("unknown spec %q", *which)
+		return flagError(fs, "spec", fmt.Errorf("%q: want set, kdtree or unionfind", *which))
 	}
 	fmt.Printf("original (%s):\n%s\n", spec.Classify(), spec)
 	simple := core.StrengthenToSimple(spec)
@@ -568,7 +577,7 @@ func cmdCheck(args []string) error {
 		return err
 	}
 	if *file == "" {
-		return fmt.Errorf("usage: commlat check -file <spec.txt>")
+		return flagError(fs, "file", fmt.Errorf("%q: want a specification file, or - for stdin", *file))
 	}
 	var src []byte
 	var err error

@@ -92,7 +92,7 @@ func TestCmdCheckShippedSpecs(t *testing.T) {
 }
 
 func TestCmdTable2Small(t *testing.T) {
-	if err := cmdTable2([]string{"-ops", "2000", "-ext"}); err != nil {
+	if err := cmdTable2([]string{"-ops", "2000"}); err != nil {
 		t.Errorf("table2: %v", err)
 	}
 }
@@ -130,6 +130,9 @@ func TestCountFlagsAreChecked(t *testing.T) {
 		{"fig10", "-threads", "0"},
 		{"model", "-procs", "1,x"},
 		{"bench", "-run", "["},
+		{"matrices", "-spec", "foo"},
+		{"strengthen", "-spec", "foo"},
+		{"check", "-file", ""},
 	} {
 		err := dispatch(tc[0], tc[1:])
 		var bad usageError
@@ -141,6 +144,31 @@ func TestCountFlagsAreChecked(t *testing.T) {
 	fs.Int("buf", 1, "")
 	if err := parseFlags(fs, []string{"-buf", strconv.Itoa(maxRing)}); err != nil {
 		t.Errorf("-buf at its bound: %v", err)
+	}
+}
+
+// No command takes a positional argument: a stray one is a usageError
+// naming it, before the command runs anything — flags after it included,
+// which the flag package would otherwise leave unread.
+func TestStrayArgumentsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		stray string
+		line  []string
+	}{
+		{"examples/specs/set.spec", []string{"strengthen", "examples/specs/set.spec"}},
+		{"extra", []string{"fig10", "extra", "-threads", "1"}},
+		{"bogus", []string{"specs", "bogus"}},
+		{"bogus", []string{"all", "bogus"}},
+		{"more", []string{"table2", "-ops", "10", "more"}},
+		{"y.spec", []string{"check", "-file", "x.spec", "y.spec"}},
+	} {
+		err := dispatch(tc.line[0], tc.line[1:])
+		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), strconv.Quote(tc.stray)) {
+			t.Errorf("%s = %v, want a usageError naming %q", strings.Join(tc.line, " "), err, tc.stray)
+		}
+	}
+	if err := dispatch("check", nil); !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-file ") {
+		t.Errorf("check without -file = %v, want a usageError naming -file", err)
 	}
 }
 

@@ -3,37 +3,34 @@ package intset
 import (
 	"sync"
 
+	"commlat/internal/abslock"
 	"commlat/internal/engine"
-	"commlat/internal/stm"
 )
 
 // STMSet is the §4.3 baseline: a set whose conflict detection is the
-// concrete-commutativity point FC — object-granularity transactional
-// memory over the representation's buckets. Two invocations conflict
+// concrete-commutativity point FC — memory-level locks (abslock.Memory)
+// on the representation's buckets, as an object-granularity
+// transactional memory would take them. Two invocations conflict
 // whenever one writes a bucket the other touched, regardless of whether
 // they commute abstractly. FC sits below the precise specification F* in
 // the lattice (concrete commutativity implies semantic commutativity),
 // which tests demonstrate behaviourally: everything the STM set allows,
 // the gatekeeper allows, but not vice versa.
 type STMSet struct {
-	mu      sync.Mutex
-	buckets []stm.Obj
-	elems   map[int64]bool
+	mu       sync.Mutex
+	mem      *abslock.Memory
+	nbuckets int64
+	elems    map[int64]bool
 }
 
 // NewSTM creates an STM-backed set with nbuckets conflict-detection
 // granules (more buckets = finer concrete footprints).
 func NewSTM(nbuckets int) *STMSet {
-	return &STMSet{buckets: make([]stm.Obj, nbuckets), elems: map[int64]bool{}}
+	return &STMSet{mem: abslock.NewMemory(), nbuckets: int64(nbuckets), elems: map[int64]bool{}}
 }
 
-func (s *STMSet) bucket(x int64) *stm.Obj {
-	m := x % int64(len(s.buckets))
-	if m < 0 {
-		m += int64(len(s.buckets))
-	}
-	return &s.buckets[m]
-}
+// bucket is the id of x's bucket, x mod nbuckets.
+func (s *STMSet) bucket(x int64) int64 { return (x%s.nbuckets + s.nbuckets) % s.nbuckets }
 
 // Add inserts x under memory-level detection: the bucket is read first
 // (hash lookup) and written only if the set changes — the concrete
@@ -41,13 +38,13 @@ func (s *STMSet) bucket(x int64) *stm.Obj {
 func (s *STMSet) Add(tx *engine.Tx, x int64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.bucket(x).Read(tx); err != nil {
+	if err := s.mem.Read(tx, s.bucket(x)); err != nil {
 		return false, err
 	}
 	if s.elems[x] {
 		return false, nil
 	}
-	if err := s.bucket(x).Write(tx); err != nil {
+	if err := s.mem.Write(tx, s.bucket(x)); err != nil {
 		return false, err
 	}
 	s.elems[x] = true
@@ -63,13 +60,13 @@ func (s *STMSet) Add(tx *engine.Tx, x int64) (bool, error) {
 func (s *STMSet) Remove(tx *engine.Tx, x int64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.bucket(x).Read(tx); err != nil {
+	if err := s.mem.Read(tx, s.bucket(x)); err != nil {
 		return false, err
 	}
 	if !s.elems[x] {
 		return false, nil
 	}
-	if err := s.bucket(x).Write(tx); err != nil {
+	if err := s.mem.Write(tx, s.bucket(x)); err != nil {
 		return false, err
 	}
 	delete(s.elems, x)
@@ -86,7 +83,7 @@ func (s *STMSet) Remove(tx *engine.Tx, x int64) (bool, error) {
 func (s *STMSet) Contains(tx *engine.Tx, x int64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.bucket(x).Read(tx); err != nil {
+	if err := s.mem.Read(tx, s.bucket(x)); err != nil {
 		return false, err
 	}
 	return s.elems[x], nil

@@ -30,7 +30,7 @@ func buildNode(pts []Point) *node {
 		box = box.Extend(p)
 	}
 	if len(pts) <= leafCap {
-		return &node{leaf: true, pts: pts, box: box, count: len(pts)}
+		return &node{id: nodeIDs.Add(1), leaf: true, pts: pts, box: box, count: len(pts)}
 	}
 	// The widest axis, the lowest-numbered of equals. Any axis of nonzero
 	// width admits a split (below), so no other axis is ever needed.
@@ -44,7 +44,7 @@ func buildNode(pts []Point) *node {
 		// All points identical on every axis: only possible with
 		// duplicates; degrade to an oversized leaf rather than recurse
 		// forever.
-		return &node{leaf: true, pts: pts, box: box, count: len(pts)}
+		return &node{id: nodeIDs.Add(1), leaf: true, pts: pts, box: box, count: len(pts)}
 	}
 	// The split boundary must separate distinct coordinate values so that
 	// childFor's "p[axis] < split" rule is consistent. Take the median
@@ -82,6 +82,7 @@ func buildNode(pts []Point) *node {
 		}
 	}
 	return &node{
+		id:    nodeIDs.Add(1),
 		axis:  axis,
 		split: split,
 		left:  buildNode(pts[:mid:mid]),

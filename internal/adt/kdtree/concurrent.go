@@ -25,18 +25,20 @@ type Index interface {
 }
 
 // MLTree is the kd-ml variant: object-granularity (memory-level)
-// conflict detection on tree nodes, as an object-based STM would perform.
-// Mutators write-acquire every node on their root-to-leaf path (they
-// update bounding boxes all the way up), and nearest read-acquires every
-// node whose box it examines — which is why concurrent mutations
-// serialize against queries even when they semantically commute (§5).
+// conflict detection on tree nodes, one abslock.Memory cell per node id.
+// Mutators write-acquire the path nodes whose state they change (a
+// leaf's bucket, an ancestor's box) and read-acquire the rest; nearest
+// read-acquires every node it descends into — which is why concurrent
+// mutations serialize against queries even when they semantically
+// commute (§5).
 type MLTree struct {
-	mu sync.Mutex // physical atomicity; conflicts come from the stm objects
-	t  *Tree
+	mu  sync.Mutex // physical atomicity; conflicts come from mem
+	t   *Tree
+	mem *abslock.Memory
 }
 
 // NewML creates an empty kd-ml tree.
-func NewML() *MLTree { return &MLTree{t: New()} }
+func NewML() *MLTree { return &MLTree{t: New(), mem: abslock.NewMemory()} }
 
 // Seed bulk-loads points without conflict detection, building a balanced
 // tree when starting empty.
@@ -56,9 +58,9 @@ func (m *MLTree) Len() int { return m.t.Len() }
 func (m *MLTree) visit(tx *engine.Tx) visitFn {
 	return func(n *node, write bool) error {
 		if write {
-			return n.obj.Write(tx)
+			return m.mem.Write(tx, n.id)
 		}
-		return n.obj.Read(tx)
+		return m.mem.Read(tx, n.id)
 	}
 }
 
@@ -110,22 +112,7 @@ func (m *MLTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
 func (m *MLTree) Contains(tx *engine.Tx, p Point) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := m.t.root
-	for n != nil {
-		if err := n.obj.Read(tx); err != nil {
-			return false, err
-		}
-		if n.leaf {
-			for _, q := range n.pts {
-				if q == p {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-		n = n.childFor(p)
-	}
-	return false, nil
+	return m.t.ContainsV(p, m.visit(tx))
 }
 
 // GKTree is the kd-gk variant: a forward gatekeeper built from figure 4's

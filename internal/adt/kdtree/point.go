@@ -1,9 +1,9 @@
 // Package kdtree implements the paper's kd-tree ADT (§2.5): a spatial
 // index over 3-D points supporting add, remove and nearest-neighbour
 // queries, with interior bounding boxes to prune searches. It ships the
-// commutativity specification of figure 4, an STM-instrumented variant
-// (kd-ml: object-level conflict detection on tree nodes, where every
-// mutation conflicts at the root's bounding box) and a forward-gatekept
+// commutativity specification of figure 4, a memory-level variant (kd-ml:
+// read/write locks on tree nodes, where a mutation that changes a box
+// conflicts with every query that descended into it) and a forward-gatekept
 // variant (kd-gk) built from the precise specification — the pair
 // compared in the clustering case study (Table 1, figure 11).
 package kdtree

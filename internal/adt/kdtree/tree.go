@@ -1,6 +1,6 @@
 package kdtree
 
-import "commlat/internal/stm"
+import "sync/atomic"
 
 // leafCap is the leaf bucket size; leaves split when they overflow.
 const leafCap = 8
@@ -26,10 +26,14 @@ type node struct {
 	leaf bool
 	pts  []Point
 
-	// obj is the conflict handle used by the STM-instrumented variant;
-	// the plain tree never touches it.
-	obj stm.Obj
+	// id names the node as a memory cell for kd-ml's memory-level locks;
+	// the plain tree never reads it.
+	id int64
 }
+
+// nodeIDs numbers nodes as they are made. An id is never reused, so a
+// lock still held on a node that is gone names no other node.
+var nodeIDs atomic.Int64
 
 // Tree is a sequential (non-thread-safe) kd-tree: points live in leaf
 // buckets, interior nodes keep splitting planes and bounding boxes, and
@@ -51,8 +55,8 @@ func (t *Tree) Len() int {
 
 // visitFn observes each node an operation touches, before the node is
 // read or mutated; write says whether the operation will mutate the node.
-// The STM-instrumented variant acquires the node's conflict handle here;
-// a non-nil error aborts the operation before it changes anything below.
+// kd-ml acquires the node's memory cell here; a non-nil error aborts the
+// operation before it changes anything below.
 type visitFn func(n *node, write bool) error
 
 // Add inserts p, reporting whether the tree changed (false if p was
@@ -65,7 +69,7 @@ func (t *Tree) Add(p Point) bool {
 // AddV is Add with a node visitor (used by instrumented variants).
 func (t *Tree) AddV(p Point, visit visitFn) (bool, error) {
 	if t.root == nil {
-		t.root = &node{leaf: true, pts: []Point{p}, box: emptyBox.Extend(p), count: 1}
+		t.root = &node{id: nodeIDs.Add(1), leaf: true, pts: []Point{p}, box: emptyBox.Extend(p), count: 1}
 		if visit != nil {
 			if err := visit(t.root, true); err != nil {
 				t.root = nil
@@ -162,8 +166,8 @@ func (n *node) splitLeaf() {
 	}
 	n.leaf = false
 	n.axis, n.split = axis, split
-	n.left = &node{leaf: true, pts: lpts, box: lbox, count: len(lpts)}
-	n.right = &node{leaf: true, pts: rpts, box: rbox, count: len(rpts)}
+	n.left = &node{id: nodeIDs.Add(1), leaf: true, pts: lpts, box: lbox, count: len(lpts)}
+	n.right = &node{id: nodeIDs.Add(1), leaf: true, pts: rpts, box: rbox, count: len(rpts)}
 	n.pts = nil
 }
 
@@ -217,16 +221,14 @@ func (n *node) remove(p Point, visit visitFn) (bool, error) {
 	}
 	n.count--
 	if child.count == 0 {
-		// Collapse: adopt the surviving child's contents (field by field;
-		// the embedded conflict handle must not be copied).
+		// Collapse: adopt the surviving child's contents under n's own id.
 		other := n.left
 		if child == n.left {
 			other = n.right
 		}
-		n.box, n.count = other.box, other.count
-		n.axis, n.split = other.axis, other.split
-		n.left, n.right = other.left, other.right
-		n.leaf, n.pts = other.leaf, other.pts
+		id := n.id
+		*n = *other
+		n.id = id
 		return true, nil
 	}
 	n.box = n.left.box.Union(n.right.box)
@@ -235,19 +237,29 @@ func (n *node) remove(p Point, visit visitFn) (bool, error) {
 
 // Contains reports whether p is in the tree.
 func (t *Tree) Contains(p Point) bool {
-	n := t.root
-	for n != nil {
+	ok, _ := t.ContainsV(p, nil)
+	return ok
+}
+
+// ContainsV is Contains with a node visitor (visited with write ==
+// false), which sees the root-to-leaf lookup path.
+func (t *Tree) ContainsV(p Point, visit visitFn) (bool, error) {
+	for n := t.root; n != nil; n = n.childFor(p) {
+		if visit != nil {
+			if err := visit(n, false); err != nil {
+				return false, err
+			}
+		}
 		if n.leaf {
 			for _, q := range n.pts {
 				if q == p {
-					return true
+					return true, nil
 				}
 			}
-			return false
+			return false, nil
 		}
-		n = n.childFor(p)
 	}
-	return false
+	return false, nil
 }
 
 // Nearest returns the point nearest to q, excluding q itself if present

@@ -3,10 +3,10 @@ package unionfind
 import (
 	"sync"
 
+	"commlat/internal/abslock"
 	"commlat/internal/core"
 	"commlat/internal/engine"
 	"commlat/internal/gatekeeper"
-	"commlat/internal/stm"
 )
 
 // Sets is a transactionally guarded union-find structure: the interface
@@ -24,41 +24,41 @@ type Sets interface {
 	Forest() *Forest
 }
 
-// ML is the uf-ml variant: memory-level conflict detection with one
-// conflict handle per element. Because path compression writes the
+// ML is the uf-ml variant: memory-level conflict detection, one
+// abslock.Memory cell per element. Because path compression writes the
 // parent pointers of every traversed element, two finds on the same
 // chain conflict here even though finds always commute semantically —
 // the pathology §2.5's union-find discussion opens with.
 type ML struct {
-	mu   sync.Mutex
-	f    *Forest
-	objs []stm.Obj
+	mu  sync.Mutex
+	f   *Forest
+	mem *abslock.Memory
 }
 
 // NewML creates a uf-ml structure with n elements.
 func NewML(n int) *ML {
-	return &ML{f: NewForest(n), objs: make([]stm.Obj, n)}
+	return &ML{f: NewForest(n), mem: abslock.NewMemory()}
 }
 
 // Forest exposes the underlying forest.
 func (m *ML) Forest() *Forest { return m.f }
 
-// acquirePath acquires the conflict handles a compressing find of x
-// touches: writes on every element whose parent pointer changes, reads
-// on the rest of the chain.
+// acquirePath acquires the cells a compressing find of x touches:
+// writes on every element whose parent pointer changes, reads on the
+// rest of the chain.
 func (m *ML) acquirePath(tx *engine.Tx, x int64) error {
 	r := m.f.FindNoCompress(x)
 	for m.f.parent[x] != x {
 		if m.f.parent[x] != r {
-			if err := m.objs[x].Write(tx); err != nil {
+			if err := m.mem.Write(tx, x); err != nil {
 				return err
 			}
-		} else if err := m.objs[x].Read(tx); err != nil {
+		} else if err := m.mem.Read(tx, x); err != nil {
 			return err
 		}
 		x = m.f.parent[x]
 	}
-	return m.objs[x].Read(tx)
+	return m.mem.Read(tx, x)
 }
 
 // Find returns a's representative under memory-level detection,
@@ -93,7 +93,7 @@ func (m *ML) Union(tx *engine.Tx, a, b int64) (bool, error) {
 		if rb < ra {
 			l = rb
 		}
-		if err := m.objs[l].Write(tx); err != nil {
+		if err := m.mem.Write(tx, l); err != nil {
 			return false, err
 		}
 	}

@@ -1,10 +1,11 @@
 // Package unionfind implements the paper's union-find ADT (§2.5): a
 // disjoint-set forest with path compression, the commutativity
 // specification of figure 5, and three concurrent variants — uf-ml
-// (object-level STM conflict detection, where path compression makes
-// semantically read-only finds collide), uf-gk (the paper's concrete
-// general gatekeeper of §3.3.2 with its find-reps and loser-rep logs),
-// and a generic general-gatekeeper variant used for cross-validation.
+// (memory-level read/write locks on parent pointers, where path
+// compression makes semantically read-only finds collide), uf-gk (the
+// paper's concrete general gatekeeper of §3.3.2 with its find-reps and
+// loser-rep logs), and a generic general-gatekeeper variant used for
+// cross-validation.
 //
 // Substitution note (see DESIGN.md): ranks are *static priorities* — an
 // element's rank is its index, fixed forever, so the winner of a union is

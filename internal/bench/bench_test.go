@@ -16,7 +16,7 @@ import (
 var tiny = apps.Sizes{RMFa: 4, RMFb: 4, Mesh: 12, Points: 150, Parts: 8, Seed: 1}
 
 func TestTable2SmallShape(t *testing.T) {
-	cfg := Table2Config{Ops: 4000, Classes: 10, Threads: 4, Seed: 1, Extended: true}
+	cfg := Table2Config{Ops: 4000, Classes: 10, Threads: 4, Seed: 1}
 	rows := Table2(cfg)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
@@ -42,8 +42,8 @@ func TestTable2SmallShape(t *testing.T) {
 	if gl := byName["Global Lock"].RepeatedAborts; gl <= byName["Abs. Lock (Ex.)"].RepeatedAborts {
 		t.Errorf("global lock should abort the most, got %v", gl)
 	}
-	if byName["STM (ext.)"].DistinctAborts != 0 {
-		t.Error("the STM extension row should not abort on distinct elements")
+	if byName["Memory (FC)"].DistinctAborts != 0 {
+		t.Error("the memory-level row should not abort on distinct elements")
 	}
 	out := FormatTable2(rows)
 	if !strings.Contains(out, "Gatekeeper") || !strings.Contains(out, "Abort %") {

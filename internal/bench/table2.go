@@ -44,14 +44,12 @@ func captureTele(s intset.Set) *telemetry.DetectorSnapshot {
 }
 
 // Table2Config sizes the set microbenchmark. The paper runs 1M operations
-// on 4 threads with 10 equivalence classes. Extended adds a row beyond
-// the paper: the object-STM set (the §4.3 lattice point FC).
+// on 4 threads with 10 equivalence classes.
 type Table2Config struct {
-	Ops      int
-	Classes  int
-	Threads  int
-	Seed     int64
-	Extended bool
+	Ops     int
+	Classes int
+	Threads int
+	Seed    int64
 }
 
 // DefaultTable2 is a laptop-scaled configuration.
@@ -63,22 +61,21 @@ func DefaultTable2() Table2Config {
 // row of Table 2 and the constructor of a fresh guarded set under it.
 type Scheme struct {
 	Name string
-	// Extended marks a row beyond the paper's table (Table2Config.Extended).
-	Extended bool
-	New      func() intset.Set
+	New  func() intset.Set
 }
 
 // Table2Schemes lists the microbenchmark's schemes. The paper's four
 // come in lattice order: the ⊥ global lock, exclusive element locks,
 // read/write element locks (figure 3) and the forward gatekeeper
-// (figure 2); the extension row is the object-STM baseline.
+// (figure 2). The fifth, beyond the paper's table, is the memory-level
+// point FC of §4.3: memory-spec locks on 1,024 hash buckets.
 func Table2Schemes() []Scheme {
 	return []Scheme{
-		{"Global Lock", false, func() intset.Set { return intset.NewGlobalLock(intset.NewHashRep()) }},
-		{"Abs. Lock (Ex.)", false, func() intset.Set { return intset.NewExclusiveLocked(intset.NewHashRep()) }},
-		{"Abs. Lock (RW)", false, func() intset.Set { return intset.NewRWLocked(intset.NewHashRep()) }},
-		{"Gatekeeper", false, func() intset.Set { return intset.NewGatekept(intset.NewHashRep()) }},
-		{"STM (ext.)", true, func() intset.Set { return intset.NewSTM(1024) }},
+		{"Global Lock", func() intset.Set { return intset.NewGlobalLock(intset.NewHashRep()) }},
+		{"Abs. Lock (Ex.)", func() intset.Set { return intset.NewExclusiveLocked(intset.NewHashRep()) }},
+		{"Abs. Lock (RW)", func() intset.Set { return intset.NewRWLocked(intset.NewHashRep()) }},
+		{"Gatekeeper", func() intset.Set { return intset.NewGatekept(intset.NewHashRep()) }},
+		{"Memory (FC)", func() intset.Set { return intset.NewSTM(1024) }},
 	}
 }
 
@@ -139,9 +136,6 @@ func Table2(cfg Table2Config) []Table2Row {
 	repeated := workload.SetOpsClasses(cfg.Ops, cfg.Classes, cfg.Seed)
 	var rows []Table2Row
 	for _, sc := range Table2Schemes() {
-		if sc.Extended && !cfg.Extended {
-			continue
-		}
 		sd := sc.New()
 		statsD := RunSetMicro(sd, distinct, cfg.Threads)
 		sr := sc.New()
