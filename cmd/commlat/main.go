@@ -204,7 +204,7 @@ func commands() []command {
 			"JSON documents)", cmdFlightrec, ""},
 		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
 		{"all", "run every quick experiment (tables, matrices, model, strengthening)", cmdAll, ""},
-		{"help", "print this text", func([]string) error { usage(os.Stderr); return nil }, ""},
+		{"help", "print this text", cmdHelp, ""},
 	}
 }
 
@@ -266,6 +266,14 @@ func dispatch(name string, args []string) error {
 		}
 	}
 	return usageError(fmt.Sprintf("unknown command %q", name))
+}
+
+func cmdHelp(args []string) error {
+	if err := parseFlags(flag.NewFlagSet("help", flag.ExitOnError), args); err != nil {
+		return err
+	}
+	usage(os.Stderr)
+	return nil
 }
 
 func cmdAll(args []string) error {

@@ -159,6 +159,7 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 		{"extra", []string{"fig10", "extra", "-threads", "1"}},
 		{"bogus", []string{"specs", "bogus"}},
 		{"bogus", []string{"all", "bogus"}},
+		{"bogus", []string{"help", "bogus"}},
 		{"more", []string{"table2", "-ops", "10", "more"}},
 		{"y.spec", []string{"check", "-file", "x.spec", "y.spec"}},
 	} {

@@ -20,13 +20,15 @@ import (
 // capacities (its own arcs' and, through pushFlow's second argument, the
 // reverse arcs that live in its neighbour's list) are read and written
 // only by a guarded call that holds that node's lock in the matching
-// mode, and undo actions run before the aborting transaction releases.
-// A lock's grant and release are atomic operations or a stripe mutex,
-// hence happens-before edges from each holder to the next. What is read
-// outside any lock — the arc head Push needs to name its second node,
-// Source and Sink — is topology, immutable once the Net is built. The
-// 4-worker preflow.Run tests for ml, ex and part under -race are the
-// check that no unsynchronised access is left.
+// mode. Reads happen as their lock is granted; writes start only after
+// every lock of the one write method, PushRelabel, is granted, so a
+// refused transaction has written nothing and the Graph registers no
+// undo. A lock's grant and release are atomic operations or the lock
+// table's mutex, hence happens-before edges from each holder to the
+// next. What is read outside any lock — the arc heads PushRelabel needs
+// to name its second nodes, Source and Sink — is topology, immutable
+// once the Net is built. The 4-worker preflow.Run tests for ml, ex and
+// part under -race are the check that no unsynchronised access is left.
 type Graph struct {
 	mgr *abslock.Manager
 	// Compiled acquisition handles, one per method of Sig.
@@ -138,26 +140,46 @@ func (g *Graph) Excess(tx *engine.Tx, u int64) (int64, error) {
 	return g.net.Excess(u), nil
 }
 
-// Relabel sets u's label.
-func (g *Graph) Relabel(tx *engine.Tx, u, h int64) error {
-	if err := g.mgr.Acquire(tx, g.relabel, g.ids[u:u+1]...); err != nil {
-		return err
+// PushRelabel is the Graph's one write: it pushes u's excess along u's
+// arcs with indices arcs, in order, min(excess, residual capacity) along
+// each, and then, if label > 0, sets u's label to label (heights are
+// never negative, so 0 asks for no relabel). It is cautious: it acquires
+// pushFlow(u, head) for every arc and then relabel(u), and a refusal
+// returns with nothing written. Only once every lock is granted does it
+// seal tx (see engine.Tx.Seal) and write, so it registers no undo and tx
+// can only commit.
+//
+// arcs must be strictly increasing, and every push must move flow: its
+// arc has residual capacity and u has excess left after the earlier
+// pushes. A plan that breaks this is an error, again with nothing
+// written.
+func (g *Graph) PushRelabel(tx *engine.Tx, u int64, arcs []int, label int64) error {
+	list := g.net.Arcs(u)
+	for _, i := range arcs {
+		if err := g.mgr.Acquire(tx, g.pushFlow, g.ids[u], g.ids[list[i].To]); err != nil {
+			return err
+		}
 	}
-	old := g.net.SetHeight(u, h)
-	tx.OnUndo(func() { g.net.SetHeight(u, old) })
-	return nil
-}
-
-// Push moves amt units along u's arc with index ai (whose head is the
-// second locked node).
-func (g *Graph) Push(tx *engine.Tx, u int64, ai int, amt int64) error {
-	v := g.net.Arcs(u)[ai].To
-	if err := g.mgr.Acquire(tx, g.pushFlow, g.ids[u], g.ids[v]); err != nil {
-		return err
+	if label > 0 {
+		if err := g.mgr.Acquire(tx, g.relabel, g.ids[u:u+1]...); err != nil {
+			return err
+		}
 	}
-	if err := g.net.Push(u, ai, amt); err != nil {
-		return err
+	e := g.net.Excess(u)
+	for k, i := range arcs {
+		if k > 0 && i <= arcs[k-1] || e <= 0 || list[i].Cap <= 0 {
+			return fmt.Errorf("flowgraph: push %d of the plan from node %d (arc %d) is out of order or moves no flow", k, u, i)
+		}
+		e -= min(e, list[i].Cap)
 	}
-	tx.OnUndo(func() { g.net.unpush(u, ai, amt) })
+	tx.Seal()
+	for _, i := range arcs {
+		if err := g.net.Push(u, i, min(g.net.Excess(u), list[i].Cap)); err != nil {
+			panic(err) // the plan was checked above, under the locks
+		}
+	}
+	if label > 0 {
+		g.net.SetHeight(u, label)
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package flowgraph
 
 import (
+	"reflect"
 	"testing"
 
 	"commlat/internal/abslock"
@@ -40,11 +41,6 @@ func TestNetPushAndResiduals(t *testing.T) {
 	}
 	if err := n.Push(0, 0, 0); err == nil {
 		t.Error("zero push should error")
-	}
-	// unpush restores exactly.
-	n.unpush(0, 0, 3)
-	if n.Arcs(0)[0].Cap != 5 || n.Excess(1) != 0 || n.Excess(0) != 0 {
-		t.Error("unpush did not restore")
 	}
 }
 
@@ -102,11 +98,13 @@ func TestRWConcurrentReadsSharedNodeWritesConflict(t *testing.T) {
 	// A relabel of node 1 conflicts with the readers.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := g.Relabel(tx3, 1, 2); !engine.IsConflict(err) {
+	if err := g.PushRelabel(tx3, 1, nil, 2); !engine.IsConflict(err) {
 		t.Fatalf("relabel under readers should conflict, got %v", err)
 	}
 	// A relabel of node 2 proceeds.
-	if err := g.Relabel(tx3, 2, 2); err != nil {
+	tx4 := engine.NewTx()
+	defer tx4.Commit()
+	if err := g.PushRelabel(tx4, 2, nil, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,19 +144,27 @@ func TestPartitionedCoarseness(t *testing.T) {
 	}
 }
 
+// seeded is the diamond with the source's arc to node 1 saturated: node
+// 1 holds 5 units of excess, and its arcs are 1→0 (capacity 5) and 1→3
+// (capacity 4).
+func seeded() *Net {
+	n := diamond()
+	n.AddExcess(0, 5)
+	if err := n.Push(0, 0, 5); err != nil {
+		panic(err)
+	}
+	return n
+}
+
 func TestPushLocksBothEndpoints(t *testing.T) {
-	g := NewRW(diamond())
-	// Saturate source edge so a push is feasible from node 1.
-	seed := engine.NewTx()
-	if err := g.Push(seed, 0, 0, 5); err != nil { // 0→1
+	g := NewRW(seeded())
+	tx1 := engine.NewTx()
+	defer tx1.Commit()
+	if err := g.PushRelabel(tx1, 1, []int{1}, 0); err != nil { // arc index 1 of node 1 is 1→3
 		t.Fatal(err)
 	}
-	seed.Commit()
-
-	tx1 := engine.NewTx()
-	defer tx1.Abort()
-	if err := g.Push(tx1, 1, 1, 4); err != nil { // arc index 1 of node 1 is 1→3
-		t.Fatal(err)
+	if n := g.Net(); n.Excess(1) != 1 || n.Excess(3) != 4 || n.Arcs(1)[1].Cap != 0 {
+		t.Fatalf("push of min(5, 4) left excess %d and %d, cap %d; want 1, 4 and 0", n.Excess(1), n.Excess(3), n.Arcs(1)[1].Cap)
 	}
 	// Another transaction touching node 3 conflicts...
 	tx2 := engine.NewTx()
@@ -172,33 +178,68 @@ func TestPushLocksBothEndpoints(t *testing.T) {
 	}
 }
 
-func TestPushUndoRestores(t *testing.T) {
-	g := NewRW(diamond())
-	tx := engine.NewTx()
-	if err := g.Push(tx, 0, 0, 5); err != nil {
+// snapshot copies every arc capacity, excess and height of n.
+func snapshot(n *Net) [3]any {
+	arcs := make([][]Arc, n.Len())
+	for u := range arcs {
+		arcs[u] = append([]Arc(nil), n.arcs[u]...)
+	}
+	return [3]any{arcs, append([]int64(nil), n.excess...), append([]int64(nil), n.height...)}
+}
+
+// TestRefusedWriteWritesNothing: PushRelabel takes every lock before its
+// first write, so a plan refused at its second push leaves the network
+// byte-identical, and so does a plan that moves no flow; neither seals
+// the transaction, which can still abort.
+func TestRefusedWriteWritesNothing(t *testing.T) {
+	g := NewRW(seeded())
+	before := snapshot(g.Net())
+	tx1 := engine.NewTx()
+	if _, err := g.Height(tx1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Relabel(tx, 1, 7); err != nil {
-		t.Fatal(err)
+	tx2 := engine.NewTx()
+	// Push back to the source (granted), then to node 3 (refused:
+	// tx1 reads it), then relabel.
+	if err := g.PushRelabel(tx2, 1, []int{0, 1}, 7); !engine.IsConflict(err) {
+		t.Fatalf("a push into a node another transaction reads should conflict, got %v", err)
 	}
-	tx.Abort()
-	n := g.Net()
-	if n.Arcs(0)[0].Cap != 5 || n.Excess(1) != 0 || n.Height(1) != 0 {
-		t.Errorf("abort did not restore: cap=%d excess=%d height=%d",
-			n.Arcs(0)[0].Cap, n.Excess(1), n.Height(1))
+	if after := snapshot(g.Net()); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused plan wrote the network:\nbefore %v\nafter  %v", before, after)
 	}
+	tx2.Abort()
+	tx1.Abort()
+
+	tx3 := engine.NewTx()
+	for _, tc := range []struct {
+		u    int64
+		plan []int
+	}{
+		{1, []int{1, 1}}, // a repeat
+		{1, []int{1, 0}}, // out of order
+		{1, []int{0, 1}}, // the first push takes all 5 units
+		{2, []int{1}},    // node 2 has no excess
+	} {
+		if err := g.PushRelabel(tx3, tc.u, tc.plan, 0); err == nil || engine.IsConflict(err) {
+			t.Errorf("plan %v from node %d: err = %v, want an infeasible-plan error", tc.plan, tc.u, err)
+		}
+	}
+	if after := snapshot(g.Net()); !reflect.DeepEqual(after, before) {
+		t.Errorf("an infeasible plan wrote the network:\nbefore %v\nafter  %v", before, after)
+	}
+	tx3.Abort()
 }
 
 // TestNeighborsInPlace pins Neighbors' contract: the list is the
 // network's own, so it shows the holder's pushes, and no other
 // transaction can push into the node while the holder holds it.
 func TestNeighborsInPlace(t *testing.T) {
-	g := NewRW(diamond())
-	seed := engine.NewTx()
-	if err := g.Push(seed, 0, 1, 4); err != nil { // 0→2, so 2→0 has capacity
+	n := diamond()
+	n.AddExcess(0, 7)
+	if err := n.Push(0, 1, 4); err != nil { // 0→2, so 2→0 has capacity
 		t.Fatal(err)
 	}
-	seed.Commit()
+	g := NewRW(n)
 
 	tx1 := engine.NewTx()
 	arcs, err := g.Neighbors(tx1, 0)
@@ -208,7 +249,7 @@ func TestNeighborsInPlace(t *testing.T) {
 	if len(arcs) != 2 || arcs[0].To != 1 || arcs[1].To != 2 || arcs[0].Cap != 5 || arcs[1].Cap != 3 {
 		t.Fatalf("Neighbors = %+v", arcs)
 	}
-	if err := g.Push(tx1, 0, 0, 3); err != nil {
+	if err := g.PushRelabel(tx1, 0, []int{0}, 0); err != nil { // node 0's 3 units along 0→1
 		t.Fatal(err)
 	}
 	if arcs[0].Cap != 2 {
@@ -216,17 +257,14 @@ func TestNeighborsInPlace(t *testing.T) {
 	}
 	// Node 2 is free, but pushing along 2→0 writes node 0's reverse arc.
 	tx2 := engine.NewTx()
-	if err := g.Push(tx2, 2, 0, 1); !engine.IsConflict(err) {
+	if err := g.PushRelabel(tx2, 2, []int{0}, 0); !engine.IsConflict(err) {
 		t.Fatalf("a push into a node another transaction holds should conflict, got %v", err)
 	}
 	if arcs[1].Cap != 3 {
 		t.Errorf("a refused push changed the holder's list: cap %d, want 3", arcs[1].Cap)
 	}
 	tx2.Abort()
-	tx1.Abort()
-	if arcs[0].Cap != 5 {
-		t.Errorf("abort left cap %d in the list, want 5", arcs[0].Cap)
-	}
+	tx1.Commit()
 }
 
 func TestSelfLoopIgnored(t *testing.T) {

@@ -89,15 +89,6 @@ func (g *Net) Push(u int64, ai int, amt int64) error {
 	return nil
 }
 
-// unpush exactly reverses a Push (for transaction rollback).
-func (g *Net) unpush(u int64, ai int, amt int64) {
-	a := &g.arcs[u][ai]
-	a.Cap += amt
-	g.arcs[a.To][a.Rev].Cap -= amt
-	g.excess[u] += amt
-	g.excess[a.To] -= amt
-}
-
 // AddExcess credits node u with extra excess (used to saturate the
 // source's arcs during initialization).
 func (g *Net) AddExcess(u, amt int64) { g.excess[u] += amt }

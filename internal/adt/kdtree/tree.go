@@ -214,7 +214,18 @@ func (n *node) remove(p Point, visit visitFn) (bool, error) {
 		}
 		return false, nil
 	}
-	child := n.childFor(p)
+	child, other := n.left, n.right
+	if child != n.childFor(p) {
+		child, other = other, child
+	}
+	// A removal reads the sibling: its box for n's new box, or its whole
+	// contents for the collapse. It is visited before the descent, so a
+	// refusal leaves the tree unchanged.
+	if visit != nil {
+		if err := visit(other, false); err != nil {
+			return false, err
+		}
+	}
 	ok, err := child.remove(p, visit)
 	if !ok || err != nil {
 		return false, err
@@ -222,10 +233,6 @@ func (n *node) remove(p Point, visit visitFn) (bool, error) {
 	n.count--
 	if child.count == 0 {
 		// Collapse: adopt the surviving child's contents under n's own id.
-		other := n.left
-		if child == n.left {
-			other = n.right
-		}
 		id := n.id
 		*n = *other
 		n.id = id
@@ -314,8 +321,10 @@ func (n *node) nearest(q Point, best Point, bestD float64, visit visitFn) (Point
 		return best, bestD, err
 	}
 	// Equal-distance candidates matter for the deterministic tie-break,
-	// so only prune strictly worse boxes.
-	if second.box.MinDistSq(q) <= bestD {
+	// so only prune strictly worse boxes. With a visitor, second's box is
+	// read only once second is visited: second.nearest visits it, then
+	// applies the same prune to its own box.
+	if visit != nil || second.box.MinDistSq(q) <= bestD {
 		best, bestD, err = second.nearest(q, best, bestD, visit)
 	}
 	return best, bestD, err

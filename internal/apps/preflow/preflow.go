@@ -77,7 +77,7 @@ func dischargeSeq(net *flowgraph.Net, u int64) []int64 {
 		if hu != net.Height(v)+1 {
 			continue
 		}
-		amt := min64(e, arcs[i].Cap)
+		amt := min(e, arcs[i].Cap)
 		if err := net.Push(u, i, amt); err != nil {
 			panic(fmt.Sprintf("preflow: %v", err))
 		}
@@ -107,6 +107,12 @@ func dischargeSeq(net *flowgraph.Net, u int64) []int64 {
 // Discharge is one speculative iteration: the transactional analogue of
 // dischargeSeq against a guarded graph. It reports whether it performed
 // real work (pushed or relabeled).
+//
+// It is cautious: dischargeSeq decides every push and the relabel from
+// reads alone, so Discharge plans them under the read locks (the same
+// reads, in the same order, as dischargeSeq) and hands the plan to
+// PushRelabel, which writes only once every lock is granted. A refused
+// discharge has written nothing and pushed no work item.
 func Discharge(tx *engine.Tx, g *flowgraph.Graph, u int64, push func(int64)) (bool, error) {
 	src, sink := g.Net().Source(), g.Net().Sink()
 	if u == src || u == sink {
@@ -127,7 +133,10 @@ func Discharge(tx *engine.Tx, g *flowgraph.Graph, u int64, push func(int64)) (bo
 	if err != nil {
 		return false, err
 	}
-	worked := false
+	// The planned arcs live in an inline array: GENRMF's interior nodes
+	// have at most 10 arcs. A node of higher degree spills to the heap.
+	var inline [16]int
+	pushed := inline[:0]
 	for i := range arcs {
 		if e == 0 {
 			break
@@ -135,47 +144,55 @@ func Discharge(tx *engine.Tx, g *flowgraph.Graph, u int64, push func(int64)) (bo
 		if arcs[i].Cap <= 0 {
 			continue
 		}
-		v := int64(arcs[i].To)
-		hv, err := g.Height(tx, v)
+		hv, err := g.Height(tx, int64(arcs[i].To))
 		if err != nil {
-			return worked, err
+			return false, err
 		}
 		if hu != hv+1 {
 			continue
 		}
-		amt := min64(e, arcs[i].Cap)
-		if err := g.Push(tx, u, i, amt); err != nil {
-			return worked, err
-		}
-		worked = true // arcs is u's own list: it shows the push
-		e -= amt
-		if v != src && v != sink {
-			push(v)
-		}
+		pushed = append(pushed, i)
+		e -= min(e, arcs[i].Cap)
 	}
+	label := int64(0)
 	if e > 0 {
+		// Excess left over means every planned push saturates its arc:
+		// the residual arcs are the unpushed ones with capacity.
 		minH := int64(math.MaxInt64)
+		next := 0
 		for i := range arcs {
+			if next < len(pushed) && pushed[next] == i {
+				next++
+				continue
+			}
 			if arcs[i].Cap <= 0 {
 				continue
 			}
 			hv, err := g.Height(tx, int64(arcs[i].To))
 			if err != nil {
-				return worked, err
+				return false, err
 			}
-			if hv < minH {
-				minH = hv
-			}
+			minH = min(minH, hv)
 		}
 		if minH < math.MaxInt64 {
-			if err := g.Relabel(tx, u, minH+1); err != nil {
-				return worked, err
-			}
-			worked = true
-			push(u)
+			label = minH + 1
 		}
 	}
-	return worked, nil
+	if len(pushed) == 0 && label == 0 {
+		return false, nil
+	}
+	if err := g.PushRelabel(tx, u, pushed, label); err != nil {
+		return false, err
+	}
+	for _, i := range pushed {
+		if v := int64(arcs[i].To); v != src && v != sink {
+			push(v)
+		}
+	}
+	if label > 0 {
+		push(u)
+	}
+	return true, nil
 }
 
 // Run computes the max flow speculatively over the guarded graph g,
@@ -212,11 +229,4 @@ func Profile(g *flowgraph.Graph) (ProfileResult, error) {
 		return Discharge(tx, g, u, push)
 	})
 	return ProfileResult{Result: res, Flow: net.Excess(net.Sink())}, err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

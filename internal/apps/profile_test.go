@@ -18,7 +18,7 @@ func TestCatalogueProfilesArePinned(t *testing.T) {
 		"uf-ml":      "255/20/1664",
 		"uf-gk":      "255/19/1539",
 		"uf-generic": "255/19/1539",
-		"kd-ml":      "299/120/10704",
+		"kd-ml":      "299/141/14218",
 		"kd-gk":      "299/29/1207",
 	}
 	seen := 0

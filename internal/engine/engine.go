@@ -133,6 +133,7 @@ type Tx struct {
 	endWord uint64   // scratch word owned by the end releaser; see EndWord
 	attach  []attachment
 	status  Status
+	sealed  bool              // wrote state with no undo; see Seal
 	worker  int32             // executor worker running this tx (0 when hand-driven)
 	item    int64             // traced work-item key (-1 when unknown)
 	tallies []telemetry.Tally // any but the first detector's pending counts
@@ -311,10 +312,22 @@ func (tx *Tx) OnEnd(r Releaser) bool {
 	return tx.end == r
 }
 
+// Seal records that the transaction is about to write state it
+// registers no undo for. A cautious method — one that acquires every
+// lock it needs before its first write — calls it once the last lock is
+// granted and before that write. From then on the transaction can only
+// commit: Abort panics, since no undo could roll the writes back. Commit
+// clears the seal, so a pooled transaction starts unsealed.
+func (tx *Tx) Seal() {
+	tx.mustBeActive()
+	tx.sealed = true
+}
+
 // Commit ends the transaction successfully, running release hooks.
 func (tx *Tx) Commit() {
 	tx.mustBeActive()
 	tx.status = Committed
+	tx.sealed = false
 	tx.runRelease()
 	if e := tx.end; e != nil {
 		tx.end = nil
@@ -381,6 +394,7 @@ func CommitBatch(txs []*Tx) {
 	}
 	br.ReleaseTxBatch(txs)
 	for _, tx := range txs {
+		tx.sealed = false
 		tx.end = nil
 		tx.endWord = 0
 		clearHooks(&tx.release)
@@ -398,9 +412,13 @@ func CommitBatch(txs []*Tx) {
 }
 
 // Abort rolls the transaction back: undo actions run newest-first, then
-// release hooks run.
+// release hooks run. It panics on a sealed transaction (see Seal): its
+// writes have no undo, so no abort can roll them back.
 func (tx *Tx) Abort() {
 	tx.mustBeActive()
+	if tx.sealed {
+		panic(fmt.Sprintf("engine: abort of sealed transaction %d: its writes have no undo", tx.id))
+	}
 	tx.status = Aborted
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		tx.undo[i].UndoTx(tx)

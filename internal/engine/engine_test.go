@@ -80,6 +80,36 @@ func TestTxDoubleEndPanics(t *testing.T) {
 	tx.Abort()
 }
 
+// TestSealedAbortPanics: a sealed transaction's writes have no undo, so
+// Abort panics with a message naming it and leaves it active, to commit.
+// Commit clears the seal: the pool hands out unsealed transactions.
+func TestSealedAbortPanics(t *testing.T) {
+	tx := GetTx()
+	tx.Seal()
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if want := fmt.Sprintf("sealed transaction %d", tx.ID()); !strings.Contains(msg, want) {
+				t.Errorf("Abort after Seal panicked with %q, want a message naming %q", msg, want)
+			}
+		}()
+		tx.Abort()
+	}()
+	if tx.Status() != Active {
+		t.Fatalf("a refused abort left status %v, want active", tx.Status())
+	}
+	tx.Commit()
+	PutTx(tx)
+	for range 4 {
+		tx := GetTx()
+		if tx.sealed {
+			t.Fatalf("pooled transaction %d comes back sealed", tx.ID())
+		}
+		tx.Abort()
+		PutTx(tx)
+	}
+}
+
 func TestTxIDsUnique(t *testing.T) {
 	seen := map[uint64]bool{}
 	var mu sync.Mutex
