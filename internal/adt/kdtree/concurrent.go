@@ -35,6 +35,7 @@ type MLTree struct {
 	mu  sync.Mutex // physical atomicity; conflicts come from mem
 	t   *Tree
 	mem *abslock.Memory
+	log undoLog // guarded by mu
 }
 
 // NewML creates an empty kd-ml tree.
@@ -73,11 +74,7 @@ func (m *MLTree) Add(tx *engine.Tx, p Point) (bool, error) {
 		return false, err
 	}
 	if ok {
-		tx.OnUndo(func() {
-			m.mu.Lock()
-			m.t.Remove(p)
-			m.mu.Unlock()
-		})
+		m.log.record(tx, m, p, true)
 	}
 	return ok, nil
 }
@@ -91,13 +88,25 @@ func (m *MLTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 		return false, err
 	}
 	if ok {
-		tx.OnUndo(func() {
-			m.mu.Lock()
-			m.t.Add(p)
-			m.mu.Unlock()
-		})
+		m.log.record(tx, m, p, false)
 	}
 	return ok, nil
+}
+
+// UndoTx reverts tx's mutations, newest first. Registered as an
+// engine.Undoer by the transaction's first mutation.
+func (m *MLTree) UndoTx(tx *engine.Tx) {
+	m.mu.Lock()
+	m.log.undo(tx, m, m.t)
+	m.mu.Unlock()
+}
+
+// ReleaseTx recycles tx's mutation records. Registered as an
+// engine.Releaser by the transaction's first mutation.
+func (m *MLTree) ReleaseTx(tx *engine.Tx) {
+	m.mu.Lock()
+	m.log.release(tx, m)
+	m.mu.Unlock()
 }
 
 // Nearest queries under memory-level conflict detection.
@@ -119,6 +128,9 @@ func (m *MLTree) Contains(tx *engine.Tx, p Point) (bool, error) {
 // precise specification guards a plain tree. Because the gatekeeper only
 // tracks semantic information — the paper's (x, dist(x, r)) log — it
 // admits far more parallelism than kd-ml and pays no per-node tracking.
+// Points travel as inline vector Values, and add and remove are each
+// other's inverse, applied to the logged argument: a guarded call
+// allocates nothing.
 type GKTree struct {
 	g                              *gatekeeper.Forward
 	add, remove, nearest, contains *gatekeeper.Method
@@ -131,11 +143,21 @@ func NewGK() *GKTree {
 	if err != nil {
 		panic(err) // figure 4's spec is ONLINE-CHECKABLE with dist pure
 	}
-	return &GKTree{
+	k := &GKTree{
 		g: g, t: New(),
 		add: g.Method("add"), remove: g.Method("remove"),
 		nearest: g.Method("nearest"), contains: g.Method("contains"),
 	}
+	k.add.SetInverse(func(inv *core.Invocation) { k.t.Remove(argPoint(inv)) })
+	k.remove.SetInverse(func(inv *core.Invocation) { k.t.Add(argPoint(inv)) })
+	return k
+}
+
+// argPoint reads the point argument of a logged invocation.
+func argPoint(inv *core.Invocation) Point {
+	a := inv.Args.At(0)
+	c, _ := a.AsVec()
+	return c
 }
 
 // Seed bulk-loads points without conflict detection, building a balanced
@@ -161,11 +183,9 @@ func (k *GKTree) Len() int {
 
 // Add inserts p under gatekeeping.
 func (k *GKTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, k.add, core.Args1(core.V(p)), func() gatekeeper.Effect {
-		if k.t.Add(p) {
-			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { k.t.Remove(p) }}
-		}
-		return gatekeeper.Effect{Ret: core.VBool(false)}
+	ret, err := k.g.Invoke(tx, k.add, core.Args1(core.VVec(p)), func() gatekeeper.Effect {
+		ok := k.t.Add(p)
+		return gatekeeper.Effect{Ret: core.VBool(ok), Changed: ok}
 	})
 	if err != nil {
 		return false, err
@@ -175,11 +195,9 @@ func (k *GKTree) Add(tx *engine.Tx, p Point) (bool, error) {
 
 // Remove deletes p under gatekeeping.
 func (k *GKTree) Remove(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, k.remove, core.Args1(core.V(p)), func() gatekeeper.Effect {
-		if k.t.Remove(p) {
-			return gatekeeper.Effect{Ret: core.VBool(true), Undo: func() { k.t.Add(p) }}
-		}
-		return gatekeeper.Effect{Ret: core.VBool(false)}
+	ret, err := k.g.Invoke(tx, k.remove, core.Args1(core.VVec(p)), func() gatekeeper.Effect {
+		ok := k.t.Remove(p)
+		return gatekeeper.Effect{Ret: core.VBool(ok), Changed: ok}
 	})
 	if err != nil {
 		return false, err
@@ -189,13 +207,14 @@ func (k *GKTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 
 // Nearest queries under gatekeeping.
 func (k *GKTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
-	ret, err := k.g.Invoke(tx, k.nearest, core.Args1(core.V(p)), func() gatekeeper.Effect {
-		return gatekeeper.Effect{Ret: core.V(k.t.Nearest(p))}
+	ret, err := k.g.Invoke(tx, k.nearest, core.Args1(core.VVec(p)), func() gatekeeper.Effect {
+		return gatekeeper.Effect{Ret: core.VVec(k.t.Nearest(p))}
 	})
 	if err != nil {
 		return None, err
 	}
-	return ret.Unbox().(Point), nil
+	q, _ := ret.AsVec()
+	return q, nil
 }
 
 // Telemetry returns the gatekeeper's telemetry detector, which
@@ -204,7 +223,7 @@ func (k *GKTree) Telemetry() *telemetry.Detector { return k.g.Telemetry() }
 
 // Contains queries membership under gatekeeping.
 func (k *GKTree) Contains(tx *engine.Tx, p Point) (bool, error) {
-	ret, err := k.g.Invoke(tx, k.contains, core.Args1(core.V(p)), func() gatekeeper.Effect {
+	ret, err := k.g.Invoke(tx, k.contains, core.Args1(core.VVec(p)), func() gatekeeper.Effect {
 		return gatekeeper.Effect{Ret: core.VBool(k.t.Contains(p))}
 	})
 	if err != nil {
@@ -231,8 +250,9 @@ type LockedTree struct {
 	// Compiled acquisition handles, one per method.
 	add, remove, nearest, contains *abslock.Method
 
-	mu sync.Mutex
-	t  *Tree
+	mu  sync.Mutex
+	t   *Tree
+	log undoLog // guarded by mu
 }
 
 // NewLocked creates the abstract-locked kd-tree.
@@ -271,7 +291,7 @@ func (l *LockedTree) Len() int {
 
 // Add inserts p under the lock discipline.
 func (l *LockedTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.Acquire(tx, l.add, core.V(p)); err != nil {
+	if err := l.mgr.Acquire(tx, l.add, core.VVec(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()
@@ -279,17 +299,13 @@ func (l *LockedTree) Add(tx *engine.Tx, p Point) (bool, error) {
 	if !l.t.Add(p) {
 		return false, nil
 	}
-	tx.OnUndo(func() {
-		l.mu.Lock()
-		l.t.Remove(p)
-		l.mu.Unlock()
-	})
+	l.log.record(tx, l, p, true)
 	return true, nil
 }
 
 // Remove deletes p under the lock discipline.
 func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.Acquire(tx, l.remove, core.V(p)); err != nil {
+	if err := l.mgr.Acquire(tx, l.remove, core.VVec(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()
@@ -297,25 +313,37 @@ func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
 	if !l.t.Remove(p) {
 		return false, nil
 	}
-	tx.OnUndo(func() {
-		l.mu.Lock()
-		l.t.Add(p)
-		l.mu.Unlock()
-	})
+	l.log.record(tx, l, p, false)
 	return true, nil
+}
+
+// UndoTx reverts tx's mutations, newest first. Registered as an
+// engine.Undoer by the transaction's first mutation.
+func (l *LockedTree) UndoTx(tx *engine.Tx) {
+	l.mu.Lock()
+	l.log.undo(tx, l, l.t)
+	l.mu.Unlock()
+}
+
+// ReleaseTx recycles tx's mutation records. Registered as an
+// engine.Releaser by the transaction's first mutation.
+func (l *LockedTree) ReleaseTx(tx *engine.Tx) {
+	l.mu.Lock()
+	l.log.release(tx, l)
+	l.mu.Unlock()
 }
 
 // Nearest queries under the lock discipline (serialized against all
 // mutators by the synthesized ds lock), then locks the returned point in
 // the scheme's post-execution nearest:ret mode.
 func (l *LockedTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
-	if err := l.mgr.Acquire(tx, l.nearest, core.V(p)); err != nil {
+	if err := l.mgr.Acquire(tx, l.nearest, core.VVec(p)); err != nil {
 		return None, err
 	}
 	l.mu.Lock()
 	q := l.t.Nearest(p)
 	l.mu.Unlock()
-	if err := l.mgr.AcquirePost(tx, l.nearest, core.V(q), core.V(p)); err != nil {
+	if err := l.mgr.AcquirePost(tx, l.nearest, core.VVec(q), core.VVec(p)); err != nil {
 		return None, err
 	}
 	return q, nil
@@ -323,7 +351,7 @@ func (l *LockedTree) Nearest(tx *engine.Tx, p Point) (Point, error) {
 
 // Contains queries membership under the lock discipline.
 func (l *LockedTree) Contains(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.Acquire(tx, l.contains, core.V(p)); err != nil {
+	if err := l.mgr.Acquire(tx, l.contains, core.VVec(p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()

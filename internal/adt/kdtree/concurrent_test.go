@@ -22,7 +22,7 @@ func (m *treeModel) Clone() core.Model {
 }
 
 func (m *treeModel) Apply(method string, args []core.Value) (core.Value, error) {
-	p, ok := args[0].Unbox().(Point)
+	p, ok := args[0].AsVec()
 	if !ok {
 		return core.Value{}, fmt.Errorf("bad arg %v", args[0])
 	}
@@ -44,7 +44,7 @@ func (m *treeModel) Apply(method string, args []core.Value) (core.Value, error) 
 		}
 		return core.VBool(false), nil
 	case "nearest":
-		return core.V(bruteNearest(m.pts, p)), nil
+		return core.VVec(bruteNearest(m.pts, p)), nil
 	case "contains":
 		for _, q := range m.pts {
 			if q == p {
@@ -86,7 +86,7 @@ func TestSpecSoundByBruteForce(t *testing.T) {
 	var calls []core.Call
 	for _, method := range []string{"add", "remove", "nearest", "contains"} {
 		for _, p := range pts {
-			calls = append(calls, core.Call{Method: method, Args: []core.Value{core.V(p)}})
+			calls = append(calls, core.Call{Method: method, Args: []core.Value{core.VVec(p)}})
 		}
 	}
 	bad, err := core.CheckCondSound(spec, states, calls)

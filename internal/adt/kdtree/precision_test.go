@@ -99,7 +99,7 @@ func TestSerializableRandomHistories(t *testing.T) {
 			method := []string{"add", "remove", "nearest", "contains"}[r.Intn(4)]
 			hist[i] = core.Step{
 				Tx:   r.Intn(2),
-				Call: core.Call{Method: method, Args: []core.Value{core.V(grid[r.Intn(len(grid))])}},
+				Call: core.Call{Method: method, Args: []core.Value{core.VVec(grid[r.Intn(len(grid))])}},
 			}
 		}
 		rep, err := core.CheckSerializable(m, spec, hist)

@@ -80,8 +80,8 @@ func Resolve(fn string, args []core.Value) (core.Value, error) {
 	if fn != DistFn {
 		return core.Value{}, core.ErrUnknownFn(fn)
 	}
-	a, aok := args[0].Unbox().(Point)
-	b, bok := args[1].Unbox().(Point)
+	a, aok := args[0].AsVec()
+	b, bok := args[1].AsVec()
 	if !aok || !bok {
 		return core.Value{}, core.ErrBadArgs(fn)
 	}

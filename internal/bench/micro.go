@@ -70,7 +70,7 @@ func Micros() []Micro {
 		{"DetectorCascadeGatekeeper", cascade},
 		{"DetectorGeneralGatekeeper", general},
 		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
-		// Budget 7, none of it the gatekeeper's: see the function.
+		// Budget 0: points ride inline, undo is the methods' inverses.
 		{"DetectorForwardKDTree", DetectorForwardKDTree},
 		{"DetectorUnionFindGeneric", generic},
 		// Union-find under abstract locks.
@@ -296,23 +296,23 @@ func DetectorUnionFindGKFind(b *testing.B) {
 }
 
 // DetectorForwardKDTree: what clustering asks of the forward gatekeeper
-// through kdtree.GKTree, which no intset row reaches — ref-kind
-// arguments the disequality index cannot key, a logged dist(a, r) per
-// nearest, an undo hook per mutation. One iteration is one transaction
+// through kdtree.GKTree, which no intset row reaches — vector arguments
+// the disequality index cannot key, a logged dist(a, r) per nearest, a
+// method inverse per mutation. One iteration is one transaction
 // shaped like cluster.Step: contains(p), n = nearest(p), nearest(n), and
 // in every third transaction remove(p), remove(n), add(midpoint), with p
 // there the midpoint the last such transaction added, so that all three
 // change the tree. The tree is reseeded (off the clock) every 2¹²
 // transactions.
 //
-// Its budget is what the value domain and the wrapper allocate, counted
-// per transaction: every core.V(Point) boxes its point — one per
-// argument and one per nearest result, 5 in the queries and 3 more in
-// the mutations of every third transaction, 6 on average — and each of
-// those three mutations allocates its Undo closure, 1 on average: 7.
-// The tree's own bucket growth adds a few hundredths, so allocs/op
-// reads 7, and one allocation per transaction on the gatekeeper's
-// logged path reads 8.
+// Its budget is 0. A point travels as a core.VVec, stored in the
+// Value's own words, as argument and as nearest result alike; a
+// mutation's effect reports Changed and is undone, should the
+// transaction abort, by the method's inverse read back from the logged
+// invocation, so no closure is built per call. The tree's own bucket
+// growth adds a few hundredths of an allocation per transaction, below
+// the one allocs/op would show, so a single allocation per transaction
+// anywhere on the path reads 1.
 func DetectorForwardKDTree(b *testing.B) {
 	const perTree = 1 << 12
 	pts := workload.RandomPoints(perTree, 1000, 1)

@@ -26,10 +26,11 @@ const (
 	KindBool               // bits is 0 or 1
 	KindInt                // bits holds the int64 bit pattern
 	KindFloat              // bits holds math.Float64bits
-	KindString             // str holds the string, bits its precomputed hash
+	KindString             // ref holds the string, bits its precomputed hash
 	KindNaN                // canonical NaN map key produced by MapKey
 	KindUnset              // detector-internal "slot not filled" sentinel
 	KindRef                // escape hatch: arbitrary (comparable) user types
+	KindVec                // three float64 components in bits, w[0] and w[1]
 )
 
 func (k Kind) String() string {
@@ -50,6 +51,8 @@ func (k Kind) String() string {
 		return "unset"
 	case KindRef:
 		return "ref"
+	case KindVec:
+		return "vec"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -58,9 +61,11 @@ func (k Kind) String() string {
 // Value is the dynamic value domain of the logic: method arguments, return
 // values, constants and state-function results. It is an inline tagged
 // union — booleans, integers (normalized to int64), floats (normalized to
-// float64) and strings are stored unboxed, so constructing, comparing,
-// hashing and map-keying them never allocates. Comparable user types (graph
-// nodes, points) ride in the ref escape hatch and compare with ==.
+// float64) and three-component vectors (kd-tree points) are stored in the
+// Value's own words, so constructing, comparing and hashing them never
+// allocates. A string rides in ref with its hash precomputed in bits.
+// Comparable user types (graph nodes) ride in the ref escape hatch and
+// compare with ==.
 //
 // The zero Value is the nil value (KindNil), used for methods without a
 // meaningful return. Values of basic kinds are canonical: two equal
@@ -69,9 +74,9 @@ func (k Kind) String() string {
 // cross-kind numeric equality).
 type Value struct {
 	kind Kind
-	bits uint64 // bool: 0/1; int: int64 bits; float: Float64bits; string: hash
-	str  string
-	ref  any
+	bits uint64    // bool: 0/1; int: int64 bits; float: Float64bits; string: hash; vec: component 0's Float64bits
+	w    [2]uint64 // vec: components 1 and 2's Float64bits
+	ref  any       // string: the string; ref: the user value
 }
 
 // Nil returns the nil Value (identical to the zero Value).
@@ -93,8 +98,16 @@ func VInt(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 func VFloat(f float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(f)} }
 
 // VString returns a string Value. The hash is precomputed so later Hash
-// calls are O(1).
-func VString(s string) Value { return Value{kind: KindString, bits: fnv64(s), str: s} }
+// calls are O(1). The string is stored as an interface, so a string built
+// at run time costs one allocation for its header; a constant does not.
+func VString(s string) Value { return Value{kind: KindString, bits: fnv64(s), ref: s} }
+
+// VVec returns a three-component vector Value, stored inline: building,
+// comparing and hashing it never allocates.
+func VVec(c [3]float64) Value {
+	return Value{kind: KindVec, bits: math.Float64bits(c[0]),
+		w: [2]uint64{math.Float64bits(c[1]), math.Float64bits(c[2])}}
+}
 
 // Unset returns the detector-internal sentinel marking an unfilled slot.
 // It compares unequal (via ValueEq) to every value including itself.
@@ -103,8 +116,9 @@ func Unset() Value { return Value{kind: KindUnset} }
 // V converts a Go value into a tagged Value, normalizing so that equality
 // and ordering behave uniformly: every integer kind becomes KindInt
 // (int64) and float32 becomes KindFloat (float64). A Value passes through
-// unchanged; nil becomes the nil Value; other types go to KindRef, and
-// must be comparable with == if they will be compared or indexed.
+// unchanged; nil becomes the nil Value; a [3]float64 becomes KindVec;
+// other types go to KindRef, and must be comparable with == if they will
+// be compared or indexed.
 //
 // Normalization happens once at construction, so every later
 // ValueEq/Compare/MapKey/Hash is allocation-free.
@@ -142,6 +156,8 @@ func V(x any) Value {
 		return VFloat(v)
 	case string:
 		return VString(v)
+	case [3]float64:
+		return VVec(v)
 	default:
 		return Value{kind: KindRef, ref: x}
 	}
@@ -177,7 +193,22 @@ func (v Value) AsNumber() (float64, bool) {
 }
 
 // AsString returns the string payload, if v is a string.
-func (v Value) AsString() (string, bool) { return v.str, v.kind == KindString }
+func (v Value) AsString() (string, bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.ref.(string), true
+}
+
+// AsVec returns the vector payload, if v is a vector. Like AsInt it has a
+// pointer receiver, so no Value is copied.
+func (v *Value) AsVec() ([3]float64, bool) {
+	if v.kind != KindVec {
+		return [3]float64{}, false
+	}
+	return [3]float64{math.Float64frombits(v.bits),
+		math.Float64frombits(v.w[0]), math.Float64frombits(v.w[1])}, true
+}
 
 // Bool returns the boolean payload or panics, mirroring a .(bool)
 // assertion on the old boxed representation.
@@ -209,7 +240,7 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic("core: Value is " + v.kind.String() + ", not string")
 	}
-	return v.str
+	return v.ref.(string)
 }
 
 // Ref returns the user-type payload or panics.
@@ -222,7 +253,8 @@ func (v Value) Ref() any {
 
 // Unbox returns the value as a plain Go any, the way the old boxed
 // representation stored it: nil, bool, int64, float64, string, or the
-// user value. It allocates for kinds a Go interface cannot hold inline.
+// user value, and a vector as a [3]float64. It allocates for kinds a Go
+// interface cannot hold inline.
 func (v Value) Unbox() any {
 	switch v.kind {
 	case KindNil:
@@ -233,10 +265,11 @@ func (v Value) Unbox() any {
 		return int64(v.bits)
 	case KindFloat:
 		return math.Float64frombits(v.bits)
-	case KindString:
-		return v.str
-	case KindRef:
+	case KindString, KindRef:
 		return v.ref
+	case KindVec:
+		c, _ := v.AsVec()
+		return c
 	case KindNaN:
 		return math.NaN()
 	default:
@@ -261,7 +294,11 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(math.Float64frombits(v.bits), 'g', -1, 64)
 	case KindString:
-		return v.str
+		return v.ref.(string)
+	case KindVec:
+		return "(" + strconv.FormatFloat(math.Float64frombits(v.bits), 'g', -1, 64) +
+			"," + strconv.FormatFloat(math.Float64frombits(v.w[0]), 'g', -1, 64) +
+			"," + strconv.FormatFloat(math.Float64frombits(v.w[1]), 'g', -1, 64) + ")"
 	case KindNaN:
 		return "NaN-key"
 	case KindUnset:
@@ -275,8 +312,9 @@ func (v Value) String() string {
 
 // Hash is KeyHash made total: the canonical key hash where there is one
 // (so int64(5) and float64(5.0) collide as ValueEq demands), and for the
-// values KeyHash refuses a hash of the representation — still equal for
-// == refs, which hash by their printed form (the only allocating case).
+// values KeyHash refuses a hash of the representation — equal for
+// ValueEq-equal vectors (−0 hashes as +0), and for == refs, which hash by
+// their printed form (the only allocating case).
 func (v Value) Hash() uint64 {
 	if h, ok := v.KeyHash(); ok {
 		return h
@@ -284,6 +322,10 @@ func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindFloat: // integral, at or beyond ±2^53
 		return splitmix64(v.bits)
+	case KindVec:
+		h := splitmix64(vecComponentBits(v.bits))
+		h = splitmix64(h ^ vecComponentBits(v.w[0]))
+		return splitmix64(h ^ vecComponentBits(v.w[1]))
 	case KindUnset:
 		return 0xdeadbeefdeadbeef
 	default:
@@ -327,6 +369,15 @@ func (v *Value) KeyHash() (uint64, bool) {
 	}
 }
 
+// vecComponentBits is the bit pattern a vector component hashes by: −0
+// as +0, so components equal under float == hash alike.
+func vecComponentBits(b uint64) uint64 {
+	if b == 1<<63 {
+		return 0
+	}
+	return b
+}
+
 // splitmix64 is the finalizer of the SplitMix64 generator: a fast,
 // well-mixed 64-bit hash for integer keys.
 func splitmix64(x uint64) uint64 {
@@ -360,7 +411,11 @@ func ValueEq(a, b Value) bool {
 		case KindFloat:
 			return math.Float64frombits(a.bits) == math.Float64frombits(b.bits)
 		case KindString:
-			return a.str == b.str
+			return a.bits == b.bits && a.ref.(string) == b.ref.(string)
+		case KindVec:
+			return math.Float64frombits(a.bits) == math.Float64frombits(b.bits) &&
+				math.Float64frombits(a.w[0]) == math.Float64frombits(b.w[0]) &&
+				math.Float64frombits(a.w[1]) == math.Float64frombits(b.w[1])
 		case KindNaN:
 			// The canonical NaN key exists only so an index can bucket
 			// NaNs together; as a value it keeps NaN's self-inequality.
@@ -460,7 +515,7 @@ const maxExactFloatKey = 1 << 53
 // surface too many candidates, never too few). The second result is
 // false for values the map cannot key soundly — integral floats at or
 // beyond ±2^53 (where float rounding makes ValueEq non-transitive across
-// int64s) and ref values (which may not even be comparable); callers
+// int64s), vectors, and ref values (which may not even be comparable); callers
 // must treat such values as potentially colliding with everything.
 func MapKey(v Value) (Value, bool) {
 	switch v.kind {

@@ -10,7 +10,8 @@ import (
 // must agree with the original `Value = any` implementation (reproduced
 // below as the oracle) for every mix of spellings — int64 vs float64
 // spellings of the same number, NaN, ±0, integral floats at and beyond
-// ±2^53, strings, and comparable user types.
+// ±2^53, strings, comparable user types, and three-component vectors,
+// whose oracle is Go's own [3]float64 ==.
 
 // boxedNorm is the old Norm over `any`.
 func boxedNorm(v any) any {
@@ -130,7 +131,7 @@ type fuzzUser struct{ X, Y int64 }
 // raw material. The universe deliberately includes every hazard named in
 // the representation's contracts.
 func spellValue(sel uint8, i int64, f float64, s string) any {
-	switch sel % 16 {
+	switch sel % 18 {
 	case 0:
 		return nil
 	case 1:
@@ -162,20 +163,49 @@ func spellValue(sel uint8, i int64, f float64, s string) any {
 		return s
 	case 14:
 		return fuzzUser{X: i, Y: int64(len(s))}
+	case 16:
+		// A vector of mixed components: the float material and two
+		// hazards.
+		return [3]float64{f, vecHazard(i >> 2), vecHazard(i >> 4)}
+	case 17:
+		// A vector of hazards only: NaN, ±0 and 1 in every position.
+		return [3]float64{vecHazard(i >> 2), vecHazard(i >> 4), vecHazard(i >> 6)}
 	default:
 		return i % 4 // tiny ints: collisions with float spellings likely
 	}
 }
 
+// vecHazard picks a vector component from the values float == treats
+// specially, by the low two bits of i. The spellings shift i past the two
+// bits the second operand's i+sel%3 perturbs, so the two sides of a pair
+// often spell equal vectors, −0 against +0 among them.
+func vecHazard(i int64) float64 {
+	switch i & 3 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.NaN()
+	default:
+		return 1
+	}
+}
+
 func FuzzValueSemanticsMatchBoxed(f *testing.F) {
-	f.Add(uint8(2), uint8(7), int64(5), 5.0, "a", "a")     // int 5 vs float 5.0
-	f.Add(uint8(8), uint8(8), int64(0), 0.0, "", "")       // NaN vs NaN
-	f.Add(uint8(9), uint8(2), int64(0), 0.0, "", "")       // -0.0 vs int 0
-	f.Add(uint8(11), uint8(2), int64(1)<<53, 0.0, "", "")  // 2^53 float vs int
-	f.Add(uint8(13), uint8(13), int64(0), 0.0, "x", "x")   // equal strings
-	f.Add(uint8(14), uint8(14), int64(3), 0.0, "ab", "ab") // user type
-	f.Add(uint8(6), uint8(5), int64(0), 1.5, "", "")       // float32 rounding
-	f.Add(uint8(10), uint8(10), int64(0), 0.0, "", "")     // ±Inf
+	f.Add(uint8(2), uint8(7), int64(5), 5.0, "a", "a")                  // int 5 vs float 5.0
+	f.Add(uint8(8), uint8(8), int64(0), 0.0, "", "")                    // NaN vs NaN
+	f.Add(uint8(9), uint8(2), int64(0), 0.0, "", "")                    // -0.0 vs int 0
+	f.Add(uint8(11), uint8(2), int64(1)<<53, 0.0, "", "")               // 2^53 float vs int
+	f.Add(uint8(13), uint8(13), int64(0), 0.0, "x", "x")                // equal strings
+	f.Add(uint8(14), uint8(14), int64(3), 0.0, "ab", "ab")              // user type
+	f.Add(uint8(6), uint8(5), int64(0), 1.5, "", "")                    // float32 rounding
+	f.Add(uint8(10), uint8(10), int64(0), 0.0, "", "")                  // ±Inf
+	f.Add(uint8(17), uint8(17), int64(2), 0.0, "", "")                  // (0,0,0) vs (−0,0,0)
+	f.Add(uint8(17), uint8(17), int64(8), 0.0, "", "")                  // (NaN,0,0) twice
+	f.Add(uint8(16), uint8(16), int64(0), 2.5, "", "")                  // equal mixed vectors
+	f.Add(uint8(16), uint8(17), int64(0), math.Copysign(0, -1), "", "") // (−0,0,0) vs (0,0,0)
+	f.Add(uint8(16), uint8(5), int64(0), 2.5, "", "")                   // a vector vs a float
 	f.Fuzz(func(t *testing.T, selA, selB uint8, i int64, fl float64, s1, s2 string) {
 		ba := spellValue(selA, i, fl, s1)
 		bb := spellValue(selB, i+int64(selB%3), fl, s2)
@@ -228,6 +258,27 @@ func FuzzValueSemanticsMatchBoxed(f *testing.F) {
 				t.Fatalf("KeyHash(%#v) = %#x, %v; MapKey gives %v, %v hashing to %#x; Hash = %#x",
 					c.v.Unbox(), h, ok, c.k, c.ok, c.k.Hash(), c.v.Hash())
 			}
+		}
+
+		// Vectors: the key functions refuse them (above, through the
+		// boxed oracle's unkeyable default), the accessor returns the
+		// array the oracle holds, and Hash, total, agrees on
+		// ValueEq-equal vectors — −0 and +0 components alike.
+		for _, c := range []struct {
+			v Value
+			b any
+		}{{va, ba}, {vb, bb}} {
+			if arr, isVec := c.b.([3]float64); isVec {
+				got, ok := c.v.AsVec()
+				if !ok || math.Float64bits(got[0]) != math.Float64bits(arr[0]) ||
+					math.Float64bits(got[1]) != math.Float64bits(arr[1]) ||
+					math.Float64bits(got[2]) != math.Float64bits(arr[2]) {
+					t.Fatalf("AsVec(V(%#v)) = %#v, %v", arr, got, ok)
+				}
+			}
+		}
+		if va.Kind() == KindVec && vb.Kind() == KindVec && ValueEq(va, vb) && va.Hash() != vb.Hash() {
+			t.Fatalf("ValueEq(%v, %v) but Hash %#x ≠ %#x", va, vb, va.Hash(), vb.Hash())
 		}
 	})
 }

@@ -3,7 +3,66 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
+
+// TestValueIsFortyEightBytes pins the layout: every argument, log slot
+// and return value on the detector hot paths is a Value copied by value,
+// so a field added to it costs every one of them.
+func TestValueIsFortyEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 48", got)
+	}
+}
+
+// TestVecValues: a vector is stored inline and compares componentwise
+// with float ==, like Go's [3]float64 ==: −0 equals +0 and hashes alike,
+// a NaN component makes it unequal to itself, and the key functions
+// refuse it as they refuse refs.
+func TestVecValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	a := VVec([3]float64{1, 2.5, negZero})
+	if c, ok := a.AsVec(); !ok || c != [3]float64{1, 2.5, 0} || math.Signbit(c[2]) != true {
+		t.Fatalf("AsVec round trip = %v, %v", c, ok)
+	}
+	if a.Kind() != KindVec || V([3]float64{1, 2.5, negZero}) != a {
+		t.Fatalf("V([3]float64) = %#v, want the vector kind", V([3]float64{1, 2.5, negZero}))
+	}
+	iv := VInt(1)
+	if _, ok := iv.AsVec(); ok {
+		t.Error("AsVec on an int must fail")
+	}
+	b := VVec([3]float64{1, 2.5, 0})
+	if !ValueEq(a, b) || a.Hash() != b.Hash() {
+		t.Errorf("−0 and +0 components: ValueEq %v, hashes %#x, %#x", ValueEq(a, b), a.Hash(), b.Hash())
+	}
+	if ValueEq(a, VVec([3]float64{1, 2.5, 1})) || ValueEq(a, VFloat(1)) {
+		t.Error("distinct vectors, or a vector and a float, compare equal")
+	}
+	if n := VVec([3]float64{math.NaN(), 0, 0}); ValueEq(n, n) {
+		t.Error("a vector with a NaN component equals itself")
+	}
+	if _, ok := a.KeyHash(); ok {
+		t.Error("KeyHash keys a vector")
+	}
+	if _, ok := MapKey(a); ok {
+		t.Error("MapKey keys a vector")
+	}
+	if got := a.String(); got != "(1,2.5,-0)" {
+		t.Errorf("String = %q", got)
+	}
+	if got, ok := a.Unbox().([3]float64); !ok || got != [3]float64{1, 2.5, 0} {
+		t.Errorf("Unbox = %#v", a.Unbox())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		v := VVec([3]float64{1, 2, 3})
+		if c, _ := v.AsVec(); !ValueEq(v, VVec(c)) || v.Hash() == 0 {
+			t.Fatal("vector round trip")
+		}
+	}); n != 0 {
+		t.Errorf("building, reading, comparing and hashing a vector allocates %v times", n)
+	}
+}
 
 func TestNormIntegers(t *testing.T) {
 	cases := []any{int(7), int8(7), int16(7), int32(7), int64(7), uint(7), uint8(7), uint16(7), uint32(7), uint64(7)}

@@ -419,14 +419,30 @@ func (tx *Tx) Abort() {
 	if tx.sealed {
 		panic(fmt.Sprintf("engine: abort of sealed transaction %d: its writes have no undo", tx.id))
 	}
+	tx.abort(true)
+}
+
+// abandon ends a transaction whose iteration body panicked. An unsealed
+// one aborts. A sealed one cannot roll back (see Seal), so it ends without
+// undo: the release hooks and the end owner's ReleaseTx run as on abort,
+// so no lock or log entry outlives the run, and the writes made since
+// Seal stay. The run reports the panic.
+func (tx *Tx) abandon() { tx.abort(!tx.sealed) }
+
+// abort ends an active transaction as aborted, running its undo actions
+// first when undo is set.
+func (tx *Tx) abort(undo bool) {
 	tx.status = Aborted
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i].UndoTx(tx)
+	tx.sealed = false
+	if undo {
+		for i := len(tx.undo) - 1; i >= 0; i-- {
+			tx.undo[i].UndoTx(tx)
+		}
+		if u, ok := tx.end.(Undoer); ok {
+			u.UndoTx(tx)
+		}
 	}
 	clearHooks(&tx.undo)
-	if u, ok := tx.end.(Undoer); ok {
-		u.UndoTx(tx)
-	}
 	tx.runRelease()
 	if e := tx.end; e != nil {
 		tx.end = nil

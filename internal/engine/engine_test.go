@@ -568,6 +568,31 @@ func TestRunBodyPanic(t *testing.T) {
 	})
 }
 
+// TestRunBodyPanicAfterSeal: a body that panics after Seal still ends the
+// run with the panic's error, not a second panic from aborting a sealed
+// transaction. Its release hooks run, so nothing it held outlives the
+// run; its undo actions do not, since the sealed writes have none.
+func TestRunBodyPanicAfterSeal(t *testing.T) {
+	forEntryPoints(t, func(t *testing.T, run runFunc) {
+		var order []string
+		_, err := run([]int{1, 2, 3}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
+			if item == 2 {
+				tx.OnUndo(func() { order = append(order, "undo") })
+				tx.OnReleaser(releaseFunc(func() { order = append(order, "release") }))
+				tx.Seal()
+				panic("kaboom")
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "engine: iteration body panicked: kaboom") {
+			t.Fatalf("run with a body panicking after Seal returned %v", err)
+		}
+		if len(order) != 1 || order[0] != "release" {
+			t.Errorf("hooks ran %v, want [release]", order)
+		}
+	})
+}
+
 func TestRunConcurrentCounterWithLockDiscipline(t *testing.T) {
 	// Simulate a guarded shared counter: a CAS-like conflict when the
 	// "lock" is held, exercising abort/undo paths under real parallelism.

@@ -134,13 +134,14 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 			}
 			defer func() {
 				// A panicking body cancels the run. What its attempt left
-				// active is aborted first (undo, then release), so no
-				// detector slot or abstract lock outlives the run. Shells
-				// of earlier attempts still in the buffer have finished.
+				// active is ended first (undo unless sealed, then
+				// release), so no detector slot or abstract lock outlives
+				// the run. Shells of earlier attempts still in the buffer
+				// have finished.
 				if r := recover(); r != nil {
 					for _, tx := range wk.txs {
 						if tx != nil && tx.Status() == Active {
-							tx.Abort()
+							tx.abandon()
 						}
 					}
 					stop.Store(true)

@@ -21,16 +21,20 @@ import (
 )
 
 // Effect is what executing a method invocation produced: its return value
-// and an inverse action that undoes its state change (nil for read-only
-// invocations, which also covers mutating methods that happened not to
-// change anything, e.g. add of a present element). A general gatekeeper
-// requires Undo to restore the exact prior state and Redo to re-apply the
-// exact change, to roll the structure back to earlier states and forward
-// again (§3.3.2); the others ignore Redo.
+// and how to undo its state change (neither, for read-only invocations,
+// which also covers mutating methods that happened not to change
+// anything, e.g. add of a present element). A forward gatekeeper whose
+// method has an inverse (Method.SetInverse) takes Changed: the change is
+// undone by calling the inverse on the logged invocation, with no closure
+// built per call. Otherwise Undo is the inverse action. A general
+// gatekeeper requires Undo to restore the exact prior state and Redo to
+// re-apply the exact change, to roll the structure back to earlier states
+// and forward again (§3.3.2); the others ignore Redo.
 type Effect struct {
-	Ret  core.Value
-	Undo func()
-	Redo func()
+	Ret     core.Value
+	Changed bool
+	Undo    func()
+	Redo    func()
 }
 
 // Forward is a forward gatekeeper (§3.3.1): it builds up information
@@ -167,8 +171,8 @@ func newForward(spec *core.Spec, res core.StateFn, indexed bool) (*Forward, erro
 // with some active invocation, Invoke undoes
 // the effect inside its atomic section and returns an error satisfying
 // engine.IsConflict. On success the invocation joins the active log
-// until tx ends, and its entry keeps the effect's undo action (if any)
-// for a later abort.
+// until tx ends, and its entry keeps the effect's undo action, or its
+// Changed flag, for a later abort.
 //
 // Arguments travel in a flat core.Vec passed by value — build it with
 // core.Args1/Args2/... at the call site; no argument slice is ever
@@ -192,6 +196,12 @@ func (g *Forward) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 
 	eff := exec()
 	e.inv.Ret, e.undo = eff.Ret, eff.Undo
+	if eff.Changed {
+		if mt.inverse == nil {
+			panic("gatekeeper: " + mt.name + " reports a change but has no inverse")
+		}
+		e.changed = true
+	}
 
 	// After execution: our pure s1 functions (may use the return value),
 	// the probes whose key needs r2 (such plans carry no fn2, enforced

@@ -96,6 +96,9 @@ func (g *General) Invoke(tx *engine.Tx, mt *Method, args core.Vec, exec func() E
 
 	eff := exec()
 	e.inv.Ret, e.undo = eff.Ret, eff.Undo
+	if eff.Changed {
+		panic("gatekeeper: general gatekeeper Effect with Changed: it journals Undo and Redo")
+	}
 	if eff.Undo != nil {
 		if eff.Redo == nil {
 			panic("gatekeeper: general gatekeeper Effect with Undo but no Redo")

@@ -49,11 +49,13 @@ type entry struct {
 	// entry (0 = none) — the chain UndoTx and ReleaseTx walk.
 	id, prevTx uint32
 
-	// undo reverts the invocation's effect (nil for none). A general
-	// gatekeeper also journals the effect: seq is the entry's place in the
-	// journal (0 = not journaled), redo re-applies the effect, and
-	// jprev/jnext link the journal in seq order.
+	// undo reverts the invocation's effect (nil for none); changed says
+	// the method's inverse reverts it instead, read back from inv. A
+	// general gatekeeper also journals the effect: seq is the entry's
+	// place in the journal (0 = not journaled), redo re-applies the
+	// effect, and jprev/jnext link the journal in seq order.
 	undo, redo   func()
+	changed      bool
 	seq          uint64
 	jprev, jnext *entry
 }
@@ -143,7 +145,17 @@ type Method struct {
 	pre, post []*pairPlan
 	slots     []*keySlot // disequality key slots entries of this method are filed in
 	active    []*entry
+	// inverse undoes an invocation of this method that reported a change,
+	// from its arguments and return value (see SetInverse).
+	inverse func(inv *core.Invocation)
 }
+
+// SetInverse gives the method an inverse: an Effect that reports Changed
+// is undone by calling inv on the invocation as the gatekeeper logged it,
+// arguments and return value, so the guarded structure builds no undo
+// closure per call. Set it once, when the structure is built and before
+// its first invocation.
+func (m *Method) SetInverse(inv func(inv *core.Invocation)) { m.inverse = inv }
 
 // logged is the active log. All mutable state is guarded by mu, which
 // also makes a gatekeeper's intercept–check–execute–record sequence
@@ -311,9 +323,7 @@ func (l *logged) begin(tx *engine.Tx, mt *Method, args *core.Vec) (*entry, int64
 // last arguments for as long as the gatekeeper idles.
 func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 	if e := l.cur; e != nil {
-		if e.undo != nil {
-			e.undo()
-		}
+		l.revert(e)
 		if e.seq != 0 {
 			l.unlinkJournal(e)
 		}
@@ -337,6 +347,16 @@ func (l *logged) end(tx *engine.Tx, mid uint16, t0 int64, err *error) {
 	}
 	l.vals, l.nvals = l.vals[:0], 0
 	l.mu.Unlock()
+}
+
+// revert undoes the entry's effect: its undo action, or its method's
+// inverse applied to the logged invocation.
+func (l *logged) revert(e *entry) {
+	if e.undo != nil {
+		e.undo()
+	} else if e.changed {
+		l.methods[e.mid].inverse(&e.inv)
+	}
 }
 
 // bind points the checker context at the first (active) and second
@@ -564,6 +584,7 @@ func (l *logged) removeActive(mt *Method, e *entry) {
 func (l *logged) putEntry(e *entry) {
 	e.tx = nil
 	e.undo, e.redo = nil, nil
+	e.changed = false
 	e.seq = 0
 	e.jprev, e.jnext = nil, nil
 	e.inv.Release()
@@ -589,9 +610,7 @@ func (l *logged) UndoTx(tx *engine.Tx) {
 	for id := uint32(*tx.AttachedWord(l)); id != 0; {
 		e := l.entries[id-1]
 		id = e.prevTx
-		if e.undo != nil {
-			e.undo()
-		}
+		l.revert(e)
 		if e.seq != 0 {
 			l.unlinkJournal(e)
 		}
