@@ -29,6 +29,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,11 +37,6 @@ import (
 	"time"
 
 	"commlat/internal/abslock"
-	"commlat/internal/adt/accum"
-	"commlat/internal/adt/flowgraph"
-	"commlat/internal/adt/intset"
-	"commlat/internal/adt/kdtree"
-	"commlat/internal/adt/unionfind"
 	"commlat/internal/analysis"
 	"commlat/internal/apps"
 	"commlat/internal/bench"
@@ -188,13 +184,13 @@ func commands() []command {
 		{"fig10", "preflow-push run time vs threads (part, ex, ml)", cmdFig(10), ""},
 		{"fig11", "clustering run time vs threads (kd-ml vs kd-gk)", cmdFig(11), ""},
 		{"fig12", "Boruvka run time vs threads (uf-ml vs uf-gk)", cmdFig(12), ""},
-		{"matrices", "synthesized lock modes and compatibility matrices (fig. 8)", cmdMatrices,
-			"figure 8 — synthesized matrices"},
 		{"model", "the §5 T·o/min(a,p) scheme-selection model on Table 1's rows", cmdModel,
 			"§5 model — scheme selection (preflow-push)"},
-		{"specs", "print every commutativity specification and its class", cmdSpecs, ""},
-		{"strengthen", "derive the strongest SIMPLE spec below a given one (§4.1)", cmdStrengthen,
-			"§4.1 — strengthening figure 2 to figure 3"},
+		{"specs", "every shipped lattice point with its §4 move, class and\n" +
+			"conditions, the lock matrices of each synthesizable one\n" +
+			"(fig. 8) and the SIMPLE strengthening of each non-SIMPLE\n" +
+			"hand-written one (§4.1); -adt picks one ADT", cmdSpecs,
+			"specifications — lattice moves, figure 8 matrices, §4.1 strengthening"},
 		{"trace", "run one app with the telemetry event trace enabled; writes a\n" +
 			"Chrome trace_event JSON (and optionally JSONL) plus the\n" +
 			"per-method-pair conflict attribution table", cmdTrace, ""},
@@ -203,7 +199,7 @@ func commands() []command {
 			"admission records (-json, -o and -percentiles write the\n" +
 			"JSON documents)", cmdFlightrec, ""},
 		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
-		{"all", "run every quick experiment (tables, matrices, model, strengthening)", cmdAll, ""},
+		{"all", "run every quick experiment (tables, specifications, model)", cmdAll, ""},
 		{"help", "print this text", cmdHelp, ""},
 	}
 }
@@ -482,35 +478,6 @@ func cmdFig(n int) func(args []string) error {
 	}
 }
 
-func cmdMatrices(args []string) error {
-	fs := flag.NewFlagSet("matrices", flag.ExitOnError)
-	which := fs.String("spec", "accumulator", "accumulator | set | flowgraph")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	specs := map[string][]*core.Spec{
-		"accumulator": {accum.Spec()},
-		"set":         {intset.RWSpec(), intset.ExclusiveSpec(), intset.BottomSpec()},
-		"flowgraph":   {flowgraph.RWSpec(), flowgraph.ExclusiveSpec()},
-	}
-	list, ok := specs[*which]
-	if !ok {
-		return flagError(fs, "spec", fmt.Errorf("%q: want accumulator, set or flowgraph", *which))
-	}
-	for _, spec := range list {
-		fmt.Printf("=== %s (%s)\n%s\n", spec.Sig.Name, spec.Classify(), spec)
-		scheme, err := abslock.Synthesize(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Println("full compatibility matrix (figure 8a):")
-		fmt.Println(scheme.MatrixString())
-		fmt.Println("reduced compatibility matrix (figure 8b):")
-		fmt.Println(scheme.Reduce().MatrixString())
-	}
-	return nil
-}
-
 func cmdModel(args []string) error {
 	fs := flag.NewFlagSet("model", flag.ExitOnError)
 	appName := fs.String("app", "Preflow-push", "Preflow-push | Boruvka | Clustering")
@@ -536,46 +503,57 @@ func cmdModel(args []string) error {
 	return nil
 }
 
+// cmdSpecs prints each point of apps.Specs with its move, class and
+// conditions, the lock matrices of each one Synthesize accepts, and the
+// SIMPLE strengthening of each non-SIMPLE top with the ≤ check.
 func cmdSpecs(args []string) error {
-	if err := parseFlags(flag.NewFlagSet("specs", flag.ExitOnError), args); err != nil {
+	fs := flag.NewFlagSet("specs", flag.ExitOnError)
+	var adts []string
+	for _, p := range apps.Specs() {
+		if !slices.Contains(adts, p.ADT) {
+			adts = append(adts, p.ADT)
+		}
+	}
+	adt := fs.String("adt", "", "print only this ADT's points: "+strings.Join(adts, " | "))
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	all := []*core.Spec{
-		intset.PreciseSpec(), intset.RWSpec(), intset.ExclusiveSpec(),
-		intset.PartitionedSpec(), intset.BottomSpec(),
-		kdtree.Spec(), unionfind.Spec(),
-		flowgraph.RWSpec(), flowgraph.ExclusiveSpec(), flowgraph.PartitionedSpec(),
-		accum.Spec(), abslock.MemorySpec(),
+	if *adt != "" && !slices.Contains(adts, *adt) {
+		return flagError(fs, "adt", fmt.Errorf("%q: want %s", *adt, strings.Join(adts, ", ")))
 	}
-	for _, s := range all {
-		fmt.Printf("— %s [%s]\n%s\n", s.Sig.Name, s.Classify(), s)
+	for _, p := range apps.Specs() {
+		if *adt != "" && p.ADT != *adt {
+			continue
+		}
+		spec := p.Spec()
+		from := "hand-written"
+		if p.Parent != "" {
+			from = p.Move.Name + " of " + p.Parent
+		}
+		fmt.Printf("=== %s/%s: %s (%s)\n%s\n", p.ADT, p.Name, from, spec.Classify(), spec)
+		printMatrices(spec)
+		if p.Parent == "" && spec.Classify() != core.ClassSimple {
+			simple := core.StrengthenToSimple(spec)
+			fmt.Printf("strongest SIMPLE specification below it (§4.1):\n%s\n", simple)
+			fmt.Printf("ordering check: strengthened ≤ original: %v\n\n", simple.LE(spec))
+			printMatrices(simple)
+		}
 	}
 	return nil
 }
 
-func cmdStrengthen(args []string) error {
-	fs := flag.NewFlagSet("strengthen", flag.ExitOnError)
-	which := fs.String("spec", "set", "set | kdtree | unionfind")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	spec, ok := map[string]*core.Spec{
-		"set": intset.PreciseSpec(), "kdtree": kdtree.Spec(), "unionfind": unionfind.Spec(),
-	}[*which]
-	if !ok {
-		return flagError(fs, "spec", fmt.Errorf("%q: want set, kdtree or unionfind", *which))
-	}
-	fmt.Printf("original (%s):\n%s\n", spec.Classify(), spec)
-	simple := core.StrengthenToSimple(spec)
-	fmt.Printf("strongest SIMPLE specification below it (§4.1):\n%s\n", simple)
-	fmt.Println("ordering check: strengthened ≤ original:", simple.LE(spec))
-	scheme, err := abslock.Synthesize(simple)
+// printMatrices prints the full and reduced compatibility matrices of
+// spec's synthesized scheme, or nothing when no abstract-locking scheme
+// implements spec (Theorem 1).
+func printMatrices(spec *core.Spec) {
+	scheme, err := abslock.Synthesize(spec)
 	if err != nil {
-		return err
+		return
 	}
-	fmt.Println("synthesized reduced lock matrix:")
+	fmt.Println("full compatibility matrix (figure 8a):")
+	fmt.Println(scheme.MatrixString())
+	fmt.Println("reduced compatibility matrix (figure 8b):")
 	fmt.Println(scheme.Reduce().MatrixString())
-	return nil
 }
 
 func cmdCheck(args []string) error {
@@ -619,21 +597,16 @@ func cmdCheck(args []string) error {
 	fmt.Println()
 	switch spec.Classify() {
 	case core.ClassSimple:
-		scheme, err := abslock.Synthesize(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Println("SIMPLE: synthesized abstract locking scheme (reduced):")
-		fmt.Println(scheme.Reduce().MatrixString())
+		fmt.Println("SIMPLE: implementable by synthesized abstract locks (§3.2).")
 	case core.ClassOnline:
 		fmt.Println("ONLINE-CHECKABLE: implementable by a forward gatekeeper (§3.3.1).")
 	default:
 		fmt.Println("GENERAL: requires a general gatekeeper (§3.3.2).")
 	}
-	simple := core.StrengthenToSimple(spec)
+	printMatrices(spec)
 	if spec.Classify() != core.ClassSimple {
 		fmt.Println("\nstrongest SIMPLE specification below it (§4.1):")
-		fmt.Print(spectext.Format(simple))
+		fmt.Print(spectext.Format(core.StrengthenToSimple(spec)))
 	}
 	return nil
 }

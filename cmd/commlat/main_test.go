@@ -12,8 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"commlat/internal/abslock"
 	"commlat/internal/apps"
 	"commlat/internal/bench"
+	"commlat/internal/core"
+	"commlat/internal/spectext"
 )
 
 func TestParseThreads(t *testing.T) {
@@ -28,29 +31,70 @@ func TestParseThreads(t *testing.T) {
 	}
 }
 
+// figure8 is figure 8's pair of matrices as `commlat matrices` printed
+// them before `specs -adt` took its place.
+const figure8 = `full compatibility matrix (figure 8a):
+             inc:ds    inc:x  read:ds read:ret
+  inc:ds |        v        v        x        v
+   inc:x |        v        v        v        v
+ read:ds |        x        v        v        v
+read:ret |        v        v        v        v
+
+reduced compatibility matrix (figure 8b):
+           inc:ds read:ds
+ inc:ds |       v       x
+read:ds |       x       v
+
+`
+
+// TestCmdMatricesAllSpecs: specs -adt prints every ADT's points, with
+// the lock matrices of each one Synthesize accepts, and the
+// accumulator's are figure 8's.
 func TestCmdMatricesAllSpecs(t *testing.T) {
-	for _, which := range []string{"accumulator", "set", "flowgraph"} {
-		if err := cmdMatrices([]string{"-spec", which}); err != nil {
-			t.Errorf("matrices %s: %v", which, err)
+	for _, p := range apps.Specs() {
+		out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", p.ADT}) }))
+		if !strings.Contains(out, "=== "+p.ADT+"/"+p.Name+": ") {
+			t.Errorf("specs -adt %s does not print point %s:\n%s", p.ADT, p.Name, out)
+		}
+		if _, err := abslock.Synthesize(p.Spec()); err == nil && !strings.Contains(out, "reduced compatibility matrix") {
+			t.Errorf("specs -adt %s prints no matrices for %s", p.ADT, p.Name)
 		}
 	}
-	if err := cmdMatrices([]string{"-spec", "nope"}); err == nil {
-		t.Error("unknown spec should fail")
+	out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", "accumulator"}) }))
+	if !strings.HasSuffix(out, figure8) {
+		t.Errorf("specs -adt accumulator:\n%s\nwant it to end in figure 8:\n%s", out, figure8)
+	}
+	if err := dispatch("specs", []string{"-adt", "nope"}); err == nil {
+		t.Error("unknown ADT should fail")
 	}
 }
 
+// TestCmdSpecsAndStrengthen: specs prints every point, and a
+// hand-written point that is not SIMPLE with its SIMPLE strengthening,
+// proved below it.
 func TestCmdSpecsAndStrengthen(t *testing.T) {
-	if err := cmdSpecs(nil); err != nil {
-		t.Errorf("specs: %v", err)
-	}
-	for _, which := range []string{"set", "kdtree", "unionfind"} {
-		if err := cmdStrengthen([]string{"-spec", which}); err != nil {
-			t.Errorf("strengthen %s: %v", which, err)
+	out := readFile(t, captureStdout(t, func() error { return dispatch("specs", nil) }))
+	for _, p := range apps.Specs() {
+		if !strings.Contains(out, "=== "+p.ADT+"/"+p.Name+": ") {
+			t.Errorf("specs does not print %s/%s", p.ADT, p.Name)
 		}
 	}
-	if err := cmdStrengthen([]string{"-spec", "nope"}); err == nil {
-		t.Error("unknown spec should fail")
+	for _, adt := range []string{"set", "kdtree", "unionfind"} {
+		out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", adt}) }))
+		if !strings.Contains(out, "strongest SIMPLE specification below it (§4.1):") ||
+			!strings.Contains(out, "ordering check: strengthened ≤ original: true") {
+			t.Errorf("specs -adt %s prints no proved strengthening:\n%s", adt, out)
+		}
 	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 func TestCmdCheckFile(t *testing.T) {
@@ -78,15 +122,30 @@ get ~ get: true
 	}
 }
 
+// TestCmdCheckShippedSpecs: check accepts the spec language's example
+// and the spec-language spelling of every shipped point, through each
+// of its SIMPLE, ONLINE-CHECKABLE and GENERAL branches.
 func TestCmdCheckShippedSpecs(t *testing.T) {
-	// The example spec files must stay parseable.
-	for _, name := range []string{"set.spec", "kv.spec", "unionfind.spec"} {
-		path := filepath.Join("..", "..", "examples", "specs", name)
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("missing example spec %s: %v", name, err)
+	files := []string{filepath.Join("..", "..", "examples", "specs", "kv.spec")}
+	classes := map[core.Class]bool{}
+	dir := t.TempDir()
+	for _, p := range apps.Specs() {
+		spec := p.Spec()
+		classes[spec.Classify()] = true
+		path := filepath.Join(dir, p.ADT+"-"+p.Name+".spec")
+		if err := os.WriteFile(path, []byte(spectext.Format(spec)), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		files = append(files, path)
+	}
+	for _, c := range []core.Class{core.ClassSimple, core.ClassOnline, core.ClassGeneral} {
+		if !classes[c] {
+			t.Errorf("no shipped spec is %s", c)
+		}
+	}
+	for _, path := range files {
 		if err := cmdCheck([]string{"-file", path}); err != nil {
-			t.Errorf("check %s: %v", name, err)
+			t.Errorf("check %s: %v", filepath.Base(path), err)
 		}
 	}
 }
@@ -130,8 +189,7 @@ func TestCountFlagsAreChecked(t *testing.T) {
 		{"fig10", "-threads", "0"},
 		{"model", "-procs", "1,x"},
 		{"bench", "-run", "["},
-		{"matrices", "-spec", "foo"},
-		{"strengthen", "-spec", "foo"},
+		{"specs", "-adt", "foo"},
 		{"check", "-file", ""},
 	} {
 		err := dispatch(tc[0], tc[1:])
@@ -155,7 +213,7 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 		stray string
 		line  []string
 	}{
-		{"examples/specs/set.spec", []string{"strengthen", "examples/specs/set.spec"}},
+		{"set", []string{"specs", "set"}},
 		{"extra", []string{"fig10", "extra", "-threads", "1"}},
 		{"bogus", []string{"specs", "bogus"}},
 		{"bogus", []string{"all", "bogus"}},

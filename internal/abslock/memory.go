@@ -12,11 +12,9 @@ import (
 // access to another cell — what an object-granularity transactional
 // memory with visible readers enforces.
 func MemorySpec() *core.Spec {
-	s := core.NewSpec(&core.ADTSig{Name: "memory", Methods: []core.MethodSig{
+	return core.ReadWrite(&core.ADTSig{Name: "memory", Methods: []core.MethodSig{
 		{Name: "read", Params: []string{"o"}}, {Name: "write", Params: []string{"o"}},
-	}})
-	other := core.Ne(core.Arg1(0), core.Arg2(0))
-	return s.Set("read", "read", core.True()).Set("read", "write", other).Set("write", "write", other)
+	}}, "read")
 }
 
 // memoryScheme is MemorySpec's reduced scheme: a read and a write mode

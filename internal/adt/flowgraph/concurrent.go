@@ -73,22 +73,10 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 }
 
 // NewRW guards net with read/write node locks (the "ml" point).
-func NewRW(net *Net) *Graph {
-	g, err := NewGraph(net, RWSpec(), nil)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func NewRW(net *Net) *Graph { return mustGraph(net, RWSpec(), nil) }
 
 // NewExclusive guards net with exclusive node locks (the "ex" point).
-func NewExclusive(net *Net) *Graph {
-	g, err := NewGraph(net, ExclusiveSpec(), nil)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
+func NewExclusive(net *Net) *Graph { return mustGraph(net, ExclusiveSpec(), nil) }
 
 // NewPartitioned guards net with locks on nparts node partitions (the
 // "part" point; the paper uses 32). Node ids are non-negative ints (every
@@ -101,7 +89,12 @@ func NewPartitioned(net *Net, nparts int) *Graph {
 	if n&(n-1) == 0 {
 		part = func(v core.Value) uint64 { u, _ := v.AsInt(); return uint64(u) & (n - 1) }
 	}
-	g, err := NewGraph(net, PartitionedSpec(), map[string]abslock.KeyFunc{PartKey: part})
+	return mustGraph(net, PartitionedSpec(), map[string]abslock.KeyFunc{PartKey: part})
+}
+
+// mustGraph is NewGraph for the shipped points, which it always admits.
+func mustGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) *Graph {
+	g, err := NewGraph(net, spec, keys)
 	if err != nil {
 		panic(err)
 	}

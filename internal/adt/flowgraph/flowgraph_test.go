@@ -63,6 +63,61 @@ func TestSpecLattice(t *testing.T) {
 	}
 }
 
+// handSpellings are RWSpec and the "ex" point written out pair by pair:
+// a write shares no node with the other method, and under rw neither
+// does a read with a read.
+func handSpellings() (rw, ex *core.Spec) {
+	nodes := map[string][]int{"getNeighbors": {0}, "height": {0}, "excess": {0}, "relabel": {0}, "pushFlow": {0, 1}}
+	reads := map[string]bool{"getNeighbors": true, "height": true, "excess": true}
+	rw, ex = core.NewSpec(Sig()), core.NewSpec(Sig())
+	for _, p := range rw.Pairs() {
+		var disjoint []core.Cond
+		for _, i := range nodes[p[0]] {
+			for _, j := range nodes[p[1]] {
+				disjoint = append(disjoint, core.Ne(core.ArgTerm{Side: core.First, Index: i}, core.ArgTerm{Side: core.Second, Index: j}))
+			}
+		}
+		ex.Set(p[0], p[1], core.And(disjoint...))
+		rw.Set(p[0], p[1], core.And(disjoint...))
+		if reads[p[0]] && reads[p[1]] {
+			rw.Set(p[0], p[1], core.True())
+		}
+	}
+	return rw, ex
+}
+
+// TestPipelinesMatchHandSpellings: RWSpec is read/write locking on
+// nodes, and ExclusiveSpec and PartitionedSpec are §4 moves from it;
+// each sits at the same lattice point as its hand spelling and
+// synthesizes the same scheme.
+func TestPipelinesMatchHandSpellings(t *testing.T) {
+	rw, ex := handSpellings()
+	part, err := ex.PartitionSpec(PartKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *core.Spec
+	}{
+		{"rw", RWSpec(), rw},
+		{"ex", ExclusiveSpec(), ex},
+		{"part", PartitionedSpec(), part},
+	} {
+		if !c.got.LE(c.want) || !c.want.LE(c.got) {
+			t.Errorf("%s: pipeline\n%s\nis not the hand spelling\n%s", c.name, c.got, c.want)
+		}
+		got, err1 := abslock.Synthesize(c.got)
+		want, err2 := abslock.Synthesize(c.want)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", c.name, err1, err2)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.Reduce(), want.Reduce()) {
+			t.Errorf("%s: synthesized schemes differ:\n%s\n%s", c.name, got.MatrixString(), want.MatrixString())
+		}
+	}
+}
+
 // TestNewGraphRequiresNodeIsolation: the Graph has no lock of its own, so
 // NewGraph takes only specifications it can place at or below RWSpec,
 // where commuting invocations touch disjoint nodes or both read.

@@ -1,10 +1,6 @@
 package flowgraph
 
-import (
-	"fmt"
-
-	"commlat/internal/core"
-)
+import "commlat/internal/core"
 
 // Sig is the graph ADT's signature. The method set refines the paper's
 // {relabel, pushFlow, getNeighbors} with the explicit read methods
@@ -21,66 +17,18 @@ func Sig() *core.ADTSig {
 	}}
 }
 
-var (
-	readMethods  = []string{"getNeighbors", "height", "excess"}
-	writeMethods = []string{"relabel", "pushFlow"}
-)
+// RWSpec is the paper's baseline specification for the graph, and the
+// one written by hand: relabel and pushFlow do not commute with any
+// method touching the same nodes, while the read methods commute with
+// each other freely. Its synthesized scheme is read/write abstract locks
+// on nodes — "identical to the conflict detection performed by a
+// transactional memory" (§5), hence the "ml" label in Table 1.
+func RWSpec() *core.Spec { return core.ReadWrite(Sig(), "getNeighbors", "height", "excess") }
 
-// nodeArgs lists which argument slots of each method carry node ids.
-var nodeArgs = map[string][]int{
-	"getNeighbors": {0},
-	"height":       {0},
-	"excess":       {0},
-	"relabel":      {0},
-	"pushFlow":     {0, 1},
-}
-
-// disjoint builds the conjunction requiring every node argument of m1 to
-// differ from every node argument of m2 — "do not access the same nodes".
-func disjoint(m1, m2 string) core.Cond {
-	var parts []core.Cond
-	for _, i := range nodeArgs[m1] {
-		for _, j := range nodeArgs[m2] {
-			parts = append(parts, core.Ne(core.ArgTerm{Side: core.First, Index: i},
-				core.ArgTerm{Side: core.Second, Index: j}))
-		}
-	}
-	return core.And(parts...)
-}
-
-// RWSpec is the paper's baseline specification for the graph: relabel
-// and pushFlow do not commute with any method touching the same nodes,
-// while the read methods commute with each other freely. Its synthesized
-// scheme is read/write abstract locks on nodes — "identical to the
-// conflict detection performed by a transactional memory" (§5), hence
-// the "ml" label in Table 1.
-func RWSpec() *core.Spec {
-	s := core.NewSpec(Sig())
-	for _, r1 := range readMethods {
-		for _, r2 := range readMethods {
-			s.Set(r1, r2, core.True())
-		}
-	}
-	for _, w := range writeMethods {
-		for _, m := range append(append([]string{}, readMethods...), writeMethods...) {
-			s.Set(w, m, disjoint(w, m))
-		}
-	}
-	return s
-}
-
-// ExclusiveSpec strengthens RWSpec (§5's "ex" point): read methods no
-// longer commute with reads of the same nodes, turning the read/write
-// node locks into cheaper exclusive locks.
-func ExclusiveSpec() *core.Spec {
-	s := RWSpec()
-	for _, r1 := range readMethods {
-		for _, r2 := range readMethods {
-			s.Set(r1, r2, disjoint(r1, r2))
-		}
-	}
-	return s
-}
+// ExclusiveSpec strengthens RWSpec by §4.1's exclusive move (§5's "ex"
+// point): read methods no longer commute with reads of the same nodes,
+// turning the read/write node locks into cheaper exclusive locks.
+func ExclusiveSpec() *core.Spec { return core.Exclusive(RWSpec()) }
 
 // PartKey is the pure partition function name used by PartitionedSpec.
 const PartKey = "part"
@@ -89,10 +37,4 @@ const PartKey = "part"
 // disequalities become partition disequalities, and the synthesized
 // scheme locks one of nparts partitions per node access (the paper's
 // "part" point, with 32 partitions in the evaluation).
-func PartitionedSpec() *core.Spec {
-	p, err := ExclusiveSpec().PartitionSpec(PartKey)
-	if err != nil {
-		panic(fmt.Sprintf("flowgraph: exclusive spec must be SIMPLE: %v", err))
-	}
-	return p
-}
+func PartitionedSpec() *core.Spec { return core.Partition(ExclusiveSpec(), PartKey) }

@@ -129,37 +129,24 @@ func NewLocked(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Lock
 func (s *LockedSet) Telemetry() *telemetry.Detector { return s.mgr.Telemetry() }
 
 // NewGlobalLock guards rep with the single global lock synthesized from ⊥.
-func NewGlobalLock(rep Rep) *LockedSet {
-	s, err := NewLocked(rep, BottomSpec(), nil)
-	if err != nil {
-		panic(err) // bottom is always SIMPLE
-	}
-	return s
-}
+func NewGlobalLock(rep Rep) *LockedSet { return mustLock(rep, BottomSpec(), nil) }
 
 // NewExclusiveLocked guards rep with exclusive per-element locks.
-func NewExclusiveLocked(rep Rep) *LockedSet {
-	s, err := NewLocked(rep, ExclusiveSpec(), nil)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func NewExclusiveLocked(rep Rep) *LockedSet { return mustLock(rep, ExclusiveSpec(), nil) }
 
 // NewRWLocked guards rep with read/write per-element locks (figure 3).
-func NewRWLocked(rep Rep) *LockedSet {
-	s, err := NewLocked(rep, RWSpec(), nil)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+func NewRWLocked(rep Rep) *LockedSet { return mustLock(rep, RWSpec(), nil) }
 
 // NewPartitionLocked guards rep with locks on nparts partitions (§4.2).
 func NewPartitionLocked(rep Rep, nparts int) *LockedSet {
-	s, err := NewLocked(rep, PartitionedSpec(), map[string]abslock.KeyFunc{
+	return mustLock(rep, PartitionedSpec(), map[string]abslock.KeyFunc{
 		PartitionKey: func(v core.Value) uint64 { return uint64(Partition(v.Int(), nparts)) },
 	})
+}
+
+// mustLock is NewLocked for the shipped points, which all synthesize.
+func mustLock(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) *LockedSet {
+	s, err := NewLocked(rep, spec, keys)
 	if err != nil {
 		panic(err)
 	}

@@ -14,8 +14,8 @@
 package intset
 
 import (
-	"fmt"
 	"sort"
+	"sync"
 
 	"commlat/internal/core"
 )
@@ -47,30 +47,20 @@ func PreciseSpec() *core.Spec {
 	return s
 }
 
-// RWSpec is figure 3, the strengthened SIMPLE specification: operations
-// commute when their arguments differ; contains always commutes with
-// contains. Its synthesized locking scheme uses read/write locks on
-// elements.
-func RWSpec() *core.Spec {
-	ne := core.Ne(core.Arg1(0), core.Arg2(0))
-	s := core.NewSpec(Sig())
-	s.Set("add", "add", ne)
-	s.Set("add", "remove", ne)
-	s.Set("add", "contains", ne)
-	s.Set("remove", "remove", ne)
-	s.Set("remove", "contains", ne)
-	s.Set("contains", "contains", core.True())
-	return s
-}
+// RWSpec is figure 3, PreciseSpec's SIMPLE strengthening (§4.1):
+// operations commute when their arguments differ; contains always
+// commutes with contains. Its synthesized locking scheme uses read/write
+// locks on elements.
+func RWSpec() *core.Spec { return rwPoint().Clone() }
+
+// rwPoint runs the prover once (about a millisecond); RWSpec hands out
+// copies, since callers may Set on what they get.
+var rwPoint = sync.OnceValue(func() *core.Spec { return core.StrengthenToSimple(PreciseSpec()) })
 
 // ExclusiveSpec strengthens RWSpec further (§4.1): contains commutes with
 // contains only on different elements, so the synthesized locks are
 // cheaper exclusive locks.
-func ExclusiveSpec() *core.Spec {
-	s := RWSpec()
-	s.Set("contains", "contains", core.Ne(core.Arg1(0), core.Arg2(0)))
-	return s
-}
+func ExclusiveSpec() *core.Spec { return core.Exclusive(RWSpec()) }
 
 // PartitionKey is the name of the pure partition function used by
 // PartitionedSpec.
@@ -79,19 +69,11 @@ const PartitionKey = "part"
 // PartitionedSpec applies disciplined lock coarsening (§4.2) to RWSpec:
 // every element disequality becomes a partition disequality, and the
 // synthesized scheme locks one of nparts partitions per access.
-func PartitionedSpec() *core.Spec {
-	p, err := RWSpec().PartitionSpec(PartitionKey)
-	if err != nil {
-		panic(fmt.Sprintf("intset: RWSpec must be SIMPLE: %v", err))
-	}
-	return p
-}
+func PartitionedSpec() *core.Spec { return core.Partition(RWSpec(), PartitionKey) }
 
 // BottomSpec is ⊥ for the set: nothing commutes; the synthesized scheme
 // is one global exclusive lock.
-func BottomSpec() *core.Spec {
-	return core.Bottom(Sig())
-}
+func BottomSpec() *core.Spec { return core.Bottom(Sig()) }
 
 // Partition maps an element to one of nparts partitions (non-negative
 // even for negative elements).

@@ -3,9 +3,11 @@ package intset
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"commlat/internal/abslock"
 	"commlat/internal/core"
 )
 
@@ -114,6 +116,56 @@ func TestSpecLatticeChain(t *testing.T) {
 		if c.hi.LE(c.lo) {
 			t.Errorf("%s should be strict", c.name)
 		}
+	}
+}
+
+// figure3 is figure 3 spelled by hand, the reference RWSpec's pipeline
+// must reproduce.
+func figure3() *core.Spec {
+	ne := core.Ne(core.Arg1(0), core.Arg2(0))
+	s := core.NewSpec(Sig())
+	s.Set("add", "add", ne)
+	s.Set("add", "remove", ne)
+	s.Set("add", "contains", ne)
+	s.Set("remove", "remove", ne)
+	s.Set("remove", "contains", ne)
+	s.Set("contains", "contains", core.True())
+	return s
+}
+
+// TestPipelinesMatchHandSpellings: RWSpec, ExclusiveSpec and
+// PartitionedSpec are §4 moves from PreciseSpec; each sits at the same
+// lattice point as its hand spelling and synthesizes the same scheme.
+func TestPipelinesMatchHandSpellings(t *testing.T) {
+	ex := figure3().Set("contains", "contains", core.Ne(core.Arg1(0), core.Arg2(0)))
+	part, err := figure3().PartitionSpec(PartitionKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *core.Spec
+	}{
+		{"rw", RWSpec(), figure3()},
+		{"ex", ExclusiveSpec(), ex},
+		{"part", PartitionedSpec(), part},
+	} {
+		if !c.got.LE(c.want) || !c.want.LE(c.got) {
+			t.Errorf("%s: pipeline\n%s\nis not the hand spelling\n%s", c.name, c.got, c.want)
+		}
+		got, err1 := abslock.Synthesize(c.got)
+		want, err2 := abslock.Synthesize(c.want)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", c.name, err1, err2)
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.Reduce(), want.Reduce()) {
+			t.Errorf("%s: synthesized schemes differ:\n%s\n%s", c.name, got.MatrixString(), want.MatrixString())
+		}
+	}
+	// The strengthening is computed once; what RWSpec returns is a copy.
+	RWSpec().Set("contains", "contains", core.False())
+	if _, ok := RWSpec().Cond("contains", "contains").(core.TrueCond); !ok {
+		t.Error("a caller's Set on RWSpec's result leaked into the next call")
 	}
 }
 

@@ -52,7 +52,9 @@ func Spec() *core.Spec {
 		core.And(core.Ne(core.Arg1(0), core.Arg2(0)), core.Ne(core.Ret1(), core.Arg2(0))),
 		core.Eq(core.Ret2(), core.Lit(false)),
 	))
-	// (3'): remove active, nearest arrives (directed mirror; see above).
+	// (3'): remove active, nearest arrives (directed mirror; see above),
+	// declared oriented so specvet accepts a mirror that is not (3)'s swap.
+	s.SetOriented("nearest", "remove")
 	s.Set("remove", "nearest", core.Or(
 		core.Eq(core.Ret1(), core.Lit(false)),
 		core.Eq(core.Arg1(0), core.Arg2(0)),

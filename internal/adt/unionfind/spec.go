@@ -21,10 +21,11 @@ func Sig() *core.ADTSig {
 // Conditions (1) and (2) evaluate rep in the FIRST invocation's state
 // over the SECOND invocation's argument — the shape that defeats forward
 // gatekeeping (not ONLINE-CHECKABLE, Definition 7) and motivates general
-// gatekeeping.
+// gatekeeping. (1) names v1 as the admitted invocation, whose loser is
+// fixed, so its sides do not swap blindly: the pair is oriented.
 func Spec() *core.Spec {
 	loser := core.Fn1("loser", core.Arg1(0), core.Arg1(1))
-	s := core.NewSpec(Sig())
+	s := core.NewSpec(Sig()).SetOriented("union", "union")
 	s.Set("union", "union", core.And(
 		core.Ne(core.Fn1("rep", core.Arg2(0)), loser),
 		core.Ne(core.Fn1("rep", core.Arg2(1)), loser),

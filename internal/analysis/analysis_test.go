@@ -34,7 +34,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		dir  string
 		want map[string]int // analyzer name -> finding count
 	}{
-		{"poolbad", map[string]int{"poolzero": 2}},
+		{"poolbad", map[string]int{"poolzero": 3}},
 		{"poolgood", nil},
 		{"padbad", map[string]int{"padcheck": 1}},
 		{"padgood", nil},
@@ -153,9 +153,9 @@ func TestVetSpecWellFormedness(t *testing.T) {
 // is statically verified by the symbolic prover, no enumeration
 // fallback.
 func TestVetSpecExamplesClean(t *testing.T) {
-	fs, err := VetSpecDir("../../examples/specs")
-	if err != nil {
-		t.Fatalf("VetSpecDir: %v", err)
+	fs, n, err := VetSpecDir("../../examples/specs")
+	if err != nil || n == 0 {
+		t.Fatalf("VetSpecDir: %d files, %v", n, err)
 	}
 	if len(fs) != 0 {
 		t.Fatalf("examples/specs must vet clean, got %v", fs)

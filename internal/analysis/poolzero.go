@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"regexp"
@@ -17,10 +18,12 @@ import (
 //
 // A field counts as sanitized when, earlier in the same function, it is
 // assigned (x.f = ..., including x.f = x.f[:0]), an element is assigned
-// in a loop (x.f[i] = ...), a method is called on it (x.f.Release()), or
-// a sanitizer method is called on the whole object (x.reset(), x.clear(),
-// ...). Pools whose invariant is maintained elsewhere (hooks cleared by
-// Commit/Abort before PutTx) carry a //commvet:ignore with the reason.
+// in a loop (x.f[i] = ...), a method is called on it (x.f.Release()),
+// the whole object is assigned a literal that does not name it
+// (*x = T{...}), or a sanitizer method is called on the whole object
+// (x.reset(), x.clear(), ...). Pools whose invariant is maintained
+// elsewhere (hooks cleared by Commit/Abort before PutTx) carry a
+// //commvet:ignore with the reason.
 var PoolZero = &Analyzer{
 	Name: "poolzero",
 	Doc:  "objects returned to pools must zero reference-carrying fields",
@@ -90,7 +93,24 @@ func checkPoolRelease(pass *Pass, stack []ast.Node, site ast.Node, arg ast.Expr)
 		}
 		switch x := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
+			for i, lhs := range x.Lhs {
+				// Whole-object reset, *x = T{...}: it clears every field
+				// the literal does not name.
+				if star, ok := unparen(lhs).(*ast.StarExpr); ok && identObj(info, unparen(star.X)) == obj && len(x.Rhs) == len(x.Lhs) {
+					named := map[string]bool{}
+					if lit, ok := unparen(x.Rhs[i]).(*ast.CompositeLit); ok {
+						for _, el := range lit.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								named[fmt.Sprint(kv.Key)] = true
+							}
+						}
+					}
+					for k := range missing {
+						if !named[k] {
+							delete(missing, k)
+						}
+					}
+				}
 				sel := selectorIn(lhs)
 				if sel == nil || identObj(info, sel.X) != obj {
 					continue

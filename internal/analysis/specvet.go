@@ -1,10 +1,11 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"commlat/internal/core"
@@ -105,43 +106,38 @@ func VetSpec(name string, spec *core.Spec) []Finding {
 	return out
 }
 
-// VetSpecFile parses and vets one spectext file. Parse errors are
-// reported as findings rather than hard errors so a broken spec fails
-// commvet the same way a broken invariant does.
-func VetSpecFile(path string) []Finding {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []Finding{{Analyzer: "specvet", Pos: path, Message: err.Error()}}
-	}
-	spec, err := spectext.Parse(string(data))
-	if err != nil {
-		return []Finding{{Analyzer: "specvet", Pos: path, Message: err.Error()}}
-	}
-	findings := VetSpec(filepath.Base(path), spec)
-	for i := range findings {
-		findings[i].Pos = filepath.Join(filepath.Dir(path), findings[i].Pos)
-	}
-	return findings
-}
-
-// VetSpecDir vets every .spec file under dir, sorted for determinism.
-func VetSpecDir(dir string) ([]Finding, error) {
+// VetSpecDir parses and vets every .spec file in dir, in name order, and
+// returns the findings and the number of files; a missing dir holds
+// none. A file that does not read or parse is a finding, so a broken
+// spec fails commvet the same way a broken invariant does.
+func VetSpecDir(dir string) ([]Finding, int, error) {
 	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, err
 	}
-	var names []string
+	var out []Finding
+	n := 0
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".spec") {
-			names = append(names, e.Name())
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".spec") {
+			continue
+		}
+		n++
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
+		var spec *core.Spec
+		if err == nil {
+			spec, err = spectext.Parse(string(data))
+		}
+		if err != nil {
+			out = append(out, Finding{Analyzer: "specvet", Pos: path, Message: err.Error()})
+			continue
+		}
+		for _, f := range VetSpec(e.Name(), spec) {
+			f.Pos = filepath.Join(dir, f.Pos)
+			out = append(out, f)
 		}
 	}
-	sort.Strings(names)
-	var out []Finding
-	for _, name := range names {
-		out = append(out, VetSpecFile(filepath.Join(dir, name))...)
-	}
-	return out, nil
+	return out, n, nil
 }
 
 // illFormed walks a condition's terms against the two method signatures.

@@ -27,3 +27,10 @@ type cache struct {
 func (c *cache) release(e *entry) {
 	c.free = append(c.free, e) // free-stack push, nothing cleared
 }
+
+type stack struct{ free []*entry }
+
+func (s *stack) put(e *entry) {
+	*e = entry{key: e.key, next: e.next} // next kept
+	s.free = append(s.free, e)
+}

@@ -27,3 +27,11 @@ func recycle(e *entry) {
 	e.reset()
 	pool.Put(e)
 }
+
+type stack struct{ free []*entry }
+
+// put resets e in one assignment that keeps its key.
+func (s *stack) put(e *entry) {
+	*e = entry{key: e.key}
+	s.free = append(s.free, e)
+}

@@ -28,7 +28,7 @@ import (
 // component lists, so the replace-style merge bookkeeping never races.
 //
 // The locks are the only synchronization. edges and saved are indexed by
-// component and never resized, and compsSpec lets two invocations run
+// component and never resized, and CompsSpec lets two invocations run
 // together only when no component one of them writes is a component the
 // other names, so they touch different slice elements — different
 // memory, which a map's shared buckets would not be. edges[r] is read
@@ -56,30 +56,18 @@ type savedMerge struct {
 	next       int64 // the same transaction's previous merge: loser+1, 0 = none
 }
 
-// compsSpec: scans of the same component share; merges conflict with any
-// access to either component involved.
-func compsSpec() *core.Spec {
-	sig := &core.ADTSig{Name: "compedges", Methods: []core.MethodSig{
+// CompsSpec is the component lists' specification: scans of the same
+// component share; merges conflict with any access to either component
+// involved.
+func CompsSpec() *core.Spec {
+	return core.ReadWrite(&core.ADTSig{Name: "compedges", Methods: []core.MethodSig{
 		{Name: "get", Params: []string{"r"}, HasRet: true},
 		{Name: "merge", Params: []string{"w", "l"}},
-	}}
-	s := core.NewSpec(sig)
-	s.Set("get", "get", core.True())
-	s.Set("get", "merge", core.And(
-		core.Ne(core.Arg1(0), core.Arg2(0)),
-		core.Ne(core.Arg1(0), core.Arg2(1)),
-	))
-	s.Set("merge", "merge", core.And(
-		core.Ne(core.Arg1(0), core.Arg2(0)),
-		core.Ne(core.Arg1(0), core.Arg2(1)),
-		core.Ne(core.Arg1(1), core.Arg2(0)),
-		core.Ne(core.Arg1(1), core.Arg2(1)),
-	))
-	return s
+	}}, "get")
 }
 
 func newCompEdges(n int, edges []workload.Edge) *compEdges {
-	scheme, err := abslock.Synthesize(compsSpec())
+	scheme, err := abslock.Synthesize(CompsSpec())
 	if err != nil {
 		panic(err) // the comps spec is SIMPLE by construction
 	}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -116,16 +117,16 @@ func (s *Spec) IsOriented(m1, m2 string) bool {
 
 // OrientedPairs returns the declared orientation-sensitive pairs in
 // canonical (lexicographic) order.
-func (s *Spec) OrientedPairs() [][2]string {
-	out := make([][2]string, 0, len(s.oriented))
-	for k := range s.oriented {
+func (s *Spec) OrientedPairs() [][2]string { return sortedPairs(s.oriented) }
+
+// sortedPairs lists m's keys as pairs in lexicographic order.
+func sortedPairs[V any](m map[pairKey]V) [][2]string {
+	out := make([][2]string, 0, len(m))
+	for k := range m {
 		out = append(out, [2]string{k.m1, k.m2})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
+	slices.SortFunc(out, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
 	})
 	return out
 }
@@ -142,19 +143,7 @@ func orientKey(m1, m2 string) pairKey {
 // condition (no swap-derivation, no false default), in canonical order.
 // Static spec verification iterates exactly these: they are the formulas
 // an author actually wrote.
-func (s *Spec) StoredPairs() [][2]string {
-	out := make([][2]string, 0, len(s.conds))
-	for k := range s.conds {
-		out = append(out, [2]string{k.m1, k.m2})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
+func (s *Spec) StoredPairs() [][2]string { return sortedPairs(s.conds) }
 
 // StoredCond returns the explicitly stored condition for the ordered
 // pair (m1, m2), with no swap-derived or default fallback.
@@ -322,6 +311,16 @@ func (s *Spec) PartitionSpec(key string) (*Spec, error) {
 		out.Set(p[0], p[1], partitionCond(form, key))
 	}
 	return out, nil
+}
+
+// Partition is the §4.2 move: PartitionSpec for a spec known to be
+// SIMPLE. It panics on any other.
+func Partition(spec *Spec, key string) *Spec {
+	out, err := spec.PartitionSpec(key)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func partitionCond(form *SimpleForm, key string) Cond {

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // StrengthenToSimple derives a SIMPLE specification lying below spec in
 // the commutativity lattice, automating the §4.1 discipline that turns
 // figure 2 into figure 3 ("choose a less precise specification from the
@@ -64,6 +66,52 @@ func strengthenCond(spec *Spec, m1, m2 string) Cond {
 		}
 	}
 	return Simplify(And(kept...))
+}
+
+// ReadWrite is the specification that read/write locks on arguments
+// implement: two of the read methods always commute, and any other pair
+// commutes when the two invocations share no argument value.
+func ReadWrite(sig *ADTSig, reads ...string) *Spec {
+	s := NewSpec(sig)
+	for _, p := range s.Pairs() {
+		if slices.Contains(reads, p[0]) && slices.Contains(reads, p[1]) {
+			s.Set(p[0], p[1], True())
+		} else {
+			s.Set(p[0], p[1], argsDisjoint(sig, p[0], p[1]))
+		}
+	}
+	return s
+}
+
+// Exclusive is §4.1's move from read/write locks to exclusive ones: a
+// pair that always commutes (two reads) commutes only when the two
+// invocations share no argument value; the other pairs are kept. The
+// result is ≤ spec, and SIMPLE when spec is.
+func Exclusive(spec *Spec) *Spec {
+	out := spec.Clone()
+	for _, p := range spec.OrderedPairs() {
+		if _, ok := spec.Cond(p[0], p[1]).(TrueCond); ok {
+			out.Set(p[0], p[1], argsDisjoint(spec.Sig, p[0], p[1]))
+		}
+	}
+	return out
+}
+
+// argsDisjoint is the conjunction of x ≠ y over every argument x of m1
+// and y of m2, in argument order; false when either takes none.
+func argsDisjoint(sig *ADTSig, m1, m2 string) Cond {
+	ms1, _ := sig.Method(m1)
+	ms2, _ := sig.Method(m2)
+	if len(ms1.Params) == 0 || len(ms2.Params) == 0 {
+		return False()
+	}
+	var ne []Cond
+	for i := range ms1.Params {
+		for j := range ms2.Params {
+			ne = append(ne, Ne(ArgTerm{Side: First, Index: i}, ArgTerm{Side: Second, Index: j}))
+		}
+	}
+	return And(ne...)
 }
 
 // methodSlots enumerates a method's data-member slots: its arguments and

@@ -110,3 +110,48 @@ func TestStrengthenMultiArgConjunction(t *testing.T) {
 		t.Errorf("strengthened %s does not imply original", c)
 	}
 }
+
+// TestExclusive: the exclusive move rewrites exactly the pairs that are
+// true — to the disequality of every argument pair, or to false when a
+// method takes none — and lands at or below its input.
+func TestExclusive(t *testing.T) {
+	rw := rwSetSpec()
+	ex := Exclusive(rw)
+	for _, p := range rw.OrderedPairs() {
+		want := rw.Cond(p[0], p[1])
+		if p[0] == "contains" && p[1] == "contains" {
+			want = Ne(Arg1(0), Arg2(0))
+		}
+		if !CondEqual(ex.Cond(p[0], p[1]), want) {
+			t.Errorf("(%s,%s) = %s, want %s", p[0], p[1], ex.Cond(p[0], p[1]), want)
+		}
+	}
+	if !ex.LE(rw) || rw.LE(ex) {
+		t.Error("exclusive must be strictly below rw")
+	}
+	if _, ok := rw.Cond("contains", "contains").(TrueCond); !ok {
+		t.Error("Exclusive changed its input")
+	}
+
+	acc := NewSpec(&ADTSig{Name: "acc", Methods: []MethodSig{
+		{Name: "inc", Params: []string{"x", "y"}}, {Name: "read", HasRet: true},
+	}})
+	acc.Set("inc", "inc", True()).Set("read", "read", True())
+	got := Exclusive(acc)
+	if want := And(Ne(Arg1(0), Arg2(0)), Ne(Arg1(0), Arg2(1)), Ne(Arg1(1), Arg2(0)), Ne(Arg1(1), Arg2(1))); !CondEqual(got.Cond("inc", "inc"), want) {
+		t.Errorf("inc~inc = %s, want %s", got.Cond("inc", "inc"), want)
+	}
+	if _, ok := got.Cond("read", "read").(FalseCond); !ok {
+		t.Errorf("read~read = %s, want false: read takes no argument", got.Cond("read", "read"))
+	}
+}
+
+// TestReadWrite: read/write locking on the set's element is figure 3.
+func TestReadWrite(t *testing.T) {
+	got, fig3 := ReadWrite(setSig(), "contains"), rwSetSpec()
+	for _, p := range fig3.OrderedPairs() {
+		if !CondEqual(got.Cond(p[0], p[1]), fig3.Cond(p[0], p[1])) {
+			t.Errorf("(%s,%s) = %s, figure 3 has %s", p[0], p[1], got.Cond(p[0], p[1]), fig3.Cond(p[0], p[1]))
+		}
+	}
+}

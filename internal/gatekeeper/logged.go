@@ -576,26 +576,17 @@ func (l *logged) removeActive(mt *Method, e *entry) {
 }
 
 // putEntry pushes an entry whose invocation did not join the active log
-// (or just left it) onto the free stack. Everything the invocation set
-// is zeroed — the values it set, not the arrays they sit in — so a
-// recycled record retains no user-type references (heap-growth fix: a
-// ref-kind argument or log entry would otherwise pin arbitrary user
-// object graphs for as long as the entry waits). Caller holds mu.
+// (or just left it) onto the free stack, reset in one assignment that
+// keeps only its id and the arrays of log and keys: a field added later
+// starts zeroed too. The invocation and the log values are cleared
+// first, so a recycled record pins no user object graph while it waits.
+// Caller holds mu.
 func (l *logged) putEntry(e *entry) {
-	e.tx = nil
-	e.undo, e.redo = nil, nil
-	e.changed = false
-	e.seq = 0
-	e.jprev, e.jnext = nil, nil
 	e.inv.Release()
-	e.seqPre = 0
 	for i := range e.log {
 		e.log[i] = core.Value{}
 	}
-	e.keys = e.keys[:0]
-	e.gen = 0
-	e.pos = 0
-	e.prevTx = 0
+	*e = entry{id: e.id, log: e.log, keys: e.keys[:0]}
 	l.free = append(l.free, e)
 }
 

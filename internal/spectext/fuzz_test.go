@@ -4,10 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"commlat/internal/apps"
 )
 
 // FuzzParseSpec feeds arbitrary text through the spec parser, seeded
-// with the shipped example specs. Parse must never panic; when it
+// with the example spec files and the spelling of every shipped lattice
+// point. Parse must never panic; when it
 // accepts an input, the round trip Parse → Format → Parse must also
 // succeed and reach a fixed point (formatting the reparsed spec yields
 // the same text), so Format output is always valid parser input.
@@ -17,7 +20,7 @@ func FuzzParseSpec(f *testing.F) {
 		f.Fatal(err)
 	}
 	if len(seeds) == 0 {
-		f.Fatal("no example specs found to seed the corpus")
+		f.Fatal("no example spec files found to seed the corpus")
 	}
 	for _, path := range seeds {
 		src, err := os.ReadFile(path)
@@ -25,6 +28,9 @@ func FuzzParseSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(string(src))
+	}
+	for _, p := range apps.Specs() {
+		f.Add(Format(p.Spec()))
 	}
 	f.Add("")
 	f.Add("spec s\nmethod m(x) bool\npair m ~ m: true\n")

@@ -3,13 +3,14 @@ package spectext
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
-	"commlat/internal/adt/flowgraph"
 	"commlat/internal/adt/intset"
 	"commlat/internal/adt/kdtree"
 	"commlat/internal/adt/unionfind"
+	"commlat/internal/apps"
 	"commlat/internal/core"
 )
 
@@ -103,17 +104,9 @@ bump ~ bump: v1.x + 1 < v2.x * 2 || r1 >= r2
 // TestRoundTripAllRepoSpecs: Format then Parse must reproduce every
 // shipped specification (up to simplification).
 func TestRoundTripAllRepoSpecs(t *testing.T) {
-	specs := map[string]*core.Spec{
-		"set-precise":    intset.PreciseSpec(),
-		"set-rw":         intset.RWSpec(),
-		"set-exclusive":  intset.ExclusiveSpec(),
-		"set-bottom":     intset.BottomSpec(),
-		"kdtree":         kdtree.Spec(),
-		"unionfind":      unionfind.Spec(),
-		"flowgraph-rw":   flowgraph.RWSpec(),
-		"flowgraph-excl": flowgraph.ExclusiveSpec(),
-	}
-	for name, want := range specs {
+	for _, p := range apps.Specs() {
+		want := p.Spec()
+		name := p.ADT + "/" + p.Name
 		text := Format(want)
 		got, err := Parse(text)
 		if err != nil {
@@ -127,6 +120,9 @@ func TestRoundTripAllRepoSpecs(t *testing.T) {
 		}
 		if got.Classify() != want.Classify() {
 			t.Errorf("%s: class %v, want %v", name, got.Classify(), want.Classify())
+		}
+		if !reflect.DeepEqual(got.OrientedPairs(), want.OrientedPairs()) {
+			t.Errorf("%s: oriented pairs %v, want %v", name, got.OrientedPairs(), want.OrientedPairs())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Command commvet runs the commlat static-analysis suite: the AST/type
 // analyzers of internal/analysis (poolzero, padcheck, gatecheck) over
-// the module's packages, plus specvet over the spectext files in -specs.
+// the module's packages, plus specvet over every shipped lattice point
+// (apps.Specs) and the spectext files in -specs.
 // It exits nonzero when anything is found, so CI can require it; -json
 // writes a machine-readable report. The summary line carries the suite's
 // own runtime, so CI time creep stays visible in the job's output.
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"commlat/internal/analysis"
+	"commlat/internal/apps"
 )
 
 type report struct {
@@ -29,6 +31,7 @@ type report struct {
 	ElapsedNS int64              `json:"elapsed_ns"`
 	Packages  int                `json:"go_packages"`
 	SpecFiles int                `json:"spec_files"`
+	Shipped   int                `json:"shipped_specs"`
 	Analyzers []string           `json:"analyzers"`
 	Findings  []analysis.Finding `json:"findings"`
 }
@@ -65,26 +68,22 @@ func main() {
 	}
 	findings := analysis.Run(pkgs, loader.Sizes())
 
-	specFiles := 0
-	if st, err := os.Stat(specDir); err == nil && st.IsDir() {
-		specFindings, err := analysis.VetSpecDir(specDir)
-		if err != nil {
-			fatal(err)
-		}
-		findings = append(findings, specFindings...)
-		entries, _ := os.ReadDir(specDir)
-		for _, e := range entries {
-			if !e.IsDir() && filepath.Ext(e.Name()) == ".spec" {
-				specFiles++
-			}
-		}
+	points := apps.Specs()
+	for _, p := range points {
+		findings = append(findings, analysis.VetSpec(p.ADT+"/"+p.Name, p.Spec())...)
 	}
+	specFindings, specFiles, err := analysis.VetSpecDir(specDir)
+	if err != nil {
+		fatal(err)
+	}
+	findings = append(findings, specFindings...)
 
 	rep := report{
 		Schema:    "commvet/v1",
 		ElapsedNS: time.Since(start).Nanoseconds(),
 		Packages:  len(pkgs),
 		SpecFiles: specFiles,
+		Shipped:   len(points),
 		Findings:  findings,
 	}
 	for _, a := range analysis.Suite {
@@ -108,8 +107,8 @@ func main() {
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", f.Pos, f.Analyzer, f.Message)
 	}
-	fmt.Fprintf(os.Stderr, "commvet: %d finding(s) across %d package(s), %d spec file(s) in %s\n",
-		len(findings), len(pkgs), specFiles, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "commvet: %d finding(s) across %d package(s), %d shipped spec(s), %d spec file(s) in %s\n",
+		len(findings), len(pkgs), len(points), specFiles, time.Since(start).Round(time.Millisecond))
 	if len(findings) > 0 {
 		os.Exit(1)
 	}

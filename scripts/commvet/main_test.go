@@ -43,7 +43,7 @@ func commvet(t *testing.T, args ...string) (int, string) {
 
 func TestCleanPackageExitsZero(t *testing.T) {
 	code, stderr := commvet(t, "./internal/sigfilter")
-	if code != 0 || !strings.Contains(stderr, "commvet: 0 finding(s) across 1 package(s), 3 spec file(s)") {
+	if code != 0 || !strings.Contains(stderr, "commvet: 0 finding(s) across 1 package(s), 13 shipped spec(s), 1 spec file(s)") {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
 }
