@@ -6,6 +6,11 @@ import (
 	"commlat"
 )
 
+// undoFunc is a closure as an Undoer, for tests.
+type undoFunc func()
+
+func (f undoFunc) UndoTx(*commlat.Tx) { f() }
+
 // TestFacade exercises the public façade end to end: build a spec,
 // classify it, order it in the lattice, synthesize locks, and run
 // transactions — the README's advertised API.
@@ -39,7 +44,7 @@ func TestFacade(t *testing.T) {
 	tx1 := commlat.NewTx()
 	if _, err := mgr.Invoke(tx1, mgr.Method("inc"), commlat.MakeArgs(commlat.V(int64(1))), func() commlat.Value {
 		total++
-		tx1.OnUndo(func() { total-- })
+		tx1.OnUndoer(undoFunc(func() { total-- }))
 		return commlat.Value{}
 	}); err != nil {
 		t.Fatal(err)

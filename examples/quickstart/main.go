@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"sync"
 
 	"commlat/internal/abslock"
 	"commlat/internal/adt/intset"
@@ -39,30 +40,35 @@ func main() {
 	fmt.Println(reduced.MatrixString())
 
 	// 4. Run transactions against the synthesized detector, through
-	// handles fetched once per method.
+	// handles fetched once per method. The total logs each increment, and
+	// an aborting transaction's log subtracts them again (the inverse
+	// method, §3.3.2).
 	mgr := abslock.NewManager(reduced, nil)
 	inc, read := mgr.Method("inc"), mgr.Method("read")
-	total := 0
+	var mu sync.Mutex
+	total := int64(0)
+	incs := engine.NewUndoLog(&mu, func(x int64) { total -= x })
+	add := func(tx *engine.Tx, x int64) func() core.Value {
+		return func() core.Value {
+			mu.Lock()
+			total += x
+			incs.Record(tx, x)
+			mu.Unlock()
+			return core.Value{}
+		}
+	}
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	if _, err := mgr.Invoke(tx1, inc, core.Args1(core.VInt(5)), func() core.Value {
-		total += 5
-		tx1.OnUndo(func() { total -= 5 })
-		return core.Value{}
-	}); err != nil {
+	if _, err := mgr.Invoke(tx1, inc, core.Args1(core.VInt(5)), add(tx1, 5)); err != nil {
 		panic(err)
 	}
 	// A concurrent increment commutes...
-	if _, err := mgr.Invoke(tx2, inc, core.Args1(core.VInt(3)), func() core.Value {
-		total += 3
-		tx2.OnUndo(func() { total -= 3 })
-		return core.Value{}
-	}); err != nil {
+	if _, err := mgr.Invoke(tx2, inc, core.Args1(core.VInt(3)), add(tx2, 3)); err != nil {
 		panic(err)
 	}
 	fmt.Println("two concurrent increments: no conflict, total =", total)
 	// ...but a read under a live increment conflicts.
 	tx3 := engine.NewTx()
-	_, err = mgr.Invoke(tx3, read, core.Vec{}, func() core.Value { return core.VInt(int64(total)) })
+	_, err = mgr.Invoke(tx3, read, core.Vec{}, func() core.Value { return core.VInt(total) })
 	fmt.Println("concurrent read conflicts:", engine.IsConflict(err))
 	tx3.Abort()
 	tx1.Commit()

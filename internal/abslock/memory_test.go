@@ -114,6 +114,8 @@ func TestMemoryScripts(t *testing.T) {
 func TestMemoryConcurrentCounter(t *testing.T) {
 	mem := NewMemory()
 	var counter int
+	var mu sync.Mutex
+	incs := engine.NewUndoLog(&mu, func(int) { counter-- })
 	var commits atomic.Int64
 	items := make([]int, 800)
 	_, err := engine.RunItems(items, engine.Options{Workers: 8}, func(tx *engine.Tx, _ int, _ *engine.Worklist[int]) error {
@@ -123,8 +125,10 @@ func TestMemoryConcurrentCounter(t *testing.T) {
 		if err := mem.Write(tx, 7); err != nil {
 			return err
 		}
+		mu.Lock()
 		counter++
-		tx.OnUndo(func() { counter-- })
+		incs.Record(tx, 1)
+		mu.Unlock()
 		commits.Add(1)
 		return nil
 	})

@@ -38,6 +38,7 @@ type Accumulator struct {
 	inc, read *abslock.Method // compiled acquisition handles
 	mu        sync.Mutex
 	sum       int64
+	log       *engine.UndoLog[int64] // increments, undone by subtracting
 }
 
 // New creates a zeroed accumulator behind its synthesized detector.
@@ -47,7 +48,9 @@ func New() *Accumulator {
 		panic(err) // figure 7's spec is SIMPLE
 	}
 	mgr := abslock.NewManager(scheme.Reduce(), nil)
-	return &Accumulator{mgr: mgr, inc: mgr.Method("inc"), read: mgr.Method("read")}
+	a := &Accumulator{mgr: mgr, inc: mgr.Method("inc"), read: mgr.Method("read")}
+	a.log = engine.NewUndoLog(&a.mu, func(x int64) { a.sum -= x })
+	return a
 }
 
 // Inc adds x to the accumulator within tx.
@@ -57,12 +60,8 @@ func (a *Accumulator) Inc(tx *engine.Tx, x int64) error {
 	}
 	a.mu.Lock()
 	a.sum += x
+	a.log.Record(tx, x)
 	a.mu.Unlock()
-	tx.OnUndo(func() {
-		a.mu.Lock()
-		a.sum -= x
-		a.mu.Unlock()
-	})
 	return nil
 }
 

@@ -48,6 +48,16 @@ var rwPoint = sync.OnceValue(RWSpec)
 // the node locks do not give (see Graph). keys supplies pure key
 // functions for partitioned specs.
 func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Graph, error) {
+	scheme, err := provedScheme(spec)
+	if err != nil {
+		return nil, err
+	}
+	return newGraph(net, scheme, keys), nil
+}
+
+// provedScheme proves spec at or below RWSpec and returns its reduced
+// scheme.
+func provedScheme(spec *core.Spec) (*abslock.Scheme, error) {
 	if !spec.LE(rwPoint()) {
 		return nil, fmt.Errorf("flowgraph: cannot prove the specification at or below the read/write point; its locks would not isolate node state:\n%s", spec)
 	}
@@ -55,7 +65,12 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 	if err != nil {
 		return nil, err
 	}
-	mgr := abslock.NewManager(scheme.Reduce(), keys)
+	return scheme.Reduce(), nil
+}
+
+// newGraph guards net with a proved, reduced scheme.
+func newGraph(net *Net, scheme *abslock.Scheme, keys map[string]abslock.KeyFunc) *Graph {
+	mgr := abslock.NewManager(scheme, keys)
 	ids := make([]core.Value, net.Len())
 	for u := range ids {
 		ids[u] = core.VInt(int64(u))
@@ -69,14 +84,28 @@ func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Grap
 		pushFlow:     mgr.Method("pushFlow"),
 		ids:          ids,
 		net:          net,
-	}, nil
+	}
+}
+
+// The shipped points' schemes: each is proved, synthesized and reduced
+// once, on first use, and every Graph at the point shares it.
+var rwScheme, exScheme, partScheme = shipped(RWSpec), shipped(ExclusiveSpec), shipped(PartitionedSpec)
+
+func shipped(spec func() *core.Spec) func() *abslock.Scheme {
+	return sync.OnceValue(func() *abslock.Scheme {
+		scheme, err := provedScheme(spec())
+		if err != nil {
+			panic(err)
+		}
+		return scheme
+	})
 }
 
 // NewRW guards net with read/write node locks (the "ml" point).
-func NewRW(net *Net) *Graph { return mustGraph(net, RWSpec(), nil) }
+func NewRW(net *Net) *Graph { return newGraph(net, rwScheme(), nil) }
 
 // NewExclusive guards net with exclusive node locks (the "ex" point).
-func NewExclusive(net *Net) *Graph { return mustGraph(net, ExclusiveSpec(), nil) }
+func NewExclusive(net *Net) *Graph { return newGraph(net, exScheme(), nil) }
 
 // NewPartitioned guards net with locks on nparts node partitions (the
 // "part" point; the paper uses 32). Node ids are non-negative ints (every
@@ -89,16 +118,7 @@ func NewPartitioned(net *Net, nparts int) *Graph {
 	if n&(n-1) == 0 {
 		part = func(v core.Value) uint64 { u, _ := v.AsInt(); return uint64(u) & (n - 1) }
 	}
-	return mustGraph(net, PartitionedSpec(), map[string]abslock.KeyFunc{PartKey: part})
-}
-
-// mustGraph is NewGraph for the shipped points, which it always admits.
-func mustGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) *Graph {
-	g, err := NewGraph(net, spec, keys)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return newGraph(net, partScheme(), map[string]abslock.KeyFunc{PartKey: part})
 }
 
 // Net exposes the underlying network; only safe with no live

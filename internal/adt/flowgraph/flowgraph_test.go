@@ -329,3 +329,27 @@ func TestSelfLoopIgnored(t *testing.T) {
 		t.Error("self loop should be dropped")
 	}
 }
+
+// TestShippedPointsShareOneScheme: the shipped constructors prove and
+// synthesize each point once, so two graphs at one point share its
+// scheme, whatever their nets and partition counts, while NewGraph
+// still proves and synthesizes every spec it is given.
+func TestShippedPointsShareOneScheme(t *testing.T) {
+	a, b := NewPartitioned(diamond(), 4), NewPartitioned(NewNet(64, 0, 63), 32)
+	if a.mgr.Scheme() != b.mgr.Scheme() {
+		t.Error("two NewPartitioned graphs built two schemes")
+	}
+	if NewRW(diamond()).mgr.Scheme() != NewRW(diamond()).mgr.Scheme() {
+		t.Error("two NewRW graphs built two schemes")
+	}
+	if NewExclusive(diamond()).mgr.Scheme() == a.mgr.Scheme() {
+		t.Error("the ex and part points share a scheme")
+	}
+	g, err := NewGraph(diamond(), RWSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.mgr.Scheme() == NewRW(diamond()).mgr.Scheme() {
+		t.Error("NewGraph reused a shipped scheme")
+	}
+}

@@ -31,6 +31,7 @@ type LockedSet struct {
 	mgr *abslock.Manager
 	ops [3]*abslock.Method // compiled acquisition handles, by setOp
 	r   guardedRep
+	log *engine.UndoLog[setRec] // guarded by r.mu
 }
 
 // setOp indexes a set operation: every guarded set passes it down to
@@ -44,6 +45,21 @@ const (
 )
 
 var opNames = [3]string{opAdd: "add", opRemove: "remove", opContains: "contains"}
+
+// setRec is one change of a set: add or remove x.
+type setRec struct {
+	op setOp
+	x  int64
+}
+
+// apply applies r to rep, or r's inverse if undo is set, and reports
+// whether rep changed.
+func (r setRec) apply(rep Rep, undo bool) bool {
+	if (r.op == opAdd) != undo {
+		return rep.Add(r.x)
+	}
+	return rep.Remove(r.x)
+}
 
 // guardedRep is a representation behind the mutex that makes its
 // operations physically atomic. Every detector-guarded set applies its
@@ -118,6 +134,7 @@ func NewLocked(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Lock
 		return nil, err
 	}
 	s := &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), r: guardedRep{rep: rep}}
+	s.log = engine.NewUndoLog(&s.r.mu, func(r setRec) { r.apply(s.r.rep, true) })
 	for op, method := range opNames {
 		s.ops[op] = s.mgr.Method(method)
 	}
@@ -166,14 +183,20 @@ func (s *LockedSet) invoke(tx *engine.Tx, op setOp, x int64) (bool, error) {
 	return ret, nil
 }
 
-// apply runs op on the representation, registering the inverse with tx
-// when it changed the set.
+// apply runs op on the representation, logging it in tx when it changed
+// the set.
 func (s *LockedSet) apply(tx *engine.Tx, op setOp, x int64) bool {
-	e := s.r.effect(op, x)
-	if e.Undo != nil {
-		tx.OnUndo(e.Undo)
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	if op == opContains {
+		return s.r.rep.Contains(x)
 	}
-	return e.Ret.Bool()
+	r := setRec{op, x}
+	changed := r.apply(s.r.rep, false)
+	if changed {
+		s.log.Record(tx, r)
+	}
+	return changed
 }
 
 // Add inserts x under the lock discipline; it reports whether the set

@@ -1,0 +1,7 @@
+//go:build race
+
+package intset
+
+// raceEnabled reports a -race build, under which sync.Pool drops
+// objects at random, so pooled transactions allocate.
+const raceEnabled = true

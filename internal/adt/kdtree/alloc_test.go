@@ -160,8 +160,8 @@ func TestUndoLogRestoresAndRecycles(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		idx  Index
-		log  *undoLog
-	}{{"kd-ml", ml, &ml.log}, {"kd-locked", locked, &locked.log}} {
+		log  *engine.UndoLog[mutation]
+	}{{"kd-ml", ml, ml.log}, {"kd-locked", locked, locked.log}} {
 		c.idx.Seed(stepPoints)
 		p, n, mid := stepPoints[0], stepPoints[1], Point{0.5, 0, 0}
 		for round := 0; round < 3; round++ {
@@ -211,7 +211,7 @@ func TestUndoLogRestoresAndRecycles(t *testing.T) {
 			}
 		}
 		check.Commit()
-		if got := len(c.log.recs); got != 4 {
+		if got := c.log.Records(); got != 4 {
 			t.Errorf("%s: %d records after the rounds, want the 4 one transaction needs", c.name, got)
 		}
 	}

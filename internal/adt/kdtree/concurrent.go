@@ -35,23 +35,45 @@ type MLTree struct {
 	mu  sync.Mutex // physical atomicity; conflicts come from mem
 	t   *Tree
 	mem *abslock.Memory
-	log undoLog // guarded by mu
+	log *engine.UndoLog[mutation]
+}
+
+// mutation is an add (added) or a remove of p.
+type mutation struct {
+	p     Point
+	added bool
+}
+
+// apply performs m on t, or its inverse if undo is set, under visit
+// (nil for none), and reports whether t changed.
+func (m mutation) apply(t *Tree, undo bool, visit visitFn) (bool, error) {
+	if m.added != undo {
+		return t.AddV(m.p, visit)
+	}
+	return t.RemoveV(m.p, visit)
 }
 
 // NewML creates an empty kd-ml tree.
-func NewML() *MLTree { return &MLTree{t: New(), mem: abslock.NewMemory()} }
+func NewML() *MLTree {
+	m := &MLTree{t: New(), mem: abslock.NewMemory()}
+	m.log = engine.NewUndoLog(&m.mu, func(r mutation) { r.apply(m.t, true, nil) })
+	return m
+}
+
+// seed bulk-loads pts into t, or into a balanced tree if t is empty.
+func seed(t *Tree, pts []Point) *Tree {
+	if t.Len() == 0 {
+		return Build(pts)
+	}
+	for _, p := range pts {
+		t.Add(p)
+	}
+	return t
+}
 
 // Seed bulk-loads points without conflict detection, building a balanced
 // tree when starting empty.
-func (m *MLTree) Seed(pts []Point) {
-	if m.t.Len() == 0 {
-		m.t = Build(pts)
-		return
-	}
-	for _, p := range pts {
-		m.t.Add(p)
-	}
-}
+func (m *MLTree) Seed(pts []Point) { m.t = seed(m.t, pts) }
 
 // Len returns the point count.
 func (m *MLTree) Len() int { return m.t.Len() }
@@ -66,47 +88,22 @@ func (m *MLTree) visit(tx *engine.Tx) visitFn {
 }
 
 // Add inserts p under memory-level conflict detection.
-func (m *MLTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ok, err := m.t.AddV(p, m.visit(tx))
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		m.log.record(tx, m, p, true)
-	}
-	return ok, nil
-}
+func (m *MLTree) Add(tx *engine.Tx, p Point) (bool, error) { return m.mutate(tx, mutation{p, true}) }
 
 // Remove deletes p under memory-level conflict detection.
 func (m *MLTree) Remove(tx *engine.Tx, p Point) (bool, error) {
+	return m.mutate(tx, mutation{p, false})
+}
+
+// mutate performs r under memory-level detection, logging a change.
+func (m *MLTree) mutate(tx *engine.Tx, r mutation) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ok, err := m.t.RemoveV(p, m.visit(tx))
-	if err != nil {
-		return false, err
-	}
+	ok, err := r.apply(m.t, false, m.visit(tx))
 	if ok {
-		m.log.record(tx, m, p, false)
+		m.log.Record(tx, r)
 	}
-	return ok, nil
-}
-
-// UndoTx reverts tx's mutations, newest first. Registered as an
-// engine.Undoer by the transaction's first mutation.
-func (m *MLTree) UndoTx(tx *engine.Tx) {
-	m.mu.Lock()
-	m.log.undo(tx, m, m.t)
-	m.mu.Unlock()
-}
-
-// ReleaseTx recycles tx's mutation records. Registered as an
-// engine.Releaser by the transaction's first mutation.
-func (m *MLTree) ReleaseTx(tx *engine.Tx) {
-	m.mu.Lock()
-	m.log.release(tx, m)
-	m.mu.Unlock()
+	return ok, err
 }
 
 // Nearest queries under memory-level conflict detection.
@@ -162,17 +159,7 @@ func argPoint(inv *core.Invocation) Point {
 
 // Seed bulk-loads points without conflict detection, building a balanced
 // tree when starting empty.
-func (k *GKTree) Seed(pts []Point) {
-	k.g.Sync(func() {
-		if k.t.Len() == 0 {
-			k.t = Build(pts)
-			return
-		}
-		for _, p := range pts {
-			k.t.Add(p)
-		}
-	})
-}
+func (k *GKTree) Seed(pts []Point) { k.g.Sync(func() { k.t = seed(k.t, pts) }) }
 
 // Len returns the point count.
 func (k *GKTree) Len() int {
@@ -252,7 +239,7 @@ type LockedTree struct {
 
 	mu  sync.Mutex
 	t   *Tree
-	log undoLog // guarded by mu
+	log *engine.UndoLog[mutation]
 }
 
 // NewLocked creates the abstract-locked kd-tree.
@@ -262,24 +249,20 @@ func NewLocked() *LockedTree {
 		panic(err) // StrengthenToSimple always yields a SIMPLE spec
 	}
 	mgr := abslock.NewManager(scheme.Reduce(), nil)
-	return &LockedTree{
+	l := &LockedTree{
 		mgr: mgr, t: New(),
 		add: mgr.Method("add"), remove: mgr.Method("remove"),
 		nearest: mgr.Method("nearest"), contains: mgr.Method("contains"),
 	}
+	l.log = engine.NewUndoLog(&l.mu, func(r mutation) { r.apply(l.t, true, nil) })
+	return l
 }
 
 // Seed bulk-loads points without conflict detection.
 func (l *LockedTree) Seed(pts []Point) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.t.Len() == 0 {
-		l.t = Build(pts)
-		return
-	}
-	for _, p := range pts {
-		l.t.Add(p)
-	}
+	l.t = seed(l.t, pts)
 }
 
 // Len returns the point count.
@@ -291,46 +274,26 @@ func (l *LockedTree) Len() int {
 
 // Add inserts p under the lock discipline.
 func (l *LockedTree) Add(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.Acquire(tx, l.add, core.VVec(p)); err != nil {
-		return false, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.t.Add(p) {
-		return false, nil
-	}
-	l.log.record(tx, l, p, true)
-	return true, nil
+	return l.mutate(tx, l.add, mutation{p, true})
 }
 
 // Remove deletes p under the lock discipline.
 func (l *LockedTree) Remove(tx *engine.Tx, p Point) (bool, error) {
-	if err := l.mgr.Acquire(tx, l.remove, core.VVec(p)); err != nil {
+	return l.mutate(tx, l.remove, mutation{p, false})
+}
+
+// mutate performs r under h's locks, logging a change.
+func (l *LockedTree) mutate(tx *engine.Tx, h *abslock.Method, r mutation) (bool, error) {
+	if err := l.mgr.Acquire(tx, h, core.VVec(r.p)); err != nil {
 		return false, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.t.Remove(p) {
-		return false, nil
+	ok, _ := r.apply(l.t, false, nil)
+	if ok {
+		l.log.Record(tx, r)
 	}
-	l.log.record(tx, l, p, false)
-	return true, nil
-}
-
-// UndoTx reverts tx's mutations, newest first. Registered as an
-// engine.Undoer by the transaction's first mutation.
-func (l *LockedTree) UndoTx(tx *engine.Tx) {
-	l.mu.Lock()
-	l.log.undo(tx, l, l.t)
-	l.mu.Unlock()
-}
-
-// ReleaseTx recycles tx's mutation records. Registered as an
-// engine.Releaser by the transaction's first mutation.
-func (l *LockedTree) ReleaseTx(tx *engine.Tx) {
-	l.mu.Lock()
-	l.log.release(tx, l)
-	l.mu.Unlock()
+	return ok, nil
 }
 
 // Nearest queries under the lock discipline (serialized against all

@@ -33,11 +33,15 @@ type ML struct {
 	mu  sync.Mutex
 	f   *Forest
 	mem *abslock.Memory
+	log *engine.UndoLog[Write] // the forest's writes, undone by restoring Old
+	ws  []Write                // scratch: one call's writes, before they are logged
 }
 
 // NewML creates a uf-ml structure with n elements.
 func NewML(n int) *ML {
-	return &ML{f: NewForest(n), mem: abslock.NewMemory()}
+	m := &ML{f: NewForest(n), mem: abslock.NewMemory()}
+	m.log = engine.NewUndoLog(&m.mu, func(w Write) { m.f.parent[w.Idx] = w.Old })
+	return m
 }
 
 // Forest exposes the underlying forest.
@@ -69,10 +73,8 @@ func (m *ML) Find(tx *engine.Tx, a int64) (int64, error) {
 	if err := m.acquirePath(tx, a); err != nil {
 		return 0, err
 	}
-	r, ws := m.f.FindW(a)
-	if len(ws) > 0 {
-		m.undoOnAbort(tx, ws)
-	}
+	r, ws := m.f.findW(a, m.ws)
+	m.record(tx, ws)
 	return r, nil
 }
 
@@ -97,19 +99,18 @@ func (m *ML) Union(tx *engine.Tx, a, b int64) (bool, error) {
 			return false, err
 		}
 	}
-	merged, ws := m.f.UnionW(a, b)
-	if len(ws) > 0 {
-		m.undoOnAbort(tx, ws)
-	}
+	merged, ws := m.f.unionW(a, b, m.ws)
+	m.record(tx, ws)
 	return merged, nil
 }
 
-func (m *ML) undoOnAbort(tx *engine.Tx, ws []Write) {
-	tx.OnUndo(func() {
-		m.mu.Lock()
-		m.f.Revert(ws)
-		m.mu.Unlock()
-	})
+// record logs one call's writes for tx, oldest first, and keeps their
+// buffer for the next call.
+func (m *ML) record(tx *engine.Tx, ws []Write) {
+	for _, w := range ws {
+		m.log.Record(tx, w)
+	}
+	m.ws = ws[:0]
 }
 
 // Generic is the spec-driven general-gatekeeper variant: it hands figure
@@ -141,7 +142,7 @@ func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 	var merged bool
 	_, err := u.g.Invoke(tx, u.union, core.Args2(core.VInt(a), core.VInt(b)), func() gatekeeper.Effect {
 		var ws []Write
-		merged, ws = u.f.UnionW(a, b)
+		merged, ws = u.f.unionW(a, b, nil)
 		if len(ws) == 0 {
 			return gatekeeper.Effect{}
 		}
@@ -159,7 +160,7 @@ func (u *Generic) Union(tx *engine.Tx, a, b int64) (bool, error) {
 // Find returns a's representative under the generic general gatekeeper.
 func (u *Generic) Find(tx *engine.Tx, a int64) (int64, error) {
 	ret, err := u.g.Invoke(tx, u.find, core.Args1(core.VInt(a)), func() gatekeeper.Effect {
-		r, ws := u.f.FindW(a)
+		r, ws := u.f.findW(a, nil)
 		eff := gatekeeper.Effect{Ret: core.VInt(r)}
 		if len(ws) > 0 {
 			eff.Undo = func() { u.f.Revert(ws) }

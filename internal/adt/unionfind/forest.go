@@ -74,11 +74,9 @@ func (f *Forest) Find(x int64) int64 {
 	return r
 }
 
-// FindW is Find returning the concrete writes compression performed.
-func (f *Forest) FindW(x int64) (int64, []Write) { return f.findW(x, nil) }
-
-// findW is FindW appending the writes to ws, so a caller that owns a
-// scratch buffer pays no allocation per compressing find.
+// findW is Find appending the concrete writes compression performed to
+// ws, so a caller that owns a scratch buffer pays no allocation per
+// compressing find.
 func (f *Forest) findW(x int64, ws []Write) (int64, []Write) {
 	r := f.FindNoCompress(x)
 	for f.parent[x] != r {
@@ -105,16 +103,13 @@ func (f *Forest) Loser(a, b int64) int64 {
 // Union merges the sets of a and b, reporting whether the forest changed
 // (false when they were already joined).
 func (f *Forest) Union(a, b int64) bool {
-	ok, _ := f.UnionW(a, b)
+	ok, _ := f.unionW(a, b, nil)
 	return ok
 }
 
-// UnionW is Union returning the concrete writes performed (the loser
-// representative's parent write plus any path compression by the
-// internal finds).
-func (f *Forest) UnionW(a, b int64) (bool, []Write) { return f.unionW(a, b, nil) }
-
-// unionW is UnionW appending the writes to ws.
+// unionW is Union appending the concrete writes performed to ws: the
+// loser representative's parent write plus any path compression by the
+// internal finds.
 func (f *Forest) unionW(a, b int64, ws []Write) (bool, []Write) {
 	ra, ws := f.findW(a, ws)
 	rb, ws := f.findW(b, ws)

@@ -89,7 +89,7 @@ func TestForestPathCompression(t *testing.T) {
 		f.Union(i, i+1)
 	}
 	// After find(0), 0 must point directly at the root.
-	r, ws := f.FindW(0)
+	r, ws := f.findW(0, nil)
 	if r != 5 {
 		t.Fatalf("Find(0) = %d", r)
 	}
@@ -109,11 +109,11 @@ func TestForestPathCompression(t *testing.T) {
 
 func TestForestWriteLists(t *testing.T) {
 	f := NewForest(4)
-	merged, ws := f.UnionW(0, 1)
+	merged, ws := f.unionW(0, 1, nil)
 	if !merged || len(ws) != 1 || ws[0] != (Write{Idx: 0, Old: 0, New: 1}) {
-		t.Fatalf("UnionW = %v, %v", merged, ws)
+		t.Fatalf("unionW = %v, %v", merged, ws)
 	}
-	merged, ws = f.UnionW(0, 1)
+	merged, ws = f.unionW(0, 1, nil)
 	if merged {
 		t.Error("re-union should not merge")
 	}

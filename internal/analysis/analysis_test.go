@@ -34,7 +34,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		dir  string
 		want map[string]int // analyzer name -> finding count
 	}{
-		{"poolbad", map[string]int{"poolzero": 3}},
+		{"poolbad", map[string]int{"poolzero": 4}},
 		{"poolgood", nil},
 		{"padbad", map[string]int{"padcheck": 1}},
 		{"padgood", nil},

@@ -17,13 +17,13 @@ import (
 // MemStats retention tests catch dynamically; this pins it statically.
 //
 // A field counts as sanitized when, earlier in the same function, it is
-// assigned (x.f = ..., including x.f = x.f[:0]), an element is assigned
-// in a loop (x.f[i] = ...), a method is called on it (x.f.Release()),
-// the whole object is assigned a literal that does not name it
-// (*x = T{...}), or a sanitizer method is called on the whole object
-// (x.reset(), x.clear(), ...). Pools whose invariant is maintained
-// elsewhere (hooks cleared by Commit/Abort before PutTx) carry a
-// //commvet:ignore with the reason.
+// assigned anything but a reslice (x.f = x.f[:0] keeps the elements in
+// the backing array), its elements are cleared (clear(x.f), or x.f[i] =
+// ... in a loop), a method is called on it (x.f.Release()), the whole
+// object is assigned a literal that does not name it (*x = T{...}), or a
+// sanitizer method is called on the whole object (x.reset(), ...). Pools
+// whose invariant is maintained elsewhere (hooks cleared by Commit/Abort
+// before PutTx) carry a //commvet:ignore with the reason.
 var PoolZero = &Analyzer{
 	Name: "poolzero",
 	Doc:  "objects returned to pools must zero reference-carrying fields",
@@ -115,11 +115,17 @@ func checkPoolRelease(pass *Pass, stack []ast.Node, site ast.Node, arg ast.Expr)
 				if sel == nil || identObj(info, sel.X) != obj {
 					continue
 				}
-				if v := fieldOf(info, sel); v != nil {
+				_, reslice := unparen(x.Rhs[min(i, len(x.Rhs)-1)]).(*ast.SliceExpr)
+				if v := fieldOf(info, sel); v != nil && !reslice {
 					delete(missing, v.Name())
 				}
 			}
 		case *ast.CallExpr:
+			if id, ok := unparen(x.Fun).(*ast.Ident); ok && id.Name == "clear" && len(x.Args) == 1 {
+				if sel := selectorIn(x.Args[0]); sel != nil && identObj(info, sel.X) == obj {
+					delete(missing, sel.Sel.Name)
+				}
+			}
 			sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
 			if !ok {
 				return true

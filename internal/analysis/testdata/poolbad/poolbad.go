@@ -11,6 +11,7 @@ type entry struct {
 	name string
 	next *entry
 	buf  []byte
+	kids []*entry
 }
 
 var pool = sync.Pool{New: func() any { return new(entry) }}
@@ -32,5 +33,11 @@ type stack struct{ free []*entry }
 
 func (s *stack) put(e *entry) {
 	*e = entry{key: e.key, next: e.next} // next kept
+	s.free = append(s.free, e)
+}
+
+// truncate keeps kids' backing array, which still pins every kid.
+func (s *stack) truncate(e *entry) {
+	e.name, e.next, e.kids = "", nil, e.kids[:0]
 	s.free = append(s.free, e)
 }

@@ -1,10 +1,13 @@
 package preflow
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"commlat/internal/adt/flowgraph"
 	"commlat/internal/engine"
+	"commlat/internal/parameter"
 	"commlat/internal/workload"
 )
 
@@ -129,22 +132,98 @@ func TestRunLeavesAValidFlow(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s/%d workers: %v", seed, name, workers, err)
 				}
-				if flow != want {
-					t.Errorf("seed %d %s/%d workers: flow = %d, want %d", seed, name, workers, flow, want)
-				}
-				n := gr.Net()
-				for u := int64(0); u < int64(n.Len()); u++ {
-					if e := n.Excess(u); e != 0 && u != n.Source() && u != n.Sink() {
-						t.Errorf("seed %d %s/%d workers: interior node %d keeps excess %d", seed, name, workers, u, e)
+				checkFlow(t, fmt.Sprintf("seed %d %s/%d workers", seed, name, workers), gr.Net(), built, flow, want)
+			}
+		}
+	}
+}
+
+// TestProfileLeavesAValidFlow is TestRunLeavesAValidFlow under the
+// ParaMeter scheduler, which holds each round's transactions open until
+// the round ends: a discharge planned against a node another open
+// discharge holds is refused inside PushRelabel, on one goroutine and
+// deterministically. A PushRelabel that wrote before its last lock was
+// granted would leave those writes behind.
+func TestProfileLeavesAValidFlow(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		mk := func() *flowgraph.Net { return workload.GenRMF(4, 4, 1, 50, seed) }
+		want, built := Sequential(mk()), mk()
+		for name, g := range graphVariants(mk) {
+			gr := g()
+			res, err := Profile(gr)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			if res.Conflicts == 0 {
+				t.Errorf("seed %d %s: no discharge was refused", seed, name)
+			}
+			checkFlow(t, fmt.Sprintf("seed %d %s profile", seed, name), gr.Net(), built, res.Flow, want)
+		}
+	}
+}
+
+// TestRefusedDischargeWritesNothing drives Discharge through the
+// ParaMeter scheduler as Profile does, and checks that every refused
+// discharge leaves the net as it found it. A refusal inside PushRelabel
+// after a leaked push can still end in a valid maximum flow, since the
+// leaked push is a legal one, so the final state alone cannot catch it.
+func TestRefusedDischargeWritesNothing(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for name, g := range graphVariants(func() *flowgraph.Net { return workload.GenRMF(4, 4, 1, 50, seed) }) {
+			gr := g()
+			net := gr.Net()
+			net.SetHeight(net.Source(), int64(net.Len()))
+			refused := 0
+			_, err := parameter.Profile(saturateSource(net), func(tx *engine.Tx, u int64, push func(int64)) (bool, error) {
+				before := snapshot(net)
+				did, err := Discharge(tx, gr, u, push)
+				if engine.IsConflict(err) {
+					refused++
+					if after := snapshot(net); !slices.Equal(after, before) {
+						t.Errorf("seed %d %s: refused discharge of node %d wrote to the net", seed, name, u)
 					}
-					for i, a := range n.Arcs(u) {
-						b, rev := built.Arcs(u)[i], n.Arcs(int64(a.To))[a.Rev]
-						if a.Cap < 0 || a.Cap+rev.Cap != b.Cap+built.Arcs(int64(b.To))[b.Rev].Cap {
-							t.Errorf("seed %d %s/%d workers: arc %d→%d has residual %d and reverse %d, built %d and %d",
-								seed, name, workers, u, a.To, a.Cap, rev.Cap, b.Cap, built.Arcs(int64(b.To))[b.Rev].Cap)
-						}
-					}
 				}
+				return did, err
+			})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			if refused == 0 {
+				t.Errorf("seed %d %s: no discharge was refused", seed, name)
+			}
+		}
+	}
+}
+
+// snapshot lists every height, excess and residual capacity of n.
+func snapshot(n *flowgraph.Net) []int64 {
+	var s []int64
+	for u := int64(0); u < int64(n.Len()); u++ {
+		s = append(s, n.Height(u), n.Excess(u))
+		for _, a := range n.Arcs(u) {
+			s = append(s, a.Cap)
+		}
+	}
+	return s
+}
+
+// checkFlow checks that n, solved from built, holds a valid maximum
+// flow: value want, no excess left on an interior node, and every arc
+// pair within its built capacity.
+func checkFlow(t *testing.T, label string, n, built *flowgraph.Net, flow, want int64) {
+	t.Helper()
+	if flow != want {
+		t.Errorf("%s: flow = %d, want %d", label, flow, want)
+	}
+	for u := int64(0); u < int64(n.Len()); u++ {
+		if e := n.Excess(u); e != 0 && u != n.Source() && u != n.Sink() {
+			t.Errorf("%s: interior node %d keeps excess %d", label, u, e)
+		}
+		for i, a := range n.Arcs(u) {
+			b, rev := built.Arcs(u)[i], n.Arcs(int64(a.To))[a.Rev]
+			if a.Cap < 0 || a.Cap+rev.Cap != b.Cap+built.Arcs(int64(b.To))[b.Rev].Cap {
+				t.Errorf("%s: arc %d→%d has residual %d and reverse %d, built %d and %d",
+					label, u, a.To, a.Cap, rev.Cap, b.Cap, built.Arcs(int64(b.To))[b.Rev].Cap)
 			}
 		}
 	}

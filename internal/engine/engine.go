@@ -89,20 +89,12 @@ const (
 	Aborted
 )
 
-// Undoer is a detector (or data structure) that can roll back its state
-// for an aborting transaction. Registering a pointer receiver with
-// OnUndoer stores the interface pair inline: no closure, no allocation.
+// Undoer is a detector (or data structure) that rolls back its state for
+// an aborting transaction from data it keeps (an UndoLog, say). OnUndoer
+// stores a pointer receiver inline: no closure, no allocation.
 type Undoer interface {
 	UndoTx(tx *Tx)
 }
-
-// UndoFunc is an inverse action as an Undoer, the form OnUndo registers.
-// A func value is pointer-shaped, so the interface holds it without an
-// allocation of its own.
-type UndoFunc func()
-
-// UndoTx runs the inverse action.
-func (f UndoFunc) UndoTx(*Tx) { f() }
 
 // Releaser is a detector that must be notified when a transaction ends
 // (by commit or abort): lock release, gatekeeper log cleanup, and so on.
@@ -273,13 +265,8 @@ func (tx *Tx) AttachedWord(owner any) *uint64 {
 // AttachedWord first so the two storages never mix.
 func (tx *Tx) EndWord() *uint64 { return &tx.endWord }
 
-// OnUndo registers an inverse action to run (in LIFO order) if the
-// transaction aborts. Data structure wrappers call this after every
-// successful mutating invocation.
-func (tx *Tx) OnUndo(f func()) { tx.OnUndoer(UndoFunc(f)) }
-
-// OnUndoer registers u.UndoTx(tx) as an undo action, ordered with the
-// OnUndo actions.
+// OnUndoer registers u.UndoTx(tx) to run if the transaction aborts, the
+// undo actions newest first.
 func (tx *Tx) OnUndoer(u Undoer) {
 	tx.mustBeActive()
 	tx.undo = append(tx.undo, u)

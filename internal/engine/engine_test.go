@@ -18,6 +18,11 @@ type releaseFunc func()
 
 func (f releaseFunc) ReleaseTx(*Tx) { f() }
 
+// undoFunc is a closure as an Undoer, for tests.
+type undoFunc func()
+
+func (f undoFunc) UndoTx(*Tx) { f() }
+
 // namedUndoer is an Undoer value that records its name when it runs.
 type namedUndoer struct {
 	name  string
@@ -26,18 +31,17 @@ type namedUndoer struct {
 
 func (u *namedUndoer) UndoTx(*Tx) { *u.order = append(*u.order, u.name) }
 
-// TestTxLifecycle: OnUndo closures and OnUndoer values, registered
-// alternately, undo in one LIFO order, and the release hooks run after
-// them.
+// TestTxLifecycle: Undoer values undo in LIFO order, and the release
+// hooks run after them.
 func TestTxLifecycle(t *testing.T) {
 	tx := NewTx()
 	if tx.Status() != Active {
 		t.Fatal("new tx should be active")
 	}
 	var order []string
-	tx.OnUndo(func() { order = append(order, "undo1") })
+	tx.OnUndoer(undoFunc(func() { order = append(order, "undo1") }))
 	tx.OnUndoer(&namedUndoer{"undo2", &order})
-	tx.OnUndo(func() { order = append(order, "undo3") })
+	tx.OnUndoer(undoFunc(func() { order = append(order, "undo3") }))
 	tx.OnUndoer(&namedUndoer{"undo4", &order})
 	tx.OnReleaser(releaseFunc(func() { order = append(order, "rel") }))
 	tx.Abort()
@@ -58,7 +62,7 @@ func TestTxLifecycle(t *testing.T) {
 func TestTxCommitSkipsUndo(t *testing.T) {
 	tx := NewTx()
 	undone, released := false, false
-	tx.OnUndo(func() { undone = true })
+	tx.OnUndoer(undoFunc(func() { undone = true }))
 	tx.OnReleaser(releaseFunc(func() { released = true }))
 	tx.Commit()
 	if undone {
@@ -469,7 +473,7 @@ func TestRunUndoRunsPerAbort(t *testing.T) {
 		var undone atomic.Int64
 		var tries atomic.Int64
 		_, err := run([]int{1}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
-			tx.OnUndo(func() { undone.Add(1) })
+			tx.OnUndoer(undoFunc(func() { undone.Add(1) }))
 			if tries.Add(1) < 4 {
 				return ConflictBy(0, "retry")
 			}
@@ -490,7 +494,7 @@ func TestRunPropagatesFatalError(t *testing.T) {
 		var undone atomic.Int64
 		_, err := run([]int{1, 2, 3, 4}, Options{Workers: 2}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if item == 3 {
-				tx.OnUndo(func() { undone.Add(1) })
+				tx.OnUndoer(undoFunc(func() { undone.Add(1) }))
 				return boom
 			}
 			return nil
@@ -548,7 +552,7 @@ func TestRunBodyPanic(t *testing.T) {
 		var order []string
 		_, err := run([]int{1, 2, 3}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if item == 2 {
-				tx.OnUndo(func() { order = append(order, "undo") })
+				tx.OnUndoer(undoFunc(func() { order = append(order, "undo") }))
 				tx.OnReleaser(releaseFunc(func() { order = append(order, "release") }))
 				panic("kaboom")
 			}
@@ -577,7 +581,7 @@ func TestRunBodyPanicAfterSeal(t *testing.T) {
 		var order []string
 		_, err := run([]int{1, 2, 3}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
 			if item == 2 {
-				tx.OnUndo(func() { order = append(order, "undo") })
+				tx.OnUndoer(undoFunc(func() { order = append(order, "undo") }))
 				tx.OnReleaser(releaseFunc(func() { order = append(order, "release") }))
 				tx.Seal()
 				panic("kaboom")
@@ -599,6 +603,7 @@ func TestRunConcurrentCounterWithLockDiscipline(t *testing.T) {
 	var held atomic.Int64
 	counter := 0
 	var mu sync.Mutex
+	incs := NewUndoLog(&mu, func(int) { counter-- })
 	items := make([]int, 500)
 	stats, err := RunItems(items, Options{Workers: 8}, func(tx *Tx, item int, wl *Worklist[int]) error {
 		if !held.CompareAndSwap(0, 1) {
@@ -607,12 +612,8 @@ func TestRunConcurrentCounterWithLockDiscipline(t *testing.T) {
 		tx.OnReleaser(releaseFunc(func() { held.Store(0) }))
 		mu.Lock()
 		counter++
+		incs.Record(tx, 1)
 		mu.Unlock()
-		tx.OnUndo(func() {
-			mu.Lock()
-			counter--
-			mu.Unlock()
-		})
 		return nil
 	})
 	if err != nil {

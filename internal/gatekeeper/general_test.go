@@ -348,7 +348,7 @@ func TestAbortUnjournalsBeforeRelease(t *testing.T) {
 	var probed bool
 	// Registered before A's first invocation, this undo runs after the
 	// gatekeeper's undo hook and before its release hook.
-	a.OnUndo(func() {
+	a.OnUndoer(undoFunc(func() {
 		probed = true
 		if n, j := u.g.ActiveInvocations(), u.g.JournalLen(); n != 3 || j != 0 {
 			t.Errorf("between undo and release: %d active, journal %d; want 3 active, journal 0", n, j)
@@ -358,7 +358,7 @@ func TestAbortUnjournalsBeforeRelease(t *testing.T) {
 			t.Errorf("find(5) against the aborting unions = %v, %v", r, err)
 		}
 		b.Commit()
-	})
+	}))
 	for _, p := range [][2]int64{{0, 1}, {2, 3}, {1, 3}} {
 		if err := u.union(a, p[0], p[1]); err != nil {
 			t.Fatal(err)
@@ -379,19 +379,23 @@ func TestAbortUnjournalsBeforeRelease(t *testing.T) {
 }
 
 // TestAbortRestoresMixedStructures: one transaction touches a forward
-// gatekeeper, a general one and a closure-undone variable; its abort
-// restores all three, each gatekeeper newest first through its single
-// undo hook.
+// gatekeeper, a general one and a variable with an engine.UndoLog; its
+// abort restores all three, each newest first through its single undo
+// hook.
 func TestAbortRestoresMixedStructures(t *testing.T) {
 	s, u := newGSet(t), newGUF(t, 6)
 	counter := 0
+	var mu sync.Mutex
+	incs := engine.NewUndoLog(&mu, func(int) { counter-- })
 	tx := engine.NewTx()
 	steps := []func() error{
 		func() error { return u.union(tx, 0, 1) },
 		func() error { _, err := s.invoke(tx, "add", 7); return err },
 		func() error {
+			mu.Lock()
 			counter++
-			tx.OnUndo(func() { counter-- })
+			incs.Record(tx, 1)
+			mu.Unlock()
 			return nil
 		},
 		func() error { return u.union(tx, 1, 2) },
@@ -412,7 +416,7 @@ func TestAbortRestoresMixedStructures(t *testing.T) {
 		}
 	}
 	if counter != 0 {
-		t.Errorf("closure undo not run: counter = %d", counter)
+		t.Errorf("logged undo not run: counter = %d", counter)
 	}
 	if n, m, j := s.g.ActiveInvocations(), u.g.ActiveInvocations(), u.g.JournalLen(); n+m+j != 0 {
 		t.Errorf("state leaked: forward active=%d, general active=%d, journal=%d", n, m, j)

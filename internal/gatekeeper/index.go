@@ -83,7 +83,7 @@ func (s *keySlot) remove(k entryKey, e *entry) {
 	removeElem(&b.es, e)
 	if len(b.es) == 0 {
 		delete(s.index, k.h)
-		b.es = b.es[:0]
+		//commvet:ignore b.es is empty, and removeElem nils every slot it vacates, so the backing array holds no entry
 		s.free = append(s.free, b)
 	}
 }

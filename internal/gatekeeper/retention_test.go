@@ -13,6 +13,16 @@ type releaseFunc func()
 
 func (f releaseFunc) ReleaseTx(*engine.Tx) { f() }
 
+// undoFunc is a closure as an engine.Undoer, for tests.
+type undoFunc func()
+
+func (f undoFunc) UndoTx(*engine.Tx) { f() }
+
+// pinUndoer is an Undoer value whose data pins a blob.
+type pinUndoer struct{ b *blob }
+
+func (*pinUndoer) UndoTx(*engine.Tx) {}
+
 // blob is a user-type argument with a deliberately large heap footprint:
 // if a pooled record (entry or Tx hook) fails to zero its
 // Value fields on release, every pooled record pins one of these.
@@ -113,13 +123,14 @@ func TestGeneralPoolsDropUserValues(t *testing.T) {
 
 // TestTxPoolDropsHooks: a pooled transaction's undo/release hook slices
 // must be zeroed on recycle (clearHooks), or the pooled Tx pins the last
-// run's closures and through them arbitrary user state.
+// run's Undoer values and closures and through them arbitrary user
+// state.
 func TestTxPoolDropsHooks(t *testing.T) {
 	base := heapBaseline()
 	for i := 0; i < 16; i++ {
 		tx := engine.GetTx()
 		payload := &blob{data: make([]byte, blobSize)}
-		tx.OnUndo(func() { _ = payload })
+		tx.OnUndoer(&pinUndoer{payload})
 		tx.OnReleaser(releaseFunc(func() { _ = payload }))
 		tx.Commit()
 		engine.PutTx(tx)
