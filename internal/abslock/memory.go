@@ -1,8 +1,6 @@
 package abslock
 
 import (
-	"sync"
-
 	"commlat/internal/core"
 	"commlat/internal/engine"
 )
@@ -19,13 +17,7 @@ func MemorySpec() *core.Spec {
 
 // memoryScheme is MemorySpec's reduced scheme: a read and a write mode
 // on the cell, read compatible with read alone.
-var memoryScheme = sync.OnceValue(func() *Scheme {
-	s, err := Synthesize(MemorySpec())
-	if err != nil {
-		panic(err) // MemorySpec is SIMPLE
-	}
-	return s.Reduce()
-})
+var memoryScheme = Shipped(MemorySpec)
 
 // Memory is memory-level conflict detection: MemorySpec's abstract locks
 // on integer cell ids, held to transaction end. The memory-level

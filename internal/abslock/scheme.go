@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"commlat/internal/core"
 )
@@ -233,6 +234,19 @@ func (s *Scheme) Reduce() *Scheme {
 		}
 	}
 	return out
+}
+
+// Shipped returns spec's reduced scheme, synthesized on the first call
+// and shared by every later one. It is for the SIMPLE specifications a
+// package ships: a synthesis failure is a bug there, and it panics.
+func Shipped(spec func() *core.Spec) func() *Scheme {
+	return sync.OnceValue(func() *Scheme {
+		s, err := Synthesize(spec())
+		if err != nil {
+			panic(err)
+		}
+		return s.Reduce()
+	})
 }
 
 // ModeIndex finds a mode by its rendered name (e.g. "inc:ds"); it returns

@@ -355,3 +355,26 @@ func TestModeString(t *testing.T) {
 		t.Error("keyed mode naming")
 	}
 }
+
+// TestShippedSynthesizesOnce: a shipped spec is synthesized and reduced
+// on the first call only, and a spec that does not synthesize panics.
+func TestShippedSynthesizesOnce(t *testing.T) {
+	calls := 0
+	scheme := Shipped(func() *core.Spec { calls++; return accumSpec() })
+	a, b := scheme(), scheme()
+	if a != b || calls != 1 {
+		t.Errorf("one scheme for two calls = %v after %d spec calls, want true after 1", a == b, calls)
+	}
+	if len(a.Modes) != 2 {
+		t.Errorf("shipped scheme is not reduced:\n%s", a.MatrixString())
+	}
+	precise := core.NewSpec(setSig())
+	precise.Set("add", "add", core.Or(core.Ne(core.Arg1(0), core.Arg2(0)),
+		core.And(core.Eq(core.Ret1(), core.Lit(false)), core.Eq(core.Ret2(), core.Lit(false)))))
+	defer func() {
+		if recover() == nil {
+			t.Error("a spec that does not synthesize did not panic")
+		}
+	}()
+	Shipped(func() *core.Spec { return precise })()
+}

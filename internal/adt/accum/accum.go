@@ -41,13 +41,12 @@ type Accumulator struct {
 	log       *engine.UndoLog[int64] // increments, undone by subtracting
 }
 
+// scheme is Spec's reduced scheme, synthesized once.
+var scheme = abslock.Shipped(Spec)
+
 // New creates a zeroed accumulator behind its synthesized detector.
 func New() *Accumulator {
-	scheme, err := abslock.Synthesize(Spec())
-	if err != nil {
-		panic(err) // figure 7's spec is SIMPLE
-	}
-	mgr := abslock.NewManager(scheme.Reduce(), nil)
+	mgr := abslock.NewManager(scheme(), nil)
 	a := &Accumulator{mgr: mgr, inc: mgr.Method("inc"), read: mgr.Method("read")}
 	a.log = engine.NewUndoLog(&a.mu, func(x int64) { a.sum -= x })
 	return a

@@ -48,16 +48,6 @@ var rwPoint = sync.OnceValue(RWSpec)
 // the node locks do not give (see Graph). keys supplies pure key
 // functions for partitioned specs.
 func NewGraph(net *Net, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Graph, error) {
-	scheme, err := provedScheme(spec)
-	if err != nil {
-		return nil, err
-	}
-	return newGraph(net, scheme, keys), nil
-}
-
-// provedScheme proves spec at or below RWSpec and returns its reduced
-// scheme.
-func provedScheme(spec *core.Spec) (*abslock.Scheme, error) {
 	if !spec.LE(rwPoint()) {
 		return nil, fmt.Errorf("flowgraph: cannot prove the specification at or below the read/write point; its locks would not isolate node state:\n%s", spec)
 	}
@@ -65,7 +55,7 @@ func provedScheme(spec *core.Spec) (*abslock.Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scheme.Reduce(), nil
+	return newGraph(net, scheme.Reduce(), keys), nil
 }
 
 // newGraph guards net with a proved, reduced scheme.
@@ -91,13 +81,14 @@ func newGraph(net *Net, scheme *abslock.Scheme, keys map[string]abslock.KeyFunc)
 // once, on first use, and every Graph at the point shares it.
 var rwScheme, exScheme, partScheme = shipped(RWSpec), shipped(ExclusiveSpec), shipped(PartitionedSpec)
 
-func shipped(spec func() *core.Spec) func() *abslock.Scheme {
-	return sync.OnceValue(func() *abslock.Scheme {
-		scheme, err := provedScheme(spec())
-		if err != nil {
-			panic(err)
+// shipped is abslock.Shipped for a point NewGraph would accept.
+func shipped(point func() *core.Spec) func() *abslock.Scheme {
+	return abslock.Shipped(func() *core.Spec {
+		spec := point()
+		if !spec.LE(rwPoint()) {
+			panic("flowgraph: a shipped point is not provably at or below the read/write point")
 		}
-		return scheme
+		return spec
 	})
 }
 

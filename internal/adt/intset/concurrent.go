@@ -133,41 +133,42 @@ func NewLocked(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) (*Lock
 	if err != nil {
 		return nil, err
 	}
-	s := &LockedSet{mgr: abslock.NewManager(scheme.Reduce(), keys), r: guardedRep{rep: rep}}
+	return newLocked(rep, scheme.Reduce(), keys), nil
+}
+
+// newLocked guards rep with a reduced scheme.
+func newLocked(rep Rep, scheme *abslock.Scheme, keys map[string]abslock.KeyFunc) *LockedSet {
+	s := &LockedSet{mgr: abslock.NewManager(scheme, keys), r: guardedRep{rep: rep}}
 	s.log = engine.NewUndoLog(&s.r.mu, func(r setRec) { r.apply(s.r.rep, true) })
 	for op, method := range opNames {
 		s.ops[op] = s.mgr.Method(method)
 	}
-	return s, nil
+	return s
 }
+
+// The shipped points' schemes, shared by every set at the point (the
+// partition count changes only the key function).
+var globalScheme, exScheme, rwScheme, partScheme = abslock.Shipped(BottomSpec),
+	abslock.Shipped(ExclusiveSpec), abslock.Shipped(RWSpec), abslock.Shipped(PartitionedSpec)
 
 // Telemetry returns the lock manager's telemetry detector, which
 // reports per-mode acquisition/wait counters and mode-pair conflicts.
 func (s *LockedSet) Telemetry() *telemetry.Detector { return s.mgr.Telemetry() }
 
 // NewGlobalLock guards rep with the single global lock synthesized from ⊥.
-func NewGlobalLock(rep Rep) *LockedSet { return mustLock(rep, BottomSpec(), nil) }
+func NewGlobalLock(rep Rep) *LockedSet { return newLocked(rep, globalScheme(), nil) }
 
 // NewExclusiveLocked guards rep with exclusive per-element locks.
-func NewExclusiveLocked(rep Rep) *LockedSet { return mustLock(rep, ExclusiveSpec(), nil) }
+func NewExclusiveLocked(rep Rep) *LockedSet { return newLocked(rep, exScheme(), nil) }
 
 // NewRWLocked guards rep with read/write per-element locks (figure 3).
-func NewRWLocked(rep Rep) *LockedSet { return mustLock(rep, RWSpec(), nil) }
+func NewRWLocked(rep Rep) *LockedSet { return newLocked(rep, rwScheme(), nil) }
 
 // NewPartitionLocked guards rep with locks on nparts partitions (§4.2).
 func NewPartitionLocked(rep Rep, nparts int) *LockedSet {
-	return mustLock(rep, PartitionedSpec(), map[string]abslock.KeyFunc{
+	return newLocked(rep, partScheme(), map[string]abslock.KeyFunc{
 		PartitionKey: func(v core.Value) uint64 { return uint64(Partition(v.Int(), nparts)) },
 	})
-}
-
-// mustLock is NewLocked for the shipped points, which all synthesize.
-func mustLock(rep Rep, spec *core.Spec, keys map[string]abslock.KeyFunc) *LockedSet {
-	s, err := NewLocked(rep, spec, keys)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // invoke guards one operation: pre-acquire, apply, post-acquire.

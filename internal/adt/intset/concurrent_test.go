@@ -268,3 +268,35 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}
 	}
 }
+
+// TestShippedPointsShareOneScheme: the shipped constructors synthesize
+// each point once, so two sets at one point share its scheme, whatever
+// their partition counts, while NewLocked still synthesizes every spec
+// it is given.
+func TestShippedPointsShareOneScheme(t *testing.T) {
+	a, b := NewPartitionLocked(NewHashRep(), 4), NewPartitionLocked(NewHashRep(), 32)
+	if a.mgr.Scheme() != b.mgr.Scheme() {
+		t.Error("two NewPartitionLocked sets built two schemes")
+	}
+	for name, build := range map[string]func(Rep) *LockedSet{
+		"global": NewGlobalLock, "exclusive": NewExclusiveLocked, "rw": NewRWLocked,
+	} {
+		s := build(NewHashRep())
+		if s.mgr.Scheme() != build(NewHashRep()).mgr.Scheme() {
+			t.Errorf("two %s sets built two schemes", name)
+		}
+		if s.mgr.Scheme() == a.mgr.Scheme() {
+			t.Errorf("the %s and partition points share a scheme", name)
+		}
+	}
+	if NewExclusiveLocked(NewHashRep()).mgr.Scheme() == NewRWLocked(NewHashRep()).mgr.Scheme() {
+		t.Error("the exclusive and rw points share a scheme")
+	}
+	s, err := NewLocked(NewHashRep(), RWSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.mgr.Scheme() == NewRWLocked(NewHashRep()).mgr.Scheme() {
+		t.Error("NewLocked reused a shipped scheme")
+	}
+}

@@ -242,13 +242,13 @@ type LockedTree struct {
 	log *engine.UndoLog[mutation]
 }
 
+// lockedScheme is the reduced scheme of Spec strengthened to SIMPLE,
+// synthesized once.
+var lockedScheme = abslock.Shipped(func() *core.Spec { return core.StrengthenToSimple(Spec()) })
+
 // NewLocked creates the abstract-locked kd-tree.
 func NewLocked() *LockedTree {
-	scheme, err := abslock.Synthesize(core.StrengthenToSimple(Spec()))
-	if err != nil {
-		panic(err) // StrengthenToSimple always yields a SIMPLE spec
-	}
-	mgr := abslock.NewManager(scheme.Reduce(), nil)
+	mgr := abslock.NewManager(lockedScheme(), nil)
 	l := &LockedTree{
 		mgr: mgr, t: New(),
 		add: mgr.Method("add"), remove: mgr.Method("remove"),

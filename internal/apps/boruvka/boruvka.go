@@ -36,13 +36,42 @@ import (
 // the transaction's end, and saved[l] only by the holder of merge's
 // exclusive lock on l (UndoTx and ReleaseTx run before the lock
 // manager's release hook). A grant after a release is a happens-before
-// edge: a compare-and-swap or a mutex in the lock manager.
+// edge: a compare-and-swap or a mutex in the lock manager. arenas[w] is
+// touched only by engine worker w's goroutine.
 type compEdges struct {
 	mgr    *abslock.Manager
 	hGet   *abslock.Method // compiled acquisitions of get
 	hMerge *abslock.Method // and of merge
 	edges  [][]workload.Edge
 	saved  []savedMerge // by loser: the pre-merge lists of a live merge
+	arenas []arena      // by Tx.Worker: where merged lists are carved
+	chunk  int          // edges per arena chunk
+}
+
+// arena is one worker's bump allocator for merged lists, so two
+// commuting merges on different workers share no allocator state; the
+// pad keeps two workers' arenas off one cache line. A carved list is
+// written once, before merge installs it, and never again: a chunk is
+// neither mutated behind a list nor recycled, only dropped by the
+// collector once no list in it is reachable.
+type arena struct {
+	free []workload.Edge // the current chunk's uncarved tail
+	_    [40]byte
+}
+
+// carve returns a list of n edges with cap == len, so it cannot be
+// appended into its neighbour. When the chunk is full a new one of size
+// edges is started; a list longer than a chunk gets an array of its own.
+func (a *arena) carve(n, size int) []workload.Edge {
+	if n > len(a.free) {
+		if n > size {
+			return make([]workload.Edge, n)
+		}
+		a.free = make([]workload.Edge, size)
+	}
+	l := a.free[:n:n]
+	a.free = a.free[n:]
+	return l
 }
 
 // savedMerge is what undoing one merge needs. A live transaction's merges
@@ -66,18 +95,22 @@ func CompsSpec() *core.Spec {
 	}}, "get")
 }
 
-func newCompEdges(n int, edges []workload.Edge) *compEdges {
-	scheme, err := abslock.Synthesize(CompsSpec())
-	if err != nil {
-		panic(err) // the comps spec is SIMPLE by construction
-	}
-	mgr := abslock.NewManager(scheme.Reduce(), nil)
+// compsScheme is CompsSpec's reduced scheme, synthesized once.
+var compsScheme = abslock.Shipped(CompsSpec)
+
+// newCompEdges builds the n components' lists with one arena per engine
+// worker. An arena chunk is the size of the initial lists, 2·len(edges)
+// edges, and at least 1024.
+func newCompEdges(n int, edges []workload.Edge, workers int) *compEdges {
+	mgr := abslock.NewManager(compsScheme(), nil)
 	c := &compEdges{
 		mgr:    mgr,
 		hGet:   mgr.Method("get"),
 		hMerge: mgr.Method("merge"),
 		edges:  make([][]workload.Edge, n),
 		saved:  make([]savedMerge, n),
+		arenas: make([]arena, workers),
+		chunk:  max(2*len(edges), 1024),
 	}
 	// Every list is carved out of one array, capped at its own end;
 	// lists are replaced, never appended to, so they cannot overlap.
@@ -107,12 +140,15 @@ func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
 	return c.edges[r], nil
 }
 
-// merge replaces the winner's list and deletes the loser's, saving both
-// for an exact undo. Both components are exclusively locked.
-func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.Edge) error {
+// merge replaces the winner's list with surviving followed by other and
+// deletes the loser's, saving both for an exact undo. The new list is
+// carved from tx's worker's arena only once both components are
+// exclusively locked, so a refused merge carves nothing.
+func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, surviving, other []workload.Edge) error {
 	if err := c.mgr.Acquire(tx, c.hMerge, core.VInt(winner), core.VInt(loser)); err != nil {
 		return err
 	}
+	merged := c.concat(tx.Worker(), surviving, other)
 	head, isNew := tx.Attach(c)
 	c.saved[loser] = savedMerge{oldW: c.edges[winner], oldL: c.edges[loser], winner: winner, next: int64(*head)}
 	*head = uint64(loser) + 1
@@ -125,6 +161,13 @@ func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, merged []workload.
 	}
 	c.edges[winner], c.edges[loser] = merged, nil
 	return nil
+}
+
+// concat carves a list of a followed by b from worker w's arena.
+func (c *compEdges) concat(w int, a, b []workload.Edge) []workload.Edge {
+	l := c.arenas[w].carve(len(a)+len(b), c.chunk)
+	copy(l[copy(l, a):], b)
+	return l
 }
 
 // UndoTx restores the lists tx's merges replaced, newest first.
@@ -149,8 +192,8 @@ func (c *compEdges) ReleaseTx(tx *engine.Tx) {
 // baseline.
 func (c *compEdges) seqGet(r int64) []workload.Edge { return c.edges[r] }
 
-func (c *compEdges) seqMerge(winner, loser int64, merged []workload.Edge) {
-	c.edges[winner], c.edges[loser] = merged, nil
+func (c *compEdges) seqMerge(winner, loser int64, surviving, other []workload.Edge) {
+	c.edges[winner], c.edges[loser] = c.concat(0, surviving, other), nil
 }
 
 // mstLog accumulates accepted edges with abort tombstones. The entries of
@@ -191,13 +234,22 @@ func (l *mstLog) UndoTx(tx *engine.Tx) {
 func (l *mstLog) committed() []workload.Edge {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []workload.Edge
+	out := make([]workload.Edge, 0, len(l.edges))
 	for i := range l.edges {
 		if me := &l.edges[i]; !me.aborted {
 			out = append(out, me.e)
 		}
 	}
 	return out
+}
+
+// sum returns the committed edges' total weight and count.
+func (l *mstLog) sum() (weight float64, n int) {
+	for _, e := range l.committed() {
+		weight += e.W
+		n++
+	}
+	return weight, n
 }
 
 // Result summarizes an MST computation.
@@ -208,16 +260,9 @@ type Result struct {
 }
 
 // survivors holds the reused buffers a step collects a component's
-// surviving edges in, so that the merged list is a step's one allocation.
+// surviving edges in; with the merged list carved from an arena, a
+// warmed step allocates nothing.
 var survivors = sync.Pool{New: func() any { return new([]workload.Edge) }}
-
-// mergeLists returns a fresh list of surviving followed by other. A
-// merge installs it: a list is never mutated in place once published.
-func mergeLists(surviving, other []workload.Edge) []workload.Edge {
-	merged := make([]workload.Edge, len(surviving)+len(other))
-	copy(merged[copy(merged, surviving):], other)
-	return merged
-}
 
 // step is one Borůvka iteration on component representative item.
 func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
@@ -271,7 +316,7 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	if err != nil {
 		return false, err
 	}
-	if err := comps.merge(tx, winner, loser, mergeLists(surviving, otherEdges)); err != nil {
+	if err := comps.merge(tx, winner, loser, surviving, otherEdges); err != nil {
 		return false, err
 	}
 	mst.add(tx, best)
@@ -282,23 +327,26 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 // Run computes the MST weight of the graph speculatively using the given
 // union-find variant.
 func Run(uf unionfind.Sets, nodes int, edges []workload.Edge, opts engine.Options) (Result, error) {
-	comps := newCompEdges(nodes, edges)
-	mst := &mstLog{}
-	items := make([]int64, nodes)
-	for i := range items {
-		items[i] = int64(i)
-	}
+	comps, mst, items := prepare(nodes, edges, opts.NumWorkers())
 	wl := engine.NewWorklist(items...)
 	stats, err := engine.Run(wl, opts, func(tx *engine.Tx, item int64, wl *engine.Worklist[int64]) error {
 		_, err := step(tx, uf, comps, mst, item, func(v int64) { wl.Push(v) })
 		return err
 	})
 	res := Result{Stats: stats}
-	for _, e := range mst.committed() {
-		res.Weight += e.W
-		res.Edges++
-	}
+	res.Weight, res.Edges = mst.sum()
 	return res, err
+}
+
+// prepare builds what Run and Profile start from: the component lists
+// with one arena per worker, an MST log with room for a spanning tree's
+// at most nodes−1 edges, and every node as an item.
+func prepare(nodes int, edges []workload.Edge, workers int) (*compEdges, *mstLog, []int64) {
+	items := make([]int64, nodes)
+	for i := range items {
+		items[i] = int64(i)
+	}
+	return newCompEdges(nodes, edges, workers), &mstLog{edges: make([]mstEdge, 0, nodes)}, items
 }
 
 // ProfileResult bundles a parallelism profile with the MST result.
@@ -310,21 +358,16 @@ type ProfileResult struct {
 
 // Profile measures the parallelism of the computation under the given
 // union-find variant (Table 1's uf-ml vs uf-gk rows).
+//
+// The profiler runs every transaction on one goroutine as worker 0, so
+// one arena serves it.
 func Profile(uf unionfind.Sets, nodes int, edges []workload.Edge) (ProfileResult, error) {
-	comps := newCompEdges(nodes, edges)
-	mst := &mstLog{}
-	items := make([]int64, nodes)
-	for i := range items {
-		items[i] = int64(i)
-	}
+	comps, mst, items := prepare(nodes, edges, 1)
 	res, err := parameter.Profile(items, func(tx *engine.Tx, item int64, push func(int64)) (bool, error) {
 		return step(tx, uf, comps, mst, item, push)
 	})
 	out := ProfileResult{Result: res}
-	for _, e := range mst.committed() {
-		out.Weight += e.W
-		out.Edges++
-	}
+	out.Weight, out.Edges = mst.sum()
 	return out, err
 }
 
@@ -332,7 +375,7 @@ func Profile(uf unionfind.Sets, nodes int, edges []workload.Edge) (ProfileResult
 // detection): the serial baseline for overhead measurements.
 func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 	f := unionfind.NewForest(nodes)
-	comps := newCompEdges(nodes, edges)
+	comps := newCompEdges(nodes, edges, 1)
 	queue := make([]int64, nodes)
 	for i := range queue {
 		queue[i] = int64(i)
@@ -370,7 +413,7 @@ func Sequential(nodes int, edges []workload.Edge) (float64, int) {
 		if winner < loser {
 			winner, loser = loser, winner
 		}
-		comps.seqMerge(winner, loser, mergeLists(surviving, comps.seqGet(bestRep)))
+		comps.seqMerge(winner, loser, surviving, comps.seqGet(bestRep))
 		weight += best.W
 		count++
 		queue = append(queue, winner)

@@ -129,7 +129,7 @@ func TestProfileVariants(t *testing.T) {
 }
 
 func TestCompEdgesGuarding(t *testing.T) {
-	comps := newCompEdges(4, []workload.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}})
+	comps := newCompEdges(4, []workload.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}}, 1)
 	tx1, tx2 := engine.NewTx(), engine.NewTx()
 	defer tx1.Abort()
 	defer tx2.Abort()
@@ -143,11 +143,11 @@ func TestCompEdgesGuarding(t *testing.T) {
 	// A merge touching component 0 conflicts with the readers.
 	tx3 := engine.NewTx()
 	defer tx3.Abort()
-	if err := comps.merge(tx3, 1, 0, nil); !engine.IsConflict(err) {
+	if err := comps.merge(tx3, 1, 0, nil, nil); !engine.IsConflict(err) {
 		t.Fatalf("merge under readers should conflict, got %v", err)
 	}
 	// A merge of unrelated components proceeds.
-	if err := comps.merge(tx3, 3, 2, nil); err != nil {
+	if err := comps.merge(tx3, 3, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,16 +203,17 @@ func stepOnce(t *testing.T, uf unionfind.Sets, comps *compEdges, mst *mstLog, it
 	return merged
 }
 
-// TestStepAllocatesOnlyMergedList pins a warmed step to the merged list
-// it installs: the survivors go to a reused buffer and the merge's undo
-// to the component's saved cell. A stale step allocates nothing.
-func TestStepAllocatesOnlyMergedList(t *testing.T) {
+// TestStepAllocatesNothing pins a warmed step to no allocation at all:
+// the survivors go to a reused buffer, the merged list to the worker's
+// arena chunk and the merge's undo to the component's saved cell. A
+// stale step allocates nothing either.
+func TestStepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops transactions and buffers at random under -race")
 	}
 	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
 	uf := unionfind.NewGK(3)
-	comps := newCompEdges(3, edges)
+	comps := newCompEdges(3, edges, 1)
 	mst := &mstLog{edges: make([]mstEdge, 0, 256)} // aborted entries stay, as tombstones
 	merging := func() {
 		if !stepOnce(t, uf, comps, mst, 0, false) {
@@ -220,8 +221,8 @@ func TestStepAllocatesOnlyMergedList(t *testing.T) {
 		}
 	}
 	merging()
-	if allocs := testing.AllocsPerRun(100, merging); allocs > 1 {
-		t.Errorf("a merging step allocates %v, want at most 1 (its merged list)", allocs)
+	if allocs := testing.AllocsPerRun(100, merging); allocs != 0 {
+		t.Errorf("a merging step allocates %v, want 0", allocs)
 	}
 	if !stepOnce(t, uf, comps, mst, 0, true) {
 		t.Fatal("step(0) did not merge")
@@ -262,7 +263,7 @@ func TestMergeUndoRestoresLists(t *testing.T) {
 	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
 	const winner, loser = 1, 0
 	for _, item := range []int64{0, 1} {
-		comps := newCompEdges(3, edges)
+		comps := newCompEdges(3, edges, 1)
 		uf, mst := unionfind.NewGK(3), &mstLog{}
 		oldW, oldL := comps.edges[winner], comps.edges[loser]
 		if !stepOnce(t, uf, comps, mst, item, false) {
@@ -292,13 +293,12 @@ func TestMergeUndoRestoresLists(t *testing.T) {
 // including two into the same winner.
 func TestMergeUndoChain(t *testing.T) {
 	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 3}}
-	comps := newCompEdges(4, edges)
+	comps := newCompEdges(4, edges, 1)
 	var before [4][]workload.Edge
 	copy(before[:], comps.edges)
 	tx := engine.NewTx()
 	for _, l := range []int64{0, 1, 2} {
-		merged := mergeLists(comps.edges[3], comps.edges[l])
-		if err := comps.merge(tx, 3, l, merged); err != nil {
+		if err := comps.merge(tx, 3, l, comps.edges[3], comps.edges[l]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,10 +326,165 @@ func TestCompEdgesListsInInputOrder(t *testing.T) {
 		want[e.U] = append(want[e.U], e)
 		want[e.V] = append(want[e.V], workload.Edge{U: e.V, V: e.U, W: e.W})
 	}
-	comps := newCompEdges(nodes, edges)
+	comps := newCompEdges(nodes, edges, 1)
 	for r, got := range comps.edges {
 		if fmt.Sprint(got) != fmt.Sprint(want[r]) || cap(got) != len(got) {
 			t.Errorf("edges[%d] = %v (cap %d), want %v", r, got, cap(got), want[r])
 		}
+	}
+}
+
+// span is the address range a list's array backs.
+func span(l []workload.Edge) (lo, hi uintptr) {
+	lo = uintptr(unsafe.Pointer(unsafe.SliceData(l)))
+	return lo, lo + uintptr(cap(l))*unsafe.Sizeof(workload.Edge{})
+}
+
+// TestArenaListsAreDisjoint: lists merged on two workers are carved
+// from their own arenas with cap == len, and no two lists share memory,
+// whichever worker carved them.
+func TestArenaListsAreDisjoint(t *testing.T) {
+	nodes, edges := workload.Mesh(4, 4, 2)
+	comps := newCompEdges(nodes, edges, 2)
+	var carved [][]workload.Edge
+	for l := int64(0); l < int64(nodes)-1; l++ {
+		tx := engine.NewTx()
+		tx.SetWorker(int(l % 2))
+		if err := comps.merge(tx, l+1, l, comps.edges[l+1], comps.edges[l]); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		merged := comps.edges[l+1]
+		if cap(merged) != len(merged) || len(merged) == 0 {
+			t.Fatalf("merge into %d carved len %d cap %d", l+1, len(merged), cap(merged))
+		}
+		carved = append(carved, merged)
+	}
+	for w := range comps.arenas {
+		if comps.arenas[w].free == nil {
+			t.Errorf("worker %d carved nothing", w)
+		}
+	}
+	for i, a := range carved {
+		alo, ahi := span(a)
+		for _, b := range carved[i+1:] {
+			if blo, bhi := span(b); alo < bhi && blo < ahi {
+				t.Fatalf("lists %v and %v overlap", a, b)
+			}
+		}
+	}
+	if got := len(comps.edges[nodes-1]); got != 2*len(edges) {
+		t.Errorf("the last winner holds %d edges, want all %d", got, 2*len(edges))
+	}
+}
+
+// TestArenaOversizedListGetsOwnChunk: a list longer than a chunk gets an
+// array of its own, and the chunk in use keeps carving where it was.
+func TestArenaOversizedListGetsOwnChunk(t *testing.T) {
+	var a arena
+	const size = 8
+	first := a.carve(3, size)
+	tail := a.free
+	big := a.carve(size+1, size)
+	if len(big) != size+1 || cap(big) != size+1 {
+		t.Fatalf("oversized list: len %d cap %d, want %d", len(big), cap(big), size+1)
+	}
+	if !sameList(a.free, tail) {
+		t.Fatal("an oversized list replaced the current chunk")
+	}
+	next := a.carve(2, size)
+	if &next[0] != &tail[0] {
+		t.Error("the chunk did not carve on after an oversized list")
+	}
+	for _, l := range [][]workload.Edge{first, next} {
+		lo, hi := span(l)
+		if blo, bhi := span(big); lo < bhi && blo < hi {
+			t.Errorf("the oversized list overlaps %v's chunk", l)
+		}
+	}
+	// A chunk that cannot hold the next list is left to its lists.
+	full := a.carve(size-4, size)
+	if &full[0] == &tail[2] {
+		t.Error("a list of 4 was carved from a chunk with 3 edges left")
+	}
+}
+
+// TestRefusedMergeCarvesNothing: a merge refused its exclusive grant
+// takes nothing from the arena and leaves both lists as they were.
+func TestRefusedMergeCarvesNothing(t *testing.T) {
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}}
+	comps := newCompEdges(3, edges, 1)
+	reader, merger := engine.NewTx(), engine.NewTx()
+	defer reader.Abort()
+	defer merger.Abort()
+	if _, err := comps.get(reader, 0); err != nil {
+		t.Fatal(err)
+	}
+	oldW, oldL := comps.edges[1], comps.edges[0]
+	if err := comps.merge(merger, 1, 0, oldW, oldL); !engine.IsConflict(err) {
+		t.Fatalf("merge under a reader: %v, want a conflict", err)
+	}
+	if comps.arenas[0].free != nil {
+		t.Errorf("a refused merge carved a chunk (%d edges left)", len(comps.arenas[0].free))
+	}
+	if !sameList(comps.edges[1], oldW) || !sameList(comps.edges[0], oldL) {
+		t.Errorf("a refused merge changed the lists to %v and %v", comps.edges[1], comps.edges[0])
+	}
+}
+
+// TestMergeOutsideArenasPanics: a worker index with no arena is a bug,
+// not a reason to allocate elsewhere.
+func TestMergeOutsideArenasPanics(t *testing.T) {
+	comps := newCompEdges(2, []workload.Edge{{U: 0, V: 1, W: 1}}, 1)
+	tx := engine.NewTx()
+	defer tx.Abort()
+	tx.SetWorker(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("a merge on worker 1 of a one-arena compEdges did not panic")
+		}
+	}()
+	comps.merge(tx, 1, 0, comps.edges[1], comps.edges[0])
+}
+
+// TestRunWorkerCounts: Workers 0 (GOMAXPROCS, the engine's own rule)
+// and 4 size the arenas to the workers Run starts, and both match
+// Kruskal.
+func TestRunWorkerCounts(t *testing.T) {
+	nodes, edges := workload.Mesh(12, 12, 9)
+	want, wantEdges := Kruskal(nodes, edges)
+	for _, workers := range []int{0, 4} {
+		res, err := Run(unionfind.NewGK(nodes), nodes, edges, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("Workers %d: %v", workers, err)
+		}
+		if res.Edges != wantEdges || !almostEqual(res.Weight, want) {
+			t.Errorf("Workers %d: MST %v/%d, want %v/%d", workers, res.Weight, res.Edges, want, wantEdges)
+		}
+	}
+}
+
+// TestRunAllocationsDoNotScaleWithMerges: a 64×64 mesh merges 4,095
+// times and a 16×16 one 255 times, yet Run allocates within a small
+// constant of the same count on both: arena chunks grow with the input,
+// not with the merges.
+func TestRunAllocationsDoNotScaleWithMerges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops transactions and buffers at random under -race")
+	}
+	allocs := func(side int) float64 {
+		nodes, edges := workload.Mesh(side, side, 4)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(unionfind.NewGK(nodes), nodes, edges, engine.Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// About 100 and 130 here: the arena chunks, the union-find's
+	// journal and the worklist grow with the mesh. Carving one list per
+	// merge put them about 3,900 apart.
+	const slack = 64
+	if small, large := allocs(16), allocs(64); large > small+slack {
+		t.Errorf("Run allocates %v on a 64×64 mesh and %v on a 16×16 one: more than %d apart", large, small, slack)
 	}
 }

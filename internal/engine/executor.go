@@ -62,7 +62,10 @@ type Options struct {
 	BatchSize int
 }
 
-func (o Options) workers() int {
+// NumWorkers is the number of workers Run and RunBatched start: Workers,
+// or GOMAXPROCS when Workers is 0. Worker indices (Tx.Worker) run from 0
+// to NumWorkers()-1.
+func (o Options) NumWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -116,7 +119,7 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 	start := time.Now()
 	var stats Stats
 	var mu sync.Mutex // guards stats while workers fold their counts in
-	nw := opts.workers()
+	nw := opts.NumWorkers()
 	errc := make(chan error, nw)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
