@@ -4,8 +4,10 @@
 // outgoing edge, merges the two components and adds the edge to the MST.
 // The union-find variant (uf-ml, uf-gk or the generic engine) is the
 // conflict detector under study; component edge lists and the MST log
-// are boosted auxiliary structures whose accesses are serialized by the
-// union-find operations each iteration performs first.
+// are boosted auxiliary structures, serialized by their own abstract
+// locks and mutex. An iteration writes them only after its last
+// refusable call, the merge's exclusive grant, and seals its transaction
+// there (engine.Tx.Seal), so neither structure keeps an undo.
 package boruvka
 
 import (
@@ -27,25 +29,22 @@ import (
 // tiny get/merge specification serializes iterations that touch the same
 // component lists, so the replace-style merge bookkeeping never races.
 //
-// The locks are the only synchronization. edges and saved are indexed by
-// component and never resized, and CompsSpec lets two invocations run
-// together only when no component one of them writes is a component the
-// other names, so they touch different slice elements — different
-// memory, which a map's shared buckets would not be. edges[r] is read
-// and written only between the grant of a lock on r and its release at
-// the transaction's end, and saved[l] only by the holder of merge's
-// exclusive lock on l (UndoTx and ReleaseTx run before the lock
-// manager's release hook). A grant after a release is a happens-before
-// edge: a compare-and-swap or a mutex in the lock manager. arenas[w] is
-// touched only by engine worker w's goroutine.
+// The locks are the only synchronization. edges is indexed by component
+// and never resized, and CompsSpec lets two invocations run together
+// only when no component one of them writes is a component the other
+// names, so they touch different slice elements — different memory,
+// which a map's shared buckets would not be. edges[r] is read and
+// written only between the grant of a lock on r and its release at the
+// transaction's end. A grant after a release is a happens-before edge: a
+// compare-and-swap or a mutex in the lock manager. arenas[w] is touched
+// only by engine worker w's goroutine.
 type compEdges struct {
 	mgr    *abslock.Manager
 	hGet   *abslock.Method // compiled acquisitions of get
 	hMerge *abslock.Method // and of merge
 	edges  [][]workload.Edge
-	saved  []savedMerge // by loser: the pre-merge lists of a live merge
-	arenas []arena      // by Tx.Worker: where merged lists are carved
-	chunk  int          // edges per arena chunk
+	arenas []arena // by Tx.Worker: where merged lists are carved
+	chunk  int     // edges per arena chunk
 }
 
 // arena is one worker's bump allocator for merged lists, so two
@@ -74,17 +73,6 @@ func (a *arena) carve(n, size int) []workload.Edge {
 	return l
 }
 
-// savedMerge is what undoing one merge needs. A live transaction's merges
-// are chained newest first from its Tx.Attach(c) word, so a merge
-// registers no closure. Cells are indexed by the loser because a
-// component loses at most once in a transaction: after its union it is
-// no longer a representative, while a winner may win again.
-type savedMerge struct {
-	oldW, oldL []workload.Edge
-	winner     int64
-	next       int64 // the same transaction's previous merge: loser+1, 0 = none
-}
-
 // CompsSpec is the component lists' specification: scans of the same
 // component share; merges conflict with any access to either component
 // involved.
@@ -108,7 +96,6 @@ func newCompEdges(n int, edges []workload.Edge, workers int) *compEdges {
 		hGet:   mgr.Method("get"),
 		hMerge: mgr.Method("merge"),
 		edges:  make([][]workload.Edge, n),
-		saved:  make([]savedMerge, n),
 		arenas: make([]arena, workers),
 		chunk:  max(2*len(edges), 1024),
 	}
@@ -141,24 +128,17 @@ func (c *compEdges) get(tx *engine.Tx, r int64) ([]workload.Edge, error) {
 }
 
 // merge replaces the winner's list with surviving followed by other and
-// deletes the loser's, saving both for an exact undo. The new list is
-// carved from tx's worker's arena only once both components are
-// exclusively locked, so a refused merge carves nothing.
+// deletes the loser's. It must be its caller's last refusable call: once
+// both components are exclusively locked it carves the new list from
+// tx's worker's arena, seals tx and installs the list with no undo, so a
+// refused merge carves and writes nothing and a granted one can only
+// commit.
 func (c *compEdges) merge(tx *engine.Tx, winner, loser int64, surviving, other []workload.Edge) error {
 	if err := c.mgr.Acquire(tx, c.hMerge, core.VInt(winner), core.VInt(loser)); err != nil {
 		return err
 	}
 	merged := c.concat(tx.Worker(), surviving, other)
-	head, isNew := tx.Attach(c)
-	c.saved[loser] = savedMerge{oldW: c.edges[winner], oldL: c.edges[loser], winner: winner, next: int64(*head)}
-	*head = uint64(loser) + 1
-	if isNew {
-		// Hooks run newest first, and the lock manager's release hook
-		// was registered with the transaction's first grant: the undo
-		// and the releaser run while every lock is still held.
-		tx.OnUndoer(c)
-		tx.OnReleaser(c)
-	}
+	tx.Seal()
 	c.edges[winner], c.edges[loser] = merged, nil
 	return nil
 }
@@ -170,24 +150,6 @@ func (c *compEdges) concat(w int, a, b []workload.Edge) []workload.Edge {
 	return l
 }
 
-// UndoTx restores the lists tx's merges replaced, newest first.
-func (c *compEdges) UndoTx(tx *engine.Tx) {
-	for l := int64(*tx.AttachedWord(c)); l != 0; l = c.saved[l-1].next {
-		s := &c.saved[l-1]
-		c.edges[s.winner], c.edges[l-1] = s.oldW, s.oldL
-	}
-}
-
-// ReleaseTx empties tx's saved cells, so no ended merge keeps a list
-// reachable.
-func (c *compEdges) ReleaseTx(tx *engine.Tx) {
-	for l := int64(*tx.AttachedWord(c)); l != 0; {
-		s := &c.saved[l-1]
-		l = s.next
-		*s = savedMerge{}
-	}
-}
-
 // seqGet and seqMerge are the lock-free variants for the sequential
 // baseline.
 func (c *compEdges) seqGet(r int64) []workload.Edge { return c.edges[r] }
@@ -196,60 +158,29 @@ func (c *compEdges) seqMerge(winner, loser int64, surviving, other []workload.Ed
 	c.edges[winner], c.edges[loser] = c.concat(0, surviving, other), nil
 }
 
-// mstLog accumulates accepted edges with abort tombstones. The entries of
-// one transaction are chained newest first from its Tx.Attach word, so an
-// abort tombstones them without a closure or a node per edge.
+// mstLog accumulates accepted edges. A step adds its edge only after its
+// sealing merge, so every edge logged belongs to a transaction that
+// commits.
 type mstLog struct {
 	mu    sync.Mutex
-	edges []mstEdge
+	edges []workload.Edge
 }
 
-type mstEdge struct {
-	e       workload.Edge
-	prev    uint64 // the same transaction's previous entry: index+1, 0 = none
-	aborted bool
-}
-
-// add logs e as accepted by tx, to be tombstoned should tx abort.
-func (l *mstLog) add(tx *engine.Tx, e workload.Edge) {
-	head, isNew := tx.Attach(l)
-	if isNew {
-		tx.OnUndoer(l)
-	}
+// add logs e as accepted.
+func (l *mstLog) add(e workload.Edge) {
 	l.mu.Lock()
-	l.edges = append(l.edges, mstEdge{e: e, prev: *head})
-	*head = uint64(len(l.edges))
+	l.edges = append(l.edges, e)
 	l.mu.Unlock()
 }
 
-// UndoTx tombstones the edges tx added.
-func (l *mstLog) UndoTx(tx *engine.Tx) {
-	l.mu.Lock()
-	for i := *tx.AttachedWord(l); i != 0; i = l.edges[i-1].prev {
-		l.edges[i-1].aborted = true
-	}
-	l.mu.Unlock()
-}
-
-func (l *mstLog) committed() []workload.Edge {
+// sum returns the logged edges' total weight and count.
+func (l *mstLog) sum() (weight float64, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]workload.Edge, 0, len(l.edges))
-	for i := range l.edges {
-		if me := &l.edges[i]; !me.aborted {
-			out = append(out, me.e)
-		}
-	}
-	return out
-}
-
-// sum returns the committed edges' total weight and count.
-func (l *mstLog) sum() (weight float64, n int) {
-	for _, e := range l.committed() {
+	for _, e := range l.edges {
 		weight += e.W
-		n++
 	}
-	return weight, n
+	return weight, len(l.edges)
 }
 
 // Result summarizes an MST computation.
@@ -319,7 +250,8 @@ func step(tx *engine.Tx, uf unionfind.Sets, comps *compEdges, mst *mstLog,
 	if err := comps.merge(tx, winner, loser, surviving, otherEdges); err != nil {
 		return false, err
 	}
-	mst.add(tx, best)
+	// Sealed: from here the step cannot be refused, and writes no undo.
+	mst.add(best)
 	push(winner)
 	return true, nil
 }
@@ -346,7 +278,7 @@ func prepare(nodes int, edges []workload.Edge, workers int) (*compEdges, *mstLog
 	for i := range items {
 		items[i] = int64(i)
 	}
-	return newCompEdges(nodes, edges, workers), &mstLog{edges: make([]mstEdge, 0, nodes)}, items
+	return newCompEdges(nodes, edges, workers), &mstLog{edges: make([]workload.Edge, 0, nodes)}, items
 }
 
 // ProfileResult bundles a parallelism profile with the MST result.

@@ -3,6 +3,7 @@ package boruvka
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -104,19 +105,18 @@ func TestRunDisconnectedGraph(t *testing.T) {
 func TestProfileVariants(t *testing.T) {
 	nodes, edges := workload.Mesh(8, 8, 11)
 	want, wantEdges := Kruskal(nodes, edges)
-	var gk, ml ProfileResult
-	var err error
-	if ml, err = Profile(unionfind.NewML(nodes), nodes, edges); err != nil {
-		t.Fatal(err)
-	}
-	if gk, err = Profile(unionfind.NewGK(nodes), nodes, edges); err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]ProfileResult{"uf-ml": ml, "uf-gk": gk} {
+	results := map[string]ProfileResult{}
+	for name, uf := range ufVariants(nodes) {
+		res, err := Profile(uf, nodes, edges)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if res.Edges != wantEdges || !almostEqual(res.Weight, want) {
 			t.Errorf("%s: MST %v/%d, want %v/%d", name, res.Weight, res.Edges, want, wantEdges)
 		}
+		results[name] = res
 	}
+	ml, gk := results["uf-ml"], results["uf-gk"]
 	// The paper's curious observation: general gatekeeping offers no
 	// parallelism advantage here (Boruvka performs no interfering finds),
 	// so the two profiles should be in the same ballpark. We assert only
@@ -142,28 +142,15 @@ func TestCompEdgesGuarding(t *testing.T) {
 	}
 	// A merge touching component 0 conflicts with the readers.
 	tx3 := engine.NewTx()
-	defer tx3.Abort()
 	if err := comps.merge(tx3, 1, 0, nil, nil); !engine.IsConflict(err) {
 		t.Fatalf("merge under readers should conflict, got %v", err)
 	}
-	// A merge of unrelated components proceeds.
+	// A merge of unrelated components proceeds, and seals tx3: it can
+	// only commit.
 	if err := comps.merge(tx3, 3, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMSTLogTombstones(t *testing.T) {
-	l := &mstLog{}
-	loses, wins := engine.NewTx(), engine.NewTx()
-	l.add(loses, workload.Edge{W: 1})
-	l.add(wins, workload.Edge{W: 2})
-	l.add(loses, workload.Edge{W: 3})
-	loses.Abort()
-	wins.Commit()
-	got := l.committed()
-	if len(got) != 1 || got[0].W != 2 {
-		t.Errorf("committed = %+v", got)
-	}
+	tx3.Commit()
 }
 
 func TestStarGraph(t *testing.T) {
@@ -205,27 +192,31 @@ func stepOnce(t *testing.T, uf unionfind.Sets, comps *compEdges, mst *mstLog, it
 
 // TestStepAllocatesNothing pins a warmed step to no allocation at all:
 // the survivors go to a reused buffer, the merged list to the worker's
-// arena chunk and the merge's undo to the component's saved cell. A
-// stale step allocates nothing either.
+// arena chunk and the edge to the presized MST log. A merging step is
+// sealed and must commit, so each one merges a pair of its own. A stale
+// step allocates nothing either.
 func TestStepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops transactions and buffers at random under -race")
 	}
-	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
-	uf := unionfind.NewGK(3)
-	comps := newCompEdges(3, edges, 1)
-	mst := &mstLog{edges: make([]mstEdge, 0, 256)} // aborted entries stay, as tombstones
+	const pairs = 256
+	edges := make([]workload.Edge, pairs)
+	for k := range edges {
+		edges[k] = workload.Edge{U: int64(2 * k), V: int64(2*k + 1), W: float64(k + 1)}
+	}
+	uf := unionfind.NewGK(2 * pairs)
+	comps := newCompEdges(2*pairs, edges, 1)
+	mst := &mstLog{edges: make([]workload.Edge, 0, pairs)}
+	next := 0
 	merging := func() {
-		if !stepOnce(t, uf, comps, mst, 0, false) {
-			t.Fatal("step(0) did not merge")
+		if !stepOnce(t, uf, comps, mst, int64(2*next), true) {
+			t.Fatalf("step(%d) did not merge", 2*next)
 		}
+		next++
 	}
 	merging()
 	if allocs := testing.AllocsPerRun(100, merging); allocs != 0 {
 		t.Errorf("a merging step allocates %v, want 0", allocs)
-	}
-	if !stepOnce(t, uf, comps, mst, 0, true) {
-		t.Fatal("step(0) did not merge")
 	}
 	stale := func() {
 		if stepOnce(t, uf, comps, mst, 0, false) {
@@ -242,78 +233,6 @@ func TestStepAllocatesNothing(t *testing.T) {
 // and capacity.
 func sameList(a, b []workload.Edge) bool {
 	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
-}
-
-// savedEmpty reports a saved cell that still holds anything.
-func savedEmpty(c *compEdges) error {
-	for l, s := range c.saved {
-		if s.oldW != nil || s.oldL != nil || s.winner != 0 || s.next != 0 {
-			return fmt.Errorf("saved[%d] = %+v after its transaction ended", l, s)
-		}
-	}
-	return nil
-}
-
-// TestMergeUndoRestoresLists: aborting a merging step puts back exactly
-// the lists it replaced, whether the step's own component won (item 1)
-// or its neighbour's did (item 0); committing leaves the merged list.
-// Either way the saved cells keep no list once the transaction has
-// ended.
-func TestMergeUndoRestoresLists(t *testing.T) {
-	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 0, V: 2, W: 3}}
-	const winner, loser = 1, 0
-	for _, item := range []int64{0, 1} {
-		comps := newCompEdges(3, edges, 1)
-		uf, mst := unionfind.NewGK(3), &mstLog{}
-		oldW, oldL := comps.edges[winner], comps.edges[loser]
-		if !stepOnce(t, uf, comps, mst, item, false) {
-			t.Fatalf("step(%d) did not merge", item)
-		}
-		if !sameList(comps.edges[winner], oldW) || !sameList(comps.edges[loser], oldL) {
-			t.Errorf("step(%d) aborted: lists %v and %v, want %v and %v",
-				item, comps.edges[winner], comps.edges[loser], oldW, oldL)
-		}
-		if err := savedEmpty(comps); err != nil {
-			t.Errorf("step(%d) aborted: %v", item, err)
-		}
-		if !stepOnce(t, uf, comps, mst, item, true) {
-			t.Fatalf("step(%d) did not merge", item)
-		}
-		if n := len(comps.edges[winner]); n != 4 || comps.edges[loser] != nil {
-			t.Errorf("step(%d) committed: winner holds %d edges, loser %v; want 4 and nil",
-				item, n, comps.edges[loser])
-		}
-		if err := savedEmpty(comps); err != nil {
-			t.Errorf("step(%d) committed: %v", item, err)
-		}
-	}
-}
-
-// TestMergeUndoChain: one transaction's merges are undone newest first,
-// including two into the same winner.
-func TestMergeUndoChain(t *testing.T) {
-	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 3}}
-	comps := newCompEdges(4, edges, 1)
-	var before [4][]workload.Edge
-	copy(before[:], comps.edges)
-	tx := engine.NewTx()
-	for _, l := range []int64{0, 1, 2} {
-		if err := comps.merge(tx, 3, l, comps.edges[3], comps.edges[l]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(comps.edges[3]); n != 6 {
-		t.Fatalf("winner holds %d edges after three merges, want 6", n)
-	}
-	tx.Abort()
-	for r := range before {
-		if !sameList(comps.edges[r], before[r]) {
-			t.Errorf("edges[%d] = %v after abort, want %v", r, comps.edges[r], before[r])
-		}
-	}
-	if err := savedEmpty(comps); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestCompEdgesListsInInputOrder: the lists carved out of one array hold
@@ -429,6 +348,61 @@ func TestRefusedMergeCarvesNothing(t *testing.T) {
 	}
 	if !sameList(comps.edges[1], oldW) || !sameList(comps.edges[0], oldL) {
 		t.Errorf("a refused merge changed the lists to %v and %v", comps.edges[1], comps.edges[0])
+	}
+}
+
+// abortPanic aborts tx and returns what the abort panicked with, or
+// nil.
+func abortPanic(tx *engine.Tx) (r any) {
+	defer func() { r = recover() }()
+	tx.Abort()
+	return nil
+}
+
+// TestMergingStepSeals: a step that merges is sealed, so Abort panics
+// naming its transaction, and a commit keeps the edge.
+func TestMergingStepSeals(t *testing.T) {
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}}
+	comps, mst := newCompEdges(2, edges, 1), &mstLog{}
+	tx := engine.NewTx()
+	merged, err := step(tx, unionfind.NewGK(2), comps, mst, 0, func(int64) {})
+	if err != nil || !merged {
+		t.Fatalf("step(0) = %v, %v; want a merge", merged, err)
+	}
+	want := fmt.Sprintf("sealed transaction %d", tx.ID())
+	if msg, _ := abortPanic(tx).(string); !strings.Contains(msg, want) {
+		t.Errorf("Abort after a merging step panicked with %q, want a message naming %q", msg, want)
+	}
+	tx.Commit()
+	if w, n := mst.sum(); n != 1 || w != 1 {
+		t.Errorf("MST log holds %v/%d, want 1/1", w, n)
+	}
+}
+
+// TestRefusedStepStaysUnsealed: a step refused at its merge has sealed
+// nothing, so it aborts cleanly, leaving the lists as they were and the
+// MST log empty.
+func TestRefusedStepStaysUnsealed(t *testing.T) {
+	edges := []workload.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}}
+	comps, mst := newCompEdges(3, edges, 1), &mstLog{}
+	reader, tx := engine.NewTx(), engine.NewTx()
+	defer reader.Abort()
+	if _, err := comps.get(reader, 0); err != nil {
+		t.Fatal(err)
+	}
+	oldW, oldL := comps.edges[1], comps.edges[0]
+	// Step 1 unions 1 with 0 and must merge 0 away under the reader.
+	if _, err := step(tx, unionfind.NewGK(3), comps, mst, 1, func(int64) {}); !engine.IsConflict(err) {
+		t.Fatalf("step(1) under a reader of 0: %v, want a conflict", err)
+	}
+	if r := abortPanic(tx); r != nil {
+		t.Fatalf("aborting a refused step panicked: %v", r)
+	}
+	if !sameList(comps.edges[1], oldW) || !sameList(comps.edges[0], oldL) {
+		t.Errorf("a refused step changed the lists to %v and %v", comps.edges[1], comps.edges[0])
+	}
+	if _, n := mst.sum(); n != 0 {
+		t.Errorf("a refused step logged %d MST edges", n)
 	}
 }
 

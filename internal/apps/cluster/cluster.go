@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 
 	"commlat/internal/adt/kdtree"
@@ -19,68 +20,33 @@ type Merge struct {
 	A, B, Parent kdtree.Point
 }
 
-// Dendrogram accumulates merges; aborted transactions tombstone their
-// records (the merge log is a boosted auxiliary structure, like the
-// paper's worklists). The records of one transaction are chained newest
-// first from its Tx.Attach word, so an abort tombstones them without a
-// closure or a node per merge.
+// Dendrogram accumulates merges (the merge log is a boosted auxiliary
+// structure, like the paper's worklists). Step records a merge only
+// after its last refusable call has sealed the transaction, so every
+// merge recorded belongs to a transaction that commits.
 type Dendrogram struct {
 	mu     sync.Mutex
-	merges []mergeRec
-}
-
-type mergeRec struct {
-	Merge
-	prev    uint64 // the same transaction's previous record: index+1, 0 = none
-	aborted bool
+	merges []Merge
 }
 
 // newDendrogram returns a dendrogram with room for the n − 1 merges of
-// n points (aborted attempts beyond that grow it).
+// n points.
 func newDendrogram(n int) *Dendrogram {
-	return &Dendrogram{merges: make([]mergeRec, 0, n)}
+	return &Dendrogram{merges: make([]Merge, 0, n)}
 }
 
-// add records a merge made by tx, to be tombstoned should tx abort. A
-// nil tx (the sequential algorithm) records it for good.
-func (d *Dendrogram) add(tx *engine.Tx, a, b, parent kdtree.Point) {
-	rec := mergeRec{Merge: Merge{A: a, B: b, Parent: parent}}
-	var head *uint64
-	if tx != nil {
-		var isNew bool
-		if head, isNew = tx.Attach(d); isNew {
-			tx.OnUndoer(d)
-		}
-		rec.prev = *head
-	}
+// add records the merge of a and b into parent.
+func (d *Dendrogram) add(a, b, parent kdtree.Point) {
 	d.mu.Lock()
-	d.merges = append(d.merges, rec)
-	if head != nil {
-		*head = uint64(len(d.merges))
-	}
+	d.merges = append(d.merges, Merge{A: a, B: b, Parent: parent})
 	d.mu.Unlock()
 }
 
-// UndoTx tombstones the merges tx recorded.
-func (d *Dendrogram) UndoTx(tx *engine.Tx) {
-	d.mu.Lock()
-	for i := *tx.AttachedWord(d); i != 0; i = d.merges[i-1].prev {
-		d.merges[i-1].aborted = true
-	}
-	d.mu.Unlock()
-}
-
-// Merges returns the committed merges in commit order.
+// Merges returns a copy of the merges in commit order.
 func (d *Dendrogram) Merges() []Merge {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Merge, 0, len(d.merges))
-	for i := range d.merges {
-		if m := &d.merges[i]; !m.aborted {
-			out = append(out, m.Merge)
-		}
-	}
-	return out
+	return slices.Clone(d.merges)
 }
 
 // Midpoint is the representative of a merged cluster.
@@ -90,7 +56,9 @@ func Midpoint(a, b kdtree.Point) kdtree.Point {
 
 // Step is one speculative iteration over point p: if p is stale, do
 // nothing; if p and its nearest neighbour are mutually nearest, merge
-// them; otherwise requeue p. It reports whether it merged.
+// them; otherwise requeue p. It reports whether it merged. Its final Add
+// is its last refusable call: once it succeeds Step seals tx, and what
+// follows writes no undo.
 func Step(tx *engine.Tx, idx kdtree.Index, d *Dendrogram, p kdtree.Point, push func(kdtree.Point)) (bool, error) {
 	ok, err := idx.Contains(tx, p)
 	if err != nil {
@@ -125,7 +93,8 @@ func Step(tx *engine.Tx, idx kdtree.Index, d *Dendrogram, p kdtree.Point, push f
 	if _, err := idx.Add(tx, c); err != nil {
 		return false, err
 	}
-	d.add(tx, p, n, c)
+	tx.Seal()
+	d.add(p, n, c)
 	push(c)
 	return true, nil
 }
@@ -178,7 +147,7 @@ func Sequential(pts []kdtree.Point) *Dendrogram {
 		t.Remove(n)
 		c := Midpoint(p, n)
 		t.Add(c)
-		d.add(nil, p, n, c)
+		d.add(p, n, c)
 		queue = append(queue, c)
 	}
 	return d

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 	"testing"
 
 	"commlat/internal/adt/kdtree"
@@ -141,25 +141,67 @@ func TestMidpoint(t *testing.T) {
 	}
 }
 
-// TestDendrogramTombstones drives the log with real transactions: an
-// abort tombstones every merge its transaction recorded and no one
-// else's, interleaved or not.
-func TestDendrogramTombstones(t *testing.T) {
-	pt := func(x float64) kdtree.Point { return kdtree.Point{x, 0, 0} }
-	d := &Dendrogram{}
-	tx1, tx2 := engine.NewTx(), engine.NewTx()
-	d.add(tx1, pt(1), pt(2), pt(1.5))
-	d.add(tx2, pt(3), pt(4), pt(3.5))
-	d.add(tx1, pt(5), pt(6), pt(5.5))
-	d.add(nil, pt(7), pt(8), pt(7.5))
-	tx1.Abort()
-	tx2.Commit()
-	want := []Merge{{pt(3), pt(4), pt(3.5)}, {pt(7), pt(8), pt(7.5)}}
-	if got := d.Merges(); !slices.Equal(got, want) {
-		t.Errorf("Merges = %+v, want %+v", got, want)
+// refusingAdds is a kd-gk index whose Add is always refused, as by the
+// transaction holder.
+type refusingAdds struct {
+	kdtree.Index
+	holder uint64
+}
+
+func (r refusingAdds) Add(*engine.Tx, kdtree.Point) (bool, error) {
+	return false, engine.ConflictBy(r.holder, "add refused")
+}
+
+// abortPanic aborts tx and returns what the abort panicked with, or
+// nil.
+func abortPanic(tx *engine.Tx) (r any) {
+	defer func() { r = recover() }()
+	tx.Abort()
+	return nil
+}
+
+var pair = []kdtree.Point{{0, 0, 0}, {1, 1, 1}}
+
+// TestRefusedAddRecordsNothing: a Step refused at its final Add has not
+// sealed, so it aborts cleanly: both points are back and the dendrogram
+// is empty.
+func TestRefusedAddRecordsNothing(t *testing.T) {
+	idx := refusingAdds{Index: kdtree.NewGK(), holder: engine.NewTx().ID()}
+	idx.Seed(pair)
+	d := newDendrogram(len(pair))
+	tx := engine.NewTx()
+	if _, err := Step(tx, idx, d, pair[0], func(kdtree.Point) {}); !engine.IsConflict(err) {
+		t.Fatalf("Step with a refused Add: %v, want a conflict", err)
 	}
-	// A transaction that recorded nothing here must be able to abort.
-	engine.NewTx().Abort()
+	if r := abortPanic(tx); r != nil {
+		t.Fatalf("aborting a refused Step panicked: %v", r)
+	}
+	if n := len(d.Merges()); n != 0 {
+		t.Errorf("a refused Step recorded %d merges", n)
+	}
+	if n := idx.Len(); n != 2 {
+		t.Errorf("%d points after the abort, want 2", n)
+	}
+}
+
+// TestMergingStepSeals: a Step that merges is sealed, so Abort panics
+// naming its transaction, and a commit keeps the merge.
+func TestMergingStepSeals(t *testing.T) {
+	idx := kdtree.NewGK()
+	idx.Seed(pair)
+	d := newDendrogram(len(pair))
+	tx := engine.NewTx()
+	if merged, err := Step(tx, idx, d, pair[0], func(kdtree.Point) {}); err != nil || !merged {
+		t.Fatalf("Step = %v, %v; want a merge", merged, err)
+	}
+	want := fmt.Sprintf("sealed transaction %d", tx.ID())
+	if msg, _ := abortPanic(tx).(string); !strings.Contains(msg, want) {
+		t.Errorf("Abort after a merging Step panicked with %q, want a message naming %q", msg, want)
+	}
+	tx.Commit()
+	if got := d.Merges(); len(got) != 1 || got[0] != (Merge{pair[0], pair[1], Midpoint(pair[0], pair[1])}) {
+		t.Errorf("Merges = %+v, want the one merge of the pair", got)
+	}
 }
 
 func TestTwoPoints(t *testing.T) {

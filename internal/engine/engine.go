@@ -304,7 +304,9 @@ func (tx *Tx) OnEnd(r Releaser) bool {
 // lock it needs before its first write — calls it once the last lock is
 // granted and before that write. From then on the transaction can only
 // commit: Abort panics, since no undo could roll the writes back. Commit
-// clears the seal, so a pooled transaction starts unsealed.
+// clears the seal, so a pooled transaction starts unsealed. Its callers
+// are flowgraph's PushRelabel (preflow's cautious discharge), Borůvka's
+// component merge and cluster.Step, each after its last refusable call.
 func (tx *Tx) Seal() {
 	tx.mustBeActive()
 	tx.sealed = true
