@@ -100,8 +100,9 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // BenchmarkMicro: the detector micro-benchmarks (ablation: raw cost per
-// guarded op) — the rows `commlat bench -json` measures into
-// BENCH_fresh.json for the CI allocation gate, under the same names.
+// guarded op) — the rows `commlat bench` prints and
+// internal/bench's TestMicroAllocBudgets holds to their allocation
+// budgets, under the same names.
 func BenchmarkMicro(b *testing.B) {
 	for _, m := range bench.Micros() {
 		b.Run(m.Name, m.F)

@@ -180,7 +180,7 @@ func commands() []command {
 		{"table2", "set microbenchmark abort ratios and times", cmdTable2, "table 2 — set microbenchmark"},
 		{"bench", "detector micro-benchmarks (ns/op, allocs/op), serial and\n" +
 			"batched admission rows (DetectorCascadeBatch*, CascadeBatch);\n" +
-			"-json writes BENCH_fresh.json for the CI allocation gate", cmdBench, ""},
+			"`go test ./internal/bench` holds each row to its allocation budget", cmdBench, ""},
 		{"fig10", "preflow-push run time vs threads (part, ex, ml)", cmdFig(10), ""},
 		{"fig11", "clustering run time vs threads (kd-ml vs kd-gk)", cmdFig(11), ""},
 		{"fig12", "Boruvka run time vs threads (uf-ml vs uf-gk)", cmdFig(12), ""},
@@ -371,10 +371,8 @@ func addSizeFlags(fs *flag.FlagSet, sz *apps.Sizes) {
 
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "write the results as JSON to -o")
-	out := fs.String("o", "BENCH_fresh.json", "output path for -json (- for stdout)")
 	run := fs.String("run", "", "regexp selecting benchmarks to run (default all)")
-	quiet := fs.Bool("q", false, "suppress the progress table")
+	quiet := fs.Bool("q", false, "run the rows without printing the table")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -385,18 +383,14 @@ func cmdBench(args []string) error {
 			return flagError(fs, "run", err)
 		}
 	}
-	progress := io.Writer(os.Stderr)
+	table := io.Writer(os.Stdout)
 	if *quiet {
-		progress = nil
+		table = nil
 	}
-	results := bench.RunMicros(filter, progress)
-	if len(results) == 0 {
+	if bench.RunMicros(filter, table) == 0 {
 		return fmt.Errorf("no benchmarks match %q", *run)
 	}
-	if !*jsonOut {
-		return nil
-	}
-	return writeTo(*out, func(w io.Writer) error { return bench.WriteJSON(w, results) })
+	return nil
 }
 
 // table1Memo keeps Table 1's rows per input sizes for the process: the

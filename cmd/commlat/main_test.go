@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -14,7 +13,6 @@ import (
 
 	"commlat/internal/abslock"
 	"commlat/internal/apps"
-	"commlat/internal/bench"
 	"commlat/internal/core"
 	"commlat/internal/spectext"
 )
@@ -286,17 +284,9 @@ func TestModelReusesTable1Rows(t *testing.T) {
 }
 
 func TestCmdBenchSelectsRows(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := dispatch("bench", []string{"-q", "-run", "^CondEval$", "-json", "-o", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.MicroReport
-	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "CondEval" {
-		t.Errorf("report = %+v, %v; want the one CondEval row", rep, err)
+	out := readFile(t, captureStdout(t, func() error { return dispatch("bench", []string{"-run", "^CondEval$"}) }))
+	if rows := strings.Count(out, "allocs/op"); rows != 1 || !strings.HasPrefix(out, "CondEval ") {
+		t.Errorf("bench printed %q; want the one CondEval row", out)
 	}
 	if err := dispatch("bench", []string{"-q", "-run", "NoSuchRow"}); err == nil {
 		t.Error("a -run that selects nothing should fail")

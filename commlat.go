@@ -21,9 +21,9 @@
 //     the structure back to evaluate conditions in earlier states
 //     (NewGeneralGatekeeper).
 //
-// Moving down the lattice (StrongerByPartition, Bottom) trades precision
-// — and thus exposed parallelism — for cheaper detection; Implies/LE
-// order the points; Meet/Join combine them.
+// Moving down the lattice (StrengthenToSimple, (*Spec).PartitionSpec,
+// Bottom) trades precision — and thus exposed parallelism — for cheaper
+// detection; Implies/LE order the points; Meet/Join combine them.
 //
 // This package is the public facade over the implementation in
 // internal/: the condition language and lattice (internal/core), the

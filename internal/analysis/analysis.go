@@ -5,7 +5,9 @@
 // (specvet). The dynamic checks — race-detector stress sweeps, the
 // abstract-lock fast cell's targeted tests and brute-force model
 // enumeration — stay as the backstop; the analyzers here are the first
-// line of defense, cheap enough to run on every build.
+// line of defense, cheap enough to run on every build: this package's
+// TestModuleHasNoFindings runs them over the whole module under
+// `go test ./...`.
 //
 // Analyzers communicate through source directives:
 //
@@ -29,9 +31,9 @@ import (
 
 // A Finding is one diagnostic produced by an analyzer.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	Pos      string `json:"pos"` // file:line:col
-	Message  string `json:"message"`
+	Analyzer string
+	Pos      string // file:line:col
+	Message  string
 }
 
 // An Analyzer checks one invariant over a type-checked package.

@@ -25,10 +25,32 @@ func fixtureFindings(t *testing.T, dir string) []Finding {
 	return Run([]*Package{pkg}, loader.Sizes())
 }
 
+// TestModuleHasNoFindings runs the suite (poolzero, padcheck,
+// gatecheck) over every package of the module: a finding, or a
+// //commvet:ignore without a reason, fails it. specvet's subjects are
+// vetted by TestVetSpecExamplesClean and the apps package's spec tests.
+func TestModuleHasNoFindings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-threaded type-checking: -race slows it sevenfold and finds nothing")
+	}
+	loader, err := NewLoader("../..")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := loader.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, f := range Run(pkgs, loader.Sizes()) {
+		t.Errorf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
+	}
+	t.Logf("%d packages", len(pkgs))
+}
+
 // TestAnalyzersOnFixtures drives the whole suite over each seeded
 // fixture: every bad fixture must produce exactly the expected findings
-// (that is what makes scripts/commvet exit non-zero on it), and every
-// good fixture must be silent.
+// (that is what makes TestModuleHasNoFindings fail on such code), and
+// every good fixture must be silent.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		dir  string

@@ -87,11 +87,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// Load resolves patterns ("./...", "./dir/...", "./dir") against the
-// module and type-checks every matching package, returning them sorted
+// Load type-checks every package of the module, returning them sorted
 // by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.matchDirs(patterns)
+func (l *Loader) Load() ([]*Package, error) {
+	dirs, err := l.walk(l.moduleRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +171,7 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 }
 
 // goFilesIn lists the non-test Go files of dir in sorted order. Build
-// constraints are ignored: this module has none, and commvet wants to
+// constraints are ignored: this module has none, and the suite wants to
 // see every file it owns anyway.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
@@ -191,49 +190,6 @@ func goFilesIn(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// matchDirs expands patterns into module directories containing Go files.
-func (l *Loader) matchDirs(patterns []string) ([]string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "" {
-			pat = "."
-		}
-		switch {
-		case pat == "...":
-			walked, err := l.walk(l.moduleRoot)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			root := filepath.Join(l.moduleRoot, filepath.FromSlash(strings.TrimSuffix(pat, "/...")))
-			walked, err := l.walk(root)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		default:
-			add(filepath.Join(l.moduleRoot, filepath.FromSlash(pat)))
-		}
-	}
-	return dirs, nil
 }
 
 // walk finds every directory under root holding non-test Go files,

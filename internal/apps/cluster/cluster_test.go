@@ -86,6 +86,10 @@ func TestRunSingleWorkerMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunParallelAllVariants logs each variant's engine.Stats. kd-lock
+// takes nearly all of its time: every non-reciprocal point commits a
+// requeue whose nearest holds the tree lock, so the one merging
+// Remove is refused again and again, each retry at maximal backoff.
 func TestRunParallelAllVariants(t *testing.T) {
 	pts := workload.RandomPoints(120, 100, 3)
 	for name, mk := range indexVariants() {
@@ -102,6 +106,7 @@ func TestRunParallelAllVariants(t *testing.T) {
 		if idx.Len() != 1 {
 			t.Errorf("%s: %d points left in tree", name, idx.Len())
 		}
+		t.Logf("%s: %+v", name, res.Stats)
 	}
 }
 

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
+	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -133,28 +133,38 @@ func TestFailingRunIsReported(t *testing.T) {
 	}
 }
 
-// Every budgeted name is a row of Micros: a row renamed or dropped from
-// the table would otherwise surface only in CI's alloc-gate job.
-func TestBudgetNamesAreMicros(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_budget.json")
-	if err != nil {
+// microOps is the operation count TestMicroAllocBudgets runs every row
+// at, so that a row's allocs/op does not depend on how long it ran.
+const microOps = 20000
+
+// TestMicroAllocBudgets runs every row of Micros for microOps operations
+// and fails each that allocates more per operation than its Budget: a
+// change that puts an allocation on a pinned path, boxing a value or
+// building a closure per call, fails here.
+func TestMicroAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops transactions at random under -race")
+	}
+	prev := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", microOps)); err != nil {
 		t.Fatal(err)
 	}
-	var budget Budget
-	if err := json.Unmarshal(data, &budget); err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]bool{}
+	defer flag.Set("test.benchtime", prev)
+	seen := map[string]bool{}
 	for _, m := range Micros() {
-		if rows[m.Name] {
+		if seen[m.Name] {
 			t.Errorf("row %s listed twice", m.Name)
 		}
-		rows[m.Name] = true
-	}
-	for name := range budget {
-		if !rows[name] {
-			t.Errorf("budgeted benchmark %s is not a row of Micros()", name)
-		}
+		seen[m.Name] = true
+		t.Run(m.Name, func(t *testing.T) {
+			r := testing.Benchmark(m.F)
+			if r.N != microOps {
+				t.Fatalf("ran %d operations, want %d: the row failed", r.N, microOps)
+			}
+			if got := r.AllocsPerOp(); got > m.Budget {
+				t.Errorf("%d allocs/op (%d allocations), budget %d", got, r.MemAllocs, m.Budget)
+			}
+		})
 	}
 }
 

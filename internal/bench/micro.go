@@ -1,19 +1,23 @@
 // Detector micro-benchmarks: the raw cost of one guarded operation under
 // each conflict detector, plus window sweeps for the disequality index.
-// Micros is the one table of them, and two harnesses range over it:
-// `commlat bench` runs the rows via testing.Benchmark to emit
-// BENCH_fresh.json for the allocation-regression gate, and the root
-// bench_test.go runs them as BenchmarkMicro/<row> (row names are stable,
-// so EXPERIMENTS.md numbers stay comparable across PRs).
+// Micros is the one table of them, and three harnesses range over it:
+// `commlat bench` prints the rows, the root bench_test.go runs them as
+// BenchmarkMicro/<row> (row names are stable, so EXPERIMENTS.md numbers
+// stay comparable across PRs), and this package's
+// TestMicroAllocBudgets runs every row at a fixed operation count and
+// fails any row that allocates above its Budget.
 //
 // All benchmarks drive transactions through the engine.GetTx/PutTx pool:
 // with the tagged value representation and pooled detector records, the
-// indexed fast paths run at 0 allocs/op in steady state, and the CI gate
-// (scripts/allocgate against BENCH_budget.json) keeps them there.
+// indexed fast paths run at 0 allocs/op in steady state. A row whose
+// structure allocates while it fills does that filling off the clock,
+// so its count does not depend on how long it runs.
 package bench
 
 import (
 	"fmt"
+	"io"
+	"regexp"
 	"testing"
 
 	"commlat/internal/abslock"
@@ -32,16 +36,27 @@ import (
 type Micro struct {
 	Name string
 	F    func(b *testing.B)
+	// Budget is the most allocations per operation the row may make, as
+	// testing.BenchmarkResult.AllocsPerOp counts them.
+	Budget int64
 }
 
 // Micros lists every detector micro-benchmark in a stable order
-// (sub-rows join with '/'). BENCH_budget.json budgets each by name.
+// (sub-rows join with '/'), each with its allocation budget.
 func Micros() []Micro {
-	// The forward gatekeeper running figure 2's precise set spec.
-	forward := func(b *testing.B) { benchSetAdd(b, intset.NewGatekept(intset.NewHashRep())) }
+	gatekept := func() intset.Set { return intset.NewGatekept(intset.NewHashRep()) }
+	// The forward gatekeeper running figure 2's precise set spec. Its
+	// rows pin a present-key add; /fresh pins the changing add, whose one
+	// allocation is guardedRep.effect's Undo closure.
+	forward := func(b *testing.B) { benchSetAdd(b, gatekept()) }
 	// The lattice cascade running the same spec. The steady state is
 	// disjoint-key, so nearly every iteration is a stage-1
 	// signature-filter admission with zero locks taken by the detector.
+	// Its rows pin a present-key add. Filled on the clock, they read 1
+	// allocs/op (1,024 allocations) at 1,000 operations.
+	// DetectorCascadeSharded and its /latency twin still fill their set
+	// on the clock: they read 1 (1,157) at 1,000 operations and 0 at
+	// 20,000.
 	cascade := func(b *testing.B) { benchSetAdd(b, intset.NewCascaded(intset.NewHashRep())) }
 	// The cascade through the batched admission path at a fixed batch
 	// size. The acceptance target is DetectorCascadeBatch32 at ≥2× the
@@ -50,57 +65,69 @@ func Micros() []Micro {
 		return func(b *testing.B) { benchSetAddBatch(b, intset.NewCascaded(intset.NewHashRep()), batch) }
 	}
 	// The hand-built general gatekeeper for union-find (undo/redo
-	// journal, rollback checks).
-	general := func(b *testing.B) { benchUnionFind(b, unionfind.NewGK(1<<16)) }
+	// journal, rollback checks). It pins a no-op union;
+	// DetectorUnionFindGKFind pins joining ones.
+	general := func(b *testing.B) {
+		benchUnionFind(b, func() unionfind.Sets { return unionfind.NewGK(1 << 16) }, false)
+	}
 	// The spec-interpreting generic gatekeeper (gatekeeper.General) —
 	// ablation against the concrete one above (same conditions, different
-	// machinery).
-	generic := func(b *testing.B) { benchUnionFind(b, unionfind.NewGeneric(1<<16)) }
+	// machinery). Its rows pin a no-op union; /joining pins the merging
+	// union, whose three allocations are its write list and its Undo and
+	// Redo closures.
+	newGeneric := func() unionfind.Sets { return unionfind.NewGeneric(1 << 16) }
+	generic := func(b *testing.B) { benchUnionFind(b, newGeneric, false) }
 	// Synthesized read/write abstract locks (figure 3's spec) guarding a
 	// hash set.
 	abslockRW := func(b *testing.B) { benchSetAdd(b, intset.NewRWLocked(intset.NewHashRep())) }
 
 	ms := []Micro{
-		{"DetectorAbslockRW", abslockRW},
-		{"DetectorAbslockReentrant", DetectorAbslockReentrant},
-		{"DetectorAbslockHeld256", DetectorAbslockHeld256},
+		{"DetectorAbslockRW", abslockRW, 0},
+		{"DetectorAbslockReentrant", DetectorAbslockReentrant, 0},
+		{"DetectorAbslockHeld256", DetectorAbslockHeld256, 0},
 		// The ⊥ spec — one global exclusive lock.
-		{"DetectorGlobalLock", func(b *testing.B) { benchSetAdd(b, intset.NewGlobalLock(intset.NewHashRep())) }},
-		{"DetectorForwardGatekeeper", forward},
-		{"DetectorCascadeGatekeeper", cascade},
-		{"DetectorGeneralGatekeeper", general},
-		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind},
+		{"DetectorGlobalLock", func(b *testing.B) { benchSetAdd(b, intset.NewGlobalLock(intset.NewHashRep())) }, 0},
+		{"DetectorForwardGatekeeper", forward, 0},
+		{"DetectorForwardGatekeeper/fresh", func(b *testing.B) { benchSetAddFresh(b, gatekept) }, 1},
+		{"DetectorCascadeGatekeeper", cascade, 0},
+		{"DetectorGeneralGatekeeper", general, 0},
+		{"DetectorUnionFindGKFind", DetectorUnionFindGKFind, 0},
 		// Budget 0: points ride inline, undo is the methods' inverses.
-		{"DetectorForwardKDTree", DetectorForwardKDTree},
-		{"DetectorUnionFindGeneric", generic},
-		// Union-find under abstract locks.
-		{"DetectorUnionFindML", func(b *testing.B) { benchUnionFind(b, unionfind.NewML(1<<16)) }},
-		{"CondEval", CondEval},
-		{"DetectorForwardGatekeeper/traced", traced(forward)},
-		{"DetectorCascadeGatekeeper/traced", traced(cascade)},
-		{"DetectorGeneralGatekeeper/traced", traced(general)},
-		{"TelemetryEmit", TelemetryEmit},
-		{"CascadeSlowPath", CascadeSlowPath},
-		{"ForwardScanFallback", ForwardScanFallback},
-		{"DetectorCascadeBatch8", cascadeBatch(8)},
-		{"DetectorCascadeBatch32", cascadeBatch(32)},
-		{"DetectorCascadeBatch128", cascadeBatch(128)},
-		{"DetectorCascadeSharded", DetectorCascadeSharded},
-		{"DetectorCascadeShardedCross", DetectorCascadeShardedCross},
-		{"DetectorCascadePairSerial", DetectorCascadePairSerial},
+		{"DetectorForwardKDTree", DetectorForwardKDTree, 0},
+		{"DetectorUnionFindGeneric", generic, 0},
+		{"DetectorUnionFindGeneric/joining", func(b *testing.B) { benchUnionFind(b, newGeneric, true) }, 3},
+		// Union-find under abstract locks; a no-op union, like the rows
+		// above. unionfind's TestMLUndoAllocatesNothing pins its joining
+		// union at 0.
+		{"DetectorUnionFindML", func(b *testing.B) {
+			benchUnionFind(b, func() unionfind.Sets { return unionfind.NewML(1 << 16) }, false)
+		}, 0},
+		{"CondEval", CondEval, 0},
+		{"DetectorForwardGatekeeper/traced", traced(forward), 0},
+		{"DetectorCascadeGatekeeper/traced", traced(cascade), 0},
+		{"DetectorGeneralGatekeeper/traced", traced(general), 0},
+		{"TelemetryEmit", TelemetryEmit, 0},
+		{"CascadeSlowPath", CascadeSlowPath, 0},
+		{"ForwardScanFallback", ForwardScanFallback, 0},
+		{"DetectorCascadeBatch8", cascadeBatch(8), 0},
+		{"DetectorCascadeBatch32", cascadeBatch(32), 0},
+		{"DetectorCascadeBatch128", cascadeBatch(128), 0},
+		{"DetectorCascadeSharded", DetectorCascadeSharded, 0},
+		{"DetectorCascadeShardedCross", DetectorCascadeShardedCross, 0},
+		{"DetectorCascadePairSerial", DetectorCascadePairSerial, 0},
 		// The cascade's latency row is the instrumented fast path (one
 		// clock read and one histogram add per admission); the batch row
 		// adds publish/probe phase marks plus one group flight record per
 		// batch. Every measured transaction is an observed one (getTx), so
 		// the lock and logged-gatekeeper rows time each admission whole.
-		{"DetectorAbslockRW/latency", withLatency(abslockRW)},
-		{"DetectorForwardGatekeeper/latency", withLatency(forward)},
-		{"DetectorUnionFindGeneric/latency", withLatency(generic)},
-		{"DetectorCascadeGatekeeper/latency", withLatency(cascade)},
-		{"DetectorCascadeBatch32/latency", withLatency(cascadeBatch(32))},
-		{"DetectorCascadeSharded/latency", withLatency(DetectorCascadeSharded)},
-		{"TelemetryLatencyObserve", TelemetryLatencyObserve},
-		{"TelemetryFlightRecord", TelemetryFlightRecord},
+		{"DetectorAbslockRW/latency", withLatency(abslockRW), 0},
+		{"DetectorForwardGatekeeper/latency", withLatency(forward), 0},
+		{"DetectorUnionFindGeneric/latency", withLatency(generic), 0},
+		{"DetectorCascadeGatekeeper/latency", withLatency(cascade), 0},
+		{"DetectorCascadeBatch32/latency", withLatency(cascadeBatch(32)), 0},
+		{"DetectorCascadeSharded/latency", withLatency(DetectorCascadeSharded), 0},
+		{"TelemetryLatencyObserve", TelemetryLatencyObserve, 0},
+		{"TelemetryFlightRecord", TelemetryFlightRecord, 0},
 	}
 	// Window sweeps: cost per op against the number of active invocations
 	// (flat for the indexed detectors; CascadeBatch falls with the batch).
@@ -116,25 +143,76 @@ func Micros() []Micro {
 		{"CascadeBatch/batch=128", func(b *testing.B, w int) { CascadeBatchWindow(b, 128, w) }},
 	} {
 		for _, w := range []int{64, 512, 4096} {
-			ms = append(ms, Micro{fmt.Sprintf("%s/window=%d", sweep.name, w), func(b *testing.B) { sweep.f(b, w) }})
+			ms = append(ms, Micro{fmt.Sprintf("%s/window=%d", sweep.name, w), func(b *testing.B) { sweep.f(b, w) }, 0})
 		}
 	}
 	return ms
 }
 
+// RunMicros runs every detector micro-benchmark whose name matches
+// filter (nil means all) with testing.Benchmark, writes one line per row
+// to w when w is non-nil, and returns the number of rows run.
+func RunMicros(filter *regexp.Regexp, w io.Writer) int {
+	n := 0
+	for _, m := range Micros() {
+		if filter != nil && !filter.MatchString(m.Name) {
+			continue
+		}
+		r := testing.Benchmark(m.F)
+		n++
+		if w != nil {
+			fmt.Fprintf(w, "%-44s %12d ops %12.1f ns/op %8d B/op %6d allocs/op\n",
+				m.Name, r.N, float64(r.T.Nanoseconds())/float64(r.N), r.AllocedBytesPerOp(), r.AllocsPerOp())
+		}
+	}
+	return n
+}
+
+// setKeys is the key window of the set rows: keys cycle through
+// 0 … setKeys-1.
+const setKeys = 1024
+
+// setAdd is one guarded Add of key i mod setKeys in a pooled
+// transaction of its own.
+func setAdd(b *testing.B, s intset.Set, i int) {
+	tx := getTx()
+	if _, err := s.Add(tx, int64(i%setKeys)); err != nil {
+		b.Fatal(err)
+	}
+	tx.Commit()
+	engine.PutTx(tx)
+}
+
 // benchSetAdd measures one guarded Add per iteration on keys cycling
-// through a small window, transaction per op via the pool.
+// through the window. The window's keys are added off the clock first,
+// so every measured add finds its key present: the steady state of a
+// long run.
 func benchSetAdd(b *testing.B, s intset.Set) {
 	b.Helper()
+	for i := 0; i < setKeys; i++ {
+		setAdd(b, s, i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := getTx()
-		if _, err := s.Add(tx, int64(i%1024)); err != nil {
-			b.Fatal(err)
+		setAdd(b, s, i)
+	}
+}
+
+// benchSetAddFresh is benchSetAdd on a set rebuilt off the clock every
+// setKeys adds, so every measured add inserts a key the set lacks.
+func benchSetAddFresh(b *testing.B, newSet func() intset.Set) {
+	b.Helper()
+	var s intset.Set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%setKeys == 0 {
+			b.StopTimer()
+			s = newSet()
+			b.StartTimer()
 		}
-		tx.Commit()
-		engine.PutTx(tx)
+		setAdd(b, s, i)
 	}
 }
 
@@ -178,9 +256,10 @@ func DetectorAbslockReentrant(b *testing.B) {
 }
 
 // DetectorAbslockHeld256: one re-acquisition by a transaction that holds
-// 256 locks. The owner's hold lookup walks one hash bucket, so ns/op
-// stays that of a covered re-acquisition in DetectorAbslockReentrant
-// rather than growing with the locks held.
+// 256 locks. The owner's hold lookup is one compare against the
+// datum's fast cell (its owner and hash), so ns/op stays that of a
+// covered re-acquisition in DetectorAbslockReentrant rather than
+// growing with the locks held.
 func DetectorAbslockHeld256(b *testing.B) {
 	m := newRWSetManager()
 	contains := m.Method("contains")
@@ -205,8 +284,10 @@ func DetectorAbslockHeld256(b *testing.B) {
 // pipeline: each group of `batch` adds shares one representation lock
 // acquisition, one combined signature probe, and one group commit, so
 // the per-operation cost reported is the amortized batch cost. Keys
-// cycle through the same 1024-element window as benchSetAdd — the
-// steady state is disjoint-key, whole-batch admission.
+// cycle through the same window as benchSetAdd, added off the clock
+// first — the steady state is disjoint-key, whole-batch admission of
+// present keys. Filled on the clock, these rows read 1 allocs/op
+// (1,052 to 1,166 allocations) at 1,000 operations.
 func benchSetAddBatch(b *testing.B, s *intset.CascadeSet, batch int) {
 	b.Helper()
 	var cache engine.TxCache
@@ -214,46 +295,77 @@ func benchSetAddBatch(b *testing.B, s *intset.CascadeSet, batch int) {
 	xs := make([]int64, batch)
 	rets := make([]bool, batch)
 	errs := make([]error, batch)
+	// adds makes ops adds, in batches, on keys 0, 1, … mod setKeys.
+	adds := func(ops int) {
+		for i := 0; i < ops; {
+			n := min(batch, ops-i)
+			getBatch(&cache, txs[:n])
+			for k := 0; k < n; k++ {
+				xs[k] = int64((i + k) % setKeys)
+			}
+			s.AddBatch(txs[:n], xs[:n], rets[:n], errs[:n])
+			for k := 0; k < n; k++ {
+				if errs[k] != nil {
+					b.Fatal(errs[k])
+				}
+			}
+			cache.PutBatch(txs[:n])
+			i += n
+		}
+	}
+	adds(setKeys)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; {
-		n := batch
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		getBatch(&cache, txs[:n])
-		for k := 0; k < n; k++ {
-			xs[k] = int64((i + k) & 1023)
-		}
-		s.AddBatch(txs[:n], xs[:n], rets[:n], errs[:n])
-		for k := 0; k < n; k++ {
-			if errs[k] != nil {
-				b.Fatal(errs[k])
-			}
-		}
-		cache.PutBatch(txs[:n])
-		i += n
-	}
+	adds(b.N)
 }
 
-func benchUnionFind(b *testing.B, uf unionfind.Sets) {
+// ufSpan is the element window of the union-find rows: iteration i
+// unions i mod ufSpan with its successor, in a forest of twice as many
+// elements.
+const ufSpan = 1 << 15
+
+// ufUnion is one guarded Union of i mod ufSpan and its successor in a
+// pooled transaction of its own.
+func ufUnion(b *testing.B, uf unionfind.Sets, i int) {
+	tx := getTx()
+	if _, err := uf.Union(tx, int64(i%ufSpan), int64(i%ufSpan)+1); err != nil {
+		b.Fatal(err)
+	}
+	tx.Commit()
+	engine.PutTx(tx)
+}
+
+// benchUnionFind measures one guarded Union per iteration. Off the clock
+// it first makes the window's ufSpan joining unions, which leave one
+// chain, and one more union, which compresses it: every measured union
+// then finds its two elements under one root and is a no-op, the steady
+// state of a long run. With joining, the forest is instead rebuilt off
+// the clock every ufSpan unions, so every measured union merges two
+// sets.
+func benchUnionFind(b *testing.B, newUF func() unionfind.Sets, joining bool) {
 	b.Helper()
+	uf := newUF()
+	if !joining {
+		for i := 0; i <= ufSpan; i++ {
+			ufUnion(b, uf, i)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := getTx()
-		if _, err := uf.Union(tx, int64(i%(1<<15)), int64(i%(1<<15))+1); err != nil {
-			b.Fatal(err)
+		if joining && i > 0 && i%ufSpan == 0 {
+			b.StopTimer()
+			uf = newUF()
+			b.StartTimer()
 		}
-		tx.Commit()
-		engine.PutTx(tx)
+		ufUnion(b, uf, i)
 	}
 }
 
 // DetectorUnionFindGKFind: what Borůvka asks of the hand-built general
-// gatekeeper, which DetectorGeneralGatekeeper's root-to-root unions do
-// not — finds that compress a path and unions of fresh representatives
-// that compress on the way, all journaled. One iteration is one
+// gatekeeper, which DetectorGeneralGatekeeper's no-op unions do not —
+// finds that compress a path and unions of fresh representatives that
+// compress on the way, all journaled. One iteration is one
 // transaction of eight guarded calls on eight fresh elements (allocs/op
 // is an integer: any allocation inside the transaction shows as ≥ 1),
 // on a structure rebuilt every 2¹⁵ calls, whose cost amortizes to zero.
