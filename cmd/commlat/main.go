@@ -14,15 +14,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -34,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"commlat/internal/abslock"
 	"commlat/internal/analysis"
@@ -45,13 +41,24 @@ import (
 	"commlat/internal/telemetry"
 )
 
+// globals are the flags given before the command.
+type globals struct {
+	cpuProfile, memProfile, telemetryOut string
+}
+
+// globalFlags registers the global flags on a new FlagSet, filling g.
+func globalFlags(g *globals) *flag.FlagSet {
+	fs := flag.NewFlagSet("commlat", flag.ExitOnError)
+	fs.Usage = func() { usage(os.Stderr) }
+	fs.StringVar(&g.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&g.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&g.telemetryOut, "telemetry-out", "", "write a final telemetry snapshot (JSON, cascade stage counters and lock mode rows included) to this file on exit")
+	return fs
+}
+
 func main() {
-	global := flag.NewFlagSet("commlat", flag.ExitOnError)
-	global.Usage = func() { usage(os.Stderr) }
-	cpuProfile := global.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := global.String("memprofile", "", "write a heap profile to this file on exit")
-	listen := global.String("listen", "", "serve live telemetry (/debug/telemetry, /debug/commlat/flightrec, /debug/commlat/percentiles) on this address for the run's duration")
-	telemetryOut := global.String("telemetry-out", "", "write a final telemetry snapshot (JSON, cascade stage counters and lock mode rows included) to this file on exit")
+	var g globals
+	global := globalFlags(&g)
 	if err := global.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -59,26 +66,8 @@ func main() {
 		usage(os.Stderr)
 		os.Exit(2)
 	}
-	var srv *http.Server
-	var srvDone chan struct{}
-	if *listen != "" {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "commlat:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "commlat: telemetry on http://%s/\n", ln.Addr())
-		srv = &http.Server{Handler: telemetry.Handler(telemetry.Default)}
-		srvDone = make(chan struct{})
-		go func() {
-			defer close(srvDone)
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "commlat: telemetry server:", err)
-			}
-		}()
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if g.cpuProfile != "" {
+		f, err := os.Create(g.cpuProfile)
 		if err == nil {
 			err = pprof.StartCPUProfile(f)
 		}
@@ -89,27 +78,17 @@ func main() {
 	}
 	// Teardown runs exactly once, from whichever path gets there first —
 	// the subcommand returning or a termination signal — so an
-	// interrupted run still flushes its profiles, drains in-flight
-	// telemetry scrapes, and writes its final snapshot.
+	// interrupted run still flushes its profiles and writes its final
+	// snapshot.
 	var teardownOnce sync.Once
 	var teardownErr error
 	teardown := func() {
-		if *cpuProfile != "" {
+		if g.cpuProfile != "" {
 			pprof.StopCPUProfile()
 		}
-		if srv != nil {
-			// Drain in-flight requests before exiting: a scrape that
-			// raced the run's end still gets its complete document.
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if serr := srv.Shutdown(ctx); serr != nil {
-				fmt.Fprintln(os.Stderr, "commlat: telemetry server shutdown:", serr)
-			}
-			cancel()
-			<-srvDone
-		}
 		for _, werr := range []error{ // an unset path writes nothing
-			writeTo(*telemetryOut, writeTelemetrySnapshot),
-			writeTo(*memProfile, writeHeapProfile),
+			writeTo(g.telemetryOut, writeTelemetrySnapshot),
+			writeTo(g.memProfile, writeHeapProfile),
 		} {
 			if werr != nil {
 				fmt.Fprintln(os.Stderr, "commlat:", werr)
@@ -133,6 +112,9 @@ func main() {
 
 	err := dispatch(global.Arg(0), global.Args()[1:])
 	teardownOnce.Do(teardown)
+	if errors.Is(err, flag.ErrHelp) { // the command printed its flags
+		err = nil
+	}
 	var bad usageError
 	if errors.As(err, &bad) {
 		fmt.Fprintln(os.Stderr, "commlat:", err)
@@ -148,9 +130,8 @@ func main() {
 	}
 }
 
-// writeTelemetrySnapshot dumps the default registry's counters — the
-// same JSON the /debug/telemetry endpoint serves — so batch runs can
-// keep per-stage cascade statistics without a live HTTP listener.
+// writeTelemetrySnapshot dumps the default registry's counters, so batch
+// runs keep per-stage cascade statistics.
 func writeTelemetrySnapshot(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -196,8 +177,8 @@ func commands() []command {
 			"per-method-pair conflict attribution table", cmdTrace, ""},
 		{"flightrec", "run one app with stage-latency histograms and the flight\n" +
 			"recorder enabled; prints the percentile table and recent\n" +
-			"admission records (-json, -o and -percentiles write the\n" +
-			"JSON documents)", cmdFlightrec, ""},
+			"admission records (-o and -percentiles write the JSON\n" +
+			"documents)", cmdFlightrec, ""},
 		{"check", "parse a textual specification file, classify and synthesize it", cmdCheck, ""},
 		{"all", "run every quick experiment (tables, specifications, model)", cmdAll, ""},
 		{"help", "print this text", cmdHelp, ""},
@@ -225,11 +206,19 @@ var countFlags = map[string]int{
 
 // parseFlags parses a command's flags and then checks every int flag
 // countFlags names, so a size or count no solver or recorder can run is
-// a usageError before anything runs. So is a leftover argument: no
-// command takes one, and flags after it would go unread.
+// a usageError before anything runs. So is a flag fs does not define,
+// and a leftover argument: no command takes one, and flags after it
+// would go unread. -h prints fs's flags and returns flag.ErrHelp.
+// Nothing exits from here: main's teardown runs on every path.
 func parseFlags(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
+	fs.SetOutput(io.Discard) // main reports a parse error, once
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "flags of %s:\n", fs.Name())
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
 		return err
+	} else if err != nil {
+		return usageError(fmt.Sprintf("%s: %v", fs.Name(), err))
 	}
 	if fs.NArg() > 0 {
 		return usageError(fmt.Sprintf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
@@ -265,7 +254,7 @@ func dispatch(name string, args []string) error {
 }
 
 func cmdHelp(args []string) error {
-	if err := parseFlags(flag.NewFlagSet("help", flag.ExitOnError), args); err != nil {
+	if err := parseFlags(flag.NewFlagSet("help", flag.ContinueOnError), args); err != nil {
 		return err
 	}
 	usage(os.Stderr)
@@ -273,7 +262,7 @@ func cmdHelp(args []string) error {
 }
 
 func cmdAll(args []string) error {
-	if err := parseFlags(flag.NewFlagSet("all", flag.ExitOnError), args); err != nil {
+	if err := parseFlags(flag.NewFlagSet("all", flag.ContinueOnError), args); err != nil {
 		return err
 	}
 	for _, c := range commands() {
@@ -300,15 +289,10 @@ commands:
 global flags (before the command):
   -cpuprofile FILE  write a pprof CPU profile of the whole run
   -memprofile FILE  write a pprof heap profile at exit
-  -listen ADDR      serve live telemetry over HTTP while the command runs,
-                    the JSON documents the CLI writes: /debug/telemetry
-                    (as -telemetry-out), /debug/commlat/flightrec and
-                    /debug/commlat/percentiles (as flightrec -o and
-                    -percentiles)
   -telemetry-out FILE  write the final telemetry snapshot as JSON on exit
                     (engine counters plus per-detector stats, cascade
-                    stages and lock mode rows included; same schema as
-                    /debug/telemetry, checked by scripts/tracecheck)
+                    stages and lock mode rows included; checked by
+                    scripts/tracecheck)
 
 trace and flightrec pick the variant with -detector, by Table 1's name
 (preflow: part|ex|ml; boruvka: uf-ml|uf-gk|uf-generic; cluster:
@@ -370,7 +354,7 @@ func addSizeFlags(fs *flag.FlagSet, sz *apps.Sizes) {
 }
 
 func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	run := fs.String("run", "", "regexp selecting benchmarks to run (default all)")
 	quiet := fs.Bool("q", false, "run the rows without printing the table")
 	if err := parseFlags(fs, args); err != nil {
@@ -409,7 +393,7 @@ func table1Rows(sz apps.Sizes) ([]bench.Table1Row, error) {
 }
 
 func cmdTable1(args []string) error {
-	fs := flag.NewFlagSet("table1", flag.ExitOnError)
+	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 	sz := table1Sizes
 	addSizeFlags(fs, &sz)
 	if err := parseFlags(fs, args); err != nil {
@@ -424,7 +408,7 @@ func cmdTable1(args []string) error {
 }
 
 func cmdTable2(args []string) error {
-	fs := flag.NewFlagSet("table2", flag.ExitOnError)
+	fs := flag.NewFlagSet("table2", flag.ContinueOnError)
 	cfg := bench.DefaultTable2()
 	fs.IntVar(&cfg.Ops, "ops", cfg.Ops, "operations (paper: 1000000)")
 	fs.IntVar(&cfg.Classes, "classes", cfg.Classes, "equivalence classes (paper: 10)")
@@ -447,7 +431,7 @@ func cmdTable2(args []string) error {
 // catalogue's app with that figure number.
 func cmdFig(n int) func(args []string) error {
 	return func(args []string) error {
-		fs := flag.NewFlagSet(fmt.Sprintf("fig%d", n), flag.ExitOnError)
+		fs := flag.NewFlagSet(fmt.Sprintf("fig%d", n), flag.ContinueOnError)
 		threadList := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
 		sz := figSizes
 		addSizeFlags(fs, &sz)
@@ -473,7 +457,7 @@ func cmdFig(n int) func(args []string) error {
 }
 
 func cmdModel(args []string) error {
-	fs := flag.NewFlagSet("model", flag.ExitOnError)
+	fs := flag.NewFlagSet("model", flag.ContinueOnError)
 	appName := fs.String("app", "Preflow-push", "Preflow-push | Boruvka | Clustering")
 	procs := fs.String("procs", "1,2,4,8,64,1024", "processor counts")
 	sz := table1Sizes
@@ -501,7 +485,7 @@ func cmdModel(args []string) error {
 // conditions, the lock matrices of each one Synthesize accepts, and the
 // SIMPLE strengthening of each non-SIMPLE top with the ≤ check.
 func cmdSpecs(args []string) error {
-	fs := flag.NewFlagSet("specs", flag.ExitOnError)
+	fs := flag.NewFlagSet("specs", flag.ContinueOnError)
 	var adts []string
 	for _, p := range apps.Specs() {
 		if !slices.Contains(adts, p.ADT) {
@@ -551,7 +535,7 @@ func printMatrices(spec *core.Spec) {
 }
 
 func cmdCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
+	fs := flag.NewFlagSet("check", flag.ContinueOnError)
 	file := fs.String("file", "", "specification file (see internal/spectext); - for stdin")
 	if err := parseFlags(fs, args); err != nil {
 		return err

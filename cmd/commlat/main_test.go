@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ read:ds |       x       v
 // accumulator's are figure 8's.
 func TestCmdMatricesAllSpecs(t *testing.T) {
 	for _, p := range apps.Specs() {
-		out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", p.ADT}) }))
+		out := readFile(t, capture(t, &os.Stdout, func() error { return dispatch("specs", []string{"-adt", p.ADT}) }))
 		if !strings.Contains(out, "=== "+p.ADT+"/"+p.Name+": ") {
 			t.Errorf("specs -adt %s does not print point %s:\n%s", p.ADT, p.Name, out)
 		}
@@ -58,7 +59,7 @@ func TestCmdMatricesAllSpecs(t *testing.T) {
 			t.Errorf("specs -adt %s prints no matrices for %s", p.ADT, p.Name)
 		}
 	}
-	out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", "accumulator"}) }))
+	out := readFile(t, capture(t, &os.Stdout, func() error { return dispatch("specs", []string{"-adt", "accumulator"}) }))
 	if !strings.HasSuffix(out, figure8) {
 		t.Errorf("specs -adt accumulator:\n%s\nwant it to end in figure 8:\n%s", out, figure8)
 	}
@@ -71,14 +72,14 @@ func TestCmdMatricesAllSpecs(t *testing.T) {
 // hand-written point that is not SIMPLE with its SIMPLE strengthening,
 // proved below it.
 func TestCmdSpecsAndStrengthen(t *testing.T) {
-	out := readFile(t, captureStdout(t, func() error { return dispatch("specs", nil) }))
+	out := readFile(t, capture(t, &os.Stdout, func() error { return dispatch("specs", nil) }))
 	for _, p := range apps.Specs() {
 		if !strings.Contains(out, "=== "+p.ADT+"/"+p.Name+": ") {
 			t.Errorf("specs does not print %s/%s", p.ADT, p.Name)
 		}
 	}
 	for _, adt := range []string{"set", "kdtree", "unionfind"} {
-		out := readFile(t, captureStdout(t, func() error { return dispatch("specs", []string{"-adt", adt}) }))
+		out := readFile(t, capture(t, &os.Stdout, func() error { return dispatch("specs", []string{"-adt", adt}) }))
 		if !strings.Contains(out, "strongest SIMPLE specification below it (§4.1):") ||
 			!strings.Contains(out, "ordering check: strengthened ≤ original: true") {
 			t.Errorf("specs -adt %s prints no proved strengthening:\n%s", adt, out)
@@ -156,7 +157,7 @@ func TestCmdTable2Small(t *testing.T) {
 
 func TestUnknownCommandIsAUsageError(t *testing.T) {
 	// Returned, not os.Exit(2) from inside dispatch: main has a CPU
-	// profile to stop and a -listen server to drain first.
+	// profile to stop and a telemetry snapshot to write first.
 	err := dispatch("nope", nil)
 	var bad usageError
 	if !errors.As(err, &bad) || !strings.Contains(err.Error(), `"nope"`) {
@@ -229,6 +230,76 @@ func TestStrayArgumentsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// An undefined flag is a usageError naming it, returned from every
+// command before it runs anything, so main's teardown still writes the
+// profiles and the snapshot.
+func TestUndefinedFlagIsAUsageError(t *testing.T) {
+	for _, c := range commands() {
+		err := dispatch(c.name, []string{"-bogus"})
+		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), "-bogus") {
+			t.Errorf("%s -bogus = %v, want a usageError naming -bogus", c.name, err)
+		}
+	}
+}
+
+// Two documents back to back on stdout are not one parseable stream:
+// each command refuses them before it runs, naming both flags.
+func TestTwoDocumentsOnStdoutAreRefused(t *testing.T) {
+	for _, line := range [][]string{
+		{"trace", "-o", "-", "-jsonl", "-"},
+		{"flightrec", "-o", "-", "-percentiles", "-"},
+	} {
+		err := dispatch(line[0], line[1:])
+		if !errors.As(err, new(usageError)) || !strings.Contains(err.Error(), line[1]+" ") || !strings.Contains(err.Error(), line[3]+" ") {
+			t.Errorf("%s = %v, want a usageError naming %s and %s", strings.Join(line, " "), err, line[1], line[3])
+		}
+	}
+}
+
+// flagNames are the -name words of a help text: a dash after a space or
+// an opening parenthesis, then a lower-case name. definedFlags are the
+// names in what flag.PrintDefaults prints.
+var (
+	flagNames    = regexp.MustCompile(`(?:^|[\s(])-([a-z](?:[a-z-]*[a-z])?)\b`)
+	definedFlags = regexp.MustCompile(`(?m)^  -(\S+)`)
+)
+
+// Every flag a command's summary names is defined on that command or
+// globally, and every flag usage() names is defined on some command or
+// globally (-h is the flag package's own). Each command's flags are
+// read from what its -h prints.
+func TestHelpTextNamesDefinedFlags(t *testing.T) {
+	global := globalFlags(new(globals))
+	all := map[string]bool{"h": true}
+	global.VisitAll(func(f *flag.Flag) { all[f.Name] = true })
+	for _, c := range commands() {
+		var err error
+		help := readFile(t, capture(t, &os.Stderr, func() error {
+			err = dispatch(c.name, []string{"-h"})
+			return nil
+		}))
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h = %v, want flag.ErrHelp", c.name, err)
+		}
+		defined := map[string]bool{}
+		for _, m := range definedFlags.FindAllStringSubmatch(help, -1) {
+			defined[m[1]], all[m[1]] = true, true
+		}
+		for _, m := range flagNames.FindAllStringSubmatch(c.summary, -1) {
+			if !defined[m[1]] && global.Lookup(m[1]) == nil {
+				t.Errorf("%s's summary names -%s, which it does not define", c.name, m[1])
+			}
+		}
+	}
+	var out bytes.Buffer
+	usage(&out)
+	for _, m := range flagNames.FindAllStringSubmatch(out.String(), -1) {
+		if !all[m[1]] {
+			t.Errorf("usage names -%s, which no command defines", m[1])
+		}
+	}
+}
+
 // The usage text lists every command of the table and, for -detector,
 // every variant name of the catalogue (the text is written by hand).
 func TestUsageListsCommandsAndVariants(t *testing.T) {
@@ -284,7 +355,7 @@ func TestModelReusesTable1Rows(t *testing.T) {
 }
 
 func TestCmdBenchSelectsRows(t *testing.T) {
-	out := readFile(t, captureStdout(t, func() error { return dispatch("bench", []string{"-run", "^CondEval$"}) }))
+	out := readFile(t, capture(t, &os.Stdout, func() error { return dispatch("bench", []string{"-run", "^CondEval$"}) }))
 	if rows := strings.Count(out, "allocs/op"); rows != 1 || !strings.HasPrefix(out, "CondEval ") {
 		t.Errorf("bench printed %q; want the one CondEval row", out)
 	}
@@ -293,18 +364,18 @@ func TestCmdBenchSelectsRows(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected to a file and returns
-// the file's path.
-func captureStdout(t *testing.T, f func() error) string {
+// capture runs f with *std (os.Stdout or os.Stderr) redirected to a file
+// and returns the file's path.
+func capture(t *testing.T, std **os.File, f func() error) string {
 	t.Helper()
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	out, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stdout
-	os.Stdout = out
+	saved := *std
+	*std = out
 	err = f()
-	os.Stdout = saved
+	*std = saved
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -328,8 +399,8 @@ func TestTraceDocumentsPassTracecheck(t *testing.T) {
 			t.Errorf("tracecheck %s: %v\n%s", strings.Join(args, " "), err, out)
 		}
 	}
-	jsonl := captureStdout(t, func() error {
-		return dispatch("trace", []string{"-app", "boruvka", "-mesh", "12", "-threads", "4", "-json"})
+	jsonl := capture(t, &os.Stdout, func() error {
+		return dispatch("trace", []string{"-app", "boruvka", "-mesh", "12", "-threads", "4", "-jsonl", "-"})
 	})
 	tracecheck(jsonl)
 
@@ -342,10 +413,10 @@ func TestTraceDocumentsPassTracecheck(t *testing.T) {
 	// A document sent to stdout with -o - or -jsonl - is all of stdout:
 	// the report goes to stderr.
 	small := []string{"-app", "boruvka", "-mesh", "6", "-threads", "2"}
-	tracecheck(captureStdout(t, func() error {
+	tracecheck(capture(t, &os.Stdout, func() error {
 		return dispatch("trace", append(small, "-jsonl", "-", "-o", chrome))
 	}))
-	tracecheck("-chrome", captureStdout(t, func() error {
+	tracecheck("-chrome", capture(t, &os.Stdout, func() error {
 		return dispatch("trace", append(small, "-o", "-", "-jsonl", filepath.Join(dir, "trace.jsonl")))
 	}))
 

@@ -15,17 +15,19 @@ import (
 // and writes the transaction timeline (Chrome trace_event JSON and/or
 // JSONL) plus the per-method-pair conflict attribution table.
 func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	sz := addAppFlags(fs)
-	out := fs.String("o", "", "Chrome trace_event output path (- for stdout; default trace.json, or none under -json)")
-	jsonlPath := fs.String("jsonl", "", "also write the event trace as JSONL to this path")
-	jsonMode := fs.Bool("json", false, "write JSONL events to stdout and the attribution table to stderr (no Chrome file unless -o is given)")
+	out := fs.String("o", "", "Chrome trace_event output path (- for stdout; default trace.json unless -jsonl is given)")
+	jsonlPath := fs.String("jsonl", "", "write the event trace as JSONL to this path (- for stdout)")
 	sample := fs.Int("sample", 1, "keep the events of transactions whose id is a multiple of N; a kept transaction keeps all of them, its conflicts included (-sample 8 keeps the transactions the stage histograms observe)")
 	buf := fs.Int("buf", 1<<14, "per-worker ring capacity in events (at most 1<<20, rounded up to a power of two)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *out == "" && !*jsonMode {
+	if err := oneStdoutDocument(fs, "o", "jsonl"); err != nil {
+		return err
+	}
+	if *out == "" && *jsonlPath == "" {
 		*out = "trace.json"
 	}
 
@@ -43,13 +45,8 @@ func cmdTrace(args []string) error {
 	// A document on stdout sends the human report to stderr, so the
 	// stream stays one parseable document.
 	report := io.Writer(os.Stdout)
-	if *jsonMode || *out == "-" || *jsonlPath == "-" {
+	if *out == "-" || *jsonlPath == "-" {
 		report = os.Stderr
-	}
-	if *jsonMode {
-		if err := telemetry.Default.WriteJSONL(os.Stdout, evs); err != nil {
-			return err
-		}
 	}
 	if *out != "" {
 		if err := writeTo(*out, func(w io.Writer) error { return telemetry.Default.WriteChromeTrace(w, evs) }); err != nil {
@@ -111,4 +108,14 @@ func runTraced(r *appRun) (string, error) {
 	st := s.Stats
 	return fmt.Sprintf("%s: %s, %s; committed %d, aborts %d (%.2f%%), elapsed %v, busy %v",
 		app.Key, app.Input, s.Answer, st.Committed, st.Aborts, st.AbortRatio()*100, st.Elapsed, st.Busy), nil
+}
+
+// oneStdoutDocument refuses a command line that sends both of fs's
+// document flags a and b to stdout: two documents back to back are no
+// longer one parseable stream.
+func oneStdoutDocument(fs *flag.FlagSet, a, b string) error {
+	if fs.Lookup(a).Value.String() == "-" && fs.Lookup(b).Value.String() == "-" {
+		return usageError(fmt.Sprintf("%s -%s - and -%s -: only one document can go to stdout", fs.Name(), a, b))
+	}
+	return nil
 }

@@ -661,35 +661,36 @@ func TestRunSeedReproducibleBackoff(t *testing.T) {
 
 // backoffSleeps replays worker 0's backoff decisions for an item that
 // conflicts n times: the sleeps requested, summed, and how many were
-// drawn with the backoff already at its ceiling.
-func backoffSleeps(seed int64, n int, ceiling time.Duration) (total time.Duration, maxed uint64) {
+// drawn with the backoff already at maxBackoff.
+func backoffSleeps(seed int64, n int) (total time.Duration, maxed uint64) {
 	rng := rand.New(rand.NewPCG(uint64(seed), 0))
 	backoff := time.Microsecond
 	for i := 0; i < n; i++ {
-		if backoff >= ceiling {
+		if backoff >= maxBackoff {
 			maxed++
 		}
 		total += time.Duration(rng.Int64N(int64(backoff) + 1))
-		if backoff < ceiling {
+		if backoff < maxBackoff {
 			backoff *= 2
 		}
 	}
 	return total, maxed
 }
 
-// TestRunBusyExcludesBackoff forces 24 conflicts on one item with a 2ms
-// backoff ceiling. The sleeps are a function of the seed, so the test
-// replays them: with one worker, whatever the run took beyond the sleeps
-// it asked for bounds Busy from above. (RunBatched used to time the
-// whole batch, sleeps included.) Two seeds ask for different sleeps, so
-// the same check pins the backoff sequence to Options.Seed.
+// TestRunBusyExcludesBackoff forces 24 conflicts on one item, 17 of them
+// retried at the backoff ceiling. The sleeps are a function of the seed,
+// so the test replays them: with one worker, whatever the run took
+// beyond the sleeps it asked for bounds Busy from above. (RunBatched
+// used to time the whole batch, sleeps included.) Two seeds ask for
+// different sleeps, so the same check pins the backoff sequence to
+// Options.Seed.
 func TestRunBusyExcludesBackoff(t *testing.T) {
 	forEntryPoints(t, func(t *testing.T, run runFunc) {
-		const conflicts, ceiling = 24, 2 * time.Millisecond
+		const conflicts = 24
 		var slept [2]time.Duration
 		for k, seed := range []int64{1, 2} {
 			var tries atomic.Int64
-			stats, err := run([]int{1}, Options{Workers: 1, Seed: seed, MaxBackoff: ceiling},
+			stats, err := run([]int{1}, Options{Workers: 1, Seed: seed},
 				func(tx *Tx, item int, wl *Worklist[int]) error {
 					if tries.Add(1) <= conflicts {
 						return ConflictBy(0, "forced")
@@ -700,7 +701,7 @@ func TestRunBusyExcludesBackoff(t *testing.T) {
 				t.Fatal(err)
 			}
 			var maxed uint64
-			slept[k], maxed = backoffSleeps(seed, conflicts, ceiling)
+			slept[k], maxed = backoffSleeps(seed, conflicts)
 			if stats.Committed != 1 || stats.Aborts != conflicts || stats.MaxedBackoffRetries != maxed {
 				t.Errorf("seed %d: stats = %+v, want 1 commit, %d aborts, %d at the ceiling", seed, stats, conflicts, maxed)
 			}
@@ -736,40 +737,26 @@ func TestRunBusyTime(t *testing.T) {
 	})
 }
 
+// TestRunMaxedBackoffRetries: the backoffs of one item's first seven
+// retries, 1 to 64µs, are below maxBackoff, so its 8th and later retries
+// are the ones counted at the ceiling.
 func TestRunMaxedBackoffRetries(t *testing.T) {
 	forEntryPoints(t, func(t *testing.T, run runFunc) {
-		// With MaxBackoff equal to the initial 1µs backoff, every retry
-		// happens at the ceiling, so MaxedBackoffRetries == Aborts
-		// deterministically.
-		var tries atomic.Int64
-		stats, err := run([]int{1}, Options{Workers: 1, MaxBackoff: time.Microsecond}, func(tx *Tx, item int, wl *Worklist[int]) error {
-			if tries.Add(1) < 5 {
-				return ConflictBy(0, "retry")
+		for _, tc := range []struct{ conflicts, maxed uint64 }{{7, 0}, {8, 1}, {10, 3}} {
+			var tries atomic.Uint64
+			stats, err := run([]int{1}, Options{Workers: 1}, func(tx *Tx, item int, wl *Worklist[int]) error {
+				if tries.Add(1) <= tc.conflicts {
+					return ConflictBy(0, "retry")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Aborts != 4 {
-			t.Fatalf("Aborts = %d, want 4", stats.Aborts)
-		}
-		if stats.MaxedBackoffRetries != 4 {
-			t.Errorf("MaxedBackoffRetries = %d, want 4", stats.MaxedBackoffRetries)
-		}
-		// With a generous ceiling, the first few retries are below it.
-		tries.Store(0)
-		stats, err = run([]int{1}, Options{Workers: 1, MaxBackoff: time.Second}, func(tx *Tx, item int, wl *Worklist[int]) error {
-			if tries.Add(1) < 4 {
-				return ConflictBy(0, "retry")
+			if stats.Aborts != tc.conflicts || stats.MaxedBackoffRetries != tc.maxed {
+				t.Errorf("%d conflicts: Aborts = %d, MaxedBackoffRetries = %d, want %d at the ceiling",
+					tc.conflicts, stats.Aborts, stats.MaxedBackoffRetries, tc.maxed)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.MaxedBackoffRetries != 0 {
-			t.Errorf("MaxedBackoffRetries = %d, want 0 under a high ceiling", stats.MaxedBackoffRetries)
 		}
 	})
 }

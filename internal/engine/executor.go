@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
-	rtrace "runtime/trace"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +27,7 @@ type Stats struct {
 	// the paper's per-iteration overhead quantity.
 	Busy time.Duration
 	// MaxedBackoffRetries counts retries taken after backoff had already
-	// saturated at Options.MaxBackoff — a high count relative to Aborts
+	// saturated at maxBackoff — a high count relative to Aborts
 	// means the backoff ceiling, not the detector, is pacing the run.
 	MaxedBackoffRetries uint64
 }
@@ -48,10 +46,6 @@ func (s Stats) AbortRatio() float64 {
 type Options struct {
 	// Workers is the number of worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// MaxBackoff caps the randomized backoff after an abort. 0 means a
-	// small default; backoff doubles per consecutive abort of the same
-	// item up to this cap.
-	MaxBackoff time.Duration
 	// MaxRetries aborts the run with an error when a single item fails
 	// more than this many times (a livelock guard). 0 means unlimited.
 	MaxRetries int
@@ -79,12 +73,10 @@ func (o Options) batchSize() int {
 	return 32
 }
 
-func (o Options) maxBackoff() time.Duration {
-	if o.MaxBackoff > 0 {
-		return o.MaxBackoff
-	}
-	return 100 * time.Microsecond
-}
+// maxBackoff caps the randomized backoff after an abort: the backoff
+// starts at 1µs and doubles per consecutive abort of the same item while
+// it is below this cap.
+const maxBackoff = 100 * time.Microsecond
 
 // Body is one speculative iteration: it operates on item through
 // detector-guarded data structure wrappers, registering undo and release
@@ -194,15 +186,14 @@ var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // worker is one executor goroutine's state.
 type worker[T any] struct {
-	id      int
-	wl      *Worklist[T] // this worker's view
-	body    BatchBody[T]
-	opts    Options
-	rng     *rand.Rand
-	stats   Stats           // this worker's counts, folded into the run's at exit
-	born    time.Time       // Stats.Busy is the time since born that is not idle
-	idle    time.Duration   // measured backoff sleeps and empty-pop spins
-	taskCtx context.Context // non-nil while `go tool trace` records
+	id    int
+	wl    *Worklist[T] // this worker's view
+	body  BatchBody[T]
+	opts  Options
+	rng   *rand.Rand
+	stats Stats         // this worker's counts, folded into the run's at exit
+	born  time.Time     // Stats.Busy is the time since born that is not idle
+	idle  time.Duration // measured backoff sleeps and empty-pop spins
 
 	items []T
 	txs   []*Tx
@@ -223,15 +214,6 @@ func (wk *worker[T]) spin() (m int, finished bool) {
 // run processes the m items just popped: one attempt as a group, then
 // each conflicted item on its own until it commits.
 func (wk *worker[T]) run(m int) error {
-	// When `go tool trace` is recording, each popped group is a task and
-	// each speculative attempt a region, so the trace viewer shows retry
-	// structure per item.
-	wk.taskCtx = nil
-	if rtrace.IsEnabled() {
-		ctx, task := rtrace.NewTask(context.Background(), "engine.item")
-		defer task.End()
-		wk.taskCtx = ctx
-	}
 	if err := wk.attempt(0, m); err != nil {
 		return err
 	}
@@ -255,13 +237,13 @@ func (wk *worker[T]) retry(i int) error {
 		if wk.opts.MaxRetries > 0 && attempts >= wk.opts.MaxRetries {
 			return fmt.Errorf("engine: item retried %d times without committing: %w", attempts, wk.errs[i])
 		}
-		if backoff >= wk.opts.maxBackoff() {
+		if backoff >= maxBackoff {
 			wk.stats.MaxedBackoffRetries++
 		}
 		t0 := time.Now()
 		time.Sleep(time.Duration(wk.rng.Int64N(int64(backoff) + 1)))
 		wk.idle += time.Since(t0)
-		if backoff < wk.opts.maxBackoff() {
+		if backoff < maxBackoff {
 			backoff *= 2
 		}
 		if err := wk.attempt(i, i+1); err != nil {
@@ -277,9 +259,6 @@ func (wk *worker[T]) retry(i int) error {
 // and the conflict for one to retry; any other failure is returned and
 // cancels the run.
 func (wk *worker[T]) attempt(lo, hi int) error {
-	if wk.taskCtx != nil {
-		defer rtrace.StartRegion(wk.taskCtx, "attempt").End()
-	}
 	txs, items, errs := wk.txs[lo:hi], wk.items[lo:hi], wk.errs[lo:hi]
 	wk.cache.GetBatch(txs)
 	for i, tx := range txs {

@@ -1,7 +1,7 @@
 // Exporters for the latency and flight layer: JSON documents for the
-// /debug/commlat/ endpoints and the flightrec subcommand, and
-// human-readable tables for the CLI. The exported document types here
-// are the schema: scripts/tracecheck decodes into them.
+// flightrec subcommand's -o and -percentiles, and human-readable tables
+// for the CLI. The exported document types here are the schema:
+// scripts/tracecheck decodes into them.
 package telemetry
 
 import (

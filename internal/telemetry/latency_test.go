@@ -1,9 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -237,7 +238,11 @@ func TestTelemetryFlightDisabledIsNoop(t *testing.T) {
 	}
 }
 
-func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
+// TestTelemetryObservabilityDocuments: the percentile and flight
+// documents flightrec writes decode into their types, unknown fields
+// refused, and carry the recorded stage, verdict, shard list and
+// detector name.
+func TestTelemetryObservabilityDocuments(t *testing.T) {
 	EnableLatency()
 	EnableFlight(64)
 	defer DisableLatency()
@@ -256,33 +261,27 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	rec.Mark(StageRendezvous, 500)
 	RecordFlight(0, &rec)
 
-	h := Handler(r)
-	get := func(path string) (int, string) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		return w.Code, w.Body.String()
+	decode := func(write func(io.Writer) error, doc any) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(&buf)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(doc); err != nil {
+			t.Fatalf("%T: %v", doc, err)
+		}
 	}
 
-	code, body := get("/debug/commlat/percentiles")
-	if code != 200 {
-		t.Fatalf("/percentiles: %d", code)
-	}
 	var lat LatencySnapshot
-	if err := json.Unmarshal([]byte(body), &lat); err != nil {
-		t.Fatalf("percentiles JSON: %v", err)
-	}
-	if !lat.Enabled || len(lat.Stages) == 0 {
+	decode(WritePercentilesJSON, &lat)
+	if !lat.Enabled || len(lat.Stages) != 1 || lat.Stages[0].Stage != "rendezvous" {
 		t.Fatalf("percentiles doc: %+v", lat)
 	}
 
-	code, body = get("/debug/commlat/flightrec")
-	if code != 200 {
-		t.Fatalf("/flightrec: %d", code)
-	}
 	var fd FlightDoc
-	if err := json.Unmarshal([]byte(body), &fd); err != nil {
-		t.Fatalf("flightrec JSON: %v", err)
-	}
+	decode(r.WriteFlightJSON, &fd)
 	if len(fd.Records) != 1 || fd.Records[0].Verdict != "admitted" {
 		t.Fatalf("flight doc: %+v", fd)
 	}
@@ -294,9 +293,10 @@ func TestTelemetryHTTPObservabilityEndpoints(t *testing.T) {
 	}
 }
 
-// TestTelemetryConcurrentScrape races live recording against the HTTP
-// exporters; run under -race it proves the lock-free merge reads and
-// ring drains are sound against concurrent writers.
+// TestTelemetryConcurrentScrape races live recording against the three
+// document writers (-telemetry-out's snapshot, flightrec's -o and
+// -percentiles); run under -race it proves the lock-free merge reads
+// and ring drains are sound against concurrent writers.
 func TestTelemetryConcurrentScrape(t *testing.T) {
 	EnableLatency()
 	EnableFlight(64)
@@ -305,7 +305,6 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 
 	r := NewRegistry()
 	d := r.Register("cascade", "set", []string{"add"})
-	h := Handler(r)
 
 	var writers, scrapers sync.WaitGroup
 	stop := make(chan struct{})
@@ -329,17 +328,19 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 			}
 		}(w)
 	}
-	paths := []string{"/debug/telemetry", "/debug/commlat/flightrec", "/debug/commlat/percentiles"}
+	documents := []func(io.Writer) error{
+		func(w io.Writer) error { return writeJSON(w, r.Snapshot()) },
+		r.WriteFlightJSON,
+		WritePercentilesJSON,
+	}
 	for s := 0; s < 2; s++ {
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
 			for i := 0; i < 15; i++ {
-				for _, p := range paths {
-					w := httptest.NewRecorder()
-					h.ServeHTTP(w, httptest.NewRequest("GET", p, nil))
-					if w.Code != 200 {
-						t.Errorf("%s: %d", p, w.Code)
+				for _, write := range documents {
+					if err := write(io.Discard); err != nil {
+						t.Error(err)
 						return
 					}
 				}

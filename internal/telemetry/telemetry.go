@@ -467,7 +467,7 @@ type EngineSnapshot struct {
 }
 
 // Snapshot copies every registered detector's counters plus the engine
-// counters, for programmatic use, -telemetry-out and /debug/telemetry.
+// counters, for programmatic use and -telemetry-out.
 type Snapshot struct {
 	Engine    EngineSnapshot     `json:"engine"`
 	Detectors []DetectorSnapshot `json:"detectors"`

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -375,89 +373,5 @@ func TestEmitEnabledZeroAllocs(t *testing.T) {
 		Emit(1, EvCommit, 2, 3, 0, 0, 0)
 	}); n != 0 {
 		t.Fatalf("enabled Emit allocates %v/op", n)
-	}
-}
-
-// TestHandlerEndpoints: the live server serves exactly the typed
-// documents the CLI writes. Each endpoint's body decodes into its type
-// with unknown fields refused, and the index at / links exactly the
-// table.
-func TestHandlerEndpoints(t *testing.T) {
-	EnableLatency()
-	EnableFlight(64)
-	defer DisableLatency()
-	defer DisableFlight()
-
-	r := NewRegistry()
-	d := r.Register("forward", "set", []string{"add", "remove"})
-	d.IncInvocation()
-	StageRecord(0, StageRendezvous, 500)
-	rec := FlightRecord{Tx: 7, Det: d.ID(), Method: 1, Verdict: FlightAdmitted, Shards: 0b11}
-	rec.Mark(StageRendezvous, 500)
-	RecordFlight(0, &rec)
-
-	h := Handler(r)
-	get := func(path string) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-		return w
-	}
-	var (
-		snap   Snapshot
-		flight FlightDoc
-		lat    LatencySnapshot
-	)
-	table := []struct {
-		path string
-		doc  any
-		ok   func() bool
-	}{
-		{"/debug/telemetry", &snap, func() bool {
-			return len(snap.Detectors) == 1 && snap.Detectors[0].Invocations == 1
-		}},
-		{"/debug/commlat/flightrec", &flight, func() bool {
-			if len(flight.Records) != 1 {
-				return false
-			}
-			got := flight.Records[0]
-			return got.Detector == "forward/set" && got.Method == "remove" && got.Verdict == "admitted" &&
-				fmt.Sprint(got.Shards) == "[0 1]" && fmt.Sprint(got.StageNS) == "map[rendezvous:500]"
-		}},
-		{"/debug/commlat/percentiles", &lat, func() bool {
-			return lat.Enabled && len(lat.Stages) == 1 && lat.Stages[0].Stage == "rendezvous"
-		}},
-	}
-	var want []string
-	for _, e := range table {
-		want = append(want, e.path)
-		w := get(e.path)
-		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
-			t.Fatalf("%s: %d %q", e.path, w.Code, w.Header().Get("Content-Type"))
-		}
-		dec := json.NewDecoder(w.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(e.doc); err != nil {
-			t.Fatalf("%s: %v", e.path, err)
-		}
-		if !e.ok() {
-			t.Errorf("%s: unexpected document %+v", e.path, e.doc)
-		}
-	}
-
-	w := get("/")
-	if w.Code != 200 {
-		t.Fatalf("/: %d", w.Code)
-	}
-	var linked []string
-	for _, l := range regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(w.Body.String(), -1) {
-		linked = append(linked, l[1])
-	}
-	if fmt.Sprint(linked) != fmt.Sprint(want) {
-		t.Fatalf("/ links %v, want %v", linked, want)
-	}
-	for _, p := range []string{"/nope", "/debug/commlat/" + "audit"} {
-		if code := get(p).Code; code != 404 {
-			t.Errorf("%s: %d, want 404", p, code)
-		}
 	}
 }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go run ./scripts/tracecheck trace.jsonl
-//	commlat trace -app boruvka -json | go run ./scripts/tracecheck
+//	commlat trace -app boruvka -jsonl - | go run ./scripts/tracecheck
 //	go run ./scripts/tracecheck -chrome trace.json
 //	go run ./scripts/tracecheck -snapshot telemetry.json
 //	commlat flightrec -app cluster -o - | go run ./scripts/tracecheck -flight
@@ -96,7 +96,7 @@ func requireRowKeys(raw []byte, field string, keys ...string) error {
 	return nil
 }
 
-// check validates a JSONL event trace (`commlat trace -json`/-jsonl):
+// check validates a JSONL event trace (`commlat trace -jsonl`):
 // one EventJSON per line, a known kind with the fields that kind needs,
 // and a monotone timeline holding at least one begin and one commit.
 func check(raw []byte, w io.Writer) error {
@@ -197,9 +197,9 @@ func checkChrome(raw []byte, w io.Writer) error {
 }
 
 // checkSnapshot validates a telemetry snapshot document (`commlat
-// -telemetry-out` or /debug/telemetry): every detector row carries id,
-// kind and adt, and no part exceeds its whole: per-pair attribution the
-// detector totals, a lock manager's reentrant grants its acquisitions.
+// -telemetry-out`): every detector row carries id, kind and adt, and no
+// part exceeds its whole: per-pair attribution the detector totals, a
+// lock manager's reentrant grants its acquisitions.
 func checkSnapshot(raw []byte, w io.Writer) error {
 	var doc telemetry.Snapshot
 	if err := decodeStrict(raw, &doc); err != nil {
@@ -253,10 +253,10 @@ func checkSnapshot(raw []byte, w io.Writer) error {
 }
 
 // checkFlight validates a flight-recorder document (`commlat flightrec
-// -o` or /debug/commlat/flightrec): every record needs a timestamp,
-// a worker and a known verdict; the stage_ns keys must come from the
-// pipeline vocabulary; the timeline is oldest-first; and a run that
-// recorded anything must have buffered at least one record.
+// -o`): every record needs a timestamp, a worker and a known verdict;
+// the stage_ns keys must come from the pipeline vocabulary; the
+// timeline is oldest-first; and a run that recorded anything must have
+// buffered at least one record.
 func checkFlight(raw []byte, w io.Writer) error {
 	var doc telemetry.FlightDoc
 	if err := decodeStrict(raw, &doc); err != nil {
@@ -300,7 +300,7 @@ func checkFlight(raw []byte, w io.Writer) error {
 }
 
 // checkPercentiles validates a stage-latency percentile document
-// (`commlat flightrec -percentiles` or /debug/commlat/percentiles):
+// (`commlat flightrec -percentiles`):
 // stage names from the pipeline vocabulary, monotone percentiles, and
 // bucket counts that decompose each stage's total.
 func checkPercentiles(raw []byte, w io.Writer) error {
