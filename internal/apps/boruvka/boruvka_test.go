@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -460,5 +461,39 @@ func TestRunAllocationsDoNotScaleWithMerges(t *testing.T) {
 	const slack = 64
 	if small, large := allocs(16), allocs(64); large > small+slack {
 		t.Errorf("Run allocates %v on a 64×64 mesh and %v on a 16×16 one: more than %d apart", large, small, slack)
+	}
+}
+
+// countingFinds is a union-find that counts its Find calls: a measure of
+// a run's union-find work that does not depend on the clock.
+type countingFinds struct {
+	unionfind.Sets
+	finds atomic.Int64
+}
+
+func (c *countingFinds) Find(tx *engine.Tx, a int64) (int64, error) {
+	c.finds.Add(1)
+	return c.Sets.Find(tx, a)
+}
+
+// TestTwoWorkersDoOneWorkersWork counts work instead of timing it: two
+// workers make at most 1.25× one worker's Find calls. A worklist on which
+// each worker popped its own pushes first kept growing one component and
+// rescanning its edge list, and made 19–29× the calls on these meshes.
+func TestTwoWorkersDoOneWorkersWork(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		nodes, edges := workload.Mesh(64, 64, seed)
+		var finds [3]int64
+		for _, workers := range []int{1, 2} {
+			uf := &countingFinds{Sets: unionfind.NewGK(nodes)}
+			if _, err := Run(uf, nodes, edges, engine.Options{Workers: workers}); err != nil {
+				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+			}
+			finds[workers] = uf.finds.Load()
+		}
+		if r := float64(finds[2]) / float64(finds[1]); r > 1.25 {
+			t.Errorf("seed %d: two workers made %d Find calls, %.2f× one worker's %d; want at most 1.25×",
+				seed, finds[2], r, finds[1])
+		}
 	}
 }

@@ -238,3 +238,25 @@ func ExampleSequential() {
 	fmt.Println(len(d.Merges()), "merges")
 	// Output: 3 merges
 }
+
+// TestTwoWorkersDoOneWorkersWork counts work instead of timing it: two
+// workers commit at most 1.25× the items of one worker. A worklist on
+// which each worker popped its own pushes first requeued non-reciprocal
+// points far more often, and committed 1.4–4.9× the items on these inputs.
+func TestTwoWorkersDoOneWorkersWork(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		pts := workload.RandomPoints(500, 100, seed)
+		var commits [3]uint64
+		for _, workers := range []int{1, 2} {
+			_, res, err := Run(kdtree.NewGK(), pts, engine.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
+			}
+			commits[workers] = res.Stats.Committed
+		}
+		if r := float64(commits[2]) / float64(commits[1]); r > 1.25 {
+			t.Errorf("seed %d: two workers committed %d items, %.2f× one worker's %d; want at most 1.25×",
+				seed, commits[2], r, commits[1])
+		}
+	}
+}

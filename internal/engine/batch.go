@@ -20,12 +20,13 @@ import "commlat/internal/telemetry"
 type BatchBody[T any] func(txs []*Tx, items []T, wl *Worklist[T], errs []error) error
 
 // RunBatched is Run in batch mode: workers drain the worklist in
-// batches (Worklist.PopBatch — one shard-lock acquisition per batch)
-// of opts.BatchSize items and hand each batch with a matching set of
-// fresh transactions to body. Items the body reports as conflicted are
-// retried one at a time, each as a batch of one, with the same
-// randomized backoff as Run, so a batch of transient conflicts degrades
-// to the serial loop instead of livelocking the whole batch.
+// batches of opts.BatchSize items (one worklist lock acquisition per
+// batch, which also retires the worker's previous batch) and hand each
+// batch with a matching set of fresh transactions to body. Items the
+// body reports as conflicted are retried one at a time, each as a batch
+// of one, with the same randomized backoff as Run, so a batch of
+// transient conflicts degrades to the serial loop instead of livelocking
+// the whole batch.
 func RunBatched[T any](wl *Worklist[T], opts Options, body BatchBody[T]) (Stats, error) {
 	return runWorkers(wl, opts, opts.batchSize(), body)
 }

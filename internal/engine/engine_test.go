@@ -169,55 +169,40 @@ type countingStringer int
 
 func (c *countingStringer) String() string { *c++; return "n" }
 
-// pop1 pops a single item: the value, whether one was taken, and
-// whether the worklist reported termination.
-func pop1[T any](wl *Worklist[T]) (T, bool, bool) {
+// pop1 retires done earlier items and pops a single one: the value,
+// whether one was taken, and whether the worklist reported termination.
+func pop1[T any](wl *Worklist[T], done int) (T, bool, bool) {
 	var buf [1]T
-	n, finished := wl.PopBatch(buf[:])
+	n, finished := wl.pop(done, buf[:])
 	return buf[0], n == 1, finished
 }
 
 func TestWorklistPushPop(t *testing.T) {
 	wl := NewWorklist(1, 2, 3)
-	if wl.Len() != 3 {
-		t.Fatalf("Len = %d", wl.Len())
-	}
-	it, ok, done := pop1(wl)
+	it, ok, done := pop1(wl, 0)
 	if !ok || done || it != 1 {
 		t.Fatalf("pop = %v %v %v (FIFO: oldest first)", it, ok, done)
 	}
 	wl.Push(9)
-	if wl.Len() != 3 {
-		t.Fatalf("Len after push = %d", wl.Len())
-	}
-	wl.doneN(1)
-	for i := 0; i < 3; i++ {
-		if _, ok, _ := pop1(wl); !ok {
-			t.Fatal("expected item")
+	for _, want := range []int{2, 3, 9} {
+		if it, ok, _ := pop1(wl, 1); !ok || it != want {
+			t.Fatalf("pop = %v (%v), want %d: a push goes to the back", it, ok, want)
 		}
-		wl.doneN(1)
 	}
-	_, ok, done = pop1(wl)
+	_, ok, done = pop1(wl, 1)
 	if ok || !done {
 		t.Fatalf("empty+idle worklist should report done; got ok=%v done=%v", ok, done)
 	}
 }
 
-func TestWorklistShardCount(t *testing.T) {
-	if n := len(NewWorklist[int]().s.shards); n < 2 || n&(n-1) != 0 {
-		t.Fatalf("shard count %d, want a power of two >= 2", n)
-	}
-}
-
 func TestWorklistInflightBlocksDone(t *testing.T) {
 	wl := NewWorklist(1)
-	_, _, _ = pop1(wl)
-	if _, ok, done := pop1(wl); ok || done {
+	_, _, _ = pop1(wl, 0)
+	if _, ok, done := pop1(wl, 0); ok || done {
 		t.Error("in-flight item must keep the list not-done")
 	}
-	wl.doneN(1)
-	if _, ok, done := pop1(wl); ok || !done {
-		t.Error("after done the list should be finished")
+	if _, ok, done := pop1(wl, 1); ok || !done {
+		t.Error("once its item is retired the list should be finished")
 	}
 }
 
@@ -227,38 +212,34 @@ func TestWorklistFIFOOrder(t *testing.T) {
 		wl.Push(i)
 	}
 	for i := 0; i < 10; i++ {
-		it, ok, _ := pop1(wl)
+		it, ok, _ := pop1(wl, 0)
 		if !ok || it != i {
 			t.Fatalf("pop %d = %v, %v", i, it, ok)
 		}
-		wl.doneN(1)
 	}
 }
 
-func TestWorklistBatchStealsPreserveShardFIFO(t *testing.T) {
-	// Regression guard for the shard-count snapshot: every item sits in
-	// shard 0 while views with home indexes far beyond any plausible
-	// GOMAXPROCS snapshot steal batches from it concurrently. PopBatch
-	// promises each batch is a contiguous run of one shard's queue, so
-	// whatever the interleaving, every stolen batch must be consecutive
-	// items in seed order, delivered exactly once.
+func TestWorklistConcurrentBatchesAreFIFORuns(t *testing.T) {
+	// Eight workers pop batches of seven from one queue at once. Each
+	// batch is taken under one lock acquisition, so whatever the
+	// interleaving, every batch must be consecutive items in push order,
+	// and every item must be delivered exactly once.
 	wl := NewWorklist[int]()
 	const N = 20000
 	for i := 0; i < N; i++ {
-		wl.Push(i) // home handle: everything lands on shard 0
+		wl.Push(i)
 	}
 	var mu sync.Mutex
 	var batches [][]int
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			v := wl.forWorker(w + 1000) // larger than any shard snapshot
 			buf := make([]int, 7)
+			k, done := 0, false
 			for {
-				k, done := v.PopBatch(buf)
-				if k == 0 {
+				if k, done = wl.pop(k, buf); k == 0 {
 					if done {
 						return
 					}
@@ -268,9 +249,8 @@ func TestWorklistBatchStealsPreserveShardFIFO(t *testing.T) {
 				mu.Lock()
 				batches = append(batches, b)
 				mu.Unlock()
-				v.doneN(k)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	seen := make([]bool, N)
@@ -296,7 +276,9 @@ func TestWorklistBatchStealsPreserveShardFIFO(t *testing.T) {
 
 func TestWorklistCompaction(t *testing.T) {
 	// Push and pop enough items to trigger the head-compaction path and
-	// confirm order and contents survive it.
+	// confirm order and contents survive it. Nothing is retired until the
+	// last pop, which retires every item at once and must find the list
+	// done.
 	wl := NewWorklist[int]()
 	next := 0
 	popped := 0
@@ -306,26 +288,24 @@ func TestWorklistCompaction(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 60; i++ {
-			it, ok, _ := pop1(wl)
+			it, ok, _ := pop1(wl, 0)
 			if !ok || it != popped {
 				t.Fatalf("pop = %v (%v), want %d", it, ok, popped)
 			}
 			popped++
-			wl.doneN(1)
 		}
 	}
-	if wl.Len() != next-popped {
-		t.Fatalf("Len = %d, want %d", wl.Len(), next-popped)
-	}
 	for popped < next {
-		it, ok, _ := pop1(wl)
+		it, ok, _ := pop1(wl, 0)
 		if !ok || it != popped {
 			t.Fatalf("drain pop = %v (%v), want %d", it, ok, popped)
 		}
 		popped++
-		wl.doneN(1)
 	}
-	if _, ok, done := pop1(wl); ok || !done {
+	if _, ok, done := pop1(wl, popped-1); ok || done {
+		t.Error("one item still in flight: the worklist must not be done")
+	}
+	if _, ok, done := pop1(wl, 1); ok || !done {
 		t.Error("worklist should be done")
 	}
 }

@@ -51,7 +51,7 @@ type Options struct {
 	MaxRetries int
 	// Seed seeds per-worker backoff randomization for reproducibility.
 	Seed int64
-	// BatchSize is the number of items RunBatched drains per PopBatch;
+	// BatchSize is the number of items RunBatched pops at a time;
 	// 0 means a default of 32. Ignored by Run.
 	BatchSize int
 }
@@ -88,9 +88,9 @@ type Body[T any] func(tx *Tx, item T, wl *Worklist[T]) error
 // body to each item inside a fresh transaction. It is the Galois-style
 // optimistic loop of the paper: conflicts roll the iteration back (inverse
 // methods via the tx undo log) and the item is retried after randomized
-// backoff. Each worker drains its own worklist shard and steals from the
-// others when it runs dry, so uncontended pushes and pops never share a
-// lock. If several workers fail, all their errors are returned, joined.
+// backoff. All workers share the worklist's one FIFO queue; a worker
+// retires its previous item in the same lock acquisition that pops its
+// next. If several workers fail, all their errors are returned, joined.
 func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
 	return runWorkers(wl, opts, 1, func(txs []*Tx, items []T, wl *Worklist[T], errs []error) error {
 		for i, tx := range txs {
@@ -103,9 +103,9 @@ func Run[T any](wl *Worklist[T], opts Options, body Body[T]) (Stats, error) {
 }
 
 // runWorkers is the executor both entry points share: opts.Workers
-// goroutines, each with its own worklist view, backoff PCG and batch
-// buffers, pop up to n items at a time and put them through body until
-// the worklist reports termination or a worker fails.
+// goroutines, each with its own backoff PCG and batch buffers, pop up to
+// n items at a time and put them through body until the worklist reports
+// termination or a worker fails.
 func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) (Stats, error) {
 	AlignTxIDs()
 	start := time.Now()
@@ -121,7 +121,7 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 		go func(w int) {
 			defer wg.Done()
 			wk := worker[T]{
-				id: w, wl: wl.forWorker(w), body: body, opts: opts, born: time.Now(),
+				id: w, wl: wl, body: body, opts: opts, born: time.Now(),
 				// PCG seeded by (run seed, worker index): reproducible for a
 				// fixed Options.Seed, distinct per worker.
 				rng:   rand.New(rand.NewPCG(uint64(opts.Seed), uint64(w))),
@@ -149,17 +149,16 @@ func runWorkers[T any](wl *Worklist[T], opts Options, n int, body BatchBody[T]) 
 				stats.MaxedBackoffRetries += wk.stats.MaxedBackoffRetries
 				mu.Unlock()
 			}()
+			m, finished := 0, false // m: items popped and not yet retired
 			for !stop.Load() {
-				m, finished := wk.wl.PopBatch(wk.items)
+				m, finished = wk.wl.pop(m, wk.items)
 				for m == 0 && !finished && !stop.Load() {
 					m, finished = wk.spin()
 				}
 				if m == 0 {
 					return
 				}
-				err := wk.run(m)
-				wk.wl.doneN(m)
-				if err != nil {
+				if err := wk.run(m); err != nil {
 					stop.Store(true)
 					errc <- err
 					return
@@ -187,7 +186,7 @@ var txPool = sync.Pool{New: func() any { return new(Tx) }}
 // worker is one executor goroutine's state.
 type worker[T any] struct {
 	id    int
-	wl    *Worklist[T] // this worker's view
+	wl    *Worklist[T]
 	body  BatchBody[T]
 	opts  Options
 	rng   *rand.Rand
@@ -206,7 +205,7 @@ type worker[T any] struct {
 func (wk *worker[T]) spin() (m int, finished bool) {
 	t0 := time.Now()
 	runtime.Gosched()
-	m, finished = wk.wl.PopBatch(wk.items)
+	m, finished = wk.wl.pop(0, wk.items)
 	wk.idle += time.Since(t0)
 	return m, finished
 }
